@@ -27,7 +27,7 @@ from . import lp as lpmod
 from .geom import (EPS_GEO, ConvexPolytope2, Face, all_faces, cone_contains,
                    cones_intersect, normal_cone)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
-from .verify import certify
+from .verify import certified_pair
 
 
 @dataclass
@@ -105,20 +105,21 @@ class _Affine:
         return self.c + self.M @ x
 
 
-def _cone_rows(cons, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
-    """Linear constraints expressing expr in cone (cone width < pi)."""
+def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
+    """Append (coefficients, bound) rows expressing expr in cone (cone width
+    < pi)."""
     g = cone.generators
     if len(g) == 1:
         row, const = expr.cross_with(g[0])
-        cons.append(lpmod.Constraint(tuple(row), slack - const))
-        cons.append(lpmod.Constraint(tuple(-row), slack + const))
+        rows.append((row, slack - const))
+        rows.append((-row, slack + const))
         row, const = expr.dot_with(g[0])
-        cons.append(lpmod.Constraint(tuple(-row), slack + const))
+        rows.append((-row, slack + const))
     else:
         row, const = expr.cross_with(g[0])       # cross(g1, v) >= 0
-        cons.append(lpmod.Constraint(tuple(-row), slack + const))
+        rows.append((-row, slack + const))
         row, const = expr.cross_with(g[1])       # cross(v, g2) >= 0
-        cons.append(lpmod.Constraint(tuple(row), slack - const))
+        rows.append((row, slack - const))
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -147,7 +148,8 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
                 and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        return _assemble(K, T, q1b, q2b, p1b, p2b, f1, f2, g1, g2)
+        return certified_pair(K, T, make_pair(K, T, [q1b, q2b], [p1b, p2b],
+                                              (f1, f2), (g1, g2)))
 
     # lay out LP variables: one parameter per facet endpoint, then the two
     # cone multipliers for the mixed case
@@ -174,19 +176,20 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     p1 = affine("p1", p1b, p1d)
     p2 = affine("p2", p2b, p2d)
 
-    cons: List[lpmod.Constraint] = []
+    rows: List[Tuple[np.ndarray, float]] = []
+    n_eq = 0  # leading equality rows
     if f_fixed:
         dq = q2b - q1b
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
             return None
-        _cone_rows(cons, p2 - p1, ck2.negate())
-        _cone_rows(cons, p1 - p2, ck1.negate())
+        _cone_rows(rows, p2 - p1, ck2.negate())
+        _cone_rows(rows, p1 - p2, ck1.negate())
     elif g_fixed:
         dp = p2b - p1b
         if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        _cone_rows(cons, q2 - q1, ct1)
-        _cone_rows(cons, q1 - q2, ct2)
+        _cone_rows(rows, q2 - q1, ct1)
+        _cone_rows(rows, q1 - q2, ct2)
     else:
         # pin q2-q1 to the facet normal available on the T side and p2-p1 to
         # the one on the K side
@@ -199,49 +202,40 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
         else:
             u_expr, u = p1 - p2, -K.normals[f1.index]
         for coord in range(2):
-            row = np.zeros(nv)
-            row[:] = w_expr.M[coord]
+            row = w_expr.M[coord].copy()
             row[layout["a1"]] -= w[coord]
-            cons.append(lpmod.Constraint(tuple(row), -w_expr.c[coord], "=="))
-            row = np.zeros(nv)
-            row[:] = u_expr.M[coord]
+            rows.append((row, -w_expr.c[coord]))
+            row = u_expr.M[coord].copy()
             row[layout["a2"]] -= u[coord]
-            cons.append(lpmod.Constraint(tuple(row), -u_expr.c[coord], "=="))
+            rows.append((row, -u_expr.c[coord]))
+        n_eq = 4
         # a vertex on either side still constrains the difference to its cone
         if not g1.is_edge:
-            _cone_rows(cons, q2 - q1, ct1)
+            _cone_rows(rows, q2 - q1, ct1)
         if not g2.is_edge:
-            _cone_rows(cons, q1 - q2, ct2)
+            _cone_rows(rows, q1 - q2, ct2)
         if not f2.is_edge:
-            _cone_rows(cons, p2 - p1, ck2.negate())
+            _cone_rows(rows, p2 - p1, ck2.negate())
         if not f1.is_edge:
-            _cone_rows(cons, p1 - p2, ck1.negate())
+            _cone_rows(rows, p1 - p2, ck1.negate())
 
-    lower = [0.0] * nv
-    upper: List[Optional[float]] = [1.0] * nv
+    upper = np.ones(nv)
     if mixed:
-        upper[layout["a1"]] = None
-        upper[layout["a2"]] = None
+        upper[[layout["a1"], layout["a2"]]] = np.inf
     obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
     if obj.shape != (nv,):
         raise ValueError(f"objective must have {nv} entries for this tuple")
     if stats is not None:
         stats.lp_solves += 1
-    sol = lpmod.solve(lpmod.LinearProgram(obj, cons, lower, upper))
+    sol = lpmod.solve(lpmod.LinearProgram(
+        obj, np.array([r for r, _ in rows]), np.array([b for _, b in rows]),
+        np.arange(len(rows)) < n_eq, np.zeros(nv), upper))
     if sol.status != "optimal":
         return None
     x = sol.x
-    return _assemble(K, T, q1.at(x), q2.at(x), p1.at(x), p2.at(x),
-                     f1, f2, g1, g2)
-
-
-def _assemble(K, T, q1, q2, p1, p2, f1, f2, g1, g2) -> Optional[BilliardPair]:
-    pair = make_pair(K, T, [q1, q2], [p1, p2], (f1, f2), (g1, g2))
-    if pair is None:
-        return None
-    if not certify(K, T, pair).certified:
-        return None
-    return pair
+    return certified_pair(K, T, make_pair(K, T, [q1.at(x), q2.at(x)],
+                                          [p1.at(x), p2.at(x)],
+                                          (f1, f2), (g1, g2)))
 
 
 def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -274,11 +268,10 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)
-    shifted = make_pair(K, T, [q1 + t * e1, q2 + t * e1],
-                        pair.p.vertices, pair.k_faces, pair.t_faces)
-    if shifted is None or not certify(K, T, shifted).certified:
-        return pair
-    return shifted
+    shifted = certified_pair(K, T, make_pair(
+        K, T, [q1 + t * e1, q2 + t * e1], pair.p.vertices, pair.k_faces,
+        pair.t_faces))
+    return pair if shifted is None else shifted
 
 
 def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,

@@ -28,10 +28,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lp as lpmod
-from .geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                    find_face, normal_cone, positively_spans)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
-from .verify import certify
+from .verify import certified_pair
 
 
 class NotSpanning(GeometryError):
@@ -86,6 +86,27 @@ def facet_triple_count(K: ConvexPolytope2) -> int:
     return n * (n - 1) * (n - 2) // 3
 
 
+def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
+    """The facet triples, in facet_triples order, whose normals build_gamma
+    accepts; the same tests as build_gamma, decided for all triples at once."""
+    tri = np.array(list(facet_triples(K)), int).reshape(-1, 3)
+    ang = np.sort(np.array([math.atan2(y, x) for x, y in K.normals])[tri], axis=1)
+    gaps = np.column_stack([ang[:, 1] - ang[:, 0], ang[:, 2] - ang[:, 1],
+                            2 * math.pi - (ang[:, 2] - ang[:, 0])])
+    n1, n2, n3 = (K.normals[tri[:, c]] for c in range(3))
+
+    def cross(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    # Cramer's rule for alpha_2 n2 + alpha_3 n3 = n1
+    det = cross(n2, n3)
+    solvable = np.abs(det) > EPS_GEO
+    det = np.where(solvable, det, 1.0)
+    ok = (solvable & (gaps.max(axis=1) < math.pi - EPS_ANG)
+          & (cross(n1, n3) / det < -EPS_GEO) & (cross(n2, n1) / det < -EPS_GEO))
+    return tri[ok]
+
+
 def build_gamma(normals: Sequence) -> GammaTriangle:
     """Triangle with gamma_{i+1} - gamma_i = alpha_i n_i, all alpha_i < 0,
     normalized by alpha_1 = -1 and gamma_1 = 0."""
@@ -114,15 +135,12 @@ def find_inbody(triangle: np.ndarray, T: ConvexPolytope2,
     optimum must put all three vertices on the boundary with contact normals
     positively spanning; otherwise the triangle admits no valid placement."""
     tri = np.asarray(triangle, float)
-    cons = []
-    for a, b in zip(T.normals, T.offsets):
-        for k in range(3):
-            # <a, lam * tri_k + u> <= b
-            cons.append(lpmod.Constraint(
-                (float(a @ tri[k]), float(a[0]), float(a[1])), float(b)))
+    # <a, lam * tri_k + u> <= b for k = 1..3 is one row per facet, since
+    # lam >= 0 leaves only the largest <a, tri_k> binding
     sol = lpmod.solve(lpmod.LinearProgram(
-        objective=(1.0, 0.0, 0.0), constraints=cons,
-        lower=(0.0, None, None), upper=(None, None, None)))
+        objective=np.array([1.0, 0.0, 0.0]),
+        constraints=np.column_stack([(T.normals @ tri.T).max(axis=1), T.normals]),
+        rhs=T.offsets, lower=np.array([0.0, -np.inf, -np.inf])))
     if sol.status != "optimal":
         raise NoInbody("DegenerateLp")
     lam = float(sol.x[0])
@@ -215,10 +233,11 @@ def fit_to_k(xi: XiTriangle, K: ConvexPolytope2,
 
 def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
                         samples: int = 8) -> List[BilliardPair]:
-    """All certified regular 3-bounce pairs over facet triples of K."""
+    """All certified regular 3-bounce pairs over the facet triples of K that
+    pass the spanning test."""
     found: List[BilliardPair] = []
-    for triple in facet_triples(K):
-        found.extend(solve_facet_triple(K, T, triple, samples=samples))
+    for triple in spanning_triples(K).tolist():
+        found.extend(solve_facet_triple(K, T, tuple(triple), samples=samples))
     return sort_pairs(dedupe(found))
 
 
@@ -242,8 +261,7 @@ def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
         p = np.roll(inbody.vertices, -1, axis=0)
         t_faces = tuple(inbody.t_faces[(j + 1) % 3] for j in range(3))
         k_faces = tuple(Face.edge(i) for i in triple)
-        pair = make_pair(K, T, q, p, k_faces, t_faces)
-        if pair is None or not certify(K, T, pair).certified:
-            continue
-        out.append(pair)
+        pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+        if pair is not None:
+            out.append(pair)
     return dedupe(out)

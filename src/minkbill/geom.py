@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lp import Constraint, LinearProgram, solve
+from .lp import LinearProgram, solve
 
 EPS_GEO = 1e-9    # geometric tolerance (coincidence, membership)
 EPS_ANG = 1e-9    # angular tolerance, radians
@@ -200,16 +200,20 @@ def face_distance(P: ConvexPolytope2, f: Face, x) -> float:
 
 
 def find_face(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> Face:
-    """Smallest face of P containing x (vertices win over edges)."""
+    """Smallest face of P containing x (vertices win over edges, then the
+    first edge within tol)."""
     x = np.asarray(x, float)
     d = np.hypot(*(P.vertices - x).T)
     i = int(np.argmin(d))
     if d[i] <= tol:
         return Face.vertex(i)
-    for j in range(P.n):
-        a, b = P.facet_segment(j)
-        if segment_distance(a, b, x) <= tol:
-            return Face.edge(j)
+    a = P.vertices
+    e = np.roll(a, -1, axis=0) - a
+    t = np.clip(np.einsum("ij,ij->i", x - a, e) / np.einsum("ij,ij->i", e, e),
+                0.0, 1.0)
+    hits = np.nonzero(np.hypot(*(a + t[:, None] * e - x).T) <= tol)[0]
+    if hits.size:
+        return Face.edge(int(hits[0]))
     raise GeometryError("point is not on the boundary of the polytope")
 
 
@@ -388,9 +392,10 @@ def in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
     if pts.ndim == 1:
         pts = pts[None, :]
     worst = (pts @ K.normals.T).max(axis=0)  # per facet, the tightest point
-    cons = [Constraint((float(a[0]), float(a[1]), 1.0), float(b - w))
-            for a, b, w in zip(K.normals, K.offsets, worst)]
-    sol = solve(LinearProgram(objective=(0.0, 0.0, 1.0), constraints=cons))
+    sol = solve(LinearProgram(
+        objective=np.array([0.0, 0.0, 1.0]),
+        constraints=np.column_stack([K.normals, np.ones(K.n)]),
+        rhs=K.offsets - worst))
     if sol.status != "optimal":
         raise GeometryError(f"margin LP ended with status {sol.status}")
     return bool(sol.x[2] <= tol)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver.
+"""Dense two-phase simplex solver over arrays.
 
 All linear programs in this package are small (a handful of variables, at
 most a few thousand constraints), dense, and must be solved deterministically:
@@ -6,15 +6,18 @@ the same input has to produce bit-identical bases across runs so that search
 results and reports are reproducible.  A hand-rolled tableau simplex with
 Dantzig pricing (falling back to Bland's rule to rule out cycling) is enough.
 
-Conventions: maximize ``objective @ x`` subject to rows ``coeffs @ x <= bound``
-or ``coeffs @ x == bound`` plus optional per-variable bounds.  Variables are
-free unless bounds say otherwise.
+Conventions: maximize ``objective @ x`` subject to the rows
+``constraints @ x <= rhs`` (``==`` where ``equality`` is set) and
+``lower <= x <= upper``.  Infinite bounds, the default, leave a variable
+free.  Every step works on whole arrays: variables are mapped onto
+nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
+update, and the solution is re-checked row-wise in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,23 +32,14 @@ class NumericalFailure(RuntimeError):
     unacceptably infeasible 'solution'."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple
-    bound: float
-    relation: str = "<="  # "<=" or "=="
-
-    def __post_init__(self):
-        if self.relation not in ("<=", "=="):
-            raise ValueError(f"unsupported relation {self.relation!r}")
-
-
 @dataclass
 class LinearProgram:
-    objective: Sequence[float]
-    constraints: Sequence[Constraint]
-    lower: Optional[Sequence[Optional[float]]] = None  # None entry = unbounded below
-    upper: Optional[Sequence[Optional[float]]] = None
+    objective: np.ndarray                   # (n,)
+    constraints: np.ndarray                 # (m, n), one row per constraint
+    rhs: np.ndarray                         # (m,)
+    equality: Optional[np.ndarray] = None   # (m,) bool; None: every row is <=
+    lower: Optional[np.ndarray] = None      # (n,), -inf = none; None: all -inf
+    upper: Optional[np.ndarray] = None      # (n,), +inf = none; None: all +inf
 
 
 @dataclass(frozen=True)
@@ -59,11 +53,11 @@ def _pivot(tab, rhs, red, basis, row, col):
     piv = tab[row, col]
     tab[row] /= piv
     rhs[row] /= piv
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            f = tab[r, col]
-            tab[r] -= f * tab[row]
-            rhs[r] -= f * rhs[row]
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    rows = np.nonzero(f)[0]
+    tab[rows] -= f[rows, None] * tab[row]
+    rhs[rows] -= f[rows] * rhs[row]
     f = red[col]
     if f != 0.0:
         red -= f * tab[row]
@@ -102,27 +96,17 @@ def _iterate(tab, rhs, red, basis, ncols, counter):
 def _standard_simplex(c, A, b):
     """max c@x  s.t.  A@x <= b, x >= 0.  Returns (status, x or None)."""
     m, n = A.shape
-    A = np.array(A, float)
-    b = np.array(b, float)
     neg = b < 0
-    n_art = int(neg.sum())
+    art = np.nonzero(neg)[0]
+    n_art = art.size
+    sign = np.where(neg, -1.0, 1.0)
     tab = np.zeros((m, n + m + n_art))
-    rhs = np.empty(m)
-    basis = np.empty(m, int)
-    k = 0
-    for i in range(m):
-        if not neg[i]:
-            tab[i, :n] = A[i]
-            tab[i, n + i] = 1.0
-            rhs[i] = b[i]
-            basis[i] = n + i
-        else:
-            tab[i, :n] = -A[i]
-            tab[i, n + i] = -1.0
-            tab[i, n + m + k] = 1.0
-            rhs[i] = -b[i]
-            basis[i] = n + m + k
-            k += 1
+    tab[:, :n] = A * sign[:, None]
+    tab[np.arange(m), n + np.arange(m)] = sign
+    tab[art, n + m + np.arange(n_art)] = 1.0
+    rhs = b * sign
+    basis = n + np.arange(m)
+    basis[art] = n + m + np.arange(n_art)
     counter = [0]
     if n_art:
         d = np.zeros(n + m + n_art)
@@ -133,12 +117,10 @@ def _standard_simplex(c, A, b):
         if art_value < -1e-8:
             return "infeasible", None
         # drive remaining (zero-valued) artificials out of the basis if we can
-        for i in range(m):
-            if basis[i] >= n + m:
-                cols = np.nonzero(np.abs(tab[i, : n + m]) > _PIVOT_TOL)[0]
-                if cols.size:
-                    red_dummy = np.zeros_like(red)
-                    _pivot(tab, rhs, red_dummy, basis, i, int(cols[0]))
+        for i in np.nonzero(basis >= n + m)[0]:
+            cols = np.nonzero(np.abs(tab[i, : n + m]) > _PIVOT_TOL)[0]
+            if cols.size:
+                _pivot(tab, rhs, np.zeros_like(red), basis, i, int(cols[0]))
     c_ext = np.zeros(n + m + n_art)
     c_ext[:n] = c
     red = c_ext - c_ext[basis] @ tab
@@ -147,114 +129,74 @@ def _standard_simplex(c, A, b):
     if status != "optimal":
         return status, None
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rhs[i]
+    inner = basis < n
+    x[basis[inner]] = rhs[inner]
     return "optimal", x
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    nv = len(lp.objective)
-    lower = list(lp.lower) if lp.lower is not None else [None] * nv
-    upper = list(lp.upper) if lp.upper is not None else [None] * nv
-    if len(lower) != nv or len(upper) != nv:
+def _bounds(values, nv, fill):
+    out = np.full(nv, fill) if values is None else np.asarray(values, float)
+    if out.shape != (nv,):
         raise ValueError("bounds length mismatch")
+    return out
 
-    # map each original variable onto nonnegative simplex variables
-    plan = []  # per var: ("shift", col, lo) | ("neg", col, up) | ("split", col)
-    ncols = 0
-    extra = []  # rows enforcing upper bounds when both bounds are finite
-    for j in range(nv):
-        lo, up = lower[j], upper[j]
-        if lo is not None:
-            plan.append(("shift", ncols, lo))
-            if up is not None:
-                extra.append((ncols, up - lo))
-            ncols += 1
-        elif up is not None:
-            plan.append(("neg", ncols, up))
-            ncols += 1
-        else:
-            plan.append(("split", ncols))
-            ncols += 2
 
-    rows = []
-    rhs = []
-    for con in lp.constraints:
-        a = np.asarray(con.coeffs, float)
-        if a.shape != (nv,):
-            raise ValueError("constraint arity mismatch")
-        reps = [(a, con.bound)]
-        if con.relation == "==":
-            reps.append((-a, -con.bound))
-        for ar, br in reps:
-            row = np.zeros(ncols)
-            bb = br
-            for j, step in enumerate(plan):
-                if step[0] == "shift":
-                    row[step[1]] = ar[j]
-                    bb -= ar[j] * step[2]
-                elif step[0] == "neg":
-                    row[step[1]] = -ar[j]
-                    bb -= ar[j] * step[2]
-                else:
-                    row[step[1]] = ar[j]
-                    row[step[1] + 1] = -ar[j]
-            rows.append(row)
-            rhs.append(bb)
-    for col, ub in extra:
-        row = np.zeros(ncols)
-        row[col] = 1.0
-        rows.append(row)
-        rhs.append(ub)
-
-    c = np.zeros(ncols)
+def solve(lp: LinearProgram) -> LpSolution:
     obj = np.asarray(lp.objective, float)
-    for j, step in enumerate(plan):
-        if step[0] == "shift":
-            c[step[1]] += obj[j]
-        elif step[0] == "neg":
-            c[step[1]] -= obj[j]
-        else:
-            c[step[1]] += obj[j]
-            c[step[1] + 1] -= obj[j]
+    nv = obj.size
+    A = np.asarray(lp.constraints, float).reshape(-1, nv)
+    b = np.asarray(lp.rhs, float).reshape(-1)
+    m = A.shape[0]
+    if b.shape != (m,):
+        raise ValueError("constraint arity mismatch")
+    eq = (np.zeros(m, bool) if lp.equality is None
+          else np.asarray(lp.equality, bool).reshape(m))
+    lower = _bounds(lp.lower, nv, -np.inf)
+    upper = _bounds(lp.upper, nv, np.inf)
 
-    if rows:
-        A = np.vstack(rows)
-        b = np.asarray(rhs, float)
-    else:
-        A = np.zeros((0, ncols))
-        b = np.zeros(0)
-    status, y = _standard_simplex(c, A, b)
+    # x = S @ y + shift with y >= 0: a lower bound shifts the variable, an
+    # upper bound alone negates it, a free variable splits into two columns
+    has_lo = np.isfinite(lower)
+    has_up = np.isfinite(upper)
+    split = ~(has_lo | has_up)
+    start = np.concatenate(([0], np.cumsum(1 + split)[:-1])).astype(int)
+    ncols = nv + int(split.sum())
+    S = np.zeros((nv, ncols))
+    S[np.arange(nv), start] = np.where(has_lo | split, 1.0, -1.0)
+    S[split, start[split] + 1] = -1.0
+    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
+
+    # an equality row a @ x == b becomes a @ x <= b followed by -a @ x <= -b;
+    # a box-bounded variable adds one row y <= upper - lower at the end
+    idx = np.repeat(np.arange(m), 1 + eq)
+    sgn = np.ones(idx.size)
+    sgn[1:][idx[1:] == idx[:-1]] = -1.0
+    rows = A[idx] * sgn[:, None]
+    box = has_lo & has_up
+    box_rows = np.zeros((int(box.sum()), ncols))
+    box_rows[np.arange(box_rows.shape[0]), start[box]] = 1.0
+    A_std = np.vstack([rows @ S, box_rows])
+    b_std = np.concatenate([b[idx] * sgn - rows @ shift, upper[box] - lower[box]])
+
+    status, y = _standard_simplex(obj @ S, A_std, b_std)
     if status != "optimal":
         return LpSolution(status, None, None)
-
-    x = np.empty(nv)
-    for j, step in enumerate(plan):
-        if step[0] == "shift":
-            x[j] = step[2] + y[step[1]]
-        elif step[0] == "neg":
-            x[j] = step[2] - y[step[1]]
-        else:
-            x[j] = y[step[1]] - y[step[1] + 1]
-
-    _recheck(lp, x, lower, upper)
+    x = S @ y + shift
+    _recheck(A, b, eq, x, lower, upper)
     return LpSolution("optimal", x, float(obj @ x))
 
 
-def _recheck(lp, x, lower, upper):
+def _recheck(A, b, eq, x, lower, upper):
     """Independent feasibility check of the reported solution."""
-    for con in lp.constraints:
-        a = np.asarray(con.coeffs, float)
-        lhs = float(a @ x)
-        scale = 1.0 + abs(con.bound) + float(np.abs(a) @ np.abs(x))
-        tol = EPS_LP + 1e-9 * scale
-        viol = lhs - con.bound if con.relation == "<=" else abs(lhs - con.bound)
-        if viol > tol:
-            raise NumericalFailure(
-                f"solution violates constraint by {viol:.3e} (tol {tol:.3e})")
-    for j, (lo, up) in enumerate(zip(lower, upper)):
-        if lo is not None and x[j] < lo - 1e-9:
-            raise NumericalFailure("solution violates a lower bound")
-        if up is not None and x[j] > up + 1e-9:
-            raise NumericalFailure("solution violates an upper bound")
+    resid = A @ x - b
+    viol = np.where(eq, np.abs(resid), resid)
+    tol = EPS_LP + 1e-9 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(x))
+    bad = np.nonzero(viol > tol)[0]
+    if bad.size:
+        i = bad[0]
+        raise NumericalFailure(
+            f"solution violates constraint by {viol[i]:.3e} (tol {tol[i]:.3e})")
+    if np.any(x < lower - 1e-9):
+        raise NumericalFailure("solution violates a lower bound")
+    if np.any(x > upper + 1e-9):
+        raise NumericalFailure("solution violates an upper bound")

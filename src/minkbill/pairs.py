@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve,
                    ell_length)
+
+if TYPE_CHECKING:
+    from .verify import Certificate
 
 
 @dataclass(frozen=True)
@@ -20,6 +23,7 @@ class BilliardPair:
         p_{j+1} - p_j = -mus[j+1]   * n_K(q_{j+1})
 
     (indices cyclic; the normals are unit vectors in the respective cones).
+    A pair returned by a search carries the certificate that admitted it.
     """
 
     q: ClosedCurve
@@ -29,6 +33,7 @@ class BilliardPair:
     lambdas: Tuple[float, ...]
     mus: Tuple[float, ...]
     length: float
+    certificate: Optional["Certificate"] = field(default=None, compare=False)
 
 
 def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,

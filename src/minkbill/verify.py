@@ -9,7 +9,7 @@ silently certify itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +78,15 @@ def certify(K: ConvexPolytope2, T: ConvexPolytope2,
         in_f_k=in_f(K, q),
         in_f_t=in_f(T, p),
     )
+
+
+def certified_pair(K: ConvexPolytope2, T: ConvexPolytope2,
+                   pair: Optional[BilliardPair]) -> Optional[BilliardPair]:
+    """The pair carrying its certificate, or None if it is None or fails."""
+    if pair is None:
+        return None
+    cert = certify(K, T, pair)
+    return replace(pair, certificate=cert) if cert.certified else None
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,

@@ -6,10 +6,14 @@ import pytest
 from minkbill.bounce3 import (FitRejected, NoInbody, NotSpanning, build_gamma,
                               build_xi, dual_normal_choices, facet_triple_count,
                               facet_triples, find_inbody, fit_to_k,
-                              search_three_bounce, solve_facet_triple)
-from minkbill.fixtures import equilateral_triangle, load, regular_ngon
-from minkbill.geom import ConvexPolytope2
-from minkbill.randgen import random_instance
+                              search_three_bounce, solve_facet_triple,
+                              spanning_triples)
+from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
+                               regular_ngon)
+from minkbill.geom import (EPS_GEO, ConvexPolytope2, GeometryError, find_face,
+                           normal_cone, positively_spans)
+from minkbill.lp import LinearProgram, solve
+from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
 
 
@@ -123,3 +127,66 @@ def test_dual_normal_choices_include_extreme_rays():
     for f, combo in zip(ib.t_faces, choices[0]):
         if f.is_edge:
             assert np.allclose(combo, regular_ngon(3, phase=0.3).normals[f.index])
+
+
+def _inbody_per_vertex(tri, T):
+    """Outcome of the inbody LP written with one row per facet of T and
+    vertex of the triangle (3 |V(T)| rows), followed by the contact tests of
+    find_inbody: (reason or "ok", lambda, contact faces)."""
+    A = np.array([[a @ t, a[0], a[1]] for a in T.normals for t in tri])
+    sol = solve(LinearProgram(np.array([1.0, 0.0, 0.0]), A,
+                              np.repeat(T.offsets, 3),
+                              lower=np.array([0.0, -np.inf, -np.inf])))
+    if sol.status != "optimal" or sol.x[0] <= EPS_GEO:
+        return "DegenerateLp", None, None
+    lam = sol.x[0]
+    try:
+        faces = tuple(find_face(T, v, tol=1e-7) for v in lam * tri + sol.x[1:])
+    except GeometryError:
+        return "NotOnBoundary", lam, None
+    gens = [g for f in faces for g in normal_cone(T, f).generators]
+    if not positively_spans(gens):
+        return "HalfspaceViolation", lam, faces
+    return "ok", lam, faces
+
+
+def test_inbody_one_row_per_facet_matches_per_vertex_rows(rng):
+    outcomes = []
+    for _ in range(150):
+        T = random_polytope(rng, int(rng.integers(3, 16)))
+        if rng.random() < 0.5:
+            tri = rng.normal(size=(3, 2))
+        else:
+            K = random_polytope(rng, int(rng.integers(3, 10)))
+            triples = spanning_triples(K)
+            tri = build_gamma(K.normals[triples[rng.integers(len(triples))]]
+                              ).vertices
+        reason, lam, faces = _inbody_per_vertex(tri, T)
+        try:
+            ib = find_inbody(tri, T)
+        except NoInbody as err:
+            assert err.reason == reason
+        else:
+            assert reason == "ok"
+            assert ib.scale == pytest.approx(lam, rel=1e-12)
+            assert ib.t_faces == faces
+        outcomes.append(reason)
+    assert outcomes.count("ok") >= 10 and outcomes.count("NotOnBoundary") >= 10
+
+
+def _build_gamma_accepts(K, triple):
+    try:
+        build_gamma(K.normals[list(triple)])
+    except NotSpanning:
+        return False
+    return True
+
+
+def test_spanning_triples_match_build_gamma(rng):
+    bodies = [body for name in fixture_names()
+              for body in (load(name).K, load(name).T) if body.n <= 30]
+    bodies += [regular_ngon(n) for n in (3, 4, 6, 12)]
+    bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 21, 30)]
+    for K in bodies:
+        expected = [t for t in facet_triples(K) if _build_gamma_accepts(K, t)]
+        assert [tuple(t) for t in spanning_triples(K).tolist()] == expected

@@ -106,7 +106,7 @@ def test_invalid_input_exit_code(tmp_path):
 def test_shortest_with_oracle_grid(instance_files, tmp_path):
     k, t = instance_files
     out = tmp_path / "rep.json"
-    assert main(["shortest", k, t, "--grid", "64", "--threads", "2",
+    assert main(["shortest", k, t, "--grid", "64",
                  "--tol", "1e-8", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["oracle"]["grid"] == 64

@@ -9,8 +9,8 @@ from minkbill.geom import (ClosedCurve, ConvexPolytope2, Face, GeometryError,
                            ZeroVector, all_faces, cone_contains, cone_distance,
                            cones_intersect, convex_hull, ell_length,
                            face_distance, find_face, gauge, in_f, normal_cone,
-                           polar, positively_spans, rotation, support,
-                           support_many, unit)
+                           polar, positively_spans, rotation,
+                           segment_distance, support, support_many, unit)
 
 from conftest import polytopes, vectors
 
@@ -211,6 +211,43 @@ def test_find_face():
     assert find_face(SQUARE, (1, 0.3)) == Face.edge(0)
     with pytest.raises(GeometryError):
         find_face(SQUARE, (0, 0))
+
+
+def _find_face_per_edge(P, x, tol):
+    """find_face written with one segment_distance call per edge."""
+    d = np.hypot(*(P.vertices - x).T)
+    i = int(np.argmin(d))
+    if d[i] <= tol:
+        return Face.vertex(i)
+    for j in range(P.n):
+        if segment_distance(*P.facet_segment(j), x) <= tol:
+            return Face.edge(j)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(polytopes(max_vertices=12), st.sampled_from([1e-9, 1e-7]))
+def test_find_face_matches_per_edge_reference(P, tol):
+    rng = np.random.default_rng(P.n)
+    pts = [v + s * tol * rng.normal(size=2) / 2 for v in P.vertices
+           for s in (0.0, 1.0)]
+    for j in range(P.n):
+        a, b = P.facet_segment(j)
+        on = a + rng.uniform(0.01, 0.99) * (b - a)
+        pts += [on, on + 0.5 * tol * P.normals[j], on - 0.5 * tol * P.normals[j],
+                on + 2 * tol * P.normals[j],
+                a + 2 * tol * (P.normals[j] + P.normals[j - 1])]
+    pts.append(P.centroid())
+    outcomes = set()
+    for x in pts:
+        want = _find_face_per_edge(P, x, tol)
+        if want is None:
+            with pytest.raises(GeometryError):
+                find_face(P, x, tol=tol)
+        else:
+            assert find_face(P, x, tol=tol) == want
+        outcomes.add("none" if want is None else want.kind)
+    assert outcomes == {"vertex", "edge", "none"}
 
 
 def test_face_distance():

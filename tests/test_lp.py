@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkbill.lp import Constraint, LinearProgram, LpSolution, solve
+from minkbill.lp import LinearProgram, solve
+
+INF = np.inf
 
 
 def test_simple_maximum():
     # max x + y on the triangle x,y >= 0, x + 2y <= 4, 3x + y <= 6
     lp = LinearProgram(
-        objective=(1.0, 1.0),
-        constraints=[Constraint((1.0, 2.0), 4.0), Constraint((3.0, 1.0), 6.0)],
-        lower=(0.0, 0.0), upper=(None, None))
+        objective=np.array([1.0, 1.0]),
+        constraints=np.array([[1.0, 2.0], [3.0, 1.0]]),
+        rhs=np.array([4.0, 6.0]),
+        lower=np.array([0.0, 0.0]), upper=np.array([INF, INF]))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [1.6, 1.2])
@@ -19,25 +22,26 @@ def test_simple_maximum():
 
 def test_infeasible():
     lp = LinearProgram(
-        objective=(1.0,),
-        constraints=[Constraint((1.0,), -1.0)],
-        lower=(0.0,), upper=(None,))
+        objective=np.array([1.0]),
+        constraints=np.array([[1.0]]), rhs=np.array([-1.0]),
+        lower=np.array([0.0]), upper=np.array([INF]))
     assert solve(lp).status == "infeasible"
 
 
 def test_unbounded():
-    lp = LinearProgram(objective=(1.0,), constraints=[],
-                       lower=(0.0,), upper=(None,))
+    lp = LinearProgram(objective=np.array([1.0]),
+                       constraints=np.zeros((0, 1)), rhs=np.zeros(0),
+                       lower=np.array([0.0]), upper=np.array([INF]))
     assert solve(lp).status == "unbounded"
 
 
 def test_equality_constraint():
     # max y with x + y == 2, y <= 1.5
     lp = LinearProgram(
-        objective=(0.0, 1.0),
-        constraints=[Constraint((1.0, 1.0), 2.0, "=="),
-                     Constraint((0.0, 1.0), 1.5)],
-        lower=(None, None), upper=(None, None))
+        objective=np.array([0.0, 1.0]),
+        constraints=np.array([[1.0, 1.0], [0.0, 1.0]]),
+        rhs=np.array([2.0, 1.5]), equality=np.array([True, False]),
+        lower=np.array([-INF, -INF]), upper=np.array([INF, INF]))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.x[0] + sol.x[1] == pytest.approx(2.0)
@@ -46,17 +50,18 @@ def test_equality_constraint():
 
 def test_free_variables_negative_optimum():
     # max -x with x >= -3 expressed through a constraint on a free variable
-    lp = LinearProgram(objective=(-1.0,),
-                       constraints=[Constraint((-1.0,), 3.0)],
-                       lower=(None,), upper=(None,))
+    lp = LinearProgram(objective=np.array([-1.0]),
+                       constraints=np.array([[-1.0]]), rhs=np.array([3.0]),
+                       lower=np.array([-INF]), upper=np.array([INF]))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(-3.0)
 
 
 def test_box_bounds():
-    lp = LinearProgram(objective=(1.0, -1.0), constraints=[],
-                       lower=(0.0, -2.0), upper=(3.0, 5.0))
+    lp = LinearProgram(objective=np.array([1.0, -1.0]),
+                       constraints=np.zeros((0, 2)), rhs=np.zeros(0),
+                       lower=np.array([0.0, -2.0]), upper=np.array([3.0, 5.0]))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert np.allclose(sol.x, [3.0, -2.0])
@@ -65,13 +70,14 @@ def test_box_bounds():
 def test_degenerate_does_not_cycle():
     # classic Beale-style degeneracy; must terminate at 0.05
     lp = LinearProgram(
-        objective=(0.75, -150.0, 0.02, -6.0),
-        constraints=[
-            Constraint((0.25, -60.0, -1.0 / 25.0, 9.0), 0.0),
-            Constraint((0.5, -90.0, -1.0 / 50.0, 3.0), 0.0),
-            Constraint((0.0, 0.0, 1.0, 0.0), 1.0),
-        ],
-        lower=(0.0, 0.0, 0.0, 0.0), upper=(None,) * 4)
+        objective=np.array([0.75, -150.0, 0.02, -6.0]),
+        constraints=np.array([
+            [0.25, -60.0, -1.0 / 25.0, 9.0],
+            [0.5, -90.0, -1.0 / 50.0, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]),
+        rhs=np.array([0.0, 0.0, 1.0]),
+        lower=np.zeros(4), upper=np.full(4, INF))
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(0.05)
@@ -79,12 +85,13 @@ def test_degenerate_does_not_cycle():
 
 def test_deterministic():
     lp = LinearProgram(
-        objective=(1.0, 2.0, -1.0),
-        constraints=[Constraint((1.0, 1.0, 1.0), 5.0),
-                     Constraint((2.0, -1.0, 0.0), 3.0),
-                     Constraint((0.0, 1.0, 4.0), 7.0),
-                     Constraint((0.0, 0.0, -1.0), 2.0)],
-        lower=(0.0, 0.0, None), upper=(None, None, None))
+        objective=np.array([1.0, 2.0, -1.0]),
+        constraints=np.array([[1.0, 1.0, 1.0],
+                              [2.0, -1.0, 0.0],
+                              [0.0, 1.0, 4.0],
+                              [0.0, 0.0, -1.0]]),
+        rhs=np.array([5.0, 3.0, 7.0, 2.0]),
+        lower=np.array([0.0, 0.0, -INF]), upper=np.array([INF, INF, INF]))
     a = solve(lp)
     b = solve(lp)
     assert a.x.tobytes() == b.x.tobytes()
@@ -94,10 +101,10 @@ def test_deterministic():
 def box_lps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_cons = draw(st.integers(0, 6))
-    cons = [Constraint(tuple(rng.normal(size=2)), float(rng.uniform(0.5, 3)))
-            for _ in range(n_cons)]
-    obj = tuple(rng.normal(size=2))
-    return LinearProgram(obj, cons, lower=(0.0, 0.0), upper=(1.0, 1.0))
+    A = rng.normal(size=(n_cons, 2))
+    b = rng.uniform(0.5, 3, size=n_cons)
+    obj = rng.normal(size=2)
+    return LinearProgram(obj, A, b, lower=np.zeros(2), upper=np.ones(2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,14 +114,61 @@ def test_against_grid_enumeration(lp):
     grid point and its solution is feasible."""
     sol = solve(lp)
     assert sol.status == "optimal"  # box-bounded, 0 is feasible here
-    for con in lp.constraints:
-        assert float(np.dot(con.coeffs, sol.x)) <= con.bound + 1e-7
+    assert np.all(lp.constraints @ sol.x <= lp.rhs + 1e-7)
     xs = np.linspace(0, 1, 21)
     gx, gy = np.meshgrid(xs, xs)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    feas = np.ones(len(pts), bool)
-    for con in lp.constraints:
-        feas &= pts @ np.asarray(con.coeffs) <= con.bound + 1e-12
+    feas = np.all(pts @ lp.constraints.T <= lp.rhs + 1e-12, axis=1)
     if feas.any():
-        best = float((pts[feas] @ np.asarray(lp.objective)).max())
+        best = float((pts[feas] @ lp.objective).max())
         assert sol.objective_value >= best - 1e-7
+
+
+@st.composite
+def mixed_lps(draw):
+    """1-4 variables, <= and == rows with small integer data, and every kind
+    of variable bound: free, lower only, upper only, and box."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    coeff = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                               min_size=m, max_size=m)), float).reshape(m, n)
+    b = np.array(draw(st.lists(st.integers(-4, 6), min_size=m, max_size=m)),
+                 float)
+    eq = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), bool)
+    lower = np.full(n, -INF)
+    upper = np.full(n, INF)
+    for j in range(n):
+        kind = draw(st.sampled_from(["free", "lower", "upper", "box"]))
+        if kind in ("lower", "box"):
+            lower[j] = draw(st.integers(-3, 2))
+        if kind == "upper":
+            upper[j] = draw(st.integers(-2, 3))
+        if kind == "box":
+            upper[j] = lower[j] + draw(st.integers(0, 4))
+    obj = np.array(draw(st.lists(coeff, min_size=n, max_size=n)), float)
+    return LinearProgram(obj, A, b, eq.reshape(m), lower, upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_lps())
+def test_matches_scipy_linprog(lp):
+    """Differential test: the same status as scipy's HiGHS, and the same
+    optimal objective value."""
+    optimize = pytest.importorskip("scipy.optimize")
+    eq = lp.equality
+    ref = optimize.linprog(
+        -lp.objective,
+        A_ub=lp.constraints[~eq] if (~eq).any() else None,
+        b_ub=lp.rhs[~eq] if (~eq).any() else None,
+        A_eq=lp.constraints[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(up) else up)
+                for lo, up in zip(lp.lower, lp.upper)],
+        method="highs")
+    expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    sol = solve(lp)
+    assert sol.status == expected
+    if expected == "optimal":
+        want = -ref.fun
+        assert abs(sol.objective_value - want) <= 1e-7 * max(1.0, abs(want))

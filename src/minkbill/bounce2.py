@@ -18,8 +18,8 @@ so each surviving tuple reduces to (at most) one small feasibility LP:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +44,6 @@ def two_bounce_tuple_count(K: ConvexPolytope2, T: ConvexPolytope2) -> int:
     def pairs(n_faces: int) -> int:
         return n_faces * (n_faces - 1) // 2
     return pairs(2 * K.n) * pairs(2 * T.n)
-
-
-def face_pair_tuples(K: ConvexPolytope2, T: ConvexPolytope2
-                     ) -> Iterator[Tuple[Face, Face, Face, Face]]:
-    """Every (F1, F2, G1, G2) with {F1,F2} and {G1,G2} unordered pairs."""
-    for f1, f2 in itertools.combinations(all_faces(K), 2):
-        for g1, g2 in itertools.combinations(all_faces(T), 2):
-            yield f1, f2, g1, g2
 
 
 def tuple_variable_count(f1: Face, f2: Face, g1: Face, g2: Face) -> int:
@@ -106,20 +98,28 @@ class _Affine:
 
 
 def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
-    """Append (coefficients, bound) rows expressing expr in cone (cone width
-    < pi)."""
+    """Append (coefficients, bound, is_equality) rows expressing expr in cone
+    (cone width < pi): a ray pins expr to its line exactly, a wedge bounds it
+    by its two generators."""
     g = cone.generators
     if len(g) == 1:
-        row, const = expr.cross_with(g[0])
-        rows.append((row, slack - const))
-        rows.append((-row, slack + const))
-        row, const = expr.dot_with(g[0])
-        rows.append((-row, slack + const))
+        row, const = expr.cross_with(g[0])       # cross(g, v) == 0
+        rows.append((row, -const, True))
+        row, const = expr.dot_with(g[0])         # <g, v> >= 0
+        rows.append((-row, slack + const, False))
     else:
         row, const = expr.cross_with(g[0])       # cross(g1, v) >= 0
-        rows.append((-row, slack + const))
+        rows.append((-row, slack + const, False))
         row, const = expr.cross_with(g[1])       # cross(v, g2) >= 0
-        rows.append((row, slack - const))
+        rows.append((row, slack - const, False))
+
+
+def _solve_rows(rows, objective, upper) -> lpmod.LpSolution:
+    """Solve objective @ x over the rows of _cone_rows, 0 <= x <= upper."""
+    return lpmod.solve(lpmod.LinearProgram(
+        np.asarray(objective, float), np.array([r for r, _, _ in rows]),
+        np.array([b for _, b, _ in rows]), np.array([e for _, _, e in rows]),
+        np.zeros(len(upper)), upper))
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -128,12 +128,12 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
                      stats: Optional[SearchStats] = None
                      ) -> Optional[BilliardPair]:
     """Solve the reflection law on one face tuple; None if infeasible or
-    degenerate.  `objective` perturbs the (otherwise zero) LP objective and
+    degenerate (a tuple that is not antipodal never passes the LP and the
+    certificate, so the search filters those only to save work).
+    `objective` perturbs the (otherwise zero) LP objective and
     may pick a different optimal vertex of the same feasible region."""
     ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
     ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
-    if not (cones_intersect(ck1, ck2.negate()) and cones_intersect(ct1, ct2.negate())):
-        return None
 
     f_fixed = f1.kind == "vertex" and f2.kind == "vertex"
     g_fixed = g1.kind == "vertex" and g2.kind == "vertex"
@@ -176,8 +176,7 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     p1 = affine("p1", p1b, p1d)
     p2 = affine("p2", p2b, p2d)
 
-    rows: List[Tuple[np.ndarray, float]] = []
-    n_eq = 0  # leading equality rows
+    rows: List[Tuple[np.ndarray, float, bool]] = []
     if f_fixed:
         dq = q2b - q1b
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
@@ -204,11 +203,10 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
         for coord in range(2):
             row = w_expr.M[coord].copy()
             row[layout["a1"]] -= w[coord]
-            rows.append((row, -w_expr.c[coord]))
+            rows.append((row, -w_expr.c[coord], True))
             row = u_expr.M[coord].copy()
             row[layout["a2"]] -= u[coord]
-            rows.append((row, -u_expr.c[coord]))
-        n_eq = 4
+            rows.append((row, -u_expr.c[coord], True))
         # a vertex on either side still constrains the difference to its cone
         if not g1.is_edge:
             _cone_rows(rows, q2 - q1, ct1)
@@ -227,9 +225,7 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
         raise ValueError(f"objective must have {nv} entries for this tuple")
     if stats is not None:
         stats.lp_solves += 1
-    sol = lpmod.solve(lpmod.LinearProgram(
-        obj, np.array([r for r, _ in rows]), np.array([b for _, b in rows]),
-        np.arange(len(rows)) < n_eq, np.zeros(nv), upper))
+    sol = _solve_rows(rows, obj, upper)
     if sol.status != "optimal":
         return None
     x = sol.x

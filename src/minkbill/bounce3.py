@@ -9,13 +9,15 @@ Pipeline, per ordered facet triple of K with positively spanning normals:
    translation); the optimal placement is the candidate dual trajectory and
    must touch the boundary of T at all three vertices with contact normals
    not contained in any closed halfplane;
-3. pick unit normals of T at the three contact faces (facets contribute
-   their normal, vertices a sampled fan of their normal cone including both
-   extreme rays), build the primal triangle xi with edges along those
-   normals, and scale/translate xi onto the three chosen facets of K by
-   solving a 3x3 linear system;
-4. keep the result if the scaling is positive and every vertex lands on its
-   (closed) facet; certify independently.
+3. with p fixed, the q-side is linear: q_i = a_i + t_i (b_i - a_i) runs over
+   facet i of K for t in [0, 1]^3, and q_{i+1} - q_i must lie in the normal
+   cone of T at the contact face of p_i (a ray for a facet of T, a wedge for
+   a vertex).  One LP over the row builders of the 2-bounce search decides
+   whether such q exist;
+4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
+   parallel to the normal of facet j), so the centre of the family, the mean
+   of the solutions minimizing and maximizing sum(t), is kept if it
+   certifies independently.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from . import lp as lpmod
+from .bounce2 import _Affine, _cone_rows, _solve_rows
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                    find_face, normal_cone, positively_spans)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
@@ -63,13 +66,6 @@ class Inbody:
     shift: np.ndarray     # optimal translation u
     vertices: np.ndarray  # (3, 2): scale * gamma + shift
     t_faces: Tuple[Face, Face, Face]
-
-
-@dataclass(frozen=True)
-class XiTriangle:
-    vertices: np.ndarray  # (3, 2)
-    betas: Tuple[float, float, float]  # xi_{i+1} - xi_i = betas[i+1] * n_{i+1}
-    normals: np.ndarray
 
 
 def facet_triples(K: ConvexPolytope2) -> Iterator[Tuple[int, int, int]]:
@@ -162,106 +158,50 @@ def find_inbody(triangle: np.ndarray, T: ConvexPolytope2,
     return Inbody(lam, u, verts, tuple(faces))
 
 
-def dual_normal_choices(inbody: Inbody, T: ConvexPolytope2,
-                        samples: int = 8) -> List[np.ndarray]:
-    """Unit normals of T available at each contact face: a facet contributes
-    its outer normal, a vertex a fan across its normal cone (both extreme
-    rays included)."""
-    per_vertex = []
-    for f in inbody.t_faces:
-        cone = normal_cone(T, f)
-        if cone.is_ray:
-            per_vertex.append([cone.generators[0]])
-            continue
-        a0, width = cone.angles()
-        count = max(2, samples)
-        angs = a0 + width * np.linspace(0.0, 1.0, count)
-        per_vertex.append([np.array([math.cos(a), math.sin(a)]) for a in angs])
-    out = []
-    for combo in itertools.product(*per_vertex):
-        out.append(np.array(combo))
-    return out
+def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
+             triple: Tuple[int, int, int],
+             t_faces: Tuple[Face, Face, Face]) -> np.ndarray:
+    """The q vertices, q_r on facet triple[r] of K, with q_{r+1} - q_r in the
+    normal cone of T at t_faces[r] (FitRejected if there are none): the
+    centre of the feasible family, see step 4 of the module docstring."""
+    q = []
+    for r, fi in enumerate(triple):
+        a, b = K.facet_segment(fi)
+        M = np.zeros((2, 3))
+        M[:, r] = b - a
+        q.append(_Affine(a, M))
+    rows = []
+    for r in range(3):
+        _cone_rows(rows, q[(r + 1) % 3] - q[r], normal_cone(T, t_faces[r]))
+    ones = np.ones(3)
+    low = _solve_rows(rows, -ones, ones)
+    if low.status != "optimal":
+        raise FitRejected(low.status)
+    x = 0.5 * (low.x + _solve_rows(rows, ones, ones).x)
+    return np.array([e.at(x) for e in q])
 
 
-def build_xi(normals: np.ndarray) -> XiTriangle:
-    """Triangle with xi_{i+1} - xi_i = beta_{i+1} n_{i+1}, all beta_i > 0,
-    normalized by beta_1 = 1 and xi_1 = 0."""
-    n1, n2, n3 = normals
-    A = np.column_stack([n2, n3])
-    det = float(np.linalg.det(A))
-    if abs(det) <= EPS_GEO:
-        raise NotSpanning("two of the dual normals are parallel")
-    # beta_2 n2 + beta_3 n3 = -n1 closes the triangle with beta_1 = 1
-    b2, b3 = np.linalg.solve(A, -n1)
-    if b2 <= EPS_GEO or b3 <= EPS_GEO:
-        raise NotSpanning("no positively oriented closing coefficients")
-    x1 = np.zeros(2)
-    x2 = x1 + b2 * n2      # xi_2 - xi_1 = beta_2 n_2
-    x3 = x2 + b3 * n3
-    verts = np.array([x1, x2, x3])
-    return XiTriangle(verts, (1.0, float(b2), float(b3)),
-                      np.asarray(normals, float))
-
-
-def fit_to_k(xi: XiTriangle, K: ConvexPolytope2,
-             facets: Tuple[int, int, int]) -> np.ndarray:
-    """Scale mu > 0 and shift e with mu*xi_i + e on facet i of K for all
-    three facets; returns the fitted q vertices."""
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    for r, fi in enumerate(facets):
-        a = K.normals[fi]
-        A[r, 0] = float(a @ xi.vertices[r])
-        A[r, 1:] = a
-        b[r] = K.offsets[fi]
-    det = float(np.linalg.det(A))
-    if abs(det) <= 1e-12:
-        raise FitRejected("singular")
-    mu, e1, e2 = np.linalg.solve(A, b)
-    if mu <= EPS_GEO:
-        raise FitRejected("mu_nonpositive")
-    q = mu * xi.vertices + np.array([e1, e2])
-    for r, fi in enumerate(facets):
-        a, bseg = K.facet_segment(fi)
-        d = bseg - a
-        L2 = float(d @ d)
-        t = float((q[r] - a) @ d) / L2
-        if t < -1e-9 or t > 1 + 1e-9:
-            raise FitRejected("off_facet")
-    return q
-
-
-def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
-                        samples: int = 8) -> List[BilliardPair]:
+def search_three_bounce(K: ConvexPolytope2,
+                        T: ConvexPolytope2) -> List[BilliardPair]:
     """All certified regular 3-bounce pairs over the facet triples of K that
     pass the spanning test."""
     found: List[BilliardPair] = []
     for triple in spanning_triples(K).tolist():
-        found.extend(solve_facet_triple(K, T, tuple(triple), samples=samples))
+        found.extend(solve_facet_triple(K, T, tuple(triple)))
     return sort_pairs(dedupe(found))
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
-                       triple: Tuple[int, int, int],
-                       samples: int = 8) -> List[BilliardPair]:
-    ns = K.normals[list(triple)]
+                       triple: Tuple[int, int, int]) -> List[BilliardPair]:
     try:
-        gamma = build_gamma(ns)
+        gamma = build_gamma(K.normals[list(triple)])
         inbody = find_inbody(gamma.vertices, T)
-    except (NotSpanning, NoInbody):
-        return []
-    out = []
-    for duals in dual_normal_choices(inbody, T, samples=samples):
-        try:
-            xi = build_xi(duals)
-            q = fit_to_k(xi, K, triple)
-        except (NotSpanning, FitRejected):
-            continue
         # p_j is the inbody vertex fed by facet j+1 of the triple
         p = np.roll(inbody.vertices, -1, axis=0)
-        t_faces = tuple(inbody.t_faces[(j + 1) % 3] for j in range(3))
-        k_faces = tuple(Face.edge(i) for i in triple)
-        pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
-        if pair is not None:
-            out.append(pair)
-    return dedupe(out)
+        t_faces = inbody.t_faces[1:] + inbody.t_faces[:1]
+        q = fit_to_k(K, T, triple, t_faces)
+    except (NotSpanning, NoInbody, FitRejected):
+        return []
+    k_faces = tuple(Face.edge(i) for i in triple)
+    pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+    return [] if pair is None else [pair]

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bounce2 import SearchStats, search_two_bounce
+from .bounce2 import search_two_bounce
 from .bounce3 import search_three_bounce
 from .fixtures import UnknownFixture, load as load_fixture
 from .geom import (ClosedCurve, ConvexPolytope2, Face, GeometryError,
@@ -71,7 +71,7 @@ def _pair_obj(pair: BilliardPair) -> dict:
     }
 
 
-def _search_report(K: ConvexPolytope2, T: ConvexPolytope2, samples: int,
+def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
                    bounce_counts: Sequence[int]) -> dict:
     timings: Dict[str, float] = {}
     candidates: List[BilliardPair] = []
@@ -81,7 +81,7 @@ def _search_report(K: ConvexPolytope2, T: ConvexPolytope2, samples: int,
         timings["two_bounce_s"] = time.perf_counter() - t0
     if 3 in bounce_counts:
         t0 = time.perf_counter()
-        candidates += search_three_bounce(K, T, samples=samples)
+        candidates += search_three_bounce(K, T)
         timings["three_bounce_s"] = time.perf_counter() - t0
     candidates = sort_pairs(candidates)
     report = {
@@ -101,7 +101,7 @@ def _search_report(K: ConvexPolytope2, T: ConvexPolytope2, samples: int,
 def cmd_shortest(args) -> int:
     K = _load_polytope(args.K, args.tol)
     T = _load_polytope(args.T, args.tol)
-    report = _search_report(K, T, args.samples, (2, 3))
+    report = _search_report(K, T, (2, 3))
     if args.grid:
         t0 = time.perf_counter()
         report["oracle"] = {
@@ -117,7 +117,7 @@ def cmd_shortest(args) -> int:
 def cmd_two_bounce(args) -> int:
     K = _load_polytope(args.K, args.tol)
     T = _load_polytope(args.T, args.tol)
-    report = _search_report(K, T, args.samples, (2,))
+    report = _search_report(K, T, (2,))
     _dump_json(report, args.out)
     return 0
 
@@ -125,7 +125,7 @@ def cmd_two_bounce(args) -> int:
 def cmd_three_bounce(args) -> int:
     K = _load_polytope(args.K, args.tol)
     T = _load_polytope(args.T, args.tol)
-    report = _search_report(K, T, args.samples, (3,))
+    report = _search_report(K, T, (3,))
     _dump_json(report, args.out)
     return 0
 
@@ -180,8 +180,7 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float((ra * rb).sum() / denom) if denom else 0.0
 
 
-def run_bench(sizes: Sequence[int], seed: int, samples: int = 8,
-              repeats: int = 7) -> dict:
+def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
     """Best-of-`repeats` times of both searches on a grid of random instance
     sizes.  Each repeat visits every cell in turn, so a stretch of slow
     machine time costs each cell at most one of its samples; on a shared
@@ -197,7 +196,7 @@ def run_bench(sizes: Sequence[int], seed: int, samples: int = 8,
             t0 = time.perf_counter()
             two = search_two_bounce(K, T)
             t1 = time.perf_counter()
-            three = search_three_bounce(K, T, samples=samples)
+            three = search_three_bounce(K, T)
             best[i] = np.minimum(best[i], [t1 - t0, time.perf_counter() - t1])
             found[i] = (len(two), len(three))
     rows = [{"nk": nk, "nt": nt,
@@ -225,7 +224,7 @@ def run_bench(sizes: Sequence[int], seed: int, samples: int = 8,
 
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
-    result = run_bench(sizes, args.seed, samples=args.samples)
+    result = run_bench(sizes, args.seed)
     _dump_json(result, args.out)
     return 0
 
@@ -239,8 +238,8 @@ def cmd_obtuse(args) -> int:
     rows = []
     for n in ngons:
         T = regular_ngon(n)
-        exists = regular_three_bounce_exists(tri, T, samples=args.samples)
-        member, witness = in_family_t(tri, T, samples=args.samples)
+        exists = regular_three_bounce_exists(tri, T)
+        member, witness = in_family_t(tri, T)
         rows.append({
             "ngon": n,
             "regular_three_bounce_exists": exists,
@@ -318,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=True):
-        if samples:
-            p.add_argument("--samples", type=int, default=8,
-                           help="fan size for vertex normal cones (default 8)")
+    def common(p):
         p.add_argument("--tol", type=float, default=None,
                        help="input validation tolerance (default 1e-9)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -362,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timing grid over random instances")
     p.add_argument("--sizes", default="5,15,25")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -370,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triangle", default=None, help="triangle JSON (default: "
                    "the built-in obtuse example)")
     p.add_argument("--ngons", default="16,64,256")
-    p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_obtuse)
 

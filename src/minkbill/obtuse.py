@@ -10,14 +10,16 @@ boundary and whose contact normals positively span the plane."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounce3 import NoInbody, dual_normal_choices, find_inbody, search_three_bounce
-from .geom import ConvexPolytope2, Face, in_f, normal_cone, positively_spans, rotation
+from .bounce3 import NoInbody, find_inbody, search_three_bounce
+from .geom import (EPS_ANG, ConvexPolytope2, Face, NormalConeRep, in_f,
+                   normal_cone, rotation)
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,48 @@ def largest_angle(triangle: ConvexPolytope2) -> float:
 
 
 def regular_three_bounce_exists(triangle: ConvexPolytope2,
-                                T: ConvexPolytope2,
-                                samples: int = 8) -> bool:
+                                T: ConvexPolytope2) -> bool:
     if triangle.n != 3:
         raise ValueError("expected a triangle")
-    return len(search_three_bounce(triangle, T, samples=samples)) > 0
+    return len(search_three_bounce(triangle, T)) > 0
 
 
-def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2,
-                samples: int = 8) -> Tuple[bool, Optional[FamilyWitness]]:
+def one_per_cone_spans(cones: Sequence[NormalConeRep],
+                       tol: float = EPS_ANG) -> bool:
+    """Whether one direction from each of three cones (width < pi) can be
+    chosen so that the three positively span the plane, i.e. their largest
+    angular gap is < pi - tol.
+
+    Pick angles th_0 < th_i < th_j < th_0 + 2 pi in lifts [lo_k, hi_k] of
+    the cones' arcs.  Every gap is at most c exactly when the difference
+    constraints th_i - th_0 <= c, th_j - th_i <= c, th_0 + 2 pi - th_j <= c
+    and lo_k <= th_k <= hi_k have no negative cycle.  The cycle through all
+    three angles only asks c >= 2 pi / 3; the cycles through the bounds give
+    the terms below.  After rotating th_0's arc to start at 0, lifts by -1,
+    0, +1 turns cover every configuration."""
+    arcs = [c.angles() for c in cones]
+    base = arcs[0][0]
+    tau = 2 * math.pi
+    best = math.inf
+    for i, j in ((1, 2), (2, 1)):
+        for ki, kj in itertools.product((-1, 0, 1), repeat=2):
+            lo = (0.0, (arcs[i][0] - base) % tau + ki * tau,
+                  (arcs[j][0] - base) % tau + kj * tau)
+            hi = (arcs[0][1], lo[1] + arcs[i][1], lo[2] + arcs[j][1])
+            c = max(lo[1] - hi[0], lo[2] - hi[1], lo[0] - hi[2] + tau,
+                    (lo[2] - hi[0]) / 2, (lo[0] - hi[1] + tau) / 2,
+                    (lo[1] - hi[2] + tau) / 2)
+            best = min(best, c)
+    return best < math.pi - tol
+
+
+def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2
+                ) -> Tuple[bool, Optional[FamilyWitness]]:
     """Whether T carries a geometry from the family associated with the
     triangle: a quarter-turn of the triangle admits a maximal inscribed
     placement whose contact points cannot be translated off the boundary and
-    whose contact normals positively span."""
+    whose contact cones hold one normal each that together positively
+    span."""
     if triangle.n != 3:
         raise ValueError("expected a triangle")
     for ang in (math.pi / 2, -math.pi / 2):
@@ -91,10 +122,7 @@ def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2,
             continue
         if not in_f(T, inbody.vertices):
             continue
-        spanning = any(
-            positively_spans(list(tup))
-            for tup in dual_normal_choices(inbody, T, samples=samples))
-        if not spanning:
+        if not one_per_cone_spans([normal_cone(T, f) for f in inbody.t_faces]):
             continue
         return True, FamilyWitness(ang, inbody.scale, inbody.shift,
                                    inbody.vertices, inbody.t_faces)

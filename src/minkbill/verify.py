@@ -8,9 +8,10 @@ silently certify itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,21 +138,22 @@ def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
     return np.asarray(pts), np.asarray(masks, np.int64)
 
 
-_OK_CACHE: Dict[bytes, np.ndarray] = {}
-
-
 def _subset_immovable_table(K: ConvexPolytope2) -> np.ndarray:
     """ok[mask] == True iff 0 lies in the convex hull of the facet normals
     selected by mask.  For points on the boundary this is exactly the
     margin-LP criterion of in_f, by LP duality."""
-    key = K.normals.tobytes()
-    tab = _OK_CACHE.get(key)
-    if tab is not None:
-        return tab
-    n = K.n
+    return _immovable_table(K.normals.tobytes())
+
+
+# bounded, so a process meeting many bodies keeps at most 64 tables of up to
+# 2**16 entries; read-only, since every caller shares the cached array
+@functools.lru_cache(maxsize=64)
+def _immovable_table(normals: bytes) -> np.ndarray:
+    normals = np.frombuffer(normals).reshape(-1, 2)
+    n = normals.shape[0]
     if n > 16:
         raise GeometryError("brute-force oracle supports at most 16 facets")
-    angles = np.arctan2(K.normals[:, 1], K.normals[:, 0])
+    angles = np.arctan2(normals[:, 1], normals[:, 0])
     tab = np.zeros(1 << n, bool)
     for mask in range(1, 1 << n):
         sel = sorted(angles[i] for i in range(n) if mask >> i & 1)
@@ -160,7 +162,7 @@ def _subset_immovable_table(K: ConvexPolytope2) -> np.ndarray:
         gap = max(sel[k + 1] - sel[k] for k in range(len(sel) - 1))
         gap = max(gap, 2 * math.pi - (sel[-1] - sel[0]))
         tab[mask] = gap <= math.pi + 1e-12
-    _OK_CACHE[key] = tab
+    tab.setflags(write=False)
     return tab
 
 

@@ -41,7 +41,7 @@ def _report(num, label, ok, detail=""):
 def test_criterion_01_short_chord_instance():
     fx = load("exampleF_aux")
     t0 = time.perf_counter()
-    rep = _search_report(fx.K, fx.T, samples=8, bounce_counts=(2, 3))
+    rep = _search_report(fx.K, fx.T, bounce_counts=(2, 3))
     brute = brute_force_min(fx.K, fx.T, 2, 128)
     elapsed = time.perf_counter() - t0
     ok = (abs(rep["min"] - 4.0) <= 1e-6

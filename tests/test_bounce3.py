@@ -1,20 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from minkbill.bounce3 import (FitRejected, NoInbody, NotSpanning, build_gamma,
-                              build_xi, dual_normal_choices, facet_triple_count,
-                              facet_triples, find_inbody, fit_to_k,
-                              search_three_bounce, solve_facet_triple,
+                              facet_triple_count, facet_triples, find_inbody,
+                              fit_to_k, search_three_bounce, solve_facet_triple,
                               spanning_triples)
 from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
-from minkbill.geom import (EPS_GEO, ConvexPolytope2, GeometryError, find_face,
-                           normal_cone, positively_spans)
+from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                           face_distance, find_face, normal_cone,
+                           positively_spans)
 from minkbill.lp import LinearProgram, solve
+from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import certify
+from minkbill.verify import certified_pair, certify
 
 
 def test_facet_triples_count():
@@ -41,14 +43,6 @@ def test_build_gamma_rejects_nonspanning():
         build_gamma([(1, 0), (0, 1), (1, 1)])
 
 
-def test_build_xi_closes_with_positive_betas():
-    tri = equilateral_triangle()
-    xi = build_xi(-tri.normals)
-    assert all(b > 0 for b in xi.betas)
-    edges = np.roll(xi.vertices, -1, axis=0) - xi.vertices
-    assert np.allclose(edges.sum(axis=0), 0.0, atol=1e-12)
-
-
 def test_find_inbody_triangle_in_ngon():
     gamma = build_gamma(equilateral_triangle().normals)
     ib = find_inbody(gamma.vertices, regular_ngon(64))
@@ -70,13 +64,21 @@ def test_inbody_rejection_reasons():
 
 
 def test_fit_rejects_off_facet():
-    # a tiny triangle fitted to a huge one lands outside the chosen facets
-    tri = equilateral_triangle()
-    xi = build_xi(-tri.normals)
-    stretched = ConvexPolytope2.from_vertices(
-        [(100, 0), (0, 0.01), (0, -0.01)])
-    with pytest.raises((FitRejected, NotSpanning)):
-        fit_to_k(xi, stretched, (0, 1, 2))
+    # with the facet normals of a triangle T taken in one order, the only
+    # triangle with edges along them and vertices on the lines of a
+    # needle-thin K puts its vertices outside the facets of K; in the other
+    # order it fits
+    T = regular_ngon(3)
+    needle = ConvexPolytope2.from_vertices([(100, 0), (0, 0.01), (0, -0.01)])
+    with pytest.raises(FitRejected) as err:
+        fit_to_k(needle, T, (0, 1, 2), (Face.edge(2), Face.edge(1), Face.edge(0)))
+    assert err.value.reason == "infeasible"
+    t_faces = (Face.edge(1), Face.edge(2), Face.edge(0))
+    q = fit_to_k(needle, T, (0, 1, 2), t_faces)
+    for r in range(3):
+        assert face_distance(needle, Face.edge(r), q[r]) < 1e-9
+        dq, n = q[(r + 1) % 3] - q[r], T.normals[t_faces[r].index]
+        assert abs(dq[0] * n[1] - dq[1] * n[0]) < 1e-9 and dq @ n > 0
 
 
 def test_fagnano_orbit_is_midpoint_triangle():
@@ -116,17 +118,6 @@ def test_returned_pairs_certified(rng):
         for pair in search_three_bounce(K, T):
             assert pair.q.m == 3
             assert certify(K, T, pair).certified
-
-
-def test_dual_normal_choices_include_extreme_rays():
-    gamma = build_gamma(equilateral_triangle().normals)
-    ib = find_inbody(gamma.vertices, regular_ngon(3, phase=0.3))
-    choices = dual_normal_choices(ib, regular_ngon(3, phase=0.3), samples=8)
-    assert choices
-    # every facet contact contributes exactly its normal
-    for f, combo in zip(ib.t_faces, choices[0]):
-        if f.is_edge:
-            assert np.allclose(combo, regular_ngon(3, phase=0.3).normals[f.index])
 
 
 def _inbody_per_vertex(tri, T):
@@ -190,3 +181,76 @@ def test_spanning_triples_match_build_gamma(rng):
     for K in bodies:
         expected = [t for t in facet_triples(K) if _build_gamma_accepts(K, t)]
         assert [tuple(t) for t in spanning_triples(K).tolist()] == expected
+
+
+def _sampled_fan_pairs(K, T, triple, samples=8):
+    """The q-side solved by sampling, kept as a reference for the exact LP:
+    a fan of `samples` unit normals across each vertex contact cone (both
+    extreme rays included), one triangle xi per combination with edges along
+    the chosen normals, and a 3x3 solve for the scale mu > 0 and shift that
+    put the vertices of mu * xi + e on the facets of K."""
+    try:
+        inbody = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
+    except (NotSpanning, NoInbody):
+        return []
+    fans = []
+    for f in inbody.t_faces:
+        cone = normal_cone(T, f)
+        a0, width = cone.angles()
+        angs = a0 + width * np.linspace(0.0, 1.0, samples)
+        fans.append([cone.generators[0]] if cone.is_ray else
+                    [np.array([math.cos(a), math.sin(a)]) for a in angs])
+    p = np.roll(inbody.vertices, -1, axis=0)
+    t_faces = inbody.t_faces[1:] + inbody.t_faces[:1]
+    k_faces = tuple(Face.edge(i) for i in triple)
+    normals, offsets = K.normals[list(triple)], K.offsets[list(triple)]
+    out = []
+    for n1, n2, n3 in itertools.product(*fans):
+        # xi_{i+1} - xi_i = beta_{i+1} n_{i+1} with beta_1 = 1, xi_1 = 0
+        A = np.column_stack([n2, n3])
+        if abs(np.linalg.det(A)) <= EPS_GEO:
+            continue
+        b2, b3 = np.linalg.solve(A, -n1)
+        if b2 <= EPS_GEO or b3 <= EPS_GEO:
+            continue
+        xi = np.array([np.zeros(2), b2 * n2, b2 * n2 + b3 * n3])
+        M = np.column_stack([(normals * xi).sum(axis=1), normals])
+        if abs(np.linalg.det(M)) <= 1e-12:
+            continue
+        mu, e1, e2 = np.linalg.solve(M, offsets)
+        if mu <= EPS_GEO:
+            continue
+        q = mu * xi + np.array([e1, e2])
+        on_facets = True
+        for r, fi in enumerate(triple):
+            a, b = K.facet_segment(fi)
+            t = float((q[r] - a) @ (b - a)) / float((b - a) @ (b - a))
+            on_facets &= -1e-9 <= t <= 1 + 1e-9
+        if on_facets:
+            pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+            if pair is not None:
+                out.append(pair)
+    return out
+
+
+def test_exact_fit_matches_sampled_fan(rng):
+    """Wherever the sampled fan certifies a pair, the exact q-side LP finds
+    one of the same length, and both give the same 3-bounce minimum."""
+    instances = [(load(name).K, load(name).T) for name in fixture_names()]
+    instances += [random_instance(rng, int(rng.integers(3, 8)),
+                                  int(rng.integers(3, 8))) for _ in range(200)]
+    fan_triples = 0
+    for K, T in instances:
+        ref_min = exact_min = math.inf
+        for triple in map(tuple, spanning_triples(K).tolist()):
+            ref = _sampled_fan_pairs(K, T, triple)
+            exact = solve_facet_triple(K, T, triple)
+            for pair in ref:
+                assert exact
+                assert exact[0].length == pytest.approx(pair.length, rel=1e-12)
+            fan_triples += bool(ref)
+            ref_min = min([ref_min] + [pair.length for pair in ref])
+            exact_min = min([exact_min] + [pair.length for pair in exact])
+        assert exact_min == pytest.approx(ref_min, rel=1e-12) or (
+            exact_min == ref_min == math.inf)
+    assert fan_triples >= 100

@@ -8,7 +8,7 @@ from minkbill.geom import ClosedCurve, ConvexPolytope2, Face, find_face, in_f
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (LineNotSupporting, boundary_grid, brute_force_min,
-                             certify, check_weak_rule,
+                             certify, check_weak_rule, _immovable_table,
                              _subset_immovable_table)
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
@@ -142,3 +142,18 @@ def test_mask_table_matches_margin_lp(seed, pick):
     j = (pick * 7919 + 13) % len(pts)
     subset = pts[[i, j]]
     assert tab[masks[i] | masks[j]] == in_f(K, subset)
+
+
+def test_mask_table_cache_stays_bounded(rng):
+    """The oracle keeps the facet-subset tables of a bounded number of
+    bodies, however many distinct bodies a process meets."""
+    limit = _immovable_table.cache_info().maxsize
+    bodies = [random_polytope(rng, int(rng.integers(3, 7)))
+              for _ in range(2 * limit)]
+    for K in bodies:
+        brute_force_min(K, K, 2, 2)
+    assert _immovable_table.cache_info().currsize == limit
+    # a cached table is returned as is, and cannot be altered by a caller
+    tab = _subset_immovable_table(bodies[-1])
+    assert tab is _subset_immovable_table(bodies[-1])
+    assert not tab.flags.writeable

@@ -158,12 +158,12 @@ def find_inbody(triangle: np.ndarray, T: ConvexPolytope2,
     return Inbody(lam, u, verts, tuple(faces))
 
 
-def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
-             triple: Tuple[int, int, int],
-             t_faces: Tuple[Face, Face, Face]) -> np.ndarray:
-    """The q vertices, q_r on facet triple[r] of K, with q_{r+1} - q_r in the
-    normal cone of T at t_faces[r] (FitRejected if there are none): the
-    centre of the feasible family, see step 4 of the module docstring."""
+def fit_family(K: ConvexPolytope2, T: ConvexPolytope2,
+               triple: Tuple[int, int, int], t_faces: Tuple[Face, Face, Face]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ends of the family of q vertices, q_r on facet triple[r] of K,
+    with q_{r+1} - q_r in the normal cone of T at t_faces[r]: the solutions
+    minimizing and maximizing sum(t).  FitRejected if there are none."""
     q = []
     for r, fi in enumerate(triple):
         a, b = K.facet_segment(fi)
@@ -174,11 +174,23 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     for r in range(3):
         _cone_rows(rows, q[(r + 1) % 3] - q[r], normal_cone(T, t_faces[r]))
     ones = np.ones(3)
-    low = _solve_rows(rows, -ones, ones)
-    if low.status != "optimal":
-        raise FitRejected(low.status)
-    x = 0.5 * (low.x + _solve_rows(rows, ones, ones).x)
-    return np.array([e.at(x) for e in q])
+    try:
+        low = _solve_rows(rows, -ones, ones)
+        if low.status != "optimal":
+            raise FitRejected(low.status)
+        high = _solve_rows(rows, ones, ones)
+    except lpmod.NumericalFailure:
+        raise FitRejected("numerical")
+    return (np.array([e.at(low.x) for e in q]),
+            np.array([e.at(high.x) for e in q]))
+
+
+def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
+             triple: Tuple[int, int, int],
+             t_faces: Tuple[Face, Face, Face]) -> np.ndarray:
+    """The centre of fit_family, see step 4 of the module docstring."""
+    low, high = fit_family(K, T, triple, t_faces)
+    return 0.5 * (low + high)
 
 
 def search_three_bounce(K: ConvexPolytope2,

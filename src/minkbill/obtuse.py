@@ -76,11 +76,10 @@ def regular_three_bounce_exists(triangle: ConvexPolytope2,
     return len(search_three_bounce(triangle, T)) > 0
 
 
-def one_per_cone_spans(cones: Sequence[NormalConeRep],
-                       tol: float = EPS_ANG) -> bool:
+def one_per_cone_spans(cones: Sequence[NormalConeRep]) -> bool:
     """Whether one direction from each of three cones (width < pi) can be
     chosen so that the three positively span the plane, i.e. their largest
-    angular gap is < pi - tol.
+    angular gap is < pi - EPS_ANG.
 
     Pick angles th_0 < th_i < th_j < th_0 + 2 pi in lifts [lo_k, hi_k] of
     the cones' arcs.  Every gap is at most c exactly when the difference
@@ -102,7 +101,7 @@ def one_per_cone_spans(cones: Sequence[NormalConeRep],
                     (lo[2] - hi[0]) / 2, (lo[0] - hi[1] + tau) / 2,
                     (lo[1] - hi[2] + tau) / 2)
             best = min(best, c)
-    return best < math.pi - tol
+    return best < math.pi - EPS_ANG
 
 
 def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2

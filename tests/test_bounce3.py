@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from minkbill import bounce3
 from minkbill.bounce3 import (FitRejected, NoInbody, NotSpanning, build_gamma,
                               facet_triple_count, facet_triples, find_inbody,
-                              fit_to_k, search_three_bounce, solve_facet_triple,
-                              spanning_triples)
+                              fit_family, fit_to_k, search_three_bounce,
+                              solve_facet_triple, spanning_triples)
 from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
 from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            face_distance, find_face, normal_cone,
-                           positively_spans)
-from minkbill.lp import LinearProgram, solve
+                           positively_spans, support_many)
+from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
@@ -100,15 +101,44 @@ def test_example_a_triple_empty():
     assert search_three_bounce(fx.K, fx.T) == []
 
 
-def test_same_faces_same_length():
+def test_same_faces_same_length(rng):
+    """The two ends of the q-side family (min and max sum(t)) have the same
+    length, so the centre that fit_to_k keeps is not a choice.  An end may
+    put two q on one vertex of K, so the length is summed directly."""
+    instances = [(equilateral_triangle(), regular_ngon(n)) for n in range(3, 25)]
+    instances += [(load(name).K, load(name).T) for name in fixture_names()]
+    instances += [random_instance(rng, int(rng.integers(3, 7)),
+                                  int(rng.integers(3, 7))) for _ in range(40)]
+    families = 0
+    for K, T in instances:
+        for triple in map(tuple, spanning_triples(K).tolist()):
+            try:
+                ib = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
+                t_faces = ib.t_faces[1:] + ib.t_faces[:1]
+                low, high = fit_family(K, T, triple, t_faces)
+            except (NoInbody, FitRejected):
+                continue
+            length = [support_many(T, np.roll(q, -1, axis=0) - q).sum()
+                      for q in (low, high)]
+            assert abs(length[0] - length[1]) < 1e-9
+            families += np.abs(low - high).max() > 1e-6
+    assert families >= 10
+
+
+def test_fit_numerical_failure_is_a_reject(monkeypatch):
+    def fail(rows, objective, upper):
+        raise NumericalFailure("solution violates a constraint")
     K = equilateral_triangle()
     T = regular_ngon(32)
-    for triple in facet_triples(K):
-        by_faces = {}
-        for pair in solve_facet_triple(K, T, triple):
-            by_faces.setdefault(pair.t_faces, []).append(pair.length)
-        for lengths in by_faces.values():
-            assert max(lengths) - min(lengths) < 1e-9
+    triple = (0, 1, 2)
+    ib = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
+    t_faces = ib.t_faces[1:] + ib.t_faces[:1]
+    assert solve_facet_triple(K, T, triple)
+    monkeypatch.setattr(bounce3, "_solve_rows", fail)
+    with pytest.raises(FitRejected) as err:
+        fit_to_k(K, T, triple, t_faces)
+    assert err.value.reason == "numerical"
+    assert solve_facet_triple(K, T, triple) == []
 
 
 def test_returned_pairs_certified(rng):

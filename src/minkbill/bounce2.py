@@ -225,7 +225,10 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
         raise ValueError(f"objective must have {nv} entries for this tuple")
     if stats is not None:
         stats.lp_solves += 1
-    sol = _solve_rows(rows, obj, upper)
+    try:
+        sol = _solve_rows(rows, obj, upper)
+    except lpmod.NumericalFailure:
+        return None
     if sol.status != "optimal":
         return None
     x = sol.x

@@ -1,19 +1,23 @@
 """Search for regular closed 3-bounce trajectories.
 
-Pipeline, per ordered facet triple of K with positively spanning normals:
+Pipeline for one pair (K, T), over the ordered facet triples of K whose
+normals positively span the plane (spanning_triples):
 
-1. build the dual triangle gamma whose edges run along the facet normals
-   (gamma is unique up to translation and positive scaling once the first
-   coefficient is fixed);
-2. grow gamma inside T as far as possible (an LP over scaling and
-   translation); the optimal placement is the candidate dual trajectory and
-   must touch the boundary of T at all three vertices with contact normals
-   not contained in any closed halfplane;
-3. with p fixed, the q-side is linear: q_i = a_i + t_i (b_i - a_i) runs over
-   facet i of K for t in [0, 1]^3, and q_{i+1} - q_i must lie in the normal
-   cone of T at the contact face of p_i (a ray for a facet of T, a wedge for
-   a vertex).  One LP over the row builders of the 2-bounce search decides
-   whether such q exist;
+1. for all these triples at once, build the dual triangles gamma whose
+   edges run along the facet normals (gamma is unique up to translation and
+   positive scaling once the first coefficient is fixed);
+2. grow every gamma inside T as far as possible: one LP over scaling and
+   translation per triangle, all solved as one lockstep stack, since they
+   share the normals and offsets of T and differ only in the support
+   column.  The optimal placement is the candidate dual trajectory and must
+   touch the boundary of T at all three vertices with contact normals not
+   contained in any closed halfplane; contact faces and this spanning test
+   are decided for the whole stack too;
+3. for each surviving triple, with p fixed, the q-side is linear:
+   q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
+   and q_{i+1} - q_i must lie in the normal cone of T at the contact face
+   of p_i (a ray for a facet of T, a wedge for a vertex).  One LP over the
+   row builders of the 2-bounce search decides whether such q exist;
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
    of the solutions minimizing and maximizing sum(t), is kept if it
@@ -25,20 +29,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from . import lp as lpmod
 from .bounce2 import _Affine, _cone_rows, _solve_rows
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   find_face, normal_cone, positively_spans)
+                   find_faces, normal_cone)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
-
-
-class NotSpanning(GeometryError):
-    pass
 
 
 class NoInbody(GeometryError):
@@ -51,13 +51,6 @@ class FitRejected(GeometryError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-@dataclass(frozen=True)
-class GammaTriangle:
-    vertices: np.ndarray  # (3, 2): gamma_1, gamma_2, gamma_3
-    alphas: Tuple[float, float, float]  # gamma_{i+1} - gamma_i = alphas[i] * n_i
-    normals: np.ndarray   # (3, 2)
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,9 @@ def facet_triple_count(K: ConvexPolytope2) -> int:
 
 
 def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
-    """The facet triples, in facet_triples order, whose normals build_gamma
-    accepts; the same tests as build_gamma, decided for all triples at once."""
+    """The facet triples, in facet_triples order, that have a dual triangle:
+    their normals positively span the plane, no two of them are parallel,
+    and the closing coefficients of gamma_triangles are negative."""
     tri = np.array(list(facet_triples(K)), int).reshape(-1, 3)
     ang = np.sort(np.array([math.atan2(y, x) for x, y in K.normals])[tri], axis=1)
     gaps = np.column_stack([ang[:, 1] - ang[:, 0], ang[:, 2] - ang[:, 1],
@@ -103,59 +97,61 @@ def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     return tri[ok]
 
 
-def build_gamma(normals: Sequence) -> GammaTriangle:
-    """Triangle with gamma_{i+1} - gamma_i = alpha_i n_i, all alpha_i < 0,
+def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
+    """The dual triangles of facet triples that spanning_triples accepts,
+    (B, 3, 2): gamma_{i+1} - gamma_i = alpha_i n_i with all alpha_i < 0,
     normalized by alpha_1 = -1 and gamma_1 = 0."""
-    n1, n2, n3 = (np.asarray(v, float) for v in normals)
-    if not positively_spans([n1, n2, n3]):
-        raise NotSpanning("facet normals do not positively span the plane")
+    triples = np.asarray(triples, int).reshape(-1, 3)
+    n1, n2, n3 = (K.normals[triples[:, c]] for c in range(3))
     # alpha_2 n2 + alpha_3 n3 = n1 (closing the triangle with alpha_1 = -1)
-    A = np.column_stack([n2, n3])
-    det = float(np.linalg.det(A))
-    if abs(det) <= EPS_GEO:
-        raise NotSpanning("two of the normals are parallel")
-    a2, a3 = np.linalg.solve(A, n1)
-    if a2 >= -EPS_GEO or a3 >= -EPS_GEO:
-        raise NotSpanning("no negatively oriented closing coefficients")
-    g1 = np.zeros(2)
-    g2 = g1 - n1           # alpha_1 = -1
-    g3 = g2 + a2 * n2
-    verts = np.array([g1, g2, g3])
-    return GammaTriangle(verts, (-1.0, float(a2), float(a3)),
-                         np.array([n1, n2, n3]))
+    alpha = np.linalg.solve(np.stack([n2, n3], axis=-1), n1[:, :, None])
+    g1 = np.zeros_like(n1)
+    g2 = g1 - n1
+    g3 = g2 + alpha[:, :1, 0] * n2
+    return np.stack([g1, g2, g3], axis=1)
 
 
-def find_inbody(triangle: np.ndarray, T: ConvexPolytope2,
-                tol: float = EPS_GEO) -> Inbody:
-    """Largest positively scaled translate of the triangle inside T.  The
-    optimum must put all three vertices on the boundary with contact normals
-    positively spanning; otherwise the triangle admits no valid placement."""
-    tri = np.asarray(triangle, float)
+def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
+                tol: float = EPS_GEO) -> List[Union[Inbody, NoInbody]]:
+    """For each triangle of the (B, 3, 2) stack, the largest positively
+    scaled translate inside T, or why there is none.  The optimum must put
+    all three vertices on the boundary with contact normals positively
+    spanning; otherwise the triangle admits no valid placement."""
+    tri = np.asarray(triangles, float).reshape(-1, 3, 2)
+    B, m = len(tri), T.n
     # <a, lam * tri_k + u> <= b for k = 1..3 is one row per facet, since
     # lam >= 0 leaves only the largest <a, tri_k> binding
-    sol = lpmod.solve(lpmod.LinearProgram(
-        objective=np.array([1.0, 0.0, 0.0]),
-        constraints=np.column_stack([(T.normals @ tri.T).max(axis=1), T.normals]),
+    rows = np.empty((B, m, 3))
+    rows[:, :, 0] = np.matmul(tri, T.normals.T).max(axis=1)
+    rows[:, :, 1:] = T.normals
+    sols = lpmod.solve_stack(lpmod.LinearProgram(
+        objective=np.array([1.0, 0.0, 0.0]), constraints=rows,
         rhs=T.offsets, lower=np.array([0.0, -np.inf, -np.inf])))
-    if sol.status != "optimal":
-        raise NoInbody("DegenerateLp")
-    lam = float(sol.x[0])
-    u = sol.x[1:]
-    if lam <= tol:
-        raise NoInbody("DegenerateLp")
-    verts = lam * tri + u
-    faces = []
-    for k in range(3):
-        try:
-            faces.append(find_face(T, verts[k], tol=1e-7))
-        except GeometryError:
-            raise NoInbody("NotOnBoundary")
-    gens = []
-    for f in faces:
-        gens.extend(normal_cone(T, f).generators)
-    if not positively_spans(gens):
-        raise NoInbody("HalfspaceViolation")
-    return Inbody(lam, u, verts, tuple(faces))
+    status = np.array([s.status for s in sols], "<U10").reshape(B)
+    x = np.array([s.x if s.status == "optimal" else np.zeros(3)
+                  for s in sols]).reshape(B, 3)
+    reason = np.full(B, "", object)
+    reason[status != "optimal"] = "DegenerateLp"
+    reason[status == "numerical"] = "numerical"
+    lam = x[:, 0]
+    reason[(reason == "") & (lam <= tol)] = "DegenerateLp"
+    verts = lam[:, None, None] * tri + x[:, None, 1:]
+    index, on_edge = find_faces(T, verts, tol=1e-7)
+    index, on_edge = index.reshape(B, 3), on_edge.reshape(B, 3)
+    reason[(reason == "") & (index < 0).any(axis=1)] = "NotOnBoundary"
+    # the contact normals are normals of T: an edge contributes its own
+    # (twice, which leaves the gaps unchanged), a vertex those of its edges
+    ang = np.array([math.atan2(ny, nx) for nx, ny in T.normals])
+    gens = np.sort(np.concatenate(
+        [ang[np.where(on_edge, index, index - 1)], ang[index]], axis=1), axis=1)
+    gap = np.maximum(np.diff(gens, axis=1).max(axis=1),
+                     2 * math.pi - (gens[:, -1] - gens[:, 0]))
+    reason[(reason == "") & (gap >= math.pi - EPS_ANG)] = "HalfspaceViolation"
+    return [NoInbody(str(reason[k])) if reason[k] else
+            Inbody(float(lam[k]), x[k, 1:], verts[k],
+                   tuple(Face.edge(int(i)) if e else Face.vertex(int(i))
+                         for i, e in zip(index[k], on_edge[k])))
+            for k in range(B)]
 
 
 def fit_family(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -197,22 +193,26 @@ def search_three_bounce(K: ConvexPolytope2,
                         T: ConvexPolytope2) -> List[BilliardPair]:
     """All certified regular 3-bounce pairs over the facet triples of K that
     pass the spanning test."""
+    triples = spanning_triples(K)
     found: List[BilliardPair] = []
-    for triple in spanning_triples(K).tolist():
-        found.extend(solve_facet_triple(K, T, tuple(triple)))
+    for triple, inbody in zip(triples.tolist(),
+                              find_inbody(gamma_triangles(K, triples), T)):
+        if isinstance(inbody, Inbody):
+            found.extend(solve_facet_triple(K, T, tuple(triple), inbody))
     return sort_pairs(dedupe(found))
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
-                       triple: Tuple[int, int, int]) -> List[BilliardPair]:
+                       triple: Tuple[int, int, int],
+                       inbody: Inbody) -> List[BilliardPair]:
+    """The certified pair, if any, of a facet triple whose dual triangle
+    has the inbody placement `inbody` in T."""
+    # p_j is the inbody vertex fed by facet j+1 of the triple
+    p = np.roll(inbody.vertices, -1, axis=0)
+    t_faces = inbody.t_faces[1:] + inbody.t_faces[:1]
     try:
-        gamma = build_gamma(K.normals[list(triple)])
-        inbody = find_inbody(gamma.vertices, T)
-        # p_j is the inbody vertex fed by facet j+1 of the triple
-        p = np.roll(inbody.vertices, -1, axis=0)
-        t_faces = inbody.t_faces[1:] + inbody.t_faces[:1]
         q = fit_to_k(K, T, triple, t_faces)
-    except (NotSpanning, NoInbody, FitRejected):
+    except FitRejected:
         return []
     k_faces = tuple(Face.edge(i) for i in triple)
     pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))

@@ -199,22 +199,31 @@ def face_distance(P: ConvexPolytope2, f: Face, x) -> float:
     return segment_distance(a, b, x)
 
 
+def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """find_face for every row of X at once: the face indices, -1 for a
+    point not on the boundary, and whether each face is an edge."""
+    X = np.asarray(X, float).reshape(-1, 2)[:, None, :]
+    a = P.vertices
+    d = np.hypot(*np.moveaxis(a - X, -1, 0))
+    near = np.argmin(d, axis=1)
+    at_vertex = np.take_along_axis(d, near[:, None], axis=1)[:, 0] <= tol
+    e = np.roll(a, -1, axis=0) - a
+    t = np.clip(np.einsum("kij,ij->ki", X - a, e) / np.einsum("ij,ij->i", e, e),
+                0.0, 1.0)
+    hits = np.hypot(*np.moveaxis(a + t[..., None] * e - X, -1, 0)) <= tol
+    on_edge = ~at_vertex & hits.any(axis=1)
+    index = np.where(at_vertex, near, np.where(on_edge, hits.argmax(axis=1), -1))
+    return index, on_edge
+
+
 def find_face(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> Face:
     """Smallest face of P containing x (vertices win over edges, then the
     first edge within tol)."""
-    x = np.asarray(x, float)
-    d = np.hypot(*(P.vertices - x).T)
-    i = int(np.argmin(d))
-    if d[i] <= tol:
-        return Face.vertex(i)
-    a = P.vertices
-    e = np.roll(a, -1, axis=0) - a
-    t = np.clip(np.einsum("ij,ij->i", x - a, e) / np.einsum("ij,ij->i", e, e),
-                0.0, 1.0)
-    hits = np.nonzero(np.hypot(*(a + t[:, None] * e - x).T) <= tol)[0]
-    if hits.size:
-        return Face.edge(int(hits[0]))
-    raise GeometryError("point is not on the boundary of the polytope")
+    (index,), (on_edge,) = find_faces(P, x, tol)
+    if index < 0:
+        raise GeometryError("point is not on the boundary of the polytope")
+    return Face.edge(int(index)) if on_edge else Face.vertex(int(index))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver over arrays.
+"""Dense two-phase simplex solver over arrays, for one LP or a stack of LPs.
 
 All linear programs in this package are small (a handful of variables, at
 most a few thousand constraints), dense, and must be solved deterministically:
@@ -12,12 +12,22 @@ Conventions: maximize ``objective @ x`` subject to the rows
 free.  Every step works on whole arrays: variables are mapped onto
 nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
 update, and the solution is re-checked row-wise in one pass.
+
+``solve_stack`` solves B problems of one shape at once.  The standard form,
+the tableau and the re-check are built for the whole stack, and the pivots
+run in lockstep over a (B, m, n) tableau: every member prices, takes its
+ratio test and breaks ties exactly as it would alone, and a member that
+stops is frozen, so its solution is bit-identical to ``solve`` on it.  A
+stack of one (and so every ``solve``) runs the scalar pivot loop instead,
+which costs less numpy overhead per pivot; the loop is chosen by the stack
+size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,6 +44,11 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class LinearProgram:
+    """One LP, or for ``solve_stack`` a stack of B LPs: ``constraints`` is
+    then (B, m, n), and each of ``objective``, ``rhs``, ``lower`` and
+    ``upper`` either carries the leading B axis or is shared by every
+    member.  The members share ``equality`` and which bounds are finite."""
+
     objective: np.ndarray                   # (n,)
     constraints: np.ndarray                 # (m, n), one row per constraint
     rhs: np.ndarray                         # (m,)
@@ -44,7 +59,9 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    # "optimal" | "infeasible" | "unbounded"; solve_stack reports a member
+    # that solve would raise NumericalFailure for as "numerical"
+    status: str
     x: Optional[np.ndarray]
     objective_value: Optional[float]
 
@@ -64,15 +81,16 @@ def _pivot(tab, rhs, red, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tab, rhs, red, basis, ncols, counter):
+def _iterate(tab, rhs, red, basis, ncols):
     """Run simplex pivots until optimal/unbounded; entering columns are
     restricted to indices < ncols."""
+    counter = 0
     while True:
-        counter[0] += 1
-        if counter[0] > _MAX_PIVOTS:
+        counter += 1
+        if counter > _MAX_PIVOTS:
             raise NumericalFailure("pivot budget exhausted")
         cand = red[:ncols]
-        if counter[0] <= _BLAND_AFTER:
+        if counter <= _BLAND_AFTER:
             col = int(np.argmax(cand))
             if cand[col] <= _PIVOT_TOL:
                 return "optimal"
@@ -93,110 +111,260 @@ def _iterate(tab, rhs, red, basis, ncols, counter):
         _pivot(tab, rhs, red, basis, row, col)
 
 
+def _iterate_one(tab, rhs, red, basis, ncols):
+    """_iterate on a stack of one; an exhausted budget is "numerical"."""
+    try:
+        status = _iterate(tab[0], rhs[0], red[0], basis[0], ncols)
+    except NumericalFailure:
+        status = "numerical"
+    return np.array([status], "<U10")
+
+
+def _pivot_stack(tab, rhs, red, basis, row, col):
+    """_pivot on member k of the stack at (row[k], col[k]) for every k.  A
+    row whose pivot-column entry is zero changes by an exact zero."""
+    k = np.arange(len(row))
+    piv = tab[k, row, col]
+    prow = tab[k, row] / piv[:, None]
+    prhs = rhs[k, row] / piv
+    f = tab[k, :, col]
+    f[k, row] = 0.0
+    tab[k, row] = prow
+    rhs[k, row] = prhs
+    tab -= f[:, :, None] * prow[:, None, :]
+    rhs -= f * prhs[:, None]
+    red -= red[k, col][:, None] * prow
+    basis[k, row] = col
+
+
+def _iterate_stack(tab, rhs, red, basis, ncols):
+    """_iterate in lockstep over a stack.  All live members have made the
+    same number of steps, so one counter serves for the Bland switch and the
+    budget.  A member that stops is written back and dropped from the
+    working copies.  Returns each member's status ("numerical" for an
+    exhausted budget)."""
+    status = np.full(len(tab), "", "<U10")
+    live = np.arange(len(tab))
+    t, r, c, bs = tab, rhs, red, basis
+    counter = 0
+    while live.size:
+        counter += 1
+        cand = c[:, :ncols]
+        if counter <= _BLAND_AFTER:
+            col = cand.argmax(axis=1)
+        else:
+            col = (cand > _PIVOT_TOL).argmax(axis=1)
+        k = np.arange(live.size)
+        colvals = t[k, :, col]
+        pos = colvals > _PIVOT_TOL
+        verdict = np.where(cand[k, col] <= _PIVOT_TOL, "optimal",
+                           np.where(pos.any(axis=1), "", "unbounded"))
+        if counter > _MAX_PIVOTS:
+            verdict[:] = "numerical"
+        stop = verdict != ""
+        if stop.any():
+            done = live[stop]
+            status[done] = verdict[stop]
+            tab[done], rhs[done], basis[done] = t[stop], r[stop], bs[stop]
+            keep = ~stop
+            live, t, r, c, bs = live[keep], t[keep], r[keep], c[keep], bs[keep]
+            col, colvals, pos = col[keep], colvals[keep], pos[keep]
+            if not live.size:
+                break
+        ratios = np.divide(r, colvals, out=np.full(r.shape, np.inf), where=pos)
+        ties = ratios <= ratios.min(axis=1)[:, None] + 1e-12
+        # break ties on the smallest basis index (keeps Bland's rule valid)
+        row = np.where(ties, bs, np.iinfo(bs.dtype).max).argmin(axis=1)
+        _pivot_stack(t, r, c, bs, row, col)
+    return status
+
+
+def _drive_out(tab, rhs, basis, first_art):
+    """Pivot the remaining (zero-valued) artificials out of the basis where
+    their row allows it."""
+    for i in np.nonzero(basis >= first_art)[0]:
+        cols = np.nonzero(np.abs(tab[i, :first_art]) > _PIVOT_TOL)[0]
+        if cols.size:
+            _pivot(tab, rhs, np.zeros(tab.shape[1]), basis, i, int(cols[0]))
+
+
 def _standard_simplex(c, A, b):
-    """max c@x  s.t.  A@x <= b, x >= 0.  Returns (status, x or None)."""
-    m, n = A.shape
-    neg = b < 0
+    """max c[k] @ y  s.t.  A[k] @ y <= b[k], y >= 0, for each member k of a
+    stack whose right-hand sides are negative in the same rows (the members
+    share their artificial columns).  Returns each member's status and y."""
+    B, m, n = A.shape
+    neg = b[0] < 0
     art = np.nonzero(neg)[0]
     n_art = art.size
+    width = n + m + n_art
     sign = np.where(neg, -1.0, 1.0)
-    tab = np.zeros((m, n + m + n_art))
-    tab[:, :n] = A * sign[:, None]
-    tab[np.arange(m), n + np.arange(m)] = sign
-    tab[art, n + m + np.arange(n_art)] = 1.0
+    tab = np.zeros((B, m, width))
+    tab[:, :, :n] = A * sign[:, None]
+    tab[:, np.arange(m), n + np.arange(m)] = sign
     rhs = b * sign
-    basis = n + np.arange(m)
-    basis[art] = n + m + np.arange(n_art)
-    counter = [0]
+    basis = np.empty((B, m), int)
+    basis[:] = n + np.arange(m)
+    iterate = _iterate_one if B == 1 else _iterate_stack
     if n_art:
-        d = np.zeros(n + m + n_art)
+        tab[:, art, n + m + np.arange(n_art)] = 1.0
+        basis[:, art] = n + m + np.arange(n_art)
+        d = np.zeros(width)
         d[n + m:] = -1.0
-        red = d - d[basis] @ tab
-        _iterate(tab, rhs, red, basis, n + m + n_art, counter)
-        art_value = float(d[basis] @ rhs)
-        if art_value < -1e-8:
-            return "infeasible", None
+        red = d - np.matmul(d[basis][:, None, :], tab)[:, 0]
+        numerical = iterate(tab, rhs, red, basis, width) == "numerical"
+        art_value = np.matmul(d[basis][:, None, :], rhs[:, :, None])[:, 0, 0]
+        phase1 = np.where(numerical, "numerical",
+                          np.where(art_value < -1e-8, "infeasible", "optimal"))
+        feasible = phase1 == "optimal"
+        if not feasible.any():
+            return phase1, np.zeros((B, n))
         # drive remaining (zero-valued) artificials out of the basis if we can
-        for i in np.nonzero(basis >= n + m)[0]:
-            cols = np.nonzero(np.abs(tab[i, : n + m]) > _PIVOT_TOL)[0]
-            if cols.size:
-                _pivot(tab, rhs, np.zeros_like(red), basis, i, int(cols[0]))
-    c_ext = np.zeros(n + m + n_art)
-    c_ext[:n] = c
-    red = c_ext - c_ext[basis] @ tab
-    counter[0] = 0
-    status = _iterate(tab, rhs, red, basis, n + m, counter)
-    if status != "optimal":
-        return status, None
-    x = np.zeros(n)
-    inner = basis < n
-    x[basis[inner]] = rhs[inner]
-    return "optimal", x
+        for k in np.nonzero(feasible & (basis >= n + m).any(axis=1))[0]:
+            _drive_out(tab[k], rhs[k], basis[k], n + m)
+        # a member that phase 1 stopped gets a zero objective, so that it
+        # stops at once in phase 2
+        c = np.where(feasible[:, None], c, 0.0)
+    c_ext = np.zeros((B, width))
+    c_ext[:, :n] = c
+    cb = c_ext[np.arange(B)[:, None], basis]
+    red = c_ext - np.matmul(cb[:, None, :], tab)[:, 0]
+    status = iterate(tab, rhs, red, basis, n + m)
+    if n_art:
+        status = np.where(feasible, status, phase1)
+    y = np.zeros((B, n))  # meaningful for the optimal members only
+    kk, ii = np.nonzero(basis < n)
+    y[kk, basis[kk, ii]] = rhs[kk, ii]
+    return status, y
 
 
-def _bounds(values, nv, fill):
-    out = np.full(nv, fill) if values is None else np.asarray(values, float)
-    if out.shape != (nv,):
-        raise ValueError("bounds length mismatch")
-    return out
+def _recheck(A, b, eq, x, lower, upper) -> dict:
+    """Independent feasibility check of every member's solution: why each
+    failing member fails, by member index."""
+    resid = np.matmul(A, x[:, :, None])[:, :, 0] - b
+    viol = np.where(eq, np.abs(resid), resid)
+    tol = EPS_LP + 1e-9 * (1.0 + np.abs(b)
+                           + np.matmul(np.abs(A), np.abs(x)[:, :, None])[:, :, 0])
+    bad = viol > tol
+    why = {}
+    for k in np.nonzero(bad.any(axis=1) | ((x < lower - 1e-9)
+                                          | (x > upper + 1e-9)).any(axis=1))[0]:
+        i = np.argmax(bad[k])
+        why[k] = (f"solution violates constraint by {viol[k, i]:.3e} "
+                  f"(tol {tol[k, i]:.3e})" if bad[k, i]
+                  else "solution violates a bound")
+    return why
+
+
+# bounded, and read-only since every caller shares the cached arrays
+@functools.lru_cache(maxsize=256)
+def _layout(eq: bytes, has_lo: bytes, has_up: bytes):
+    """The part of the standard form that depends only on which rows are
+    equalities and which bounds are finite: the substitution matrix S, the
+    source row and sign of each standard row, and the box-bounded variables
+    with their rows."""
+    eq, has_lo, has_up = (np.frombuffer(v, bool) for v in (eq, has_lo, has_up))
+    # x = S @ y + shift with y >= 0: a lower bound shifts the variable, an
+    # upper bound alone negates it, a free variable splits into two columns
+    split = ~(has_lo | has_up)
+    start = np.concatenate(([0], np.cumsum(1 + split)[:-1])).astype(int)
+    S = np.zeros((split.size, split.size + int(split.sum())))
+    S[np.arange(split.size), start] = np.where(has_lo | split, 1.0, -1.0)
+    S[split, start[split] + 1] = -1.0
+    # an equality row a @ x == b becomes a @ x <= b followed by -a @ x <= -b;
+    # a box-bounded variable adds one row y <= upper - lower at the end
+    idx = np.repeat(np.arange(eq.size), 1 + eq)
+    sgn = np.ones(idx.size)
+    sgn[1:][idx[1:] == idx[:-1]] = -1.0
+    box = np.nonzero(has_lo & has_up)[0]
+    box_rows = np.zeros((box.size, S.shape[1]))
+    box_rows[np.arange(box.size), start[box]] = 1.0
+    for arr in (S, idx, sgn, box, box_rows):
+        arr.setflags(write=False)
+    return S, idx, sgn, box, box_rows
+
+
+def _shared(finite):
+    """The (n,) finite-bound mask that every member of a stack shares."""
+    if finite.ndim > 1:
+        if (finite != finite[0]).any():
+            raise ValueError("stack members must share which bounds are finite")
+        finite = finite[0]
+    return finite
+
+
+def _solve(obj, A, b, equality, lower, upper):
+    """Solve the stack obj (B, n), A (B, m, n), b (B, m); the bounds are
+    (n,) or (B, n).  Returns the solutions and why each member that failed
+    the re-check fails (status "numerical", as for an exhausted budget)."""
+    B, m, nv = A.shape
+    eq = (np.zeros(m, bool) if equality is None
+          else np.asarray(equality, bool).reshape(m))
+    lower = np.full(nv, -np.inf) if lower is None else np.asarray(lower, float)
+    upper = np.full(nv, np.inf) if upper is None else np.asarray(upper, float)
+    has_lo = _shared(np.isfinite(lower))
+    has_up = _shared(np.isfinite(upper))
+    S, idx, sgn, box, box_rows = _layout(eq.tobytes(), has_lo.tobytes(),
+                                         has_up.tobytes())
+    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
+    rows = A[:, idx] * sgn[:, None]
+    A_std = np.zeros((B, idx.size + box.size, S.shape[1]))
+    A_std[:, :idx.size] = rows @ S
+    A_std[:, idx.size:] = box_rows
+    b_std = np.empty((B, idx.size + box.size))
+    b_std[:, :idx.size] = (b[:, idx] * sgn
+                           - np.matmul(rows, shift[..., None])[..., 0])
+    b_std[:, idx.size:] = (upper - lower)[..., box]
+    c = obj @ S
+
+    neg = b_std < 0
+    if B == 1 or (neg == neg[0]).all():
+        status, y = _standard_simplex(c, A_std, b_std)
+    else:
+        # members whose standard rhs is negative in the same rows share
+        # their artificial columns and so one tableau layout
+        status, y = np.empty(B, "<U10"), np.empty((B, S.shape[1]))
+        group = np.unique(neg, axis=0, return_inverse=True)[1].reshape(B)
+        for g in range(group.max() + 1):
+            k = np.nonzero(group == g)[0]
+            status[k], y[k] = _standard_simplex(c[k], A_std[k], b_std[k])
+
+    x = y @ S.T + shift
+    why = {}
+    optimal = status == "optimal"
+    if optimal.any():
+        why = {k: reason for k, reason in
+               _recheck(A, b, eq, x, lower, upper).items() if optimal[k]}
+        status[list(why)] = "numerical"
+    sols = [LpSolution("optimal", x[k], float(obj[k] @ x[k])) if s == "optimal"
+            else LpSolution(s, None, None) for k, s in enumerate(status.tolist())]
+    return sols, why
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    obj = np.asarray(lp.objective, float)
+    """Solve one LP.  NumericalFailure if the pivot budget runs out or the
+    solution fails the re-check."""
+    obj = np.asarray(lp.objective, float).reshape(-1)
     nv = obj.size
-    A = np.asarray(lp.constraints, float).reshape(-1, nv)
-    b = np.asarray(lp.rhs, float).reshape(-1)
-    m = A.shape[0]
-    if b.shape != (m,):
+    A = np.asarray(lp.constraints, float).reshape(1, -1, nv)
+    b = np.asarray(lp.rhs, float).reshape(1, -1)
+    if b.shape[1] != A.shape[1]:
         raise ValueError("constraint arity mismatch")
-    eq = (np.zeros(m, bool) if lp.equality is None
-          else np.asarray(lp.equality, bool).reshape(m))
-    lower = _bounds(lp.lower, nv, -np.inf)
-    upper = _bounds(lp.upper, nv, np.inf)
-
-    # x = S @ y + shift with y >= 0: a lower bound shifts the variable, an
-    # upper bound alone negates it, a free variable splits into two columns
-    has_lo = np.isfinite(lower)
-    has_up = np.isfinite(upper)
-    split = ~(has_lo | has_up)
-    start = np.concatenate(([0], np.cumsum(1 + split)[:-1])).astype(int)
-    ncols = nv + int(split.sum())
-    S = np.zeros((nv, ncols))
-    S[np.arange(nv), start] = np.where(has_lo | split, 1.0, -1.0)
-    S[split, start[split] + 1] = -1.0
-    shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
-
-    # an equality row a @ x == b becomes a @ x <= b followed by -a @ x <= -b;
-    # a box-bounded variable adds one row y <= upper - lower at the end
-    idx = np.repeat(np.arange(m), 1 + eq)
-    sgn = np.ones(idx.size)
-    sgn[1:][idx[1:] == idx[:-1]] = -1.0
-    rows = A[idx] * sgn[:, None]
-    box = has_lo & has_up
-    box_rows = np.zeros((int(box.sum()), ncols))
-    box_rows[np.arange(box_rows.shape[0]), start[box]] = 1.0
-    A_std = np.vstack([rows @ S, box_rows])
-    b_std = np.concatenate([b[idx] * sgn - rows @ shift, upper[box] - lower[box]])
-
-    status, y = _standard_simplex(obj @ S, A_std, b_std)
-    if status != "optimal":
-        return LpSolution(status, None, None)
-    x = S @ y + shift
-    _recheck(A, b, eq, x, lower, upper)
-    return LpSolution("optimal", x, float(obj @ x))
+    [sol], why = _solve(obj[None], A, b, lp.equality, lp.lower, lp.upper)
+    if sol.status == "numerical":
+        raise NumericalFailure(why.get(0, "pivot budget exhausted"))
+    return sol
 
 
-def _recheck(A, b, eq, x, lower, upper):
-    """Independent feasibility check of the reported solution."""
-    resid = A @ x - b
-    viol = np.where(eq, np.abs(resid), resid)
-    tol = EPS_LP + 1e-9 * (1.0 + np.abs(b) + np.abs(A) @ np.abs(x))
-    bad = np.nonzero(viol > tol)[0]
-    if bad.size:
-        i = bad[0]
-        raise NumericalFailure(
-            f"solution violates constraint by {viol[i]:.3e} (tol {tol[i]:.3e})")
-    if np.any(x < lower - 1e-9):
-        raise NumericalFailure("solution violates a lower bound")
-    if np.any(x > upper + 1e-9):
-        raise NumericalFailure("solution violates an upper bound")
+def solve_stack(lp: LinearProgram) -> List[LpSolution]:
+    """Solve a stack of LPs (see LinearProgram) in lockstep.  A member that
+    solve would raise NumericalFailure for has status "numerical"; the
+    other members are unaffected."""
+    A = np.asarray(lp.constraints, float)
+    if A.ndim != 3:
+        raise ValueError("a stack needs constraints of shape (B, m, n)")
+    B, m, nv = A.shape
+    if B == 0:
+        return []
+    obj = np.broadcast_to(np.asarray(lp.objective, float), (B, nv))
+    b = np.broadcast_to(np.asarray(lp.rhs, float), (B, m))
+    return _solve(obj, A, b, lp.equality, lp.lower, lp.upper)[0]

@@ -115,9 +115,8 @@ def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2
         raise ValueError("expected a triangle")
     for ang in (math.pi / 2, -math.pi / 2):
         rot = triangle.vertices @ rotation(ang).T
-        try:
-            inbody = find_inbody(rot, T)
-        except NoInbody:
+        inbody = find_inbody(rot[None], T)[0]
+        if isinstance(inbody, NoInbody):
             continue
         if not in_f(T, inbody.vertices):
             continue

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from minkbill import bounce2
 from minkbill.bounce2 import (SearchStats, search_two_bounce, solve_face_tuple,
                               tuple_variable_count, two_bounce_tuple_count)
 from minkbill.geom import ConvexPolytope2, Face, find_face, in_f
+from minkbill.lp import NumericalFailure
 from minkbill.pairs import _canonical_key
 from minkbill.randgen import random_instance
 from minkbill.verify import certify
@@ -109,3 +111,25 @@ def test_declared_faces_contain_vertices(rng):
             from minkbill.geom import face_distance
             assert face_distance(K, pair.k_faces[j], pair.q.vertices[j]) < 1e-7
             assert face_distance(T, pair.t_faces[j], pair.p.vertices[j]) < 1e-7
+
+
+def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
+    """A face-tuple LP that fails numerically rules out that tuple only:
+    the search completes with the pairs of the other tuples."""
+    K, T = SQUARE, DIAMOND
+    clean = search_two_bounce(K, T)
+    solve_rows = bounce2._solve_rows
+    calls = []
+
+    def fail_first(rows, objective, upper):
+        calls.append(len(rows))
+        if len(calls) == 1:
+            raise NumericalFailure("pivot budget exhausted")
+        return solve_rows(rows, objective, upper)
+    monkeypatch.setattr(bounce2, "_solve_rows", fail_first)
+    pairs = search_two_bounce(K, T)
+    assert len(calls) > 1
+    assert pairs and pairs[0].length == pytest.approx(clean[0].length)
+    clean_lengths = [p.length for p in clean]
+    assert all(min(abs(p.length - c) for c in clean_lengths) < 1e-12
+               for p in pairs)

@@ -4,20 +4,53 @@ import math
 import numpy as np
 import pytest
 
-from minkbill import bounce3
-from minkbill.bounce3 import (FitRejected, NoInbody, NotSpanning, build_gamma,
+from minkbill import bounce3, lp as lpmod
+from minkbill.bounce3 import (FitRejected, Inbody, NoInbody,
                               facet_triple_count, facet_triples, find_inbody,
-                              fit_family, fit_to_k, search_three_bounce,
-                              solve_facet_triple, spanning_triples)
+                              fit_family, fit_to_k, gamma_triangles,
+                              search_three_bounce, solve_facet_triple,
+                              spanning_triples)
 from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
 from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            face_distance, find_face, normal_cone,
                            positively_spans, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
-from minkbill.pairs import make_pair
+from minkbill.pairs import dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
+
+
+class NotSpanning(GeometryError):
+    pass
+
+
+def build_gamma(normals):
+    """Reference for spanning_triples and gamma_triangles, one triple at a
+    time: the vertices of the triangle with gamma_{i+1} - gamma_i =
+    alpha_i n_i, all alpha_i < 0, normalized by alpha_1 = -1 and
+    gamma_1 = 0; NotSpanning where there is none."""
+    n1, n2, n3 = (np.asarray(v, float) for v in normals)
+    if not positively_spans([n1, n2, n3]):
+        raise NotSpanning("facet normals do not positively span the plane")
+    # alpha_2 n2 + alpha_3 n3 = n1 (closing the triangle with alpha_1 = -1)
+    A = np.column_stack([n2, n3])
+    if abs(float(np.linalg.det(A))) <= EPS_GEO:
+        raise NotSpanning("two of the normals are parallel")
+    a2, a3 = np.linalg.solve(A, n1)
+    if a2 >= -EPS_GEO or a3 >= -EPS_GEO:
+        raise NotSpanning("no negatively oriented closing coefficients")
+    g1 = np.zeros(2)
+    g2 = g1 - n1           # alpha_1 = -1
+    g3 = g2 + a2 * n2
+    return np.array([g1, g2, g3])
+
+
+def _inbodies(K, T):
+    """The spanning triples of K with find_inbody's answer for each."""
+    triples = spanning_triples(K)
+    return zip(map(tuple, triples.tolist()),
+               find_inbody(gamma_triangles(K, triples), T))
 
 
 def test_facet_triples_count():
@@ -31,11 +64,12 @@ def test_facet_triples_count():
 
 def test_build_gamma_equilateral():
     tri = equilateral_triangle()
-    gamma = build_gamma(tri.normals)
-    assert np.allclose(gamma.alphas, -1.0)
-    edges = np.roll(gamma.vertices, -1, axis=0) - gamma.vertices
+    gamma = gamma_triangles(tri, [(0, 1, 2)])[0]
+    edges = np.roll(gamma, -1, axis=0) - gamma
+    alphas = np.einsum("ij,ij->i", edges, tri.normals)  # unit normals
+    assert np.allclose(alphas, -1.0)
     for i in range(3):
-        assert np.allclose(edges[i], gamma.alphas[i] * gamma.normals[i])
+        assert np.allclose(edges[i], alphas[i] * tri.normals[i])
     assert np.allclose(edges.sum(axis=0), 0.0, atol=1e-12)
 
 
@@ -46,7 +80,8 @@ def test_build_gamma_rejects_nonspanning():
 
 def test_find_inbody_triangle_in_ngon():
     gamma = build_gamma(equilateral_triangle().normals)
-    ib = find_inbody(gamma.vertices, regular_ngon(64))
+    [ib] = find_inbody(gamma[None], regular_ngon(64))
+    assert isinstance(ib, Inbody)
     assert ib.scale > 0
     # all contact points on the boundary
     for v in ib.vertices:
@@ -59,9 +94,9 @@ def test_inbody_rejection_reasons():
     for triple, reason in (((0, 1, 2), "HalfspaceViolation"),
                            ((0, 2, 1), "NotOnBoundary")):
         gamma = build_gamma(fx.K.normals[list(triple)])
-        with pytest.raises(NoInbody) as err:
-            find_inbody(gamma.vertices, fx.T)
-        assert err.value.reason == reason
+        [ib] = find_inbody(gamma[None], fx.T)
+        assert isinstance(ib, NoInbody)
+        assert ib.reason == reason
 
 
 def test_fit_rejects_off_facet():
@@ -111,12 +146,13 @@ def test_same_faces_same_length(rng):
                                   int(rng.integers(3, 7))) for _ in range(40)]
     families = 0
     for K, T in instances:
-        for triple in map(tuple, spanning_triples(K).tolist()):
+        for triple, ib in _inbodies(K, T):
+            if isinstance(ib, NoInbody):
+                continue
+            t_faces = ib.t_faces[1:] + ib.t_faces[:1]
             try:
-                ib = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
-                t_faces = ib.t_faces[1:] + ib.t_faces[:1]
                 low, high = fit_family(K, T, triple, t_faces)
-            except (NoInbody, FitRejected):
+            except FitRejected:
                 continue
             length = [support_many(T, np.roll(q, -1, axis=0) - q).sum()
                       for q in (low, high)]
@@ -131,14 +167,14 @@ def test_fit_numerical_failure_is_a_reject(monkeypatch):
     K = equilateral_triangle()
     T = regular_ngon(32)
     triple = (0, 1, 2)
-    ib = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
+    [ib] = find_inbody(build_gamma(K.normals[list(triple)])[None], T)
     t_faces = ib.t_faces[1:] + ib.t_faces[:1]
-    assert solve_facet_triple(K, T, triple)
+    assert solve_facet_triple(K, T, triple, ib)
     monkeypatch.setattr(bounce3, "_solve_rows", fail)
     with pytest.raises(FitRejected) as err:
         fit_to_k(K, T, triple, t_faces)
     assert err.value.reason == "numerical"
-    assert solve_facet_triple(K, T, triple) == []
+    assert solve_facet_triple(K, T, triple, ib) == []
 
 
 def test_returned_pairs_certified(rng):
@@ -172,27 +208,85 @@ def _inbody_per_vertex(tri, T):
 
 
 def test_inbody_one_row_per_facet_matches_per_vertex_rows(rng):
+    """150 triangles in stacks of 1 to 5 per random T; about 30 % of the T
+    are moved off the origin, so that the inbody LPs run phase 1."""
     outcomes = []
-    for _ in range(150):
+    while len(outcomes) < 150:
         T = random_polytope(rng, int(rng.integers(3, 16)))
-        if rng.random() < 0.5:
-            tri = rng.normal(size=(3, 2))
-        else:
-            K = random_polytope(rng, int(rng.integers(3, 10)))
-            triples = spanning_triples(K)
-            tri = build_gamma(K.normals[triples[rng.integers(len(triples))]]
-                              ).vertices
-        reason, lam, faces = _inbody_per_vertex(tri, T)
-        try:
-            ib = find_inbody(tri, T)
-        except NoInbody as err:
-            assert err.reason == reason
-        else:
-            assert reason == "ok"
-            assert ib.scale == pytest.approx(lam, rel=1e-12)
-            assert ib.t_faces == faces
-        outcomes.append(reason)
+        if rng.random() < 0.3:
+            T = T.translate(rng.uniform(-4.0, 4.0, size=2))
+        tris = []
+        for _ in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.5:
+                tris.append(rng.normal(size=(3, 2)))
+            else:
+                K = random_polytope(rng, int(rng.integers(3, 10)))
+                triples = spanning_triples(K)
+                tris.append(build_gamma(
+                    K.normals[triples[rng.integers(len(triples))]]))
+        for tri, ib in zip(tris, find_inbody(np.array(tris), T)):
+            reason, lam, faces = _inbody_per_vertex(tri, T)
+            if isinstance(ib, NoInbody):
+                assert ib.reason == reason
+            else:
+                assert reason == "ok"
+                assert ib.scale == pytest.approx(lam, rel=1e-12)
+                assert ib.t_faces == faces
+            outcomes.append(reason)
     assert outcomes.count("ok") >= 10 and outcomes.count("NotOnBoundary") >= 10
+
+
+def _inbody_alone(tri, T):
+    """find_inbody for one triangle, written as before it took stacks: one
+    lp.solve with the support column (T.normals @ tri.T).max(axis=1), then
+    find_face per vertex and positively_spans of the contact normal cones.
+    Returns (reason or "ok", lambda, vertices, contact faces)."""
+    sol = solve(LinearProgram(
+        np.array([1.0, 0.0, 0.0]),
+        np.column_stack([(T.normals @ tri.T).max(axis=1), T.normals]),
+        T.offsets, lower=np.array([0.0, -np.inf, -np.inf])))
+    if sol.status != "optimal" or float(sol.x[0]) <= EPS_GEO:
+        return "DegenerateLp", None, None, None
+    lam = float(sol.x[0])
+    verts = lam * tri + sol.x[1:]
+    try:
+        faces = tuple(find_face(T, v, tol=1e-7) for v in verts)
+    except GeometryError:
+        return "NotOnBoundary", lam, verts, None
+    gens = [g for f in faces for g in normal_cone(T, f).generators]
+    if not positively_spans(gens):
+        return "HalfspaceViolation", lam, verts, faces
+    return "ok", lam, verts, faces
+
+
+def test_stacked_inbody_matches_one_triangle_at_a_time(rng):
+    """find_inbody on a stack gives, bit for bit, what the per-triangle
+    pipeline gives each member: random triangles, dual triangles, and
+    triangles on three vertices of T (contacts at vertices of T), with some
+    T moved off the origin."""
+    outcomes = []
+    at_vertex = 0
+    for _ in range(60):
+        T = random_polytope(rng, int(rng.integers(3, 16)))
+        if rng.random() < 0.3:
+            T = T.translate(rng.uniform(-4.0, 4.0, size=2))
+        K = random_polytope(rng, int(rng.integers(3, 10)))
+        tris = list(rng.normal(size=(3, 3, 2)))
+        tris += list(gamma_triangles(K, spanning_triples(K))[:4])
+        for _ in range(3):
+            tris.append(T.vertices[np.sort(rng.choice(T.n, 3, replace=False))])
+        for tri, ib in zip(tris, find_inbody(np.array(tris), T)):
+            reason, lam, verts, faces = _inbody_alone(tri, T)
+            outcomes.append(reason)
+            if isinstance(ib, NoInbody):
+                assert ib.reason == reason
+                continue
+            assert reason == "ok"
+            assert ib.scale == lam
+            assert ib.vertices.tobytes() == verts.tobytes()
+            assert ib.t_faces == faces
+            at_vertex += any(not f.is_edge for f in faces)
+    assert outcomes.count("ok") >= 20 and at_vertex >= 20
 
 
 def _build_gamma_accepts(K, triple):
@@ -210,7 +304,11 @@ def test_spanning_triples_match_build_gamma(rng):
     bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 21, 30)]
     for K in bodies:
         expected = [t for t in facet_triples(K) if _build_gamma_accepts(K, t)]
-        assert [tuple(t) for t in spanning_triples(K).tolist()] == expected
+        triples = spanning_triples(K)
+        assert [tuple(t) for t in triples.tolist()] == expected
+        want = [build_gamma(K.normals[list(t)]) for t in expected]
+        assert np.array_equal(gamma_triangles(K, triples),
+                              np.reshape(want, (-1, 3, 2)))
 
 
 def _sampled_fan_pairs(K, T, triple, samples=8):
@@ -220,8 +318,10 @@ def _sampled_fan_pairs(K, T, triple, samples=8):
     the chosen normals, and a 3x3 solve for the scale mu > 0 and shift that
     put the vertices of mu * xi + e on the facets of K."""
     try:
-        inbody = find_inbody(build_gamma(K.normals[list(triple)]).vertices, T)
-    except (NotSpanning, NoInbody):
+        [inbody] = find_inbody(build_gamma(K.normals[list(triple)])[None], T)
+    except NotSpanning:
+        return []
+    if isinstance(inbody, NoInbody):
         return []
     fans = []
     for f in inbody.t_faces:
@@ -272,9 +372,10 @@ def test_exact_fit_matches_sampled_fan(rng):
     fan_triples = 0
     for K, T in instances:
         ref_min = exact_min = math.inf
-        for triple in map(tuple, spanning_triples(K).tolist()):
+        for triple, ib in _inbodies(K, T):
             ref = _sampled_fan_pairs(K, T, triple)
-            exact = solve_facet_triple(K, T, triple)
+            exact = ([] if isinstance(ib, NoInbody)
+                     else solve_facet_triple(K, T, triple, ib))
             for pair in ref:
                 assert exact
                 assert exact[0].length == pytest.approx(pair.length, rel=1e-12)
@@ -284,3 +385,87 @@ def test_exact_fit_matches_sampled_fan(rng):
         assert exact_min == pytest.approx(ref_min, rel=1e-12) or (
             exact_min == ref_min == math.inf)
     assert fan_triples >= 100
+
+
+def _per_triple_search(K, T):
+    """search_three_bounce one facet triple at a time: build_gamma, a stack
+    of one through find_inbody, fit_to_k and certified_pair."""
+    found = []
+    for triple in map(tuple, spanning_triples(K).tolist()):
+        [ib] = find_inbody(build_gamma(K.normals[list(triple)])[None], T)
+        if isinstance(ib, NoInbody):
+            continue
+        p = np.roll(ib.vertices, -1, axis=0)
+        t_faces = ib.t_faces[1:] + ib.t_faces[:1]
+        try:
+            q = fit_to_k(K, T, triple, t_faces)
+        except FitRejected:
+            continue
+        pair = certified_pair(K, T, make_pair(
+            K, T, q, p, tuple(Face.edge(i) for i in triple), t_faces))
+        if pair is not None:
+            found.append(pair)
+    return sort_pairs(dedupe(found))
+
+
+def test_search_matches_per_triple_reference(rng):
+    """The stacked front end of search_three_bounce (one lockstep LP stack
+    per (K, T)) finds exactly the pairs of the per-triple pipeline, bit for
+    bit.  Some T do not contain the origin, so the inbody LPs run phase 1."""
+    instances = [(load(name).K, load(name).T) for name in fixture_names()]
+    for k in range(120):
+        K, T = random_instance(rng, int(rng.integers(3, 9)),
+                               int(rng.integers(3, 9)))
+        if k % 3 == 0:
+            T = T.translate(rng.uniform(-4.0, 4.0, size=2))
+        instances.append((K, T))
+    pairs = 0
+    for K, T in instances:
+        got = search_three_bounce(K, T)
+        want = _per_triple_search(K, T)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.length == b.length
+            assert np.array_equal(a.q.vertices, b.q.vertices)
+            assert np.array_equal(a.p.vertices, b.p.vertices)
+        pairs += len(got)
+    assert pairs >= 50
+
+
+def test_inbody_numerical_failure_rejects_one_member(monkeypatch):
+    """A member whose LP fails the re-check or runs out of pivots becomes
+    NoInbody("numerical"); the other members of the stack are untouched."""
+    # T is off the origin, so phase 1 runs; 6 pivots per phase are enough
+    # for some members and not for others
+    K = random_polytope(np.random.default_rng(1), 8)
+    T = regular_ngon(12).translate([0.5, 3.0])
+    triangles = gamma_triangles(K, spanning_triples(K))
+    clean = find_inbody(triangles, T)
+    assert sum(isinstance(ib, Inbody) for ib in clean) >= 3
+
+    def same(a, b):
+        if isinstance(a, NoInbody):
+            return isinstance(b, NoInbody) and a.reason == b.reason
+        return (isinstance(b, Inbody) and a.t_faces == b.t_faces
+                and a.vertices.tobytes() == b.vertices.tobytes()
+                and a.scale == b.scale)
+
+    recheck = lpmod._recheck
+
+    def poisoned(A, b, eq, x, lower, upper):
+        why = recheck(A, b, eq, x, lower, upper)
+        why[1] = "solution violates a constraint"
+        return why
+    monkeypatch.setattr(lpmod, "_recheck", poisoned)
+    out = find_inbody(triangles, T)
+    assert isinstance(out[1], NoInbody) and out[1].reason == "numerical"
+    assert all(same(a, b) for k, (a, b) in enumerate(zip(out, clean))
+               if k != 1)
+
+    monkeypatch.setattr(lpmod, "_recheck", recheck)
+    monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 6)
+    out = find_inbody(triangles, T)
+    failed = [isinstance(ib, NoInbody) and ib.reason == "numerical"
+              for ib in out]
+    assert 0 < sum(failed) < len(out)
+    assert all(same(a, b) for a, b, f in zip(out, clean, failed) if not f)

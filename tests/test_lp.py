@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minkbill.lp import LinearProgram, solve
+from minkbill import lp as lpmod
+from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_stack
 
 INF = np.inf
 
@@ -181,3 +182,57 @@ def test_matches_scipy_linprog(lp):
     if expected == "optimal":
         want = -ref.fun
         assert abs(sol.objective_value - want) <= 1e-7 * max(1.0, abs(want))
+
+
+@st.composite
+def lp_stacks(draw):
+    """2-40 LPs of one shape: 1-4 variables, <= and == rows and the bound
+    kinds free, lower and box, shared; the data, including negative
+    right-hand sides (so phase 1 runs), is drawn per member.  Where the
+    shape allows, one member is infeasible (0 <= -1) and one unbounded."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = draw(st.integers(2, 40))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    eq = rng.random(m) < 0.3
+    kind = rng.integers(0, 3, size=n)  # free, lower, box
+    A = rng.integers(-3, 4, size=(B, m, n)).astype(float)
+    b = rng.integers(-4, 7, size=(B, m)).astype(float)
+    obj = rng.integers(-3, 4, size=(B, n)).astype(float)
+    lower = np.where(kind > 0, rng.integers(-3, 3, size=(B, n)), -INF)
+    upper = np.where(kind == 2, lower + rng.integers(0, 5, size=(B, n)), INF)
+    if m:
+        A[0], b[0] = 0.0, -1.0
+    if (kind < 2).any() and B > 2:
+        A[1], b[1] = 0.0, 1.0
+        obj[1] = np.where(kind < 2, 1.0, 0.0)
+    return LinearProgram(obj, A, b, eq, lower.astype(float), upper)
+
+
+@pytest.mark.parametrize("bland_after", [None, 0])
+@settings(max_examples=80, deadline=None)
+@given(lp_stacks())
+def test_stack_matches_solve(bland_after, lp):
+    """Differential test of the lockstep loop against the scalar loop: every
+    member of a stack gets the status and the bit-identical x that solve
+    gives it alone.  bland_after=0 runs Bland's rule from the first pivot."""
+    saved = lpmod._BLAND_AFTER
+    if bland_after is not None:
+        lpmod._BLAND_AFTER = bland_after
+    try:
+        stacked = solve_stack(lp)
+        for k, sol in enumerate(stacked):
+            member = LinearProgram(lp.objective[k], lp.constraints[k],
+                                   lp.rhs[k], lp.equality, lp.lower[k],
+                                   lp.upper[k])
+            try:
+                alone = solve(member)
+            except NumericalFailure:
+                assert sol.status == "numerical"
+                continue
+            assert sol.status == alone.status
+            if alone.status == "optimal":
+                assert sol.x.tobytes() == alone.x.tobytes()
+                assert sol.objective_value == alone.objective_value
+    finally:
+        lpmod._BLAND_AFTER = saved

@@ -13,19 +13,25 @@ so each surviving tuple reduces to (at most) one small feasibility LP:
 * a facet on both sides: solve for q, p and the two cone multipliers
   simultaneously, pinning each difference to the one-dimensional normal
   cone of a facet.
+
+The search works on all tuples of one (K, T) at once.  The antipodal face
+pairs of each body, the cone pre-checks of the fixed cases and the LP rows
+are built as arrays, one group of tuples with the same vertex/facet
+pattern (and so the same LP shape) at a time; the LPs are solved one by
+one, and the optimal members are certified in tuple order.
+``solve_face_tuple`` is the same pipeline on a batch of one tuple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from . import lp as lpmod
-from .geom import (EPS_GEO, ConvexPolytope2, Face, all_faces, cone_contains,
-                   cones_intersect, normal_cone)
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
+                   normal_cone)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
 
@@ -34,7 +40,7 @@ from .verify import certified_pair
 class SearchStats:
     tuples_considered: int = 0
     tuples_after_filter: int = 0
-    lp_solves: int = 0
+    lp_solves: int = 0  # one per LP member of a stack
     candidates: int = 0
 
 
@@ -53,27 +59,23 @@ def tuple_variable_count(f1: Face, f2: Face, g1: Face, g2: Face) -> int:
     return params + (2 if mixed else 0)
 
 
-def _antipodal_pairs(P: ConvexPolytope2) -> List[Tuple[Face, Face]]:
-    faces = all_faces(P)
-    cones = [normal_cone(P, f) for f in faces]
-    out = []
-    for (i, f1), (j, f2) in itertools.combinations(enumerate(faces), 2):
-        if cones_intersect(cones[i], cones[j].negate()):
-            out.append((f1, f2))
-    return out
-
-
-def _face_point(P: ConvexPolytope2, f: Face):
-    """(base, direction or None): constant point for a vertex, a unit-interval
-    parametrization for a facet."""
-    if f.kind == "vertex":
-        return P.vertices[f.index], None
-    a, b = P.facet_segment(f.index)
-    return a, b - a
+def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
+    """The pairs i < j of faces of P (indices into all_faces, in
+    itertools.combinations order) whose normal cones are antipodal:
+    geom.cones_intersect(cone_i, -cone_j), decided for all pairs at once."""
+    cones = [normal_cone(P, f) for f in all_faces(P)]
+    a1, w1 = np.array([c.angles() for c in cones]).T
+    a2, w2 = np.array([c.negate().angles() for c in cones]).T
+    i, j = np.triu_indices(len(cones), 1)
+    d12 = (a2[j] - a1[i]) % (2 * np.pi)
+    d21 = (a1[i] - a2[j]) % (2 * np.pi)
+    ok = (d12 <= w1[i] + EPS_ANG) | (d21 <= w2[j] + EPS_ANG)
+    return np.column_stack([i[ok], j[ok]])
 
 
 class _Affine:
-    """Affine 2-vector c + M x in the LP variables."""
+    """A stack of affine 2-vectors c[k] + M[k] @ x in the LP variables:
+    c is (B, 2), M is (B, 2, nv)."""
 
     def __init__(self, c, M):
         self.c = np.asarray(c, float)
@@ -83,43 +85,189 @@ class _Affine:
         return _Affine(self.c - other.c, self.M - other.M)
 
     def cross_with(self, g):
-        """cross(g, expr) as (row, const): g_x*e_y - g_y*e_x."""
-        row = g[0] * self.M[1] - g[1] * self.M[0]
-        const = g[0] * self.c[1] - g[1] * self.c[0]
+        """cross(g, expr) as (rows, consts): g_x*e_y - g_y*e_x."""
+        row = g[:, 0, None] * self.M[:, 1] - g[:, 1, None] * self.M[:, 0]
+        const = g[:, 0] * self.c[:, 1] - g[:, 1] * self.c[:, 0]
         return row, const
 
     def dot_with(self, g):
-        row = g[0] * self.M[0] + g[1] * self.M[1]
-        const = g[0] * self.c[0] + g[1] * self.c[1]
+        row = g[:, 0, None] * self.M[:, 0] + g[:, 1, None] * self.M[:, 1]
+        const = g[:, 0] * self.c[:, 0] + g[:, 1] * self.c[:, 1]
         return row, const
 
-    def at(self, x):
-        return self.c + self.M @ x
+
+def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
+           nv: int) -> _Affine:
+    """The points on faces idx of P, all vertices or all facets: a vertex is
+    constant, a facet [a, b] is a + x[col] (b - a)."""
+    base = P.vertices[idx]
+    M = np.zeros((len(idx), 2, nv))
+    if is_edge:
+        M[:, :, col] = P.vertices[(idx + 1) % P.n] - base
+    return _Affine(base, M)
+
+
+def _cone(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray):
+    """Generators of the normal cones of P at faces idx (all vertices or all
+    facets), as in geom.normal_cone: one (B, 2) array for a facet, two for a
+    vertex."""
+    if is_edge:
+        return (P.normals[idx],)
+    return (P.normals[(idx - 1) % P.n], P.normals[idx])
+
+
+def _neg(cone):
+    return tuple(-g for g in cone)
+
+
+def _in_cone(cone, v) -> np.ndarray:
+    """geom.cone_contains for a stack of cones and vectors v (B, 2)."""
+    nv = np.hypot(v[:, 0], v[:, 1])
+    s = EPS_GEO * nv
+    if len(cone) == 1:
+        g = cone[0]
+        inside = ((np.abs(g[:, 0] * v[:, 1] - g[:, 1] * v[:, 0]) <= s)
+                  & (g[:, 0] * v[:, 0] + g[:, 1] * v[:, 1] >= -s))
+    else:
+        g1, g2 = cone
+        inside = ((g1[:, 0] * v[:, 1] - g1[:, 1] * v[:, 0] >= -s)
+                  & (v[:, 0] * g2[:, 1] - v[:, 1] * g2[:, 0] >= -s))
+    return (nv <= EPS_GEO) | inside
 
 
 def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
-    """Append (coefficients, bound, is_equality) rows expressing expr in cone
-    (cone width < pi): a ray pins expr to its line exactly, a wedge bounds it
-    by its two generators."""
-    g = cone.generators
-    if len(g) == 1:
-        row, const = expr.cross_with(g[0])       # cross(g, v) == 0
+    """Append (coefficients, bounds, is_equality) rows expressing expr in
+    cone (cone width < pi) for every member: a ray pins expr to its line
+    exactly, a wedge bounds it by its two generators."""
+    if len(cone) == 1:
+        row, const = expr.cross_with(cone[0])    # cross(g, v) == 0
         rows.append((row, -const, True))
-        row, const = expr.dot_with(g[0])         # <g, v> >= 0
+        row, const = expr.dot_with(cone[0])      # <g, v> >= 0
         rows.append((-row, slack + const, False))
     else:
-        row, const = expr.cross_with(g[0])       # cross(g1, v) >= 0
+        row, const = expr.cross_with(cone[0])    # cross(g1, v) >= 0
         rows.append((-row, slack + const, False))
-        row, const = expr.cross_with(g[1])       # cross(v, g2) >= 0
+        row, const = expr.cross_with(cone[1])    # cross(v, g2) >= 0
         rows.append((row, slack - const, False))
 
 
 def _solve_rows(rows, objective, upper) -> lpmod.LpSolution:
-    """Solve objective @ x over the rows of _cone_rows, 0 <= x <= upper."""
+    """Solve objective @ x over the rows of one member of _cone_rows,
+    0 <= x <= upper."""
     return lpmod.solve(lpmod.LinearProgram(
         np.asarray(objective, float), np.array([r for r, _, _ in rows]),
         np.array([b for _, b, _ in rows]), np.array([e for _, _, e in rows]),
         np.zeros(len(upper)), upper))
+
+
+def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
+                  objective: Optional[np.ndarray] = None,
+                  stats: Optional[SearchStats] = None
+                  ) -> List[Optional[BilliardPair]]:
+    """The certified pair, or None, of each face tuple: tuples is (N, 4),
+    the faces f1, f2, g1, g2 as indices into all_faces of K and of T.  The
+    rows of all tuples with the same vertex/facet pattern (one LP shape)
+    are built at once."""
+    sizes = np.array([K.n, K.n, T.n, T.n])
+    tuples = np.asarray(tuples, int).reshape(-1, 4)
+    edge, idx = tuples >= sizes, tuples % sizes
+    pattern = edge @ np.array([8, 4, 2, 1])
+    qp = np.zeros((len(tuples), 4, 2))  # q1, q2, p1, p2 of each tuple
+    ok = np.zeros(len(tuples), bool)
+    for pat in np.flatnonzero(np.bincount(pattern)):
+        sel = np.nonzero(pattern == pat)[0]
+        flags = [bool(v) for v in edge[sel[0]]]
+        e1, e2, h1, h2 = flags
+        i1, i2, j1, j2 = idx[sel].T
+        f_fixed, g_fixed = not (e1 or e2), not (h1 or h2)
+        mixed = not f_fixed and not g_fixed
+        # one LP variable per facet, in the order q1, q2, p1, p2, then the
+        # two cone multipliers of the mixed case
+        cols = np.cumsum([0, e1, e2, h1, h2])[:4]
+        nv = int(sum(flags)) + 2 * mixed
+        points = [_point(P, e, i, col, nv) for P, e, i, col in
+                  zip((K, K, T, T), flags, (i1, i2, j1, j2), cols)]
+        q1, q2, p1, p2 = points
+        ck1, ck2 = _cone(K, e1, i1), _cone(K, e2, i2)
+        ct1, ct2 = _cone(T, h1, j1), _cone(T, h2, j2)
+        keep = np.ones(len(sel), bool)
+        if f_fixed:
+            dq = q2.c - q1.c
+            keep &= _in_cone(ct1, dq) & _in_cone(ct2, -dq)
+        if g_fixed:
+            dp = p2.c - p1.c
+            keep &= _in_cone(ck2, -dp) & _in_cone(ck1, dp)
+        if f_fixed and g_fixed:
+            ok[sel] = keep
+            qp[sel] = np.stack([e.c for e in points], 1)
+            continue
+        sel = sel[keep]
+        if not sel.size:
+            continue
+        q1, q2, p1, p2 = points = [_Affine(e.c[keep], e.M[keep]) for e in points]
+        ck1, ck2, ct1, ct2 = (tuple(g[keep] for g in c)
+                              for c in (ck1, ck2, ct1, ct2))
+        rows = []
+        if f_fixed:
+            _cone_rows(rows, p2 - p1, _neg(ck2))
+            _cone_rows(rows, p1 - p2, _neg(ck1))
+        elif g_fixed:
+            _cone_rows(rows, q2 - q1, ct1)
+            _cone_rows(rows, q1 - q2, ct2)
+        else:
+            # pin q2-q1 to the facet normal available on the T side and
+            # p2-p1 to the one on the K side
+            w_expr, w = (q2 - q1, ct1[0]) if h1 else (q1 - q2, ct2[0])
+            u_expr, u = (p2 - p1, -ck2[0]) if e2 else (p1 - p2, -ck1[0])
+            for coord in range(2):
+                row = w_expr.M[:, coord].copy()
+                row[:, nv - 2] -= w[:, coord]
+                rows.append((row, -w_expr.c[:, coord], True))
+                row = u_expr.M[:, coord].copy()
+                row[:, nv - 1] -= u[:, coord]
+                rows.append((row, -u_expr.c[:, coord], True))
+            # a vertex on either side still constrains the difference to
+            # its cone
+            if not h1:
+                _cone_rows(rows, q2 - q1, ct1)
+            if not h2:
+                _cone_rows(rows, q1 - q2, ct2)
+            if not e2:
+                _cone_rows(rows, p2 - p1, _neg(ck2))
+            if not e1:
+                _cone_rows(rows, p1 - p2, _neg(ck1))
+        upper = np.ones(nv)
+        if mixed:
+            upper[nv - 2:] = np.inf
+        obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
+        if obj.shape != (nv,):
+            raise ValueError(f"objective must have {nv} entries for this tuple")
+        if stats is not None:
+            stats.lp_solves += len(sel)
+        # one LP at a time: lp.solve_stack on the whole group takes a fifth
+        # of the time, but then a small instance's 2-bounce time follows
+        # its few certified pairs (two in_f LPs each) rather than its LP
+        # count, and acceptance criterion 10 compares that time between
+        # instances of swapped sizes
+        x = np.zeros((len(sel), nv))
+        for k in range(len(sel)):
+            try:
+                sol = _solve_rows([(r[k], v[k], e) for r, v, e in rows],
+                                  obj, upper)
+            except lpmod.NumericalFailure:
+                continue
+            if sol.status == "optimal":
+                ok[sel[k]], x[k] = True, sol.x
+        # c + M @ x, where M has one non-zero column (the facet's parameter)
+        for r, (e, is_edge, col) in enumerate(zip(points, flags, cols)):
+            qp[sel, r] = e.c + e.M[:, :, col] * x[:, col, None] if is_edge else e.c
+    found: List[Optional[BilliardPair]] = [None] * len(tuples)
+    for k in np.nonzero(ok)[0]:
+        f1, f2, g1, g2 = (Face.edge(int(i)) if e else Face.vertex(int(i))
+                          for e, i in zip(edge[k], idx[k]))
+        found[k] = certified_pair(K, T, make_pair(K, T, qp[k, :2], qp[k, 2:],
+                                                  (f1, f2), (g1, g2)))
+    return found
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -127,114 +275,15 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
                      objective: Optional[np.ndarray] = None,
                      stats: Optional[SearchStats] = None
                      ) -> Optional[BilliardPair]:
-    """Solve the reflection law on one face tuple; None if infeasible or
-    degenerate (a tuple that is not antipodal never passes the LP and the
-    certificate, so the search filters those only to save work).
-    `objective` perturbs the (otherwise zero) LP objective and
-    may pick a different optimal vertex of the same feasible region."""
-    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
-    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
-
-    f_fixed = f1.kind == "vertex" and f2.kind == "vertex"
-    g_fixed = g1.kind == "vertex" and g2.kind == "vertex"
-    q1b, q1d = _face_point(K, f1)
-    q2b, q2d = _face_point(K, f2)
-    p1b, p1d = _face_point(T, g1)
-    p2b, p2d = _face_point(T, g2)
-
-    if f_fixed and g_fixed:
-        dq = q2b - q1b
-        dp = p2b - p1b
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
-                and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
-            return None
-        return certified_pair(K, T, make_pair(K, T, [q1b, q2b], [p1b, p2b],
-                                              (f1, f2), (g1, g2)))
-
-    # lay out LP variables: one parameter per facet endpoint, then the two
-    # cone multipliers for the mixed case
-    layout = {}
-    nv = 0
-    for name, d in (("q1", q1d), ("q2", q2d), ("p1", p1d), ("p2", p2d)):
-        if d is not None:
-            layout[name] = nv
-            nv += 1
-    mixed = not f_fixed and not g_fixed
-    if mixed:
-        layout["a1"] = nv
-        layout["a2"] = nv + 1
-        nv += 2
-
-    def affine(name, base, d):
-        M = np.zeros((2, nv))
-        if d is not None:
-            M[:, layout[name]] = d
-        return _Affine(base, M)
-
-    q1 = affine("q1", q1b, q1d)
-    q2 = affine("q2", q2b, q2d)
-    p1 = affine("p1", p1b, p1d)
-    p2 = affine("p2", p2b, p2d)
-
-    rows: List[Tuple[np.ndarray, float, bool]] = []
-    if f_fixed:
-        dq = q2b - q1b
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
-            return None
-        _cone_rows(rows, p2 - p1, ck2.negate())
-        _cone_rows(rows, p1 - p2, ck1.negate())
-    elif g_fixed:
-        dp = p2b - p1b
-        if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
-            return None
-        _cone_rows(rows, q2 - q1, ct1)
-        _cone_rows(rows, q1 - q2, ct2)
-    else:
-        # pin q2-q1 to the facet normal available on the T side and p2-p1 to
-        # the one on the K side
-        if g1.is_edge:
-            w_expr, w = q2 - q1, T.normals[g1.index]
-        else:
-            w_expr, w = q1 - q2, T.normals[g2.index]
-        if f2.is_edge:
-            u_expr, u = p2 - p1, -K.normals[f2.index]
-        else:
-            u_expr, u = p1 - p2, -K.normals[f1.index]
-        for coord in range(2):
-            row = w_expr.M[coord].copy()
-            row[layout["a1"]] -= w[coord]
-            rows.append((row, -w_expr.c[coord], True))
-            row = u_expr.M[coord].copy()
-            row[layout["a2"]] -= u[coord]
-            rows.append((row, -u_expr.c[coord], True))
-        # a vertex on either side still constrains the difference to its cone
-        if not g1.is_edge:
-            _cone_rows(rows, q2 - q1, ct1)
-        if not g2.is_edge:
-            _cone_rows(rows, q1 - q2, ct2)
-        if not f2.is_edge:
-            _cone_rows(rows, p2 - p1, ck2.negate())
-        if not f1.is_edge:
-            _cone_rows(rows, p1 - p2, ck1.negate())
-
-    upper = np.ones(nv)
-    if mixed:
-        upper[[layout["a1"], layout["a2"]]] = np.inf
-    obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
-    if obj.shape != (nv,):
-        raise ValueError(f"objective must have {nv} entries for this tuple")
-    if stats is not None:
-        stats.lp_solves += 1
-    try:
-        sol = _solve_rows(rows, obj, upper)
-    except lpmod.NumericalFailure:
-        return None
-    if sol.status != "optimal":
-        return None
-    x = sol.x
-    return certified_pair(K, T, make_pair(K, T, [q1.at(x), q2.at(x)],
-                                          [p1.at(x), p2.at(x)],
-                                          (f1, f2), (g1, g2)))
+    """Solve the reflection law on one face tuple (the search's pipeline on
+    a batch of one); None if infeasible or degenerate (a tuple that is not
+    antipodal never passes the LP and the certificate, so the search filters
+    those only to save work).  `objective` perturbs the (otherwise zero) LP
+    objective and may pick a different optimal vertex of the same feasible
+    region."""
+    ids = [f.index + (P.n if f.is_edge else 0)
+           for f, P in zip((f1, f2, g1, g2), (K, K, T, T))]
+    return _solve_tuples(K, T, np.array([ids]), objective, stats)[0]
 
 
 def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -282,13 +331,13 @@ def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
     stats.tuples_considered = two_bounce_tuple_count(K, T)
     k_pairs = _antipodal_pairs(K)
     t_pairs = _antipodal_pairs(T)
-    found: List[BilliardPair] = []
-    for f1, f2 in k_pairs:
-        for g1, g2 in t_pairs:
-            for gg1, gg2 in ((g1, g2), (g2, g1)):
-                stats.tuples_after_filter += 1
-                pair = solve_face_tuple(K, T, f1, f2, gg1, gg2, stats=stats)
-                if pair is not None:
-                    found.append(prefer_smooth(K, T, pair))
+    # each K pair with each T pair in both orientations, in that order
+    t_both = np.stack([t_pairs, t_pairs[:, ::-1]], 1).reshape(-1, 2)
+    tuples = np.concatenate([np.repeat(k_pairs, len(t_both), 0),
+                             np.tile(t_both, (len(k_pairs), 1))], 1)
+    stats.tuples_after_filter += len(tuples)
+    found = [prefer_smooth(K, T, pair)
+             for pair in _solve_tuples(K, T, tuples, stats=stats)
+             if pair is not None]
     stats.candidates = len(found)
     return sort_pairs(dedupe(found))

@@ -17,11 +17,13 @@ normals positively span the plane (spanning_triples):
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex).  One LP over the
-   row builders of the 2-bounce search decides whether such q exist;
+   row builders of the 2-bounce search decides whether such q exist; the
+   survivors whose contacts are rays and wedges in the same places share
+   its shape, and each such group is solved as one stack;
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
-   of the solutions minimizing and maximizing sum(t), is kept if it
-   certifies independently.
+   of the solutions minimizing and maximizing sum(t) (a second stack over
+   the feasible members), is kept if it certifies independently.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import _Affine, _cone_rows, _solve_rows
+from .bounce2 import _Affine, _cone, _cone_rows
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   find_faces, normal_cone)
+                   find_faces)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
 
@@ -154,31 +156,73 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
             for k in range(B)]
 
 
+def _solve_stack(rows, objective, upper) -> List[lpmod.LpSolution]:
+    """Solve objective @ x over the rows of _cone_rows, 0 <= x <= upper,
+    for every member, as one lp.solve_stack."""
+    return lpmod.solve_stack(lpmod.LinearProgram(
+        np.asarray(objective, float), np.stack([r for r, _, _ in rows], 1),
+        np.stack([b for _, b, _ in rows], 1),
+        np.array([e for _, _, e in rows]), np.zeros(len(upper)), upper))
+
+
+def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
+               t_faces: List[Tuple[Face, Face, Face]]):
+    """fit_family for many triples: the ends of each family (B, 3, 2) twice,
+    and each triple's reject reason ("" where it fits).  The triples are
+    grouped by which contacts are facets of T (a ray or a wedge per
+    contact); each group solves its min sum(t) LPs as one stack, and the
+    max sum(t) LPs of the feasible ones as another."""
+    triples = np.asarray(triples, int).reshape(-1, 3)
+    B = len(triples)
+    on_edge = np.array([[f.is_edge for f in tf] for tf in t_faces],
+                       bool).reshape(B, 3)
+    index = np.array([[f.index for f in tf] for tf in t_faces],
+                     int).reshape(B, 3)
+    ends = np.zeros((2, B, 3, 2))
+    reason = np.full(B, "", object)
+    pattern = on_edge @ np.array([4, 2, 1])
+    for pat in np.flatnonzero(np.bincount(pattern)):
+        sel = np.nonzero(pattern == pat)[0]
+        q = []
+        for r in range(3):
+            a = K.vertices[triples[sel, r]]
+            M = np.zeros((len(sel), 2, 3))
+            M[:, :, r] = K.vertices[(triples[sel, r] + 1) % K.n] - a
+            q.append(_Affine(a, M))
+        rows = []
+        for r in range(3):
+            _cone_rows(rows, q[(r + 1) % 3] - q[r],
+                       _cone(T, on_edge[sel[0], r], index[sel, r]))
+        ones = np.ones(3)
+        low = _solve_stack(rows, -ones, ones)
+        status = np.array([s.status for s in low], object)
+        fits = status == "optimal"
+        if fits.any():
+            high = _solve_stack([(row[fits], b[fits], e) for row, b, e in rows],
+                                ones, ones)
+            status[fits] = [s.status for s in high]
+            x = np.array([[s.x for s in low if s.status == "optimal"],
+                          [s.x if s.status == "optimal" else np.zeros(3)
+                           for s in high]])
+            # q_r = a_r + t_r (b_r - a_r): M @ x has one non-zero term
+            ends[:, sel[fits]] = np.stack(
+                [e.c[fits] + e.M[fits, :, r] * x[:, :, r, None]
+                 for r, e in enumerate(q)], 2)
+        reason[sel] = np.where(status == "optimal", "", status)
+    return ends[0], ends[1], reason
+
+
 def fit_family(K: ConvexPolytope2, T: ConvexPolytope2,
                triple: Tuple[int, int, int], t_faces: Tuple[Face, Face, Face]
                ) -> Tuple[np.ndarray, np.ndarray]:
     """The ends of the family of q vertices, q_r on facet triple[r] of K,
     with q_{r+1} - q_r in the normal cone of T at t_faces[r]: the solutions
-    minimizing and maximizing sum(t).  FitRejected if there are none."""
-    q = []
-    for r, fi in enumerate(triple):
-        a, b = K.facet_segment(fi)
-        M = np.zeros((2, 3))
-        M[:, r] = b - a
-        q.append(_Affine(a, M))
-    rows = []
-    for r in range(3):
-        _cone_rows(rows, q[(r + 1) % 3] - q[r], normal_cone(T, t_faces[r]))
-    ones = np.ones(3)
-    try:
-        low = _solve_rows(rows, -ones, ones)
-        if low.status != "optimal":
-            raise FitRejected(low.status)
-        high = _solve_rows(rows, ones, ones)
-    except lpmod.NumericalFailure:
-        raise FitRejected("numerical")
-    return (np.array([e.at(low.x) for e in q]),
-            np.array([e.at(high.x) for e in q]))
+    minimizing and maximizing sum(t).  FitRejected if there are none, or
+    with reason "numerical" if an LP fails numerically."""
+    [low], [high], [reason] = _fit_stack(K, T, [triple], [t_faces])
+    if reason:
+        raise FitRejected(reason)
+    return low, high
 
 
 def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -189,31 +233,44 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     return 0.5 * (low + high)
 
 
+def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2,
+                   triples: np.ndarray, inbodies: List[Inbody]
+                   ) -> List[Optional[BilliardPair]]:
+    """The certified pair, or None, of each facet triple whose dual triangle
+    has the inbody placement inbodies[k] in T; the q-side fits of all of
+    them are solved as stacks."""
+    # p_j is the inbody vertex fed by facet j+1 of the triple
+    t_faces = [ib.t_faces[1:] + ib.t_faces[:1] for ib in inbodies]
+    low, high, reason = _fit_stack(K, T, triples, t_faces)
+    found: List[Optional[BilliardPair]] = []
+    for k, triple in enumerate(np.asarray(triples).reshape(-1, 3).tolist()):
+        if reason[k]:
+            found.append(None)
+            continue
+        q = 0.5 * (low[k] + high[k])  # the centre, as fit_to_k
+        p = np.roll(inbodies[k].vertices, -1, axis=0)
+        k_faces = tuple(Face.edge(i) for i in triple)
+        found.append(certified_pair(K, T, make_pair(K, T, q, p, k_faces,
+                                                    t_faces[k])))
+    return found
+
+
 def search_three_bounce(K: ConvexPolytope2,
                         T: ConvexPolytope2) -> List[BilliardPair]:
     """All certified regular 3-bounce pairs over the facet triples of K that
     pass the spanning test."""
     triples = spanning_triples(K)
-    found: List[BilliardPair] = []
-    for triple, inbody in zip(triples.tolist(),
-                              find_inbody(gamma_triangles(K, triples), T)):
-        if isinstance(inbody, Inbody):
-            found.extend(solve_facet_triple(K, T, tuple(triple), inbody))
-    return sort_pairs(dedupe(found))
+    inbodies = find_inbody(gamma_triangles(K, triples), T)
+    keep = [k for k, ib in enumerate(inbodies) if isinstance(ib, Inbody)]
+    found = _solve_triples(K, T, triples[keep], [inbodies[k] for k in keep])
+    return sort_pairs(dedupe([pair for pair in found if pair is not None]))
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
                        triple: Tuple[int, int, int],
                        inbody: Inbody) -> List[BilliardPair]:
     """The certified pair, if any, of a facet triple whose dual triangle
-    has the inbody placement `inbody` in T."""
-    # p_j is the inbody vertex fed by facet j+1 of the triple
-    p = np.roll(inbody.vertices, -1, axis=0)
-    t_faces = inbody.t_faces[1:] + inbody.t_faces[:1]
-    try:
-        q = fit_to_k(K, T, triple, t_faces)
-    except FitRejected:
-        return []
-    k_faces = tuple(Face.edge(i) for i in triple)
-    pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+    has the inbody placement `inbody` in T (the search's pipeline on a
+    batch of one)."""
+    [pair] = _solve_triples(K, T, [triple], [inbody])
     return [] if pair is None else [pair]

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bounce2 import search_two_bounce
-from .bounce3 import search_three_bounce
+from .bounce2 import SearchStats, search_two_bounce
+from .bounce3 import search_three_bounce, spanning_triples
 from .fixtures import UnknownFixture, load as load_fixture
 from .geom import (ClosedCurve, ConvexPolytope2, Face, GeometryError,
                    InvalidCurve, InvalidPolytope)
@@ -182,19 +182,23 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
 
 def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
     """Best-of-`repeats` times of both searches on a grid of random instance
-    sizes.  Each repeat visits every cell in turn, so a stretch of slow
-    machine time costs each cell at most one of its samples; on a shared
-    host whose speed drifts by up to 2x, 7 repeats keep cells whose work
-    differs by 1.7x in order where 3 did not."""
+    sizes, next to their work counts: the 2-bounce face tuples and LPs
+    (SearchStats) and the spanning facet triples of the 3-bounce search.
+    Each repeat visits every cell in turn, so a stretch of slow machine time
+    costs each cell at most one of its samples; on a shared host whose speed
+    drifts by up to 2x, 7 repeats keep cells whose work differs by 1.7x in
+    order where 3 did not."""
     rng = np.random.default_rng(seed)
     cells = [(nk, nt, *random_instance(rng, nk, nt))
              for nk in sizes for nt in sizes]
     best = np.full((len(cells), 2), math.inf)
     found = [(0, 0)] * len(cells)
+    stats = [SearchStats() for _ in cells]
     for _ in range(repeats):
         for i, (nk, nt, K, T) in enumerate(cells):
+            stats[i] = SearchStats()
             t0 = time.perf_counter()
-            two = search_two_bounce(K, T)
+            two = search_two_bounce(K, T, stats[i])
             t1 = time.perf_counter()
             three = search_three_bounce(K, T)
             best[i] = np.minimum(best[i], [t1 - t0, time.perf_counter() - t1])
@@ -203,8 +207,11 @@ def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
              "two_bounce_s": float(best[i, 0]),
              "three_bounce_s": float(best[i, 1]),
              "two_bounce_found": found[i][0],
-             "three_bounce_found": found[i][1]}
-            for i, (nk, nt, _, _) in enumerate(cells)]
+             "three_bounce_found": found[i][1],
+             "two_bounce_tuples": stats[i].tuples_after_filter,
+             "two_bounce_lps": stats[i].lp_solves,
+             "three_bounce_triples": len(spanning_triples(K))}
+            for i, (nk, nt, K, _) in enumerate(cells)]
     t3s = np.array([r["three_bounce_s"] for r in rows])
     nks = np.array([r["nk"] for r in rows], float)
     nts = np.array([r["nt"] for r in rows], float)

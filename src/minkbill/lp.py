@@ -13,14 +13,14 @@ free.  Every step works on whole arrays: variables are mapped onto
 nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
 update, and the solution is re-checked row-wise in one pass.
 
-``solve_stack`` solves B problems of one shape at once.  The standard form,
-the tableau and the re-check are built for the whole stack, and the pivots
-run in lockstep over a (B, m, n) tableau: every member prices, takes its
+``solve_stack`` solves B problems of one shape at once on one (B, m, n)
+tableau.  The standard form, the tableau and the re-check are built for the
+whole stack, and the pivots run in lockstep: every member prices, takes its
 ratio test and breaks ties exactly as it would alone, and a member that
-stops is frozen, so its solution is bit-identical to ``solve`` on it.  A
-stack of one (and so every ``solve``) runs the scalar pivot loop instead,
-which costs less numpy overhead per pivot; the loop is chosen by the stack
-size.
+stops leaves the live part of the stack, so its solution is bit-identical
+to ``solve`` on it.  A stack of one (and so every ``solve``) runs the scalar
+pivot loop instead, which costs less numpy overhead per pivot; the loop is
+chosen by the stack size.
 """
 
 from __future__ import annotations
@@ -117,12 +117,14 @@ def _iterate_one(tab, rhs, red, basis, ncols):
         status = _iterate(tab[0], rhs[0], red[0], basis[0], ncols)
     except NumericalFailure:
         status = "numerical"
-    return np.array([status], "<U10")
+    return np.array([status], "<U10"), np.zeros(1, int)
 
 
 def _pivot_stack(tab, rhs, red, basis, row, col):
     """_pivot on member k of the stack at (row[k], col[k]) for every k.  A
-    row whose pivot-column entry is zero changes by an exact zero."""
+    row whose pivot-column entry is zero changes by an exact zero.  The
+    rank-1 update runs row by row, so that no temporary of the stack's size
+    is made."""
     k = np.arange(len(row))
     piv = tab[k, row, col]
     prow = tab[k, row] / piv[:, None]
@@ -131,7 +133,8 @@ def _pivot_stack(tab, rhs, red, basis, row, col):
     f[k, row] = 0.0
     tab[k, row] = prow
     rhs[k, row] = prhs
-    tab -= f[:, :, None] * prow[:, None, :]
+    for i in range(tab.shape[1]):
+        tab[:, i] -= f[:, i, None] * prow
     rhs -= f * prhs[:, None]
     red -= red[k, col][:, None] * prow
     basis[k, row] = col
@@ -140,21 +143,23 @@ def _pivot_stack(tab, rhs, red, basis, row, col):
 def _iterate_stack(tab, rhs, red, basis, ncols):
     """_iterate in lockstep over a stack.  All live members have made the
     same number of steps, so one counter serves for the Bland switch and the
-    budget.  A member that stops is written back and dropped from the
-    working copies.  Returns each member's status ("numerical" for an
-    exhausted budget)."""
+    budget.  The live members are a prefix of the arrays; one that stops
+    trades places with one behind it, so no working copy is made.  Returns
+    each position's status ("numerical" for an exhausted budget) and the
+    permutation: position i now holds what position perm[i] held."""
     status = np.full(len(tab), "", "<U10")
-    live = np.arange(len(tab))
-    t, r, c, bs = tab, rhs, red, basis
+    perm = np.arange(len(tab))
+    live = len(tab)
     counter = 0
-    while live.size:
+    while live:
         counter += 1
+        t, r, c, bs = tab[:live], rhs[:live], red[:live], basis[:live]
         cand = c[:, :ncols]
         if counter <= _BLAND_AFTER:
             col = cand.argmax(axis=1)
         else:
             col = (cand > _PIVOT_TOL).argmax(axis=1)
-        k = np.arange(live.size)
+        k = np.arange(live)
         colvals = t[k, :, col]
         pos = colvals > _PIVOT_TOL
         verdict = np.where(cand[k, col] <= _PIVOT_TOL, "optimal",
@@ -163,20 +168,22 @@ def _iterate_stack(tab, rhs, red, basis, ncols):
             verdict[:] = "numerical"
         stop = verdict != ""
         if stop.any():
-            done = live[stop]
-            status[done] = verdict[stop]
-            tab[done], rhs[done], basis[done] = t[stop], r[stop], bs[stop]
-            keep = ~stop
-            live, t, r, c, bs = live[keep], t[keep], r[keep], c[keep], bs[keep]
-            col, colvals, pos = col[keep], colvals[keep], pos[keep]
-            if not live.size:
+            end, live = live, live - int(stop.sum())
+            a = np.nonzero(stop[:live])[0]
+            b = live + np.nonzero(~stop[live:])[0]
+            for arr in (tab, rhs, red, basis, perm, verdict, col, colvals, pos):
+                arr[a], arr[b] = arr[b], arr[a]
+            status[live:end] = verdict[live:end]
+            if not live:
                 break
+            t, r, c, bs = tab[:live], rhs[:live], red[:live], basis[:live]
+            col, colvals, pos = col[:live], colvals[:live], pos[:live]
         ratios = np.divide(r, colvals, out=np.full(r.shape, np.inf), where=pos)
         ties = ratios <= ratios.min(axis=1)[:, None] + 1e-12
         # break ties on the smallest basis index (keeps Bland's rule valid)
         row = np.where(ties, bs, np.iinfo(bs.dtype).max).argmin(axis=1)
         _pivot_stack(t, r, c, bs, row, col)
-    return status
+    return status, perm
 
 
 def _drive_out(tab, rhs, basis, first_art):
@@ -190,50 +197,60 @@ def _drive_out(tab, rhs, basis, first_art):
 
 def _standard_simplex(c, A, b):
     """max c[k] @ y  s.t.  A[k] @ y <= b[k], y >= 0, for each member k of a
-    stack whose right-hand sides are negative in the same rows (the members
-    share their artificial columns).  Returns each member's status and y."""
+    stack, on one tableau.  The rows where a member's right-hand side is
+    negative get its artificial columns, in row order, exactly as it would
+    alone; a member with fewer of them than the widest has all-zero columns
+    after its own, whose phase-1 reduced cost stays -1, so they never enter.
+    So every member pivots as it would alone.  Returns each member's status
+    and y."""
     B, m, n = A.shape
-    neg = b[0] < 0
-    art = np.nonzero(neg)[0]
-    n_art = art.size
+    neg = b < 0
+    n_art = int(neg.sum(axis=1).max())
     width = n + m + n_art
     sign = np.where(neg, -1.0, 1.0)
     tab = np.zeros((B, m, width))
-    tab[:, :, :n] = A * sign[:, None]
+    tab[:, :, :n] = A * sign[:, :, None]
     tab[:, np.arange(m), n + np.arange(m)] = sign
     rhs = b * sign
     basis = np.empty((B, m), int)
     basis[:] = n + np.arange(m)
     iterate = _iterate_one if B == 1 else _iterate_stack
+    held = np.arange(B)  # the member at each position of the stack
     if n_art:
-        tab[:, art, n + m + np.arange(n_art)] = 1.0
-        basis[:, art] = n + m + np.arange(n_art)
+        kk, ii = np.nonzero(neg)
+        art = n + m + np.cumsum(neg, axis=1)[kk, ii] - 1
+        tab[kk, ii, art] = 1.0
+        basis[kk, ii] = art
         d = np.zeros(width)
         d[n + m:] = -1.0
         red = d - np.matmul(d[basis][:, None, :], tab)[:, 0]
-        numerical = iterate(tab, rhs, red, basis, width) == "numerical"
+        status, perm = iterate(tab, rhs, red, basis, width)
+        held = held[perm]
         art_value = np.matmul(d[basis][:, None, :], rhs[:, :, None])[:, 0, 0]
-        phase1 = np.where(numerical, "numerical",
+        phase1 = np.where(status == "numerical", "numerical",
                           np.where(art_value < -1e-8, "infeasible", "optimal"))
         feasible = phase1 == "optimal"
         if not feasible.any():
-            return phase1, np.zeros((B, n))
+            status[held] = phase1
+            return status, np.zeros((B, n))
         # drive remaining (zero-valued) artificials out of the basis if we can
         for k in np.nonzero(feasible & (basis >= n + m).any(axis=1))[0]:
             _drive_out(tab[k], rhs[k], basis[k], n + m)
         # a member that phase 1 stopped gets a zero objective, so that it
         # stops at once in phase 2
-        c = np.where(feasible[:, None], c, 0.0)
+        c = np.where(feasible[:, None], c[held], 0.0)
     c_ext = np.zeros((B, width))
     c_ext[:, :n] = c
     cb = c_ext[np.arange(B)[:, None], basis]
     red = c_ext - np.matmul(cb[:, None, :], tab)[:, 0]
-    status = iterate(tab, rhs, red, basis, n + m)
+    status, perm = iterate(tab, rhs, red, basis, n + m)
     if n_art:
-        status = np.where(feasible, status, phase1)
+        status = np.where(feasible[perm], status, phase1[perm])
+    held = held[perm]
     y = np.zeros((B, n))  # meaningful for the optimal members only
     kk, ii = np.nonzero(basis < n)
-    y[kk, basis[kk, ii]] = rhs[kk, ii]
+    y[held[kk], basis[kk, ii]] = rhs[kk, ii]
+    status[held] = status.copy()
     return status, y
 
 
@@ -316,18 +333,7 @@ def _solve(obj, A, b, equality, lower, upper):
     b_std[:, idx.size:] = (upper - lower)[..., box]
     c = obj @ S
 
-    neg = b_std < 0
-    if B == 1 or (neg == neg[0]).all():
-        status, y = _standard_simplex(c, A_std, b_std)
-    else:
-        # members whose standard rhs is negative in the same rows share
-        # their artificial columns and so one tableau layout
-        status, y = np.empty(B, "<U10"), np.empty((B, S.shape[1]))
-        group = np.unique(neg, axis=0, return_inverse=True)[1].reshape(B)
-        for g in range(group.max() + 1):
-            k = np.nonzero(group == g)[0]
-            status[k], y[k] = _standard_simplex(c[k], A_std[k], b_std[k])
-
+    status, y = _standard_simplex(c, A_std, b_std)
     x = y @ S.T + shift
     why = {}
     optimal = status == "optimal"

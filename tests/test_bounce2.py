@@ -1,14 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from minkbill import bounce2
-from minkbill.bounce2 import (SearchStats, search_two_bounce, solve_face_tuple,
-                              tuple_variable_count, two_bounce_tuple_count)
-from minkbill.geom import ConvexPolytope2, Face, find_face, in_f
-from minkbill.lp import NumericalFailure
-from minkbill.pairs import _canonical_key
-from minkbill.randgen import random_instance
-from minkbill.verify import certify
+from minkbill import bounce2, lp as lpmod
+from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
+                              solve_face_tuple, tuple_variable_count,
+                              two_bounce_tuple_count)
+from minkbill.fixtures import fixture_names, load, regular_ngon
+from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, all_faces,
+                           cone_contains, cones_intersect, find_face, in_f,
+                           normal_cone)
+from minkbill.lp import LinearProgram, NumericalFailure, solve
+from minkbill.pairs import _canonical_key, dedupe, make_pair, sort_pairs
+from minkbill.randgen import random_instance, random_polytope
+from minkbill.verify import certified_pair, certify
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
 DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -133,3 +139,213 @@ def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
     clean_lengths = [p.length for p in clean]
     assert all(min(abs(p.length - c) for c in clean_lengths) < 1e-12
                for p in pairs)
+
+
+# ---------------------------------------------------------------------------
+# the search one face tuple at a time, as it was written before the tuples of
+# one (K, T) were batched: the reference for the batched search
+
+
+def _reference_antipodal_pairs(P):
+    faces = all_faces(P)
+    cones = [normal_cone(P, f) for f in faces]
+    return [(f1, f2) for (i, f1), (j, f2) in
+            itertools.combinations(enumerate(faces), 2)
+            if cones_intersect(cones[i], cones[j].negate())]
+
+
+class _Affine:
+    """Affine 2-vector c + M x in the LP variables."""
+
+    def __init__(self, c, M):
+        self.c = np.asarray(c, float)
+        self.M = np.asarray(M, float)
+
+    def __sub__(self, other):
+        return _Affine(self.c - other.c, self.M - other.M)
+
+    def cross_with(self, g):
+        return (g[0] * self.M[1] - g[1] * self.M[0],
+                g[0] * self.c[1] - g[1] * self.c[0])
+
+    def dot_with(self, g):
+        return (g[0] * self.M[0] + g[1] * self.M[1],
+                g[0] * self.c[0] + g[1] * self.c[1])
+
+    def at(self, x):
+        return self.c + self.M @ x
+
+
+def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
+    g = cone.generators
+    if len(g) == 1:
+        row, const = expr.cross_with(g[0])
+        rows.append((row, -const, True))
+        row, const = expr.dot_with(g[0])
+        rows.append((-row, slack + const, False))
+    else:
+        row, const = expr.cross_with(g[0])
+        rows.append((-row, slack + const, False))
+        row, const = expr.cross_with(g[1])
+        rows.append((row, slack - const, False))
+
+
+def _reference_face_tuple(K, T, f1, f2, g1, g2):
+    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
+    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
+    f_fixed = not (f1.is_edge or f2.is_edge)
+    g_fixed = not (g1.is_edge or g2.is_edge)
+    ends = []
+    for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
+        a, b = P.facet_segment(f.index)
+        ends.append((a, b - a if f.is_edge else None))
+    if f_fixed and g_fixed:
+        dq = ends[1][0] - ends[0][0]
+        dp = ends[3][0] - ends[2][0]
+        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
+                and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+            return None
+        return certified_pair(K, T, make_pair(
+            K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
+            (f1, f2), (g1, g2)))
+    mixed = not f_fixed and not g_fixed
+    nv = sum(d is not None for _, d in ends) + 2 * mixed
+    points = []
+    for r, (base, d) in enumerate(ends):
+        M = np.zeros((2, nv))
+        if d is not None:  # one variable per facet, in this order
+            M[:, sum(e is not None for _, e in ends[:r])] = d
+        points.append(_Affine(base, M))
+    q1, q2, p1, p2 = points
+    rows = []
+    if f_fixed:
+        dq = q2.c - q1.c
+        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
+            return None
+        _reference_cone_rows(rows, p2 - p1, ck2.negate())
+        _reference_cone_rows(rows, p1 - p2, ck1.negate())
+    elif g_fixed:
+        dp = p2.c - p1.c
+        if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+            return None
+        _reference_cone_rows(rows, q2 - q1, ct1)
+        _reference_cone_rows(rows, q1 - q2, ct2)
+    else:
+        if g1.is_edge:
+            w_expr, w = q2 - q1, T.normals[g1.index]
+        else:
+            w_expr, w = q1 - q2, T.normals[g2.index]
+        if f2.is_edge:
+            u_expr, u = p2 - p1, -K.normals[f2.index]
+        else:
+            u_expr, u = p1 - p2, -K.normals[f1.index]
+        for coord in range(2):
+            row = w_expr.M[coord].copy()
+            row[nv - 2] -= w[coord]
+            rows.append((row, -w_expr.c[coord], True))
+            row = u_expr.M[coord].copy()
+            row[nv - 1] -= u[coord]
+            rows.append((row, -u_expr.c[coord], True))
+        if not g1.is_edge:
+            _reference_cone_rows(rows, q2 - q1, ct1)
+        if not g2.is_edge:
+            _reference_cone_rows(rows, q1 - q2, ct2)
+        if not f2.is_edge:
+            _reference_cone_rows(rows, p2 - p1, ck2.negate())
+        if not f1.is_edge:
+            _reference_cone_rows(rows, p1 - p2, ck1.negate())
+    upper = np.ones(nv)
+    if mixed:
+        upper[nv - 2:] = np.inf
+    try:
+        sol = solve(LinearProgram(
+            np.zeros(nv), np.array([r for r, _, _ in rows]),
+            np.array([b for _, b, _ in rows]),
+            np.array([e for _, _, e in rows]), np.zeros(nv), upper))
+    except lpmod.NumericalFailure:
+        return None
+    if sol.status != "optimal":
+        return None
+    return certified_pair(K, T, make_pair(
+        K, T, [q1.at(sol.x), q2.at(sol.x)], [p1.at(sol.x), p2.at(sol.x)],
+        (f1, f2), (g1, g2)))
+
+
+def _per_tuple_reference(K, T):
+    """search_two_bounce one face tuple and one lp.solve at a time; also
+    returns the certified pairs in the order they reach prefer_smooth."""
+    found = []
+    for f1, f2 in _reference_antipodal_pairs(K):
+        for g1, g2 in _reference_antipodal_pairs(T):
+            for gg1, gg2 in ((g1, g2), (g2, g1)):
+                pair = _reference_face_tuple(K, T, f1, f2, gg1, gg2)
+                if pair is not None:
+                    found.append(pair)
+    return sort_pairs(dedupe([prefer_smooth(K, T, p) for p in found])), found
+
+
+def _identity_instances():
+    fixtures = [(load(name).K, load(name).T) for name in fixture_names()]
+    plain = [SQUARE, DIAMOND]
+    ngons = [regular_ngon(n) for n in (3, 4, 6, 12)]
+    rng = np.random.default_rng(2)
+    randoms = []
+    for k in range(110):
+        K, T = random_instance(rng, int(rng.integers(3, 8)),
+                               int(rng.integers(3, 8)))
+        if k % 4 == 0:
+            T = T.translate(rng.uniform(-3.0, 3.0, size=2))
+        randoms.append((K, T))
+    return (fixtures + list(itertools.product(plain, plain))
+            + [(P, P) for P in ngons] + [(P, DIAMOND) for P in ngons]
+            + [(SQUARE, P) for P in ngons] + randoms)
+
+
+def _same_pairs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.length == b.length
+        assert np.array_equal(a.q.vertices, b.q.vertices)
+        assert np.array_equal(a.p.vertices, b.p.vertices)
+        assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
+
+
+def test_batched_search_matches_per_tuple_reference(monkeypatch):
+    """The batched search gives, bit for bit, what the per-tuple search
+    gives: the same certified pairs reach prefer_smooth in the same order,
+    and the same pairs come out, with equal lengths, q, p and faces.  The
+    regular polygons have parallel facets, so vertex-vertex and facet-facet
+    tuples reach the LP there."""
+    seen = []
+
+    def recording(K, T, pair):
+        seen.append(pair)
+        return prefer_smooth(K, T, pair)
+    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    patterns = set()
+    total = 0
+    for K, T in _identity_instances():
+        seen.clear()
+        stats = SearchStats()
+        got = search_two_bounce(K, T, stats)
+        want, found = _per_tuple_reference(K, T)
+        _same_pairs(seen, found)
+        _same_pairs(got, want)
+        assert stats.candidates == len(found)
+        patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
+                        for pair in found)
+        total += len(got)
+    assert total >= 300
+    assert {(False, False, False, False), (True, True, True, True)} <= patterns
+    assert len(patterns) >= 5
+
+
+def test_antipodal_filter_matches_cones_intersect(rng):
+    bodies = [SQUARE, DIAMOND] + [regular_ngon(n) for n in (3, 4, 6, 12, 64)]
+    bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 25)]
+    for P in bodies:
+        faces = all_faces(P)
+        cones = [normal_cone(P, f) for f in faces]
+        want = [(i, j) for i, j in itertools.combinations(range(len(faces)), 2)
+                if cones_intersect(cones[i], cones[j].negate())]
+        assert bounce2._antipodal_pairs(P).tolist() == [list(t) for t in want]

@@ -20,6 +20,8 @@ from minkbill.pairs import dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
 
+from test_bounce2 import _Affine, _reference_cone_rows
+
 
 class NotSpanning(GeometryError):
     pass
@@ -162,18 +164,46 @@ def test_same_faces_same_length(rng):
 
 
 def test_fit_numerical_failure_is_a_reject(monkeypatch):
-    def fail(rows, objective, upper):
-        raise NumericalFailure("solution violates a constraint")
-    K = equilateral_triangle()
-    T = regular_ngon(32)
-    triple = (0, 1, 2)
-    [ib] = find_inbody(build_gamma(K.normals[list(triple)])[None], T)
-    t_faces = ib.t_faces[1:] + ib.t_faces[:1]
+    """A fit LP that fails the re-check rejects its triple only, with the
+    reason "numerical": the other members of the stack keep their ends bit
+    for bit, and a batch of one raises FitRejected("numerical")."""
+    K, T = regular_ngon(6), regular_ngon(12, phase=0.1)
+    triples = spanning_triples(K)
+    inbodies = find_inbody(gamma_triangles(K, triples), T)
+    keep = [k for k, ib in enumerate(inbodies) if isinstance(ib, Inbody)]
+    t_faces = [inbodies[k].t_faces[1:] + inbodies[k].t_faces[:1]
+               for k in keep]
+    clean = bounce3._fit_stack(K, T, triples[keep], t_faces)
+    assert len(keep) >= 3 and not any(clean[2])
+    recheck = lpmod._recheck
+    calls = []
+
+    def poison(member):
+        def poisoned(A, b, eq, x, lower, upper):
+            why = recheck(A, b, eq, x, lower, upper)
+            if not calls:
+                why[member] = "solution violates a constraint"
+            calls.append(len(A))
+            return why
+        return poisoned
+    monkeypatch.setattr(lpmod, "_recheck", poison(1))
+    low, high, reason = bounce3._fit_stack(K, T, triples[keep], t_faces)
+    assert calls[0] == len(keep)  # the min sum(t) LPs form one stack
+    assert list(reason) == ["numerical" if k == 1 else ""
+                            for k in range(len(keep))]
+    for k in range(len(keep)):
+        if k != 1:
+            assert low[k].tobytes() == clean[0][k].tobytes()
+            assert high[k].tobytes() == clean[1][k].tobytes()
+
+    triple, ib = tuple(triples[keep[0]]), inbodies[keep[0]]
     assert solve_facet_triple(K, T, triple, ib)
-    monkeypatch.setattr(bounce3, "_solve_rows", fail)
+    calls.clear()
+    monkeypatch.setattr(lpmod, "_recheck", poison(0))
     with pytest.raises(FitRejected) as err:
-        fit_to_k(K, T, triple, t_faces)
+        fit_to_k(K, T, triple, t_faces[0])
     assert err.value.reason == "numerical"
+    calls.clear()
     assert solve_facet_triple(K, T, triple, ib) == []
 
 
@@ -387,9 +417,39 @@ def test_exact_fit_matches_sampled_fan(rng):
     assert fan_triples >= 100
 
 
+def _reference_fit_family(K, T, triple, t_faces):
+    """fit_family one triple at a time, as it was written before the fits
+    were stacked: the rows of the 2-bounce search built per triple and two
+    lp.solve calls."""
+    q = []
+    for r, fi in enumerate(triple):
+        a, b = K.facet_segment(fi)
+        M = np.zeros((2, 3))
+        M[:, r] = b - a
+        q.append(_Affine(a, M))
+    rows = []
+    for r in range(3):
+        _reference_cone_rows(rows, q[(r + 1) % 3] - q[r],
+                             normal_cone(T, t_faces[r]))
+    ones = np.ones(3)
+    ends = []
+    try:
+        for sign in (-1.0, 1.0):
+            sol = solve(LinearProgram(
+                sign * ones, np.array([row for row, _, _ in rows]),
+                np.array([b for _, b, _ in rows]),
+                np.array([e for _, _, e in rows]), np.zeros(3), ones))
+            if sol.status != "optimal":
+                raise FitRejected(sol.status)
+            ends.append(np.array([e.at(sol.x) for e in q]))
+    except NumericalFailure:
+        raise FitRejected("numerical")
+    return tuple(ends)
+
+
 def _per_triple_search(K, T):
     """search_three_bounce one facet triple at a time: build_gamma, a stack
-    of one through find_inbody, fit_to_k and certified_pair."""
+    of one through find_inbody, the per-triple fit and certified_pair."""
     found = []
     for triple in map(tuple, spanning_triples(K).tolist()):
         [ib] = find_inbody(build_gamma(K.normals[list(triple)])[None], T)
@@ -398,20 +458,20 @@ def _per_triple_search(K, T):
         p = np.roll(ib.vertices, -1, axis=0)
         t_faces = ib.t_faces[1:] + ib.t_faces[:1]
         try:
-            q = fit_to_k(K, T, triple, t_faces)
+            low, high = _reference_fit_family(K, T, triple, t_faces)
         except FitRejected:
             continue
         pair = certified_pair(K, T, make_pair(
-            K, T, q, p, tuple(Face.edge(i) for i in triple), t_faces))
+            K, T, 0.5 * (low + high), p, tuple(Face.edge(i) for i in triple),
+            t_faces))
         if pair is not None:
             found.append(pair)
     return sort_pairs(dedupe(found))
 
 
-def test_search_matches_per_triple_reference(rng):
-    """The stacked front end of search_three_bounce (one lockstep LP stack
-    per (K, T)) finds exactly the pairs of the per-triple pipeline, bit for
-    bit.  Some T do not contain the origin, so the inbody LPs run phase 1."""
+def _search_instances(rng):
+    """The fixtures and 120 random instances; every third T is moved off
+    the origin, so that the inbody LPs run phase 1."""
     instances = [(load(name).K, load(name).T) for name in fixture_names()]
     for k in range(120):
         K, T = random_instance(rng, int(rng.integers(3, 9)),
@@ -419,8 +479,15 @@ def test_search_matches_per_triple_reference(rng):
         if k % 3 == 0:
             T = T.translate(rng.uniform(-4.0, 4.0, size=2))
         instances.append((K, T))
+    return instances
+
+
+def test_search_matches_per_triple_reference(rng):
+    """The stacked search_three_bounce (one lockstep LP stack per (K, T) for
+    the inbody LPs, and per cone pattern for the fits) finds exactly the
+    pairs of the per-triple pipeline, bit for bit."""
     pairs = 0
-    for K, T in instances:
+    for K, T in _search_instances(rng):
         got = search_three_bounce(K, T)
         want = _per_triple_search(K, T)
         assert len(got) == len(want)
@@ -430,6 +497,32 @@ def test_search_matches_per_triple_reference(rng):
             assert np.array_equal(a.p.vertices, b.p.vertices)
         pairs += len(got)
     assert pairs >= 50
+
+
+def test_stacked_fit_matches_per_triple_fit(rng):
+    """The stacked fits give every inbody survivor the ends, bit for bit,
+    or the reject reason of the per-triple fit."""
+    fits = rejects = 0
+    for K, T in _search_instances(rng):
+        triples = spanning_triples(K)
+        inbodies = find_inbody(gamma_triangles(K, triples), T)
+        keep = [k for k, ib in enumerate(inbodies) if isinstance(ib, Inbody)]
+        t_faces = [inbodies[k].t_faces[1:] + inbodies[k].t_faces[:1]
+                   for k in keep]
+        low, high, reason = bounce3._fit_stack(K, T, triples[keep], t_faces)
+        for r, k in enumerate(keep):
+            try:
+                want = _reference_fit_family(K, T, tuple(triples[k]),
+                                             t_faces[r])
+            except FitRejected as err:
+                assert reason[r] == err.reason
+                rejects += 1
+                continue
+            assert reason[r] == ""
+            assert low[r].tobytes() == want[0].tobytes()
+            assert high[r].tobytes() == want[1].tobytes()
+            fits += 1
+    assert fits >= 50 and rejects >= 50
 
 
 def test_inbody_numerical_failure_rejects_one_member(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,3 +238,72 @@ def test_stack_matches_solve(bland_after, lp):
                 assert sol.objective_value == alone.objective_value
     finally:
         lpmod._BLAND_AFTER = saved
+
+
+def test_stack_is_one_tableau(monkeypatch):
+    """A stack whose members have negative right-hand sides in different
+    rows, and one member with none, is solved on one tableau: a single
+    _standard_simplex call, every member bit-identical to solve."""
+    rng = np.random.default_rng(4)
+    B, m, n = 6, 5, 3
+    A = rng.normal(size=(B, m, n))
+    b = rng.uniform(0.5, 2.0, size=(B, m))
+    for k in range(1, B):  # member 0 keeps b >= 0
+        b[k, rng.choice(m, size=1 + k % 3, replace=False)] *= -0.1
+    obj = rng.normal(size=(B, n))
+    lp = LinearProgram(obj, A, b, lower=np.zeros(n), upper=np.full(n, 4.0))
+    negative = b < 0
+    assert not negative[0].any() and len({r.tobytes() for r in negative}) > 3
+    calls = []
+    standard_simplex = lpmod._standard_simplex
+
+    def counting(c, A_std, b_std):
+        calls.append(len(A_std))
+        return standard_simplex(c, A_std, b_std)
+    monkeypatch.setattr(lpmod, "_standard_simplex", counting)
+    stacked = solve_stack(lp)
+    assert calls == [B]
+    for k, sol in enumerate(stacked):
+        alone = solve(LinearProgram(obj[k], A[k], b[k], lower=lp.lower,
+                                    upper=lp.upper))
+        assert sol.status == alone.status
+        if alone.status == "optimal":
+            assert sol.x.tobytes() == alone.x.tobytes()
+    assert sum(s.status == "optimal" for s in stacked) >= 3
+
+
+def test_stack_memory_stays_near_its_tableau(monkeypatch):
+    """solve_stack on 400 LPs of the 2-bounce face-tuple shape (4 equality
+    and 4 inequality rows; two variables in [0, 1] and two nonnegative)
+    allocates at most three times the bytes of its tableau at its peak:
+    no working copy of the tableau and no temporary of its size."""
+    rng = np.random.default_rng(5)
+    B = 400
+    A = rng.normal(size=(B, 8, 4))
+    eq = np.array([True] * 4 + [False] * 4)
+    # half of the members are feasible at a point x0, with slack in the
+    # inequality rows; the others get a disturbed right-hand side
+    x0 = np.concatenate([rng.uniform(0, 1, (B, 2)), rng.uniform(0, 3, (B, 2))],
+                        axis=1)
+    b = np.matmul(A, x0[:, :, None])[:, :, 0]
+    b[:, 4:] += rng.uniform(0, 1, (B, 4))
+    b[::2] += rng.normal(size=(B // 2, 8))
+    lp = LinearProgram(np.zeros(4), A, b, eq, np.zeros(4),
+                       np.array([1.0, 1.0, INF, INF]))
+    tableau = []
+    iterate_stack = lpmod._iterate_stack
+
+    def recording(tab, *args):
+        tableau.append(tab.nbytes)
+        return iterate_stack(tab, *args)
+    monkeypatch.setattr(lpmod, "_iterate_stack", recording)
+    solve_stack(lp)  # warm the caches
+    tableau.clear()
+    tracemalloc.start()
+    try:
+        sols = solve_stack(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.status == "optimal" for s in sols) >= B // 4
+    assert tableau and peak <= 3 * max(tableau)

@@ -70,7 +70,7 @@ def certify(K: ConvexPolytope2, T: ConvexPolytope2,
                        face_distance(T, pair.t_faces[j], p[j]))
         inner += float(dq @ p[j])
     ell = ell_length(T, pair.q)
-    dual = ell_length(K.reflect(), pair.p)
+    dual = float(support_many(K, -pair.p.edges()).sum())  # h_{-K}(v) = h_K(-v)
     return Certificate(
         system_residual=sys_res,
         face_residual=face_res,
@@ -169,36 +169,35 @@ def _immovable_table(normals: bytes) -> np.ndarray:
 def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
                     grid_per_facet: int) -> float:
     """Minimum ell_T-length over closed m-gons with vertices on the boundary
-    grid of K that cannot be translated into the interior."""
+    grid of K that cannot be translated into the interior.
+
+    Degeneracy is read from the facet masks, with no length threshold: two
+    points must differ, and three must not share a facet (three distinct
+    boundary points of a strictly convex polygon are collinear iff they do).
+    So validity depends on the masks only: the (N, N) valid matrix is built
+    once per mask value, and each point of that class takes one masked min
+    over its row.  Memory is O(N^2) in the N grid points."""
     if m not in (2, 3):
         raise ValueError("only m = 2 and m = 3 are supported")
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
-    N = pts.shape[0]
     G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
-    scale2 = max(1.0, K.diameter() ** 2)
+    sup = G[None, :, 0] - G[:, None, 0]  # sup[i,j] = h_T(x_j - x_i)
+    for c in range(1, G.shape[1]):
+        np.maximum(sup, G[None, :, c] - G[:, None, c], out=sup)
     if m == 2:
-        sup = (G[None, :, :] - G[:, None, :]).max(axis=2)  # sup[i,j] = h_T(x_j - x_i)
-        pairmask = masks[:, None] | masks[None, :]
-        d = pts[:, None, :] - pts[None, :, :]
-        dist2 = (d ** 2).sum(axis=2)
-        valid = ok[pairmask] & (dist2 > (EPS_GEO ** 2) * scale2)
-        lengths = np.where(valid, sup + sup.T, np.inf)
-        return float(lengths.min())
+        valid = ok[masks[:, None] | masks]
+        np.fill_diagonal(valid, False)
+        return float(np.min(sup + sup.T, where=valid, initial=np.inf))
 
     best = np.inf
-    sup = (G[None, :, :] - G[:, None, :]).max(axis=2)
-    for i in range(N - 2):
-        idx = np.arange(i + 1, N)
-        tm = ok[(masks[i] | masks[idx])[:, None] | masks[idx][None, :]]
-        di = pts[idx] - pts[i]
-        # noncollinearity of the triangle (i, j, k)
-        crossjk = np.abs(di[:, 0][:, None] * di[:, 1][None, :]
-                         - di[:, 1][:, None] * di[:, 0][None, :])
-        valid = tm & (crossjk > EPS_GEO * scale2)
-        if not valid.any():
-            continue
-        L = (sup[i, idx][:, None] + sup[np.ix_(idx, idx)] + sup[idx, i][None, :])
-        cand = float(np.where(valid, L, np.inf).min())
-        best = min(best, cand)
+    for c in set(masks.tolist()):
+        valid = ok[(c | masks)[:, None] | masks]  # triangles (i, j, k), masks[i] == c
+        valid &= ((c & masks)[:, None] & masks) == 0
+        np.fill_diagonal(valid, False)
+        for i in np.flatnonzero(masks == c):
+            s = slice(i + 1, None)
+            L = sup[i, s][:, None] + sup[s, s]
+            L += sup[s, i][None, :]
+            best = min(best, float(np.min(L, where=valid[s, s], initial=np.inf)))
     return best

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkbill.bounce2 import search_two_bounce
-from minkbill.fixtures import example_g_curve, load
-from minkbill.geom import ClosedCurve, ConvexPolytope2, Face, find_face, in_f
+from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
+from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
+                           InvalidPolytope, find_face, in_f)
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (LineNotSupporting, boundary_grid, brute_force_min,
@@ -157,3 +160,121 @@ def test_mask_table_cache_stays_bounded(rng):
     tab = _subset_immovable_table(bodies[-1])
     assert tab is _subset_immovable_table(bodies[-1])
     assert not tab.flags.writeable
+
+
+def _reference_brute_force_min(K, T, m, grid_per_facet):
+    """The oracle as it was before degeneracy was read from the facet masks:
+    an (N, N, |V(T)|) support temporary, EPS_GEO distance and cross-product
+    thresholds, and one fancy-indexed (N, N) block per row."""
+    if m not in (2, 3):
+        raise ValueError("only m = 2 and m = 3 are supported")
+    pts, masks = boundary_grid(K, grid_per_facet)
+    ok = _subset_immovable_table(K)
+    N = pts.shape[0]
+    G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
+    scale2 = max(1.0, K.diameter() ** 2)
+    if m == 2:
+        sup = (G[None, :, :] - G[:, None, :]).max(axis=2)  # sup[i,j] = h_T(x_j - x_i)
+        pairmask = masks[:, None] | masks[None, :]
+        d = pts[:, None, :] - pts[None, :, :]
+        dist2 = (d ** 2).sum(axis=2)
+        valid = ok[pairmask] & (dist2 > (EPS_GEO ** 2) * scale2)
+        lengths = np.where(valid, sup + sup.T, np.inf)
+        return float(lengths.min())
+
+    best = np.inf
+    sup = (G[None, :, :] - G[:, None, :]).max(axis=2)
+    for i in range(N - 2):
+        idx = np.arange(i + 1, N)
+        tm = ok[(masks[i] | masks[idx])[:, None] | masks[idx][None, :]]
+        di = pts[idx] - pts[i]
+        # noncollinearity of the triangle (i, j, k)
+        crossjk = np.abs(di[:, 0][:, None] * di[:, 1][None, :]
+                         - di[:, 1][:, None] * di[:, 0][None, :])
+        valid = tm & (crossjk > EPS_GEO * scale2)
+        if not valid.any():
+            continue
+        L = (sup[i, idx][:, None] + sup[np.ix_(idx, idx)] + sup[idx, i][None, :])
+        cand = float(np.where(valid, L, np.inf).min())
+        best = min(best, cand)
+    return best
+
+
+def _oracle_instances():
+    """(K, T, grid) triples: seeded random bodies, regular n-gon pairs (with
+    and without parallel facets), and the fixtures whose K the oracle takes."""
+    rng = np.random.default_rng(20240601)
+    for _ in range(60):
+        K, T = random_instance(rng, int(rng.integers(3, 9)),
+                               int(rng.integers(3, 13)))
+        yield K, T, int(rng.integers(2, 41))
+    for nk in (3, 4, 6, 8):
+        for nt in (3, 4, 5, 12):
+            yield regular_ngon(nk), regular_ngon(nt), 12
+    for name in fixture_names():
+        fx = load(name)
+        if fx.K.n <= 16:
+            yield fx.K, fx.T, 10
+
+
+def test_brute_force_matches_reference():
+    """Reading degeneracy from the facet masks returns the very floats of the
+    threshold-based oracle, for 2-gons and for triangles."""
+    for K, T, grid in _oracle_instances():
+        for m in (2, 3):
+            assert brute_force_min(K, T, m, grid) == \
+                _reference_brute_force_min(K, T, m, grid), (K.n, T.n, grid, m)
+
+
+def _scaled(P, c, shift):
+    return ConvexPolytope2.from_vertices(c * P.vertices + shift)
+
+
+def test_brute_force_is_covariant_under_scale_and_translation():
+    """brute_force_min(cK + s, dT + t) = c d brute_force_min(K, T): exactly for
+    powers of two with no translation, to rounding with one."""
+    rng = np.random.default_rng(7)
+    scales = (2.0 ** -14, 2.0 ** -12, 2.0 ** 10)
+    checked = 0
+    for _ in range(10):
+        K, T = random_instance(rng, int(rng.integers(4, 9)),
+                               int(rng.integers(4, 9)))
+        s, t = rng.normal(size=2) * 5, rng.normal(size=2) * 5
+        base = [brute_force_min(K, T, m, 64) for m in (2, 3)]
+        for c in scales:
+            for d in scales:
+                try:
+                    cK, dT = _scaled(K, c, 0.0), _scaled(T, d, 0.0)
+                except InvalidPolytope:
+                    continue  # too small for from_vertices' absolute tolerance
+                checked += 1
+                for m, b in zip((2, 3), base):
+                    assert brute_force_min(cK, dT, m, 64) == c * d * b, (c, d, m)
+        for c, d in zip(scales, scales[1:] + scales[:1]):
+            try:
+                cKs, dTt = _scaled(K, c, c * s), _scaled(T, d, d * t)
+            except InvalidPolytope:
+                continue
+            for m, b in zip((2, 3), base):
+                assert brute_force_min(cKs, dTt, m, 64) == \
+                    pytest.approx(c * d * b, rel=1e-9), (c, d, m)
+    assert checked >= 40
+
+
+def test_brute_force_memory_is_quadratic_in_the_grid():
+    """The oracle's peak allocation stays within a few (N, N) float arrays and
+    does not grow with the number of vertices of T."""
+    K = regular_ngon(8)
+    N = boundary_grid(K, 64)[0].shape[0]
+    peaks = []
+    for nt in (6, 48):
+        T = regular_ngon(nt)
+        brute_force_min(K, T, 3, 8)  # warm the mask-table cache
+        tracemalloc.start()
+        try:
+            brute_force_min(K, T, 3, 64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 8 * N * N * 8
+    assert max(peaks) <= 1.2 * min(peaks)

@@ -246,9 +246,8 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
             stats.lp_solves += len(sel)
         # one LP at a time: lp.solve_stack on the whole group takes a fifth
         # of the time, but then a small instance's 2-bounce time follows
-        # its few certified pairs (two in_f LPs each) rather than its LP
-        # count, and acceptance criterion 10 compares that time between
-        # instances of swapped sizes
+        # its few certified pairs rather than its LP count, and acceptance
+        # criterion 10 compares that time between instances of swapped sizes
         x = np.zeros((len(sel), nv))
         for k in range(len(sel)):
             try:

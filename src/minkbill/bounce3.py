@@ -38,7 +38,7 @@ import numpy as np
 from . import lp as lpmod
 from .bounce2 import _Affine, _cone, _cone_rows
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   find_faces)
+                   angles, find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
 
@@ -82,9 +82,6 @@ def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     their normals positively span the plane, no two of them are parallel,
     and the closing coefficients of gamma_triangles are negative."""
     tri = np.array(list(facet_triples(K)), int).reshape(-1, 3)
-    ang = np.sort(np.array([math.atan2(y, x) for x, y in K.normals])[tri], axis=1)
-    gaps = np.column_stack([ang[:, 1] - ang[:, 0], ang[:, 2] - ang[:, 1],
-                            2 * math.pi - (ang[:, 2] - ang[:, 0])])
     n1, n2, n3 = (K.normals[tri[:, c]] for c in range(3))
 
     def cross(u, v):
@@ -94,7 +91,7 @@ def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     det = cross(n2, n3)
     solvable = np.abs(det) > EPS_GEO
     det = np.where(solvable, det, 1.0)
-    ok = (solvable & (gaps.max(axis=1) < math.pi - EPS_ANG)
+    ok = (solvable & (largest_gap(angles(K.normals)[tri]) < math.pi - EPS_ANG)
           & (cross(n1, n3) / det < -EPS_GEO) & (cross(n2, n1) / det < -EPS_GEO))
     return tri[ok]
 
@@ -143,11 +140,9 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
     reason[(reason == "") & (index < 0).any(axis=1)] = "NotOnBoundary"
     # the contact normals are normals of T: an edge contributes its own
     # (twice, which leaves the gaps unchanged), a vertex those of its edges
-    ang = np.array([math.atan2(ny, nx) for nx, ny in T.normals])
-    gens = np.sort(np.concatenate(
-        [ang[np.where(on_edge, index, index - 1)], ang[index]], axis=1), axis=1)
-    gap = np.maximum(np.diff(gens, axis=1).max(axis=1),
-                     2 * math.pi - (gens[:, -1] - gens[:, 0]))
+    ang = angles(T.normals)
+    gap = largest_gap(np.concatenate(
+        [ang[np.where(on_edge, index, index - 1)], ang[index]], axis=1))
     reason[(reason == "") & (gap >= math.pi - EPS_ANG)] = "HalfspaceViolation"
     return [NoInbody(str(reason[k])) if reason[k] else
             Inbody(float(lam[k]), x[k, 1:], verts[k],

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from .lp import LinearProgram, solve
 
 EPS_GEO = 1e-9    # geometric tolerance (coincidence, membership)
 EPS_ANG = 1e-9    # angular tolerance, radians
 EPS_CERT = 1e-7   # certification threshold for trajectory residuals
+# 0 lies in the convex hull of unit directions iff no angular gap between
+# them exceeds pi; the slack admits a closed halfplane computed with rounding
+HULL_GAP = math.pi + 1e-12
 
 
 class GeometryError(ValueError):
@@ -44,20 +45,8 @@ class InvalidCurve(GeometryError):
     pass
 
 
-def vec(x: float, y: float) -> np.ndarray:
-    return np.array([float(x), float(y)])
-
-
 def cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
-
-
-def rot90cw(a) -> np.ndarray:
-    return np.array([float(a[1]), -float(a[0])])
-
-
-def rot90ccw(a) -> np.ndarray:
-    return np.array([-float(a[1]), float(a[0])])
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -375,39 +364,42 @@ def ell_length(T: ConvexPolytope2, q: ClosedCurve) -> float:
     return float(support_many(T, q.edges()).sum())
 
 
+def angles(vectors) -> np.ndarray:
+    """The polar angle of each row, by math.atan2 (np.arctan2 differs from
+    it in the last ulp on some inputs)."""
+    return np.array([math.atan2(y, x)
+                     for x, y in np.asarray(vectors, float).reshape(-1, 2)])
+
+
+def largest_gap(angles, mask=True) -> np.ndarray:
+    """The largest angular gap between the directions selected by mask,
+    along the last axis: one direction leaves a gap of 2 pi, none gives nan
+    (which fails every comparison)."""
+    a = np.sort(np.where(mask, angles, np.nan), axis=-1)  # nan sorts last
+    first = np.fmin.reduce(a, axis=-1, initial=np.nan)
+    last = np.fmax.reduce(a, axis=-1, initial=np.nan)
+    return np.fmax(np.fmax.reduce(np.diff(a, axis=-1), axis=-1, initial=np.nan),
+                   2 * math.pi - (last - first))
+
+
 def positively_spans(vectors: Sequence, tol: float = EPS_ANG) -> bool:
     """True iff the vectors positively span the plane, i.e. 0 is in the
     interior of their convex cone.  Collections whose largest angular gap
     equals pi (all vectors in a closed halfplane) do not count."""
-    vs = [np.asarray(v, float) for v in vectors]
-    if len(vs) < 3:
-        return False
-    angles = []
-    for v in vs:
-        if float(np.hypot(v[0], v[1])) <= EPS_GEO:
-            raise ZeroVector("zero vector in a spanning test")
-        angles.append(math.atan2(v[1], v[0]))
-    angles.sort()
-    gaps = [angles[k + 1] - angles[k] for k in range(len(angles) - 1)]
-    gaps.append(2 * math.pi - (angles[-1] - angles[0]))
-    return max(gaps) < math.pi - tol
+    vs = np.asarray(vectors, float).reshape(-1, 2)
+    if (np.hypot(vs[:, 0], vs[:, 1]) <= EPS_GEO).any():
+        raise ZeroVector("zero vector in a spanning test")
+    return bool(largest_gap(angles(vs)) < math.pi - tol)
 
 
 def in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
     """Whether the point set touches the boundary 'immovably': no translation
-    pushes all points into the interior of K.  Decided by maximizing the
-    common interior margin over translations."""
-    pts = np.asarray(points, float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    worst = (pts @ K.normals.T).max(axis=0)  # per facet, the tightest point
-    sol = solve(LinearProgram(
-        objective=np.array([0.0, 0.0, 1.0]),
-        constraints=np.column_stack([K.normals, np.ones(K.n)]),
-        rhs=K.offsets - worst))
-    if sol.status != "optimal":
-        raise GeometryError(f"margin LP ended with status {sol.status}")
-    return bool(sol.x[2] <= tol)
+    pushes all points into the interior of K.  By Gordan's theorem that
+    holds iff 0 is in the convex hull of the normals of the facets the set
+    touches (slack <= tol), i.e. iff no angular gap between them exceeds pi."""
+    pts = np.asarray(points, float).reshape(-1, 2)
+    touched = K.offsets - (pts @ K.normals.T).max(axis=0) <= tol
+    return bool(largest_gap(angles(K.normals[touched])) <= HULL_GAP)
 
 
 def convex_hull(points) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Independent checks: certificates, the weak reflection rule, and a
 grid-based brute-force oracle.
 
-Nothing here reuses intermediate data from the searches; a certificate is
-recomputed from the raw vertices so that a bug in an LP formulation cannot
-silently certify itself.
+Nothing here reuses intermediate data from the searches or solves an LP; a
+certificate is recomputed from the raw vertices so that a bug in an LP
+formulation or in the solver cannot silently certify itself.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import (EPS_CERT, EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
-                   GeometryError, cone_distance, ell_length, face_distance,
-                   in_f, normal_cone, support_many)
+from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
+                   Face, GeometryError, angles, cone_distance, ell_length,
+                   face_distance, in_f, largest_gap, normal_cone, support_many)
 from .pairs import BilliardPair
 
 
@@ -140,8 +140,7 @@ def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
 
 def _subset_immovable_table(K: ConvexPolytope2) -> np.ndarray:
     """ok[mask] == True iff 0 lies in the convex hull of the facet normals
-    selected by mask.  For points on the boundary this is exactly the
-    margin-LP criterion of in_f, by LP duality."""
+    selected by mask: for points on the boundary, the criterion of in_f."""
     return _immovable_table(K.normals.tobytes())
 
 
@@ -153,15 +152,8 @@ def _immovable_table(normals: bytes) -> np.ndarray:
     n = normals.shape[0]
     if n > 16:
         raise GeometryError("brute-force oracle supports at most 16 facets")
-    angles = np.arctan2(normals[:, 1], normals[:, 0])
-    tab = np.zeros(1 << n, bool)
-    for mask in range(1, 1 << n):
-        sel = sorted(angles[i] for i in range(n) if mask >> i & 1)
-        if len(sel) == 1:
-            continue
-        gap = max(sel[k + 1] - sel[k] for k in range(len(sel) - 1))
-        gap = max(gap, 2 * math.pi - (sel[-1] - sel[0]))
-        tab[mask] = gap <= math.pi + 1e-12
+    sel = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    tab = largest_gap(angles(normals), sel) <= HULL_GAP
     tab.setflags(write=False)
     return tab
 

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkbill.geom import (ClosedCurve, ConvexPolytope2, Face, GeometryError,
-                           InvalidCurve, InvalidPolytope, OriginNotInterior,
-                           ZeroVector, all_faces, cone_contains, cone_distance,
-                           cones_intersect, convex_hull, ell_length,
-                           face_distance, find_face, gauge, in_f, normal_cone,
-                           polar, positively_spans, rotation,
-                           segment_distance, support, support_many, unit)
+from minkbill.bounce2 import search_two_bounce
+from minkbill.bounce3 import search_three_bounce
+from minkbill.fixtures import regular_ngon
+from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
+                           GeometryError, InvalidCurve, InvalidPolytope,
+                           OriginNotInterior, ZeroVector, all_faces, angles,
+                           cone_contains, cone_distance, cones_intersect,
+                           convex_hull, ell_length, face_distance, find_face,
+                           gauge, in_f, largest_gap, normal_cone, polar,
+                           positively_spans, rotation, segment_distance,
+                           support, support_many, unit)
+from minkbill.lp import LinearProgram, solve
+from minkbill.randgen import random_instance, random_polytope
 
 from conftest import polytopes, vectors
 
@@ -174,6 +180,132 @@ def test_in_f_vertex_pin():
     tri = ConvexPolytope2.from_vertices([(0, 0), (2, 0), (0, 2)])
     assert in_f(tri, [(0, 0), (1, 1)])
     assert not in_f(tri, [(0, 0)])
+    # a point more than tol inside touches no facet, although the common
+    # margin the margin LP finds here is only 2 tol / (1 + sqrt 2) < tol
+    inset = np.array([1.0, 1.0]) - 2 * EPS_GEO * tri.normals[1]
+    assert not in_f(tri, [(0, 0), inset])
+    assert _reference_in_f(tri, [(0, 0), inset])
+
+
+def _reference_in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
+    """in_f as the translation-margin LP: maximize the common interior margin
+    of the points over translations; immovable iff it is at most tol."""
+    pts = np.asarray(points, float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    worst = (pts @ K.normals.T).max(axis=0)  # per facet, the tightest point
+    sol = solve(LinearProgram(
+        objective=np.array([0.0, 0.0, 1.0]),
+        constraints=np.column_stack([K.normals, np.ones(K.n)]),
+        rhs=K.offsets - worst))
+    if sol.status != "optimal":
+        raise GeometryError(f"margin LP ended with status {sol.status}")
+    return bool(sol.x[2] <= tol)
+
+
+def _boundary_set(K, rng, k, slack=0.0):
+    """k random points at the given slack inside the boundary of K, each a
+    vertex (at that slack from both its facets) or a point inside a facet."""
+    n = K.normals
+    pts = []
+    for i in rng.integers(K.n, size=k):
+        a, b = K.facet_segment(i)
+        if rng.random() < 0.3:
+            pts.append(a - slack * (n[i - 1] + n[i]) / (1 + n[i - 1] @ n[i]))
+        else:
+            pts.append(a + rng.uniform(0.05, 0.95) * (b - a) - slack * n[i])
+    return np.array(pts)
+
+
+def _strips():
+    """Two touches on antiparallel facets, at facet midpoints: a largest
+    normal gap of pi, up to rounding on either side."""
+    hexagon = regular_ngon(6)
+    tilted = ConvexPolytope2.from_vertices(SQUARE.vertices @ rotation(0.3).T)
+    return [(P, np.array([np.mean(P.facet_segment(i), axis=0) for i in facets]))
+            for P, facets in ((SQUARE, (1, 3)),   # gap exactly pi
+                              (hexagon, (0, 3)),  # pi + 1 ulp
+                              (tilted, (0, 2)))]
+
+
+def test_in_f_edge_cases_match_margin_lp():
+    """The gap rule against the margin LP on a single vertex contact, strips,
+    interior points, and strips moved inward to slack tol/2 (still touching)
+    and 2 tol (free)."""
+    cases = [(SQUARE, [(1, 1)]), (SQUARE, [(0, 0)]), (SQUARE, [(0, 0), (0, 1)]),
+             (regular_ngon(7), [(0, 0)])] + _strips()
+    for K, X in _strips():
+        face = (X @ K.normals.T - K.offsets).argmax(axis=1)
+        for s in (EPS_GEO / 2, 2 * EPS_GEO):
+            cases.append((K, X - s * K.normals[face]))
+    got = [in_f(K, X) for K, X in cases]
+    assert got == [_reference_in_f(K, X) for K, X in cases]
+    assert got == [False] * 4 + [True] * 3 + [True, False] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 19), st.integers(0, 2**32 - 1))
+def test_in_f_matches_margin_lp_on_boundary_sets(n, seed):
+    rng = np.random.default_rng(seed)
+    bodies = [random_polytope(rng, n), regular_ngon(n, phase=rng.uniform(0, 1))]
+    for K in bodies:
+        for k in (1, 2, 3):
+            for slack in (0.0, EPS_GEO / 2, 2 * EPS_GEO):
+                X = _boundary_set(K, rng, k, slack)
+                assert in_f(K, X) == _reference_in_f(K, X), (K.vertices, X)
+
+
+def test_in_f_matches_margin_lp_on_search_pairs():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for _ in range(6):
+        K, T = random_instance(rng, int(rng.integers(3, 9)),
+                               int(rng.integers(3, 9)))
+        for pair in search_two_bounce(K, T) + search_three_bounce(K, T):
+            for P, X in ((K, pair.q.vertices), (T, pair.p.vertices)):
+                got = in_f(P, X)
+                assert got == _reference_in_f(P, X)
+                seen.add(got)
+    assert seen == {True}  # a search returns certified pairs only
+
+
+# --- angular gaps -----------------------------------------------------------
+
+def _gap_loop(angle_list):
+    """The largest angular gap by a loop over the sorted list."""
+    a = sorted(angle_list)
+    if not a:
+        return math.nan
+    gaps = [a[k + 1] - a[k] for k in range(len(a) - 1)]
+    gaps.append(2 * math.pi - (a[-1] - a[0]))
+    return max(gaps)
+
+
+_ANGLE = st.one_of(st.sampled_from([-math.pi, -math.pi / 2, 0.0, 1.0, math.pi]),
+                   st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ANGLE, st.booleans(), st.booleans()), max_size=9))
+def test_largest_gap_matches_sorted_loop(rows):
+    """Duplicate angles, one direction and none included; masked rows of a
+    stack agree with the loop over the selected angles."""
+    ang = np.array([a for a, _, _ in rows], float)
+    masks = np.array([[m for _, m, _ in rows], [m for _, _, m in rows],
+                      [True] * len(rows)], bool).reshape(3, len(rows))
+    got = largest_gap(np.broadcast_to(ang, masks.shape), masks)
+    for g, want in zip([*got, largest_gap(ang)],
+                       [_gap_loop(ang[mask].tolist()) for mask in masks]
+                       + [_gap_loop(ang.tolist())]):
+        assert g == want or (math.isnan(g) and math.isnan(want))
+
+
+def test_largest_gap_extremes():
+    assert largest_gap(np.array([0.5])) == 2 * math.pi
+    assert math.isnan(largest_gap(np.array([])))
+    assert math.isnan(largest_gap(np.array([0.5, 1.0]), False))
+    assert largest_gap(angles([(1, 0), (-1, 0)])) == math.pi
+    assert largest_gap(angles([(1, 0), (0, 1), (-1, 0), (0, -1)])) == math.pi / 2
 
 
 # --- curves and lengths -----------------------------------------------------

@@ -1,18 +1,24 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minkbill import lp as lpmod
 from minkbill.bounce2 import search_two_bounce
+from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
-                           InvalidPolytope, find_face, in_f)
+                           GeometryError, InvalidPolytope, find_face)
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (LineNotSupporting, boundary_grid, brute_force_min,
                              certify, check_weak_rule, _immovable_table,
                              _subset_immovable_table)
+
+from test_geom import _reference_in_f
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
 
@@ -144,7 +150,85 @@ def test_mask_table_matches_margin_lp(seed, pick):
     i = pick % len(pts)
     j = (pick * 7919 + 13) % len(pts)
     subset = pts[[i, j]]
-    assert tab[masks[i] | masks[j]] == in_f(K, subset)
+    assert tab[masks[i] | masks[j]] == _reference_in_f(K, subset)
+
+
+def _reference_immovable_table(normals):
+    """The facet-subset table built one mask at a time, by a loop over the
+    sorted angles of the selected normals."""
+    n = normals.shape[0]
+    angles = np.arctan2(normals[:, 1], normals[:, 0])
+    tab = np.zeros(1 << n, bool)
+    for mask in range(1, 1 << n):
+        sel = sorted(angles[i] for i in range(n) if mask >> i & 1)
+        if len(sel) == 1:
+            continue
+        gap = max(sel[k + 1] - sel[k] for k in range(len(sel) - 1))
+        gap = max(gap, 2 * math.pi - (sel[-1] - sel[0]))
+        tab[mask] = gap <= math.pi + 1e-12
+    return tab
+
+
+def test_mask_table_matches_reference_loop(rng):
+    bodies = [regular_ngon(n, phase=phase) for n in range(3, 17)
+              for phase in (0.0, 0.1 * n)]
+    bodies += [random_polytope(rng, int(rng.integers(3, 11))) for _ in range(30)]
+    for K in bodies:
+        got = _subset_immovable_table(K)
+        assert np.array_equal(got, _reference_immovable_table(K.normals)), K.n
+    # facets 0 and 3 of the hexagon are a strip: gap pi, immovable
+    assert _subset_immovable_table(regular_ngon(6))[0b001001]
+    with pytest.raises(GeometryError):
+        _subset_immovable_table(regular_ngon(17))
+
+
+def _certify_cases():
+    """Fixture pairs (built from the fixture curves, and the pairs the
+    searches find on the small fixtures) and the pairs of seeded random
+    instances, with certificates of both outcomes."""
+    cases = [(SQUARE, SQUARE, _chord_pair())]
+    fx = load("exampleA")
+    q, p = fx.curves["q"], fx.forced_duals["q"]
+    cases.append((fx.K, fx.T, make_pair(
+        fx.K, fx.T, q.vertices, p.vertices,
+        tuple(find_face(fx.K, v) for v in q.vertices),
+        tuple(find_face(fx.T, v) for v in p.vertices))))
+    bodies = [(load(name).K, load(name).T) for name in
+              ("exampleA", "exampleD", "exampleE", "exampleF_aux", "exampleG")]
+    rng = np.random.default_rng(11)
+    bodies += [random_instance(rng, int(rng.integers(3, 9)),
+                               int(rng.integers(3, 9))) for _ in range(5)]
+    for K, T in bodies:
+        pairs = search_two_bounce(K, T) + search_three_bounce(K, T)
+        cases += [(K, T, pair) for pair in pairs]
+        # the same pair with its dual reversed: a certificate that fails
+        cases += [(K, T, make_pair(K, T, pair.q.vertices, pair.p.vertices[::-1],
+                                   pair.k_faces, pair.t_faces[::-1]))
+                  for pair in pairs[:2] if pair.q.m == 2]
+    return cases
+
+
+def test_certify_runs_no_lp(monkeypatch):
+    """A certificate is recomputed without the LP solver the searches use:
+    with every binding of lp.solve and lp.solve_stack in the package made to
+    raise, certify returns the same certificates."""
+    cases = _certify_cases()
+    want = [certify(K, T, pair) for K, T, pair in cases]
+    assert {c.certified for c in want} == {True, False}
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP solver was called")
+
+    solvers = (lpmod.solve, lpmod.solve_stack)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] != "minkbill":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if any(value is f for f in solvers):
+                monkeypatch.setattr(mod, attr, no_lp)
+    with pytest.raises(AssertionError):
+        search_two_bounce(SQUARE, SQUARE)  # the patch does reach the solver
+    assert [certify(K, T, pair) for K, T, pair in cases] == want
 
 
 def test_mask_table_cache_stays_bounded(rng):

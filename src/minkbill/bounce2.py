@@ -9,22 +9,28 @@ so each surviving tuple reduces to (at most) one small feasibility LP:
   the cone conditions directly;
 * both F's are vertices, some G is a facet: q is fixed, solve for p;
 * both G's are vertices, some F is a facet: p is fixed, solve for q
-  (the previous case with the roles of the bodies swapped);
-* a facet on both sides: solve for q, p and the two cone multipliers
-  simultaneously, pinning each difference to the one-dimensional normal
-  cone of a facet.
+  (the previous case with the roles of the bodies swapped).
+
+With a facet on both sides, q and p are solved for together.  An LP has
+one variable in [0, 1] per facet, placing the point on it, and asks each
+difference of a side with a facet to lie in its cone: q2 - q1 in N_T(G1),
+q1 - q2 in N_T(G2), p2 - p1 in -N_K(F2) and p1 - p2 in -N_K(F1).  The ray
+of a facet gives one equality and one inequality row, the wedge of a
+vertex two inequality rows (_cone_rows).  A side with no facet is fixed,
+and its cones are checked directly.
 
 The search works on all tuples of one (K, T) at once.  The antipodal face
 pairs of each body, the cone pre-checks of the fixed cases and the LP rows
 are built as arrays, one group of tuples with the same vertex/facet
 pattern (and so the same LP shape) at a time; the LPs are solved one by
-one, and the optimal members are certified in tuple order.
+one, and the optimal members are certified in tuple order.  The 3-bounce
+q-side fit uses the same rows (_cycle_rows) and LP assembly (_rows_lp).
 ``solve_face_tuple`` is the same pipeline on a batch of one tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -40,7 +46,7 @@ from .verify import certified_pair
 class SearchStats:
     tuples_considered: int = 0
     tuples_after_filter: int = 0
-    lp_solves: int = 0  # one per LP member of a stack
+    lp_solves: int = 0  # face-tuple LPs solved, one lp.solve each
     candidates: int = 0
 
 
@@ -53,10 +59,9 @@ def two_bounce_tuple_count(K: ConvexPolytope2, T: ConvexPolytope2) -> int:
 
 
 def tuple_variable_count(f1: Face, f2: Face, g1: Face, g2: Face) -> int:
-    """Number of LP variables solve_face_tuple uses for this face tuple."""
-    params = sum(f.is_edge for f in (f1, f2, g1, g2))
-    mixed = (f1.is_edge or f2.is_edge) and (g1.is_edge or g2.is_edge)
-    return params + (2 if mixed else 0)
+    """Number of LP variables solve_face_tuple uses for this face tuple: one
+    per facet, the parameter of its point."""
+    return sum(f.is_edge for f in (f1, f2, g1, g2))
 
 
 def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
@@ -94,6 +99,10 @@ class _Affine:
         row = g[:, 0, None] * self.M[:, 0] + g[:, 1, None] * self.M[:, 1]
         const = g[:, 0] * self.c[:, 0] + g[:, 1] * self.c[:, 1]
         return row, const
+
+    def at(self, x):
+        """The points c + M @ x at x (..., B, nv)."""
+        return self.c + np.matmul(self.M, x[..., None])[..., 0]
 
 
 def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
@@ -151,13 +160,21 @@ def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
         rows.append((row, slack - const, False))
 
 
-def _solve_rows(rows, objective, upper) -> lpmod.LpSolution:
-    """Solve objective @ x over the rows of one member of _cone_rows,
-    0 <= x <= upper."""
-    return lpmod.solve(lpmod.LinearProgram(
-        np.asarray(objective, float), np.array([r for r, _, _ in rows]),
-        np.array([b for _, b, _ in rows]), np.array([e for _, _, e in rows]),
-        np.zeros(len(upper)), upper))
+def _cycle_rows(rows, points, cones) -> None:
+    """_cone_rows asking edge r of the closed polygon through points,
+    points[r + 1] - points[r], to lie in cones[r]."""
+    for r, cone in enumerate(cones):
+        _cone_rows(rows, points[(r + 1) % len(points)] - points[r], cone)
+
+
+def _rows_lp(rows, objective) -> lpmod.LinearProgram:
+    """The (B, m, nv) stack maximizing objective @ x over the rows, with
+    every variable, the parameter of a point on a facet, in [0, 1]."""
+    nv = len(objective)
+    return lpmod.LinearProgram(
+        np.asarray(objective, float), np.stack([r for r, _, _ in rows], 1),
+        np.stack([b for _, b, _ in rows], 1),
+        np.array([e for _, _, e in rows]), np.zeros(nv), np.ones(nv))
 
 
 def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
@@ -179,87 +196,50 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
         flags = [bool(v) for v in edge[sel[0]]]
         e1, e2, h1, h2 = flags
         i1, i2, j1, j2 = idx[sel].T
-        f_fixed, g_fixed = not (e1 or e2), not (h1 or h2)
-        mixed = not f_fixed and not g_fixed
-        # one LP variable per facet, in the order q1, q2, p1, p2, then the
-        # two cone multipliers of the mixed case
-        cols = np.cumsum([0, e1, e2, h1, h2])[:4]
-        nv = int(sum(flags)) + 2 * mixed
+        # one LP variable per facet, in the order q1, q2, p1, p2
+        cols = np.cumsum([0] + flags)[:4]
+        nv = int(sum(flags))
         points = [_point(P, e, i, col, nv) for P, e, i, col in
                   zip((K, K, T, T), flags, (i1, i2, j1, j2), cols)]
-        q1, q2, p1, p2 = points
-        ck1, ck2 = _cone(K, e1, i1), _cone(K, e2, i2)
-        ct1, ct2 = _cone(T, h1, j1), _cone(T, h2, j2)
+        # each side is a closed 2-gon whose edge r lies in cones[r]; it is
+        # free if it has a facet
+        sides = [(points[:2], (_cone(T, h1, j1), _cone(T, h2, j2)), e1 or e2),
+                 (points[2:], (_neg(_cone(K, e2, i2)), _neg(_cone(K, e1, i1))),
+                  h1 or h2)]
         keep = np.ones(len(sel), bool)
-        if f_fixed:
-            dq = q2.c - q1.c
-            keep &= _in_cone(ct1, dq) & _in_cone(ct2, -dq)
-        if g_fixed:
-            dp = p2.c - p1.c
-            keep &= _in_cone(ck2, -dp) & _in_cone(ck1, dp)
-        if f_fixed and g_fixed:
-            ok[sel] = keep
-            qp[sel] = np.stack([e.c for e in points], 1)
-            continue
-        sel = sel[keep]
-        if not sel.size:
-            continue
-        q1, q2, p1, p2 = points = [_Affine(e.c[keep], e.M[keep]) for e in points]
-        ck1, ck2, ct1, ct2 = (tuple(g[keep] for g in c)
-                              for c in (ck1, ck2, ct1, ct2))
         rows = []
-        if f_fixed:
-            _cone_rows(rows, p2 - p1, _neg(ck2))
-            _cone_rows(rows, p1 - p2, _neg(ck1))
-        elif g_fixed:
-            _cone_rows(rows, q2 - q1, ct1)
-            _cone_rows(rows, q1 - q2, ct2)
-        else:
-            # pin q2-q1 to the facet normal available on the T side and
-            # p2-p1 to the one on the K side
-            w_expr, w = (q2 - q1, ct1[0]) if h1 else (q1 - q2, ct2[0])
-            u_expr, u = (p2 - p1, -ck2[0]) if e2 else (p1 - p2, -ck1[0])
-            for coord in range(2):
-                row = w_expr.M[:, coord].copy()
-                row[:, nv - 2] -= w[:, coord]
-                rows.append((row, -w_expr.c[:, coord], True))
-                row = u_expr.M[:, coord].copy()
-                row[:, nv - 1] -= u[:, coord]
-                rows.append((row, -u_expr.c[:, coord], True))
-            # a vertex on either side still constrains the difference to
-            # its cone
-            if not h1:
-                _cone_rows(rows, q2 - q1, ct1)
-            if not h2:
-                _cone_rows(rows, q1 - q2, ct2)
-            if not e2:
-                _cone_rows(rows, p2 - p1, _neg(ck2))
-            if not e1:
-                _cone_rows(rows, p1 - p2, _neg(ck1))
-        upper = np.ones(nv)
-        if mixed:
-            upper[nv - 2:] = np.inf
-        obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
-        if obj.shape != (nv,):
-            raise ValueError(f"objective must have {nv} entries for this tuple")
-        if stats is not None:
-            stats.lp_solves += len(sel)
-        # one LP at a time: lp.solve_stack on the whole group takes a fifth
-        # of the time, but then a small instance's 2-bounce time follows
-        # its few certified pairs rather than its LP count, and acceptance
-        # criterion 10 compares that time between instances of swapped sizes
+        for (a, b), cones, free in sides:
+            if free:
+                _cycle_rows(rows, (a, b), cones)
+            else:
+                d = b.c - a.c
+                keep &= _in_cone(cones[0], d) & _in_cone(cones[1], -d)
         x = np.zeros((len(sel), nv))
-        for k in range(len(sel)):
-            try:
-                sol = _solve_rows([(r[k], v[k], e) for r, v, e in rows],
-                                  obj, upper)
-            except lpmod.NumericalFailure:
-                continue
-            if sol.status == "optimal":
-                ok[sel[k]], x[k] = True, sol.x
-        # c + M @ x, where M has one non-zero column (the facet's parameter)
-        for r, (e, is_edge, col) in enumerate(zip(points, flags, cols)):
-            qp[sel, r] = e.c + e.M[:, :, col] * x[:, col, None] if is_edge else e.c
+        if rows:
+            obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
+            if obj.shape != (nv,):
+                raise ValueError(f"objective must have {nv} entries for this tuple")
+            stack = _rows_lp(rows, obj)
+            if stats is not None:
+                stats.lp_solves += int(keep.sum())
+            # one LP at a time: lp.solve_stack on the whole group takes a
+            # fifth of the time, but then a small instance's 2-bounce time
+            # follows its few certified pairs rather than its LP count, and
+            # acceptance criterion 10 compares that time between instances
+            # of swapped sizes
+            for k in np.flatnonzero(keep):
+                member = replace(stack, constraints=stack.constraints[k],
+                                 rhs=stack.rhs[k])
+                try:
+                    sol = lpmod.solve(member)
+                except lpmod.NumericalFailure:
+                    keep[k] = False
+                    continue
+                keep[k] = sol.status == "optimal"
+                if keep[k]:
+                    x[k] = sol.x
+        ok[sel] = keep
+        qp[sel] = np.stack([e.at(x) for e in points], 1)
     found: List[Optional[BilliardPair]] = [None] * len(tuples)
     for k in np.nonzero(ok)[0]:
         f1, f2, g1, g2 = (Face.edge(int(i)) if e else Face.vertex(int(i))

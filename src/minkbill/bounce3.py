@@ -17,9 +17,10 @@ normals positively span the plane (spanning_triples):
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex).  One LP over the
-   row builders of the 2-bounce search decides whether such q exist; the
-   survivors whose contacts are rays and wedges in the same places share
-   its shape, and each such group is solved as one stack;
+   rows of the 2-bounce search (_cycle_rows, _rows_lp) decides whether
+   such q exist; the survivors whose contacts are rays and wedges in the
+   same places share its shape, and each such group is solved as one
+   stack;
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
    of the solutions minimizing and maximizing sum(t) (a second stack over
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import _Affine, _cone, _cone_rows
+from .bounce2 import _cone, _cycle_rows, _point, _rows_lp
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                    angles, find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
@@ -151,15 +152,6 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
             for k in range(B)]
 
 
-def _solve_stack(rows, objective, upper) -> List[lpmod.LpSolution]:
-    """Solve objective @ x over the rows of _cone_rows, 0 <= x <= upper,
-    for every member, as one lp.solve_stack."""
-    return lpmod.solve_stack(lpmod.LinearProgram(
-        np.asarray(objective, float), np.stack([r for r, _, _ in rows], 1),
-        np.stack([b for _, b, _ in rows], 1),
-        np.array([e for _, _, e in rows]), np.zeros(len(upper)), upper))
-
-
 def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
                t_faces: List[Tuple[Face, Face, Face]]):
     """fit_family for many triples: the ends of each family (B, 3, 2) twice,
@@ -178,31 +170,25 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     pattern = on_edge @ np.array([4, 2, 1])
     for pat in np.flatnonzero(np.bincount(pattern)):
         sel = np.nonzero(pattern == pat)[0]
-        q = []
-        for r in range(3):
-            a = K.vertices[triples[sel, r]]
-            M = np.zeros((len(sel), 2, 3))
-            M[:, :, r] = K.vertices[(triples[sel, r] + 1) % K.n] - a
-            q.append(_Affine(a, M))
+        q = [_point(K, True, triples[sel, r], r, 3) for r in range(3)]
         rows = []
-        for r in range(3):
-            _cone_rows(rows, q[(r + 1) % 3] - q[r],
-                       _cone(T, on_edge[sel[0], r], index[sel, r]))
+        _cycle_rows(rows, q, [_cone(T, on_edge[sel[0], r], index[sel, r])
+                              for r in range(3)])
         ones = np.ones(3)
-        low = _solve_stack(rows, -ones, ones)
+        stack = _rows_lp(rows, -ones)
+        low = lpmod.solve_stack(stack)
         status = np.array([s.status for s in low], object)
         fits = status == "optimal"
+        x = np.zeros((2, len(sel), 3))
         if fits.any():
-            high = _solve_stack([(row[fits], b[fits], e) for row, b, e in rows],
-                                ones, ones)
+            high = lpmod.solve_stack(replace(
+                stack, objective=ones, constraints=stack.constraints[fits],
+                rhs=stack.rhs[fits]))
             status[fits] = [s.status for s in high]
-            x = np.array([[s.x for s in low if s.status == "optimal"],
-                          [s.x if s.status == "optimal" else np.zeros(3)
-                           for s in high]])
-            # q_r = a_r + t_r (b_r - a_r): M @ x has one non-zero term
-            ends[:, sel[fits]] = np.stack(
-                [e.c[fits] + e.M[fits, :, r] * x[:, :, r, None]
-                 for r, e in enumerate(q)], 2)
+            x[0, fits] = [s.x for s in low if s.status == "optimal"]
+            x[1, fits] = [s.x if s.status == "optimal" else np.zeros(3)
+                          for s in high]
+        ends[:, sel] = np.stack([e.at(x) for e in q], 2)
         reason[sel] = np.where(status == "optimal", "", status)
     return ends[0], ends[1], reason
 

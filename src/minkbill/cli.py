@@ -19,14 +19,12 @@ import numpy as np
 from . import __version__
 from .bounce2 import SearchStats, search_two_bounce
 from .bounce3 import search_three_bounce, spanning_triples
-from .fixtures import UnknownFixture, load as load_fixture
-from .geom import (ClosedCurve, ConvexPolytope2, Face, GeometryError,
-                   InvalidCurve, InvalidPolytope)
+from .fixtures import UnknownFixture, load as load_fixture, regular_ngon
+from .geom import ConvexPolytope2, Face, GeometryError
 from .obtuse import in_family_t, largest_angle, regular_three_bounce_exists
-from .pairs import BilliardPair, sort_pairs
-from .randgen import GenerationExhausted, random_instance, random_polytope
+from .pairs import BilliardPair, make_pair, sort_pairs
+from .randgen import GenerationExhausted, random_instance
 from .verify import brute_force_min, certify
-from .fixtures import regular_ngon
 
 REPORT_SCHEMA = "minkowski-billiards-report/1"
 
@@ -52,8 +50,13 @@ def _face_obj(f: Face) -> list:
     return [f.kind, f.index]
 
 
-def _face_from_obj(obj) -> Face:
-    return Face(str(obj[0]), int(obj[1]))
+def _face_from_obj(obj, P: ConvexPolytope2) -> Face:
+    """The face [kind, index] of a report, checked against P."""
+    if not (isinstance(obj, list) and len(obj) == 2
+            and obj[0] in ("vertex", "edge") and type(obj[1]) is int
+            and 0 <= obj[1] < P.n):
+        raise GeometryError(f"{obj!r} is not a face of a {P.n}-gon")
+    return Face(*obj)
 
 
 def _pair_obj(pair: BilliardPair) -> dict:
@@ -114,19 +117,10 @@ def cmd_shortest(args) -> int:
     return 0 if report["min"] is not None else 1
 
 
-def cmd_two_bounce(args) -> int:
+def cmd_search(args) -> int:
     K = _load_polytope(args.K, args.tol)
     T = _load_polytope(args.T, args.tol)
-    report = _search_report(K, T, (2,))
-    _dump_json(report, args.out)
-    return 0
-
-
-def cmd_three_bounce(args) -> int:
-    K = _load_polytope(args.K, args.tol)
-    T = _load_polytope(args.T, args.tol)
-    report = _search_report(K, T, (3,))
-    _dump_json(report, args.out)
+    _dump_json(_search_report(K, T, args.bounce_counts), args.out)
     return 0
 
 
@@ -135,15 +129,21 @@ def cmd_verify(args) -> int:
         report = json.load(fh)
     if report.get("schema") != REPORT_SCHEMA:
         raise GeometryError(f"unrecognized report schema {report.get('schema')!r}")
+    try:
+        return _verify_report(report, args.out)
+    except KeyError as exc:
+        raise GeometryError(f"report entry without the key {exc}") from None
+
+
+def _verify_report(report: dict, out: Optional[str]) -> int:
     K = ConvexPolytope2.from_json_obj(report["K"])
     T = ConvexPolytope2.from_json_obj(report["T"])
-    from .pairs import make_pair
     all_ok = True
     rows = []
     for i, cand in enumerate(report["candidates"]):
         pair = make_pair(K, T, np.asarray(cand["q"]), np.asarray(cand["p"]),
-                         [_face_from_obj(f) for f in cand["k_faces"]],
-                         [_face_from_obj(f) for f in cand["t_faces"]])
+                         [_face_from_obj(f, K) for f in cand["k_faces"]],
+                         [_face_from_obj(f, T) for f in cand["t_faces"]])
         if pair is None:
             rows.append({"index": i, "certified": False,
                          "error": "degenerate curve data"})
@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
                      "certificate": cert.to_json_obj()})
         all_ok = all_ok and ok
     _dump_json({"schema": REPORT_SCHEMA, "verified": all_ok,
-                "candidates": rows}, args.out)
+                "candidates": rows}, out)
     return 0 if all_ok else 1
 
 
@@ -341,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("K")
     p.add_argument("T")
     common(p)
-    p.set_defaults(func=cmd_two_bounce)
+    p.set_defaults(func=cmd_search, bounce_counts=(2,))
 
     p = sub.add_parser("three-bounce", help="all certified 3-bounce trajectories")
     p.add_argument("K")
     p.add_argument("T")
     common(p)
-    p.set_defaults(func=cmd_three_bounce)
+    p.set_defaults(func=cmd_search, bounce_counts=(3,))
 
     p = sub.add_parser("verify", help="re-certify the candidates of a report")
     p.add_argument("report")
@@ -387,8 +387,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryError, InvalidPolytope, InvalidCurve, UnknownFixture,
-            GenerationExhausted, json.JSONDecodeError, OSError) as exc:
+    except (GeometryError, UnknownFixture, GenerationExhausted,
+            json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

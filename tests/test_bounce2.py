@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -124,15 +125,15 @@ def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
     the search completes with the pairs of the other tuples."""
     K, T = SQUARE, DIAMOND
     clean = search_two_bounce(K, T)
-    solve_rows = bounce2._solve_rows
+    solve_lp = lpmod.solve
     calls = []
 
-    def fail_first(rows, objective, upper):
-        calls.append(len(rows))
+    def fail_first(lp):
+        calls.append(len(lp.constraints))
         if len(calls) == 1:
             raise NumericalFailure("pivot budget exhausted")
-        return solve_rows(rows, objective, upper)
-    monkeypatch.setattr(bounce2, "_solve_rows", fail_first)
+        return solve_lp(lp)
+    monkeypatch.setattr(lpmod, "solve", fail_first)
     pairs = search_two_bounce(K, T)
     assert len(calls) > 1
     assert pairs and pairs[0].length == pytest.approx(clean[0].length)
@@ -191,6 +192,135 @@ def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
 
 
 def _reference_face_tuple(K, T, f1, f2, g1, g2):
+    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
+    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
+    f_fixed = not (f1.is_edge or f2.is_edge)
+    g_fixed = not (g1.is_edge or g2.is_edge)
+    ends = []
+    for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
+        a, b = P.facet_segment(f.index)
+        ends.append((a, b - a if f.is_edge else None))
+    if f_fixed and g_fixed:
+        dq = ends[1][0] - ends[0][0]
+        dp = ends[3][0] - ends[2][0]
+        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
+                and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+            return None
+        return certified_pair(K, T, make_pair(
+            K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
+            (f1, f2), (g1, g2)))
+    nv = sum(d is not None for _, d in ends)
+    points = []
+    for r, (base, d) in enumerate(ends):
+        M = np.zeros((2, nv))
+        if d is not None:  # one variable per facet, in this order
+            M[:, sum(e is not None for _, e in ends[:r])] = d
+        points.append(_Affine(base, M))
+    q1, q2, p1, p2 = points
+    rows = []
+    if f_fixed:
+        dq = q2.c - q1.c
+        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
+            return None
+    else:
+        _reference_cone_rows(rows, q2 - q1, ct1)
+        _reference_cone_rows(rows, q1 - q2, ct2)
+    if g_fixed:
+        dp = p2.c - p1.c
+        if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+            return None
+    else:
+        _reference_cone_rows(rows, p2 - p1, ck2.negate())
+        _reference_cone_rows(rows, p1 - p2, ck1.negate())
+    try:
+        sol = solve(LinearProgram(
+            np.zeros(nv), np.array([r for r, _, _ in rows]),
+            np.array([b for _, b, _ in rows]),
+            np.array([e for _, _, e in rows]), np.zeros(nv), np.ones(nv)))
+    except lpmod.NumericalFailure:
+        return None
+    if sol.status != "optimal":
+        return None
+    return certified_pair(K, T, make_pair(
+        K, T, [q1.at(sol.x), q2.at(sol.x)], [p1.at(sol.x), p2.at(sol.x)],
+        (f1, f2), (g1, g2)))
+
+
+def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
+    """search_two_bounce one face tuple and one lp.solve at a time; also
+    returns the certified pairs in the order they reach prefer_smooth."""
+    found = []
+    for f1, f2 in _reference_antipodal_pairs(K):
+        for g1, g2 in _reference_antipodal_pairs(T):
+            for gg1, gg2 in ((g1, g2), (g2, g1)):
+                pair = face_tuple(K, T, f1, f2, gg1, gg2)
+                if pair is not None:
+                    found.append(pair)
+    return sort_pairs(dedupe([prefer_smooth(K, T, p) for p in found])), found
+
+
+def _identity_instances():
+    fixtures = [(load(name).K, load(name).T) for name in fixture_names()]
+    plain = [SQUARE, DIAMOND]
+    ngons = [regular_ngon(n) for n in (3, 4, 6, 12)]
+    rng = np.random.default_rng(2)
+    randoms = []
+    for k in range(110):
+        K, T = random_instance(rng, int(rng.integers(3, 8)),
+                               int(rng.integers(3, 8)))
+        if k % 4 == 0:
+            T = T.translate(rng.uniform(-3.0, 3.0, size=2))
+        randoms.append((K, T))
+    return (fixtures + list(itertools.product(plain, plain))
+            + [(P, P) for P in ngons] + [(P, DIAMOND) for P in ngons]
+            + [(SQUARE, P) for P in ngons] + randoms)
+
+
+def _same_pairs(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.length == b.length
+        assert np.array_equal(a.q.vertices, b.q.vertices)
+        assert np.array_equal(a.p.vertices, b.p.vertices)
+        assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
+
+
+def test_batched_search_matches_per_tuple_reference(monkeypatch):
+    """The batched search gives, bit for bit, what the per-tuple search
+    gives: the same certified pairs reach prefer_smooth in the same order,
+    and the same pairs come out, with equal lengths, q, p and faces.  The
+    regular polygons have parallel facets, so vertex-vertex and facet-facet
+    tuples reach the LP there."""
+    seen = []
+
+    def recording(K, T, pair):
+        seen.append(pair)
+        return prefer_smooth(K, T, pair)
+    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    patterns = set()
+    total = 0
+    for K, T in _identity_instances():
+        seen.clear()
+        stats = SearchStats()
+        got = search_two_bounce(K, T, stats)
+        want, found = _per_tuple_reference(K, T)
+        _same_pairs(seen, found)
+        _same_pairs(got, want)
+        assert stats.candidates == len(found)
+        patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
+                        for pair in found)
+        total += len(got)
+    assert total >= 300
+    assert {(False, False, False, False), (True, True, True, True)} <= patterns
+    assert len(patterns) >= 5
+
+
+# the face-tuple LP as it was written before every side used _cone_rows: a
+# side with a facet on each body pinned its difference to the facet normal
+# with a multiplier variable (v = w g, w >= 0) and two equality rows
+
+
+def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
     ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
     ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
     f_fixed = not (f1.is_edge or f2.is_edge)
@@ -271,73 +401,77 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2):
         (f1, f2), (g1, g2)))
 
 
-def _per_tuple_reference(K, T):
-    """search_two_bounce one face tuple and one lp.solve at a time; also
-    returns the certified pairs in the order they reach prefer_smooth."""
-    found = []
-    for f1, f2 in _reference_antipodal_pairs(K):
-        for g1, g2 in _reference_antipodal_pairs(T):
-            for gg1, gg2 in ((g1, g2), (g2, g1)):
-                pair = _reference_face_tuple(K, T, f1, f2, gg1, gg2)
-                if pair is not None:
-                    found.append(pair)
-    return sort_pairs(dedupe([prefer_smooth(K, T, p) for p in found])), found
+def _diameter(P):
+    return float(np.max(np.linalg.norm(
+        P.vertices[:, None] - P.vertices[None], axis=-1)))
 
 
-def _identity_instances():
-    fixtures = [(load(name).K, load(name).T) for name in fixture_names()]
-    plain = [SQUARE, DIAMOND]
-    ngons = [regular_ngon(n) for n in (3, 4, 6, 12)]
-    rng = np.random.default_rng(2)
-    randoms = []
-    for k in range(110):
-        K, T = random_instance(rng, int(rng.integers(3, 8)),
-                               int(rng.integers(3, 8)))
-        if k % 4 == 0:
-            T = T.translate(rng.uniform(-3.0, 3.0, size=2))
-        randoms.append((K, T))
-    return (fixtures + list(itertools.product(plain, plain))
-            + [(P, P) for P in ngons] + [(P, DIAMOND) for P in ngons]
-            + [(SQUARE, P) for P in ngons] + randoms)
+def _status_log(solve_lp, log):
+    """solve_lp, appending the status of every LP it solves to log."""
+    def logged(lp):
+        try:
+            sol = solve_lp(lp)
+        except NumericalFailure:
+            log.append("numerical")
+            raise
+        log.append(sol.status)
+        return sol
+    return logged
 
 
-def _same_pairs(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.length == b.length
-        assert np.array_equal(a.q.vertices, b.q.vertices)
-        assert np.array_equal(a.p.vertices, b.p.vertices)
-        assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
-
-
-def test_batched_search_matches_per_tuple_reference(monkeypatch):
-    """The batched search gives, bit for bit, what the per-tuple search
-    gives: the same certified pairs reach prefer_smooth in the same order,
-    and the same pairs come out, with equal lengths, q, p and faces.  The
-    regular polygons have parallel facets, so vertex-vertex and facet-facet
-    tuples reach the LP there."""
-    seen = []
+def test_cone_rows_match_multiplier_formulation(monkeypatch):
+    """The cone rows of a facet's ray (cross(g, v) = 0, <g, v> >= 0) decide
+    every face tuple as the multiplier formulation does: the LPs of the
+    same tuples are solved, with the same statuses, the same tuples are
+    certified, with lengths equal to 1e-12 relative, and the search returns
+    the same pairs, with q and p equal to 1e-12 of the body's diameter.
+    Within a family of constant length the two LPs may stop at different
+    points, so the pairs before prefer_smooth are compared by faces and
+    length only."""
+    seen, statuses, multiplier_statuses, logged = [], [], [], []
 
     def recording(K, T, pair):
         seen.append(pair)
         return prefer_smooth(K, T, pair)
+
+    def multiplier(K, T, *faces):
+        multiplier_statuses.clear()
+        pair = _multiplier_face_tuple(K, T, *faces)
+        pattern = sum(8 >> r for r, f in enumerate(faces) if f.is_edge)
+        logged.extend((pattern, s) for s in multiplier_statuses)
+        return pair
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
-    patterns = set()
+    monkeypatch.setattr(lpmod, "solve", _status_log(lpmod.solve, statuses))
+    monkeypatch.setattr(sys.modules[__name__], "solve",
+                        _status_log(solve, multiplier_statuses))
     total = 0
+    n_status = {"optimal": 0, "infeasible": 0}
     for K, T in _identity_instances():
         seen.clear()
-        stats = SearchStats()
-        got = search_two_bounce(K, T, stats)
-        want, found = _per_tuple_reference(K, T)
-        _same_pairs(seen, found)
-        _same_pairs(got, want)
-        assert stats.candidates == len(found)
-        patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
-                        for pair in found)
+        statuses.clear()
+        logged.clear()
+        got = search_two_bounce(K, T)
+        want, found = _per_tuple_reference(K, T, multiplier)
+        # the search solves the LPs of one vertex/facet pattern at a time,
+        # in tuple order within a pattern
+        assert statuses == [s for _, s in sorted(logged, key=lambda t: t[0])]
+        for s in n_status:
+            n_status[s] += statuses.count(s)
+        assert ([(p.k_faces, p.t_faces) for p in seen]
+                == [(p.k_faces, p.t_faces) for p in found])
+        for a, b in zip(seen, found):
+            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
+            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+            assert np.allclose(a.q.vertices, b.q.vertices, rtol=0,
+                               atol=1e-12 * (1 + _diameter(K)))
+            assert np.allclose(a.p.vertices, b.p.vertices, rtol=0,
+                               atol=1e-12 * (1 + _diameter(T)))
         total += len(got)
     assert total >= 300
-    assert {(False, False, False, False), (True, True, True, True)} <= patterns
-    assert len(patterns) >= 5
+    assert min(n_status.values()) >= 300
 
 
 def test_antipodal_filter_matches_cones_intersect(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from minkbill.cli import REPORT_SCHEMA, main, render_svg, run_bench
 from minkbill.fixtures import load
+from minkbill.randgen import random_instance
 
 
 @pytest.fixture
@@ -55,6 +56,46 @@ def test_verify_roundtrip_and_tamper(instance_files, tmp_path):
     rep_path.write_text(json.dumps(rep))
     assert main(["verify", str(rep_path), "--out", str(ver_path)]) == 1
     assert not json.loads(ver_path.read_text())["verified"]
+
+
+def _relabel(kind, new_kind):
+    def edit(rep):
+        for cand in rep["candidates"]:
+            for faces in (cand["k_faces"], cand["t_faces"]):
+                for face in faces:
+                    if face[0] == kind:
+                        face[0] = new_kind
+    return edit
+
+
+def _out_of_range(rep):
+    rep["candidates"][0]["k_faces"][0] = ["edge", 99]
+
+
+@pytest.mark.parametrize("edit", [
+    _relabel("edge", "facet"), _relabel("edge", "bogus"),
+    _relabel("vertex", "bogus"), _out_of_range,
+    lambda rep: rep.pop("candidates"),
+], ids=["edge-as-facet", "edge-as-bogus", "vertex-as-bogus",
+        "index-out-of-range", "no-candidates"])
+def test_verify_rejects_malformed_faces(tmp_path, capsys, edit):
+    """A report whose faces are not faces of K and T, or that lacks an
+    entry, is invalid input: exit 2 with a message, not a verdict."""
+    K, T = random_instance(np.random.default_rng(5), 6, 5)
+    paths = []
+    for name, body in (("K", K), ("T", T)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(body.to_json_obj()))
+    rep_path = tmp_path / "rep.json"
+    assert main(["shortest", *map(str, paths), "--out", str(rep_path)]) == 0
+    rep = json.loads(rep_path.read_text())
+    assert len(rep["candidates"]) >= 5
+    edit(rep)
+    rep_path.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["verify", str(rep_path), "--out", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_gen_deterministic(tmp_path):

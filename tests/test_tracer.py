@@ -1,0 +1,48 @@
+"""The contract between the program and perfbench/tracer.py: every function
+the tracer wraps exists, a traced run counts work, and leaving the trace
+restores the program's own bindings."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import minkbill
+import minkbill.cli
+from minkbill.fixtures import load
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    return {(name, attr): value for name, module in list(sys.modules.items())
+            if module is not None and name.startswith("minkbill")
+            for attr, value in vars(module).items()}
+
+
+def test_tracer_targets_resolve_and_are_restored(tmp_path):
+    tracer = _load_tracer()
+    for module, name, _ in tracer.TARGETS:
+        assert callable(getattr(sys.modules[f"minkbill.{module}"], name))
+    fx = load("exampleF_aux")
+    paths = []
+    for name, body in (("K", fx.K), ("T", fx.T)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(body.to_json_obj()))
+    before = _bindings()
+    with tracer.installed(tracer.Tracer(), minkbill) as tr:
+        assert minkbill.cli.main(["shortest", *paths, "--out",
+                                  str(tmp_path / "rep.json")]) == 0
+    counts = tr.take().counts()
+    assert counts["lp.solve.calls"] > 0
+    assert counts["cli.main.calls"] == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
-                   normal_cone)
+                   cone_contains, face_cones, normal_cone)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
 
@@ -116,47 +116,20 @@ def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
     return _Affine(base, M)
 
 
-def _cone(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray):
-    """Generators of the normal cones of P at faces idx (all vertices or all
-    facets), as in geom.normal_cone: one (B, 2) array for a facet, two for a
-    vertex."""
-    if is_edge:
-        return (P.normals[idx],)
-    return (P.normals[(idx - 1) % P.n], P.normals[idx])
-
-
-def _neg(cone):
-    return tuple(-g for g in cone)
-
-
-def _in_cone(cone, v) -> np.ndarray:
-    """geom.cone_contains for a stack of cones and vectors v (B, 2)."""
-    nv = np.hypot(v[:, 0], v[:, 1])
-    s = EPS_GEO * nv
-    if len(cone) == 1:
-        g = cone[0]
-        inside = ((np.abs(g[:, 0] * v[:, 1] - g[:, 1] * v[:, 0]) <= s)
-                  & (g[:, 0] * v[:, 0] + g[:, 1] * v[:, 1] >= -s))
-    else:
-        g1, g2 = cone
-        inside = ((g1[:, 0] * v[:, 1] - g1[:, 1] * v[:, 0] >= -s)
-                  & (v[:, 0] * g2[:, 1] - v[:, 1] * g2[:, 0] >= -s))
-    return (nv <= EPS_GEO) | inside
-
-
 def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
     """Append (coefficients, bounds, is_equality) rows expressing expr in
-    cone (cone width < pi) for every member: a ray pins expr to its line
-    exactly, a wedge bounds it by its two generators."""
-    if len(cone) == 1:
-        row, const = expr.cross_with(cone[0])    # cross(g, v) == 0
+    the stacked cone (width < pi) for every member: a ray pins expr to its
+    line exactly, a wedge bounds it by its two generators."""
+    g = cone.generators
+    if cone.is_ray:
+        row, const = expr.cross_with(g[0])    # cross(g, v) == 0
         rows.append((row, -const, True))
-        row, const = expr.dot_with(cone[0])      # <g, v> >= 0
+        row, const = expr.dot_with(g[0])      # <g, v> >= 0
         rows.append((-row, slack + const, False))
     else:
-        row, const = expr.cross_with(cone[0])    # cross(g1, v) >= 0
+        row, const = expr.cross_with(g[0])    # cross(g1, v) >= 0
         rows.append((-row, slack + const, False))
-        row, const = expr.cross_with(cone[1])    # cross(v, g2) >= 0
+        row, const = expr.cross_with(g[1])    # cross(v, g2) >= 0
         rows.append((row, slack - const, False))
 
 
@@ -195,17 +168,17 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
         sel = np.nonzero(pattern == pat)[0]
         flags = [bool(v) for v in edge[sel[0]]]
         e1, e2, h1, h2 = flags
-        i1, i2, j1, j2 = idx[sel].T
         # one LP variable per facet, in the order q1, q2, p1, p2
         cols = np.cumsum([0] + flags)[:4]
         nv = int(sum(flags))
-        points = [_point(P, e, i, col, nv) for P, e, i, col in
-                  zip((K, K, T, T), flags, (i1, i2, j1, j2), cols)]
-        # each side is a closed 2-gon whose edge r lies in cones[r]; it is
-        # free if it has a facet
-        sides = [(points[:2], (_cone(T, h1, j1), _cone(T, h2, j2)), e1 or e2),
-                 (points[2:], (_neg(_cone(K, e2, i2)), _neg(_cone(K, e1, i1))),
-                  h1 or h2)]
+        faces = list(zip((K, K, T, T), flags, idx[sel].T))
+        points = [_point(P, e, i, col, nv)
+                  for (P, e, i), col in zip(faces, cols)]
+        normal = [face_cones(*face) for face in faces]
+        # each side is a closed 2-gon whose edge r lies in cones[r], free if
+        # it has a facet; p2 - p1 in -N_K(f2) is p1 - p2 in N_K(f2)
+        sides = [(points[:2], normal[2:], e1 or e2),
+                 ((points[3], points[2]), (normal[1], normal[0]), h1 or h2)]
         keep = np.ones(len(sel), bool)
         rows = []
         for (a, b), cones, free in sides:
@@ -213,7 +186,7 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
                 _cycle_rows(rows, (a, b), cones)
             else:
                 d = b.c - a.c
-                keep &= _in_cone(cones[0], d) & _in_cone(cones[1], -d)
+                keep &= cone_contains(cones[0], d) & cone_contains(cones[1], -d)
         x = np.zeros((len(sel), nv))
         if rows:
             obj = np.zeros(nv) if objective is None else np.asarray(objective, float)

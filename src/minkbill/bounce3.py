@@ -37,9 +37,9 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import _cone, _cycle_rows, _point, _rows_lp
+from .bounce2 import _cycle_rows, _point, _rows_lp
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   angles, find_faces, largest_gap)
+                   angles, cross2, face_cones, find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
 from .verify import certified_pair
 
@@ -84,16 +84,12 @@ def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     and the closing coefficients of gamma_triangles are negative."""
     tri = np.array(list(facet_triples(K)), int).reshape(-1, 3)
     n1, n2, n3 = (K.normals[tri[:, c]] for c in range(3))
-
-    def cross(u, v):
-        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-
     # Cramer's rule for alpha_2 n2 + alpha_3 n3 = n1
-    det = cross(n2, n3)
+    det = cross2(n2, n3)
     solvable = np.abs(det) > EPS_GEO
     det = np.where(solvable, det, 1.0)
     ok = (solvable & (largest_gap(angles(K.normals)[tri]) < math.pi - EPS_ANG)
-          & (cross(n1, n3) / det < -EPS_GEO) & (cross(n2, n1) / det < -EPS_GEO))
+          & (cross2(n1, n3) / det < -EPS_GEO) & (cross2(n2, n1) / det < -EPS_GEO))
     return tri[ok]
 
 
@@ -124,12 +120,9 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
     rows = np.empty((B, m, 3))
     rows[:, :, 0] = np.matmul(tri, T.normals.T).max(axis=1)
     rows[:, :, 1:] = T.normals
-    sols = lpmod.solve_stack(lpmod.LinearProgram(
+    status, x = lpmod.solve_stack(lpmod.LinearProgram(
         objective=np.array([1.0, 0.0, 0.0]), constraints=rows,
         rhs=T.offsets, lower=np.array([0.0, -np.inf, -np.inf])))
-    status = np.array([s.status for s in sols], "<U10").reshape(B)
-    x = np.array([s.x if s.status == "optimal" else np.zeros(3)
-                  for s in sols]).reshape(B, 3)
     reason = np.full(B, "", object)
     reason[status != "optimal"] = "DegenerateLp"
     reason[status == "numerical"] = "numerical"
@@ -161,10 +154,8 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     max sum(t) LPs of the feasible ones as another."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
-    on_edge = np.array([[f.is_edge for f in tf] for tf in t_faces],
-                       bool).reshape(B, 3)
-    index = np.array([[f.index for f in tf] for tf in t_faces],
-                     int).reshape(B, 3)
+    faces = np.array([[(f.index, f.is_edge) for f in tf] for tf in t_faces], int)
+    index, on_edge = faces.reshape(B, 3, 2).transpose(2, 0, 1)
     ends = np.zeros((2, B, 3, 2))
     reason = np.full(B, "", object)
     pattern = on_edge @ np.array([4, 2, 1])
@@ -172,22 +163,16 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
         sel = np.nonzero(pattern == pat)[0]
         q = [_point(K, True, triples[sel, r], r, 3) for r in range(3)]
         rows = []
-        _cycle_rows(rows, q, [_cone(T, on_edge[sel[0], r], index[sel, r])
+        _cycle_rows(rows, q, [face_cones(T, on_edge[sel[0], r], index[sel, r])
                               for r in range(3)])
         ones = np.ones(3)
         stack = _rows_lp(rows, -ones)
-        low = lpmod.solve_stack(stack)
-        status = np.array([s.status for s in low], object)
-        fits = status == "optimal"
         x = np.zeros((2, len(sel), 3))
-        if fits.any():
-            high = lpmod.solve_stack(replace(
-                stack, objective=ones, constraints=stack.constraints[fits],
-                rhs=stack.rhs[fits]))
-            status[fits] = [s.status for s in high]
-            x[0, fits] = [s.x for s in low if s.status == "optimal"]
-            x[1, fits] = [s.x if s.status == "optimal" else np.zeros(3)
-                          for s in high]
+        status, x[0] = lpmod.solve_stack(stack)
+        fits = status == "optimal"
+        status[fits], x[1, fits] = lpmod.solve_stack(replace(
+            stack, objective=ones, constraints=stack.constraints[fits],
+            rhs=stack.rhs[fits]))
         ends[:, sel] = np.stack([e.at(x) for e in q], 2)
         reason[sel] = np.where(status == "optimal", "", status)
     return ends[0], ends[1], reason

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -20,7 +21,7 @@ from . import __version__
 from .bounce2 import SearchStats, search_two_bounce
 from .bounce3 import search_three_bounce, spanning_triples
 from .fixtures import UnknownFixture, load as load_fixture, regular_ngon
-from .geom import ConvexPolytope2, Face, GeometryError
+from .geom import EPS_GEO, ConvexPolytope2, Face, GeometryError
 from .obtuse import in_family_t, largest_angle, regular_three_bounce_exists
 from .pairs import BilliardPair, make_pair, sort_pairs
 from .randgen import GenerationExhausted, random_instance
@@ -29,12 +30,28 @@ from .verify import brute_force_min, certify
 REPORT_SCHEMA = "minkowski-billiards-report/1"
 
 
-def _load_polytope(path: str, tol: Optional[float] = None) -> ConvexPolytope2:
+class InvalidInput(ValueError):
+    """A command-line argument or input file that breaks a stated rule."""
+
+
+class _Entries(dict):
+    """A JSON object of a report: a missing key is invalid input."""
+
+    def __missing__(self, key):
+        raise InvalidInput(f"report entry without the key {key!r}")
+
+
+def _polygon_sizes(text: str, option: str) -> List[int]:
+    """A comma-separated list of vertex counts, each at least 3."""
+    sizes = [int(s) for s in re.findall(r"\d+", text)]
+    if not re.fullmatch(r"\d+(,\d+)*", text) or min(sizes) < 3:
+        raise InvalidInput(f"{option} must list integers >= 3, got {text!r}")
+    return sizes
+
+
+def _load_polytope(path: str, tol: float = EPS_GEO) -> ConvexPolytope2:
     with open(path) as fh:
-        obj = json.load(fh)
-    if tol is None:
-        return ConvexPolytope2.from_json_obj(obj)
-    return ConvexPolytope2.from_json_obj(obj, tol=tol)
+        return ConvexPolytope2.from_json_obj(json.load(fh), tol)
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
@@ -46,10 +63,6 @@ def _dump_json(obj, out: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _face_obj(f: Face) -> list:
-    return [f.kind, f.index]
-
-
 def _face_from_obj(obj, P: ConvexPolytope2) -> Face:
     """The face [kind, index] of a report, checked against P."""
     if not (isinstance(obj, list) and len(obj) == 2
@@ -59,6 +72,38 @@ def _face_from_obj(obj, P: ConvexPolytope2) -> Face:
     return Face(*obj)
 
 
+def _points(obj, what: str) -> np.ndarray:
+    """A JSON list of points [x, y] as an (m, 2) float array."""
+    try:
+        pts = np.asarray(obj)
+    except ValueError:  # ragged
+        pts = np.empty(0)
+    if pts.dtype.kind not in "iuf" or pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidInput(f"{what} is not a list of points [x, y]")
+    return pts.astype(float)
+
+
+def _candidate(cand, what: str):
+    """q, p and length of a report candidate, its entries' types checked."""
+    if not isinstance(cand, dict):
+        raise InvalidInput(f"{what} is not an object")
+    if not all(isinstance(cand[key], list) for key in ("k_faces", "t_faces")):
+        raise InvalidInput(f"{what} has faces that are not a list")
+    length = cand["length"]
+    if isinstance(length, bool) or not isinstance(length, (int, float)):
+        raise InvalidInput(f"{what} has a length that is not a number")
+    return (_points(cand["q"], f"{what} q"), _points(cand["p"], f"{what} p"),
+            length)
+
+
+def _load_report(path: str) -> dict:
+    with open(path) as fh:
+        report = json.load(fh, object_hook=_Entries)
+    if not isinstance(report, dict) or report.get("schema") != REPORT_SCHEMA:
+        raise InvalidInput(f"{path} is not a {REPORT_SCHEMA} report")
+    return report
+
+
 def _pair_obj(pair: BilliardPair) -> dict:
     """Report entry of a pair found by a search (it carries its certificate)."""
     return {
@@ -66,8 +111,8 @@ def _pair_obj(pair: BilliardPair) -> dict:
         "length": pair.length,
         "q": [[float(x), float(y)] for x, y in pair.q.vertices],
         "p": [[float(x), float(y)] for x, y in pair.p.vertices],
-        "k_faces": [_face_obj(f) for f in pair.k_faces],
-        "t_faces": [_face_obj(f) for f in pair.t_faces],
+        "k_faces": [[f.kind, f.index] for f in pair.k_faces],
+        "t_faces": [[f.kind, f.index] for f in pair.t_faces],
         "lambdas": list(pair.lambdas),
         "mus": list(pair.mus),
         "certificate": pair.certificate.to_json_obj(),
@@ -87,7 +132,7 @@ def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
         candidates += search_three_bounce(K, T)
         timings["three_bounce_s"] = time.perf_counter() - t0
     candidates = sort_pairs(candidates)
-    report = {
+    return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
         "bounce_counts": sorted(bounce_counts),
@@ -98,14 +143,15 @@ def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
         "argmin": _pair_obj(candidates[0]) if candidates else None,
         "timings": timings,
     }
-    return report
 
 
 def cmd_shortest(args) -> int:
+    if args.grid is not None and args.grid < 1:
+        raise InvalidInput(f"--grid must be at least 1, got {args.grid}")
     K = _load_polytope(args.K, args.tol)
     T = _load_polytope(args.T, args.tol)
     report = _search_report(K, T, (2, 3))
-    if args.grid:
+    if args.grid is not None:
         t0 = time.perf_counter()
         report["oracle"] = {
             "grid": args.grid,
@@ -125,23 +171,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
-    if report.get("schema") != REPORT_SCHEMA:
-        raise GeometryError(f"unrecognized report schema {report.get('schema')!r}")
-    try:
-        return _verify_report(report, args.out)
-    except KeyError as exc:
-        raise GeometryError(f"report entry without the key {exc}") from None
-
-
-def _verify_report(report: dict, out: Optional[str]) -> int:
+    report = _load_report(args.report)
     K = ConvexPolytope2.from_json_obj(report["K"])
     T = ConvexPolytope2.from_json_obj(report["T"])
+    if not isinstance(report["candidates"], list):
+        raise InvalidInput("the report's candidates are not a list")
     all_ok = True
     rows = []
     for i, cand in enumerate(report["candidates"]):
-        pair = make_pair(K, T, np.asarray(cand["q"]), np.asarray(cand["p"]),
+        q, p, length = _candidate(cand, f"candidate {i}")
+        pair = make_pair(K, T, q, p,
                          [_face_from_obj(f, K) for f in cand["k_faces"]],
                          [_face_from_obj(f, T) for f in cand["t_faces"]])
         if pair is None:
@@ -150,16 +189,18 @@ def _verify_report(report: dict, out: Optional[str]) -> int:
             all_ok = False
             continue
         cert = certify(K, T, pair)
-        ok = cert.certified and abs(pair.length - cand["length"]) < 1e-9
+        ok = cert.certified and abs(pair.length - length) < 1e-9
         rows.append({"index": i, "certified": ok,
                      "certificate": cert.to_json_obj()})
         all_ok = all_ok and ok
     _dump_json({"schema": REPORT_SCHEMA, "verified": all_ok,
-                "candidates": rows}, out)
+                "candidates": rows}, args.out)
     return 0 if all_ok else 1
 
 
 def cmd_gen(args) -> int:
+    if min(args.nk, args.nt) < 3:
+        raise InvalidInput("nk and nt must be at least 3")
     rng = np.random.default_rng(args.seed)
     K, T = random_instance(rng, args.nk, args.nt)
     _dump_json(K.to_json_obj(), args.out_k)
@@ -230,18 +271,19 @@ def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    result = run_bench(sizes, args.seed)
-    _dump_json(result, args.out)
+    _dump_json(run_bench(_polygon_sizes(args.sizes, "--sizes"), args.seed),
+               args.out)
     return 0
 
 
 def cmd_obtuse(args) -> int:
     if args.triangle:
         tri = _load_polytope(args.triangle)
+        if tri.n != 3:
+            raise InvalidInput(f"--triangle has {tri.n} vertices, not 3")
     else:
         tri = load_fixture("obtuse100").K
-    ngons = [int(s) for s in args.ngons.split(",")]
+    ngons = _polygon_sizes(args.ngons, "--ngons")
     rows = []
     for n in ngons:
         T = regular_ngon(n)
@@ -297,10 +339,8 @@ def render_svg(report: dict) -> str:
 
     q = np.asarray(argmin["q"]) if argmin else None
     p = np.asarray(argmin["p"]) if argmin else None
-    body = []
-    body += panel(K, q, 0, "#c0392b")
-    body += panel(T, p, 420, "#2980b9")
-    label = ("min length %.6f (m=%d)" % (report["min"], argmin["m"])
+    body = panel(K, q, 0, "#c0392b") + panel(T, p, 420, "#2980b9")
+    label = ("min length %.6f (m=%d)" % (argmin["length"], len(q))
              if argmin else "no certified trajectory")
     body.append(f'<text x="20" y="20" font-family="monospace">{label}</text>')
     return ("<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"840\" height=\"420\">"
@@ -308,8 +348,9 @@ def render_svg(report: dict) -> str:
 
 
 def cmd_plot(args) -> int:
-    with open(args.report) as fh:
-        report = json.load(fh)
+    report = _load_report(args.report)
+    if report["argmin"] is not None:
+        _candidate(report["argmin"], "argmin")
     svg = render_svg(report)
     with open(args.out, "w") as fh:
         fh.write(svg + "\n")
@@ -325,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=EPS_GEO,
                        help="input validation tolerance (default 1e-9)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -387,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryError, UnknownFixture, GenerationExhausted,
+    except (GeometryError, InvalidInput, UnknownFixture, GenerationExhausted,
             json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,9 @@ class InvalidCurve(GeometryError):
     pass
 
 
-def cross2(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def cross2(a, b):
+    """The 2-D cross product a_x b_y - a_y b_x along the last axis."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -83,7 +84,10 @@ class ConvexPolytope2:
 
     @staticmethod
     def from_vertices(vertices, tol: float = EPS_GEO) -> "ConvexPolytope2":
-        v = np.asarray(vertices, float)
+        try:
+            v = np.asarray(vertices, float)
+        except (TypeError, ValueError):  # ragged, or not numbers
+            v = np.empty(0)
         if v.ndim != 2 or v.shape[1] != 2:
             raise InvalidPolytope("vertex array must have shape (n, 2)")
         if v.shape[0] < 3:
@@ -94,9 +98,7 @@ class ConvexPolytope2:
         lens = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lens <= tol):
             raise InvalidPolytope("consecutive vertices coincide")
-        nxt = np.roll(edges, -1, axis=0)
-        turns = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if np.any(turns <= tol):
+        if np.any(cross2(edges, np.roll(edges, -1, axis=0)) <= tol):
             raise InvalidPolytope(
                 "vertices must be in strictly convex counterclockwise position")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
@@ -218,7 +220,8 @@ def find_face(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> Face:
 @dataclass(frozen=True)
 class NormalConeRep:
     """Finitely generated cone, spanned by one or two unit generators in ccw
-    order; the angular width is < pi for any valid polytope face."""
+    order; the angular width is < pi for any valid polytope face.  Each
+    generator is (2,), or (B, 2) for a stack of B cones of one kind."""
 
     generators: Tuple[np.ndarray, ...]
 
@@ -227,39 +230,40 @@ class NormalConeRep:
         return len(self.generators) == 1
 
     def angles(self) -> Tuple[float, float]:
-        """(start angle, width)."""
-        g = self.generators
-        a0 = math.atan2(g[0][1], g[0][0])
-        if len(g) == 1:
-            return a0, 0.0
-        a1 = math.atan2(g[1][1], g[1][0])
-        width = (a1 - a0) % (2 * math.pi)
-        return a0, width
+        """(start angle, width) of a single cone; a ray has width 0."""
+        (x0, y0), (x1, y1) = self.generators[0], self.generators[-1]
+        a0 = math.atan2(y0, x0)
+        return a0, (math.atan2(y1, x1) - a0) % (2 * math.pi)
 
     def negate(self) -> "NormalConeRep":
-        g = self.generators
-        if len(g) == 1:
-            return NormalConeRep((-g[0],))
-        return NormalConeRep((-g[0], -g[1]))
+        return NormalConeRep(tuple(-g for g in self.generators))
+
+
+def face_cones(P: ConvexPolytope2, is_edge: bool, idx) -> NormalConeRep:
+    """The normal cones of P at the faces idx, all facets (rays) or all
+    vertices (wedges); a stack if idx is an array."""
+    if is_edge:
+        return NormalConeRep((P.normals[idx],))
+    return NormalConeRep((P.normals[(idx - 1) % P.n], P.normals[idx]))
 
 
 def normal_cone(P: ConvexPolytope2, f: Face) -> NormalConeRep:
-    if f.kind == "edge":
-        return NormalConeRep((P.normals[f.index],))
-    i = f.index
-    return NormalConeRep((P.normals[(i - 1) % P.n], P.normals[i]))
+    return face_cones(P, f.is_edge, f.index)
 
 
-def cone_contains(cone: NormalConeRep, v, tol: float = EPS_GEO) -> bool:
+def cone_contains(cone: NormalConeRep, v, tol: float = EPS_GEO):
+    """Whether v lies in the cone, one answer per cone of a stack (v is (2,)
+    or (B, 2)); the zero vector belongs to every closed cone."""
     v = np.asarray(v, float)
-    nv = float(np.hypot(v[0], v[1]))
-    if nv <= tol:
-        return True  # the zero vector belongs to every closed cone
+    nv = np.hypot(v[..., 0], v[..., 1])
     s = tol * nv
     g = cone.generators
-    if len(g) == 1:
-        return abs(cross2(g[0], v)) <= s and float(g[0] @ v) >= -s
-    return cross2(g[0], v) >= -s and cross2(v, g[1]) >= -s
+    if cone.is_ray:
+        inside = ((np.abs(cross2(g[0], v)) <= s)
+                  & (g[0][..., 0] * v[..., 0] + g[0][..., 1] * v[..., 1] >= -s))
+    else:
+        inside = (cross2(g[0], v) >= -s) & (cross2(v, g[1]) >= -s)
+    return (nv <= tol) | inside
 
 
 def cone_distance(cone: NormalConeRep, v) -> float:

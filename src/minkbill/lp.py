@@ -13,21 +13,22 @@ free.  Every step works on whole arrays: variables are mapped onto
 nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
 update, and the solution is re-checked row-wise in one pass.
 
-``solve_stack`` solves B problems of one shape at once on one (B, m, n)
-tableau.  The standard form, the tableau and the re-check are built for the
-whole stack, and the pivots run in lockstep: every member prices, takes its
-ratio test and breaks ties exactly as it would alone, and a member that
-stops leaves the live part of the stack, so its solution is bit-identical
-to ``solve`` on it.  A stack of one (and so every ``solve``) runs the scalar
-pivot loop instead, which costs less numpy overhead per pivot; the loop is
-chosen by the stack size.
+``solve`` returns one ``LpSolution``.  ``solve_stack`` solves B problems of
+one shape at once on one (B, m, n) tableau and returns arrays: each
+member's status (B,) and x (B, n).  The standard form, the tableau and the
+re-check are built for the whole stack, and the pivots run in lockstep:
+every member prices, takes its ratio test and breaks ties exactly as it
+would alone, and a member that stops leaves the live part of the stack, so
+its solution is bit-identical to ``solve`` on it.  A stack of one (and so
+every ``solve``) runs the scalar pivot loop instead, which costs less numpy
+overhead per pivot; the loop is chosen by the stack size.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +46,9 @@ class NumericalFailure(RuntimeError):
 @dataclass
 class LinearProgram:
     """One LP, or for ``solve_stack`` a stack of B LPs: ``constraints`` is
-    then (B, m, n), and each of ``objective``, ``rhs``, ``lower`` and
-    ``upper`` either carries the leading B axis or is shared by every
-    member.  The members share ``equality`` and which bounds are finite."""
+    then (B, m, n), ``objective`` and ``rhs`` either carry the leading B
+    axis or are shared by every member, and every member shares
+    ``equality``, ``lower`` and ``upper``."""
 
     objective: np.ndarray                   # (n,)
     constraints: np.ndarray                 # (m, n), one row per constraint
@@ -59,9 +60,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    # "optimal" | "infeasible" | "unbounded"; solve_stack reports a member
-    # that solve would raise NumericalFailure for as "numerical"
-    status: str
+    status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[np.ndarray]
     objective_value: Optional[float]
 
@@ -300,26 +299,19 @@ def _layout(eq: bytes, has_lo: bytes, has_up: bytes):
     return S, idx, sgn, box, box_rows
 
 
-def _shared(finite):
-    """The (n,) finite-bound mask that every member of a stack shares."""
-    if finite.ndim > 1:
-        if (finite != finite[0]).any():
-            raise ValueError("stack members must share which bounds are finite")
-        finite = finite[0]
-    return finite
-
-
 def _solve(obj, A, b, equality, lower, upper):
-    """Solve the stack obj (B, n), A (B, m, n), b (B, m); the bounds are
-    (n,) or (B, n).  Returns the solutions and why each member that failed
-    the re-check fails (status "numerical", as for an exhausted budget)."""
+    """Solve the stack obj (B, n), A (B, m, n), b (B, m) under the shared
+    (n,) bounds.  Returns each member's status and x (meaningful where
+    optimal), and why each member that failed the re-check fails (status
+    "numerical", as for an exhausted budget)."""
     B, m, nv = A.shape
     eq = (np.zeros(m, bool) if equality is None
           else np.asarray(equality, bool).reshape(m))
-    lower = np.full(nv, -np.inf) if lower is None else np.asarray(lower, float)
-    upper = np.full(nv, np.inf) if upper is None else np.asarray(upper, float)
-    has_lo = _shared(np.isfinite(lower))
-    has_up = _shared(np.isfinite(upper))
+    lower = (np.full(nv, -np.inf) if lower is None
+             else np.asarray(lower, float).reshape(nv))
+    upper = (np.full(nv, np.inf) if upper is None
+             else np.asarray(upper, float).reshape(nv))
+    has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
     S, idx, sgn, box, box_rows = _layout(eq.tobytes(), has_lo.tobytes(),
                                          has_up.tobytes())
     shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
@@ -330,7 +322,7 @@ def _solve(obj, A, b, equality, lower, upper):
     b_std = np.empty((B, idx.size + box.size))
     b_std[:, :idx.size] = (b[:, idx] * sgn
                            - np.matmul(rows, shift[..., None])[..., 0])
-    b_std[:, idx.size:] = (upper - lower)[..., box]
+    b_std[:, idx.size:] = (upper - lower)[box]
     c = obj @ S
 
     status, y = _standard_simplex(c, A_std, b_std)
@@ -341,9 +333,7 @@ def _solve(obj, A, b, equality, lower, upper):
         why = {k: reason for k, reason in
                _recheck(A, b, eq, x, lower, upper).items() if optimal[k]}
         status[list(why)] = "numerical"
-    sols = [LpSolution("optimal", x[k], float(obj[k] @ x[k])) if s == "optimal"
-            else LpSolution(s, None, None) for k, s in enumerate(status.tolist())]
-    return sols, why
+    return status, x, why
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -355,22 +345,28 @@ def solve(lp: LinearProgram) -> LpSolution:
     b = np.asarray(lp.rhs, float).reshape(1, -1)
     if b.shape[1] != A.shape[1]:
         raise ValueError("constraint arity mismatch")
-    [sol], why = _solve(obj[None], A, b, lp.equality, lp.lower, lp.upper)
-    if sol.status == "numerical":
+    [status], [x], why = _solve(obj[None], A, b, lp.equality, lp.lower,
+                                lp.upper)
+    if status == "numerical":
         raise NumericalFailure(why.get(0, "pivot budget exhausted"))
-    return sol
+    if status != "optimal":
+        return LpSolution(str(status), None, None)
+    return LpSolution("optimal", x, float(obj @ x))
 
 
-def solve_stack(lp: LinearProgram) -> List[LpSolution]:
-    """Solve a stack of LPs (see LinearProgram) in lockstep.  A member that
-    solve would raise NumericalFailure for has status "numerical"; the
+def solve_stack(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve a stack of LPs (see LinearProgram) in lockstep: each member's
+    status (B,) and x (B, n), zero where a member is not optimal.  A member
+    that solve would raise NumericalFailure for has status "numerical"; the
     other members are unaffected."""
     A = np.asarray(lp.constraints, float)
     if A.ndim != 3:
         raise ValueError("a stack needs constraints of shape (B, m, n)")
     B, m, nv = A.shape
     if B == 0:
-        return []
+        return np.zeros(0, "<U10"), np.zeros((0, nv))
     obj = np.broadcast_to(np.asarray(lp.objective, float), (B, nv))
     b = np.broadcast_to(np.asarray(lp.rhs, float), (B, m))
-    return _solve(obj, A, b, lp.equality, lp.lower, lp.upper)[0]
+    status, x, _ = _solve(obj, A, b, lp.equality, lp.lower, lp.upper)
+    x[status != "optimal"] = 0.0
+    return status, x

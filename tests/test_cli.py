@@ -1,9 +1,14 @@
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minkbill.cli import REPORT_SCHEMA, main, render_svg, run_bench
+from minkbill.cli import (REPORT_SCHEMA, build_parser, main, render_svg,
+                          run_bench)
 from minkbill.fixtures import load
 from minkbill.randgen import random_instance
 
@@ -65,22 +70,42 @@ def _relabel(kind, new_kind):
                 for face in faces:
                     if face[0] == kind:
                         face[0] = new_kind
+        return rep
     return edit
 
 
 def _out_of_range(rep):
     rep["candidates"][0]["k_faces"][0] = ["edge", 99]
+    return rep
+
+
+def _entry(index, key, value):
+    """The edit setting entry key of candidate index to value."""
+    def edit(rep):
+        rep["candidates"][index][key] = value
+        return rep
+    return edit
 
 
 @pytest.mark.parametrize("edit", [
     _relabel("edge", "facet"), _relabel("edge", "bogus"),
     _relabel("vertex", "bogus"), _out_of_range,
-    lambda rep: rep.pop("candidates"),
+    lambda rep: {k: v for k, v in rep.items() if k != "candidates"},
+    lambda rep: [rep],
+    lambda rep: dict(rep, candidates=rep["candidates"][:1] + [7]),
+    lambda rep: dict(rep, candidates={}),
+    _entry(1, "q", [[0.0, 1.0], [2.0]]),
+    _entry(0, "p", [["0", "1"], ["2", "3"]]),
+    _entry(0, "length", "4.0"),
+    _entry(0, "k_faces", 3),
 ], ids=["edge-as-facet", "edge-as-bogus", "vertex-as-bogus",
-        "index-out-of-range", "no-candidates"])
+        "index-out-of-range", "no-candidates", "top-level-list",
+        "candidate-not-object", "candidates-not-list", "ragged-q",
+        "string-coordinates", "string-length", "faces-not-list"])
 def test_verify_rejects_malformed_faces(tmp_path, capsys, edit):
-    """A report whose faces are not faces of K and T, or that lacks an
-    entry, is invalid input: exit 2 with a message, not a verdict."""
+    """A report whose faces are not faces of K and T, that lacks an entry,
+    or whose entries have the wrong JSON types, is invalid input: exit 2
+    with a message, not a verdict."""
     K, T = random_instance(np.random.default_rng(5), 6, 5)
     paths = []
     for name, body in (("K", K), ("T", T)):
@@ -90,8 +115,7 @@ def test_verify_rejects_malformed_faces(tmp_path, capsys, edit):
     assert main(["shortest", *map(str, paths), "--out", str(rep_path)]) == 0
     rep = json.loads(rep_path.read_text())
     assert len(rep["candidates"]) >= 5
-    edit(rep)
-    rep_path.write_text(json.dumps(rep))
+    rep_path.write_text(json.dumps(edit(rep)))
     capsys.readouterr()
     assert main(["verify", str(rep_path), "--out", str(tmp_path / "v.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -142,6 +166,51 @@ def test_invalid_input_exit_code(tmp_path):
     good.write_text(json.dumps(load("exampleF_aux").T.to_json_obj()))
     assert main(["shortest", str(bad), str(good)]) == 2
     assert main(["shortest", str(tmp_path / "missing.json"), str(good)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "{K}", "{out}"],
+    ["plot", "{bare}", "{out}"],
+    ["obtuse", "--triangle", "{K}", "--out", "{out}"],
+    ["obtuse", "--ngons", "16,x", "--out", "{out}"],
+    ["gen", "2", "5", "--out-k", "{out}", "--out-t", "{out}"],
+    ["bench", "--sizes", "2,3", "--out", "{out}"],
+    ["shortest", "{K}", "{T}", "--grid", "0", "--out", "{out}"],
+    ["shortest", "{K}", "{T}", "--grid", "-4", "--out", "{out}"],
+    ["shortest", "{ragged}", "{T}", "--out", "{out}"],
+], ids=["plot-polytope", "plot-bare-report", "obtuse-square",
+        "obtuse-bad-ngons", "gen-2-gon", "bench-2-gon", "shortest-grid-0",
+        "shortest-grid-negative", "shortest-ragged-vertices"])
+def test_invalid_arguments_exit_2(instance_files, tmp_path, capsys, argv):
+    """Arguments or input files that break a rule of the command exit with
+    status 2 and an "error: " message, and write no output."""
+    k, t = instance_files
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"schema": REPORT_SCHEMA}))
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1]]}))
+    out = tmp_path / "out"
+    names = dict(K=k, T=t, bare=bare, ragged=ragged, out=out)
+    capsys.readouterr()
+    assert main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_readme_cli_lines_parse():
+    """Every `minkbill` line of README's CLI block parses, and the block
+    shows every subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    parser = build_parser()
+    shown = set()
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "minkbill"
+        shown.add(parser.parse_args(argv[1:]).command)
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert shown == set(sub.choices)
 
 
 def test_shortest_with_oracle_grid(instance_files, tmp_path):

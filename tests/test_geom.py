@@ -11,9 +11,9 @@ from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
                            GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance, cones_intersect,
-                           convex_hull, ell_length, face_distance, find_face,
-                           gauge, in_f, largest_gap, normal_cone, polar,
-                           positively_spans, rotation, segment_distance,
+                           convex_hull, ell_length, face_cones, face_distance,
+                           find_face, gauge, in_f, largest_gap, normal_cone,
+                           polar, positively_spans, rotation, segment_distance,
                            support, support_many, unit)
 from minkbill.lp import LinearProgram, solve
 from minkbill.randgen import random_instance, random_polytope
@@ -139,6 +139,47 @@ def test_cone_distance_values():
     assert cone_distance(cone, (2, 3)) == 0.0
     assert cone_distance(cone, (-1, 0)) == pytest.approx(1.0)
     assert cone_distance(cone, (0, -2)) == pytest.approx(2.0)
+
+
+def _reference_cone_contains(cone, v, tol: float = EPS_GEO) -> bool:
+    """cone_contains on one cone, as it was before it took stacks."""
+    def cross2(a, b) -> float:
+        return float(a[0] * b[1] - a[1] * b[0])
+
+    v = np.asarray(v, float)
+    nv = float(np.hypot(v[0], v[1]))
+    if nv <= tol:
+        return True  # the zero vector belongs to every closed cone
+    s = tol * nv
+    g = cone.generators
+    if len(g) == 1:
+        return abs(cross2(g[0], v)) <= s and float(g[0] @ v) >= -s
+    return cross2(g[0], v) >= -s and cross2(v, g[1]) >= -s
+
+
+@pytest.mark.parametrize("P", [random_polytope(np.random.default_rng(s), n)
+                               for s, n in ((0, 3), (1, 5), (2, 9))]
+                         + [regular_ngon(n) for n in (3, 4, 8, 256)],
+                         ids=["random3", "random5", "random9", "regular3",
+                              "regular4", "regular8", "regular256"])
+def test_stacked_cone_contains_matches_scalar_reference(P):
+    """cone_contains on the stack face_cones(P, is_edge, idx) answers, per
+    cone, what the scalar reference answers on normal_cone of that face:
+    for random vectors, vectors on a generator, the reverse of the first
+    generator (for a ray: on its line but outside) and the zero vector."""
+    rng = np.random.default_rng(P.n)
+    n = P.n
+    for kind in ("vertex", "edge"):
+        g = face_cones(P, kind == "edge", np.arange(n)).generators
+        V = np.concatenate([rng.normal(size=(4 * n, 2)), 2.5 * g[0],
+                            0.3 * g[-1], -g[0], np.zeros((n, 2))])
+        idx = np.arange(len(V)) % n
+        got = cone_contains(face_cones(P, kind == "edge", idx), V)
+        cones = [normal_cone(P, Face(kind, int(i))) for i in idx]
+        want = [_reference_cone_contains(c, v) for c, v in zip(cones, V)]
+        assert got.shape == (len(V),) and got.tolist() == want
+        assert got[4 * n:6 * n].all() and not got[6 * n:7 * n].any()
+        assert [cone_contains(c, v) for c, v in zip(cones, V)] == want
 
 
 def test_cones_intersect_antipodal_facets():

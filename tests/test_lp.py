@@ -206,9 +206,10 @@ def test_matches_scipy_linprog(lp):
 @st.composite
 def lp_stacks(draw):
     """2-40 LPs of one shape: 1-4 variables, <= and == rows and the bound
-    kinds free, lower and box, shared; the data, including negative
-    right-hand sides (so phase 1 runs), is drawn per member.  Where the
-    shape allows, one member is infeasible (0 <= -1) and one unbounded."""
+    kinds free, lower and box, with bounds shared by every member; the
+    other data, including negative right-hand sides (so phase 1 runs), is
+    drawn per member.  Where the shape allows, one member is infeasible
+    (0 <= -1) and one unbounded."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     B = draw(st.integers(2, 40))
     n = draw(st.integers(1, 4))
@@ -218,8 +219,8 @@ def lp_stacks(draw):
     A = rng.integers(-3, 4, size=(B, m, n)).astype(float)
     b = rng.integers(-4, 7, size=(B, m)).astype(float)
     obj = rng.integers(-3, 4, size=(B, n)).astype(float)
-    lower = np.where(kind > 0, rng.integers(-3, 3, size=(B, n)), -INF)
-    upper = np.where(kind == 2, lower + rng.integers(0, 5, size=(B, n)), INF)
+    lower = np.where(kind > 0, rng.integers(-3, 3, size=n), -INF)
+    upper = np.where(kind == 2, lower + rng.integers(0, 5, size=n), INF)
     if m:
         A[0], b[0] = 0.0, -1.0
     if (kind < 2).any() and B > 2:
@@ -234,27 +235,40 @@ def lp_stacks(draw):
 def test_stack_matches_solve(bland_after, lp):
     """Differential test of the lockstep loop against the scalar loop: every
     member of a stack gets the status and the bit-identical x that solve
-    gives it alone.  bland_after=0 runs Bland's rule from the first pivot."""
+    gives it alone, and x is zero where it is not optimal.  bland_after=0
+    runs Bland's rule from the first pivot."""
     saved = lpmod._BLAND_AFTER
     if bland_after is not None:
         lpmod._BLAND_AFTER = bland_after
     try:
-        stacked = solve_stack(lp)
-        for k, sol in enumerate(stacked):
+        status, x = solve_stack(lp)
+        B, _, n = lp.constraints.shape
+        assert status.shape == (B,) and x.shape == (B, n)
+        for k in range(B):
             member = LinearProgram(lp.objective[k], lp.constraints[k],
-                                   lp.rhs[k], lp.equality, lp.lower[k],
-                                   lp.upper[k])
+                                   lp.rhs[k], lp.equality, lp.lower, lp.upper)
             try:
                 alone = solve(member)
             except NumericalFailure:
-                assert sol.status == "numerical"
+                assert status[k] == "numerical"
+                assert not x[k].any()
                 continue
-            assert sol.status == alone.status
+            assert status[k] == alone.status
             if alone.status == "optimal":
-                assert sol.x.tobytes() == alone.x.tobytes()
-                assert sol.objective_value == alone.objective_value
+                assert x[k].tobytes() == alone.x.tobytes()
+                assert float(lp.objective[k] @ x[k]) == alone.objective_value
+            else:
+                assert not x[k].any()
     finally:
         lpmod._BLAND_AFTER = saved
+
+
+def test_empty_stack():
+    """A stack of no LPs has no statuses and no solutions, in the shapes of
+    any other stack."""
+    status, x = solve_stack(LinearProgram(np.ones(3), np.zeros((0, 4, 3)),
+                                          np.zeros(4), lower=np.zeros(3)))
+    assert status.shape == (0,) and x.shape == (0, 3)
 
 
 def test_stack_is_one_tableau(monkeypatch):
@@ -278,15 +292,15 @@ def test_stack_is_one_tableau(monkeypatch):
         calls.append(len(A_std))
         return standard_simplex(c, A_std, b_std)
     monkeypatch.setattr(lpmod, "_standard_simplex", counting)
-    stacked = solve_stack(lp)
+    status, x = solve_stack(lp)
     assert calls == [B]
-    for k, sol in enumerate(stacked):
+    for k in range(B):
         alone = solve(LinearProgram(obj[k], A[k], b[k], lower=lp.lower,
                                     upper=lp.upper))
-        assert sol.status == alone.status
+        assert status[k] == alone.status
         if alone.status == "optimal":
-            assert sol.x.tobytes() == alone.x.tobytes()
-    assert sum(s.status == "optimal" for s in stacked) >= 3
+            assert x[k].tobytes() == alone.x.tobytes()
+    assert (status == "optimal").sum() >= 3
 
 
 def test_stack_memory_stays_near_its_tableau(monkeypatch):
@@ -318,9 +332,9 @@ def test_stack_memory_stays_near_its_tableau(monkeypatch):
     tableau.clear()
     tracemalloc.start()
     try:
-        sols = solve_stack(lp)
+        status, _ = solve_stack(lp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(s.status == "optimal" for s in sols) >= B // 4
+    assert (status == "optimal").sum() >= B // 4
     assert tableau and peak <= 3 * max(tableau)

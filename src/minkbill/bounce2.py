@@ -44,18 +44,8 @@ from .verify import certified_pair
 
 @dataclass
 class SearchStats:
-    tuples_considered: int = 0
     tuples_after_filter: int = 0
     lp_solves: int = 0  # face-tuple LPs solved, one lp.solve each
-    candidates: int = 0
-
-
-def two_bounce_tuple_count(K: ConvexPolytope2, T: ConvexPolytope2) -> int:
-    """Closed form for the number of face tuples the search ranges over:
-    unordered face pairs on each body, combined."""
-    def pairs(n_faces: int) -> int:
-        return n_faces * (n_faces - 1) // 2
-    return pairs(2 * K.n) * pairs(2 * T.n)
 
 
 def tuple_variable_count(f1: Face, f2: Face, g1: Face, g2: Face) -> int:
@@ -116,21 +106,22 @@ def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
     return _Affine(base, M)
 
 
-def _cone_rows(rows, expr: _Affine, cone, slack: float = EPS_GEO) -> None:
+def _cone_rows(rows, expr: _Affine, cone) -> None:
     """Append (coefficients, bounds, is_equality) rows expressing expr in
     the stacked cone (width < pi) for every member: a ray pins expr to its
-    line exactly, a wedge bounds it by its two generators."""
+    line exactly, a wedge bounds it by its two generators, each inequality
+    with slack EPS_GEO."""
     g = cone.generators
     if cone.is_ray:
         row, const = expr.cross_with(g[0])    # cross(g, v) == 0
         rows.append((row, -const, True))
         row, const = expr.dot_with(g[0])      # <g, v> >= 0
-        rows.append((-row, slack + const, False))
+        rows.append((-row, EPS_GEO + const, False))
     else:
         row, const = expr.cross_with(g[0])    # cross(g1, v) >= 0
-        rows.append((-row, slack + const, False))
+        rows.append((-row, EPS_GEO + const, False))
         row, const = expr.cross_with(g[1])    # cross(v, g2) >= 0
-        rows.append((row, slack - const, False))
+        rows.append((row, EPS_GEO - const, False))
 
 
 def _cycle_rows(rows, points, cones) -> None:
@@ -224,8 +215,7 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
                      f1: Face, f2: Face, g1: Face, g2: Face,
-                     objective: Optional[np.ndarray] = None,
-                     stats: Optional[SearchStats] = None
+                     objective: Optional[np.ndarray] = None
                      ) -> Optional[BilliardPair]:
     """Solve the reflection law on one face tuple (the search's pipeline on
     a batch of one); None if infeasible or degenerate (a tuple that is not
@@ -235,7 +225,7 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     region."""
     ids = [f.index + (P.n if f.is_edge else 0)
            for f, P in zip((f1, f2, g1, g2), (K, K, T, T))]
-    return _solve_tuples(K, T, np.array([ids]), objective, stats)[0]
+    return _solve_tuples(K, T, np.array([ids]), objective)[0]
 
 
 def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -280,7 +270,6 @@ def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
     """All certified 2-bounce pairs, deduplicated and sorted by length."""
     if stats is None:
         stats = SearchStats()
-    stats.tuples_considered = two_bounce_tuple_count(K, T)
     k_pairs = _antipodal_pairs(K)
     t_pairs = _antipodal_pairs(T)
     # each K pair with each T pair in both orientations, in that order
@@ -291,5 +280,4 @@ def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
     found = [prefer_smooth(K, T, pair)
              for pair in _solve_tuples(K, T, tuples, stats=stats)
              if pair is not None]
-    stats.candidates = len(found)
     return sort_pairs(dedupe(found))

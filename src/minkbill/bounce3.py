@@ -73,11 +73,6 @@ def facet_triples(K: ConvexPolytope2) -> Iterator[Tuple[int, int, int]]:
             yield i, j, k
 
 
-def facet_triple_count(K: ConvexPolytope2) -> int:
-    n = K.n
-    return n * (n - 1) * (n - 2) // 3
-
-
 def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     """The facet triples, in facet_triples order, that have a dual triangle:
     their normals positively span the plane, no two of them are parallel,
@@ -107,8 +102,8 @@ def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
     return np.stack([g1, g2, g3], axis=1)
 
 
-def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
-                tol: float = EPS_GEO) -> List[Union[Inbody, NoInbody]]:
+def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
+                ) -> List[Union[Inbody, NoInbody]]:
     """For each triangle of the (B, 3, 2) stack, the largest positively
     scaled translate inside T, or why there is none.  The optimum must put
     all three vertices on the boundary with contact normals positively
@@ -127,7 +122,7 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2,
     reason[status != "optimal"] = "DegenerateLp"
     reason[status == "numerical"] = "numerical"
     lam = x[:, 0]
-    reason[(reason == "") & (lam <= tol)] = "DegenerateLp"
+    reason[(reason == "") & (lam <= EPS_GEO)] = "DegenerateLp"
     verts = lam[:, None, None] * tri + x[:, None, 1:]
     index, on_edge = find_faces(T, verts, tol=1e-7)
     index, on_edge = index.reshape(B, 3), on_edge.reshape(B, 3)

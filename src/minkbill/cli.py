@@ -21,7 +21,7 @@ from . import __version__
 from .bounce2 import SearchStats, search_two_bounce
 from .bounce3 import search_three_bounce, spanning_triples
 from .fixtures import UnknownFixture, load as load_fixture, regular_ngon
-from .geom import EPS_GEO, ConvexPolytope2, Face, GeometryError
+from .geom import ConvexPolytope2, Face, GeometryError
 from .obtuse import in_family_t, largest_angle, regular_three_bounce_exists
 from .pairs import BilliardPair, make_pair, sort_pairs
 from .randgen import GenerationExhausted, random_instance
@@ -49,9 +49,9 @@ def _polygon_sizes(text: str, option: str) -> List[int]:
     return sizes
 
 
-def _load_polytope(path: str, tol: float = EPS_GEO) -> ConvexPolytope2:
+def _load_polytope(path: str) -> ConvexPolytope2:
     with open(path) as fh:
-        return ConvexPolytope2.from_json_obj(json.load(fh), tol)
+        return ConvexPolytope2.from_json_obj(json.load(fh))
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
@@ -148,8 +148,8 @@ def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
 def cmd_shortest(args) -> int:
     if args.grid is not None and args.grid < 1:
         raise InvalidInput(f"--grid must be at least 1, got {args.grid}")
-    K = _load_polytope(args.K, args.tol)
-    T = _load_polytope(args.T, args.tol)
+    K = _load_polytope(args.K)
+    T = _load_polytope(args.T)
     report = _search_report(K, T, (2, 3))
     if args.grid is not None:
         t0 = time.perf_counter()
@@ -164,8 +164,8 @@ def cmd_shortest(args) -> int:
 
 
 def cmd_search(args) -> int:
-    K = _load_polytope(args.K, args.tol)
-    T = _load_polytope(args.T, args.tol)
+    K = _load_polytope(args.K)
+    T = _load_polytope(args.T)
     _dump_json(_search_report(K, T, args.bounce_counts), args.out)
     return 0
 
@@ -198,10 +198,16 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise InvalidInput(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def cmd_gen(args) -> int:
     if min(args.nk, args.nt) < 3:
         raise InvalidInput("nk and nt must be at least 3")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_check_seed(args.seed))
     K, T = random_instance(rng, args.nk, args.nt)
     _dump_json(K.to_json_obj(), args.out_k)
     _dump_json(T.to_json_obj(), args.out_t)
@@ -221,9 +227,9 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float((ra * rb).sum() / denom) if denom else 0.0
 
 
-def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
-    """Best-of-`repeats` times of both searches on a grid of random instance
-    sizes, next to their work counts: the 2-bounce face tuples and LPs
+def run_bench(sizes: Sequence[int], seed: int) -> dict:
+    """Best-of-7 times of both searches on a grid of random instance sizes,
+    next to their work counts: the 2-bounce face tuples and LPs
     (SearchStats) and the spanning facet triples of the 3-bounce search.
     Each repeat visits every cell in turn, so a stretch of slow machine time
     costs each cell at most one of its samples; on a shared host whose speed
@@ -235,7 +241,7 @@ def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
     best = np.full((len(cells), 2), math.inf)
     found = [(0, 0)] * len(cells)
     stats = [SearchStats() for _ in cells]
-    for _ in range(repeats):
+    for _ in range(7):
         for i, (nk, nt, K, T) in enumerate(cells):
             stats[i] = SearchStats()
             t0 = time.perf_counter()
@@ -271,8 +277,8 @@ def run_bench(sizes: Sequence[int], seed: int, repeats: int = 7) -> dict:
 
 
 def cmd_bench(args) -> int:
-    _dump_json(run_bench(_polygon_sizes(args.sizes, "--sizes"), args.seed),
-               args.out)
+    _dump_json(run_bench(_polygon_sizes(args.sizes, "--sizes"),
+                         _check_seed(args.seed)), args.out)
     return 0
 
 
@@ -365,29 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=EPS_GEO,
-                       help="input validation tolerance (default 1e-9)")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-
     p = sub.add_parser("shortest", help="run both searches, report the minimum")
     p.add_argument("K")
     p.add_argument("T")
     p.add_argument("--grid", type=int, default=None,
                    help="also run the brute-force oracle at this resolution")
-    common(p)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_shortest)
 
     p = sub.add_parser("two-bounce", help="all certified 2-bounce trajectories")
     p.add_argument("K")
     p.add_argument("T")
-    common(p)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_search, bounce_counts=(2,))
 
     p = sub.add_parser("three-bounce", help="all certified 3-bounce trajectories")
     p.add_argument("K")
     p.add_argument("T")
-    common(p)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_search, bounce_counts=(3,))
 
     p = sub.add_parser("verify", help="re-certify the candidates of a report")

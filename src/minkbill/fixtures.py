@@ -1,15 +1,15 @@
-"""Named instance fixtures with frozen expected values.
+"""Named instance fixtures.
 
-Each fixture bundles the two bodies, any distinguished curves, and a list of
-expectations that the test-suite replays.  Expected numbers are exact
-by construction of the instances (rational data, hand-checkable support
-values)."""
+Each fixture bundles the two bodies and any distinguished curves (with a
+forced dual curve where the example needs one).  The values the tests
+check on them are exact by construction of the instances (rational data,
+hand-checkable support values)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -21,22 +21,12 @@ class UnknownFixture(KeyError):
 
 
 @dataclass(frozen=True)
-class Expectation:
-    kind: str
-    target: str
-    expected: object
-    tol: float = 0.0
-
-
-@dataclass(frozen=True)
 class Fixture:
     name: str
     K: ConvexPolytope2
     T: ConvexPolytope2
     curves: Dict[str, ClosedCurve] = field(default_factory=dict)
     forced_duals: Dict[str, ClosedCurve] = field(default_factory=dict)
-    expectations: Tuple[Expectation, ...] = ()
-    notes: str = ""
 
 
 def regular_ngon(n: int, radius: float = 1.0, phase: float = 0.0
@@ -46,8 +36,8 @@ def regular_ngon(n: int, radius: float = 1.0, phase: float = 0.0
         radius * np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
-def equilateral_triangle(radius: float = 1.0) -> ConvexPolytope2:
-    return regular_ngon(3, radius)
+def equilateral_triangle() -> ConvexPolytope2:
+    return regular_ngon(3)
 
 
 def _poly(*verts) -> ConvexPolytope2:
@@ -61,62 +51,43 @@ def example_g_curve(a: float) -> ClosedCurve:
 
 
 def _build_example_a() -> Fixture:
+    """A weak 3-bounce trajectory admitting no strong counterpart."""
     K = _poly((1, 0), (0, 1), (-1, 0))
     T = _poly((1, 1), (-1, 1), (-1, -1), (1, -1))
     q = ClosedCurve.from_vertices([[0, 0], [0.5, 0.5], [-0.5, 0.5]])
     p = ClosedCurve.from_vertices([[0, 1], [-1, 0], [0, -1]])
     return Fixture(
         name="exampleA", K=K, T=T,
-        curves={"q": q}, forced_duals={"q": p},
-        expectations=(
-            Expectation("strong_certification_fails", "q", True),
-        ),
-        notes="a weak 3-bounce trajectory admitting no strong counterpart",
-    )
+        curves={"q": q}, forced_duals={"q": p})
 
 
 def _build_example_d() -> Fixture:
+    """Contact normals all inside a closed halfplane."""
     K = _poly((1, -1), (1, 1), (-1, 1), (-1, -1))
     T = _poly((2, 1), (-2, 1), (0, -1))
     q = ClosedCurve.from_vertices([[0, -1], [0, 1], [1, 0]])
-    return Fixture(
-        name="exampleD", K=K, T=T, curves={"q": q},
-        expectations=(
-            Expectation("normals_not_spanning", "q", True),
-        ),
-        notes="contact normals all inside a closed halfplane",
-    )
+    return Fixture(name="exampleD", K=K, T=T, curves={"q": q})
 
 
 def _build_example_e() -> Fixture:
+    """The curve can be translated into the interior of K (by (0, 0.5))."""
     K = _poly((1, -1), (4, 2), (-4, 2), (-1, -1))
     T = _poly((0.5, 2), (-0.5, 0), (0.5, -2))
     q = ClosedCurve.from_vertices([[0, -1], [-2, 0], [2, 0]])
-    return Fixture(
-        name="exampleE", K=K, T=T, curves={"q": q},
-        expectations=(
-            Expectation("in_f_false", "q", True),
-            Expectation("translation_interior", "q", (0.0, 0.5)),
-        ),
-        notes="the curve can be translated into the interior of K",
-    )
+    return Fixture(name="exampleE", K=K, T=T, curves={"q": q})
 
 
 def _build_example_f_aux() -> Fixture:
+    """Rectangle with diamond geometry; the short chord has length 4, the
+    minimum."""
     K = _poly((0, -1), (0, 1), (-2, 1), (-2, -1))
     T = _poly((1, 0), (0, 1), (-1, 0), (0, -1))
     chord = ClosedCurve.from_vertices([[0, -1], [0, 1]])
-    return Fixture(
-        name="exampleF_aux", K=K, T=T, curves={"q": chord},
-        expectations=(
-            Expectation("min_length", "", 4.0, 1e-9),
-            Expectation("ell_length", "q", 4.0, 1e-12),
-        ),
-        notes="rectangle with diamond geometry; the short chord has length 4",
-    )
+    return Fixture(name="exampleF_aux", K=K, T=T, curves={"q": chord})
 
 
 def _build_example_g() -> Fixture:
+    """A one-parameter family of 2-bounce curves of length 4 - 4a."""
     K = _poly((1, 1), (-1, 1), (0, -1))
     T = _poly((1, -2), (1, 2), (-1, 2), (-1, -2))
     curves = {
@@ -124,15 +95,7 @@ def _build_example_g() -> Fixture:
         "q_a_025": example_g_curve(0.25),
         "q_a_05": example_g_curve(0.5),
     }
-    return Fixture(
-        name="exampleG", K=K, T=T, curves=curves,
-        expectations=(
-            Expectation("ell_length", "q_a_0", 4.0, 1e-12),
-            Expectation("ell_length", "q_a_025", 3.0, 1e-12),
-            Expectation("ell_length", "q_a_05", 2.0, 1e-12),
-        ),
-        notes="a one-parameter family of 2-bounce curves of length 4 - 4a",
-    )
+    return Fixture(name="exampleG", K=K, T=T, curves=curves)
 
 
 def obtuse_triangle_100() -> ConvexPolytope2:
@@ -141,27 +104,18 @@ def obtuse_triangle_100() -> ConvexPolytope2:
 
 
 def _build_obtuse100() -> Fixture:
-    K = obtuse_triangle_100()
-    return Fixture(
-        name="obtuse100", K=K, T=regular_ngon(64),
-        expectations=(
-            Expectation("no_regular_three_bounce", "", True),
-        ),
-        notes="obtuse triangle vs. a regular polygon standing in for the disk",
-    )
+    """Obtuse triangle vs. a regular polygon standing in for the disk; it
+    has no regular 3-bounce trajectory."""
+    return Fixture(name="obtuse100", K=obtuse_triangle_100(), T=regular_ngon(64))
 
 
 def _build_fagnano() -> Fixture:
+    """Equilateral triangle; the minimizer is the midpoint triangle."""
     K = equilateral_triangle()
     mid = 0.5 * (K.vertices + np.roll(K.vertices, -1, axis=0))
     return Fixture(
         name="fagnano", K=K, T=regular_ngon(256),
-        curves={"midpoints": ClosedCurve.from_vertices(mid)},
-        expectations=(
-            Expectation("three_bounce_near", "midpoints", True, 0.01),
-        ),
-        notes="equilateral triangle; the minimizer is the midpoint triangle",
-    )
+        curves={"midpoints": ClosedCurve.from_vertices(mid)})
 
 
 _REGISTRY: Dict[str, Callable[[], Fixture]] = {

@@ -1,8 +1,10 @@
 """Planar convex polytopes, support functions, polars, normal cones.
 
 Everything downstream (the two searches, the verifier, the brute-force
-oracle) is built from the primitives in this module, so tolerances are
-explicit arguments with shared defaults rather than hidden magic numbers.
+oracle) is built from the primitives in this module, so its tolerances are
+the named module constants below rather than hidden magic numbers; only
+find_faces and cone_contains take one as an argument, because their
+callers need different values.
 
 Conventions: polytopes are given by their vertices in counterclockwise
 order; facet ``i`` joins vertex ``i`` to vertex ``i+1`` and its outer unit
@@ -55,10 +57,10 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def unit(a, tol: float = EPS_GEO) -> np.ndarray:
+def unit(a) -> np.ndarray:
     a = np.asarray(a, float)
     n = float(np.hypot(a[0], a[1]))
-    if n <= tol:
+    if n <= EPS_GEO:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return a / n
 
@@ -83,7 +85,7 @@ class ConvexPolytope2:
     offsets: np.ndarray   # (n,)   so that <normals[i], x> <= offsets[i] on the body
 
     @staticmethod
-    def from_vertices(vertices, tol: float = EPS_GEO) -> "ConvexPolytope2":
+    def from_vertices(vertices) -> "ConvexPolytope2":
         try:
             v = np.asarray(vertices, float)
         except (TypeError, ValueError):  # ragged, or not numbers
@@ -96,15 +98,15 @@ class ConvexPolytope2:
             raise InvalidPolytope("vertices must be finite")
         edges = np.roll(v, -1, axis=0) - v
         lens = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lens <= tol):
+        if np.any(lens <= EPS_GEO):
             raise InvalidPolytope("consecutive vertices coincide")
-        if np.any(cross2(edges, np.roll(edges, -1, axis=0)) <= tol):
+        if np.any(cross2(edges, np.roll(edges, -1, axis=0)) <= EPS_GEO):
             raise InvalidPolytope(
                 "vertices must be in strictly convex counterclockwise position")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
         offsets = np.einsum("ij,ij->i", normals, v)
         slack = v @ normals.T - offsets  # every vertex inside every halfplane
-        if slack.max() > tol:
+        if slack.max() > EPS_GEO:
             raise InvalidPolytope("vertex cycle is not convex")
         for arr in (v, normals, offsets):
             arr.setflags(write=False)
@@ -119,10 +121,6 @@ class ConvexPolytope2:
 
     def facet_segment(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         return self.vertices[i], self.vertices[(i + 1) % self.n]
-
-    def contains(self, x, tol: float = EPS_GEO) -> bool:
-        s = self.normals @ np.asarray(x, float) - self.offsets
-        return bool(s.max() <= tol)
 
     def origin_interior_margin(self) -> float:
         return float(self.offsets.min())
@@ -150,10 +148,10 @@ class ConvexPolytope2:
         return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
     @staticmethod
-    def from_json_obj(obj, tol: float = EPS_GEO) -> "ConvexPolytope2":
+    def from_json_obj(obj) -> "ConvexPolytope2":
         if not isinstance(obj, dict) or "vertices" not in obj:
             raise InvalidPolytope('expected an object with a "vertices" key')
-        return ConvexPolytope2.from_vertices(obj["vertices"], tol=tol)
+        return ConvexPolytope2.from_vertices(obj["vertices"])
 
 
 @dataclass(frozen=True)
@@ -278,14 +276,14 @@ def cone_distance(cone: NormalConeRep, v) -> float:
     return best
 
 
-def cones_intersect(c1: NormalConeRep, c2: NormalConeRep,
-                    tol: float = EPS_ANG) -> bool:
-    """True iff the cones share a nonzero direction (closed reading)."""
+def cones_intersect(c1: NormalConeRep, c2: NormalConeRep) -> bool:
+    """True iff the cones share a nonzero direction (closed reading, up to
+    EPS_ANG)."""
     a1, w1 = c1.angles()
     a2, w2 = c2.angles()
     d12 = (a2 - a1) % (2 * math.pi)
     d21 = (a1 - a2) % (2 * math.pi)
-    return d12 <= w1 + tol or d21 <= w2 + tol
+    return d12 <= w1 + EPS_ANG or d21 <= w2 + EPS_ANG
 
 
 def support(P: ConvexPolytope2, x) -> float:
@@ -297,9 +295,9 @@ def support_many(P: ConvexPolytope2, X: np.ndarray) -> np.ndarray:
     return (np.asarray(X, float) @ P.vertices.T).max(axis=1)
 
 
-def polar(T: ConvexPolytope2, tol: float = EPS_GEO) -> ConvexPolytope2:
+def polar(T: ConvexPolytope2) -> ConvexPolytope2:
     """T degrees = {x : <x, v> <= 1 for all v in T}; needs 0 in the interior."""
-    if T.origin_interior_margin() <= tol:
+    if T.origin_interior_margin() <= EPS_GEO:
         raise OriginNotInterior("polar body requires the origin strictly inside")
     v = T.vertices
     w = np.empty_like(v)
@@ -309,12 +307,12 @@ def polar(T: ConvexPolytope2, tol: float = EPS_GEO) -> ConvexPolytope2:
     area2 = np.sum(w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1])
     if area2 < 0:
         w = w[::-1]
-    return ConvexPolytope2.from_vertices(w, tol=tol)
+    return ConvexPolytope2.from_vertices(w)
 
 
-def gauge(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> float:
+def gauge(P: ConvexPolytope2, x) -> float:
     """Minkowski functional of P at x (0 must be interior)."""
-    if P.origin_interior_margin() <= tol:
+    if P.origin_interior_margin() <= EPS_GEO:
         raise OriginNotInterior("gauge requires the origin strictly inside")
     x = np.asarray(x, float)
     s = P.normals @ x / P.offsets
@@ -332,7 +330,7 @@ class ClosedCurve:
     vertices: np.ndarray  # (m, 2)
 
     @staticmethod
-    def from_vertices(vertices, tol: float = EPS_GEO) -> "ClosedCurve":
+    def from_vertices(vertices) -> "ClosedCurve":
         v = np.asarray(vertices, float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise InvalidCurve("vertex array must have shape (m, 2)")
@@ -343,7 +341,7 @@ class ClosedCurve:
             raise InvalidCurve("vertices must be finite")
         for j in range(m):
             a, b = v[(j - 1) % m], v[(j + 1) % m]
-            if segment_distance(a, b, v[j]) <= tol:
+            if segment_distance(a, b, v[j]) <= EPS_GEO:
                 raise InvalidCurve(
                     "vertex lies on the segment between its neighbours")
         v = v.copy()
@@ -386,23 +384,25 @@ def largest_gap(angles, mask=True) -> np.ndarray:
                    2 * math.pi - (last - first))
 
 
-def positively_spans(vectors: Sequence, tol: float = EPS_ANG) -> bool:
+def positively_spans(vectors: Sequence) -> bool:
     """True iff the vectors positively span the plane, i.e. 0 is in the
-    interior of their convex cone.  Collections whose largest angular gap
-    equals pi (all vectors in a closed halfplane) do not count."""
+    interior of their convex cone: their largest angular gap is below
+    pi - EPS_ANG.  Collections whose largest angular gap equals pi (all
+    vectors in a closed halfplane) do not count."""
     vs = np.asarray(vectors, float).reshape(-1, 2)
     if (np.hypot(vs[:, 0], vs[:, 1]) <= EPS_GEO).any():
         raise ZeroVector("zero vector in a spanning test")
-    return bool(largest_gap(angles(vs)) < math.pi - tol)
+    return bool(largest_gap(angles(vs)) < math.pi - EPS_ANG)
 
 
-def in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
+def in_f(K: ConvexPolytope2, points) -> bool:
     """Whether the point set touches the boundary 'immovably': no translation
     pushes all points into the interior of K.  By Gordan's theorem that
     holds iff 0 is in the convex hull of the normals of the facets the set
-    touches (slack <= tol), i.e. iff no angular gap between them exceeds pi."""
+    touches (slack <= EPS_GEO), i.e. iff no angular gap between them exceeds
+    pi (HULL_GAP)."""
     pts = np.asarray(points, float).reshape(-1, 2)
-    touched = K.offsets - (pts @ K.normals.T).max(axis=0) <= tol
+    touched = K.offsets - (pts @ K.normals.T).max(axis=0) <= EPS_GEO
     return bool(largest_gap(angles(K.normals[touched])) <= HULL_GAP)
 
 

@@ -57,13 +57,13 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
                         lambdas, mus, ell_length(T, q))
 
 
-def _canonical_key(pair: BilliardPair, tol: float) -> tuple:
-    """Translation- and cyclic-rotation-invariant fingerprint of q."""
+def _canonical_key(pair: BilliardPair) -> tuple:
+    """Translation- and cyclic-rotation-invariant fingerprint of q, its
+    coordinates rounded to 7 decimals (1e-7)."""
     v = pair.q.vertices - pair.q.vertices.mean(axis=0)
-    digits = max(0, int(round(-np.log10(tol))))
     best = None
     for r in range(v.shape[0]):
-        cand = tuple(round(float(c), digits)
+        cand = tuple(round(float(c), 7)
                      for row in np.roll(v, -r, axis=0) for c in row)
         if best is None or cand < best:
             best = cand
@@ -74,13 +74,13 @@ def _face_key(pair: BilliardPair) -> tuple:
     return tuple(f.sort_key() for f in pair.k_faces + pair.t_faces)
 
 
-def dedupe(pairs: List[BilliardPair], tol: float = 1e-7) -> List[BilliardPair]:
+def dedupe(pairs: List[BilliardPair]) -> List[BilliardPair]:
     """Merge pairs whose trajectories coincide up to translation and cyclic
     relabelling, keeping the lexicographically smallest face tuple."""
     chosen = {}
     order = []
     for pair in pairs:
-        key = _canonical_key(pair, tol)
+        key = _canonical_key(pair)
         if key not in chosen:
             chosen[key] = pair
             order.append(key)

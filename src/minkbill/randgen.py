@@ -8,26 +8,24 @@ extreme), which keeps the rejection loop short."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .geom import ConvexPolytope2, GeometryError, InvalidPolytope, convex_hull
+
+_MAX_TRIES = 1000  # draws of one polytope before GenerationExhausted
 
 
 class GenerationExhausted(RuntimeError):
     pass
 
 
-def random_polytope(rng: np.random.Generator, n: int,
-                    interval: Optional[Tuple[float, float]] = None,
-                    max_tries: int = 1000) -> ConvexPolytope2:
+def random_polytope(rng: np.random.Generator, n: int) -> ConvexPolytope2:
     if n < 3:
         raise ValueError("need at least three vertices")
-    if interval is None:
-        interval = (1.0, 3.0) if n < 30 else (2.5, 3.0)
-    lo, hi = interval
-    for attempt in range(max_tries):
+    lo, hi = (1.0, 3.0) if n < 30 else (2.5, 3.0)
+    for attempt in range(_MAX_TRIES):
         if attempt and attempt % 50 == 0:
             lo = 0.5 * (lo + hi)  # shrink towards the circle, keeps hulls full
         dirs = rng.normal(size=(n, 2))
@@ -44,7 +42,7 @@ def random_polytope(rng: np.random.Generator, n: int,
         except (GeometryError, InvalidPolytope):
             continue
     raise GenerationExhausted(
-        f"no {n}-vertex polytope after {max_tries} attempts")
+        f"no {n}-vertex polytope after {_MAX_TRIES} attempts")
 
 
 def random_instance(rng: np.random.Generator, n_k: int, n_t: int

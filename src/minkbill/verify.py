@@ -16,8 +16,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   Face, GeometryError, angles, cone_distance, ell_length,
-                   face_distance, in_f, largest_gap, normal_cone, support_many)
+                   GeometryError, angles, cone_distance, ell_length,
+                   face_distance, in_f, largest_gap, normal_cone, support_many,
+                   unit)
 from .pairs import BilliardPair
 
 
@@ -91,14 +92,15 @@ def certified_pair(K: ConvexPolytope2, T: ConvexPolytope2,
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
-                    normals: Sequence, resolution: int = 512) -> float:
+                    normals: Sequence) -> float:
     """Largest amount by which moving a single vertex along its supporting
-    line (sampled at spacing diam(K)/resolution) decreases the two adjacent
-    edge lengths.  Nonpositive up to discretization for weak trajectories."""
+    line (sampled at spacing diam(K)/512, 512 steps either way) decreases
+    the two adjacent edge lengths.  Nonpositive up to discretization for
+    weak trajectories; a zero normal raises ZeroVector."""
     v = q.vertices
     m = q.m
-    diam = K.diameter()
-    h = diam / resolution
+    resolution = 512
+    h = K.diameter() / resolution
     worst = -math.inf
     for j in range(m):
         n = np.asarray(normals[j], float)
@@ -106,7 +108,7 @@ def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
         if float((K.vertices @ n).max()) > level + EPS_GEO:
             raise LineNotSupporting(
                 f"line {j} does not support K at its trajectory vertex")
-        d = np.array([-n[1], n[0]]) / float(np.hypot(n[0], n[1]))
+        d = unit((-n[1], n[0]))
         ts = np.arange(-resolution, resolution + 1) * h
         samples = v[j] + ts[:, None] * d
         total = (support_many(T, samples - v[(j - 1) % m]) +

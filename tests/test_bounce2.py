@@ -6,8 +6,7 @@ import pytest
 
 from minkbill import bounce2, lp as lpmod
 from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
-                              solve_face_tuple, tuple_variable_count,
-                              two_bounce_tuple_count)
+                              solve_face_tuple, tuple_variable_count)
 from minkbill.fixtures import fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, all_faces,
                            cone_contains, cones_intersect, find_face, in_f,
@@ -35,11 +34,9 @@ def test_square_diamond_min_is_four():
 
 
 def test_enumeration_count_matches_closed_form():
-    assert two_bounce_tuple_count(SQUARE, DIAMOND) == 28 * 28
     stats = SearchStats()
     search_two_bounce(SQUARE, DIAMOND, stats=stats)
-    assert stats.tuples_considered == 28 * 28
-    assert stats.tuples_after_filter <= 2 * stats.tuples_considered
+    assert stats.tuples_after_filter <= 2 * 28 * 28
     assert stats.lp_solves <= stats.tuples_after_filter
 
 
@@ -98,7 +95,7 @@ def test_perturbed_objective_same_length(rng):
 def test_no_duplicate_canonical_keys(rng):
     K, T = random_instance(rng, 6, 5)
     pairs = search_two_bounce(K, T)
-    keys = [_canonical_key(p, 1e-7) for p in pairs]
+    keys = [_canonical_key(p) for p in pairs]
     assert len(keys) == len(set(keys))
 
 
@@ -301,12 +298,10 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
     total = 0
     for K, T in _identity_instances():
         seen.clear()
-        stats = SearchStats()
-        got = search_two_bounce(K, T, stats)
+        got = search_two_bounce(K, T)
         want, found = _per_tuple_reference(K, T)
         _same_pairs(seen, found)
         _same_pairs(got, want)
-        assert stats.candidates == len(found)
         patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
                         for pair in found)
         total += len(got)

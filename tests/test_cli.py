@@ -178,9 +178,12 @@ def test_invalid_input_exit_code(tmp_path):
     ["shortest", "{K}", "{T}", "--grid", "0", "--out", "{out}"],
     ["shortest", "{K}", "{T}", "--grid", "-4", "--out", "{out}"],
     ["shortest", "{ragged}", "{T}", "--out", "{out}"],
+    ["gen", "5", "4", "--seed", "-1", "--out-k", "{out}", "--out-t", "{out}"],
+    ["bench", "--sizes", "3", "--seed", "-2", "--out", "{out}"],
 ], ids=["plot-polytope", "plot-bare-report", "obtuse-square",
         "obtuse-bad-ngons", "gen-2-gon", "bench-2-gon", "shortest-grid-0",
-        "shortest-grid-negative", "shortest-ragged-vertices"])
+        "shortest-grid-negative", "shortest-ragged-vertices",
+        "gen-negative-seed", "bench-negative-seed"])
 def test_invalid_arguments_exit_2(instance_files, tmp_path, capsys, argv):
     """Arguments or input files that break a rule of the command exit with
     status 2 and an "error: " message, and write no output."""
@@ -213,11 +216,28 @@ def test_readme_cli_lines_parse():
     assert shown == set(sub.choices)
 
 
+def test_readme_library_snippet_runs(capsys):
+    """README's Library block runs as written and finds the certified chord
+    of length 4."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(code, scope)
+    assert scope["best"].length == 4.0
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
+def test_removed_tol_flag_is_a_usage_error(instance_files):
+    k, t = instance_files
+    with pytest.raises(SystemExit) as exc:
+        main(["shortest", k, t, "--tol", "1e-8"])
+    assert exc.value.code == 2
+
+
 def test_shortest_with_oracle_grid(instance_files, tmp_path):
     k, t = instance_files
     out = tmp_path / "rep.json"
-    assert main(["shortest", k, t, "--grid", "64",
-                 "--tol", "1e-8", "--out", str(out)]) == 0
+    assert main(["shortest", k, t, "--grid", "64", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["oracle"]["grid"] == 64
     assert rep["oracle"]["two_bounce_min"] == pytest.approx(4.0, abs=0.05)

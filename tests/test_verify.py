@@ -11,7 +11,8 @@ from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
-                           GeometryError, InvalidPolytope, find_face)
+                           GeometryError, InvalidPolytope, ZeroVector,
+                           find_face)
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (LineNotSupporting, boundary_grid, brute_force_min,
@@ -102,6 +103,12 @@ def test_weak_rule_rejects_non_supporting_line():
     q = example_g_curve(0.25)
     with pytest.raises(LineNotSupporting):
         check_weak_rule(fx.K, fx.T, q, [(0.0, -1.0), (0.0, -1.0)])
+
+
+def test_weak_rule_rejects_zero_normal():
+    fx = load("exampleF_aux")
+    with pytest.raises(ZeroVector):
+        check_weak_rule(fx.K, fx.T, fx.curves["q"], [(0.0, 0.0), (0.0, 1.0)])
 
 
 # --- brute force ------------------------------------------------------------

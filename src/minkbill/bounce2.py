@@ -2,30 +2,16 @@
 
 A 2-bounce pair is pinned down by a face tuple (F1, F2) of K (carrying q1,
 q2) and (G1, G2) of T (carrying p1, p2).  After the antipodality pre-filter
-on the normal cones, the reflection law is linear in the remaining unknowns,
-so each surviving tuple reduces to (at most) one small feasibility LP:
-
-* both F's are vertices and both G's are vertices: nothing is free, check
-  the cone conditions directly;
-* both F's are vertices, some G is a facet: q is fixed, solve for p;
-* both G's are vertices, some F is a facet: p is fixed, solve for q
-  (the previous case with the roles of the bodies swapped).
-
-With a facet on both sides, q and p are solved for together.  An LP has
-one variable in [0, 1] per facet, placing the point on it, and asks each
-difference of a side with a facet to lie in its cone: q2 - q1 in N_T(G1),
-q1 - q2 in N_T(G2), p2 - p1 in -N_K(F2) and p1 - p2 in -N_K(F1).  The ray
-of a facet gives one equality and one inequality row, the wedge of a
-vertex two inequality rows (_cone_rows).  A side with no facet is fixed,
-and its cones are checked directly.
-
-The search works on all tuples of one (K, T) at once.  The antipodal face
-pairs of each body, the cone pre-checks of the fixed cases and the LP rows
-are built as arrays, one group of tuples with the same vertex/facet
-pattern (and so the same LP shape) at a time; the LPs are solved one by
-one, and the optimal members are certified in tuple order.  The 3-bounce
-q-side fit uses the same rows (_cycle_rows) and LP assembly (_rows_lp).
-``solve_face_tuple`` is the same pipeline on a batch of one tuple.
+on the normal cones, the reflection law is linear: one variable in [0, 1]
+per facet places its point, and each edge of a side, a closed 2-gon, lies
+in a cone (_cycle_rows): q2 - q1 in N_T(G1), q1 - q2 in N_T(G2), p2 - p1 in
+-N_K(F2), p1 - p2 in -N_K(F1).  The sides share no variable.  A side with
+no facet is checked directly, for all tuples of one (K, T) at once.  A
+side with one facet is an LP in one variable, which lp.solve_interval
+answers in closed form: the q and p sides of the tuples that pass those
+checks are one stack.  A side with two (parallel) facets keeps one simplex
+LP per tuple over both sides.  The feasible tuples are certified as one
+stack.
 """
 
 from __future__ import annotations
@@ -36,45 +22,40 @@ from typing import List, Optional
 import numpy as np
 
 from . import lp as lpmod
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
-                   cone_contains, face_cones, normal_cone)
-from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
-from .verify import certified_pair
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
+                   angles, cone_contains, face_cones)
+from .pairs import BilliardPair, dedupe, make_pair, make_pairs, sort_pairs
+from .verify import certified_pair, certified_pairs
 
 
 @dataclass
 class SearchStats:
     tuples_after_filter: int = 0
-    lp_solves: int = 0  # face-tuple LPs solved, one lp.solve each
-
-
-def tuple_variable_count(f1: Face, f2: Face, g1: Face, g2: Face) -> int:
-    """Number of LP variables solve_face_tuple uses for this face tuple: one
-    per facet, the parameter of its point."""
-    return sum(f.is_edge for f in (f1, f2, g1, g2))
+    side_solves: int = 0  # tuples left with a free side after the cone checks
 
 
 def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
     """The pairs i < j of faces of P (indices into all_faces, in
-    itertools.combinations order) whose normal cones are antipodal:
-    geom.cones_intersect(cone_i, -cone_j), decided for all pairs at once."""
-    cones = [normal_cone(P, f) for f in all_faces(P)]
-    a1, w1 = np.array([c.angles() for c in cones]).T
-    a2, w2 = np.array([c.negate().angles() for c in cones]).T
-    i, j = np.triu_indices(len(cones), 1)
-    d12 = (a2[j] - a1[i]) % (2 * np.pi)
-    d21 = (a1[i] - a2[j]) % (2 * np.pi)
-    ok = (d12 <= w1[i] + EPS_ANG) | (d21 <= w2[j] + EPS_ANG)
+    itertools.combinations order) whose normal cones are antipodal: cone_i
+    and -cone_j share a direction (up to EPS_ANG), decided for all pairs at
+    once from the stacked cones of all faces."""
+    faces = np.arange(2 * P.n)
+    first, last = face_cones(P, faces >= P.n, faces % P.n).generators
+    a1, a2 = angles(first), angles(-first)
+    w1, w2 = (angles(last) - a1) % (2 * np.pi), (angles(-last) - a2) % (2 * np.pi)
+    i, j = np.triu_indices(len(a1), 1)
+    ok = (((a2[j] - a1[i]) % (2 * np.pi) <= w1[i] + EPS_ANG)
+          | ((a1[i] - a2[j]) % (2 * np.pi) <= w2[j] + EPS_ANG))
     return np.column_stack([i[ok], j[ok]])
 
 
+@dataclass
 class _Affine:
     """A stack of affine 2-vectors c[k] + M[k] @ x in the LP variables:
     c is (B, 2), M is (B, 2, nv)."""
 
-    def __init__(self, c, M):
-        self.c = np.asarray(c, float)
-        self.M = np.asarray(M, float)
+    c: np.ndarray
+    M: np.ndarray
 
     def __sub__(self, other):
         return _Affine(self.c - other.c, self.M - other.M)
@@ -107,21 +88,19 @@ def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
 
 
 def _cone_rows(rows, expr: _Affine, cone) -> None:
-    """Append (coefficients, bounds, is_equality) rows expressing expr in
-    the stacked cone (width < pi) for every member: a ray pins expr to its
-    line exactly, a wedge bounds it by its two generators, each inequality
-    with slack EPS_GEO."""
-    g = cone.generators
-    if cone.is_ray:
-        row, const = expr.cross_with(g[0])    # cross(g, v) == 0
-        rows.append((row, -const, True))
-        row, const = expr.dot_with(g[0])      # <g, v> >= 0
-        rows.append((-row, EPS_GEO + const, False))
-    else:
-        row, const = expr.cross_with(g[0])    # cross(g1, v) >= 0
-        rows.append((-row, EPS_GEO + const, False))
-        row, const = expr.cross_with(g[1])    # cross(v, g2) >= 0
-        rows.append((row, EPS_GEO - const, False))
+    """Append two (coefficients, bounds, is_equality) rows expressing expr
+    in the stacked cone (width < pi) for every member: a ray g pins expr to
+    its line exactly, cross(g, v) == 0, and asks <g, v> >= 0; a wedge asks
+    cross(g1, v) >= 0 and cross(v, g2) >= 0.  Each inequality has slack
+    EPS_GEO; in a stack of both kinds, is_equality is one flag per member."""
+    g0, g1, ray = cone.generators[0], cone.generators[-1], cone.is_ray
+    cross0, const0 = expr.cross_with(g0)
+    dot, const_dot = expr.dot_with(g0)
+    cross1, const1 = expr.cross_with(g1)
+    rows.append((np.where(np.asarray(ray)[..., None], cross0, -cross0),
+                 np.where(ray, -const0, EPS_GEO + const0), ray))
+    rows.append((np.where(np.asarray(ray)[..., None], -dot, cross1),
+                 np.where(ray, EPS_GEO + const_dot, EPS_GEO - const1), False))
 
 
 def _cycle_rows(rows, points, cones) -> None:
@@ -134,11 +113,18 @@ def _cycle_rows(rows, points, cones) -> None:
 def _rows_lp(rows, objective) -> lpmod.LinearProgram:
     """The (B, m, nv) stack maximizing objective @ x over the rows, with
     every variable, the parameter of a point on a facet, in [0, 1]."""
-    nv = len(objective)
+    nv = np.shape(objective)[-1]
     return lpmod.LinearProgram(
         np.asarray(objective, float), np.stack([r for r, _, _ in rows], 1),
         np.stack([b for _, b, _ in rows], 1),
-        np.array([e for _, _, e in rows]), np.zeros(nv), np.ones(nv))
+        np.stack(np.broadcast_arrays(*[e for _, _, e in rows]), -1),
+        np.zeros(nv), np.ones(nv))
+
+
+# side s, the q side then the p side, is a closed 2-gon of the points a, b
+# of q1, q2, p1, p2 whose edges b - a and a - b lie in the cones of faces c0
+# and c1 (p2 - p1 in -N_K(f2): p1 - p2 in N_K(f2)); _A[s] is its a, and so on
+_A, _B, _C0, _C1 = np.array([[0, 1, 2, 3], [3, 2, 1, 0]]).T
 
 
 def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
@@ -146,83 +132,87 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
                   stats: Optional[SearchStats] = None
                   ) -> List[Optional[BilliardPair]]:
     """The certified pair, or None, of each face tuple: tuples is (N, 4),
-    the faces f1, f2, g1, g2 as indices into all_faces of K and of T.  The
-    rows of all tuples with the same vertex/facet pattern (one LP shape)
-    are built at once."""
+    the faces f1, f2, g1, g2 as indices into all_faces of K and of T, all
+    decided and certified as stacks (see the module docstring)."""
     sizes = np.array([K.n, K.n, T.n, T.n])
     tuples = np.asarray(tuples, int).reshape(-1, 4)
     edge, idx = tuples >= sizes, tuples % sizes
-    pattern = edge @ np.array([8, 4, 2, 1])
-    qp = np.zeros((len(tuples), 4, 2))  # q1, q2, p1, p2 of each tuple
-    ok = np.zeros(len(tuples), bool)
-    for pat in np.flatnonzero(np.bincount(pattern)):
-        sel = np.nonzero(pattern == pat)[0]
-        flags = [bool(v) for v in edge[sel[0]]]
-        e1, e2, h1, h2 = flags
-        # one LP variable per facet, in the order q1, q2, p1, p2
-        cols = np.cumsum([0] + flags)[:4]
-        nv = int(sum(flags))
-        faces = list(zip((K, K, T, T), flags, idx[sel].T))
-        points = [_point(P, e, i, col, nv)
-                  for (P, e, i), col in zip(faces, cols)]
-        normal = [face_cones(*face) for face in faces]
-        # each side is a closed 2-gon whose edge r lies in cones[r], free if
-        # it has a facet; p2 - p1 in -N_K(f2) is p1 - p2 in N_K(f2)
-        sides = [(points[:2], normal[2:], e1 or e2),
-                 ((points[3], points[2]), (normal[1], normal[0]), h1 or h2)]
-        keep = np.ones(len(sel), bool)
-        rows = []
-        for (a, b), cones, free in sides:
-            if free:
-                _cycle_rows(rows, (a, b), cones)
-            else:
-                d = b.c - a.c
-                keep &= cone_contains(cones[0], d) & cone_contains(cones[1], -d)
-        x = np.zeros((len(sel), nv))
-        if rows:
-            obj = np.zeros(nv) if objective is None else np.asarray(objective, float)
-            if obj.shape != (nv,):
-                raise ValueError(f"objective must have {nv} entries for this tuple")
-            stack = _rows_lp(rows, obj)
-            if stats is not None:
-                stats.lp_solves += int(keep.sum())
-            # one LP at a time: lp.solve_stack on the whole group takes a
-            # fifth of the time, but then a small instance's 2-bounce time
-            # follows its few certified pairs rather than its LP count, and
-            # acceptance criterion 10 compares that time between instances
-            # of swapped sizes
-            for k in np.flatnonzero(keep):
-                member = replace(stack, constraints=stack.constraints[k],
-                                 rhs=stack.rhs[k])
-                try:
-                    sol = lpmod.solve(member)
-                except lpmod.NumericalFailure:
-                    keep[k] = False
-                    continue
-                keep[k] = sol.status == "optimal"
-                if keep[k]:
-                    x[k] = sol.x
-        ok[sel] = keep
-        qp[sel] = np.stack([e.at(x) for e in points], 1)
-    found: List[Optional[BilliardPair]] = [None] * len(tuples)
-    for k in np.nonzero(ok)[0]:
-        f1, f2, g1, g2 = (Face.edge(int(i)) if e else Face.vertex(int(i))
-                          for e, i in zip(edge[k], idx[k]))
-        found[k] = certified_pair(K, T, make_pair(K, T, qp[k, :2], qp[k, 2:],
-                                                  (f1, f2), (g1, g2)))
-    return found
+    N = len(tuples)
+    obj = np.zeros((N, 4))  # the objective's entry of each facet
+    if objective is not None:
+        if N != 1 or np.shape(objective) != (edge.sum(),):
+            raise ValueError(f"objective must have {edge.sum()} entries for this tuple")
+        obj[edge] = objective
+    bodies = (K, K, T, T)
+    # the point a + t d on each face (d = 0 at a vertex) and its normal cone
+    base = np.stack([P.vertices[i] for P, i in zip(bodies, idx.T)], 1)
+    step = np.stack([P.vertices[np.where(e, (i + 1) % P.n, i)]
+                     for P, e, i in zip(bodies, edge.T, idx.T)], 1) - base
+    first, last = (np.concatenate(g, 1) for g in zip(
+        face_cones(K, edge[:, :2], idx[:, :2]).generators,
+        face_cones(T, edge[:, 2:], idx[:, 2:]).generators))
+
+    def cone(c, k=slice(None), s=slice(None)):  # the cones of faces c of sides s
+        return NormalConeRep((first[k, c[s]], last[k, c[s]]), edge[k, c[s]])
+
+    d = base[:, _B] - base[:, _A]  # (N, 2, 2): the edge of each side with no facet
+    free = edge[:, _A] | edge[:, _B]
+    keep = (free | (cone_contains(cone(_C0), d) & cone_contains(cone(_C1), -d))).all(1)
+    if stats is not None:
+        stats.side_solves += int((keep & edge.any(1)).sum())
+    # a side with one facet is an LP in one variable; one with two (parallel
+    # facets) keeps one LP per tuple over both sides
+    joint = edge[:, :2].all(1) | edge[:, 2:].all(1)
+    k, s = np.nonzero(free & (keep & ~joint)[:, None])
+    a, b = _A[s], _B[s]
+    rows = []
+    _cycle_rows(rows, [_Affine(base[k, r], step[k, r, :, None]) for r in (a, b)],
+                (cone(_C0, k, s), cone(_C1, k, s)))
+    status, t = lpmod.solve_interval(_rows_lp(rows, (obj[k, a] + obj[k, b])[:, None]))
+    keep[k[status != "optimal"]] = False
+    qp = base.copy()  # q1, q2, p1, p2 of each tuple
+    qp[k, a] += t * step[k, a]
+    qp[k, b] += t * step[k, b]
+    for j in np.flatnonzero(joint & keep):
+        keep[j], qp[j] = _solve_joint(K, T, edge[j], idx[j], obj[j, edge[j]])
+    faces = [tuple(Face.edge(i) if e else Face.vertex(i) for e, i in zip(es, ids))
+             for es, ids in zip(edge[keep].tolist(), idx[keep].tolist())]
+    found = np.full(N, None, object)
+    found[keep] = certified_pairs(K, T, make_pairs(
+        K, T, qp[keep, :2], qp[keep, 2:],
+        [f[:2] for f in faces], [f[2:] for f in faces]))
+    return list(found)
+
+
+def _solve_joint(K: ConvexPolytope2, T: ConvexPolytope2, edge, idx, objective):
+    """Whether a face tuple with a two-variable side is feasible, and its q1,
+    q2, p1, p2: one simplex LP over both sides, one variable per facet."""
+    faces = list(zip((K, K, T, T), edge.tolist(), idx[:, None]))
+    points = [_point(P, e, i, col, len(objective))
+              for (P, e, i), col in zip(faces, np.cumsum(edge) - edge)]
+    rows = []
+    for a, b, *c in zip(_A, _B, _C0, _C1):  # the points and cones of each side
+        if edge[a] or edge[b]:
+            _cycle_rows(rows, (points[a], points[b]), [face_cones(*faces[i]) for i in c])
+    lp = _rows_lp(rows, objective)
+    try:
+        sol = lpmod.solve(replace(lp, constraints=lp.constraints[0], rhs=lp.rhs[0]))
+    except lpmod.NumericalFailure:
+        return False, 0.0
+    if sol.status != "optimal":
+        return False, 0.0
+    return True, np.stack([e.at(sol.x[None]) for e in points], 1)[0]
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
                      f1: Face, f2: Face, g1: Face, g2: Face,
                      objective: Optional[np.ndarray] = None
                      ) -> Optional[BilliardPair]:
-    """Solve the reflection law on one face tuple (the search's pipeline on
-    a batch of one); None if infeasible or degenerate (a tuple that is not
-    antipodal never passes the LP and the certificate, so the search filters
-    those only to save work).  `objective` perturbs the (otherwise zero) LP
-    objective and may pick a different optimal vertex of the same feasible
-    region."""
+    """The search's pipeline on one face tuple; None if infeasible or
+    degenerate (a tuple that is not antipodal never passes the LP and the
+    certificate, so the search filters those only to save work).
+    `objective` (one entry per facet) perturbs the otherwise zero LP
+    objective and may pick another optimal vertex of the same region."""
     ids = [f.index + (P.n if f.is_edge else 0)
            for f, P in zip((f1, f2, g1, g2), (K, K, T, T))]
     return _solve_tuples(K, T, np.array([ids]), objective)[0]

@@ -40,8 +40,8 @@ from . import lp as lpmod
 from .bounce2 import _cycle_rows, _point, _rows_lp
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                    angles, cross2, face_cones, find_faces, largest_gap)
-from .pairs import BilliardPair, dedupe, make_pair, sort_pairs
-from .verify import certified_pair
+from .pairs import BilliardPair, dedupe, make_pairs, sort_pairs
+from .verify import certified_pairs
 
 
 class NoInbody(GeometryError):
@@ -203,17 +203,16 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2,
     # p_j is the inbody vertex fed by facet j+1 of the triple
     t_faces = [ib.t_faces[1:] + ib.t_faces[:1] for ib in inbodies]
     low, high, reason = _fit_stack(K, T, triples, t_faces)
-    found: List[Optional[BilliardPair]] = []
-    for k, triple in enumerate(np.asarray(triples).reshape(-1, 3).tolist()):
-        if reason[k]:
-            found.append(None)
-            continue
-        q = 0.5 * (low[k] + high[k])  # the centre, as fit_to_k
-        p = np.roll(inbodies[k].vertices, -1, axis=0)
-        k_faces = tuple(Face.edge(i) for i in triple)
-        found.append(certified_pair(K, T, make_pair(K, T, q, p, k_faces,
-                                                    t_faces[k])))
-    return found
+    fits = np.flatnonzero(reason == "")
+    p = np.array([inbodies[k].vertices for k in fits]).reshape(-1, 3, 2)
+    found = np.full(len(t_faces), None, object)
+    found[fits] = certified_pairs(K, T, make_pairs(
+        K, T, 0.5 * (low[fits] + high[fits]),  # the centre, as fit_to_k
+        np.roll(p, -1, axis=1),
+        [tuple(Face.edge(i) for i in triple)
+         for triple in np.asarray(triples).reshape(-1, 3)[fits].tolist()],
+        [t_faces[k] for k in fits]))
+    return list(found)
 
 
 def search_three_bounce(K: ConvexPolytope2,

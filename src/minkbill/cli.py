@@ -229,7 +229,7 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
 
 def run_bench(sizes: Sequence[int], seed: int) -> dict:
     """Best-of-7 times of both searches on a grid of random instance sizes,
-    next to their work counts: the 2-bounce face tuples and LPs
+    next to their work counts: the 2-bounce face tuples and side solves
     (SearchStats) and the spanning facet triples of the 3-bounce search.
     Each repeat visits every cell in turn, so a stretch of slow machine time
     costs each cell at most one of its samples; on a shared host whose speed
@@ -256,7 +256,7 @@ def run_bench(sizes: Sequence[int], seed: int) -> dict:
              "two_bounce_found": found[i][0],
              "three_bounce_found": found[i][1],
              "two_bounce_tuples": stats[i].tuples_after_filter,
-             "two_bounce_lps": stats[i].lp_solves,
+             "two_bounce_solves": stats[i].side_solves,
              "three_bounce_triples": len(spanning_triples(K))}
             for i, (nk, nt, K, _) in enumerate(cells)]
     t3s = np.array([r["three_bounce_s"] for r in rows])

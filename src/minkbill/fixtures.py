@@ -90,12 +90,7 @@ def _build_example_g() -> Fixture:
     """A one-parameter family of 2-bounce curves of length 4 - 4a."""
     K = _poly((1, 1), (-1, 1), (0, -1))
     T = _poly((1, -2), (1, 2), (-1, 2), (-1, -2))
-    curves = {
-        "q_a_0": example_g_curve(0.0),
-        "q_a_025": example_g_curve(0.25),
-        "q_a_05": example_g_curve(0.5),
-    }
-    return Fixture(name="exampleG", K=K, T=T, curves=curves)
+    return Fixture(name="exampleG", K=K, T=T)
 
 
 def obtuse_triangle_100() -> ConvexPolytope2:
@@ -111,11 +106,7 @@ def _build_obtuse100() -> Fixture:
 
 def _build_fagnano() -> Fixture:
     """Equilateral triangle; the minimizer is the midpoint triangle."""
-    K = equilateral_triangle()
-    mid = 0.5 * (K.vertices + np.roll(K.vertices, -1, axis=0))
-    return Fixture(
-        name="fagnano", K=K, T=regular_ngon(256),
-        curves={"midpoints": ClosedCurve.from_vertices(mid)})
+    return Fixture(name="fagnano", K=equilateral_triangle(), T=regular_ngon(256))
 
 
 _REGISTRY: Dict[str, Callable[[], Fixture]] = {

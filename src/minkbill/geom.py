@@ -52,6 +52,12 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def dot2(a, b):
+    """The dot product along the last axis, one per vector of a stack, with
+    the bits of a @ b on one pair of vectors."""
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
 def rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -65,15 +71,15 @@ def unit(a) -> np.ndarray:
     return a / n
 
 
-def segment_distance(a, b, x) -> float:
-    """Euclidean distance from point x to the closed segment [a, b]."""
-    a = np.asarray(a, float)
+def segment_distance(a, b, x):
+    """Euclidean distance from point x to the closed segment [a, b], along
+    the last axis (one distance per segment of a stack)."""
+    a, x = np.asarray(a, float), np.asarray(x, float)
     d = np.asarray(b, float) - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.hypot(*(x - a)))
-    t = float(np.clip((np.asarray(x, float) - a) @ d / dd, 0.0, 1.0))
-    return float(np.hypot(*(a + t * d - x)))
+    dd = dot2(d, d)
+    t = np.clip(dot2(x - a, d) / np.where(dd == 0.0, 1.0, dd), 0.0, 1.0)
+    w = a + t[..., None] * d - x
+    return np.hypot(w[..., 0], w[..., 1])
 
 
 @dataclass(frozen=True)
@@ -181,11 +187,10 @@ def all_faces(P: ConvexPolytope2) -> List[Face]:
     return [Face.vertex(i) for i in range(P.n)] + [Face.edge(i) for i in range(P.n)]
 
 
-def face_distance(P: ConvexPolytope2, f: Face, x) -> float:
-    if f.kind == "vertex":
-        return float(np.hypot(*(np.asarray(x, float) - P.vertices[f.index])))
-    a, b = P.facet_segment(f.index)
-    return segment_distance(a, b, x)
+def face_distances(P: ConvexPolytope2, is_edge, idx, X):
+    """Distance of each X[k] to face idx[k] of P (a vertex is a segment of
+    length 0)."""
+    return segment_distance(P.vertices[idx], P.vertices[(idx + is_edge) % P.n], X)
 
 
 def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO
@@ -217,32 +222,28 @@ def find_face(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> Face:
 
 @dataclass(frozen=True)
 class NormalConeRep:
-    """Finitely generated cone, spanned by one or two unit generators in ccw
-    order; the angular width is < pi for any valid polytope face.  Each
-    generator is (2,), or (B, 2) for a stack of B cones of one kind."""
+    """Finitely generated cone, spanned by two unit generators in ccw order
+    (equal for a ray; the width is < pi for any valid polytope face).  Each
+    generator is (2,), or (B, 2) for a stack of B cones with one is_ray each."""
 
-    generators: Tuple[np.ndarray, ...]
-
-    @property
-    def is_ray(self) -> bool:
-        return len(self.generators) == 1
+    generators: Tuple[np.ndarray, np.ndarray]
+    is_ray: np.ndarray
 
     def angles(self) -> Tuple[float, float]:
         """(start angle, width) of a single cone; a ray has width 0."""
-        (x0, y0), (x1, y1) = self.generators[0], self.generators[-1]
+        (x0, y0), (x1, y1) = self.generators
         a0 = math.atan2(y0, x0)
         return a0, (math.atan2(y1, x1) - a0) % (2 * math.pi)
 
     def negate(self) -> "NormalConeRep":
-        return NormalConeRep(tuple(-g for g in self.generators))
+        return NormalConeRep(tuple(-g for g in self.generators), self.is_ray)
 
 
-def face_cones(P: ConvexPolytope2, is_edge: bool, idx) -> NormalConeRep:
-    """The normal cones of P at the faces idx, all facets (rays) or all
-    vertices (wedges); a stack if idx is an array."""
-    if is_edge:
-        return NormalConeRep((P.normals[idx],))
-    return NormalConeRep((P.normals[(idx - 1) % P.n], P.normals[idx]))
+def face_cones(P: ConvexPolytope2, is_edge, idx) -> NormalConeRep:
+    """Normal cones of P at faces idx (a stack for an array idx and is_edge):
+    rays where is_edge, wedges elsewhere."""
+    return NormalConeRep((P.normals[np.where(is_edge, idx, idx - 1)], P.normals[idx]),
+                         np.asarray(is_edge, bool)[()])
 
 
 def normal_cone(P: ConvexPolytope2, f: Face) -> NormalConeRep:
@@ -255,35 +256,21 @@ def cone_contains(cone: NormalConeRep, v, tol: float = EPS_GEO):
     v = np.asarray(v, float)
     nv = np.hypot(v[..., 0], v[..., 1])
     s = tol * nv
-    g = cone.generators
-    if cone.is_ray:
-        inside = ((np.abs(cross2(g[0], v)) <= s)
-                  & (g[0][..., 0] * v[..., 0] + g[0][..., 1] * v[..., 1] >= -s))
-    else:
-        inside = (cross2(g[0], v) >= -s) & (cross2(v, g[1]) >= -s)
-    return (nv <= tol) | inside
+    g0, g1 = cone.generators
+    # for a ray (g0 == g1) the two crosses pin v to the line of g0
+    return (nv <= tol) | ((cross2(g0, v) >= -s) & (cross2(v, g1) >= -s)
+                          & (np.logical_not(cone.is_ray)
+                             | (g0[..., 0] * v[..., 0] + g0[..., 1] * v[..., 1] >= -s)))
 
 
-def cone_distance(cone: NormalConeRep, v) -> float:
-    """Euclidean distance from v to the cone."""
+def cone_distance(cone: NormalConeRep, v):
+    """Euclidean distance from v to the cone, one per cone of a stack."""
     v = np.asarray(v, float)
-    if cone_contains(cone, v, 0.0):
-        return 0.0
-    best = float(np.hypot(v[0], v[1]))  # distance to the apex
+    best = np.hypot(v[..., 0], v[..., 1])  # distance to the apex
     for g in cone.generators:
-        t = max(0.0, float(g @ v))
-        best = min(best, float(np.hypot(*(v - t * g))))
-    return best
-
-
-def cones_intersect(c1: NormalConeRep, c2: NormalConeRep) -> bool:
-    """True iff the cones share a nonzero direction (closed reading, up to
-    EPS_ANG)."""
-    a1, w1 = c1.angles()
-    a2, w2 = c2.angles()
-    d12 = (a2 - a1) % (2 * math.pi)
-    d21 = (a1 - a2) % (2 * math.pi)
-    return d12 <= w1 + EPS_ANG or d21 <= w2 + EPS_ANG
+        w = v - np.maximum(0.0, dot2(g, v))[..., None] * g
+        best = np.minimum(best, np.hypot(w[..., 0], w[..., 1]))
+    return np.where(cone_contains(cone, v, 0.0), 0.0, best)[()]
 
 
 def support(P: ConvexPolytope2, x) -> float:
@@ -292,7 +279,8 @@ def support(P: ConvexPolytope2, x) -> float:
 
 
 def support_many(P: ConvexPolytope2, X: np.ndarray) -> np.ndarray:
-    return (np.asarray(X, float) @ P.vertices.T).max(axis=1)
+    """h_P along the last axis of X."""
+    return (np.asarray(X, float) @ P.vertices.T).max(axis=-1)
 
 
 def polar(T: ConvexPolytope2) -> ConvexPolytope2:
@@ -339,11 +327,8 @@ class ClosedCurve:
             raise InvalidCurve("a closed billiard curve needs at least two vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidCurve("vertices must be finite")
-        for j in range(m):
-            a, b = v[(j - 1) % m], v[(j + 1) % m]
-            if segment_distance(a, b, v[j]) <= EPS_GEO:
-                raise InvalidCurve(
-                    "vertex lies on the segment between its neighbours")
+        if degenerate(v):
+            raise InvalidCurve("vertex lies on the segment between its neighbours")
         v = v.copy()
         v.setflags(write=False)
         return ClosedCurve(v)
@@ -360,6 +345,13 @@ class ClosedCurve:
         return ClosedCurve.from_vertices(self.vertices + np.asarray(t, float))
 
 
+def degenerate(v):
+    """Whether a closed curve (m, 2), or each of a stack (B, m, 2), has a
+    vertex on the segment between its neighbours (for m = 2: coinciding)."""
+    return (segment_distance(np.roll(v, 1, axis=-2), np.roll(v, -1, axis=-2), v)
+            <= EPS_GEO).any(axis=-1)
+
+
 def ell_length(T: ConvexPolytope2, q: ClosedCurve) -> float:
     """Length of the closed curve q in the Minkowski metric induced by T,
     i.e. the sum of h_T over the edge vectors."""
@@ -370,7 +362,7 @@ def angles(vectors) -> np.ndarray:
     """The polar angle of each row, by math.atan2 (np.arctan2 differs from
     it in the last ulp on some inputs)."""
     return np.array([math.atan2(y, x)
-                     for x, y in np.asarray(vectors, float).reshape(-1, 2)])
+                     for x, y in np.asarray(vectors, float).reshape(-1, 2).tolist()])
 
 
 def largest_gap(angles, mask=True) -> np.ndarray:
@@ -395,15 +387,15 @@ def positively_spans(vectors: Sequence) -> bool:
     return bool(largest_gap(angles(vs)) < math.pi - EPS_ANG)
 
 
-def in_f(K: ConvexPolytope2, points) -> bool:
-    """Whether the point set touches the boundary 'immovably': no translation
-    pushes all points into the interior of K.  By Gordan's theorem that
-    holds iff 0 is in the convex hull of the normals of the facets the set
-    touches (slack <= EPS_GEO), i.e. iff no angular gap between them exceeds
-    pi (HULL_GAP)."""
-    pts = np.asarray(points, float).reshape(-1, 2)
-    touched = K.offsets - (pts @ K.normals.T).max(axis=0) <= EPS_GEO
-    return bool(largest_gap(angles(K.normals[touched])) <= HULL_GAP)
+def in_f(K: ConvexPolytope2, points):
+    """Whether the point set (m, 2) touches the boundary 'immovably', or
+    each set of a stack (B, m, 2): no translation pushes all points into
+    the interior of K.  By Gordan's theorem that holds iff 0 is in the
+    convex hull of the normals of the facets the set touches (slack <=
+    EPS_GEO), i.e. iff no angular gap between them exceeds pi (HULL_GAP)."""
+    pts = np.asarray(points, float)
+    touched = K.offsets - (pts @ K.normals.T).max(axis=-2) <= EPS_GEO
+    return largest_gap(angles(K.normals), touched) <= HULL_GAP
 
 
 def convex_hull(points) -> np.ndarray:

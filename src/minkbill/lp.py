@@ -21,7 +21,9 @@ every member prices, takes its ratio test and breaks ties exactly as it
 would alone, and a member that stops leaves the live part of the stack, so
 its solution is bit-identical to ``solve`` on it.  A stack of one (and so
 every ``solve``) runs the scalar pivot loop instead, which costs less numpy
-overhead per pivot; the loop is chosen by the stack size.
+overhead per pivot; the loop is chosen by the stack size.  ``solve_interval``
+gives, with no tableau, what the simplex gives on LPs in one variable; the
+2-bounce search uses it, and calls ``solve`` only for a two-variable side.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class LinearProgram:
     """One LP, or for ``solve_stack`` a stack of B LPs: ``constraints`` is
     then (B, m, n), ``objective`` and ``rhs`` either carry the leading B
     axis or are shared by every member, and every member shares
-    ``equality``, ``lower`` and ``upper``."""
+    ``equality`` (``solve_interval`` also takes one per member, (B, m)),
+    ``lower`` and ``upper``."""
 
     objective: np.ndarray                   # (n,)
     constraints: np.ndarray                 # (m, n), one row per constraint
@@ -253,13 +256,19 @@ def _standard_simplex(c, A, b):
     return status, y
 
 
+def _violations(A, b, eq, x):
+    """Each row's violation at each member's x (B, n), and the tolerance the
+    re-check allows it."""
+    resid = np.matmul(A, x[:, :, None])[:, :, 0] - b
+    tol = EPS_LP + 1e-9 * (1.0 + np.abs(b)
+                           + np.matmul(np.abs(A), np.abs(x)[:, :, None])[:, :, 0])
+    return np.where(eq, np.abs(resid), resid), tol
+
+
 def _recheck(A, b, eq, x, lower, upper) -> dict:
     """Independent feasibility check of every member's solution: why each
     failing member fails, by member index."""
-    resid = np.matmul(A, x[:, :, None])[:, :, 0] - b
-    viol = np.where(eq, np.abs(resid), resid)
-    tol = EPS_LP + 1e-9 * (1.0 + np.abs(b)
-                           + np.matmul(np.abs(A), np.abs(x)[:, :, None])[:, :, 0])
+    viol, tol = _violations(A, b, eq, x)
     bad = viol > tol
     why = {}
     for k in np.nonzero(bad.any(axis=1) | ((x < lower - 1e-9)
@@ -370,3 +379,36 @@ def solve_stack(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
     status, x, _ = _solve(obj, A, b, lp.equality, lp.lower, lp.upper)
     x[status != "optimal"] = 0.0
     return status, x
+
+
+def solve_interval(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
+    """solve_stack in closed form for LPs in one variable t with finite
+    bounds: t is where the simplex stops.  Phase 1 raises t from its lower
+    bound through the lower bounds of the rows violated there until an
+    upper bound blocks it, so t = min(largest lower, smallest upper bound);
+    an equality pins t (to the smaller of two values; below the lower bound
+    only a negative objective moves it back), and a positive objective takes
+    t to the upper bound.  Rows are bounds only where their coefficient
+    exceeds the pivot tolerance.  Feasible means phase 1's summed violation
+    <= 1e-8 and the re-check's row and bound tolerances hold."""
+    A = np.asarray(lp.constraints, float)
+    B, m, _ = A.shape
+    b = np.broadcast_to(np.asarray(lp.rhs, float), (B, m))
+    eq = np.broadcast_to(False if lp.equality is None else lp.equality, (B, m))
+    (lower,), (upper,) = lp.lower, lp.upper
+    # the standard form's rows in y = t - lower >= 0, an equality as two
+    a = np.concatenate([A[:, :, 0], -A[:, :, 0]], 1)
+    rhs = np.concatenate([b, -b], 1) - a * lower
+    live, halves = np.concatenate([np.ones_like(eq), eq], 1), np.tile(eq, 2)
+    ratio = np.divide(rhs, a, out=np.zeros_like(a), where=np.abs(a) > _PIVOT_TOL)
+    up = live & (a > _PIVOT_TOL)
+    pin = np.where(up & halves, ratio, np.inf).min(axis=1, initial=np.inf)
+    lo = np.where(live & (a < -_PIVOT_TOL), ratio, 0.0).max(axis=1, initial=0.0)
+    hi = np.where(up & (rhs >= 0), ratio, np.inf).min(axis=1, initial=upper - lower)
+    c = np.broadcast_to(np.asarray(lp.objective, float), (B, 1))[:, 0]
+    y = np.minimum(np.where(pin < np.inf, pin, np.where(c > _PIVOT_TOL, hi, lo)), hi)
+    y = np.where(c < -_PIVOT_TOL, np.maximum(y, 0.0), y)
+    viol, tol = _violations(A, b, eq, (y + lower)[:, None])
+    ok = ((np.where(live, a * y[:, None] - rhs, 0.0).clip(0.0).sum(axis=1) <= 1e-8)
+          & (viol <= tol).all(axis=1) & (y >= -1e-9) & (y <= upper - lower + 1e-9))
+    return np.where(ok, "optimal", "infeasible"), np.where(ok, y + lower, 0.0)[:, None]

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve,
-                   ell_length)
+                   degenerate, support_many)
 
 if TYPE_CHECKING:
     from .verify import Certificate
@@ -36,6 +36,23 @@ class BilliardPair:
     certificate: Optional["Certificate"] = field(default=None, compare=False)
 
 
+def make_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
+               t_faces) -> List[Optional[BilliardPair]]:
+    """make_pair for a stack: q and p are (B, m, 2), k_faces and t_faces B
+    face tuples of length m.  None where either curve is degenerate."""
+    q, p = np.array(q, float), np.array(p, float)
+    ok = ~(degenerate(q) | degenerate(p))
+    dq, dp = np.roll(q, -1, axis=1) - q, np.roll(p, -1, axis=1) - p
+    lambdas = np.hypot(dq[..., 0], dq[..., 1]).tolist()
+    mus = np.roll(np.hypot(dp[..., 0], dp[..., 1]), 1, axis=1).tolist()
+    lengths = support_many(T, dq).sum(axis=1).tolist()
+    q.setflags(write=False)
+    p.setflags(write=False)
+    return [BilliardPair(ClosedCurve(q[k]), ClosedCurve(p[k]), tuple(k_faces[k]),
+                         tuple(t_faces[k]), tuple(lambdas[k]), tuple(mus[k]),
+                         lengths[k]) if ok[k] else None for k in range(len(q))]
+
+
 def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
               q_vertices, p_vertices,
               k_faces: Sequence[Face], t_faces: Sequence[Face]
@@ -49,25 +66,21 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
         return None
     if q.m != p.m or q.m != len(k_faces) or q.m != len(t_faces):
         return None
-    dq = q.edges()
-    dp = p.edges()
-    lambdas = tuple(float(np.hypot(*d)) for d in dq)
-    mus = tuple(float(np.hypot(*dp[(j - 1) % p.m])) for j in range(p.m))
-    return BilliardPair(q, p, tuple(k_faces), tuple(t_faces),
-                        lambdas, mus, ell_length(T, q))
+    return make_pairs(K, T, [q.vertices], [p.vertices], [k_faces], [t_faces])[0]
 
 
-def _canonical_key(pair: BilliardPair) -> tuple:
-    """Translation- and cyclic-rotation-invariant fingerprint of q, its
-    coordinates rounded to 7 decimals (1e-7)."""
-    v = pair.q.vertices - pair.q.vertices.mean(axis=0)
-    best = None
-    for r in range(v.shape[0]):
-        cand = tuple(round(float(c), 7)
-                     for row in np.roll(v, -r, axis=0) for c in row)
-        if best is None or cand < best:
-            best = cand
-    return best
+def _canonical_keys(pairs: List[BilliardPair]) -> List[tuple]:
+    """Translation- and cyclic-rotation-invariant fingerprint of the q of
+    each pair (all of one m), its coordinates rounded to 7 decimals (1e-7);
+    the curves are centred and rotated as one stack."""
+    if not pairs:
+        return []
+    m = pairs[0].q.m
+    v = np.stack([pair.q.vertices for pair in pairs])
+    v = v - v.mean(axis=1, keepdims=True)
+    turns = np.stack([np.roll(v, -r, axis=1) for r in range(m)], 1)
+    return [min(tuple(round(c, 7) for c in row) for row in rows)
+            for rows in turns.reshape(len(v), m, 2 * m).tolist()]
 
 
 def _face_key(pair: BilliardPair) -> tuple:
@@ -75,18 +88,14 @@ def _face_key(pair: BilliardPair) -> tuple:
 
 
 def dedupe(pairs: List[BilliardPair]) -> List[BilliardPair]:
-    """Merge pairs whose trajectories coincide up to translation and cyclic
-    relabelling, keeping the lexicographically smallest face tuple."""
-    chosen = {}
-    order = []
-    for pair in pairs:
-        key = _canonical_key(pair)
-        if key not in chosen:
+    """Merge pairs (all of one m) whose trajectories coincide up to
+    translation and cyclic relabelling, keeping the lexicographically
+    smallest face tuple."""
+    chosen: dict = {}
+    for pair, key in zip(pairs, _canonical_keys(pairs)):
+        if key not in chosen or _face_key(pair) < _face_key(chosen[key]):
             chosen[key] = pair
-            order.append(key)
-        elif _face_key(pair) < _face_key(chosen[key]):
-            chosen[key] = pair
-    return [chosen[k] for k in order]
+    return list(chosen.values())
 
 
 def sort_pairs(pairs: List[BilliardPair]) -> List[BilliardPair]:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   GeometryError, angles, cone_distance, ell_length,
-                   face_distance, in_f, largest_gap, normal_cone, support_many,
-                   unit)
+                   GeometryError, angles, cone_distance, dot2,
+                   face_cones, face_distances, in_f, largest_gap, support_many, unit)
 from .pairs import BilliardPair
 
 
@@ -53,42 +52,49 @@ class Certificate:
         }
 
 
+def certify_stack(K: ConvexPolytope2, T: ConvexPolytope2,
+                  pairs: Sequence[BilliardPair]) -> List[Certificate]:
+    """The certificates of pairs of one number of bounces m, computed as one
+    stack."""
+    if not pairs:
+        return []
+    q = np.stack([pr.q.vertices for pr in pairs])
+    p = np.stack([pr.p.vertices for pr in pairs])
+    kf, tf = (np.array([[(f.index, f.is_edge) for f in faces] for faces in fs])
+              for fs in ([pr.k_faces for pr in pairs], [pr.t_faces for pr in pairs]))
+    dq, dp = np.roll(q, -1, axis=1) - q, np.roll(p, -1, axis=1) - p
+    kn = np.roll(kf, -1, axis=1)  # the face of K at the next bounce
+    sys_res = np.maximum(cone_distance(face_cones(T, tf[..., 1], tf[..., 0]), dq),
+                         cone_distance(face_cones(K, kn[..., 1], kn[..., 0]), -dp))
+    face_res = np.maximum(face_distances(K, kf[..., 1], kf[..., 0], q),
+                          face_distances(T, tf[..., 1], tf[..., 0], p))
+    inner = dot2(dq, p).sum(axis=1)
+    ell = support_many(T, dq).sum(axis=1)
+    dual = support_many(K, -dp).sum(axis=1)  # h_{-K}(v) = h_K(-v)
+    return [Certificate(*row) for row in zip(
+        sys_res.max(axis=1).tolist(), face_res.max(axis=1).tolist(),
+        np.abs(ell - inner).tolist(),
+        np.abs(ell - dual).tolist(), in_f(K, q).tolist(), in_f(T, p).tolist())]
+
+
 def certify(K: ConvexPolytope2, T: ConvexPolytope2,
             pair: BilliardPair) -> Certificate:
-    q, p = pair.q.vertices, pair.p.vertices
-    m = pair.q.m
-    sys_res = 0.0
-    face_res = 0.0
-    inner = 0.0
-    for j in range(m):
-        dq = q[(j + 1) % m] - q[j]
-        dp = p[(j + 1) % m] - p[j]
-        sys_res = max(sys_res,
-                      cone_distance(normal_cone(T, pair.t_faces[j]), dq),
-                      cone_distance(normal_cone(K, pair.k_faces[(j + 1) % m]), -dp))
-        face_res = max(face_res,
-                       face_distance(K, pair.k_faces[j], q[j]),
-                       face_distance(T, pair.t_faces[j], p[j]))
-        inner += float(dq @ p[j])
-    ell = ell_length(T, pair.q)
-    dual = float(support_many(K, -pair.p.edges()).sum())  # h_{-K}(v) = h_K(-v)
-    return Certificate(
-        system_residual=sys_res,
-        face_residual=face_res,
-        length_residual=abs(ell - inner),
-        dual_length_residual=abs(ell - dual),
-        in_f_k=in_f(K, q),
-        in_f_t=in_f(T, p),
-    )
+    return certify_stack(K, T, [pair])[0]
+
+
+def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2,
+                    pairs: Sequence[Optional[BilliardPair]]
+                    ) -> List[Optional[BilliardPair]]:
+    """certified_pair for pairs of one m, certified as one stack."""
+    certs = iter(certify_stack(K, T, [pr for pr in pairs if pr is not None]))
+    out = [pr and replace(pr, certificate=next(certs)) for pr in pairs]
+    return [pr if pr and pr.certificate.certified else None for pr in out]
 
 
 def certified_pair(K: ConvexPolytope2, T: ConvexPolytope2,
                    pair: Optional[BilliardPair]) -> Optional[BilliardPair]:
     """The pair carrying its certificate, or None if it is None or fails."""
-    if pair is None:
-        return None
-    cert = certify(K, T, pair)
-    return replace(pair, certificate=cert) if cert.certified else None
+    return certified_pairs(K, T, [pair])[0]
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,

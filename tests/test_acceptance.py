@@ -10,13 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from minkbill.bounce2 import search_two_bounce, solve_face_tuple, tuple_variable_count
+from minkbill.bounce2 import search_two_bounce, solve_face_tuple
 from minkbill.bounce3 import search_three_bounce
 from minkbill.cli import _search_report, run_bench
 from minkbill.fixtures import (equilateral_triangle, example_g_curve, load,
                                obtuse_triangle_100, regular_ngon)
-from minkbill.geom import (ClosedCurve, ConvexPolytope2, ell_length, find_face,
-                           polar, support)
+from minkbill.geom import ClosedCurve, ell_length, find_face, polar, support
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.obtuse import regular_three_bounce_exists
@@ -134,7 +133,7 @@ def test_criterion_07_perturbed_objectives():
         for pair in search_two_bounce(K, T):
             f1, f2 = pair.k_faces
             g1, g2 = pair.t_faces
-            nv = tuple_variable_count(f1, f2, g1, g2)
+            nv = sum(f.is_edge for f in (f1, f2, g1, g2))  # one per facet
             if nv == 0:
                 continue
             redo = solve_face_tuple(K, T, f1, f2, g1, g2,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 
@@ -6,15 +7,17 @@ import pytest
 
 from minkbill import bounce2, lp as lpmod
 from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
-                              solve_face_tuple, tuple_variable_count)
+                              solve_face_tuple)
 from minkbill.fixtures import fixture_names, load, regular_ngon
-from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, all_faces,
-                           cone_contains, cones_intersect, find_face, in_f,
+from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
+                           cone_contains, find_face, in_f,
                            normal_cone)
-from minkbill.lp import LinearProgram, NumericalFailure, solve
-from minkbill.pairs import _canonical_key, dedupe, make_pair, sort_pairs
+from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
+from minkbill.pairs import _canonical_keys, dedupe, make_pair, make_pairs, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
+
+from test_geom import cones_intersect
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
 DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -37,7 +40,7 @@ def test_enumeration_count_matches_closed_form():
     stats = SearchStats()
     search_two_bounce(SQUARE, DIAMOND, stats=stats)
     assert stats.tuples_after_filter <= 2 * 28 * 28
-    assert stats.lp_solves <= stats.tuples_after_filter
+    assert stats.side_solves <= stats.tuples_after_filter
 
 
 def test_returned_pairs_certified_and_immovable(rng):
@@ -80,7 +83,7 @@ def test_perturbed_objective_same_length(rng):
     for pair in pairs:
         f1, f2 = pair.k_faces
         g1, g2 = pair.t_faces
-        nv = tuple_variable_count(f1, f2, g1, g2)
+        nv = sum(f.is_edge for f in (f1, f2, g1, g2))  # one per facet
         if nv == 0:
             continue
         for _ in range(3):
@@ -95,7 +98,7 @@ def test_perturbed_objective_same_length(rng):
 def test_no_duplicate_canonical_keys(rng):
     K, T = random_instance(rng, 6, 5)
     pairs = search_two_bounce(K, T)
-    keys = [_canonical_key(p) for p in pairs]
+    keys = _canonical_keys(pairs)
     assert len(keys) == len(set(keys))
 
 
@@ -112,9 +115,10 @@ def test_declared_faces_contain_vertices(rng):
         for j in range(2):
             f = find_face(K, pair.q.vertices[j], tol=1e-7)
             # the declared face need not be minimal, but must contain the point
-            from minkbill.geom import face_distance
-            assert face_distance(K, pair.k_faces[j], pair.q.vertices[j]) < 1e-7
-            assert face_distance(T, pair.t_faces[j], pair.p.vertices[j]) < 1e-7
+            from minkbill.geom import face_distances
+            f, g = pair.k_faces[j], pair.t_faces[j]
+            assert face_distances(K, f.is_edge, f.index, pair.q.vertices[j]) < 1e-7
+            assert face_distances(T, g.is_edge, g.index, pair.p.vertices[j]) < 1e-7
 
 
 def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
@@ -176,7 +180,7 @@ class _Affine:
 
 def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
     g = cone.generators
-    if len(g) == 1:
+    if cone.is_ray:
         row, const = expr.cross_with(g[0])
         rows.append((row, -const, True))
         row, const = expr.dot_with(g[0])
@@ -188,7 +192,10 @@ def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
         rows.append((row, slack - const, False))
 
 
-def _reference_face_tuple(K, T, f1, f2, g1, g2):
+def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
+    """The face tuple's pair by the simplex on one LP over both sides, or,
+    with sides_apart, by solve_interval on each side where every free side
+    has one variable."""
     ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
     ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
     f_fixed = not (f1.is_edge or f2.is_edge)
@@ -214,41 +221,55 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2):
             M[:, sum(e is not None for _, e in ends[:r])] = d
         points.append(_Affine(base, M))
     q1, q2, p1, p2 = points
-    rows = []
+    sides = []  # the rows of each free side
     if f_fixed:
         dq = q2.c - q1.c
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
             return None
     else:
-        _reference_cone_rows(rows, q2 - q1, ct1)
-        _reference_cone_rows(rows, q1 - q2, ct2)
+        sides.append([])
+        _reference_cone_rows(sides[-1], q2 - q1, ct1)
+        _reference_cone_rows(sides[-1], q1 - q2, ct2)
     if g_fixed:
         dp = p2.c - p1.c
         if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
     else:
-        _reference_cone_rows(rows, p2 - p1, ck2.negate())
-        _reference_cone_rows(rows, p1 - p2, ck1.negate())
-    try:
-        sol = solve(LinearProgram(
-            np.zeros(nv), np.array([r for r, _, _ in rows]),
-            np.array([b for _, b, _ in rows]),
-            np.array([e for _, _, e in rows]), np.zeros(nv), np.ones(nv)))
-    except lpmod.NumericalFailure:
-        return None
-    if sol.status != "optimal":
-        return None
+        sides.append([])
+        _reference_cone_rows(sides[-1], p2 - p1, ck2.negate())
+        _reference_cone_rows(sides[-1], p1 - p2, ck1.negate())
+    if sides_apart and nv == len(sides):  # free side c has variable c
+        x = np.zeros(nv)
+        for c, rows in enumerate(sides):
+            [status], [[x[c]]] = solve_interval(LinearProgram(
+                np.zeros(1), np.array([[[r[c]] for r, _, _ in rows]]),
+                np.array([[b for _, b, _ in rows]]),
+                np.array([e for _, _, e in rows]), np.zeros(1), np.ones(1)))
+            if status != "optimal":
+                return None
+    else:
+        rows = [row for side in sides for row in side]
+        try:
+            sol = solve(LinearProgram(
+                np.zeros(nv), np.array([r for r, _, _ in rows]),
+                np.array([b for _, b, _ in rows]),
+                np.array([e for _, _, e in rows]), np.zeros(nv), np.ones(nv)))
+        except lpmod.NumericalFailure:
+            return None
+        if sol.status != "optimal":
+            return None
+        x = sol.x
     return certified_pair(K, T, make_pair(
-        K, T, [q1.at(sol.x), q2.at(sol.x)], [p1.at(sol.x), p2.at(sol.x)],
-        (f1, f2), (g1, g2)))
+        K, T, [q1.at(x), q2.at(x)], [p1.at(x), p2.at(x)], (f1, f2), (g1, g2)))
 
 
 def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
     """search_two_bounce one face tuple and one lp.solve at a time; also
     returns the certified pairs in the order they reach prefer_smooth."""
     found = []
+    t_pairs = _reference_antipodal_pairs(T)
     for f1, f2 in _reference_antipodal_pairs(K):
-        for g1, g2 in _reference_antipodal_pairs(T):
+        for g1, g2 in t_pairs:
             for gg1, gg2 in ((g1, g2), (g2, g1)):
                 pair = face_tuple(K, T, f1, f2, gg1, gg2)
                 if pair is not None:
@@ -284,30 +305,49 @@ def _same_pairs(got, want):
 
 def test_batched_search_matches_per_tuple_reference(monkeypatch):
     """The batched search gives, bit for bit, what the per-tuple search
-    gives: the same certified pairs reach prefer_smooth in the same order,
-    and the same pairs come out, with equal lengths, q, p and faces.  The
-    regular polygons have parallel facets, so vertex-vertex and facet-facet
-    tuples reach the LP there."""
+    gives with each one-variable side solved apart by solve_interval: the
+    same certified pairs reach prefer_smooth in the same order, and the same
+    pairs come out, with equal lengths, q, p and faces.  The per-tuple
+    search by the simplex, one LP over both sides of a tuple, certifies the
+    same tuples; q, p and length are bit for bit the same wherever the
+    closed form reproduces its pivots (over 80 % of the pairs), and within
+    1e-12 of the body's diameter and 1e-12 relative elsewhere.  The regular polygons have
+    parallel facets, so vertex-vertex and facet-facet tuples reach the LP
+    there."""
     seen = []
 
     def recording(K, T, pair):
         seen.append(pair)
         return prefer_smooth(K, T, pair)
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    apart = functools.partial(_reference_face_tuple, sides_apart=True)
     patterns = set()
-    total = 0
+    total = compared = same = 0
     for K, T in _identity_instances():
         seen.clear()
         got = search_two_bounce(K, T)
-        want, found = _per_tuple_reference(K, T)
+        want, found = _per_tuple_reference(K, T, apart)
         _same_pairs(seen, found)
         _same_pairs(got, want)
+        _, by_simplex = _per_tuple_reference(K, T)
+        assert ([(p.k_faces, p.t_faces) for p in found]
+                == [(p.k_faces, p.t_faces) for p in by_simplex])
+        compared += len(found)
+        for a, b in zip(found, by_simplex):
+            same += (a.length == b.length and np.array_equal(a.q.vertices, b.q.vertices)
+                     and np.array_equal(a.p.vertices, b.p.vertices))
+            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+            assert np.allclose(a.q.vertices, b.q.vertices, rtol=0,
+                               atol=1e-12 * (1 + _diameter(K)))
+            assert np.allclose(a.p.vertices, b.p.vertices, rtol=0,
+                               atol=1e-12 * (1 + _diameter(T)))
         patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
                         for pair in found)
         total += len(got)
     assert total >= 300
     assert {(False, False, False, False), (True, True, True, True)} <= patterns
     assert len(patterns) >= 5
+    assert 5 * same >= 4 * compared  # most sides take the simplex's own bits
 
 
 # the face-tuple LP as it was written before every side used _cone_rows: a
@@ -416,42 +456,37 @@ def _status_log(solve_lp, log):
 
 def test_cone_rows_match_multiplier_formulation(monkeypatch):
     """The cone rows of a facet's ray (cross(g, v) = 0, <g, v> >= 0) decide
-    every face tuple as the multiplier formulation does: the LPs of the
-    same tuples are solved, with the same statuses, the same tuples are
-    certified, with lengths equal to 1e-12 relative, and the search returns
-    the same pairs, with q and p equal to 1e-12 of the body's diameter.
-    Within a family of constant length the two LPs may stop at different
-    points, so the pairs before prefer_smooth are compared by faces and
-    length only."""
-    seen, statuses, multiplier_statuses, logged = [], [], [], []
+    every face tuple as the multiplier formulation does: the same tuples
+    are feasible (they reach make_pair), the same tuples are certified,
+    with lengths equal to 1e-12 relative, and the search returns the same
+    pairs, with q and p equal to 1e-12 of the body's diameter.  Within a
+    family of constant length the two may stop at different points, so the
+    pairs before prefer_smooth are compared by faces and length only."""
+    seen, statuses, feasible, multiplier_feasible = [], [], [], []
 
     def recording(K, T, pair):
         seen.append(pair)
         return prefer_smooth(K, T, pair)
 
-    def multiplier(K, T, *faces):
-        multiplier_statuses.clear()
-        pair = _multiplier_face_tuple(K, T, *faces)
-        pattern = sum(8 >> r for r, f in enumerate(faces) if f.is_edge)
-        logged.extend((pattern, s) for s in multiplier_statuses)
-        return pair
+    def logged_pairs(K, T, q, p, k_faces, t_faces):
+        feasible.extend(zip(k_faces, t_faces))
+        return make_pairs(K, T, q, p, k_faces, t_faces)
+
+    def logged_pair(K, T, q, p, k_faces, t_faces, make_one=make_pair):
+        multiplier_feasible.append((tuple(k_faces), tuple(t_faces)))
+        return make_one(K, T, q, p, k_faces, t_faces)
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
-    monkeypatch.setattr(lpmod, "solve", _status_log(lpmod.solve, statuses))
+    monkeypatch.setattr(bounce2, "make_pairs", logged_pairs)
+    monkeypatch.setattr(sys.modules[__name__], "make_pair", logged_pair)
     monkeypatch.setattr(sys.modules[__name__], "solve",
-                        _status_log(solve, multiplier_statuses))
+                        _status_log(solve, statuses))
     total = 0
-    n_status = {"optimal": 0, "infeasible": 0}
     for K, T in _identity_instances():
-        seen.clear()
-        statuses.clear()
-        logged.clear()
+        for log in (seen, feasible, multiplier_feasible):
+            log.clear()
         got = search_two_bounce(K, T)
-        want, found = _per_tuple_reference(K, T, multiplier)
-        # the search solves the LPs of one vertex/facet pattern at a time,
-        # in tuple order within a pattern
-        assert statuses == [s for _, s in sorted(logged, key=lambda t: t[0])]
-        for s in n_status:
-            n_status[s] += statuses.count(s)
+        want, found = _per_tuple_reference(K, T, _multiplier_face_tuple)
+        assert feasible == multiplier_feasible
         assert ([(p.k_faces, p.t_faces) for p in seen]
                 == [(p.k_faces, p.t_faces) for p in found])
         for a, b in zip(seen, found):
@@ -466,7 +501,7 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
                                atol=1e-12 * (1 + _diameter(T)))
         total += len(got)
     assert total >= 300
-    assert min(n_status.values()) >= 300
+    assert min(statuses.count(s) for s in ("optimal", "infeasible")) >= 300
 
 
 def test_antipodal_filter_matches_cones_intersect(rng):
@@ -478,3 +513,28 @@ def test_antipodal_filter_matches_cones_intersect(rng):
         want = [(i, j) for i, j in itertools.combinations(range(len(faces)), 2)
                 if cones_intersect(cones[i], cones[j].negate())]
         assert bounce2._antipodal_pairs(P).tolist() == [list(t) for t in want]
+
+
+def _per_face_antipodal_pairs(P):
+    """_antipodal_pairs as it was written before it read face_cones arrays:
+    one normal_cone and its angles per face."""
+    cones = [normal_cone(P, f) for f in all_faces(P)]
+    a1, w1 = np.array([c.angles() for c in cones]).T
+    a2, w2 = np.array([c.negate().angles() for c in cones]).T
+    i, j = np.triu_indices(len(cones), 1)
+    d12 = (a2[j] - a1[i]) % (2 * np.pi)
+    d21 = (a1[i] - a2[j]) % (2 * np.pi)
+    ok = (d12 <= w1[i] + EPS_ANG) | (d21 <= w2[j] + EPS_ANG)
+    return np.column_stack([i[ok], j[ok]])
+
+
+def test_antipodal_pairs_match_per_face_reference(rng):
+    """The stacked cones give the same antipodal pairs as one cone per
+    face, on bodies whose parallel facets put angles on the EPS_ANG edge."""
+    bodies = [SQUARE, DIAMOND] + [regular_ngon(n) for n in (3, 4, 6, 12, 64, 256)]
+    bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 25)]
+    bodies += [K for pair in _identity_instances() for K in pair]
+    for P in bodies:
+        got = bounce2._antipodal_pairs(P)
+        want = _per_face_antipodal_pairs(P)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -12,7 +12,7 @@ from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
 from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
 from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                           face_distance, find_face, normal_cone,
+                           face_distances, find_face, normal_cone,
                            positively_spans, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import dedupe, make_pair, sort_pairs
@@ -113,7 +113,7 @@ def test_fit_rejects_off_facet():
     t_faces = (Face.edge(1), Face.edge(2), Face.edge(0))
     q = fit_to_k(needle, T, (0, 1, 2), t_faces)
     for r in range(3):
-        assert face_distance(needle, Face.edge(r), q[r]) < 1e-9
+        assert face_distances(needle, True, r, q[r]) < 1e-9
         dq, n = q[(r + 1) % 3] - q[r], T.normals[t_faces[r].index]
         assert abs(dq[0] * n[1] - dq[1] * n[0]) < 1e-9 and dq @ n > 0
 

@@ -252,6 +252,6 @@ def test_bench_smoke():
         # random polygons have no parallel facets: 2n antipodal face pairs
         # per body, combined in both orientations
         assert row["two_bounce_tuples"] == 8 * row["nk"] * row["nt"]
-        assert 0 < row["two_bounce_lps"] <= row["two_bounce_tuples"]
+        assert 0 < row["two_bounce_solves"] <= row["two_bounce_tuples"]
         nk = row["nk"]
         assert 0 < row["three_bounce_triples"] <= nk * (nk - 1) * (nk - 2) // 3

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import regular_ngon
-from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
-                           GeometryError, InvalidCurve, InvalidPolytope,
+from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
+                           Face, GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
-                           cone_contains, cone_distance, cones_intersect,
-                           convex_hull, ell_length, face_cones, face_distance,
+                           cone_contains, cone_distance,
+                           convex_hull, ell_length, face_cones, face_distances,
                            find_face, gauge, in_f, largest_gap, normal_cone,
                            polar, positively_spans, rotation, segment_distance,
-                           support, support_many, unit)
+                           support, unit)
 from minkbill.lp import LinearProgram, solve
 from minkbill.randgen import random_instance, random_polytope
 
@@ -127,6 +127,7 @@ def test_support_monotone_under_inclusion(P, x):
 def test_normal_cone_edge_and_vertex():
     ray = normal_cone(SQUARE, Face.edge(0))
     assert ray.is_ray and np.allclose(ray.generators[0], (1, 0))
+    assert np.array_equal(*ray.generators)  # a ray repeats its generator
     cone = normal_cone(SQUARE, Face.vertex(1))  # vertex (1, 1)
     assert np.allclose(cone.generators[0], (1, 0))
     assert np.allclose(cone.generators[1], (0, 1))
@@ -152,7 +153,7 @@ def _reference_cone_contains(cone, v, tol: float = EPS_GEO) -> bool:
         return True  # the zero vector belongs to every closed cone
     s = tol * nv
     g = cone.generators
-    if len(g) == 1:
+    if cone.is_ray:
         return abs(cross2(g[0], v)) <= s and float(g[0] @ v) >= -s
     return cross2(g[0], v) >= -s and cross2(v, g[1]) >= -s
 
@@ -180,6 +181,17 @@ def test_stacked_cone_contains_matches_scalar_reference(P):
         assert got.shape == (len(V),) and got.tolist() == want
         assert got[4 * n:6 * n].all() and not got[6 * n:7 * n].any()
         assert [cone_contains(c, v) for c, v in zip(cones, V)] == want
+
+
+def cones_intersect(c1, c2) -> bool:
+    """Whether two single cones share a nonzero direction (closed reading,
+    up to EPS_ANG): the reference the 2-bounce antipodality filter is
+    checked against."""
+    a1, w1 = c1.angles()
+    a2, w2 = c2.angles()
+    d12 = (a2 - a1) % (2 * math.pi)
+    d21 = (a1 - a2) % (2 * math.pi)
+    return d12 <= w1 + EPS_ANG or d21 <= w2 + EPS_ANG
 
 
 def test_cones_intersect_antipodal_facets():
@@ -424,9 +436,11 @@ def test_find_face_matches_per_edge_reference(P, tol):
 
 
 def test_face_distance():
-    assert face_distance(SQUARE, Face.edge(0), (1, 0.5)) == 0.0
-    assert face_distance(SQUARE, Face.edge(0), (0.5, 0.0)) == pytest.approx(0.5)
-    assert face_distance(SQUARE, Face.vertex(0), (1, -1)) == 0.0
+    assert face_distances(SQUARE, True, 0, (1, 0.5)) == 0.0
+    assert face_distances(SQUARE, True, 0, (0.5, 0.0)) == pytest.approx(0.5)
+    assert face_distances(SQUARE, False, 0, (1, -1)) == 0.0
+    assert face_distances(SQUARE, np.array([True, False]), np.array([0, 0]),
+                          np.array([(0.5, 0.0), (1, -1)])).tolist() == [0.5, 0.0]
 
 
 def test_all_faces_count():

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minkbill import lp as lpmod
-from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_stack
+from minkbill.bounce2 import _Affine, _cycle_rows, _rows_lp
+from minkbill.geom import NormalConeRep
+from minkbill.lp import (LinearProgram, NumericalFailure, solve, solve_interval,
+                         solve_stack)
 
 INF = np.inf
 
@@ -338,3 +341,160 @@ def test_stack_memory_stays_near_its_tableau(monkeypatch):
         tracemalloc.stop()
     assert (status == "optimal").sum() >= B // 4
     assert tableau and peak <= 3 * max(tableau)
+
+
+# ---------------------------------------------------------------------------
+# the closed form of a 2-bounce side with one variable against the simplex
+
+
+def _direction(angle):
+    return np.array([[np.cos(angle), np.sin(angle)]])
+
+
+def _cone(*angles):
+    """The cone spanned by the directions at angles (one: a ray)."""
+    return NormalConeRep((_direction(angles[0]), _direction(angles[-1])),
+                         np.bool_(len(angles) == 1))
+
+
+@st.composite
+def one_variable_sides(draw):
+    """The LP of a 2-bounce side with one variable: the point q(t) = A + t D
+    on a facet and a fixed point F close a 2-gon whose edges F - q and q - F
+    lie in two cones.  F sits so that the line of F - q(s) hits the facet at
+    s, and each cone is aimed at that direction give or take an offset: a
+    ray with a wedge, two wedges, a ray through an end of the facet in
+    integers (so s is exactly 0 or 1), or two rays that are parallel up to
+    a tiny angle (parallel facets of the other body).  The tilt of those
+    stays clear of the band (about 1e-10) where both of their values are
+    feasible to within the tolerance but only one of them to within the
+    bounds, so that the simplex's verdict follows the pin its pivots reach
+    first."""
+    kind = draw(st.sampled_from(
+        ("ray+wedge", "two wedges", "t at an end", "near-parallel rays")))
+    offset = st.sampled_from((0.0, 0.0, 1e-6, -1e-6, 0.1, -0.3))
+    if kind == "t at an end":
+        step = st.integers(-3, 3)
+        A = np.array([draw(step), draw(step)], float)
+        D = np.array(draw(st.sampled_from(((1, 0), (0, 2), (1, 1), (-2, 1)))), float)
+        s = draw(st.sampled_from((0.0, 1.0)))
+        u = np.array(draw(st.sampled_from(((0, 1), (0, -1), (1, 0), (-1, 0)))), float)
+        if abs(u[0] * D[1] - u[1] * D[0]) == 0:
+            u = u[::-1].copy()
+        F = A + s * D + draw(st.integers(1, 3)) * u
+        aim = np.arctan2(u[1], u[0])
+    else:
+        angle = st.floats(0, 2 * np.pi)
+        A = np.array([draw(st.floats(-3, 3)), draw(st.floats(-3, 3))])
+        D = draw(st.floats(0.1, 3)) * _direction(draw(angle))[0]
+        s = draw(st.floats(-0.2, 1.2))
+        aim = draw(angle)
+        F = A + s * D + draw(st.floats(0.1, 3)) * _direction(aim)[0]
+    width = st.floats(0.01, 3.0)
+    spread = draw(width)
+    first = aim + draw(offset)
+    second = aim + np.pi + draw(offset)
+    wedge = (second - draw(st.floats(0, 1)) * spread,)
+    wedge += (wedge[0] + spread,)
+    if kind == "two wedges":
+        cones = (_cone(first - spread / 2, first + spread / 2), _cone(*wedge))
+    elif kind == "near-parallel rays":
+        tilt = draw(st.sampled_from((0.0, 1e-15, 1e-6)))
+        cones = (_cone(first), _cone(first + np.pi + tilt))
+    else:
+        cones = (_cone(first), _cone(*wedge))
+    points = [_Affine(A[None], D.reshape(1, 2, 1)),
+              _Affine(F[None], np.zeros((1, 2, 1)))]
+    if draw(st.booleans()):  # the 2-gon (F, q): its edges swap their cones
+        points.reverse()
+        cones = cones[::-1]
+    rows = []
+    _cycle_rows(rows, points, cones)
+    return _rows_lp(rows, [draw(st.sampled_from((0.0, 0.0, 1.0, -1.0)))])
+
+
+@pytest.mark.parametrize("objective", [0.0, -1.0])
+def test_solve_interval_pin_just_below_lower_bound(objective):
+    """An equality pins t 1e-9 below its lower bound.  The simplex leaves t
+    there with no objective, and the bound check fails; a negative
+    objective steps t back to the bound, where the equality holds to within
+    its tolerance.  solve_interval follows it both ways."""
+    lp = LinearProgram(np.array([objective]),
+                       np.array([[[1.0], [-1.0], [0.5403023058681398]]]),
+                       np.array([[-1.0000001e-09, 1.0000001e-09, 0.8414709848078965]]),
+                       np.array([True, False, False]), np.zeros(1), np.ones(1))
+    [status], [[t]] = solve_interval(lp)
+    member = LinearProgram(lp.objective, lp.constraints[0], lp.rhs[0],
+                           lp.equality, lp.lower, lp.upper)
+    if objective:
+        assert (status, t) == ("optimal", solve(member).x[0]) == ("optimal", 0.0)
+    else:
+        assert status == "infeasible"
+        with pytest.raises(NumericalFailure):
+            solve(member)
+
+
+@pytest.mark.parametrize("delta", [1e-4, -1e-5, 1e-6])
+@pytest.mark.parametrize("s", [-0.2, 0.0, 0.3, 1.0, 1.2])
+def test_solve_interval_generator_nearly_along_the_facet(delta, s):
+    """A ray delta rad off the direction of the facet pins t = s through a
+    coefficient of sin(delta): both solvers give the verdict of the
+    geometry (feasible iff s is on the facet) and the same t, to 1e-9."""
+    A, D = np.zeros(2), np.array([1.0, 0.0])
+    F = A + s * D + 2.0 * _direction(delta)[0]
+    rows = []
+    _cycle_rows(rows, [_Affine(A[None], D.reshape(1, 2, 1)),
+                       _Affine(F[None], np.zeros((1, 2, 1)))],
+                (_cone(delta), _cone(delta + np.pi - 0.2, delta + np.pi + 0.2)))
+    stack = _rows_lp(rows, [0.0])
+    [status], [[t]] = solve_interval(stack)
+    sol = solve(LinearProgram(stack.objective, stack.constraints[0], stack.rhs[0],
+                              stack.equality, stack.lower, stack.upper))
+    assert abs(stack.constraints[0, stack.equality, 0]).max() < 1.1e-4
+    assert status == sol.status == ("optimal" if 0 <= s <= 1 else "infeasible")
+    if status == "optimal":
+        assert abs(t - sol.x[0]) <= 1e-9 and abs(t - s) <= 1e-6
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_variable_sides())
+def test_solve_interval_matches_simplex(stack):
+    """solve_interval decides each drawn side as the simplex does, and puts t
+    where the simplex puts it: to 1e-12 where an equality pins it (with the
+    search's zero objective), and at the end of the interval that the
+    objective picks otherwise.  Two kinds of draw leave the simplex's t to
+    rounding, and there t is compared to 1e-9: a generator nearly along the
+    facet makes a coefficient tiny, and the simplex pivots on it; and a row
+    violated by more than rounding but less than the tolerances at an end of
+    the facet or at another row's bound leaves t to the order in which the
+    simplex drives out its artificial columns.  Where the simplex's own
+    point fails its re-check (NumericalFailure), a t that solve_interval
+    finds must satisfy every row to within 1e-8 and the bounds."""
+    [status], [[t]] = solve_interval(stack)
+    A, b, eq = stack.constraints[0, :, 0], stack.rhs[0], stack.equality
+    try:
+        sol = solve(LinearProgram(stack.objective, stack.constraints[0],
+                                  stack.rhs[0], eq, stack.lower, stack.upper))
+    except NumericalFailure:
+        resid = A * t - b
+        assert status == "infeasible" or (
+            (np.where(eq, np.abs(resid), resid) <= 1e-8).all() and -1e-9 <= t <= 1 + 1e-9)
+        return
+    assert status == sol.status
+    if status != "optimal":
+        assert t == 0.0
+        return
+    ends = np.concatenate([[0.0, 1.0], b[A != 0] / A[A != 0]])
+    resid = A[:, None] * ends - b[:, None]
+    viol = np.where(eq[:, None], np.abs(resid), resid)
+    tol = 1e-9 if (((A != 0) & (np.abs(A) < 1e-3)).any()
+                   or ((viol > 1e-12) & (viol <= 1e-8)).any()) else 1e-12
+    a = A[eq]
+    pins = b[eq][np.abs(a) > 1e-9] / a[np.abs(a) > 1e-9]
+    if not pins.size:
+        assert abs(t - sol.x[0]) <= tol
+    elif not stack.objective.any():
+        # two near-parallel rays pin t to two values; the simplex may stop at
+        # either (and with an objective it may slide t along an equality by
+        # as much as that equality's tolerance allows)
+        assert abs(t - sol.x[0]) <= tol + np.ptp(pins)

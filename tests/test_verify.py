@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
-                           find_face)
-from minkbill.pairs import make_pair
+                           cone_contains, find_face, normal_cone)
+from minkbill.pairs import _canonical_keys, make_pair, make_pairs
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import (LineNotSupporting, boundary_grid, brute_force_min,
-                             certify, check_weak_rule, _immovable_table,
+from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
+                             brute_force_min, certify, certify_stack,
+                             check_weak_rule, _immovable_table,
                              _subset_immovable_table)
 
+from test_bounce2 import _identity_instances
 from test_geom import _reference_in_f
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
@@ -226,7 +229,7 @@ def test_certify_runs_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP solver was called")
 
-    solvers = (lpmod.solve, lpmod.solve_stack)
+    solvers = (lpmod.solve, lpmod.solve_stack, lpmod.solve_interval)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] != "minkbill":
             continue
@@ -369,3 +372,99 @@ def test_brute_force_memory_is_quadratic_in_the_grid():
             tracemalloc.stop()
     assert max(peaks) <= 8 * N * N * 8
     assert max(peaks) <= 1.2 * min(peaks)
+
+
+# certify as it was written before certificates were computed as stacks: one
+# pair at a time, with a 1-D dot per edge
+
+
+def _reference_cone_distance(cone, v):
+    if cone_contains(cone, v, 0.0):
+        return 0.0
+    best = float(np.hypot(v[0], v[1]))
+    for g in cone.generators:
+        t = max(0.0, float(g @ v))
+        best = min(best, float(np.hypot(*(v - t * g))))
+    return best
+
+
+def _reference_face_distance(P, f, x):
+    a = P.vertices[f.index]
+    if not f.is_edge:
+        return float(np.hypot(*(x - a)))
+    d = P.vertices[(f.index + 1) % P.n] - a
+    t = float(np.clip((x - a) @ d / float(d @ d), 0.0, 1.0))
+    return float(np.hypot(*(a + t * d - x)))
+
+
+def _reference_certify(K, T, pair):
+    q, p = pair.q.vertices, pair.p.vertices
+    m = pair.q.m
+    sys_res = face_res = inner = 0.0
+    for j in range(m):
+        dq = q[(j + 1) % m] - q[j]
+        dp = p[(j + 1) % m] - p[j]
+        sys_res = max(sys_res,
+                      _reference_cone_distance(normal_cone(T, pair.t_faces[j]), dq),
+                      _reference_cone_distance(normal_cone(K, pair.k_faces[(j + 1) % m]), -dp))
+        face_res = max(face_res, _reference_face_distance(K, pair.k_faces[j], q[j]),
+                       _reference_face_distance(T, pair.t_faces[j], p[j]))
+        inner += float(dq @ p[j])
+    ell = float((pair.q.edges() @ T.vertices.T).max(axis=1).sum())
+    dual = float((-pair.p.edges() @ K.vertices.T).max(axis=1).sum())
+    return Certificate(sys_res, face_res, abs(ell - inner), abs(ell - dual),
+                       _reference_in_f(K, q), _reference_in_f(T, p))
+
+
+def _reference_lengths(T, q, p):
+    """make_pair's length, lambdas and mus as it computed them one pair at a
+    time."""
+    dq, dp = q.edges(), p.edges()
+    return ([float((dq @ T.vertices.T).max(axis=1).sum())]
+            + [float(np.hypot(*d)) for d in dq]
+            + [float(np.hypot(*dp[(j - 1) % p.m])) for j in range(p.m)])
+
+
+def _bits(values):
+    """Floats by their bit patterns (so that -0.0 and 0.0 differ)."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def test_stacked_certification_matches_certify():
+    """certify_stack gives each member of a stack, bit for bit, the
+    certificate that certify gives it alone, and that the per-pair certify
+    of before the stacks gave; make_pairs builds each member as make_pair
+    does and as make_pair did one pair at a time, and _canonical_keys gives
+    each the key it gets alone.  The stacks
+    are the pairs of each search on the identity instances, and the same
+    pairs with their duals reversed (certificates that fail)."""
+    outcomes, members = set(), 0
+    for K, T in _identity_instances():
+        for pairs in (search_two_bounce(K, T), search_three_bounce(K, T)):
+            flipped = [make_pair(K, T, pr.q.vertices, pr.p.vertices[::-1],
+                                 pr.k_faces, pr.t_faces[::-1]) for pr in pairs]
+            for stack in (pairs, [pr for pr in flipped if pr is not None]):
+                certs = certify_stack(K, T, stack)
+                for pair, cert in zip(stack, certs):
+                    assert _bits(astuple(cert)) == _bits(astuple(certify(K, T, pair)))
+                    assert _bits(astuple(cert)) == _bits(astuple(
+                        _reference_certify(K, T, pair)))
+                    outcomes.add(cert.certified)
+                built = make_pairs(K, T, [pr.q.vertices for pr in stack],
+                                   [pr.p.vertices for pr in stack],
+                                   [pr.k_faces for pr in stack],
+                                   [pr.t_faces for pr in stack]) if stack else []
+                for got, pair in zip(built, stack):
+                    want = make_pair(K, T, pair.q.vertices, pair.p.vertices,
+                                     pair.k_faces, pair.t_faces)
+                    assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
+                        [want.length, *want.lambdas, *want.mus]) == _bits(
+                        _reference_lengths(T, pair.q, pair.p))
+                    assert np.array_equal(got.q.vertices, want.q.vertices)
+                    assert np.array_equal(got.p.vertices, want.p.vertices)
+                    assert (got.k_faces, got.t_faces) == (want.k_faces, want.t_faces)
+                assert _canonical_keys(stack) == [_canonical_keys([pr])[0]
+                                                  for pr in stack]
+                members += len(stack)
+    assert outcomes == {True, False}
+    assert members >= 1000

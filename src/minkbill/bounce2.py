@@ -9,14 +9,15 @@ in a cone (_cycle_rows): q2 - q1 in N_T(G1), q1 - q2 in N_T(G2), p2 - p1 in
 no facet is checked directly, for all tuples of one (K, T) at once.  A
 side with one facet is an LP in one variable, which lp.solve_interval
 answers in closed form: the q and p sides of the tuples that pass those
-checks are one stack.  A side with two (parallel) facets keeps one simplex
-LP per tuple over both sides.  The feasible tuples are certified as one
-stack.
+checks are one stack.  A tuple with a side of two (parallel) facets is one
+LP over both sides, one variable per facet; the tuples with the same
+pattern of vertices and facets are one lp.solve_stack.  The feasible tuples
+are certified as one stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -160,8 +161,8 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     keep = (free | (cone_contains(cone(_C0), d) & cone_contains(cone(_C1), -d))).all(1)
     if stats is not None:
         stats.side_solves += int((keep & edge.any(1)).sum())
-    # a side with one facet is an LP in one variable; one with two (parallel
-    # facets) keeps one LP per tuple over both sides
+    # a side with one facet is an LP in one variable; the tuples with a side
+    # of two (parallel facets) are one LP over both sides, a stack per pattern
     joint = edge[:, :2].all(1) | edge[:, 2:].all(1)
     k, s = np.nonzero(free & (keep & ~joint)[:, None])
     a, b = _A[s], _B[s]
@@ -173,8 +174,20 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]
     qp[k, b] += t * step[k, b]
-    for j in np.flatnonzero(joint & keep):
-        keep[j], qp[j] = _solve_joint(K, T, edge[j], idx[j], obj[j, edge[j]])
+    pattern = edge @ np.array([8, 4, 2, 1])
+    for pat in np.flatnonzero(np.bincount(pattern[joint & keep])):
+        sel = np.flatnonzero(joint & keep & (pattern == pat))
+        e = edge[sel[0]]  # the faces' kinds, so the equality rows, are shared
+        points = [_point(P, e[r], idx[sel, r], col, e.sum()) for r, (P, col)
+                  in enumerate(zip(bodies, np.cumsum(e) - e))]
+        rows = []
+        for a, b, *c in zip(_A, _B, _C0, _C1):  # the points and cones of each side
+            if e[a] or e[b]:
+                _cycle_rows(rows, (points[a], points[b]),
+                            [face_cones(bodies[i], e[i], idx[sel, i]) for i in c])
+        status, x = lpmod.solve_stack(_rows_lp(rows, obj[sel][:, e]))
+        keep[sel] = status == "optimal"
+        qp[sel] = np.stack([p.at(x) for p in points], 1)
     faces = [tuple(Face.edge(i) if e else Face.vertex(i) for e, i in zip(es, ids))
              for es, ids in zip(edge[keep].tolist(), idx[keep].tolist())]
     found = np.full(N, None, object)
@@ -182,26 +195,6 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
         K, T, qp[keep, :2], qp[keep, 2:],
         [f[:2] for f in faces], [f[2:] for f in faces]))
     return list(found)
-
-
-def _solve_joint(K: ConvexPolytope2, T: ConvexPolytope2, edge, idx, objective):
-    """Whether a face tuple with a two-variable side is feasible, and its q1,
-    q2, p1, p2: one simplex LP over both sides, one variable per facet."""
-    faces = list(zip((K, K, T, T), edge.tolist(), idx[:, None]))
-    points = [_point(P, e, i, col, len(objective))
-              for (P, e, i), col in zip(faces, np.cumsum(edge) - edge)]
-    rows = []
-    for a, b, *c in zip(_A, _B, _C0, _C1):  # the points and cones of each side
-        if edge[a] or edge[b]:
-            _cycle_rows(rows, (points[a], points[b]), [face_cones(*faces[i]) for i in c])
-    lp = _rows_lp(rows, objective)
-    try:
-        sol = lpmod.solve(replace(lp, constraints=lp.constraints[0], rhs=lp.rhs[0]))
-    except lpmod.NumericalFailure:
-        return False, 0.0
-    if sol.status != "optimal":
-        return False, 0.0
-    return True, np.stack([e.at(sol.x[None]) for e in points], 1)[0]
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,

@@ -13,17 +13,16 @@ free.  Every step works on whole arrays: variables are mapped onto
 nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
 update, and the solution is re-checked row-wise in one pass.
 
-``solve`` returns one ``LpSolution``.  ``solve_stack`` solves B problems of
-one shape at once on one (B, m, n) tableau and returns arrays: each
-member's status (B,) and x (B, n).  The standard form, the tableau and the
-re-check are built for the whole stack, and the pivots run in lockstep:
-every member prices, takes its ratio test and breaks ties exactly as it
-would alone, and a member that stops leaves the live part of the stack, so
-its solution is bit-identical to ``solve`` on it.  A stack of one (and so
-every ``solve``) runs the scalar pivot loop instead, which costs less numpy
-overhead per pivot; the loop is chosen by the stack size.  ``solve_interval``
-gives, with no tableau, what the simplex gives on LPs in one variable; the
-2-bounce search uses it, and calls ``solve`` only for a two-variable side.
+``solve_stack`` solves B problems of one shape at once on one (B, m, n)
+tableau and returns arrays: each member's status (B,) and x (B, n).  The
+standard form, the tableau and the re-check are built for the whole stack,
+and the pivots run in lockstep: every member prices, takes its ratio test
+and breaks ties exactly as it would alone, and a member that stops leaves
+the live part of the stack, so its solution does not depend on the other
+members.  ``solve`` is a stack of one that returns one ``LpSolution``; the
+searches call ``solve_stack`` only.  ``solve_interval`` gives, with no
+tableau, what the simplex gives on LPs in one variable; the 2-bounce search
+uses it for every side with one variable.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ EPS_LP = 1e-10          # feasibility tolerance used when re-checking solutions
 _PIVOT_TOL = 1e-9       # entries smaller than this never act as pivots
 _BLAND_AFTER = 300      # switch from Dantzig to Bland after this many pivots
 _MAX_PIVOTS = 20000
+_UPDATE_BLOCK = 1 << 14  # entries of tab a pivot updates per numpy call
 
 
 class NumericalFailure(RuntimeError):
@@ -68,65 +68,14 @@ class LpSolution:
     objective_value: Optional[float]
 
 
-def _pivot(tab, rhs, red, basis, row, col):
-    piv = tab[row, col]
-    tab[row] /= piv
-    rhs[row] /= piv
-    f = tab[:, col].copy()
-    f[row] = 0.0
-    rows = np.nonzero(f)[0]
-    tab[rows] -= f[rows, None] * tab[row]
-    rhs[rows] -= f[rows] * rhs[row]
-    f = red[col]
-    if f != 0.0:
-        red -= f * tab[row]
-    basis[row] = col
-
-
-def _iterate(tab, rhs, red, basis, ncols):
-    """Run simplex pivots until optimal/unbounded; entering columns are
-    restricted to indices < ncols."""
-    counter = 0
-    while True:
-        counter += 1
-        if counter > _MAX_PIVOTS:
-            raise NumericalFailure("pivot budget exhausted")
-        cand = red[:ncols]
-        if counter <= _BLAND_AFTER:
-            col = int(np.argmax(cand))
-            if cand[col] <= _PIVOT_TOL:
-                return "optimal"
-        else:
-            pos = np.nonzero(cand > _PIVOT_TOL)[0]
-            if pos.size == 0:
-                return "optimal"
-            col = int(pos[0])
-        colvals = tab[:, col]
-        rows = np.nonzero(colvals > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = rhs[rows] / colvals[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        # break ties on the smallest basis index (keeps Bland's rule valid)
-        row = int(ties[np.argmin(basis[ties])])
-        _pivot(tab, rhs, red, basis, row, col)
-
-
-def _iterate_one(tab, rhs, red, basis, ncols):
-    """_iterate on a stack of one; an exhausted budget is "numerical"."""
-    try:
-        status = _iterate(tab[0], rhs[0], red[0], basis[0], ncols)
-    except NumericalFailure:
-        status = "numerical"
-    return np.array([status], "<U10"), np.zeros(1, int)
-
-
 def _pivot_stack(tab, rhs, red, basis, row, col):
-    """_pivot on member k of the stack at (row[k], col[k]) for every k.  A
-    row whose pivot-column entry is zero changes by an exact zero.  The
-    rank-1 update runs row by row, so that no temporary of the stack's size
-    is made."""
+    """One simplex pivot on member k of the stack at (row[k], col[k]) for
+    every k: the pivot row is divided by its pivot, and a rank-1 update
+    clears the pivot column from the other rows and the reduced costs red.
+    A row whose pivot-column entry is zero changes by an exact zero.  The
+    update runs in blocks of rows of at most _UPDATE_BLOCK entries (one row
+    at least), so that a small stack takes one numpy call and a large one
+    makes no temporary of its size."""
     k = np.arange(len(row))
     piv = tab[k, row, col]
     prow = tab[k, row] / piv[:, None]
@@ -135,19 +84,24 @@ def _pivot_stack(tab, rhs, red, basis, row, col):
     f[k, row] = 0.0
     tab[k, row] = prow
     rhs[k, row] = prhs
-    for i in range(tab.shape[1]):
-        tab[:, i] -= f[:, i, None] * prow
+    step = max(1, _UPDATE_BLOCK // tab[:, 0].size)
+    for i in range(0, tab.shape[1], step):
+        tab[:, i:i + step] -= f[:, i:i + step, None] * prow[:, None]
     rhs -= f * prhs[:, None]
     red -= red[k, col][:, None] * prow
     basis[k, row] = col
 
 
 def _iterate_stack(tab, rhs, red, basis, ncols):
-    """_iterate in lockstep over a stack.  All live members have made the
-    same number of steps, so one counter serves for the Bland switch and the
-    budget.  The live members are a prefix of the arrays; one that stops
-    trades places with one behind it, so no working copy is made.  Returns
-    each position's status ("numerical" for an exhausted budget) and the
+    """Run simplex pivots on every member of a stack until it is optimal or
+    unbounded, with entering columns restricted to indices < ncols.  Each
+    member prices by Dantzig's rule (Bland's after _BLAND_AFTER pivots),
+    takes the ratio test and breaks its ties on the smallest basis index.
+    The pivots run in lockstep: all live members have made the same number
+    of steps, so one counter serves for the Bland switch and the budget.
+    The live members are a prefix of the arrays; one that stops trades
+    places with one behind it, so no working copy is made.  Returns each
+    position's status ("numerical" for an exhausted budget) and the
     permutation: position i now holds what position perm[i] held."""
     status = np.full(len(tab), "", "<U10")
     perm = np.arange(len(tab))
@@ -194,7 +148,8 @@ def _drive_out(tab, rhs, basis, first_art):
     for i in np.nonzero(basis >= first_art)[0]:
         cols = np.nonzero(np.abs(tab[i, :first_art]) > _PIVOT_TOL)[0]
         if cols.size:
-            _pivot(tab, rhs, np.zeros(tab.shape[1]), basis, i, int(cols[0]))
+            _pivot_stack(tab[None], rhs[None], np.zeros((1, tab.shape[1])),
+                         basis[None], np.array([i]), cols[:1])
 
 
 def _standard_simplex(c, A, b):
@@ -216,7 +171,6 @@ def _standard_simplex(c, A, b):
     rhs = b * sign
     basis = np.empty((B, m), int)
     basis[:] = n + np.arange(m)
-    iterate = _iterate_one if B == 1 else _iterate_stack
     held = np.arange(B)  # the member at each position of the stack
     if n_art:
         kk, ii = np.nonzero(neg)
@@ -226,7 +180,7 @@ def _standard_simplex(c, A, b):
         d = np.zeros(width)
         d[n + m:] = -1.0
         red = d - np.matmul(d[basis][:, None, :], tab)[:, 0]
-        status, perm = iterate(tab, rhs, red, basis, width)
+        status, perm = _iterate_stack(tab, rhs, red, basis, width)
         held = held[perm]
         art_value = np.matmul(d[basis][:, None, :], rhs[:, :, None])[:, 0, 0]
         phase1 = np.where(status == "numerical", "numerical",
@@ -245,7 +199,7 @@ def _standard_simplex(c, A, b):
     c_ext[:, :n] = c
     cb = c_ext[np.arange(B)[:, None], basis]
     red = c_ext - np.matmul(cb[:, None, :], tab)[:, 0]
-    status, perm = iterate(tab, rhs, red, basis, n + m)
+    status, perm = _iterate_stack(tab, rhs, red, basis, n + m)
     if n_art:
         status = np.where(feasible[perm], status, phase1[perm])
     held = held[perm]

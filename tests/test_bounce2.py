@@ -95,6 +95,51 @@ def test_perturbed_objective_same_length(rng):
     assert checked > 0
 
 
+@pytest.mark.parametrize("K, T", [(SQUARE, SQUARE), (regular_ngon(6), DIAMOND)],
+                         ids=["square-square", "hexagon-diamond"])
+def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
+    """An objective on a tuple with a side of two parallel facets (a
+    stacked two-variable LP) may move its points but not its length: for
+    every certified tuple of the search with such a side, and for random
+    objectives, solve_face_tuple returns a certified pair on the same faces
+    whose length matches the unperturbed one to 1e-12 relative.  Facet-facet
+    tuples (all four faces facets) are among them.  The one exception is a
+    pair of facets of K against two vertices of T: nothing pins the chord
+    there but the two wedges, whose rows have the absolute slack EPS_GEO, so
+    the LP's vertex may tilt it out of them and its length moves by up to
+    about |chord| * EPS_GEO (2e-9 of 4 on the square).  Some objective
+    does move a point."""
+    seen = []
+
+    def recording(K, T, pair):
+        seen.append(pair)
+        return prefer_smooth(K, T, pair)
+    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    search_two_bounce(K, T)
+    patterns = set()
+    moved = 0
+    for pair in seen:
+        faces = pair.k_faces + pair.t_faces
+        kinds = tuple(f.is_edge for f in faces)
+        if not (all(kinds[:2]) or all(kinds[2:])):
+            continue
+        patterns.add(kinds)
+        plain = solve_face_tuple(K, T, *faces)
+        assert plain is not None and plain.length == pair.length
+        tilts = kinds == (True, True, False, False)
+        for _ in range(4):
+            redo = solve_face_tuple(K, T, *faces,
+                                    objective=rng.standard_normal(sum(kinds)))
+            assert redo is not None and certify(K, T, redo).certified
+            assert (redo.k_faces, redo.t_faces) == (pair.k_faces, pair.t_faces)
+            assert redo.length == pytest.approx(
+                plain.length, rel=1e-12, abs=4 * EPS_GEO * _diameter(K) if tilts else 0)
+            moved += not (np.array_equal(redo.q.vertices, plain.q.vertices)
+                          and np.array_equal(redo.p.vertices, plain.p.vertices))
+    assert (True, True, True, True) in patterns and len(patterns) >= 5
+    assert moved
+
+
 def test_no_duplicate_canonical_keys(rng):
     K, T = random_instance(rng, 6, 5)
     pairs = search_two_bounce(K, T)
@@ -123,19 +168,23 @@ def test_declared_faces_contain_vertices(rng):
 
 def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
     """A face-tuple LP that fails numerically rules out that tuple only:
-    the search completes with the pairs of the other tuples."""
+    the search completes with the pairs of the other tuples.  The first
+    member of the first stack of two-variable tuples fails; calls holds
+    the status of every member solved."""
     K, T = SQUARE, DIAMOND
     clean = search_two_bounce(K, T)
-    solve_lp = lpmod.solve
+    solve_stack = lpmod.solve_stack
     calls = []
 
     def fail_first(lp):
-        calls.append(len(lp.constraints))
-        if len(calls) == 1:
-            raise NumericalFailure("pivot budget exhausted")
-        return solve_lp(lp)
-    monkeypatch.setattr(lpmod, "solve", fail_first)
+        status, x = solve_stack(lp)
+        if not calls:
+            status[0], x[0] = "numerical", 0.0
+        calls.extend(status)
+        return status, x
+    monkeypatch.setattr(lpmod, "solve_stack", fail_first)
     pairs = search_two_bounce(K, T)
+    assert calls[0] == "numerical"
     assert len(calls) > 1
     assert pairs and pairs[0].length == pytest.approx(clean[0].length)
     clean_lengths = [p.length for p in clean]

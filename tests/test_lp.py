@@ -232,14 +232,75 @@ def lp_stacks(draw):
     return LinearProgram(obj, A, b, eq, lower.astype(float), upper)
 
 
+# the scalar pivot loop that ran every stack of one before all stacks ran in
+# lockstep: the reference for the lockstep loop
+
+
+def _pivot(tab, rhs, red, basis, row, col):
+    piv = tab[row, col]
+    tab[row] /= piv
+    rhs[row] /= piv
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    rows = np.nonzero(f)[0]
+    tab[rows] -= f[rows, None] * tab[row]
+    rhs[rows] -= f[rows] * rhs[row]
+    f = red[col]
+    if f != 0.0:
+        red -= f * tab[row]
+    basis[row] = col
+
+
+def _iterate(tab, rhs, red, basis, ncols):
+    """Run simplex pivots until optimal/unbounded; entering columns are
+    restricted to indices < ncols."""
+    counter = 0
+    while True:
+        counter += 1
+        if counter > lpmod._MAX_PIVOTS:
+            raise NumericalFailure("pivot budget exhausted")
+        cand = red[:ncols]
+        if counter <= lpmod._BLAND_AFTER:
+            col = int(np.argmax(cand))
+            if cand[col] <= lpmod._PIVOT_TOL:
+                return "optimal"
+        else:
+            pos = np.nonzero(cand > lpmod._PIVOT_TOL)[0]
+            if pos.size == 0:
+                return "optimal"
+            col = int(pos[0])
+        colvals = tab[:, col]
+        rows = np.nonzero(colvals > lpmod._PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "unbounded"
+        ratios = rhs[rows] / colvals[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + 1e-12]
+        # break ties on the smallest basis index (keeps Bland's rule valid)
+        row = int(ties[np.argmin(basis[ties])])
+        _pivot(tab, rhs, red, basis, row, col)
+
+
+def _scalar_iterate_stack(tab, rhs, red, basis, ncols):
+    """_iterate in the place of lp._iterate_stack on a stack of one; an
+    exhausted budget is "numerical"."""
+    assert len(tab) == 1
+    try:
+        status = _iterate(tab[0], rhs[0], red[0], basis[0], ncols)
+    except NumericalFailure:
+        status = "numerical"
+    return np.array([status], "<U10"), np.zeros(1, int)
+
+
 @pytest.mark.parametrize("bland_after", [None, 0])
 @settings(max_examples=80, deadline=None)
 @given(lp_stacks())
 def test_stack_matches_solve(bland_after, lp):
     """Differential test of the lockstep loop against the scalar loop: every
     member of a stack gets the status and the bit-identical x that solve
-    gives it alone, and x is zero where it is not optimal.  bland_after=0
-    runs Bland's rule from the first pivot."""
+    gives it alone with _iterate_stack replaced by the scalar loop, and x
+    is zero where it is not optimal.  bland_after=0 runs Bland's rule from
+    the first pivot."""
     saved = lpmod._BLAND_AFTER
     if bland_after is not None:
         lpmod._BLAND_AFTER = bland_after
@@ -250,9 +311,13 @@ def test_stack_matches_solve(bland_after, lp):
         for k in range(B):
             member = LinearProgram(lp.objective[k], lp.constraints[k],
                                    lp.rhs[k], lp.equality, lp.lower, lp.upper)
-            try:
-                alone = solve(member)
-            except NumericalFailure:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lpmod, "_iterate_stack", _scalar_iterate_stack)
+                try:
+                    alone = solve(member)
+                except NumericalFailure:
+                    alone = None
+            if alone is None:
                 assert status[k] == "numerical"
                 assert not x[k].any()
                 continue

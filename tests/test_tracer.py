@@ -41,7 +41,8 @@ def test_tracer_targets_resolve_and_are_restored(tmp_path):
         assert minkbill.cli.main(["shortest", *paths, "--out",
                                   str(tmp_path / "rep.json")]) == 0
     counts = tr.take().counts()
-    assert counts["lp.solve.calls"] > 0
+    assert counts["bounce2.search.calls"] == 1
+    assert counts["geom.in_f.calls"] > 0
     assert counts["cli.main.calls"] == 1
     after = _bindings()
     assert after.keys() == before.keys()

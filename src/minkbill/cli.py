@@ -8,6 +8,7 @@ deterministic for a fixed seed, and reports round-trip through `verify`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from .geom import ConvexPolytope2, Face, GeometryError
 from .obtuse import in_family_t, largest_angle, regular_three_bounce_exists
 from .pairs import BilliardPair, make_pair, sort_pairs
 from .randgen import GenerationExhausted, random_instance
-from .verify import brute_force_min, certify
+from .verify import _subset_immovable_table, brute_force_min, certify
 
 REPORT_SCHEMA = "minkowski-billiards-report/1"
 
@@ -150,6 +151,8 @@ def cmd_shortest(args) -> int:
         raise InvalidInput(f"--grid must be at least 1, got {args.grid}")
     K = _load_polytope(args.K)
     T = _load_polytope(args.T)
+    if args.grid is not None:
+        _subset_immovable_table(K)  # the oracle's facet limit, before the searches
     report = _search_report(K, T, (2, 3))
     if args.grid is not None:
         t0 = time.perf_counter()
@@ -363,6 +366,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)  # one per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="minkbill",

@@ -166,6 +166,11 @@ def _immovable_table(normals: bytes) -> np.ndarray:
     return tab
 
 
+# elements of one (i, j, k) block of the m = 3 oracle, so that its memory
+# stays O(N^2) at every grid
+_BLOCK = 1 << 17
+
+
 def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
                     grid_per_facet: int) -> float:
     """Minimum ell_T-length over closed m-gons with vertices on the boundary
@@ -174,9 +179,13 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
     Degeneracy is read from the facet masks, with no length threshold: two
     points must differ, and three must not share a facet (three distinct
     boundary points of a strictly convex polygon are collinear iff they do).
-    So validity depends on the masks only: the (N, N) valid matrix is built
-    once per mask value, and each point of that class takes one masked min
-    over its row.  Memory is O(N^2) in the N grid points."""
+    So validity depends on the masks only; for m = 3 it is decided once per
+    triple of classes, the runs of equal masks (a vertex, or the inner points
+    of one facet).  Each triangle i < j, i < k, j != k is summed as
+    (h_T(x_j - x_i) + h_T(x_k - x_j)) + h_T(x_i - x_k) in class blocks of
+    at most _BLOCK elements, with +inf where a block breaks the index rule;
+    min is exact, so the blocks do not change the result.  Memory is O(N^2)
+    in the N grid points."""
     if m not in (2, 3):
         raise ValueError("only m = 2 and m = 3 are supported")
     pts, masks = boundary_grid(K, grid_per_facet)
@@ -190,14 +199,32 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
         np.fill_diagonal(valid, False)
         return float(np.min(sup + sup.T, where=valid, initial=np.inf))
 
+    head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each class
+    cls = np.cumsum(head) - 1  # the class of each grid point
+    bounds = np.r_[np.flatnonzero(head), len(masks)]
+    cm = masks[head]
+    valid = ok[cm[:, None, None] | cm[:, None] | cm]
+    valid &= (cm[:, None, None] & cm[:, None] & cm) == 0
+    idx = np.arange(len(masks))
+    sup_jk = sup.copy()
+    np.fill_diagonal(sup_jk, np.inf)  # j != k
     best = np.inf
-    for c in set(masks.tolist()):
-        valid = ok[(c | masks)[:, None] | masks]  # triangles (i, j, k), masks[i] == c
-        valid &= ((c & masks)[:, None] & masks) == 0
-        np.fill_diagonal(valid, False)
-        for i in np.flatnonzero(masks == c):
-            s = slice(i + 1, None)
-            L = sup[i, s][:, None] + sup[s, s]
-            L += sup[s, i][None, :]
-            best = min(best, float(np.min(L, where=valid[s, s], initial=np.inf)))
-    return best
+    for a in range(len(cm)):
+        ia = slice(bounds[a], bounds[a + 1])
+        later = idx[ia, None] < idx  # i < j, and i < k
+        sup_ij = np.where(later, sup[ia], np.inf)
+        sup_ki = np.where(later, sup[:, ia].T, np.inf)  # sup_ki[i, k] = sup[k, i]
+        k_ok = valid[a][:, cls] & (cls >= a)  # k_ok[b, k]: a, b, cls[k] valid
+        for b in range(a, len(cm)):
+            ks = np.flatnonzero(k_ok[b])
+            if not ks.size:
+                continue
+            jb = slice(bounds[b], bounds[b + 1])
+            A = sup_ij[:, jb, None]
+            step = max(1, _BLOCK // (A.shape[0] * A.shape[1]))
+            for s in range(0, ks.size, step):
+                k = ks[s:s + step]
+                L = A + sup_jk[jb, k]
+                L += sup_ki[:, None, k]
+                best = min(best, L.min())
+    return float(best)

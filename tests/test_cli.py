@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minkbill import cli
 from minkbill.cli import (REPORT_SCHEMA, build_parser, main, render_svg,
                           run_bench)
-from minkbill.fixtures import load
+from minkbill.fixtures import load, regular_ngon
 from minkbill.randgen import random_instance
 
 
@@ -242,6 +243,32 @@ def test_shortest_with_oracle_grid(instance_files, tmp_path):
     assert rep["oracle"]["grid"] == 64
     assert rep["oracle"]["two_bounce_min"] == pytest.approx(4.0, abs=0.05)
     assert rep["min"] <= rep["oracle"]["two_bounce_min"] + 1e-6
+
+
+def test_oracle_facet_limit_fails_before_the_searches(tmp_path, monkeypatch,
+                                                     capsys):
+    """--grid with a K of more than 16 facets exits 2 before either search
+    runs, and writes no report."""
+    k = tmp_path / "K.json"
+    k.write_text(json.dumps(regular_ngon(17).to_json_obj()))
+    t = tmp_path / "T.json"
+    t.write_text(json.dumps(regular_ngon(4).to_json_obj()))
+    out = tmp_path / "rep.json"
+
+    def never(*args):
+        raise AssertionError("search ran before the oracle's facet limit")
+
+    monkeypatch.setattr(cli, "search_two_bounce", never)
+    monkeypatch.setattr(cli, "search_three_bounce", never)
+    capsys.readouterr()
+    assert main(["shortest", str(k), str(t), "--grid", "4",
+                 "--out", str(out)]) == 2
+    assert "at most 16 facets" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_bench_smoke():

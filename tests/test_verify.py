@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minkbill import lp as lpmod
+from minkbill import lp as lpmod, verify
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
@@ -309,6 +309,26 @@ def _oracle_instances():
         fx = load(name)
         if fx.K.n <= 16:
             yield fx.K, fx.T, 10
+    # grid 1: every class of the m = 3 blocks is one vertex point
+    for _ in range(4):
+        K, T = random_instance(rng, int(rng.integers(3, 9)),
+                               int(rng.integers(3, 13)))
+        yield K, T, 1
+    for nk in (3, 4, 16):
+        yield regular_ngon(nk), regular_ngon(5), 1
+    # a triangle K, from one to 24 inner points per facet
+    for grid in (2, 3, 7, 25):
+        yield regular_ngon(3, phase=0.3), regular_ngon(7), grid
+    # a trapezoid K whose shortest grid triangles at grids 3 and 8 have their
+    # first two points on the inner points of one facet
+    K = ConvexPolytope2.from_vertices([(2.1, 0), (2.7, 0), (4, 1), (0, 1)])
+    T = ConvexPolytope2.from_vertices([(-2.9, 0.3), (-1.1, -1.2), (2.3, -1.5)])
+    for grid in (3, 8):
+        yield K, T, grid
+    # the largest K the oracle takes
+    K, T = random_instance(rng, 16, 6)
+    yield K, T, 3
+    yield regular_ngon(16), regular_ngon(16, phase=0.1), 2
 
 
 def test_brute_force_matches_reference():
@@ -318,6 +338,19 @@ def test_brute_force_matches_reference():
         for m in (2, 3):
             assert brute_force_min(K, T, m, grid) == \
                 _reference_brute_force_min(K, T, m, grid), (K.n, T.n, grid, m)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
+    """With blocks of at most 1 or 7 elements the chunks of k end inside a
+    class, and the triangle oracle still returns the reference's floats."""
+    cases = [(K, T, grid) for K, T, grid in _oracle_instances()
+             if K.n * grid <= 40][::2]
+    assert len(cases) >= 10
+    want = [_reference_brute_force_min(K, T, 3, grid) for K, T, grid in cases]
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    got = [brute_force_min(K, T, 3, grid) for K, T, grid in cases]
+    assert got == want
 
 
 def _scaled(P, c, shift):

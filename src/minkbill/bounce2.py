@@ -2,17 +2,17 @@
 
 A 2-bounce pair is pinned down by a face tuple (F1, F2) of K (carrying q1,
 q2) and (G1, G2) of T (carrying p1, p2).  After the antipodality pre-filter
-on the normal cones, the reflection law is linear: one variable in [0, 1]
-per facet places its point, and each edge of a side, a closed 2-gon, lies
-in a cone (_cycle_rows): q2 - q1 in N_T(G1), q1 - q2 in N_T(G2), p2 - p1 in
--N_K(F2), p1 - p2 in -N_K(F1).  The sides share no variable.  A side with
-no facet is checked directly, for all tuples of one (K, T) at once.  A
-side with one facet is an LP in one variable, which lp.solve_interval
-answers in closed form: the q and p sides of the tuples that pass those
-checks are one stack.  A tuple with a side of two (parallel) facets is one
-LP over both sides, one variable per facet; the tuples with the same
-pattern of vertices and facets are one lp.solve_stack.  The feasible tuples
-are certified as one stack.
+on the normal cones, the reflection law is linear: each edge of a side, a
+closed 2-gon, lies in a cone (_cycle_rows): q2 - q1 in N_T(G1), q1 - q2 in
+N_T(G2), p2 - p1 in -N_K(F2), p1 - p2 in -N_K(F1).  The sides share no
+variable, and each has at most one: a point on a facet [a, b] is
+a + t (b - a), t in [0, 1], and both points of a side share its t.  Two
+facets of one side have antipodal normals, so d2 = -rho d1 for their
+directions, and the side's edge depends on t1 + rho t2 only, which one
+shared t already sweeps.  A side with no facet is checked directly, for all
+tuples of one (K, T) at once; every other side is an LP in one variable,
+and lp.solve_interval answers all of them in closed form as one stack.  The
+feasible tuples are certified as one stack; the search calls no simplex.
 """
 
 from __future__ import annotations
@@ -77,14 +77,11 @@ class _Affine:
         return self.c + np.matmul(self.M, x[..., None])[..., 0]
 
 
-def _point(P: ConvexPolytope2, is_edge: bool, idx: np.ndarray, col: int,
-           nv: int) -> _Affine:
-    """The points on faces idx of P, all vertices or all facets: a vertex is
-    constant, a facet [a, b] is a + x[col] (b - a)."""
+def _point(P: ConvexPolytope2, idx: np.ndarray, col: int, nv: int) -> _Affine:
+    """The points a + x[col] (b - a) on the facets [a, b] idx of P."""
     base = P.vertices[idx]
     M = np.zeros((len(idx), 2, nv))
-    if is_edge:
-        M[:, :, col] = P.vertices[(idx + 1) % P.n] - base
+    M[:, :, col] = P.vertices[(idx + 1) % P.n] - base
     return _Affine(base, M)
 
 
@@ -161,10 +158,8 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     keep = (free | (cone_contains(cone(_C0), d) & cone_contains(cone(_C1), -d))).all(1)
     if stats is not None:
         stats.side_solves += int((keep & edge.any(1)).sum())
-    # a side with one facet is an LP in one variable; the tuples with a side
-    # of two (parallel facets) are one LP over both sides, a stack per pattern
-    joint = edge[:, :2].all(1) | edge[:, 2:].all(1)
-    k, s = np.nonzero(free & (keep & ~joint)[:, None])
+    # every side with a facet is an LP in its one variable t, all in one stack
+    k, s = np.nonzero(free & keep[:, None])
     a, b = _A[s], _B[s]
     rows = []
     _cycle_rows(rows, [_Affine(base[k, r], step[k, r, :, None]) for r in (a, b)],
@@ -174,20 +169,6 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]
     qp[k, b] += t * step[k, b]
-    pattern = edge @ np.array([8, 4, 2, 1])
-    for pat in np.flatnonzero(np.bincount(pattern[joint & keep])):
-        sel = np.flatnonzero(joint & keep & (pattern == pat))
-        e = edge[sel[0]]  # the faces' kinds, so the equality rows, are shared
-        points = [_point(P, e[r], idx[sel, r], col, e.sum()) for r, (P, col)
-                  in enumerate(zip(bodies, np.cumsum(e) - e))]
-        rows = []
-        for a, b, *c in zip(_A, _B, _C0, _C1):  # the points and cones of each side
-            if e[a] or e[b]:
-                _cycle_rows(rows, (points[a], points[b]),
-                            [face_cones(bodies[i], e[i], idx[sel, i]) for i in c])
-        status, x = lpmod.solve_stack(_rows_lp(rows, obj[sel][:, e]))
-        keep[sel] = status == "optimal"
-        qp[sel] = np.stack([p.at(x) for p in points], 1)
     faces = [tuple(Face.edge(i) if e else Face.vertex(i) for e, i in zip(es, ids))
              for es, ids in zip(edge[keep].tolist(), idx[keep].tolist())]
     found = np.full(N, None, object)
@@ -204,8 +185,9 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     """The search's pipeline on one face tuple; None if infeasible or
     degenerate (a tuple that is not antipodal never passes the LP and the
     certificate, so the search filters those only to save work).
-    `objective` (one entry per facet) perturbs the otherwise zero LP
-    objective and may pick another optimal vertex of the same region."""
+    `objective` (one entry per facet) perturbs the otherwise zero objective
+    of each side's LP, by the sum of the entries of the side's facets, and
+    may pick another point of the same interval."""
     ids = [f.index + (P.n if f.is_edge else 0)
            for f, P in zip((f1, f2, g1, g2), (K, K, T, T))]
     return _solve_tuples(K, T, np.array([ids]), objective)[0]

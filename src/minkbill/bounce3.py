@@ -156,7 +156,7 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     pattern = on_edge @ np.array([4, 2, 1])
     for pat in np.flatnonzero(np.bincount(pattern)):
         sel = np.nonzero(pattern == pat)[0]
-        q = [_point(K, True, triples[sel, r], r, 3) for r in range(3)]
+        q = [_point(K, triples[sel, r], r, 3) for r in range(3)]
         rows = []
         _cycle_rows(rows, q, [face_cones(T, on_edge[sel[0], r], index[sel, r])
                               for r in range(3)])

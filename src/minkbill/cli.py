@@ -156,11 +156,9 @@ def cmd_shortest(args) -> int:
     report = _search_report(K, T, (2, 3))
     if args.grid is not None:
         t0 = time.perf_counter()
-        report["oracle"] = {
-            "grid": args.grid,
-            "two_bounce_min": brute_force_min(K, T, 2, args.grid),
-            "three_bounce_min": brute_force_min(K, T, 3, args.grid),
-        }
+        two, three = brute_force_min(K, T, args.grid)
+        report["oracle"] = {"grid": args.grid, "two_bounce_min": two,
+                            "three_bounce_min": three}
         report["timings"]["oracle_s"] = time.perf_counter() - t0
     _dump_json(report, args.out)
     return 0 if report["min"] is not None else 1

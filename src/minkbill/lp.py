@@ -20,9 +20,9 @@ and the pivots run in lockstep: every member prices, takes its ratio test
 and breaks ties exactly as it would alone, and a member that stops leaves
 the live part of the stack, so its solution does not depend on the other
 members.  ``solve`` is a stack of one that returns one ``LpSolution``; the
-searches call ``solve_stack`` only.  ``solve_interval`` gives, with no
-tableau, what the simplex gives on LPs in one variable; the 2-bounce search
-uses it for every side with one variable.
+3-bounce search calls ``solve_stack`` only.  ``solve_interval`` gives, with
+no tableau, what the simplex gives on LPs in one variable; the 2-bounce
+search decides every side of a face tuple with it.
 """
 
 from __future__ import annotations
@@ -337,14 +337,15 @@ def solve_stack(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
 
 def solve_interval(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
     """solve_stack in closed form for LPs in one variable t with finite
-    bounds: t is where the simplex stops.  Phase 1 raises t from its lower
-    bound through the lower bounds of the rows violated there until an
-    upper bound blocks it, so t = min(largest lower, smallest upper bound);
-    an equality pins t (to the smaller of two values; below the lower bound
-    only a negative objective moves it back), and a positive objective takes
-    t to the upper bound.  Rows are bounds only where their coefficient
-    exceeds the pivot tolerance.  Feasible means phase 1's summed violation
-    <= 1e-8 and the re-check's row and bound tolerances hold."""
+    bounds, such as every side of a 2-bounce face tuple: t is where the
+    simplex stops.  Phase 1 raises t from its lower bound through the lower
+    bounds of the rows violated there until an upper bound blocks it, so
+    t = min(largest lower, smallest upper bound); an equality pins t (to the
+    smaller of two values; below the lower bound only a negative objective
+    moves it back), and a positive objective takes t to the upper bound.
+    Rows are bounds only where their coefficient exceeds the pivot
+    tolerance.  Feasible means phase 1's summed violation <= 1e-8 and the
+    re-check's row and bound tolerances hold."""
     A = np.asarray(lp.constraints, float)
     B, m, _ = A.shape
     b = np.broadcast_to(np.asarray(lp.rhs, float), (B, m))

@@ -171,33 +171,32 @@ def _immovable_table(normals: bytes) -> np.ndarray:
 _BLOCK = 1 << 17
 
 
-def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
-                    grid_per_facet: int) -> float:
-    """Minimum ell_T-length over closed m-gons with vertices on the boundary
-    grid of K that cannot be translated into the interior.
+def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
+                    grid_per_facet: int) -> Tuple[float, float]:
+    """Minimum ell_T-lengths (two, three) over closed 2-gons and closed
+    triangles with vertices on the boundary grid of K that cannot be
+    translated into the interior, both from one grid and one (N, N) table
+    of h_T of differences of its N points.
 
     Degeneracy is read from the facet masks, with no length threshold: two
     points must differ, and three must not share a facet (three distinct
     boundary points of a strictly convex polygon are collinear iff they do).
-    So validity depends on the masks only; for m = 3 it is decided once per
-    triple of classes, the runs of equal masks (a vertex, or the inner points
-    of one facet).  Each triangle i < j, i < k, j != k is summed as
+    So validity depends on the masks only; for triangles it is decided once
+    per triple of classes, the runs of equal masks (a vertex, or the inner
+    points of one facet).  Each triangle i < j, i < k, j != k is summed as
     (h_T(x_j - x_i) + h_T(x_k - x_j)) + h_T(x_i - x_k) in class blocks of
     at most _BLOCK elements, with +inf where a block breaks the index rule;
     min is exact, so the blocks do not change the result.  Memory is O(N^2)
     in the N grid points."""
-    if m not in (2, 3):
-        raise ValueError("only m = 2 and m = 3 are supported")
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
     sup = G[None, :, 0] - G[:, None, 0]  # sup[i,j] = h_T(x_j - x_i)
     for c in range(1, G.shape[1]):
         np.maximum(sup, G[None, :, c] - G[:, None, c], out=sup)
-    if m == 2:
-        valid = ok[masks[:, None] | masks]
-        np.fill_diagonal(valid, False)
-        return float(np.min(sup + sup.T, where=valid, initial=np.inf))
+    valid = ok[masks[:, None] | masks]
+    np.fill_diagonal(valid, False)
+    two = float(np.min(sup + sup.T, where=valid, initial=np.inf))
 
     head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each class
     cls = np.cumsum(head) - 1  # the class of each grid point
@@ -227,4 +226,4 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2, m: int,
                 L = A + sup_jk[jb, k]
                 L += sup_ki[:, None, k]
                 best = min(best, L.min())
-    return float(best)
+    return two, float(best)

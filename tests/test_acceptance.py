@@ -41,7 +41,7 @@ def test_criterion_01_short_chord_instance():
     fx = load("exampleF_aux")
     t0 = time.perf_counter()
     rep = _search_report(fx.K, fx.T, bounce_counts=(2, 3))
-    brute = brute_force_min(fx.K, fx.T, 2, 128)
+    brute = brute_force_min(fx.K, fx.T, 128)[0]
     elapsed = time.perf_counter() - t0
     ok = (abs(rep["min"] - 4.0) <= 1e-6
           and abs(rep["min"] - brute) <= 0.05
@@ -161,8 +161,7 @@ def test_criterion_08_oracle_sandwich():
                                int(rng.integers(3, 7)))
         alg = min(p.length for p in
                   search_two_bounce(K, T) + search_three_bounce(K, T))
-        brute = min(brute_force_min(K, T, 2, grid),
-                    brute_force_min(K, T, 3, grid))
+        brute = min(brute_force_min(K, T, grid))
         h = max(np.hypot(*K.edge_vector(i)) for i in range(K.n)) / grid
         R = float(np.hypot(*T.vertices.T).max())
         C = 12.0 * R  # 2 vertices moved per edge, 3 edges, Lipschitz R each

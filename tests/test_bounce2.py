@@ -18,6 +18,7 @@ from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
 
 from test_geom import cones_intersect
+from test_symmetric import symmetric_polygon
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
 DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -37,10 +38,15 @@ def test_square_diamond_min_is_four():
 
 
 def test_enumeration_count_matches_closed_form():
-    stats = SearchStats()
-    search_two_bounce(SQUARE, DIAMOND, stats=stats)
-    assert stats.tuples_after_filter <= 2 * 28 * 28
-    assert stats.side_solves <= stats.tuples_after_filter
+    """Each antipodal face pair of K meets each antipodal face pair of T in
+    both orientations."""
+    for K, T, count in ((SQUARE, DIAMOND, 512), (regular_ngon(6), DIAMOND, 768),
+                        (regular_ngon(5), regular_ngon(7), 280)):
+        stats = SearchStats()
+        search_two_bounce(K, T, stats=stats)
+        assert stats.tuples_after_filter == count == (
+            len(_reference_antipodal_pairs(K)) * 2 * len(_reference_antipodal_pairs(T)))
+        assert stats.side_solves <= stats.tuples_after_filter
 
 
 def test_returned_pairs_certified_and_immovable(rng):
@@ -98,11 +104,12 @@ def test_perturbed_objective_same_length(rng):
 @pytest.mark.parametrize("K, T", [(SQUARE, SQUARE), (regular_ngon(6), DIAMOND)],
                          ids=["square-square", "hexagon-diamond"])
 def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
-    """An objective on a tuple with a side of two parallel facets (a
-    stacked two-variable LP) may move its points but not its length: for
-    every certified tuple of the search with such a side, and for random
-    objectives, solve_face_tuple returns a certified pair on the same faces
-    whose length matches the unperturbed one to 1e-12 relative.  Facet-facet
+    """An objective on a tuple with a side of two parallel facets (whose
+    points share the side's one variable) may move its points but not its
+    length: for every certified tuple of the search with such a side, and
+    for random objectives, solve_face_tuple returns a certified pair on the
+    same faces whose length matches the unperturbed one to 1e-12 relative.
+    Facet-facet
     tuples (all four faces facets) are among them.  The one exception is a
     pair of facets of K against two vertices of T: nothing pins the chord
     there but the two wedges, whose rows have the absolute slack EPS_GEO, so
@@ -166,30 +173,25 @@ def test_declared_faces_contain_vertices(rng):
             assert face_distances(T, g.is_edge, g.index, pair.p.vertices[j]) < 1e-7
 
 
-def test_face_tuple_numerical_failure_is_no_pair(monkeypatch):
-    """A face-tuple LP that fails numerically rules out that tuple only:
-    the search completes with the pairs of the other tuples.  The first
-    member of the first stack of two-variable tuples fails; calls holds
-    the status of every member solved."""
-    K, T = SQUARE, DIAMOND
-    clean = search_two_bounce(K, T)
-    solve_stack = lpmod.solve_stack
-    calls = []
+def test_search_solves_no_simplex(monkeypatch):
+    """Every side of a face tuple has at most one variable, so the search
+    calls neither lp.solve_stack nor lp.solve, and so no simplex, also
+    where sides of two parallel facets are certified."""
+    calls, seen = [], []
 
-    def fail_first(lp):
-        status, x = solve_stack(lp)
-        if not calls:
-            status[0], x[0] = "numerical", 0.0
-        calls.extend(status)
-        return status, x
-    monkeypatch.setattr(lpmod, "solve_stack", fail_first)
-    pairs = search_two_bounce(K, T)
-    assert calls[0] == "numerical"
-    assert len(calls) > 1
-    assert pairs and pairs[0].length == pytest.approx(clean[0].length)
-    clean_lengths = [p.length for p in clean]
-    assert all(min(abs(p.length - c) for c in clean_lengths) < 1e-12
-               for p in pairs)
+    def recording(K, T, pair):
+        seen.append(pair)
+        return prefer_smooth(K, T, pair)
+    for name in ("solve", "solve_stack"):
+        monkeypatch.setattr(lpmod, name, lambda lp, solve_lp=getattr(lpmod, name):
+                            calls.append(lp) or solve_lp(lp))
+    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
+                 + [(regular_ngon(n), regular_ngon(m)) for n, m in ((4, 4), (6, 3), (8, 12))]):
+        assert search_two_bounce(K, T)
+    assert calls == []
+    assert any(all(f.is_edge for f in faces)
+               for pair in seen for faces in (pair.k_faces, pair.t_faces))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +244,9 @@ def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
 
 
 def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
-    """The face tuple's pair by the simplex on one LP over both sides, or,
-    with sides_apart, by solve_interval on each side where every free side
-    has one variable."""
+    """The face tuple's pair by the simplex on one LP over both sides, one
+    variable per facet, or, with sides_apart, by solve_interval on each
+    side, whose facets share its one variable."""
     ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
     ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
     f_fixed = not (f1.is_edge or f2.is_edge)
@@ -262,12 +264,17 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         return certified_pair(K, T, make_pair(
             K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
             (f1, f2), (g1, g2)))
-    nv = sum(d is not None for _, d in ends)
+    facet = [d is not None for _, d in ends]
+    if sides_apart:  # one variable per free side, in this order
+        side_col = np.cumsum([any(facet[:2]), any(facet[2:])]) - 1
+        col, nv = np.repeat(side_col, 2), side_col[-1] + 1
+    else:  # one variable per facet, in this order
+        col, nv = np.cumsum(facet) - 1, sum(facet)
     points = []
     for r, (base, d) in enumerate(ends):
         M = np.zeros((2, nv))
-        if d is not None:  # one variable per facet, in this order
-            M[:, sum(e is not None for _, e in ends[:r])] = d
+        if d is not None:
+            M[:, col[r]] = d
         points.append(_Affine(base, M))
     q1, q2, p1, p2 = points
     sides = []  # the rows of each free side
@@ -287,7 +294,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         sides.append([])
         _reference_cone_rows(sides[-1], p2 - p1, ck2.negate())
         _reference_cone_rows(sides[-1], p1 - p2, ck1.negate())
-    if sides_apart and nv == len(sides):  # free side c has variable c
+    if sides_apart:  # free side c has variable c
         x = np.zeros(nv)
         for c, rows in enumerate(sides):
             [status], [[x[c]]] = solve_interval(LinearProgram(
@@ -327,6 +334,9 @@ def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
 
 
 def _identity_instances():
+    """The fixtures, square and diamond, regular n-gons, random pairs and
+    random centrally symmetric pairs; all but the random pairs have
+    parallel facets."""
     fixtures = [(load(name).K, load(name).T) for name in fixture_names()]
     plain = [SQUARE, DIAMOND]
     ngons = [regular_ngon(n) for n in (3, 4, 6, 12)]
@@ -338,9 +348,12 @@ def _identity_instances():
         if k % 4 == 0:
             T = T.translate(rng.uniform(-3.0, 3.0, size=2))
         randoms.append((K, T))
+    rng = np.random.default_rng(14)
+    symmetric = [tuple(symmetric_polygon(rng, int(rng.integers(2, 7)))
+                       for _ in range(2)) for _ in range(6)]
     return (fixtures + list(itertools.product(plain, plain))
             + [(P, P) for P in ngons] + [(P, DIAMOND) for P in ngons]
-            + [(SQUARE, P) for P in ngons] + randoms)
+            + [(SQUARE, P) for P in ngons] + randoms + symmetric)
 
 
 def _same_pairs(got, want):
@@ -354,15 +367,19 @@ def _same_pairs(got, want):
 
 def test_batched_search_matches_per_tuple_reference(monkeypatch):
     """The batched search gives, bit for bit, what the per-tuple search
-    gives with each one-variable side solved apart by solve_interval: the
-    same certified pairs reach prefer_smooth in the same order, and the same
-    pairs come out, with equal lengths, q, p and faces.  The per-tuple
-    search by the simplex, one LP over both sides of a tuple, certifies the
-    same tuples; q, p and length are bit for bit the same wherever the
-    closed form reproduces its pivots (over 80 % of the pairs), and within
-    1e-12 of the body's diameter and 1e-12 relative elsewhere.  The regular polygons have
-    parallel facets, so vertex-vertex and facet-facet tuples reach the LP
-    there."""
+    gives with each side solved apart by solve_interval, both facets of a
+    side on one variable: the same certified pairs reach prefer_smooth in
+    the same order, and the same pairs come out, with equal lengths, q, p
+    and faces.  The per-tuple search by the simplex, one LP over both sides
+    of a tuple and one variable per facet, certifies the same tuples, with
+    lengths equal to 1e-12 relative.  The points of a side with at most one
+    facet agree to 1e-12 of the body's diameter.  A side of two parallel
+    facets is compared by length only: its chords slide along the facets at
+    one length, and the simplex, with a variable per facet, may stop at
+    another of them.  The length and the compared points are bit for bit the
+    same wherever the closed form reproduces the pivots (over 80 % of the
+    pairs).  The regular and symmetric polygons have parallel facets, so
+    vertex-vertex and facet-facet tuples reach the side solver there."""
     seen = []
 
     def recording(K, T, pair):
@@ -383,13 +400,14 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
                 == [(p.k_faces, p.t_faces) for p in by_simplex])
         compared += len(found)
         for a, b in zip(found, by_simplex):
-            same += (a.length == b.length and np.array_equal(a.q.vertices, b.q.vertices)
-                     and np.array_equal(a.p.vertices, b.p.vertices))
             assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
-            assert np.allclose(a.q.vertices, b.q.vertices, rtol=0,
-                               atol=1e-12 * (1 + _diameter(K)))
-            assert np.allclose(a.p.vertices, b.p.vertices, rtol=0,
-                               atol=1e-12 * (1 + _diameter(T)))
+            sides = [(u.vertices, v.vertices, P) for faces, u, v, P in
+                     ((a.k_faces, a.q, b.q, K), (a.t_faces, a.p, b.p, T))
+                     if not all(f.is_edge for f in faces)]
+            for u, v, P in sides:
+                assert np.allclose(u, v, rtol=0, atol=1e-12 * (1 + _diameter(P)))
+            same += (a.length == b.length
+                     and all(np.array_equal(u, v) for u, v, _ in sides))
         patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
                         for pair in found)
         total += len(got)

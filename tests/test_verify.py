@@ -124,18 +124,18 @@ def test_boundary_grid_counts():
 
 
 def test_brute_force_square_chord():
-    assert brute_force_min(SQUARE, SQUARE, 2, 8) == pytest.approx(4.0)
+    assert brute_force_min(SQUARE, SQUARE, 8)[0] == pytest.approx(4.0)
 
 
 def test_brute_force_example_f():
     fx = load("exampleF_aux")
-    assert brute_force_min(fx.K, fx.T, 2, 128) == pytest.approx(4.0, abs=0.05)
+    assert brute_force_min(fx.K, fx.T, 128)[0] == pytest.approx(4.0, abs=0.05)
 
 
 def test_brute_force_triangle_m3():
     from minkbill.fixtures import equilateral_triangle, regular_ngon
     K = equilateral_triangle()
-    val = brute_force_min(K, regular_ngon(32), 3, 64)
+    val = brute_force_min(K, regular_ngon(32), 64)[1]
     # true minimum is the Fagnano orbit, about 2.598 for the 32-gon geometry
     assert 2.4 < val < 2.8
 
@@ -145,7 +145,7 @@ def test_brute_never_below_search(rng):
         K, T = random_instance(rng, int(rng.integers(3, 6)),
                                int(rng.integers(3, 6)))
         alg = min(p.length for p in search_two_bounce(K, T))
-        assert brute_force_min(K, T, 2, 64) >= alg - 1e-9
+        assert brute_force_min(K, T, 64)[0] >= alg - 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,7 +248,7 @@ def test_mask_table_cache_stays_bounded(rng):
     bodies = [random_polytope(rng, int(rng.integers(3, 7)))
               for _ in range(2 * limit)]
     for K in bodies:
-        brute_force_min(K, K, 2, 2)
+        brute_force_min(K, K, 2)
     assert _immovable_table.cache_info().currsize == limit
     # a cached table is returned as is, and cannot be altered by a caller
     tab = _subset_immovable_table(bodies[-1])
@@ -335,9 +335,10 @@ def test_brute_force_matches_reference():
     """Reading degeneracy from the facet masks returns the very floats of the
     threshold-based oracle, for 2-gons and for triangles."""
     for K, T, grid in _oracle_instances():
-        for m in (2, 3):
-            assert brute_force_min(K, T, m, grid) == \
-                _reference_brute_force_min(K, T, m, grid), (K.n, T.n, grid, m)
+        got = brute_force_min(K, T, grid)
+        for m, value in zip((2, 3), got):
+            assert value == _reference_brute_force_min(K, T, m, grid), \
+                (K.n, T.n, grid, m)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -349,7 +350,7 @@ def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
     assert len(cases) >= 10
     want = [_reference_brute_force_min(K, T, 3, grid) for K, T, grid in cases]
     monkeypatch.setattr(verify, "_BLOCK", block)
-    got = [brute_force_min(K, T, 3, grid) for K, T, grid in cases]
+    got = [brute_force_min(K, T, grid)[1] for K, T, grid in cases]
     assert got == want
 
 
@@ -367,7 +368,7 @@ def test_brute_force_is_covariant_under_scale_and_translation():
         K, T = random_instance(rng, int(rng.integers(4, 9)),
                                int(rng.integers(4, 9)))
         s, t = rng.normal(size=2) * 5, rng.normal(size=2) * 5
-        base = [brute_force_min(K, T, m, 64) for m in (2, 3)]
+        base = brute_force_min(K, T, 64)
         for c in scales:
             for d in scales:
                 try:
@@ -375,16 +376,15 @@ def test_brute_force_is_covariant_under_scale_and_translation():
                 except InvalidPolytope:
                     continue  # too small for from_vertices' absolute tolerance
                 checked += 1
-                for m, b in zip((2, 3), base):
-                    assert brute_force_min(cK, dT, m, 64) == c * d * b, (c, d, m)
+                for m, b, got in zip((2, 3), base, brute_force_min(cK, dT, 64)):
+                    assert got == c * d * b, (c, d, m)
         for c, d in zip(scales, scales[1:] + scales[:1]):
             try:
                 cKs, dTt = _scaled(K, c, c * s), _scaled(T, d, d * t)
             except InvalidPolytope:
                 continue
-            for m, b in zip((2, 3), base):
-                assert brute_force_min(cKs, dTt, m, 64) == \
-                    pytest.approx(c * d * b, rel=1e-9), (c, d, m)
+            for m, b, got in zip((2, 3), base, brute_force_min(cKs, dTt, 64)):
+                assert got == pytest.approx(c * d * b, rel=1e-9), (c, d, m)
     assert checked >= 40
 
 
@@ -396,10 +396,10 @@ def test_brute_force_memory_is_quadratic_in_the_grid():
     peaks = []
     for nt in (6, 48):
         T = regular_ngon(nt)
-        brute_force_min(K, T, 3, 8)  # warm the mask-table cache
+        brute_force_min(K, T, 8)  # warm the mask-table cache
         tracemalloc.start()
         try:
-            brute_force_min(K, T, 3, 64)
+            brute_force_min(K, T, 64)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

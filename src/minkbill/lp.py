@@ -1,33 +1,28 @@
-"""Dense two-phase simplex solver over arrays, for one LP or a stack of LPs.
+"""Linear programs over arrays, solved deterministically: the same input
+gives bit-identical answers, and a member of a stack gets the answer it
+would get alone, so that search results and reports are reproducible.
 
-All linear programs in this package are small (a handful of variables, at
-most a few thousand constraints), dense, and must be solved deterministically:
-the same input has to produce bit-identical bases across runs so that search
-results and reports are reproducible.  A hand-rolled tableau simplex with
-Dantzig pricing (falling back to Bland's rule to rule out cycling) is enough.
+``solve_dual3`` solves a stack of LPs in three free variables, max c @ x
+s.t. A @ x <= b, by the dual simplex from a dual-feasible start basis the
+caller knows in closed form.  Each step solves the 3x3 basis by its
+cofactors: a member needs O(m) memory and no tableau (Seidel, DCG 1991, on
+LPs of fixed dimension).  The 3-bounce search solves its inbody LPs and its
+q-side fits with it.  ``solve_interval`` gives, with no tableau, what the
+simplex gives on LPs in one variable; the 2-bounce search decides every
+side of a face tuple with it.
 
-Conventions: maximize ``objective @ x`` subject to the rows
-``constraints @ x <= rhs`` (``==`` where ``equality`` is set) and
-``lower <= x <= upper``.  Infinite bounds, the default, leave a variable
-free.  Every step works on whole arrays: variables are mapped onto
-nonnegative simplex columns by one substitution matrix, a pivot is one rank-1
-update, and the solution is re-checked row-wise in one pass.
-
-``solve_stack`` solves B problems of one shape at once on one (B, m, n)
-tableau and returns arrays: each member's status (B,) and x (B, n).  The
-standard form, the tableau and the re-check are built for the whole stack,
-and the pivots run in lockstep: every member prices, takes its ratio test
-and breaks ties exactly as it would alone, and a member that stops leaves
-the live part of the stack, so its solution does not depend on the other
-members.  ``solve`` is a stack of one that returns one ``LpSolution``; the
-3-bounce search calls ``solve_stack`` only.  ``solve_interval`` gives, with
-no tableau, what the simplex gives on LPs in one variable; the 2-bounce
-search decides every side of a face tuple with it.
+``solve_stack`` is a dense two-phase tableau simplex over a ``LinearProgram``:
+maximize ``objective @ x`` subject to ``constraints @ x <= rhs`` (``==``
+where ``equality`` is set) and ``lower <= x <= upper`` (infinite bounds, the
+default, leave a variable free).  B problems of one shape share one
+(B, m, n) tableau and pivot in lockstep, by Dantzig's rule with a Bland
+fallback; each pivot is one rank-1 update, and a member that stops leaves
+the live part of the stack.  ``solve`` is its stack of one.  No search calls
+either: they are the general reference of the tests and the tracer.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -38,6 +33,9 @@ _PIVOT_TOL = 1e-9       # entries smaller than this never act as pivots
 _BLAND_AFTER = 300      # switch from Dantzig to Bland after this many pivots
 _MAX_PIVOTS = 20000
 _UPDATE_BLOCK = 1 << 14  # entries of tab a pivot updates per numpy call
+_DUAL_BLAND_AFTER = 50  # solve_dual3 enters by Bland's rule after this many steps
+_DUAL_STEPS = 200       # solve_dual3's step budget per member
+_NEXT = np.array([1, 2, 0])  # the cyclic successor of each of three indices
 
 
 class NumericalFailure(RuntimeError):
@@ -219,29 +217,11 @@ def _violations(A, b, eq, x):
     return np.where(eq, np.abs(resid), resid), tol
 
 
-def _recheck(A, b, eq, x, lower, upper) -> dict:
-    """Independent feasibility check of every member's solution: why each
-    failing member fails, by member index."""
-    viol, tol = _violations(A, b, eq, x)
-    bad = viol > tol
-    why = {}
-    for k in np.nonzero(bad.any(axis=1) | ((x < lower - 1e-9)
-                                          | (x > upper + 1e-9)).any(axis=1))[0]:
-        i = np.argmax(bad[k])
-        why[k] = (f"solution violates constraint by {viol[k, i]:.3e} "
-                  f"(tol {tol[k, i]:.3e})" if bad[k, i]
-                  else "solution violates a bound")
-    return why
-
-
-# bounded, and read-only since every caller shares the cached arrays
-@functools.lru_cache(maxsize=256)
-def _layout(eq: bytes, has_lo: bytes, has_up: bytes):
+def _layout(eq, has_lo, has_up):
     """The part of the standard form that depends only on which rows are
     equalities and which bounds are finite: the substitution matrix S, the
     source row and sign of each standard row, and the box-bounded variables
     with their rows."""
-    eq, has_lo, has_up = (np.frombuffer(v, bool) for v in (eq, has_lo, has_up))
     # x = S @ y + shift with y >= 0: a lower bound shifts the variable, an
     # upper bound alone negates it, a free variable splits into two columns
     split = ~(has_lo | has_up)
@@ -257,16 +237,14 @@ def _layout(eq: bytes, has_lo: bytes, has_up: bytes):
     box = np.nonzero(has_lo & has_up)[0]
     box_rows = np.zeros((box.size, S.shape[1]))
     box_rows[np.arange(box.size), start[box]] = 1.0
-    for arr in (S, idx, sgn, box, box_rows):
-        arr.setflags(write=False)
     return S, idx, sgn, box, box_rows
 
 
 def _solve(obj, A, b, equality, lower, upper):
     """Solve the stack obj (B, n), A (B, m, n), b (B, m) under the shared
     (n,) bounds.  Returns each member's status and x (meaningful where
-    optimal), and why each member that failed the re-check fails (status
-    "numerical", as for an exhausted budget)."""
+    optimal); a member whose x fails the re-check is "numerical", as for an
+    exhausted budget."""
     B, m, nv = A.shape
     eq = (np.zeros(m, bool) if equality is None
           else np.asarray(equality, bool).reshape(m))
@@ -275,8 +253,7 @@ def _solve(obj, A, b, equality, lower, upper):
     upper = (np.full(nv, np.inf) if upper is None
              else np.asarray(upper, float).reshape(nv))
     has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
-    S, idx, sgn, box, box_rows = _layout(eq.tobytes(), has_lo.tobytes(),
-                                         has_up.tobytes())
+    S, idx, sgn, box, box_rows = _layout(eq, has_lo, has_up)
     shift = np.where(has_lo, lower, np.where(has_up, upper, 0.0))
     rows = A[:, idx] * sgn[:, None]
     A_std = np.zeros((B, idx.size + box.size, S.shape[1]))
@@ -290,13 +267,11 @@ def _solve(obj, A, b, equality, lower, upper):
 
     status, y = _standard_simplex(c, A_std, b_std)
     x = y @ S.T + shift
-    why = {}
-    optimal = status == "optimal"
-    if optimal.any():
-        why = {k: reason for k, reason in
-               _recheck(A, b, eq, x, lower, upper).items() if optimal[k]}
-        status[list(why)] = "numerical"
-    return status, x, why
+    # the re-check: an optimal x that breaks a row or a bound failed
+    viol, tol = _violations(A, b, eq, x)
+    fails = (viol > tol).any(1) | ((x < lower - 1e-9) | (x > upper + 1e-9)).any(1)
+    status[(status == "optimal") & fails] = "numerical"
+    return status, x
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -308,10 +283,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     b = np.asarray(lp.rhs, float).reshape(1, -1)
     if b.shape[1] != A.shape[1]:
         raise ValueError("constraint arity mismatch")
-    [status], [x], why = _solve(obj[None], A, b, lp.equality, lp.lower,
-                                lp.upper)
+    [status], [x] = _solve(obj[None], A, b, lp.equality, lp.lower, lp.upper)
     if status == "numerical":
-        raise NumericalFailure(why.get(0, "pivot budget exhausted"))
+        raise NumericalFailure("pivot budget exhausted or solution failed the re-check")
     if status != "optimal":
         return LpSolution(str(status), None, None)
     return LpSolution("optimal", x, float(obj @ x))
@@ -330,7 +304,7 @@ def solve_stack(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
         return np.zeros(0, "<U10"), np.zeros((0, nv))
     obj = np.broadcast_to(np.asarray(lp.objective, float), (B, nv))
     b = np.broadcast_to(np.asarray(lp.rhs, float), (B, m))
-    status, x, _ = _solve(obj, A, b, lp.equality, lp.lower, lp.upper)
+    status, x = _solve(obj, A, b, lp.equality, lp.lower, lp.upper)
     x[status != "optimal"] = 0.0
     return status, x
 
@@ -367,3 +341,52 @@ def solve_interval(lp: LinearProgram) -> Tuple[np.ndarray, np.ndarray]:
     ok = ((np.where(live, a * y[:, None] - rhs, 0.0).clip(0.0).sum(axis=1) <= 1e-8)
           & (viol <= tol).all(axis=1) & (y >= -1e-9) & (y <= upper - lower + 1e-9))
     return np.where(ok, "optimal", "infeasible"), np.where(ok, y + lower, 0.0)[:, None]
+
+
+def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndarray]:
+    """max objective @ x s.t. constraints @ x <= rhs for a stack of LPs in
+    three free variables, objective (B, 3), constraints (B, m, 3) and rhs
+    (B, m) (or shared by every member), by the dual simplex from the start
+    basis (B, 3): rows of which the objective is a nonnegative combination.
+    The most violated row enters (the first one after _DUAL_BLAND_AFTER
+    steps), and the basis row of least ratio dual weight / coefficient
+    leaves, ties on the smallest row.  Status: "optimal" when every row holds
+    within _violations' tolerance, "infeasible" when the entering row has no
+    coefficient above _PIVOT_TOL, "numerical" after _DUAL_STEPS steps; x is
+    zero where a member is not optimal."""
+    A = np.asarray(constraints, float)
+    B, m, _ = A.shape
+    b = np.broadcast_to(np.asarray(rhs, float), (B, m))
+    c = np.broadcast_to(np.asarray(objective, float), (B, 3))
+    rows = np.broadcast_to(np.asarray(basis, int), (B, 3)).copy()
+    status, x = np.full(B, "numerical", "<U10"), np.zeros((B, 3))
+    held = np.arange(B)  # the member at each position of the working stack
+    for step in range(_DUAL_STEPS):
+        k = np.arange(len(held))[:, None]
+        # column i of the inverse basis is the cross product of the basis
+        # rows i+1 and i+2 over the determinant
+        r1, r2 = A[k, rows[:, _NEXT]], A[k, rows[:, _NEXT[_NEXT]]]
+        inv = (r1[..., _NEXT] * r2[..., _NEXT[_NEXT]]
+               - r1[..., _NEXT[_NEXT]] * r2[..., _NEXT])
+        inv /= (A[k[:, 0], rows[:, 0]] * inv[:, 0]).sum(1)[:, None, None]
+        xk = (inv * b[k, rows][..., None]).sum(1)
+        viol, tol = _violations(A, b, False, xk)
+        bad = viol > tol
+        enter = (bad.argmax(1) if step >= _DUAL_BLAND_AFTER
+                 else np.where(bad, viol, -np.inf).argmax(1))
+        w = (inv * A[k[:, 0], enter][:, None]).sum(2)
+        y = (inv * c[:, None]).sum(2).clip(0.0)
+        pos = w > _PIVOT_TOL
+        ratio = np.divide(y, w, out=np.full(w.shape, np.inf), where=pos)
+        ties = ratio <= ratio.min(1)[:, None] + 1e-12
+        rows[k[:, 0], np.where(ties, rows, m).argmin(1)] = enter
+        verdict = np.where(bad.any(1), np.where(pos.any(1), "", "infeasible"),
+                           "optimal")
+        stop = verdict != ""
+        status[held[stop]] = verdict[stop]
+        x[held[verdict == "optimal"]] = xk[verdict == "optimal"]
+        if stop.any():
+            A, b, c, rows, held = (v[~stop] for v in (A, b, c, rows, held))
+        if not held.size:
+            break
+    return status, x

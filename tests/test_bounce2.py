@@ -8,6 +8,7 @@ import pytest
 from minkbill import bounce2, lp as lpmod
 from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
                               solve_face_tuple)
+from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
                            cone_contains, find_face, in_f,
@@ -174,9 +175,11 @@ def test_declared_faces_contain_vertices(rng):
 
 
 def test_search_solves_no_simplex(monkeypatch):
-    """Every side of a face tuple has at most one variable, so the search
-    calls neither lp.solve_stack nor lp.solve, and so no simplex, also
-    where sides of two parallel facets are certified."""
+    """Every side of a face tuple has at most one variable, so the 2-bounce
+    search calls neither lp.solve_stack nor lp.solve, and so no tableau
+    simplex, also where sides of two parallel facets are certified.  The
+    3-bounce search solves its LPs by lp.solve_dual3 and calls neither
+    either."""
     calls, seen = [], []
 
     def recording(K, T, pair):
@@ -186,10 +189,13 @@ def test_search_solves_no_simplex(monkeypatch):
         monkeypatch.setattr(lpmod, name, lambda lp, solve_lp=getattr(lpmod, name):
                             calls.append(lp) or solve_lp(lp))
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    three = []
     for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
                  + [(regular_ngon(n), regular_ngon(m)) for n, m in ((4, 4), (6, 3), (8, 12))]):
         assert search_two_bounce(K, T)
+        three += search_three_bounce(K, T)
     assert calls == []
+    assert three
     assert any(all(f.is_edge for f in faces)
                for pair in seen for faces in (pair.k_faces, pair.t_faces))
 

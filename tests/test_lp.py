@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from minkbill import lp as lpmod
 from minkbill.bounce2 import _Affine, _cycle_rows, _rows_lp
+from minkbill.bounce3 import search_three_bounce
 from minkbill.geom import NormalConeRep
 from minkbill.lp import (LinearProgram, NumericalFailure, solve, solve_interval,
                          solve_stack)
+from minkbill.randgen import random_instance
 
 INF = np.inf
 
@@ -563,3 +566,42 @@ def test_solve_interval_matches_simplex(stack):
         # either (and with an objective it may slide t along an equality by
         # as much as that equality's tolerance allows)
         assert abs(t - sol.x[0]) <= tol + np.ptp(pins)
+
+
+def _recording(calls):
+    """lp.solve_dual3, recording each call's stack and answers."""
+    solve_dual3 = lpmod.solve_dual3
+
+    def recording(objective, constraints, rhs, basis):
+        status, x = solve_dual3(objective, constraints, rhs, basis)
+        B, m, _ = np.shape(constraints)
+        calls.append((np.broadcast_to(objective, (B, 3)), np.asarray(constraints),
+                      np.broadcast_to(rhs, (B, m)), status, x))
+        return status, x
+    return recording
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(3, 10),
+       st.booleans())
+def test_solve_dual3_matches_scipy_linprog(seed, nk, nt, moved):
+    """Differential test of the dual simplex on the LPs it is made for: the
+    inbody LPs and the q-side fits of search_three_bounce on a random
+    instance, with T moved off the origin where `moved`.  Up to 12 members
+    of each stack are asked of scipy's HiGHS: the same status, and the same
+    optimal objective value to 1e-9 relative to max(1, |value|)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    K, T = random_instance(rng, nk, nt)
+    if moved:
+        T = T.translate(rng.uniform(-4.0, 4.0, size=2))
+    calls = []
+    with mock.patch.object(lpmod, "solve_dual3", _recording(calls)):
+        search_three_bounce(K, T)
+    for c, A, b, status, x in calls:
+        for k in rng.permutation(len(A))[:12]:
+            ref = optimize.linprog(-c[k], A_ub=A[k], b_ub=b[k],
+                                   bounds=(None, None), method="highs")
+            assert status[k] == {0: "optimal", 2: "infeasible"}[ref.status]
+            if ref.status == 0:
+                assert c[k] @ x[k] == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)

@@ -81,3 +81,13 @@ def test_large_t_minimum_is_closed_form(half_k, n_t):
     """T the regular 128- or 256-gon against a symmetric 8- or 10-gon K."""
     K = symmetric_polygon(np.random.default_rng(n_t), half_k)
     assert_minimum_is_closed_form(K, regular_ngon(n_t))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_k_minimum_is_closed_form(seed):
+    """K a symmetric 48-gon (8,096 spanning facet triples) against a
+    symmetric 8-gon T: the minimum is the closed form, and no 2- or 3-bounce
+    candidate is shorter."""
+    rng = np.random.default_rng(seed)
+    assert_minimum_is_closed_form(symmetric_polygon(rng, 24),
+                                  symmetric_polygon(rng, 4))

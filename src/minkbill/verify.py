@@ -131,19 +131,19 @@ def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
 
 def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Boundary sample points (vertices plus facet subdivisions) and, per
-    point, a bitmask of the facets it lies on."""
-    pts = []
-    masks = []
-    n = K.n
-    for i in range(n):
-        a, b = K.facet_segment(i)
-        pts.append(a)
-        masks.append((1 << i) | (1 << ((i - 1) % n)))
-        for k in range(1, grid_per_facet):
-            pts.append(a + (k / grid_per_facet) * (b - a))
-            masks.append(1 << i)
-    return np.asarray(pts), np.asarray(masks, np.int64)
+    """Boundary sample points (each vertex, then the grid_per_facet - 1
+    inner points a + (k/grid)(b - a) of its facet [a, b]) and, per point, a
+    bitmask of the facets it lies on."""
+    if grid_per_facet < 1:
+        raise ValueError(f"grid_per_facet must be at least 1, got {grid_per_facet}")
+    a = K.vertices
+    t = np.arange(grid_per_facet) / grid_per_facet
+    pts = a[:, None] + t[:, None] * (np.roll(a, -1, axis=0) - a)[:, None]
+    pts[:, 0] = a
+    bit = 1 << np.arange(K.n, dtype=np.int64)
+    masks = np.repeat(bit[:, None], grid_per_facet, axis=1)
+    masks[:, 0] |= np.roll(bit, 1)  # a vertex also lies on the facet before it
+    return pts.reshape(-1, 2), masks.ravel()
 
 
 def _subset_immovable_table(K: ConvexPolytope2) -> np.ndarray:
@@ -166,8 +166,9 @@ def _immovable_table(normals: bytes) -> np.ndarray:
     return tab
 
 
-# elements of one (i, j, k) block of the m = 3 oracle, so that its memory
-# stays O(N^2) at every grid
+# the least chunk length, and the elements of one batch of chunk triples,
+# of the m = 3 oracle
+_CHUNK = 16
 _BLOCK = 1 << 17
 
 
@@ -176,54 +177,63 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     """Minimum ell_T-lengths (two, three) over closed 2-gons and closed
     triangles with vertices on the boundary grid of K that cannot be
     translated into the interior, both from one grid and one (N, N) table
-    of h_T of differences of its N points.
+    S[i, j] = h_T(x_j - x_i) of its N points.
 
     Degeneracy is read from the facet masks, with no length threshold: two
     points must differ, and three must not share a facet (three distinct
     boundary points of a strictly convex polygon are collinear iff they do).
-    So validity depends on the masks only; for triangles it is decided once
-    per triple of classes, the runs of equal masks (a vertex, or the inner
-    points of one facet).  Each triangle i < j, i < k, j != k is summed as
-    (h_T(x_j - x_i) + h_T(x_k - x_j)) + h_T(x_i - x_k) in class blocks of
-    at most _BLOCK elements, with +inf where a block breaks the index rule;
-    min is exact, so the blocks do not change the result.  Memory is O(N^2)
-    in the N grid points."""
+    The triangles are searched by exact branch-and-bound.  The runs of equal
+    masks (a vertex, or the inner points of one facet) are cut into chunks
+    of at most max(_CHUNK, isqrt(N) // 4) points, low[A, B] is the least S
+    over chunk pair (A, B), and a chunk triple A <= B, A <= C with valid
+    masks gets the bound (low[A, B] + low[B, C]) + low[C, A]: rounding is
+    monotone, so none of its triangles sums below it.  The least bounds go
+    first, then, by increasing bound, the chunk triples still below the best
+    value, in batches of at most _BLOCK elements (or one chunk triple).  A
+    triangle i < j, i < k, j != k is always summed as
+    (S[i, j] + S[j, k]) + S[k, i], with +inf where a batch breaks the index
+    rule, and min is exact, so pruning and batches change neither float.
+    The chunk size keeps the bounds and batches, and so the memory, O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
+    N = len(masks)
     G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
-    sup = G[None, :, 0] - G[:, None, 0]  # sup[i,j] = h_T(x_j - x_i)
+    S = np.full((N + 1, N + 1), np.inf)  # row and column N: the pad of short chunks
+    sup = S[:N, :N]
+    np.subtract(G[None, :, 0], G[:, None, 0], out=sup)
     for c in range(1, G.shape[1]):
         np.maximum(sup, G[None, :, c] - G[:, None, c], out=sup)
     valid = ok[masks[:, None] | masks]
     np.fill_diagonal(valid, False)
     two = float(np.min(sup + sup.T, where=valid, initial=np.inf))
 
-    head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each class
-    cls = np.cumsum(head) - 1  # the class of each grid point
-    bounds = np.r_[np.flatnonzero(head), len(masks)]
-    cm = masks[head]
-    valid = ok[cm[:, None, None] | cm[:, None] | cm]
-    valid &= (cm[:, None, None] & cm[:, None] & cm) == 0
-    idx = np.arange(len(masks))
-    sup_jk = sup.copy()
-    np.fill_diagonal(sup_jk, np.inf)  # j != k
-    best = np.inf
-    for a in range(len(cm)):
-        ia = slice(bounds[a], bounds[a + 1])
-        later = idx[ia, None] < idx  # i < j, and i < k
-        sup_ij = np.where(later, sup[ia], np.inf)
-        sup_ki = np.where(later, sup[:, ia].T, np.inf)  # sup_ki[i, k] = sup[k, i]
-        k_ok = valid[a][:, cls] & (cls >= a)  # k_ok[b, k]: a, b, cls[k] valid
-        for b in range(a, len(cm)):
-            ks = np.flatnonzero(k_ok[b])
-            if not ks.size:
-                continue
-            jb = slice(bounds[b], bounds[b + 1])
-            A = sup_ij[:, jb, None]
-            step = max(1, _BLOCK // (A.shape[0] * A.shape[1]))
-            for s in range(0, ks.size, step):
-                k = ks[s:s + step]
-                L = A + sup_jk[jb, k]
-                L += sup_ki[:, None, k]
-                best = min(best, L.min())
+    head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each run
+    run = np.arange(N) - np.maximum.accumulate(np.where(head, np.arange(N), 0))
+    size = min(max(_CHUNK, math.isqrt(N) // 4), run.max() + 1)
+    start = np.flatnonzero(run % size == 0)
+    chunk = start[:, None] + np.arange(size)
+    chunk[chunk >= np.r_[start[1:], N][:, None]] = N
+    low = np.minimum.reduceat(np.minimum.reduceat(sup, start, axis=0), start, axis=1)
+    cm, up = masks[start], np.arange(len(start))[:, None] <= np.arange(len(start))
+    ta, tb, tc = np.nonzero(ok[cm[:, None, None] | cm[:, None] | cm]
+                            & ((cm[:, None, None] & cm[:, None] & cm) == 0)
+                            & up[:, :, None] & up[:, None])
+    bound = (low[ta, tb] + low[tb, tc]) + low[tc, ta]
+
+    def least(t):  # the least triangle sum over chunk triples t
+        i, j, k = chunk[ta[t]][:, :, None], chunk[tb[t]], chunk[tc[t]][:, None]
+        ij = np.where(i < j[:, None], S[i, j[:, None]], np.inf)  # (t, i, j)
+        jk = np.where(j[:, :, None] != k, S[j[:, :, None], k], np.inf)  # (t, j, k)
+        ki = np.where(i < k, S[k, i], np.inf)  # ki[t, i, k] = S[k, i]
+        L = ij[..., None] + jk[:, None]
+        L += ki[:, :, None]
+        return L.min(initial=np.inf)
+
+    step = max(1, _BLOCK // size ** 3)
+    first = np.argpartition(bound, min(step, bound.size) - 1)[:step]
+    best = least(first)
+    bound[first] = np.inf
+    rest = np.flatnonzero(bound < best)
+    for t in np.split(rest[np.argsort(bound[rest])], range(step, rest.size, step)):
+        best = min(best, least(t[bound[t] < best]))
     return two, float(best)

@@ -123,6 +123,49 @@ def test_boundary_grid_counts():
     assert bin(int(masks[0])).count("1") == 2
 
 
+def _reference_boundary_grid(K, grid_per_facet):
+    """boundary_grid as a loop over the facets and their grid points."""
+    pts = []
+    masks = []
+    n = K.n
+    for i in range(n):
+        a, b = K.facet_segment(i)
+        pts.append(a)
+        masks.append((1 << i) | (1 << ((i - 1) % n)))
+        for k in range(1, grid_per_facet):
+            pts.append(a + (k / grid_per_facet) * (b - a))
+            masks.append(1 << i)
+    return np.asarray(pts), np.asarray(masks, np.int64)
+
+
+def test_boundary_grid_matches_reference_loop(rng):
+    """The broadcast grid has the loop's points bit for bit (signed zeros
+    included) and its masks, for 3- to 16-gons at grids 1 to 70."""
+    bodies = [regular_ngon(n, phase=0.1 * n) for n in range(3, 17)]
+    bodies += [random_polytope(rng, n) for n in range(3, 17)]
+    # a vertex at -0.0 whose next vertex lies to its right: a + 0 * (b - a)
+    # would be +0.0
+    bodies.append(ConvexPolytope2.from_vertices(
+        [(-0.0, -1.0), (1.0, -0.0), (-0.0, 1.0), (-1.0, 0.0)]))
+    for K in bodies:
+        for grid in range(1, 71):
+            pts, masks = boundary_grid(K, grid)
+            want_pts, want_masks = _reference_boundary_grid(K, grid)
+            assert pts.shape == want_pts.shape and pts.dtype == want_pts.dtype
+            assert pts.tobytes() == want_pts.tobytes(), (K.n, grid)
+            assert masks.dtype == want_masks.dtype
+            assert np.array_equal(masks, want_masks), (K.n, grid)
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_grid_below_one_is_rejected(grid):
+    """A grid below 1 is an error, not the grid-1 values."""
+    with pytest.raises(ValueError):
+        boundary_grid(SQUARE, grid)
+    with pytest.raises(ValueError):
+        brute_force_min(SQUARE, regular_ngon(5), grid)
+
+
 def test_brute_force_square_chord():
     assert brute_force_min(SQUARE, SQUARE, 8)[0] == pytest.approx(4.0)
 
@@ -329,6 +372,10 @@ def _oracle_instances():
     K, T = random_instance(rng, 16, 6)
     yield K, T, 3
     yield regular_ngon(16), regular_ngon(16, phase=0.1), 2
+    # facets of several chunks each, and symmetric bodies whose chunk bounds
+    # tie in many places
+    yield SQUARE, SQUARE, 33
+    yield regular_ngon(6), regular_ngon(6), 40
 
 
 def test_brute_force_matches_reference():
@@ -343,8 +390,10 @@ def test_brute_force_matches_reference():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
-    """With blocks of at most 1 or 7 elements the chunks of k end inside a
-    class, and the triangle oracle still returns the reference's floats."""
+    """With batches of at most 1 or 7 elements a batch holds a single chunk
+    triple (up to seven where chunks are single points), so the bounds are
+    evaluated and pruned a few chunk triples at a time, and the triangle
+    oracle still returns the reference's floats."""
     cases = [(K, T, grid) for K, T, grid in _oracle_instances()
              if K.n * grid <= 40][::2]
     assert len(cases) >= 10
@@ -352,6 +401,20 @@ def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
     monkeypatch.setattr(verify, "_BLOCK", block)
     got = [brute_force_min(K, T, grid)[1] for K, T, grid in cases]
     assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
+    """Chunks of 1, 2, 5 or 64 points (one point per chunk, a facet cut into
+    many chunks, a whole facet in one chunk) give both oracle floats of the
+    reference."""
+    cases = [(K, T, grid) for K, T, grid in _oracle_instances()
+             if K.n * grid <= 40][1::2]
+    assert len(cases) >= 10
+    want = [tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
+            for K, T, grid in cases]
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    assert [brute_force_min(K, T, grid) for K, T, grid in cases] == want
 
 
 def _scaled(P, c, shift):
@@ -390,21 +453,23 @@ def test_brute_force_is_covariant_under_scale_and_translation():
 
 def test_brute_force_memory_is_quadratic_in_the_grid():
     """The oracle's peak allocation stays within a few (N, N) float arrays and
-    does not grow with the number of vertices of T."""
-    K = regular_ngon(8)
-    N = boundary_grid(K, 64)[0].shape[0]
-    peaks = []
-    for nt in (6, 48):
-        T = regular_ngon(nt)
-        brute_force_min(K, T, 8)  # warm the mask-table cache
-        tracemalloc.start()
-        try:
-            brute_force_min(K, T, 64)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) <= 8 * N * N * 8
-    assert max(peaks) <= 1.2 * min(peaks)
+    does not grow with the number of vertices of T, for an 8-gon K and for
+    a 16-gon, the largest K the oracle takes."""
+    for nk in (8, 16):
+        K = regular_ngon(nk)
+        N = boundary_grid(K, 64)[0].shape[0]
+        peaks = []
+        for nt in (6, 48):
+            T = regular_ngon(nt)
+            brute_force_min(K, T, 8)  # warm the mask-table cache
+            tracemalloc.start()
+            try:
+                brute_force_min(K, T, 64)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8 * N * N * 8, nk
+        assert max(peaks) <= 1.2 * min(peaks), nk
 
 
 # certify as it was written before certificates were computed as stacks: one

@@ -19,8 +19,11 @@ the triples to make_pairs:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex), by the rows of
-   the 2-bounce search (_cycle_rows).  Every such fit is one 15-row LP, so
-   all survivors and both objectives below are one more stack;
+   the 2-bounce search (_cycle_rows).  _chords_reach drops a triple whose
+   side r has a row (a unit functional) below -4 EPS_CERT at all four
+   corners of its chords from facet r to r + 1 of K: a certified pair
+   breaks no row by 3 EPS_CERT, and one EPS_CERT more covers rounding.
+   The other fits (both objectives below) are one stack of 15-row LPs;
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
    of the solutions minimizing and maximizing sum(t), is kept if it
@@ -37,8 +40,8 @@ import numpy as np
 
 from . import lp as lpmod
 from .bounce2 import _cycle_rows, _point
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   angles, cross2, face_cones, find_faces, largest_gap)
+from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                   angles, cross2, dot2, face_cones, find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, make_pairs, sort_pairs
 from .verify import certified_pairs
 
@@ -201,6 +204,16 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     return 0.5 * (low + high)
 
 
+def _chords_reach(K, T, triples, index, on_edge) -> np.ndarray:
+    """Whether each triple passes the prefilter of step 3."""
+    ends = np.stack([K.vertices[triples], K.vertices[(triples + 1) % K.n]], 2)
+    v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]  # (B, 3, 2, 2, 2)
+    g0, g1 = (g[:, :, None, None] for g in face_cones(T, on_edge, index).generators)
+    rows = np.stack([cross2(g0, v), cross2(v, g1),
+                     np.where(on_edge[:, :, None, None], dot2(g0, v), np.inf)])
+    return ~(rows.max(axis=(3, 4)) < -4 * EPS_CERT).any(axis=(0, 2))
+
+
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
                    p: np.ndarray, index: np.ndarray, on_edge: np.ndarray
                    ) -> List[Optional[BilliardPair]]:
@@ -209,11 +222,12 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     index[k, r] (an edge where on_edge); the q-side fits of all of them are
     one stack, and Face objects are built for the fits only."""
     triples = np.asarray(triples, int).reshape(-1, 3)
-    low, high, reason = _fit_stack(K, T, triples, index, on_edge)
-    fits = np.flatnonzero(reason == "")
+    tried = np.flatnonzero(_chords_reach(K, T, triples, index, on_edge))
+    low, high, reason = _fit_stack(K, T, triples[tried], index[tried], on_edge[tried])
+    fits = tried[reason == ""]
     found = np.full(len(triples), None, object)
     found[fits] = certified_pairs(K, T, make_pairs(
-        K, T, 0.5 * (low[fits] + high[fits]),  # the centre, as fit_to_k
+        K, T, 0.5 * (low + high)[reason == ""],  # the centre, as fit_to_k
         p[fits], [tuple(map(Face.edge, t)) for t in triples[fits].tolist()],
         _faces(index[fits], on_edge[fits])))
     return list(found)

@@ -166,61 +166,76 @@ def _immovable_table(normals: bytes) -> np.ndarray:
     return tab
 
 
-# the least chunk length, and the elements of one batch of chunk triples,
-# of the m = 3 oracle
+# the oracle's least chunk length, and the elements of one batch
 _CHUNK = 16
 _BLOCK = 1 << 17
+
+
+def _chunk_bounds(G: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """low[A, B] = max_c (lo[B, c] - hi[A, c]) <= h_T(x_j - x_i), i in A, j in B,
+    from the extremes lo, hi of G over the chunks at start (rounding is monotone)."""
+    lo, hi = np.minimum.reduceat(G, start), np.maximum.reduceat(G, start)
+    return functools.reduce(np.maximum, (b - a[:, None] for a, b in zip(hi.T, lo.T)))
 
 
 def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
                     grid_per_facet: int) -> Tuple[float, float]:
     """Minimum ell_T-lengths (two, three) over closed 2-gons and closed
     triangles with vertices on the boundary grid of K that cannot be
-    translated into the interior, both from one grid and one (N, N) table
-    S[i, j] = h_T(x_j - x_i) of its N points.
+    translated into the interior, summing S[i, j] = h_T(x_j - x_i) =
+    max_c (G[j, c] - G[i, c]) over its N points, G = pts @ V(T)^T.
 
     Degeneracy is read from the facet masks, with no length threshold: two
     points must differ, and three must not share a facet (three distinct
     boundary points of a strictly convex polygon are collinear iff they do).
-    The triangles are searched by exact branch-and-bound.  The runs of equal
-    masks (a vertex, or the inner points of one facet) are cut into chunks
-    of at most max(_CHUNK, isqrt(N) // 4) points, low[A, B] is the least S
-    over chunk pair (A, B), and a chunk triple A <= B, A <= C with valid
-    masks gets the bound (low[A, B] + low[B, C]) + low[C, A]: rounding is
-    monotone, so none of its triangles sums below it.  The least bounds go
-    first, then, by increasing bound, the chunk triples still below the best
-    value, in batches of at most _BLOCK elements (or one chunk triple).  A
-    triangle i < j, i < k, j != k is always summed as
-    (S[i, j] + S[j, k]) + S[k, i], with +inf where a batch breaks the index
-    rule, and min is exact, so pruning and batches change neither float.
-    The chunk size keeps the bounds and batches, and so the memory, O(N^2)."""
+    Both minima are exact branch-and-bound searches: chunk pairs A < B and
+    triples A <= B, A <= C of valid masks, a chunk being at most
+    max(_CHUNK, isqrt(N) // 4) points of one run of equal masks, go by
+    increasing bound while below the best sum, in batches of at most _BLOCK
+    elements (or one).  The bounds are low[A, B] + low[B, A] and
+    (low[A, B] + low[B, C]) + low[C, A], with no table (_chunk_bounds); the
+    chunk pairs a batch reads are built once each, by a running max over c,
+    into one (N + 1, N + 1) np.empty table, +inf at the pad index N.  A
+    2-gon i < j sums S[i, j] + S[j, i], a triangle i < j, i < k, j != k
+    (S[i, j] + S[j, k]) + S[k, i], +inf where a batch breaks the index rule:
+    rounding is monotone and min exact, so neither float depends on pruning
+    or batches.  Memory: the table and O(N^2) more."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
     G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
-    S = np.full((N + 1, N + 1), np.inf)  # row and column N: the pad of short chunks
-    sup = S[:N, :N]
-    np.subtract(G[None, :, 0], G[:, None, 0], out=sup)
-    for c in range(1, G.shape[1]):
-        np.maximum(sup, G[None, :, c] - G[:, None, c], out=sup)
-    valid = ok[masks[:, None] | masks]
-    np.fill_diagonal(valid, False)
-    two = float(np.min(sup + sup.T, where=valid, initial=np.inf))
-
     head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each run
     run = np.arange(N) - np.maximum.accumulate(np.where(head, np.arange(N), 0))
     size = min(max(_CHUNK, math.isqrt(N) // 4), run.max() + 1)
     start = np.flatnonzero(run % size == 0)
-    chunk = start[:, None] + np.arange(size)
+    chunk = start[:, None] + np.arange(size)  # index N pads short chunks
     chunk[chunk >= np.r_[start[1:], N][:, None]] = N
-    low = np.minimum.reduceat(np.minimum.reduceat(sup, start, axis=0), start, axis=1)
+    low = _chunk_bounds(G, start)
     cm, up = masks[start], np.arange(len(start))[:, None] <= np.arange(len(start))
+    pa, pb = np.nonzero(np.triu(ok[cm[:, None] | cm], 1))  # one run is never valid
     ta, tb, tc = np.nonzero(ok[cm[:, None, None] | cm[:, None] | cm]
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
-    bound = (low[ta, tb] + low[tb, tc]) + low[tc, ta]
+    S, built = np.empty((N + 1, N + 1)), np.zeros(low.shape, bool)  # pads read +inf
+    Gj, Gi = (np.r_[G, np.full((1, G.shape[1]), p)].T for p in (np.inf, -np.inf))
 
-    def least(t):  # the least triangle sum over chunk triples t
+    def build(a, b):  # S over the chunk pairs (a, b) not built yet
+        new = np.zeros_like(built)
+        new[a, b], built[a, b] = ~built[a, b], True
+        a, b = np.nonzero(new)
+        i, j = chunk[a, :, None], chunk[b, None]
+        blk = Gj[0, j] - Gi[0, i]
+        for c in range(1, len(Gj)):
+            np.maximum(blk, Gj[c, j] - Gi[c, i], out=blk)
+        S[i, j] = blk
+
+    def least2(t):  # the least 2-gon sum over chunk pairs t
+        build(np.concatenate([pa[t], pb[t]]), np.concatenate([pb[t], pa[t]]))
+        i, j = chunk[pa[t]][:, :, None], chunk[pb[t]][:, None]
+        return (S[i, j] + S[j, i]).min(initial=np.inf)
+
+    def least3(t):  # the least triangle sum over chunk triples t
+        build(np.concatenate([ta[t], tb[t], tc[t]]), np.concatenate([tb[t], tc[t], ta[t]]))
         i, j, k = chunk[ta[t]][:, :, None], chunk[tb[t]], chunk[tc[t]][:, None]
         ij = np.where(i < j[:, None], S[i, j[:, None]], np.inf)  # (t, i, j)
         jk = np.where(j[:, :, None] != k, S[j[:, :, None], k], np.inf)  # (t, j, k)
@@ -229,11 +244,12 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         L += ki[:, :, None]
         return L.min(initial=np.inf)
 
-    step = max(1, _BLOCK // size ** 3)
-    first = np.argpartition(bound, min(step, bound.size) - 1)[:step]
-    best = least(first)
-    bound[first] = np.inf
-    rest = np.flatnonzero(bound < best)
-    for t in np.split(rest[np.argsort(bound[rest])], range(step, rest.size, step)):
-        best = min(best, least(t[bound[t] < best]))
-    return two, float(best)
+    def search(bound, least, elems):  # no batch left out is below the least sum
+        best, order, step, s = np.inf, np.argsort(bound), max(1, _BLOCK // elems), 0
+        while s < bound.size and bound[order[s]] < best:
+            t = order[s:s + step]
+            best, s = min(best, least(t[bound[t] < best])), s + step
+        return float(best)
+
+    return (search(low[pa, pb] + low[pb, pa], least2, size ** 2),
+            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, size ** 3))

@@ -574,6 +574,34 @@ def test_search_matches_per_triple_reference(rng):
     assert pairs >= 50
 
 
+def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
+    """Dropping, before the fit, the triples whose chords on some side break
+    a row of the cone by more than 4 EPS_CERT at all four corners leaves
+    search_three_bounce's candidates unchanged, bit for bit, on the fixtures
+    and 120 random instances, while most of the fits are saved."""
+    instances = _search_instances(rng)
+    real, counts = bounce3._chords_reach, [0, 0]
+
+    def counting(K, T, triples, *faces):
+        keep = real(K, T, triples, *faces)
+        counts[0] += len(keep)
+        counts[1] += int(keep.sum())
+        return keep
+
+    monkeypatch.setattr(bounce3, "_chords_reach", counting)
+    got = [search_three_bounce(K, T) for K, T in instances]
+    monkeypatch.setattr(bounce3, "_chords_reach",
+                        lambda K, T, triples, *faces: np.ones(len(triples), bool))
+    want = [search_three_bounce(K, T) for K, T in instances]
+    assert counts[1] < counts[0] // 2
+    assert sum(map(len, got)) >= 50
+    for a, b in zip(got, want):
+        assert [(p.k_faces, p.t_faces, p.length, p.q.vertices.tobytes(),
+                 p.p.vertices.tobytes(), p.certificate) for p in a] == \
+               [(p.k_faces, p.t_faces, p.length, p.q.vertices.tobytes(),
+                 p.p.vertices.tobytes(), p.certificate) for p in b]
+
+
 def test_stacked_fit_matches_per_triple_fit(rng):
     """The stacked fits give every inbody survivor the ends, bit for bit,
     or the reject reason of the per-triple fit."""

@@ -391,16 +391,17 @@ def test_brute_force_matches_reference():
 @pytest.mark.parametrize("block", [1, 7])
 def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
     """With batches of at most 1 or 7 elements a batch holds a single chunk
-    triple (up to seven where chunks are single points), so the bounds are
-    evaluated and pruned a few chunk triples at a time, and the triangle
-    oracle still returns the reference's floats."""
+    pair or triple (up to seven where chunks are single points), so the
+    bounds are evaluated and pruned a few candidates at a time and the
+    blocks of h_T are built a few chunk pairs at a time, and both oracle
+    floats are still the reference's."""
     cases = [(K, T, grid) for K, T, grid in _oracle_instances()
              if K.n * grid <= 40][::2]
     assert len(cases) >= 10
-    want = [_reference_brute_force_min(K, T, 3, grid) for K, T, grid in cases]
+    want = [tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
+            for K, T, grid in cases]
     monkeypatch.setattr(verify, "_BLOCK", block)
-    got = [brute_force_min(K, T, grid)[1] for K, T, grid in cases]
-    assert got == want
+    assert [brute_force_min(K, T, grid) for K, T, grid in cases] == want
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 64])
@@ -449,6 +450,48 @@ def test_brute_force_is_covariant_under_scale_and_translation():
             for m, b, got in zip((2, 3), base, brute_force_min(cKs, dTt, 64)):
                 assert got == pytest.approx(c * d * b, rel=1e-9), (c, d, m)
     assert checked >= 40
+
+
+def _reference_table(G):
+    """h_T(x_j - x_i) for all pairs of grid points with support values G, as
+    the oracle built it before it built only the blocks it reads: one
+    (N, N) running max over the columns of G."""
+    S = G[None, :, 0] - G[:, None, 0]
+    for c in range(1, G.shape[1]):
+        np.maximum(S, G[None, :, c] - G[:, None, c], out=S)
+    return S
+
+
+def test_chunk_bounds_are_below_every_block(monkeypatch):
+    """The bounds that the oracle takes from the extremes of the support
+    values, with no table, are finite and at most every entry of their
+    chunk pair's block of the full table, on the oracle instances and on
+    their bodies scaled by 1e-3 and 1e3 and translated by (1e3, -1e3)."""
+    calls = []
+
+    def spy(G, start):
+        low = real(G, start)
+        calls.append((G, start, low))
+        return low
+
+    real = verify._chunk_bounds
+    monkeypatch.setattr(verify, "_chunk_bounds", spy)
+    base = list(_oracle_instances())
+    cases = list(base)
+    for c in (1e-3, 1e3):
+        for K, T, grid in base[::4]:
+            try:
+                cases.append((_scaled(K, c, (1e3, -1e3)), _scaled(T, c, (1e3, -1e3)), grid))
+            except InvalidPolytope:
+                continue  # too small for from_vertices' absolute tolerance
+    assert len(cases) >= len(base) + 40
+    for K, T, grid in cases:
+        brute_force_min(K, T, grid)
+    assert len(calls) == len(cases)
+    for G, start, low in calls:
+        S = _reference_table(G)
+        least = np.minimum.reduceat(np.minimum.reduceat(S, start, axis=0), start, axis=1)
+        assert np.isfinite(low).all() and (low <= least).all()
 
 
 def test_brute_force_memory_is_quadratic_in_the_grid():

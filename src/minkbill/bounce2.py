@@ -108,17 +108,6 @@ def _cycle_rows(rows, points, cones) -> None:
         _cone_rows(rows, points[(r + 1) % len(points)] - points[r], cone)
 
 
-def _rows_lp(rows, objective) -> lpmod.LinearProgram:
-    """The (B, m, nv) stack maximizing objective @ x over the rows, with
-    every variable, the parameter of a point on a facet, in [0, 1]."""
-    nv = np.shape(objective)[-1]
-    return lpmod.LinearProgram(
-        np.asarray(objective, float), np.stack([r for r, _, _ in rows], 1),
-        np.stack([b for _, b, _ in rows], 1),
-        np.stack(np.broadcast_arrays(*[e for _, _, e in rows]), -1),
-        np.zeros(nv), np.ones(nv))
-
-
 # side s, the q side then the p side, is a closed 2-gon of the points a, b
 # of q1, q2, p1, p2 whose edges b - a and a - b lie in the cones of faces c0
 # and c1 (p2 - p1 in -N_K(f2): p1 - p2 in N_K(f2)); _A[s] is its a, and so on
@@ -164,7 +153,10 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     rows = []
     _cycle_rows(rows, [_Affine(base[k, r], step[k, r, :, None]) for r in (a, b)],
                 (cone(_C0, k, s), cone(_C1, k, s)))
-    status, t = lpmod.solve_interval(_rows_lp(rows, (obj[k, a] + obj[k, b])[:, None]))
+    coef, bound, eq = zip(*rows)
+    status, t = lpmod.solve_interval(
+        (obj[k, a] + obj[k, b])[:, None], np.stack(coef, 1), np.stack(bound, 1),
+        np.stack(np.broadcast_arrays(*eq), -1))
     keep[k[status != "optimal"]] = False
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]

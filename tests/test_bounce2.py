@@ -176,18 +176,16 @@ def test_declared_faces_contain_vertices(rng):
 
 def test_search_solves_no_simplex(monkeypatch):
     """Every side of a face tuple has at most one variable, so the 2-bounce
-    search calls neither lp.solve_stack nor lp.solve, and so no tableau
-    simplex, also where sides of two parallel facets are certified.  The
-    3-bounce search solves its LPs by lp.solve_dual3 and calls neither
-    either."""
+    search never calls lp.solve, and so no tableau simplex, also where sides
+    of two parallel facets are certified.  The 3-bounce search solves its
+    LPs by lp.solve_dual3 and never calls it either."""
     calls, seen = [], []
 
     def recording(K, T, pair):
         seen.append(pair)
         return prefer_smooth(K, T, pair)
-    for name in ("solve", "solve_stack"):
-        monkeypatch.setattr(lpmod, name, lambda lp, solve_lp=getattr(lpmod, name):
-                            calls.append(lp) or solve_lp(lp))
+    solve = lpmod.solve
+    monkeypatch.setattr(lpmod, "solve", lambda lp: calls.append(lp) or solve(lp))
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
     three = []
     for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
@@ -303,10 +301,10 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
     if sides_apart:  # free side c has variable c
         x = np.zeros(nv)
         for c, rows in enumerate(sides):
-            [status], [[x[c]]] = solve_interval(LinearProgram(
+            [status], [[x[c]]] = solve_interval(
                 np.zeros(1), np.array([[[r[c]] for r, _, _ in rows]]),
                 np.array([[b for _, b, _ in rows]]),
-                np.array([e for _, _, e in rows]), np.zeros(1), np.ones(1)))
+                np.array([e for _, _, e in rows]))
             if status != "optimal":
                 return None
     else:

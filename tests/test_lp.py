@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minkbill import lp as lpmod
-from minkbill.bounce2 import _Affine, _cycle_rows, _rows_lp
+from minkbill.bounce2 import _Affine, _cycle_rows
 from minkbill.bounce3 import search_three_bounce
 from minkbill.geom import NormalConeRep
-from minkbill.lp import (LinearProgram, NumericalFailure, solve, solve_interval,
-                         solve_stack)
+from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
 from minkbill.randgen import random_instance
 
 INF = np.inf
@@ -76,8 +74,19 @@ def test_box_bounds():
     assert np.allclose(sol.x, [3.0, -2.0])
 
 
-def test_degenerate_does_not_cycle():
+# the default pivot rule, and Bland's rule from the first pivot
+PIVOT_RULES = pytest.mark.parametrize("bland_after", [None, 0])
+
+
+def _pivot_rule(mp, bland_after):
+    if bland_after is not None:
+        mp.setattr(lpmod, "_BLAND_AFTER", bland_after)
+
+
+@PIVOT_RULES
+def test_degenerate_does_not_cycle(bland_after, monkeypatch):
     # classic Beale-style degeneracy; must terminate at 0.05
+    _pivot_rule(monkeypatch, bland_after)
     lp = LinearProgram(
         objective=np.array([0.75, -150.0, 0.02, -6.0]),
         constraints=np.array([
@@ -106,6 +115,23 @@ def test_deterministic():
     assert a.x.tobytes() == b.x.tobytes()
 
 
+def test_pivot_budget(monkeypatch):
+    """solve raises NumericalFailure when its pivot budget runs out: the LP
+    of test_simple_maximum takes two pivots, and _MAX_PIVOTS = 1 allows
+    one."""
+    lp = LinearProgram(objective=np.array([1.0, 1.0]),
+                       constraints=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                       rhs=np.array([4.0, 6.0]), lower=np.zeros(2))
+    pivots = []
+    pivot = lpmod._pivot
+    monkeypatch.setattr(lpmod, "_pivot",
+                        lambda *args: pivots.append(args) or pivot(*args))
+    assert solve(lp).status == "optimal" and len(pivots) == 2
+    monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 1)
+    with pytest.raises(NumericalFailure):
+        solve(lp)
+
+
 @st.composite
 def box_lps(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -116,12 +142,15 @@ def box_lps(draw):
     return LinearProgram(obj, A, b, lower=np.zeros(2), upper=np.ones(2))
 
 
+@PIVOT_RULES
 @settings(max_examples=60, deadline=None)
 @given(box_lps())
-def test_against_grid_enumeration(lp):
+def test_against_grid_enumeration(bland_after, lp):
     """On a box-bounded problem the simplex optimum dominates every feasible
     grid point and its solution is feasible."""
-    sol = solve(lp)
+    with pytest.MonkeyPatch.context() as mp:
+        _pivot_rule(mp, bland_after)
+        sol = solve(lp)
     assert sol.status == "optimal"  # box-bounded, 0 is feasible here
     assert np.all(lp.constraints @ sol.x <= lp.rhs + 1e-7)
     xs = np.linspace(0, 1, 21)
@@ -209,208 +238,6 @@ def test_matches_scipy_linprog(lp):
         assert abs(sol.objective_value - want) <= 1e-7 * max(1.0, abs(want))
 
 
-@st.composite
-def lp_stacks(draw):
-    """2-40 LPs of one shape: 1-4 variables, <= and == rows and the bound
-    kinds free, lower and box, with bounds shared by every member; the
-    other data, including negative right-hand sides (so phase 1 runs), is
-    drawn per member.  Where the shape allows, one member is infeasible
-    (0 <= -1) and one unbounded."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    B = draw(st.integers(2, 40))
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(0, 5))
-    eq = rng.random(m) < 0.3
-    kind = rng.integers(0, 3, size=n)  # free, lower, box
-    A = rng.integers(-3, 4, size=(B, m, n)).astype(float)
-    b = rng.integers(-4, 7, size=(B, m)).astype(float)
-    obj = rng.integers(-3, 4, size=(B, n)).astype(float)
-    lower = np.where(kind > 0, rng.integers(-3, 3, size=n), -INF)
-    upper = np.where(kind == 2, lower + rng.integers(0, 5, size=n), INF)
-    if m:
-        A[0], b[0] = 0.0, -1.0
-    if (kind < 2).any() and B > 2:
-        A[1], b[1] = 0.0, 1.0
-        obj[1] = np.where(kind < 2, 1.0, 0.0)
-    return LinearProgram(obj, A, b, eq, lower.astype(float), upper)
-
-
-# the scalar pivot loop that ran every stack of one before all stacks ran in
-# lockstep: the reference for the lockstep loop
-
-
-def _pivot(tab, rhs, red, basis, row, col):
-    piv = tab[row, col]
-    tab[row] /= piv
-    rhs[row] /= piv
-    f = tab[:, col].copy()
-    f[row] = 0.0
-    rows = np.nonzero(f)[0]
-    tab[rows] -= f[rows, None] * tab[row]
-    rhs[rows] -= f[rows] * rhs[row]
-    f = red[col]
-    if f != 0.0:
-        red -= f * tab[row]
-    basis[row] = col
-
-
-def _iterate(tab, rhs, red, basis, ncols):
-    """Run simplex pivots until optimal/unbounded; entering columns are
-    restricted to indices < ncols."""
-    counter = 0
-    while True:
-        counter += 1
-        if counter > lpmod._MAX_PIVOTS:
-            raise NumericalFailure("pivot budget exhausted")
-        cand = red[:ncols]
-        if counter <= lpmod._BLAND_AFTER:
-            col = int(np.argmax(cand))
-            if cand[col] <= lpmod._PIVOT_TOL:
-                return "optimal"
-        else:
-            pos = np.nonzero(cand > lpmod._PIVOT_TOL)[0]
-            if pos.size == 0:
-                return "optimal"
-            col = int(pos[0])
-        colvals = tab[:, col]
-        rows = np.nonzero(colvals > lpmod._PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded"
-        ratios = rhs[rows] / colvals[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        # break ties on the smallest basis index (keeps Bland's rule valid)
-        row = int(ties[np.argmin(basis[ties])])
-        _pivot(tab, rhs, red, basis, row, col)
-
-
-def _scalar_iterate_stack(tab, rhs, red, basis, ncols):
-    """_iterate in the place of lp._iterate_stack on a stack of one; an
-    exhausted budget is "numerical"."""
-    assert len(tab) == 1
-    try:
-        status = _iterate(tab[0], rhs[0], red[0], basis[0], ncols)
-    except NumericalFailure:
-        status = "numerical"
-    return np.array([status], "<U10"), np.zeros(1, int)
-
-
-@pytest.mark.parametrize("bland_after", [None, 0])
-@settings(max_examples=80, deadline=None)
-@given(lp_stacks())
-def test_stack_matches_solve(bland_after, lp):
-    """Differential test of the lockstep loop against the scalar loop: every
-    member of a stack gets the status and the bit-identical x that solve
-    gives it alone with _iterate_stack replaced by the scalar loop, and x
-    is zero where it is not optimal.  bland_after=0 runs Bland's rule from
-    the first pivot."""
-    saved = lpmod._BLAND_AFTER
-    if bland_after is not None:
-        lpmod._BLAND_AFTER = bland_after
-    try:
-        status, x = solve_stack(lp)
-        B, _, n = lp.constraints.shape
-        assert status.shape == (B,) and x.shape == (B, n)
-        for k in range(B):
-            member = LinearProgram(lp.objective[k], lp.constraints[k],
-                                   lp.rhs[k], lp.equality, lp.lower, lp.upper)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lpmod, "_iterate_stack", _scalar_iterate_stack)
-                try:
-                    alone = solve(member)
-                except NumericalFailure:
-                    alone = None
-            if alone is None:
-                assert status[k] == "numerical"
-                assert not x[k].any()
-                continue
-            assert status[k] == alone.status
-            if alone.status == "optimal":
-                assert x[k].tobytes() == alone.x.tobytes()
-                assert float(lp.objective[k] @ x[k]) == alone.objective_value
-            else:
-                assert not x[k].any()
-    finally:
-        lpmod._BLAND_AFTER = saved
-
-
-def test_empty_stack():
-    """A stack of no LPs has no statuses and no solutions, in the shapes of
-    any other stack."""
-    status, x = solve_stack(LinearProgram(np.ones(3), np.zeros((0, 4, 3)),
-                                          np.zeros(4), lower=np.zeros(3)))
-    assert status.shape == (0,) and x.shape == (0, 3)
-
-
-def test_stack_is_one_tableau(monkeypatch):
-    """A stack whose members have negative right-hand sides in different
-    rows, and one member with none, is solved on one tableau: a single
-    _standard_simplex call, every member bit-identical to solve."""
-    rng = np.random.default_rng(4)
-    B, m, n = 6, 5, 3
-    A = rng.normal(size=(B, m, n))
-    b = rng.uniform(0.5, 2.0, size=(B, m))
-    for k in range(1, B):  # member 0 keeps b >= 0
-        b[k, rng.choice(m, size=1 + k % 3, replace=False)] *= -0.1
-    obj = rng.normal(size=(B, n))
-    lp = LinearProgram(obj, A, b, lower=np.zeros(n), upper=np.full(n, 4.0))
-    negative = b < 0
-    assert not negative[0].any() and len({r.tobytes() for r in negative}) > 3
-    calls = []
-    standard_simplex = lpmod._standard_simplex
-
-    def counting(c, A_std, b_std):
-        calls.append(len(A_std))
-        return standard_simplex(c, A_std, b_std)
-    monkeypatch.setattr(lpmod, "_standard_simplex", counting)
-    status, x = solve_stack(lp)
-    assert calls == [B]
-    for k in range(B):
-        alone = solve(LinearProgram(obj[k], A[k], b[k], lower=lp.lower,
-                                    upper=lp.upper))
-        assert status[k] == alone.status
-        if alone.status == "optimal":
-            assert x[k].tobytes() == alone.x.tobytes()
-    assert (status == "optimal").sum() >= 3
-
-
-def test_stack_memory_stays_near_its_tableau(monkeypatch):
-    """solve_stack on 400 LPs of the 2-bounce face-tuple shape (4 equality
-    and 4 inequality rows; two variables in [0, 1] and two nonnegative)
-    allocates at most three times the bytes of its tableau at its peak:
-    no working copy of the tableau and no temporary of its size."""
-    rng = np.random.default_rng(5)
-    B = 400
-    A = rng.normal(size=(B, 8, 4))
-    eq = np.array([True] * 4 + [False] * 4)
-    # half of the members are feasible at a point x0, with slack in the
-    # inequality rows; the others get a disturbed right-hand side
-    x0 = np.concatenate([rng.uniform(0, 1, (B, 2)), rng.uniform(0, 3, (B, 2))],
-                        axis=1)
-    b = np.matmul(A, x0[:, :, None])[:, :, 0]
-    b[:, 4:] += rng.uniform(0, 1, (B, 4))
-    b[::2] += rng.normal(size=(B // 2, 8))
-    lp = LinearProgram(np.zeros(4), A, b, eq, np.zeros(4),
-                       np.array([1.0, 1.0, INF, INF]))
-    tableau = []
-    iterate_stack = lpmod._iterate_stack
-
-    def recording(tab, *args):
-        tableau.append(tab.nbytes)
-        return iterate_stack(tab, *args)
-    monkeypatch.setattr(lpmod, "_iterate_stack", recording)
-    solve_stack(lp)  # warm the caches
-    tableau.clear()
-    tracemalloc.start()
-    try:
-        status, _ = solve_stack(lp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (status == "optimal").sum() >= B // 4
-    assert tableau and peak <= 3 * max(tableau)
-
-
 # ---------------------------------------------------------------------------
 # the closed form of a 2-bounce side with one variable against the simplex
 
@@ -423,6 +250,21 @@ def _cone(*angles):
     """The cone spanned by the directions at angles (one: a ray)."""
     return NormalConeRep((_direction(angles[0]), _direction(angles[-1])),
                          np.bool_(len(angles) == 1))
+
+
+def _side(rows, objective):
+    """The arrays solve_interval takes for the LP in t of one side's rows, a
+    stack of one: objective (1,), constraints (1, m, 1), rhs (1, m) and the
+    equality flags (m,)."""
+    coef, bound, eq = zip(*rows)
+    return (np.array([objective], float), np.stack(coef, 1), np.stack(bound, 1),
+            np.stack(np.broadcast_arrays(*eq), -1))
+
+
+def _member(objective, constraints, rhs, equality):
+    """The same LP for solve, with t in [0, 1] as bounds."""
+    return LinearProgram(objective, constraints[0], rhs[0], equality,
+                         np.zeros(1), np.ones(1))
 
 
 @st.composite
@@ -478,7 +320,7 @@ def one_variable_sides(draw):
         cones = cones[::-1]
     rows = []
     _cycle_rows(rows, points, cones)
-    return _rows_lp(rows, [draw(st.sampled_from((0.0, 0.0, 1.0, -1.0)))])
+    return _side(rows, draw(st.sampled_from((0.0, 0.0, 1.0, -1.0))))
 
 
 @pytest.mark.parametrize("objective", [0.0, -1.0])
@@ -487,13 +329,11 @@ def test_solve_interval_pin_just_below_lower_bound(objective):
     there with no objective, and the bound check fails; a negative
     objective steps t back to the bound, where the equality holds to within
     its tolerance.  solve_interval follows it both ways."""
-    lp = LinearProgram(np.array([objective]),
-                       np.array([[[1.0], [-1.0], [0.5403023058681398]]]),
-                       np.array([[-1.0000001e-09, 1.0000001e-09, 0.8414709848078965]]),
-                       np.array([True, False, False]), np.zeros(1), np.ones(1))
-    [status], [[t]] = solve_interval(lp)
-    member = LinearProgram(lp.objective, lp.constraints[0], lp.rhs[0],
-                           lp.equality, lp.lower, lp.upper)
+    side = (np.array([objective]), np.array([[[1.0], [-1.0], [0.5403023058681398]]]),
+            np.array([[-1.0000001e-09, 1.0000001e-09, 0.8414709848078965]]),
+            np.array([True, False, False]))
+    [status], [[t]] = solve_interval(*side)
+    member = _member(*side)
     if objective:
         assert (status, t) == ("optimal", solve(member).x[0]) == ("optimal", 0.0)
     else:
@@ -514,11 +354,11 @@ def test_solve_interval_generator_nearly_along_the_facet(delta, s):
     _cycle_rows(rows, [_Affine(A[None], D.reshape(1, 2, 1)),
                        _Affine(F[None], np.zeros((1, 2, 1)))],
                 (_cone(delta), _cone(delta + np.pi - 0.2, delta + np.pi + 0.2)))
-    stack = _rows_lp(rows, [0.0])
-    [status], [[t]] = solve_interval(stack)
-    sol = solve(LinearProgram(stack.objective, stack.constraints[0], stack.rhs[0],
-                              stack.equality, stack.lower, stack.upper))
-    assert abs(stack.constraints[0, stack.equality, 0]).max() < 1.1e-4
+    side = _side(rows, 0.0)
+    [status], [[t]] = solve_interval(*side)
+    sol = solve(_member(*side))
+    _, constraints, _, eq = side
+    assert abs(constraints[0, eq, 0]).max() < 1.1e-4
     assert status == sol.status == ("optimal" if 0 <= s <= 1 else "infeasible")
     if status == "optimal":
         assert abs(t - sol.x[0]) <= 1e-9 and abs(t - s) <= 1e-6
@@ -526,7 +366,7 @@ def test_solve_interval_generator_nearly_along_the_facet(delta, s):
 
 @settings(max_examples=400, deadline=None)
 @given(one_variable_sides())
-def test_solve_interval_matches_simplex(stack):
+def test_solve_interval_matches_simplex(side):
     """solve_interval decides each drawn side as the simplex does, and puts t
     where the simplex puts it: to 1e-12 where an equality pins it (with the
     search's zero objective), and at the end of the interval that the
@@ -538,11 +378,11 @@ def test_solve_interval_matches_simplex(stack):
     simplex drives out its artificial columns.  Where the simplex's own
     point fails its re-check (NumericalFailure), a t that solve_interval
     finds must satisfy every row to within 1e-8 and the bounds."""
-    [status], [[t]] = solve_interval(stack)
-    A, b, eq = stack.constraints[0, :, 0], stack.rhs[0], stack.equality
+    [status], [[t]] = solve_interval(*side)
+    objective, constraints, rhs, eq = side
+    A, b = constraints[0, :, 0], rhs[0]
     try:
-        sol = solve(LinearProgram(stack.objective, stack.constraints[0],
-                                  stack.rhs[0], eq, stack.lower, stack.upper))
+        sol = solve(_member(*side))
     except NumericalFailure:
         resid = A * t - b
         assert status == "infeasible" or (
@@ -561,7 +401,7 @@ def test_solve_interval_matches_simplex(stack):
     pins = b[eq][np.abs(a) > 1e-9] / a[np.abs(a) > 1e-9]
     if not pins.size:
         assert abs(t - sol.x[0]) <= tol
-    elif not stack.objective.any():
+    elif not objective.any():
         # two near-parallel rays pin t to two values; the simplex may stop at
         # either (and with an objective it may slide t along an equality by
         # as much as that equality's tolerance allows)

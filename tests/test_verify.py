@@ -262,9 +262,9 @@ def _certify_cases():
 
 
 def test_certify_runs_no_lp(monkeypatch):
-    """A certificate is recomputed without the LP solver the searches use:
-    with every binding of lp.solve and lp.solve_stack in the package made to
-    raise, certify returns the same certificates."""
+    """A certificate is recomputed without the LP solvers the searches use:
+    with every binding of lp.solve, lp.solve_dual3 and lp.solve_interval in
+    the package made to raise, certify returns the same certificates."""
     cases = _certify_cases()
     want = [certify(K, T, pair) for K, T, pair in cases]
     assert {c.certified for c in want} == {True, False}
@@ -272,15 +272,18 @@ def test_certify_runs_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP solver was called")
 
-    solvers = (lpmod.solve, lpmod.solve_stack, lpmod.solve_interval)
+    solvers = (lpmod.solve, lpmod.solve_dual3, lpmod.solve_interval)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] != "minkbill":
             continue
         for attr, value in list(vars(mod).items()):
             if any(value is f for f in solvers):
                 monkeypatch.setattr(mod, attr, no_lp)
+    # the patch does reach the solvers of both searches
     with pytest.raises(AssertionError):
-        search_two_bounce(SQUARE, SQUARE)  # the patch does reach the solver
+        search_two_bounce(SQUARE, SQUARE)
+    with pytest.raises(AssertionError):
+        search_three_bounce(SQUARE, SQUARE)
     assert [certify(K, T, pair) for K, T, pair in cases] == want
 
 

@@ -13,8 +13,12 @@ the triples to make_pairs:
    facets of T whose normals positively span: their dual weights are cross
    products, >= 0.  The optimal placement is the candidate dual trajectory
    and must touch the boundary of T at all three vertices with contact
-   normals not contained in any closed halfplane; the contact faces (index
-   and on_edge arrays) and this spanning test are decided for the stack;
+   normals not contained in any closed halfplane.  A placement with a vertex
+   farther than 2 tol (tol = 1e-7, the contact tolerance) from every facet
+   line of T cannot touch, since find_faces places no point farther than
+   tol from its face's line; these are dropped by their facet slacks, one
+   product with the normals of T, and the contact faces (index and on_edge
+   arrays) and the spanning test are decided for the placements left;
 3. for each surviving triple, with p fixed, the q-side is linear:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
@@ -106,7 +110,15 @@ def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
 def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     """find_inbody as arrays: each triangle's reject reason ("" where it is
     placed), the LP's (lambda, u) (B, 3), the placed vertices (B, 3, 2) and
-    their contact faces of T as index and on_edge (B, 3)."""
+    their contact faces of T as index and on_edge (B, 3), -1 and False
+    where find_faces did not run.
+
+    find_faces places a point only within tol of a vertex or an edge of T,
+    and so within tol of that face's facet line (the unit normals make the
+    slack |<n_i, v> - b_i| that distance).  A solved member with a vertex
+    farther than 2 tol from every facet line is therefore NotOnBoundary
+    before the contact-face sweep; the doubled bound leaves room for the
+    rounding of both distances."""
     tri = np.asarray(triangles, float).reshape(-1, 3, 2)
     B, m = len(tri), T.n
     # <a, lam * tri_k + u> <= b for k = 1..3 is one row per facet, since
@@ -121,21 +133,27 @@ def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     k = 1 + int(np.argmax(cross2(T.normals[0], T.normals[1:]) <= 0))
     status, x = lpmod.solve_dual3(np.array([1.0, 0.0, 0.0]), rows,
                                   np.append(T.offsets, 0.0), [0, k - 1, k])
-    reason = np.where(status == "numerical", "numerical",
-                      np.where(status == "optimal", "", "DegenerateLp")).astype(object)
     lam = x[:, 0]
-    reason[(reason == "") & (lam <= EPS_GEO)] = "DegenerateLp"
+    solved = (status == "optimal") & (lam > EPS_GEO)
     verts = lam[:, None, None] * tri + x[:, None, 1:]
-    index, on_edge = find_faces(T, verts, tol=1e-7)
-    index, on_edge = index.reshape(B, 3), on_edge.reshape(B, 3)
-    reason[(reason == "") & (index < 0).any(axis=1)] = "NotOnBoundary"
+    tol = 1e-7
+    slack = np.abs(verts @ T.normals.T - T.offsets).min(axis=2)  # (B, 3)
+    swept = np.flatnonzero(solved & (slack <= 2 * tol).all(axis=1))
+    index, on_edge = np.full((B, 3), -1), np.zeros((B, 3), bool)
+    found, edge = find_faces(T, verts[swept], tol=tol)
+    index[swept], on_edge[swept] = found.reshape(-1, 3), edge.reshape(-1, 3)
+    placed = np.zeros(B, bool)
+    placed[swept] = (found >= 0).reshape(-1, 3).all(axis=1)
     # the contact normals are normals of T: an edge contributes its own
     # (twice, which leaves the gaps unchanged), a vertex those of its edges
-    ang = angles(T.normals)
-    gap = largest_gap(np.concatenate(
-        [ang[np.where(on_edge, index, index - 1)], ang[index]], axis=1))
-    reason[(reason == "") & (gap >= math.pi - EPS_ANG)] = "HalfspaceViolation"
-    return reason, x, verts, index, on_edge
+    ang, i, e = angles(T.normals), index[placed], on_edge[placed]
+    spanning = placed.copy()
+    spanning[placed] = largest_gap(np.concatenate(
+        [ang[np.where(e, i, i - 1)], ang[i]], axis=1)) < math.pi - EPS_ANG
+    reason = np.select(
+        [status == "numerical", ~solved, ~placed, ~spanning],
+        ["numerical", "DegenerateLp", "NotOnBoundary", "HalfspaceViolation"], "")
+    return reason.astype(object), x, verts, index, on_edge
 
 
 def _faces(index, on_edge) -> List[Tuple[Face, ...]]:

@@ -196,16 +196,17 @@ def face_distances(P: ConvexPolytope2, is_edge, idx, X):
 def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO
                ) -> Tuple[np.ndarray, np.ndarray]:
     """find_face for every row of X at once: the face indices, -1 for a
-    point not on the boundary, and whether each face is an edge."""
-    X = np.asarray(X, float).reshape(-1, 2)[:, None, :]
-    a = P.vertices
-    d = np.hypot(*np.moveaxis(a - X, -1, 0))
+    point not on the boundary, and whether each face is an edge.  Every
+    array is (len(X), P.n), one coordinate at a time."""
+    X = np.asarray(X, float).reshape(-1, 2)
+    x, y = X[:, :1], X[:, 1:]
+    (ax, ay), (ex, ey) = P.vertices.T, (np.roll(P.vertices, -1, axis=0) - P.vertices).T
+    dx, dy = ax - x, ay - y
+    d = np.hypot(dx, dy)
     near = np.argmin(d, axis=1)
-    at_vertex = np.take_along_axis(d, near[:, None], axis=1)[:, 0] <= tol
-    e = np.roll(a, -1, axis=0) - a
-    t = np.clip(np.einsum("kij,ij->ki", X - a, e) / np.einsum("ij,ij->i", e, e),
-                0.0, 1.0)
-    hits = np.hypot(*np.moveaxis(a + t[..., None] * e - X, -1, 0)) <= tol
+    at_vertex = d.min(axis=1) <= tol
+    t = np.clip(-(dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
+    hits = np.hypot(ax + t * ex - x, ay + t * ey - y) <= tol
     on_edge = ~at_vertex & hits.any(axis=1)
     index = np.where(at_vertex, near, np.where(on_edge, hits.argmax(axis=1), -1))
     return index, on_edge

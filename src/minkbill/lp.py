@@ -80,8 +80,8 @@ def _iterate(tab, rhs, red, basis, ncols):
     """Run simplex pivots until optimal or unbounded, with entering columns
     restricted to indices < ncols: Dantzig's rule (Bland's after
     _BLAND_AFTER pivots), the ratio test, ties broken on the smallest basis
-    index.  NumericalFailure after _MAX_PIVOTS pivots."""
-    for step in range(_MAX_PIVOTS):
+    index.  NumericalFailure when _MAX_PIVOTS pivots leave it neither."""
+    for step in range(_MAX_PIVOTS + 1):
         cand = red[:ncols]
         col = cand.argmax() if step < _BLAND_AFTER else (cand > _PIVOT_TOL).argmax()
         if cand[col] <= _PIVOT_TOL:
@@ -90,6 +90,8 @@ def _iterate(tab, rhs, red, basis, ncols):
         pos = colvals > _PIVOT_TOL
         if not pos.any():
             return "unbounded"
+        if step == _MAX_PIVOTS:
+            break
         ratios = np.divide(rhs, colvals, out=np.full(rhs.shape, np.inf), where=pos)
         ties = ratios <= ratios.min() + 1e-12
         # break ties on the smallest basis index (keeps Bland's rule valid)
@@ -254,10 +256,11 @@ def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndar
         k = np.arange(len(held))[:, None]
         # column i of the inverse basis is the cross product of the basis
         # rows i+1 and i+2 over the determinant
-        r1, r2 = A[k, rows[:, _NEXT]], A[k, rows[:, _NEXT[_NEXT]]]
+        basic = A[k, rows]
+        r1, r2 = basic[:, _NEXT], basic[:, _NEXT[_NEXT]]
         inv = (r1[..., _NEXT] * r2[..., _NEXT[_NEXT]]
                - r1[..., _NEXT[_NEXT]] * r2[..., _NEXT])
-        inv /= (A[k[:, 0], rows[:, 0]] * inv[:, 0]).sum(1)[:, None, None]
+        inv /= (basic[:, 0] * inv[:, 0]).sum(1)[:, None, None]
         xk = (inv * b[k, rows][..., None]).sum(1)
         viol, tol = _violations(A, b, False, xk)
         bad = viol > tol
@@ -269,13 +272,13 @@ def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndar
         ratio = np.divide(y, w, out=np.full(w.shape, np.inf), where=pos)
         ties = ratio <= ratio.min(1)[:, None] + 1e-12
         rows[k[:, 0], np.where(ties, rows, m).argmin(1)] = enter
-        verdict = np.where(bad.any(1), np.where(pos.any(1), "", "infeasible"),
-                           "optimal")
-        stop = verdict != ""
-        status[held[stop]] = verdict[stop]
-        x[held[verdict == "optimal"]] = xk[verdict == "optimal"]
-        if stop.any():
-            A, b, c, rows, held = (v[~stop] for v in (A, b, c, rows, held))
+        optimal = ~bad.any(1)
+        infeasible = ~optimal & ~pos.any(1)
+        status[held[optimal]], x[held[optimal]] = "optimal", xk[optimal]
+        status[held[infeasible]] = "infeasible"
+        keep = ~(optimal | infeasible)
+        if not keep.all():
+            A, b, c, rows, held = (v[keep] for v in (A, b, c, rows, held))
         if not held.size:
             break
     return status, x

@@ -197,7 +197,9 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     chunk pairs a batch reads are built once each, by a running max over c,
     into one (N + 1, N + 1) np.empty table, +inf at the pad index N.  A
     2-gon i < j sums S[i, j] + S[j, i], a triangle i < j, i < k, j != k
-    (S[i, j] + S[j, k]) + S[k, i], +inf where a batch breaks the index rule:
+    (S[i, j] + S[j, k]) + S[k, i], +inf where a batch breaks the index rule
+    (in a triple only where two chunks coincide: chunks are runs of
+    increasing indices, so A < B puts every index of A below those of B):
     rounding is monotone and min exact, so neither float depends on pruning
     or batches.  Memory: the table and O(N^2) more."""
     pts, masks = boundary_grid(K, grid_per_facet)
@@ -234,15 +236,23 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         i, j = chunk[pa[t]][:, :, None], chunk[pb[t]][:, None]
         return (S[i, j] + S[j, i]).min(initial=np.inf)
 
-    def least3(t):  # the least triangle sum over chunk triples t
-        build(np.concatenate([ta[t], tb[t], tc[t]]), np.concatenate([tb[t], tc[t], ta[t]]))
+    def sum3(t, masked):  # the least triangle sum over chunk triples t
         i, j, k = chunk[ta[t]][:, :, None], chunk[tb[t]], chunk[tc[t]][:, None]
-        ij = np.where(i < j[:, None], S[i, j[:, None]], np.inf)  # (t, i, j)
-        jk = np.where(j[:, :, None] != k, S[j[:, :, None], k], np.inf)  # (t, j, k)
-        ki = np.where(i < k, S[k, i], np.inf)  # ki[t, i, k] = S[k, i]
+        ij = S[i, j[:, None]]  # (t, i, j)
+        jk = S[j[:, :, None], k]  # (t, j, k)
+        ki = S[k, i]  # ki[t, i, k] = S[k, i]
+        if masked:
+            ij = np.where(i < j[:, None], ij, np.inf)
+            jk = np.where(j[:, :, None] != k, jk, np.inf)
+            ki = np.where(i < k, ki, np.inf)
         L = ij[..., None] + jk[:, None]
         L += ki[:, :, None]
         return L.min(initial=np.inf)
+
+    def least3(t):  # only a repeated chunk can break the index rule
+        build(np.concatenate([ta[t], tb[t], tc[t]]), np.concatenate([tb[t], tc[t], ta[t]]))
+        repeat = (ta[t] == tb[t]) | (ta[t] == tc[t]) | (tb[t] == tc[t])
+        return min(sum3(t[~repeat], False), sum3(t[repeat], True))
 
     def search(bound, least, elems):  # no batch left out is below the least sum
         best, order, step, s = np.inf, np.argsort(bound), max(1, _BLOCK // elems), 0

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from minkbill import bounce3, lp as lpmod
 from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
@@ -12,15 +13,18 @@ from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
                               spanning_triples)
 from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
-from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                           cross2, face_distances, find_face, normal_cone,
+from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                           InvalidPolytope, angles, cross2, face_distances,
+                           find_face, find_faces, largest_gap, normal_cone,
                            positively_spans, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certified_pair, certify
 
+from conftest import polytopes
 from test_bounce2 import _Affine, _reference_cone_rows
+from test_geom import _reference_find_faces
 
 
 class NotSpanning(GeometryError):
@@ -751,3 +755,122 @@ def test_inbody_numerical_failure_rejects_one_member(monkeypatch):
     assert any(isinstance(ib, Inbody) for ib, f in zip(clean, failed) if f)
     assert any(isinstance(ib, Inbody) for ib, f in zip(clean, failed) if not f)
     assert all(same(a, b) for a, b, f in zip(out, clean, failed) if not f)
+
+
+def _reference_inbody_stack(triangles, T):
+    """_inbody_stack as it was before the facet-slack screen: find_faces (as
+    it was then) and the spanning test run on every member of the stack."""
+    tri = np.asarray(triangles, float).reshape(-1, 3, 2)
+    B, m = len(tri), T.n
+    rows = np.zeros((B, m + 1, 3))
+    rows[:, :m, 0] = np.matmul(tri, T.normals.T).max(axis=1)
+    rows[:, :m, 1:] = T.normals
+    rows[:, m, 0] = -1.0
+    k = 1 + int(np.argmax(cross2(T.normals[0], T.normals[1:]) <= 0))
+    status, x = lpmod.solve_dual3(np.array([1.0, 0.0, 0.0]), rows,
+                                  np.append(T.offsets, 0.0), [0, k - 1, k])
+    reason = np.where(status == "numerical", "numerical",
+                      np.where(status == "optimal", "", "DegenerateLp")).astype(object)
+    lam = x[:, 0]
+    reason[(reason == "") & (lam <= EPS_GEO)] = "DegenerateLp"
+    verts = lam[:, None, None] * tri + x[:, None, 1:]
+    index, on_edge = _reference_find_faces(T, verts, tol=1e-7)
+    index, on_edge = index.reshape(B, 3), on_edge.reshape(B, 3)
+    reason[(reason == "") & (index < 0).any(axis=1)] = "NotOnBoundary"
+    ang = angles(T.normals)
+    gap = largest_gap(np.concatenate(
+        [ang[np.where(on_edge, index, index - 1)], ang[index]], axis=1))
+    reason[(reason == "") & (gap >= math.pi - EPS_ANG)] = "HalfspaceViolation"
+    return reason, x, verts, index, on_edge
+
+
+def _moved(rng, P):
+    """P scaled by 10**u, u uniform in [-3, 3], and translated by up to 1e3
+    in each coordinate; u is drawn again where the copy is too small for the
+    absolute convexity test of from_vertices (about 2 % of 16-gons at 1e-3)."""
+    while True:
+        try:
+            return P.scale(10.0 ** rng.uniform(-3.0, 3.0)).translate(
+                rng.uniform(-1e3, 1e3, size=2))
+        except InvalidPolytope:
+            pass
+
+
+def _screen_instances(rng):
+    """The fixtures, 150 seeded random pairs of 3- to 16-gons, and a scaled
+    and translated copy of each random pair."""
+    instances = [(load(name).K, load(name).T) for name in fixture_names()]
+    for _ in range(150):
+        K, T = random_instance(rng, int(rng.integers(3, 17)),
+                               int(rng.integers(3, 17)))
+        instances += [(K, T), (_moved(rng, K), _moved(rng, T))]
+    return instances
+
+
+def test_inbody_screen_matches_reference(rng):
+    """The facet-slack screen changes no decision of _inbody_stack: every
+    reason, x and vertex bit for bit, and the contact faces of every placed
+    member, while find_faces sees far fewer members."""
+    members = swept = placed = 0
+    for K, T in _screen_instances(rng):
+        triangles = gamma_triangles(K, spanning_triples(K))
+        reason, x, verts, index, on_edge = bounce3._inbody_stack(triangles, T)
+        ref = _reference_inbody_stack(triangles, T)
+        assert reason.tolist() == ref[0].tolist()
+        assert x.tobytes() == ref[1].tobytes()
+        assert verts.tobytes() == ref[2].tobytes()
+        ok = reason == ""
+        assert np.array_equal(index[ok], ref[3][ok])
+        assert np.array_equal(on_edge[ok], ref[4][ok])
+        members += len(reason)
+        swept += int((index[:, 0] >= 0).sum())
+        placed += int(ok.sum())
+    assert placed >= 3000 and swept < members // 2
+
+
+@st.composite
+def _near_boundary(draw):
+    """A random T scaled by 10**u, u in [-3, 3], and translated by up to
+    1e3, with a point on one of its edges or at one of its vertices, moved
+    by 0 or by 0.5e-7 to 1.99e-7 in a random direction (so inside or outside
+    the boundary)."""
+    P = draw(polytopes(max_vertices=12))
+    try:
+        T = P.scale(10.0 ** draw(st.floats(-3.0, 3.0))).translate(
+            [draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))])
+    except InvalidPolytope:  # too small for the absolute convexity test
+        assume(False)
+    i = draw(st.integers(0, T.n - 1))
+    t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    x = (1.0 - t) * T.vertices[i] + t * T.vertices[(i + 1) % T.n]
+    d = draw(st.just(0.0) | st.floats(0.5e-7, 1.99e-7))
+    phi = draw(st.floats(0.0, 2 * math.pi))
+    return T, x + d * np.array([math.cos(phi), math.sin(phi)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_boundary())
+def test_find_faces_places_only_near_a_facet_line(case):
+    """What the screen relies on: a point that find_faces places with
+    tol = 1e-7 is within 2 tol of some facet line of T."""
+    T, x = case
+    (index,), _ = find_faces(T, x, tol=1e-7)
+    if index >= 0:
+        assert np.abs(T.normals @ x - T.offsets).min() <= 2e-7
+
+
+def test_searches_sweep_only_points_near_a_facet_line(monkeypatch, rng):
+    """During the searches find_faces never receives a point farther than
+    2 tol from every facet line of T: the screen takes those members out."""
+    real, seen = find_faces, []
+
+    def spy(P, X, tol):
+        X = np.asarray(X, float).reshape(-1, 2)
+        seen.append(len(X))
+        assert (np.abs(X @ P.normals.T - P.offsets).min(axis=1) <= 2 * tol).all()
+        return real(P, X, tol=tol)
+
+    monkeypatch.setattr(bounce3, "find_faces", spy)
+    pairs = sum(len(search_three_bounce(K, T))
+                for K, T in _screen_instances(rng)[:80])
+    assert pairs >= 20 and sum(seen) >= 300

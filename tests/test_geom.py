@@ -12,7 +12,8 @@ from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance,
                            convex_hull, ell_length, face_cones, face_distances,
-                           find_face, gauge, in_f, largest_gap, normal_cone,
+                           find_face, find_faces, gauge, in_f, largest_gap,
+                           normal_cone,
                            polar, positively_spans, rotation, segment_distance,
                            support, unit)
 from minkbill.lp import LinearProgram, solve
@@ -433,6 +434,48 @@ def test_find_face_matches_per_edge_reference(P, tol):
             assert find_face(P, x, tol=tol) == want
         outcomes.add("none" if want is None else want.kind)
     assert outcomes == {"vertex", "edge", "none"}
+
+
+def _reference_find_faces(P, X, tol):
+    """find_faces as it was written on (len(X), P.n, 2) arrays."""
+    X = np.asarray(X, float).reshape(-1, 2)[:, None, :]
+    a = P.vertices
+    d = np.hypot(*np.moveaxis(a - X, -1, 0))
+    near = np.argmin(d, axis=1)
+    at_vertex = np.take_along_axis(d, near[:, None], axis=1)[:, 0] <= tol
+    e = np.roll(a, -1, axis=0) - a
+    t = np.clip(np.einsum("kij,ij->ki", X - a, e) / np.einsum("ij,ij->i", e, e),
+                0.0, 1.0)
+    hits = np.hypot(*np.moveaxis(a + t[..., None] * e - X, -1, 0)) <= tol
+    on_edge = ~at_vertex & hits.any(axis=1)
+    index = np.where(at_vertex, near, np.where(on_edge, hits.argmax(axis=1), -1))
+    return index, on_edge
+
+
+def test_find_faces_matches_reference():
+    """find_faces gives the faces of the (N, n, 2) version it replaced on
+    random 3- to 24-gons scaled by 1e-3 to 1e3 and moved by up to 1e3, at
+    points on vertices and edges moved off them by 1e-9 to 1e-6."""
+    rng = np.random.default_rng(7)
+    kinds = np.zeros(3, int)
+    for _ in range(300):
+        P = random_polytope(rng, int(rng.integers(3, 25)))
+        try:
+            P = P.scale(10.0 ** rng.uniform(-3.0, 3.0)).translate(
+                rng.uniform(-1e3, 1e3, size=2))
+        except InvalidPolytope:  # too small for the absolute convexity test
+            continue
+        i, t = rng.integers(0, P.n, 60), rng.random(60)
+        t[:20] = 0.0
+        X = (1.0 - t)[:, None] * P.vertices[i] + t[:, None] * P.vertices[(i + 1) % P.n]
+        X += rng.normal(size=X.shape) * 10.0 ** rng.uniform(-9.0, -6.0, (60, 1))
+        for tol in (EPS_GEO, 1e-7):
+            index, on_edge = find_faces(P, X.reshape(20, 3, 2), tol=tol)
+            want = _reference_find_faces(P, X, tol)
+            assert index.tolist() == want[0].tolist()
+            assert on_edge.tolist() == want[1].tolist()
+            kinds += [(index < 0).sum(), on_edge.sum(), (~on_edge & (index >= 0)).sum()]
+    assert kinds.min() >= 1000
 
 
 def test_face_distance():

@@ -117,8 +117,8 @@ def test_deterministic():
 
 def test_pivot_budget(monkeypatch):
     """solve raises NumericalFailure when its pivot budget runs out: the LP
-    of test_simple_maximum takes two pivots, and _MAX_PIVOTS = 1 allows
-    one."""
+    of test_simple_maximum takes two pivots, so it solves at _MAX_PIVOTS = 2
+    (the optimality check after the last pivot still runs) and raises at 1."""
     lp = LinearProgram(objective=np.array([1.0, 1.0]),
                        constraints=np.array([[1.0, 2.0], [3.0, 1.0]]),
                        rhs=np.array([4.0, 6.0]), lower=np.zeros(2))
@@ -127,6 +127,9 @@ def test_pivot_budget(monkeypatch):
     monkeypatch.setattr(lpmod, "_pivot",
                         lambda *args: pivots.append(args) or pivot(*args))
     assert solve(lp).status == "optimal" and len(pivots) == 2
+    monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 2)
+    sol = solve(lp)
+    assert sol.status == "optimal" and np.allclose(sol.x, [1.6, 1.2])
     monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 1)
     with pytest.raises(NumericalFailure):
         solve(lp)

@@ -3,11 +3,22 @@ frozen instance of the benchmark pools (perfbench/pools/{grid,oracle,ngon}
 .json, read only) passes the benchmark's own checks (``Checker.problems`` of
 perfbench/run.py).  The minimum is within 1e-9 relative of the frozen one,
 the argmin certifies and has that length, and on ``oracle`` both oracle
-values are within 1e-9 of the frozen ones and not below the minimum."""
+values are within 1e-9 of the frozen ones and not below the minimum.
+
+Nor may a change drop or add a candidate that is not the minimum: each
+report's whole candidate list is pinned by tests/data/pool_candidates.json,
+the ordered (m, k_faces, t_faces) of every candidate exactly and each length
+to 1e-12 relative.  Rewrite that file, after a change that is meant to alter
+the candidates, with
+
+    PYTHONPATH=src python tests/test_pools.py
+"""
 
 import contextlib
 import importlib.util
 import io
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,6 +26,7 @@ import pytest
 import minkbill.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CANDIDATES = Path(__file__).resolve().parent / "data" / "pool_candidates.json"
 POOLS = ("grid", "oracle", "ngon")
 
 
@@ -28,6 +40,21 @@ def _load_run():
 RUN = _load_run()
 INSTANCES = [(pool, inst) for pool in POOLS
              for inst in RUN.load_pool(pool)["instances"]]
+IDS = [f"{pool}/{inst['name']}" for pool, inst in INSTANCES]
+
+
+def _shortest(inst, directory) -> str:
+    argv = RUN.write_instance(directory, inst["name"], inst)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert minkbill.cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _candidates(text: str) -> list:
+    """(m, k_faces, t_faces, length) of every candidate, in report order."""
+    return [[c["m"], c["k_faces"], c["t_faces"], c["length"]]
+            for c in json.loads(text)["candidates"]]
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +62,32 @@ def checker():
     return RUN.Checker()
 
 
-@pytest.mark.parametrize("pool, inst", INSTANCES,
-                         ids=[f"{pool}/{inst['name']}" for pool, inst in INSTANCES])
+@pytest.fixture(scope="module")
+def pinned():
+    with open(CANDIDATES) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
 def test_pool_instance_keeps_its_minimum(pool, inst, checker, tmp_path):
-    argv = RUN.write_instance(tmp_path, inst["name"], inst)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert minkbill.cli.main(argv) == 0
-    assert checker.problems(inst, out.getvalue()) == []
+    assert checker.problems(inst, _shortest(inst, tmp_path)) == []
+
+
+@pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
+def test_pool_instance_keeps_its_candidates(pool, inst, pinned, tmp_path):
+    got = _candidates(_shortest(inst, tmp_path))
+    want = pinned[f"{pool}/{inst['name']}"]
+    assert [c[:3] for c in got] == [c[:3] for c in want]
+    for (*_, length), (*_, ref) in zip(got, want):
+        assert length == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        table = {name: _candidates(_shortest(inst, Path(directory)))
+                 for name, (_, inst) in zip(IDS, INSTANCES)}
+    CANDIDATES.parent.mkdir(exist_ok=True)
+    with open(CANDIDATES, "w") as fh:  # one candidate a line
+        fh.write("{\n" + ",\n".join(
+            f"{json.dumps(name)}: [\n" + ",\n".join(map(json.dumps, cands)) + "]"
+            for name, cands in table.items()) + "\n}\n")

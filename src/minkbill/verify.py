@@ -191,17 +191,23 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     Both minima are exact branch-and-bound searches: chunk pairs A < B and
     triples A <= B, A <= C of valid masks, a chunk being at most
     max(_CHUNK, isqrt(N) // 4) points of one run of equal masks, go by
-    increasing bound while below the best sum, in batches of at most _BLOCK
-    elements (or one).  The bounds are low[A, B] + low[B, A] and
-    (low[A, B] + low[B, C]) + low[C, A], with no table (_chunk_bounds); the
-    chunk pairs a batch reads are built once each, by a running max over c,
-    into one (N + 1, N + 1) np.empty table, +inf at the pad index N.  A
-    2-gon i < j sums S[i, j] + S[j, i], a triangle i < j, i < k, j != k
+    increasing bound while below the best sum.  The bounds are low[A, B] +
+    low[B, A] and (low[A, B] + low[B, C]) + low[C, A], with no table
+    (_chunk_bounds).  A batch builds the (size, size) tiles of S of the chunk
+    pairs it reads, once each, by a running max over c (+inf at the pads of
+    short chunks), into one store in build order (slot[A, B] = -1 until
+    built), and sums whole tiles.  Triangle batches hold at most _BLOCK
+    elements (or one triple); 2-gon batches build two tiles per pair they
+    sum, so they start at one pair and double, up to _BLOCK // size^2 pairs.
+    A 2-gon i < j sums S[i, j] + S[j, i], a triangle i < j, i < k, j != k
     (S[i, j] + S[j, k]) + S[k, i], +inf where a batch breaks the index rule
-    (in a triple only where two chunks coincide: chunks are runs of
+    (only where two chunks of a triple coincide: chunks are runs of
     increasing indices, so A < B puts every index of A below those of B):
-    rounding is monotone and min exact, so neither float depends on pruning
-    or batches.  Memory: the table and O(N^2) more."""
+    rounding is monotone and min exact, so neither float depends on pruning,
+    batches or tile order.  Memory: the store is np.empty at the (N + 1)^2
+    footprint of a full table, written only where built, and grows by a copy
+    if more tiles are built (at small N, whose padded one-point vertex
+    chunks are many); with it O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -218,35 +224,40 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     ta, tb, tc = np.nonzero(ok[cm[:, None, None] | cm[:, None] | cm]
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
-    S, built = np.empty((N + 1, N + 1)), np.zeros(low.shape, bool)  # pads read +inf
+    # the h_T tile of chunk pair (A, B) is tiles[slot[A, B]], in build order
+    tiles, n = np.empty(((N + 1) ** 2 // size ** 2, size, size)), 0
+    slot = np.full(low.shape, -1)
     Gj, Gi = (np.r_[G, np.full((1, G.shape[1]), p)].T for p in (np.inf, -np.inf))
 
-    def build(a, b):  # S over the chunk pairs (a, b) not built yet
-        new = np.zeros_like(built)
-        new[a, b], built[a, b] = ~built[a, b], True
+    def build(a, b):  # the tiles of the chunk pairs (a, b) not built yet
+        nonlocal tiles, n
+        new = np.zeros(slot.shape, bool)
+        new[a, b] = slot[a, b] < 0
         a, b = np.nonzero(new)
-        i, j = chunk[a, :, None], chunk[b, None]
-        blk = Gj[0, j] - Gi[0, i]
+        if n + len(a) > len(tiles):  # past the (N + 1)^2 footprint: grow by a copy
+            tiles = np.concatenate((tiles[:n], np.empty((n + len(a), size, size))))
+        i, j, blk = chunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
+        np.subtract(Gj[0, j], Gi[0, i], out=blk)
         for c in range(1, len(Gj)):
             np.maximum(blk, Gj[c, j] - Gi[c, i], out=blk)
-        S[i, j] = blk
+        slot[a, b], n = np.arange(n, n + len(a)), n + len(a)
 
     def least2(t):  # the least 2-gon sum over chunk pairs t
-        build(np.concatenate([pa[t], pb[t]]), np.concatenate([pb[t], pa[t]]))
-        i, j = chunk[pa[t]][:, :, None], chunk[pb[t]][:, None]
-        return (S[i, j] + S[j, i]).min(initial=np.inf)
+        a, b = pa[t], pb[t]
+        build(np.concatenate([a, b]), np.concatenate([b, a]))
+        return (tiles[slot[a, b]] + tiles[slot[b, a]].transpose(0, 2, 1)).min(initial=np.inf)
 
     def sum3(t, masked):  # the least triangle sum over chunk triples t
-        i, j, k = chunk[ta[t]][:, :, None], chunk[tb[t]], chunk[tc[t]][:, None]
-        ij = S[i, j[:, None]]  # (t, i, j)
-        jk = S[j[:, :, None], k]  # (t, j, k)
-        ki = S[k, i]  # ki[t, i, k] = S[k, i]
+        a, b, c = ta[t], tb[t], tc[t]
+        ji = tiles[slot[a, b]].transpose(0, 2, 1)  # ji[t, j, i] = S[i, j]
+        jk, ki = tiles[slot[b, c]], tiles[slot[c, a]]  # S[j, k] and S[k, i]
         if masked:
-            ij = np.where(i < j[:, None], ij, np.inf)
-            jk = np.where(j[:, :, None] != k, jk, np.inf)
-            ki = np.where(i < k, ki, np.inf)
-        L = ij[..., None] + jk[:, None]
-        L += ki[:, :, None]
+            i, j, k = chunk[a][:, None], chunk[b][:, :, None], chunk[c]
+            ji = np.where(i < j, ji, np.inf)
+            jk = np.where(j != k[:, None], jk, np.inf)
+            ki = np.where(i < k[:, :, None], ki, np.inf)
+        L = ji[:, :, None] + jk[..., None]  # L[t, j, k, i], the quickest order measured
+        L += ki[:, None]
         return L.min(initial=np.inf)
 
     def least3(t):  # only a repeated chunk can break the index rule
@@ -254,12 +265,12 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         repeat = (ta[t] == tb[t]) | (ta[t] == tc[t]) | (tb[t] == tc[t])
         return min(sum3(t[~repeat], False), sum3(t[repeat], True))
 
-    def search(bound, least, elems):  # no batch left out is below the least sum
-        best, order, step, s = np.inf, np.argsort(bound), max(1, _BLOCK // elems), 0
+    def search(bound, least, elems, step):  # no batch left out is below the least sum
+        best, order, most, s = np.inf, np.argsort(bound), max(1, _BLOCK // elems), 0
         while s < bound.size and bound[order[s]] < best:
-            t = order[s:s + step]
-            best, s = min(best, least(t[bound[t] < best])), s + step
+            t = order[s:s + min(step, most)]
+            best, s, step = min(best, least(t[bound[t] < best])), s + len(t), 2 * step
         return float(best)
 
-    return (search(low[pa, pb] + low[pb, pa], least2, size ** 2),
-            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, size ** 3))
+    return (search(low[pa, pb] + low[pb, pa], least2, size ** 2, 1),
+            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, size ** 3, _BLOCK))

@@ -3,7 +3,8 @@ frozen instance of the benchmark pools (perfbench/pools/{grid,oracle,ngon}
 .json, read only) passes the benchmark's own checks (``Checker.problems`` of
 perfbench/run.py).  The minimum is within 1e-9 relative of the frozen one,
 the argmin certifies and has that length, and on ``oracle`` both oracle
-values are within 1e-9 of the frozen ones and not below the minimum.
+values are within 1e-9 of the frozen ones and not below the minimum.  The
+oracle is exact, so its two values must moreover be the very floats frozen.
 
 Nor may a change drop or add a candidate that is not the minimum: each
 report's whole candidate list is pinned by tests/data/pool_candidates.json,
@@ -71,6 +72,13 @@ def pinned():
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
 def test_pool_instance_keeps_its_minimum(pool, inst, checker, tmp_path):
     assert checker.problems(inst, _shortest(inst, tmp_path)) == []
+
+
+@pytest.mark.parametrize("pool, inst", [(p, i) for p, i in INSTANCES if p == "oracle"],
+                         ids=[name for name in IDS if name.startswith("oracle/")])
+def test_pool_instance_keeps_its_oracle_floats(pool, inst, tmp_path):
+    oracle = json.loads(_shortest(inst, tmp_path))["oracle"]
+    assert {field: oracle[field] for field in inst["oracle"]} == inst["oracle"]
 
 
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)

@@ -421,6 +421,33 @@ def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
     assert [brute_force_min(K, T, grid) for K, T, grid in cases] == want
 
 
+def test_brute_force_tile_store_grows(monkeypatch):
+    """With bounds of -inf nothing is pruned, so both h_T tiles of every
+    valid chunk pair A < B are built.  Where those alone outnumber the
+    (N + 1)^2 // size^2 tiles the store starts with (small grids, whose
+    one-point vertex chunks are padded to full tiles), it must grow by a
+    copy; both oracle floats are still the reference's."""
+    seen = []
+
+    def no_bounds(G, start):
+        seen.append((G.shape[0], start))
+        return np.full((len(start), len(start)), -np.inf)
+
+    monkeypatch.setattr(verify, "_chunk_bounds", no_bounds)
+    grown = 0
+    for K, T, grid in _oracle_instances():
+        if K.n * grid > 40:
+            continue
+        want = tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
+        assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
+        N, start = seen[-1]
+        size = np.diff(np.r_[start, N]).max()
+        cm = boundary_grid(K, grid)[1][start]
+        pairs = np.triu(_subset_immovable_table(K)[cm[:, None] | cm], 1).sum()
+        grown += 2 * pairs > (N + 1) ** 2 // size ** 2
+    assert grown >= 10
+
+
 def _scaled(P, c, shift):
     return ConvexPolytope2.from_vertices(c * P.vertices + shift)
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
-                   angles, cone_contains, face_cones)
-from .pairs import BilliardPair, dedupe, make_pair, make_pairs, sort_pairs
-from .verify import certified_pair, certified_pairs
+                   angles, cone_contains, face_array, face_cones)
+from .pairs import BilliardPair, dedupe, sort_pairs
+from .verify import certified_pairs
 
 
 @dataclass
@@ -161,12 +161,10 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]
     qp[k, b] += t * step[k, b]
-    faces = [tuple(Face.edge(i) if e else Face.vertex(i) for e, i in zip(es, ids))
-             for es, ids in zip(edge[keep].tolist(), idx[keep].tolist())]
+    faces = np.stack([idx, edge], -1)[keep]
     found = np.full(N, None, object)
-    found[keep] = certified_pairs(K, T, make_pairs(
-        K, T, qp[keep, :2], qp[keep, 2:],
-        [f[:2] for f in faces], [f[2:] for f in faces]))
+    found[keep] = certified_pairs(K, T, qp[keep, :2], qp[keep, 2:],
+                                  faces[:, :2], faces[:, 2:])
     return list(found)
 
 
@@ -215,9 +213,8 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)
-    shifted = certified_pair(K, T, make_pair(
-        K, T, [q1 + t * e1, q2 + t * e1], pair.p.vertices, pair.k_faces,
-        pair.t_faces))
+    [shifted] = certified_pairs(K, T, [[q1 + t * e1, q2 + t * e1]], [pair.p.vertices],
+                                face_array([pair.k_faces]), face_array([pair.t_faces]))
     return pair if shifted is None else shifted
 
 

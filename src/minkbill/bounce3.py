@@ -2,7 +2,7 @@
 
 Pipeline for one pair (K, T), over the ordered facet triples of K whose
 normals positively span the plane (spanning_triples), all as arrays from
-the triples to make_pairs:
+the triples to verify.certified_pairs:
 
 1. for all these triples at once, build the dual triangles gamma whose
    edges run along the facet normals (gamma is unique up to translation and
@@ -31,7 +31,7 @@ the triples to make_pairs:
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
    of the solutions minimizing and maximizing sum(t), is kept if it
-   certifies independently; Face objects are built for these only.
+   certifies independently; Face objects are built for the pairs that do.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ import numpy as np
 from . import lp as lpmod
 from .bounce2 import _cycle_rows, _point
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   angles, cross2, dot2, face_cones, find_faces, largest_gap)
-from .pairs import BilliardPair, dedupe, make_pairs, sort_pairs
+                   angles, cross2, dot2, face_array, face_cones, face_tuples,
+                   find_faces, largest_gap)
+from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
 
@@ -156,17 +157,6 @@ def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     return reason.astype(object), x, verts, index, on_edge
 
 
-def _faces(index, on_edge) -> List[Tuple[Face, ...]]:
-    """The Face tuples of the rows of index and on_edge."""
-    return [tuple(Face.edge(i) if e else Face.vertex(i) for i, e in zip(*row))
-            for row in zip(np.asarray(index).tolist(), np.asarray(on_edge).tolist())]
-
-
-def _face_arrays(faces: Tuple[Face, ...]) -> np.ndarray:
-    """index and on_edge (1, len(faces)) of one Face tuple, stacked."""
-    return np.array([[(f.index, f.is_edge) for f in faces]]).transpose(2, 0, 1)
-
-
 def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
                 ) -> List[Union[Inbody, NoInbody]]:
     """For each triangle of the (B, 3, 2) stack, the largest positively
@@ -176,7 +166,7 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
     reason, x, verts, index, on_edge = _inbody_stack(triangles, T)
     return [NoInbody(reason[k]) if reason[k] else
             Inbody(float(x[k, 0]), x[k, 1:], verts[k], faces)
-            for k, faces in enumerate(_faces(index, on_edge))]
+            for k, faces in enumerate(face_tuples(np.stack([index, on_edge], -1)))]
 
 
 def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
@@ -216,7 +206,8 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     with q_{r+1} - q_r in the normal cone of T at t_faces[r] (see step 4 of
     the module docstring).  FitRejected if there are none, or with reason
     "numerical" if an LP runs out of steps."""
-    [low], [high], [reason] = _fit_stack(K, T, [triple], *_face_arrays(t_faces))
+    [low], [high], [reason] = _fit_stack(K, T, [triple],
+                                         *face_array([t_faces]).transpose(2, 0, 1))
     if reason:
         raise FitRejected(reason)
     return 0.5 * (low + high)
@@ -238,16 +229,17 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     """The certified pair, or None, of each facet triple whose inbody
     placement has the vertices p (B, 3, 2), p_r touching T at face
     index[k, r] (an edge where on_edge); the q-side fits of all of them are
-    one stack, and Face objects are built for the fits only."""
+    one stack, and Face objects are built for the pairs that certify only."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     tried = np.flatnonzero(_chords_reach(K, T, triples, index, on_edge))
-    low, high, reason = _fit_stack(K, T, triples[tried], index[tried], on_edge[tried])
-    fits = tried[reason == ""]
     found = np.full(len(triples), None, object)
-    found[fits] = certified_pairs(K, T, make_pairs(
-        K, T, 0.5 * (low + high)[reason == ""],  # the centre, as fit_to_k
-        p[fits], [tuple(map(Face.edge, t)) for t in triples[fits].tolist()],
-        _faces(index[fits], on_edge[fits])))
+    if tried.size:  # no fit stage when the prefilter keeps no triple
+        low, high, reason = _fit_stack(K, T, triples[tried], index[tried], on_edge[tried])
+        fits = tried[reason == ""]
+        found[fits] = certified_pairs(
+            K, T, 0.5 * (low + high)[reason == ""], p[fits],  # the centre, as fit_to_k
+            np.stack([triples[fits], np.ones_like(triples[fits])], -1),
+            np.stack([index[fits], on_edge[fits]], -1))
     return list(found)
 
 
@@ -270,6 +262,7 @@ def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
     """The certified pair, if any, of a facet triple whose dual triangle
     has the inbody placement `inbody` in T (the search's pipeline on a
     batch of one)."""
+    t_faces = face_array([inbody.t_faces[1:] + inbody.t_faces[:1]])
     [pair] = _solve_triples(K, T, [triple], np.roll(inbody.vertices, -1, 0)[None],
-                            *_face_arrays(inbody.t_faces[1:] + inbody.t_faces[:1]))
+                            *t_faces.transpose(2, 0, 1))
     return [] if pair is None else [pair]

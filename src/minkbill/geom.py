@@ -187,6 +187,17 @@ def all_faces(P: ConvexPolytope2) -> List[Face]:
     return [Face.vertex(i) for i in range(P.n)] + [Face.edge(i) for i in range(P.n)]
 
 
+def face_array(tuples: Sequence[Sequence[Face]]) -> np.ndarray:
+    """B >= 1 Face tuples of one length m as (index, is_edge) rows (B, m, 2)."""
+    return np.array([[(f.index, f.is_edge) for f in faces] for faces in tuples], int)
+
+
+def face_tuples(rows) -> List[Tuple[Face, ...]]:
+    """The Face tuples of (index, is_edge) rows (B, m, 2)."""
+    return [tuple(Face.edge(i) if e else Face.vertex(i) for i, e in row)
+            for row in np.asarray(rows).tolist()]
+
+
 def face_distances(P: ConvexPolytope2, is_edge, idx, X):
     """Distance of each X[k] to face idx[k] of P (a vertex is a segment of
     length 0)."""

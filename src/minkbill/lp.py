@@ -253,6 +253,8 @@ def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndar
     status, x = np.full(B, "numerical", "<U10"), np.zeros((B, 3))
     held = np.arange(B)  # the member at each position of the working stack
     for step in range(_DUAL_STEPS):
+        if not held.size:  # every member decided, or an empty stack
+            break
         k = np.arange(len(held))[:, None]
         # column i of the inverse basis is the cross product of the basis
         # rows i+1 and i+2 over the determinant
@@ -279,6 +281,4 @@ def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndar
         keep = ~(optimal | infeasible)
         if not keep.all():
             A, b, c, rows, held = (v[keep] for v in (A, b, c, rows, held))
-        if not held.size:
-            break
     return status, x

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve,
-                   degenerate, support_many)
+                   support_many)
 
 if TYPE_CHECKING:
     from .verify import Certificate
@@ -36,29 +36,22 @@ class BilliardPair:
     certificate: Optional["Certificate"] = field(default=None, compare=False)
 
 
-def make_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
-               t_faces) -> List[Optional[BilliardPair]]:
-    """make_pair for a stack: q and p are (B, m, 2), k_faces and t_faces B
-    face tuples of length m.  None where either curve is degenerate."""
-    q, p = np.array(q, float), np.array(p, float)
-    ok = ~(degenerate(q) | degenerate(p))
+def edge_lengths(T: ConvexPolytope2, q: np.ndarray, p: np.ndarray):
+    """The edges dq and dp of stacks of closed curves q and p (B, m, 2), and
+    each row's lambdas |dq_j|, mus |dp_{j-1}| and ell_T length sum_j
+    h_T(dq_j)."""
     dq, dp = np.roll(q, -1, axis=1) - q, np.roll(p, -1, axis=1) - p
-    lambdas = np.hypot(dq[..., 0], dq[..., 1]).tolist()
-    mus = np.roll(np.hypot(dp[..., 0], dp[..., 1]), 1, axis=1).tolist()
-    lengths = support_many(T, dq).sum(axis=1).tolist()
-    q.setflags(write=False)
-    p.setflags(write=False)
-    return [BilliardPair(ClosedCurve(q[k]), ClosedCurve(p[k]), tuple(k_faces[k]),
-                         tuple(t_faces[k]), tuple(lambdas[k]), tuple(mus[k]),
-                         lengths[k]) if ok[k] else None for k in range(len(q))]
+    return (dq, dp, np.hypot(dq[..., 0], dq[..., 1]),
+            np.roll(np.hypot(dp[..., 0], dp[..., 1]), 1, axis=1),
+            support_many(T, dq).sum(axis=1))
 
 
 def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
               q_vertices, p_vertices,
               k_faces: Sequence[Face], t_faces: Sequence[Face]
               ) -> Optional[BilliardPair]:
-    """Assemble a pair from raw vertex data; None if either curve is
-    degenerate."""
+    """Assemble a pair, with no certificate, from raw vertex data; None if
+    either curve is degenerate."""
     try:
         q = ClosedCurve.from_vertices(q_vertices)
         p = ClosedCurve.from_vertices(p_vertices)
@@ -66,7 +59,9 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
         return None
     if q.m != p.m or q.m != len(k_faces) or q.m != len(t_faces):
         return None
-    return make_pairs(K, T, [q.vertices], [p.vertices], [k_faces], [t_faces])[0]
+    _, _, [lambdas], [mus], [length] = edge_lengths(T, q.vertices[None], p.vertices[None])
+    return BilliardPair(q, p, tuple(k_faces), tuple(t_faces), tuple(lambdas.tolist()),
+                        tuple(mus.tolist()), float(length))
 
 
 def _canonical_keys(pairs: List[BilliardPair]) -> List[tuple]:

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   GeometryError, angles, cone_distance, dot2,
-                   face_cones, face_distances, in_f, largest_gap, support_many, unit)
-from .pairs import BilliardPair
+                   GeometryError, angles, cone_distance, degenerate, dot2,
+                   face_array, face_cones, face_distances, face_tuples, in_f,
+                   largest_gap, support_many, unit)
+from .pairs import BilliardPair, edge_lengths
 
 
 class LineNotSupporting(GeometryError):
@@ -36,65 +37,65 @@ class Certificate:
 
     @property
     def certified(self) -> bool:
-        return (max(self.system_residual, self.face_residual,
-                    self.length_residual, self.dual_length_residual) < EPS_CERT
-                and self.in_f_k and self.in_f_t)
+        return bool(_certifies(*vars(self).values()))
 
     def to_json_obj(self) -> dict:
-        return {
-            "system_residual": self.system_residual,
-            "face_residual": self.face_residual,
-            "length_residual": self.length_residual,
-            "dual_length_residual": self.dual_length_residual,
-            "in_f_k": self.in_f_k,
-            "in_f_t": self.in_f_t,
-            "certified": self.certified,
-        }
+        return {**vars(self), "certified": self.certified}
 
 
-def certify_stack(K: ConvexPolytope2, T: ConvexPolytope2,
-                  pairs: Sequence[BilliardPair]) -> List[Certificate]:
-    """The certificates of pairs of one number of bounces m, computed as one
-    stack."""
-    if not pairs:
-        return []
-    q = np.stack([pr.q.vertices for pr in pairs])
-    p = np.stack([pr.p.vertices for pr in pairs])
-    kf, tf = (np.array([[(f.index, f.is_edge) for f in faces] for faces in fs])
-              for fs in ([pr.k_faces for pr in pairs], [pr.t_faces for pr in pairs]))
-    dq, dp = np.roll(q, -1, axis=1) - q, np.roll(p, -1, axis=1) - p
-    kn = np.roll(kf, -1, axis=1)  # the face of K at the next bounce
-    sys_res = np.maximum(cone_distance(face_cones(T, tf[..., 1], tf[..., 0]), dq),
+def _certifies(system, face, length, dual, in_f_k, in_f_t):
+    """Whether Certificate fields, scalars or arrays of a stack, certify (a
+    nan residual never does)."""
+    return ((system < EPS_CERT) & (face < EPS_CERT) & (length < EPS_CERT)
+            & (dual < EPS_CERT) & in_f_k & in_f_t)
+
+
+def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
+    """The lambdas, mus and ell_T lengths (edge_lengths) and the Certificate
+    fields of each row of a stack: q and p (B, m, 2), and the face of each
+    vertex as (index, is_edge) rows k_faces and t_faces (B, m, 2)."""
+    dq, dp, *lengths = edge_lengths(T, q, p)
+    ell = lengths[-1]
+    kn = np.roll(k_faces, -1, axis=1)  # the face of K at the next bounce
+    sys_res = np.maximum(cone_distance(face_cones(T, t_faces[..., 1], t_faces[..., 0]), dq),
                          cone_distance(face_cones(K, kn[..., 1], kn[..., 0]), -dp))
-    face_res = np.maximum(face_distances(K, kf[..., 1], kf[..., 0], q),
-                          face_distances(T, tf[..., 1], tf[..., 0], p))
-    inner = dot2(dq, p).sum(axis=1)
-    ell = support_many(T, dq).sum(axis=1)
+    face_res = np.maximum(face_distances(K, k_faces[..., 1], k_faces[..., 0], q),
+                          face_distances(T, t_faces[..., 1], t_faces[..., 0], p))
     dual = support_many(K, -dp).sum(axis=1)  # h_{-K}(v) = h_K(-v)
-    return [Certificate(*row) for row in zip(
-        sys_res.max(axis=1).tolist(), face_res.max(axis=1).tolist(),
-        np.abs(ell - inner).tolist(),
-        np.abs(ell - dual).tolist(), in_f(K, q).tolist(), in_f(T, p).tolist())]
+    return lengths, (sys_res.max(axis=1), face_res.max(axis=1),
+                     np.abs(ell - dot2(dq, p).sum(axis=1)), np.abs(ell - dual),
+                     in_f(K, q), in_f(T, p))
 
 
 def certify(K: ConvexPolytope2, T: ConvexPolytope2,
             pair: BilliardPair) -> Certificate:
-    return certify_stack(K, T, [pair])[0]
+    _, fields = _checks(K, T, pair.q.vertices[None], pair.p.vertices[None],
+                        face_array([pair.k_faces]), face_array([pair.t_faces]))
+    return Certificate(*(v.tolist()[0] for v in fields))
 
 
-def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2,
-                    pairs: Sequence[Optional[BilliardPair]]
-                    ) -> List[Optional[BilliardPair]]:
-    """certified_pair for pairs of one m, certified as one stack."""
-    certs = iter(certify_stack(K, T, [pr for pr in pairs if pr is not None]))
-    out = [pr and replace(pr, certificate=next(certs)) for pr in pairs]
-    return [pr if pr and pr.certificate.certified else None for pr in out]
-
-
-def certified_pair(K: ConvexPolytope2, T: ConvexPolytope2,
-                   pair: Optional[BilliardPair]) -> Optional[BilliardPair]:
-    """The pair carrying its certificate, or None if it is None or fails."""
-    return certified_pairs(K, T, [pair])[0]
+def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
+                    t_faces) -> List[Optional[BilliardPair]]:
+    """The pair of each row of a search's stack with its certificate, or
+    None where q or p is degenerate or the certificate fails (arguments as
+    _checks).  Face, Certificate and BilliardPair objects are built for the
+    rows that certify only."""
+    q, p = np.array(q, float), np.array(p, float)
+    found: List[Optional[BilliardPair]] = [None] * len(q)
+    rows = np.flatnonzero(~(degenerate(q) | degenerate(p)))
+    if not rows.size:
+        return found
+    q, p, k_faces, t_faces = (np.asarray(v)[rows] for v in (q, p, k_faces, t_faces))
+    (lambdas, mus, ell), fields = _checks(K, T, q, p, k_faces, t_faces)
+    ok = np.flatnonzero(_certifies(*fields))
+    q.setflags(write=False)
+    p.setflags(write=False)
+    for j, kf, tf, lam, mu, length, *cert in zip(
+            ok.tolist(), face_tuples(k_faces[ok]), face_tuples(t_faces[ok]),
+            *(v[ok].tolist() for v in (lambdas, mus, ell, *fields))):
+        found[rows[j]] = BilliardPair(ClosedCurve(q[j]), ClosedCurve(p[j]), kf, tf,
+                                      tuple(lam), tuple(mu), length, Certificate(*cert))
+    return found
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,

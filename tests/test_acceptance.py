@@ -12,7 +12,7 @@ import pytest
 
 from minkbill.bounce2 import search_two_bounce, solve_face_tuple
 from minkbill.bounce3 import search_three_bounce
-from minkbill.cli import _search_report, run_bench
+from minkbill.cli import _search_report, _spearman, run_bench
 from minkbill.fixtures import (equilateral_triangle, example_g_curve, load,
                                obtuse_triangle_100, regular_ngon)
 from minkbill.geom import ClosedCurve, ell_length, find_face, polar, support
@@ -214,9 +214,19 @@ def test_criterion_09_geometry_identities():
 
 
 def test_criterion_10_bench_trends():
+    """The bench's work counts follow the sizes: the 2-bounce face tuples
+    and side solves of cell (a, b) equal those of (b, a), and the spanning
+    facet triples rank with |V(K)|.  Times are checked only where the work
+    differs by far more than the 2x a shared host drifts: in each search
+    the 25x25 cell is slower than the 5x5 one."""
     res = run_bench([5, 15, 25], seed=3)
-    corr3 = res["three_bounce_rank_corr_nk"]
-    sym = res["two_bounce_symmetry_corr"]
-    ok = corr3 > 0.9 and sym > 0.9
+    by = {(r["nk"], r["nt"]): r for r in res["rows"]}
+    sym = all(by[a, b][f] == by[b, a][f] for a, b in by
+              for f in ("two_bounce_tuples", "two_bounce_solves"))
+    corr3 = _spearman([r["three_bounce_triples"] for r in res["rows"]],
+                      [r["nk"] for r in res["rows"]])
+    times = {f: (by[5, 5][f], by[25, 25][f]) for f in ("two_bounce_s", "three_bounce_s")}
+    ok = sym and corr3 > 0.9 and all(small < large for small, large in times.values())
     _report(10, "bench scaling trends", ok,
-            f"three_bounce~|V(K)| corr={corr3:.3f} two_bounce symmetry corr={sym:.3f}")
+            f"two_bounce counts symmetric={sym} three_bounce_triples~|V(K)| "
+            f"corr={corr3:.3f} 5x5 vs 25x25 s={times}")

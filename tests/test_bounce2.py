@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,18 +12,27 @@ from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
-                           cone_contains, find_face, in_f,
+                           cone_contains, face_tuples, find_face, in_f,
                            normal_cone)
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
-from minkbill.pairs import _canonical_keys, dedupe, make_pair, make_pairs, sort_pairs
+from minkbill.pairs import _canonical_keys, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import certified_pair, certify
+from minkbill.verify import certified_pairs, certify
 
 from test_geom import cones_intersect
 from test_symmetric import symmetric_polygon
 
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
 DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
+
+
+def _certified_pair(K, T, pair):
+    """The pair carrying its certificate, or None if it is None or fails:
+    what a search keeps of it, one pair at a time."""
+    if pair is None:
+        return None
+    pair = replace(pair, certificate=certify(K, T, pair))
+    return pair if pair.certificate.certified else None
 
 
 def test_square_square_min_is_four():
@@ -265,7 +275,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
                 and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        return certified_pair(K, T, make_pair(
+        return _certified_pair(K, T, make_pair(
             K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
             (f1, f2), (g1, g2)))
     facet = [d is not None for _, d in ends]
@@ -319,7 +329,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         if sol.status != "optimal":
             return None
         x = sol.x
-    return certified_pair(K, T, make_pair(
+    return _certified_pair(K, T, make_pair(
         K, T, [q1.at(x), q2.at(x)], [p1.at(x), p2.at(x)], (f1, f2), (g1, g2)))
 
 
@@ -441,7 +451,7 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
                 and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        return certified_pair(K, T, make_pair(
+        return _certified_pair(K, T, make_pair(
             K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
             (f1, f2), (g1, g2)))
     mixed = not f_fixed and not g_fixed
@@ -502,7 +512,7 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
         return None
     if sol.status != "optimal":
         return None
-    return certified_pair(K, T, make_pair(
+    return _certified_pair(K, T, make_pair(
         K, T, [q1.at(sol.x), q2.at(sol.x)], [p1.at(sol.x), p2.at(sol.x)],
         (f1, f2), (g1, g2)))
 
@@ -528,7 +538,7 @@ def _status_log(solve_lp, log):
 def test_cone_rows_match_multiplier_formulation(monkeypatch):
     """The cone rows of a facet's ray (cross(g, v) = 0, <g, v> >= 0) decide
     every face tuple as the multiplier formulation does: the same tuples
-    are feasible (they reach make_pair), the same tuples are certified,
+    are feasible (they reach certification), the same tuples are certified,
     with lengths equal to 1e-12 relative, and the search returns the same
     pairs, with q and p equal to 1e-12 of the body's diameter.  Within a
     family of constant length the two may stop at different points, so the
@@ -540,14 +550,14 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
         return prefer_smooth(K, T, pair)
 
     def logged_pairs(K, T, q, p, k_faces, t_faces):
-        feasible.extend(zip(k_faces, t_faces))
-        return make_pairs(K, T, q, p, k_faces, t_faces)
+        feasible.append(list(zip(face_tuples(k_faces), face_tuples(t_faces))))
+        return certified_pairs(K, T, q, p, k_faces, t_faces)
 
     def logged_pair(K, T, q, p, k_faces, t_faces, make_one=make_pair):
         multiplier_feasible.append((tuple(k_faces), tuple(t_faces)))
         return make_one(K, T, q, p, k_faces, t_faces)
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
-    monkeypatch.setattr(bounce2, "make_pairs", logged_pairs)
+    monkeypatch.setattr(bounce2, "certified_pairs", logged_pairs)
     monkeypatch.setattr(sys.modules[__name__], "make_pair", logged_pair)
     monkeypatch.setattr(sys.modules[__name__], "solve",
                         _status_log(solve, statuses))
@@ -557,7 +567,8 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
             log.clear()
         got = search_two_bounce(K, T)
         want, found = _per_tuple_reference(K, T, _multiplier_face_tuple)
-        assert feasible == multiplier_feasible
+        # the search's one stack; prefer_smooth certifies one pair after it
+        assert feasible[0] == multiplier_feasible
         assert ([(p.k_faces, p.t_faces) for p in seen]
                 == [(p.k_faces, p.t_faces) for p in found])
         for a, b in zip(seen, found):

@@ -15,15 +15,15 @@ from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            InvalidPolytope, angles, cross2, face_distances,
-                           find_face, find_faces, largest_gap, normal_cone,
-                           positively_spans, support_many)
+                           face_tuples, find_face, find_faces, largest_gap,
+                           normal_cone, positively_spans, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import certified_pair, certify
+from minkbill.verify import certify
 
 from conftest import polytopes
-from test_bounce2 import _Affine, _reference_cone_rows
+from test_bounce2 import _Affine, _certified_pair, _reference_cone_rows
 from test_geom import _reference_find_faces
 
 
@@ -424,7 +424,7 @@ def _sampled_fan_pairs(K, T, triple, samples=8):
             t = float((q[r] - a) @ (b - a)) / float((b - a) @ (b - a))
             on_facets &= -1e-9 <= t <= 1 + 1e-9
         if on_facets:
-            pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+            pair = _certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
             if pair is not None:
                 out.append(pair)
     return out
@@ -516,7 +516,7 @@ def _simplex_fit_family(K, T, triple, t_faces):
 
 def _triple_outcomes(K, T, simplex=False):
     """search_three_bounce one facet triple at a time: build_gamma, the
-    inbody LP of that triangle alone, the per-triple fit and certified_pair;
+    inbody LP of that triangle alone, the per-triple fit and _certified_pair;
     with simplex, both LPs by the tableau simplex as before the dual
     simplex.  Per spanning triple: (inbody reason, contact faces, fit reason
     or None, certified pair or None)."""
@@ -534,7 +534,7 @@ def _triple_outcomes(K, T, simplex=False):
         except FitRejected as err:
             out.append((reason, faces, err.reason, None))
             continue
-        out.append((reason, faces, "", certified_pair(K, T, make_pair(
+        out.append((reason, faces, "", _certified_pair(K, T, make_pair(
             K, T, 0.5 * (low + high), np.roll(verts, -1, axis=0),
             tuple(Face.edge(i) for i in triple), t_faces))))
     return out
@@ -606,6 +606,38 @@ def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
                  p.p.vertices.tobytes(), p.certificate) for p in b]
 
 
+def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch, rng):
+    """solve_dual3 takes no step (no lp._violations call) on an empty
+    stack, and _solve_triples runs no _fit_stack when _chords_reach keeps
+    no triple, as it does on some of the fixtures and random instances."""
+    fit, violations = bounce3._fit_stack, lpmod._violations
+    chords, fits, steps, kept = bounce3._chords_reach, [], [], []
+
+    def fit_spy(K, T, triples, *faces):
+        fits.append(len(triples))
+        return fit(K, T, triples, *faces)
+
+    def violations_spy(A, *rest):
+        steps.append(len(A))
+        return violations(A, *rest)
+
+    def chords_spy(*args):
+        keep = chords(*args)
+        kept.append(int(keep.sum()))
+        return keep
+
+    monkeypatch.setattr(bounce3, "_fit_stack", fit_spy)
+    monkeypatch.setattr(bounce3, "_chords_reach", chords_spy)
+    monkeypatch.setattr(lpmod, "_violations", violations_spy)
+    status, x = lpmod.solve_dual3(np.zeros((0, 3)), np.zeros((0, 4, 3)),
+                                  np.zeros((0, 4)), np.zeros((0, 3), int))
+    assert status.shape == (0,) and x.shape == (0, 3) and steps == []
+    for K, T in _search_instances(rng):
+        search_three_bounce(K, T)
+    assert kept.count(0) >= 10 and len(fits) == len(kept) - kept.count(0)
+    assert min(fits) > 0 and min(steps) > 0
+
+
 def test_stacked_fit_matches_per_triple_fit(rng):
     """The stacked fits give every inbody survivor the ends, bit for bit,
     or the reject reason of the per-triple fit."""
@@ -650,7 +682,7 @@ def _dual_outcomes(K, T):
     fit = np.full(len(triples), None, object)
     fit[ok] = bounce3._fit_stack(K, T, triples[ok], np.roll(index[ok], -1, 1),
                                  np.roll(on_edge[ok], -1, 1))[2]
-    return reason, x[:, 0], verts, bounce3._faces(index, on_edge), fit
+    return reason, x[:, 0], verts, face_tuples(np.stack([index, on_edge], -1)), fit
 
 
 def _same_decisions(K, T):

@@ -13,11 +13,11 @@ from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
-                           cone_contains, find_face, normal_cone)
-from minkbill.pairs import _canonical_keys, make_pair, make_pairs
+                           cone_contains, face_array, find_face, normal_cone)
+from minkbill.pairs import _canonical_keys, make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
-                             brute_force_min, certify, certify_stack,
+                             brute_force_min, certify,
                              check_weak_rule, _immovable_table,
                              _subset_immovable_table)
 
@@ -602,38 +602,52 @@ def _bits(values):
 
 
 def test_stacked_certification_matches_certify():
-    """certify_stack gives each member of a stack, bit for bit, the
+    """The stacked arithmetic that certified_pairs shares with certify
+    (verify._checks) gives each member of a stack, bit for bit, the
     certificate that certify gives it alone, and that the per-pair certify
-    of before the stacks gave; make_pairs builds each member as make_pair
-    does and as make_pair did one pair at a time, and _canonical_keys gives
-    each the key it gets alone.  The stacks
-    are the pairs of each search on the identity instances, and the same
-    pairs with their duals reversed (certificates that fail)."""
+    of before the stacks gave, and the length, lambdas and mus that
+    make_pair gives it and gave one pair at a time; certified_pairs returns
+    exactly the members that certify, each as make_pair builds it and with
+    certify's certificate, and _canonical_keys gives each the key it gets
+    alone.  The stacks are the pairs of each search on the identity
+    instances, and the same pairs with their duals reversed (certificates
+    that fail)."""
     outcomes, members = set(), 0
     for K, T in _identity_instances():
         for pairs in (search_two_bounce(K, T), search_three_bounce(K, T)):
             flipped = [make_pair(K, T, pr.q.vertices, pr.p.vertices[::-1],
                                  pr.k_faces, pr.t_faces[::-1]) for pr in pairs]
             for stack in (pairs, [pr for pr in flipped if pr is not None]):
-                certs = certify_stack(K, T, stack)
-                for pair, cert in zip(stack, certs):
-                    assert _bits(astuple(cert)) == _bits(astuple(certify(K, T, pair)))
+                if not stack:
+                    continue
+                rows = (np.stack([pr.q.vertices for pr in stack]),
+                        np.stack([pr.p.vertices for pr in stack]),
+                        face_array([pr.k_faces for pr in stack]),
+                        face_array([pr.t_faces for pr in stack]))
+                (lambdas, mus, ell), fields = verify._checks(K, T, *rows)
+                found = verify.certified_pairs(K, T, *rows)
+                for r, (pair, got) in enumerate(zip(stack, found)):
+                    cert = Certificate(*(v.tolist()[r] for v in fields))
+                    want = certify(K, T, pair)
+                    assert _bits(astuple(cert)) == _bits(astuple(want))
                     assert _bits(astuple(cert)) == _bits(astuple(
                         _reference_certify(K, T, pair)))
                     outcomes.add(cert.certified)
-                built = make_pairs(K, T, [pr.q.vertices for pr in stack],
-                                   [pr.p.vertices for pr in stack],
-                                   [pr.k_faces for pr in stack],
-                                   [pr.t_faces for pr in stack]) if stack else []
-                for got, pair in zip(built, stack):
-                    want = make_pair(K, T, pair.q.vertices, pair.p.vertices,
-                                     pair.k_faces, pair.t_faces)
-                    assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
-                        [want.length, *want.lambdas, *want.mus]) == _bits(
+                    built = make_pair(K, T, pair.q.vertices, pair.p.vertices,
+                                      pair.k_faces, pair.t_faces)
+                    assert _bits([ell[r].item(), *lambdas[r].tolist(),
+                                  *mus[r].tolist()]) == _bits(
+                        [built.length, *built.lambdas, *built.mus]) == _bits(
                         _reference_lengths(T, pair.q, pair.p))
-                    assert np.array_equal(got.q.vertices, want.q.vertices)
-                    assert np.array_equal(got.p.vertices, want.p.vertices)
-                    assert (got.k_faces, got.t_faces) == (want.k_faces, want.t_faces)
+                    assert (got is not None) == cert.certified
+                    if got is None:
+                        continue
+                    assert _bits(astuple(got.certificate)) == _bits(astuple(want))
+                    assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
+                        [built.length, *built.lambdas, *built.mus])
+                    assert np.array_equal(got.q.vertices, built.q.vertices)
+                    assert np.array_equal(got.p.vertices, built.p.vertices)
+                    assert (got.k_faces, got.t_faces) == (built.k_faces, built.t_faces)
                 assert _canonical_keys(stack) == [_canonical_keys([pr])[0]
                                                   for pr in stack]
                 members += len(stack)

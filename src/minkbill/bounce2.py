@@ -9,10 +9,13 @@ variable, and each has at most one: a point on a facet [a, b] is
 a + t (b - a), t in [0, 1], and both points of a side share its t.  Two
 facets of one side have antipodal normals, so d2 = -rho d1 for their
 directions, and the side's edge depends on t1 + rho t2 only, which one
-shared t already sweeps.  A side with no facet is checked directly, for all
-tuples of one (K, T) at once; every other side is an LP in one variable,
-and lp.solve_interval answers all of them in closed form as one stack.  The
-feasible tuples are certified as one stack; the search calls no simplex.
+shared t already sweeps.  Tables per body screen every side before any
+tuple exists (_side_tables): a side with no facet is checked directly, one
+with a facet passes if each row of its cones reaches -4 EPS_CERT at a
+corner chord b_i - a_j (_rows_reach), each facet's start moved back 1e-9;
+lp.solve_interval, which holds the rows to EPS_GEO + 1e-8 at a t in
+[-1e-9, 1], accepts no other side.  The sides left are one solve_interval
+stack, the feasible tuples one certified_pairs stack; no simplex runs.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import lp as lpmod
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
-                   angles, cone_contains, face_array, face_cones)
+from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
+                   angles, cone_contains, cross2, dot2, face_array, face_cones)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
@@ -33,6 +36,7 @@ from .verify import certified_pairs
 class SearchStats:
     tuples_after_filter: int = 0
     side_solves: int = 0  # tuples left with a free side after the cone checks
+    tuples_after_screen: int = 0  # tuples left by the chord screen (_side_tables)
 
 
 def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
@@ -101,6 +105,15 @@ def _cone_rows(rows, expr: _Affine, cone) -> None:
                  np.where(ray, EPS_GEO + const_dot, EPS_GEO - const1), False))
 
 
+def _rows_reach(cone, v) -> np.ndarray:
+    """Whether each row of each cone (those of _cone_rows) reaches -4 EPS_CERT
+    at one of its corner chords v (..., 2, 2, 2), as it must on their hull."""
+    g0, g1 = (g[..., None, None, :] for g in cone.generators)
+    rows = np.stack([cross2(g0, v), cross2(v, g1),
+                     np.where(np.asarray(cone.is_ray)[..., None, None], dot2(g0, v), np.inf)])
+    return ~(rows.max(axis=(-2, -1)) < -4 * EPS_CERT).any(axis=0)
+
+
 def _cycle_rows(rows, points, cones) -> None:
     """_cone_rows asking edge r of the closed polygon through points,
     points[r + 1] - points[r], to lie in cones[r]."""
@@ -115,8 +128,7 @@ _A, _B, _C0, _C1 = np.array([[0, 1, 2, 3], [3, 2, 1, 0]]).T
 
 
 def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
-                  objective: Optional[np.ndarray] = None,
-                  stats: Optional[SearchStats] = None
+                  objective: Optional[np.ndarray] = None
                   ) -> List[Optional[BilliardPair]]:
     """The certified pair, or None, of each face tuple: tuples is (N, 4),
     the faces f1, f2, g1, g2 as indices into all_faces of K and of T, all
@@ -145,8 +157,6 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     d = base[:, _B] - base[:, _A]  # (N, 2, 2): the edge of each side with no facet
     free = edge[:, _A] | edge[:, _B]
     keep = (free | (cone_contains(cone(_C0), d) & cone_contains(cone(_C1), -d))).all(1)
-    if stats is not None:
-        stats.side_solves += int((keep & edge.any(1)).sum())
     # every side with a facet is an LP in its one variable t, all in one stack
     k, s = np.nonzero(free & keep[:, None])
     a, b = _A[s], _B[s]
@@ -218,20 +228,41 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     return pair if shifted is None else shifted
 
 
+def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
+    """The antipodal face pairs (a, b) of P, whether a or b is a facet, and
+    the screen's (pair, o, F): chord b - a (o = 0) or a - b in N_Q(F)."""
+    pairs = _antipodal_pairs(P)
+    edge, idx = pairs >= P.n, pairs % P.n
+    a, b = P.vertices[idx], P.vertices[np.where(edge, (idx + 1) % P.n, idx)]
+    ends = np.stack([a - 1e-9 * (b - a), b], -2)
+    v = ends[:, 1, :, None] - ends[:, 0, None]
+    v, free = np.stack([v, -v], 1)[:, :, None], edge.any(1)
+    cones = face_cones(Q, np.repeat([False, True], Q.n), np.tile(np.arange(Q.n), 2))
+    reach = cone_contains(cones, v[..., 0, 0, :])
+    reach[free] = _rows_reach(cones, v[free])
+    return pairs, free[:, None, None], reach
+
+
 def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
                       stats: Optional[SearchStats] = None
                       ) -> List[BilliardPair]:
     """All certified 2-bounce pairs, deduplicated and sorted by length."""
-    if stats is None:
-        stats = SearchStats()
-    k_pairs = _antipodal_pairs(K)
-    t_pairs = _antipodal_pairs(T)
+    stats = SearchStats() if stats is None else stats
+    k_pairs, k_free, k_reach = _side_tables(K, T)
+    t_pairs, t_free, t_reach = _side_tables(T, K)
     # each K pair with each T pair in both orientations, in that order
-    t_both = np.stack([t_pairs, t_pairs[:, ::-1]], 1).reshape(-1, 2)
-    tuples = np.concatenate([np.repeat(k_pairs, len(t_both), 0),
-                             np.tile(t_both, (len(k_pairs), 1))], 1)
-    stats.tuples_after_filter += len(tuples)
+    t_both = np.stack([t_pairs, t_pairs[:, ::-1]], 1)
+
+    def sides(k_table, t_table):  # (K pair, T pair, orientation): both sides pass
+        return (k_table[:, 0][:, t_both[..., 0]] & k_table[:, 1][:, t_both[..., 1]]
+                & (t_table[:, :, k_pairs[:, 0]] & t_table[:, ::-1, k_pairs[:, 1]]
+                   ).transpose(2, 0, 1))
+    stats.tuples_after_filter += 2 * len(k_pairs) * len(t_pairs)
+    stats.side_solves += int((sides(k_reach | k_free, t_reach | t_free)
+                              & (k_free | t_free[:, 0])).sum())
+    k, t, o = np.nonzero(sides(k_reach, t_reach))
+    stats.tuples_after_screen += len(k)
     found = [prefer_smooth(K, T, pair)
-             for pair in _solve_tuples(K, T, tuples, stats=stats)
+             for pair in _solve_tuples(K, T, np.concatenate([k_pairs[k], t_both[t, o]], 1))
              if pair is not None]
     return sort_pairs(dedupe(found))

@@ -43,9 +43,9 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import _cycle_rows, _point
-from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   angles, cross2, dot2, face_array, face_cones, face_tuples,
+from .bounce2 import _cycle_rows, _point, _rows_reach
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                   angles, cross2, face_array, face_cones, face_tuples,
                    find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
@@ -217,10 +217,7 @@ def _chords_reach(K, T, triples, index, on_edge) -> np.ndarray:
     """Whether each triple passes the prefilter of step 3."""
     ends = np.stack([K.vertices[triples], K.vertices[(triples + 1) % K.n]], 2)
     v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]  # (B, 3, 2, 2, 2)
-    g0, g1 = (g[:, :, None, None] for g in face_cones(T, on_edge, index).generators)
-    rows = np.stack([cross2(g0, v), cross2(v, g1),
-                     np.where(on_edge[:, :, None, None], dot2(g0, v), np.inf)])
-    return ~(rows.max(axis=(3, 4)) < -4 * EPS_CERT).any(axis=(0, 2))
+    return _rows_reach(face_cones(T, on_edge, index), v).all(axis=1)
 
 
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,

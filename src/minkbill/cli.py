@@ -230,8 +230,8 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
 
 def run_bench(sizes: Sequence[int], seed: int) -> dict:
     """Best-of-7 times of both searches on a grid of random instance sizes,
-    next to their work counts: the 2-bounce face tuples and side solves
-    (SearchStats) and the spanning facet triples of the 3-bounce search.
+    next to their work counts: the 2-bounce face tuples, side solves and
+    screened tuples (SearchStats) and the 3-bounce spanning facet triples.
     Each repeat visits every cell in turn, so a stretch of slow machine time
     costs each cell at most one of its samples; on a shared host whose speed
     drifts by up to 2x, 7 repeats keep cells whose work differs by 1.7x in
@@ -258,6 +258,7 @@ def run_bench(sizes: Sequence[int], seed: int) -> dict:
              "three_bounce_found": found[i][1],
              "two_bounce_tuples": stats[i].tuples_after_filter,
              "two_bounce_solves": stats[i].side_solves,
+             "two_bounce_screened": stats[i].tuples_after_screen,
              "three_bounce_triples": len(spanning_triples(K))}
             for i, (nk, nt, K, _) in enumerate(cells)]
     t3s = np.array([r["three_bounce_s"] for r in rows])

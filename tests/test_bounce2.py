@@ -1,7 +1,9 @@
 import functools
 import itertools
+import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,7 @@ def test_enumeration_count_matches_closed_form():
         assert stats.tuples_after_filter == count == (
             len(_reference_antipodal_pairs(K)) * 2 * len(_reference_antipodal_pairs(T)))
         assert stats.side_solves <= stats.tuples_after_filter
+        assert 0 < stats.tuples_after_screen <= stats.tuples_after_filter
 
 
 def test_returned_pairs_certified_and_immovable(rng):
@@ -620,3 +623,132 @@ def test_antipodal_pairs_match_per_face_reference(rng):
         got = bounce2._antipodal_pairs(P)
         want = _per_face_antipodal_pairs(P)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the search before the chord screen: _solve_tuples on the whole product of
+# the antipodal face pairs, the reference of the screened search
+
+POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
+
+
+def _unscreened_search(K, T, solve_tuples=bounce2._solve_tuples):
+    """search_two_bounce as it was before _side_tables screened the face
+    tuples, and the number of tuples it solved."""
+    k_pairs, t_pairs = bounce2._antipodal_pairs(K), bounce2._antipodal_pairs(T)
+    t_both = np.stack([t_pairs, t_pairs[:, ::-1]], 1).reshape(-1, 2)
+    tuples = np.concatenate([np.repeat(k_pairs, len(t_both), 0),
+                             np.tile(t_both, (len(k_pairs), 1))], 1)
+    found = [prefer_smooth(K, T, pair) for pair in solve_tuples(K, T, tuples)
+             if pair is not None]
+    return sort_pairs(dedupe(found)), len(tuples)
+
+
+def _reference_side_solves(K, T):
+    """SearchStats.side_solves one face tuple at a time: the tuples of the
+    product with a facet whose sides without one pass their cone checks."""
+    count = 0
+    t_pairs = _reference_antipodal_pairs(T)
+    for f1, f2 in _reference_antipodal_pairs(K):
+        q_free = f1.is_edge or f2.is_edge
+        dq = K.vertices[f2.index] - K.vertices[f1.index]
+        for g1, g2 in t_pairs:
+            for h1, h2 in ((g1, g2), (g2, g1)):
+                p_free = h1.is_edge or h2.is_edge
+                dp = T.vertices[h2.index] - T.vertices[h1.index]
+                count += bool((q_free or p_free)
+                              and (q_free or (cone_contains(normal_cone(T, h1), dq)
+                                              and cone_contains(normal_cone(T, h2), -dq)))
+                              and (p_free or (cone_contains(normal_cone(K, f2), -dp)
+                                              and cone_contains(normal_cone(K, f1), dp))))
+    return count
+
+
+def _moved(P, c, shift):
+    """c P + shift for a power of two c, with the normals and offsets that
+    from_vertices computes, but without its absolute tolerances, which
+    reject bodies below about 2^-10."""
+    v = c * P.vertices + shift
+    return ConvexPolytope2(v, P.normals, np.einsum("ij,ij->i", P.normals, v))
+
+
+def _screen_instances():
+    """The benchmark pools (read only), the fixtures, regular 3- to 64-gons
+    (parallel facets), a side feasible only within its slack, and random 3-
+    to 25-gons scaled by powers of two in 2^-12..2^20 and translated, each
+    with its label."""
+    out = []
+    for pool in ("grid", "oracle", "ngon"):
+        with open(POOLS / f"{pool}.json") as fh:
+            out += [(pool, ConvexPolytope2.from_vertices(inst["K"]),
+                     ConvexPolytope2.from_vertices(inst["T"]))
+                    for inst in json.load(fh)["instances"]]
+    out += [("fixture", load(name).K, load(name).T) for name in fixture_names()]
+    out += [("regular", regular_ngon(n), regular_ngon(m))
+            for n, m in ((3, 3), (4, 4), (4, 6), (5, 8), (6, 6), (8, 3), (12, 12),
+                         (16, 4), (32, 6), (64, 64))]
+    # facet sides that solve_interval accepts only past a facet end: the
+    # chords from (0, c) to the bottom facet of c house miss the normal
+    # (0, 1) of the square by 5e-10 c, and an equality pins t = -5e-10
+    house = ConvexPolytope2.from_vertices([(5e-10, -1), (1, -1), (1, 0), (0, 1), (-1, 0)])
+    for c in (1.0, 2.0 ** 10, 2.0 ** 20):
+        out += [("slack", _moved(house, c, 0.0), SQUARE), ("slack", SQUARE, _moved(house, c, 0.0))]
+    rng = np.random.default_rng(22)
+    for _ in range(60):
+        K, T = random_instance(rng, int(rng.integers(3, 26)), int(rng.integers(3, 26)))
+        c, d = 2.0 ** rng.integers(-12, 21, size=2)
+        out.append(("scaled", _moved(K, c, c * rng.uniform(-3, 3, 2)),
+                    _moved(T, d, d * rng.uniform(-3, 3, 2))))
+    return out
+
+
+def test_chord_screen_drops_only_tuples_the_side_lps_reject(monkeypatch):
+    """The chord screen of search_two_bounce drops only face tuples that
+    _solve_tuples would not pass to certification: every stack handed to
+    certified_pairs is byte-identical to that of the unscreened search, and
+    so are the returned pairs, certificates included.  side_solves keeps
+    counting the whole product (checked one tuple at a time where it is
+    small), and the screen screens: at most 200 of the grid pool's 26,912
+    face tuples reach _solve_tuples."""
+    calls, solved = [], []
+    real_pairs, real_solve = bounce2.certified_pairs, bounce2._solve_tuples
+
+    def recording(K, T, *rows):
+        calls.append([np.asarray(r) for r in rows])
+        return real_pairs(K, T, *rows)
+
+    def counting(K, T, tuples):
+        solved.append(len(tuples))
+        return real_solve(K, T, tuples)
+    monkeypatch.setattr(bounce2, "certified_pairs", recording)
+    monkeypatch.setattr(bounce2, "_solve_tuples", counting)
+    grid, labels, total = [0, 0], set(), 0
+    for label, K, T in _screen_instances():
+        calls.clear()
+        stats = SearchStats()
+        got = search_two_bounce(K, T, stats)
+        screened = list(calls)
+        calls.clear()
+        want, product = _unscreened_search(K, T, real_solve)
+        assert len(screened) == len(calls)
+        for a, b in zip(screened, calls):
+            assert [(r.dtype, r.shape, r.tobytes()) for r in a] == \
+                [(r.dtype, r.shape, r.tobytes()) for r in b]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
+                (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
+            assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
+            assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
+            assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+        assert stats.tuples_after_filter == product
+        assert solved[-1] == stats.tuples_after_screen <= product
+        if product <= 2000:
+            assert stats.side_solves == _reference_side_solves(K, T)
+        if label == "grid":
+            grid[0] += product
+            grid[1] += stats.tuples_after_screen
+        labels.add(label)
+        total += len(got)
+    assert grid[0] == 26912 and grid[1] <= 200
+    assert len(labels) == 7 and total >= 900

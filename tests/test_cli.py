@@ -280,5 +280,6 @@ def test_bench_smoke():
         # per body, combined in both orientations
         assert row["two_bounce_tuples"] == 8 * row["nk"] * row["nt"]
         assert 0 < row["two_bounce_solves"] <= row["two_bounce_tuples"]
+        assert 0 < row["two_bounce_screened"] <= row["two_bounce_tuples"]
         nk = row["nk"]
         assert 0 < row["three_bounce_triples"] <= nk * (nk - 1) * (nk - 2) // 3

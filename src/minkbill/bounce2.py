@@ -27,7 +27,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
-                   angles, cone_contains, cross2, dot2, face_array, face_cones)
+                   cone_contains, cross2, dot2, face_array, face_cones)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
@@ -40,14 +40,12 @@ class SearchStats:
 
 
 def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
-    """The pairs i < j of faces of P (indices into all_faces, in
-    itertools.combinations order) whose normal cones are antipodal: cone_i
-    and -cone_j share a direction (up to EPS_ANG), decided for all pairs at
-    once from the stacked cones of all faces."""
-    faces = np.arange(2 * P.n)
-    first, last = face_cones(P, faces >= P.n, faces % P.n).generators
-    a1, a2 = angles(first), angles(-first)
-    w1, w2 = (angles(last) - a1) % (2 * np.pi), (angles(-last) - a2) % (2 * np.pi)
+    """The pairs i < j of face ids of P (in itertools.combinations order)
+    whose normal cones are antipodal: cone_i and -cone_j share a direction
+    (up to EPS_ANG), decided for all pairs at once from the angles of the
+    generators of all cones and of their negatives."""
+    (a1, last1), (a2, last2) = P.face_table.angles[:, P.face_table.cone_index.T]
+    w1, w2 = (last1 - a1) % (2 * np.pi), (last2 - a2) % (2 * np.pi)
     i, j = np.triu_indices(len(a1), 1)
     ok = (((a2[j] - a1[i]) % (2 * np.pi) <= w1[i] + EPS_ANG)
           | ((a1[i] - a2[j]) % (2 * np.pi) <= w2[j] + EPS_ANG))
@@ -81,11 +79,11 @@ class _Affine:
         return self.c + np.matmul(self.M, x[..., None])[..., 0]
 
 
-def _point(P: ConvexPolytope2, idx: np.ndarray, col: int, nv: int) -> _Affine:
-    """The points a + x[col] (b - a) on the facets [a, b] idx of P."""
-    base = P.vertices[idx]
-    M = np.zeros((len(idx), 2, nv))
-    M[:, :, col] = P.vertices[(idx + 1) % P.n] - base
+def _point(P: ConvexPolytope2, faces: np.ndarray, col: int, nv: int) -> _Affine:
+    """The points a + x[col] (b - a) on the facets [a, b] of face ids faces."""
+    base, end = P.face_table.ends[faces].transpose(1, 0, 2)
+    M = np.zeros((len(faces), 2, nv))
+    M[:, :, col] = end - base
     return _Affine(base, M)
 
 
@@ -131,25 +129,22 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
                   objective: Optional[np.ndarray] = None
                   ) -> List[Optional[BilliardPair]]:
     """The certified pair, or None, of each face tuple: tuples is (N, 4),
-    the faces f1, f2, g1, g2 as indices into all_faces of K and of T, all
-    decided and certified as stacks (see the module docstring)."""
-    sizes = np.array([K.n, K.n, T.n, T.n])
+    the face ids f1, f2 of K and g1, g2 of T, all decided and certified as
+    stacks (see the module docstring)."""
     tuples = np.asarray(tuples, int).reshape(-1, 4)
-    edge, idx = tuples >= sizes, tuples % sizes
+    k_faces, t_faces = tuples[:, :2], tuples[:, 2:]
+    # the point a + t (b - a) on each face (b = a at a vertex) and its normal cone
+    base, end = np.concatenate([K.face_table.ends[k_faces], T.face_table.ends[t_faces]],
+                               1).transpose(2, 0, 1, 3)
+    step = end - base
+    first, last, edge = (np.concatenate(v, 1) for v in zip(*(
+        (*c.generators, c.is_ray) for c in (face_cones(K, k_faces), face_cones(T, t_faces)))))
     N = len(tuples)
     obj = np.zeros((N, 4))  # the objective's entry of each facet
     if objective is not None:
         if N != 1 or np.shape(objective) != (edge.sum(),):
             raise ValueError(f"objective must have {edge.sum()} entries for this tuple")
         obj[edge] = objective
-    bodies = (K, K, T, T)
-    # the point a + t d on each face (d = 0 at a vertex) and its normal cone
-    base = np.stack([P.vertices[i] for P, i in zip(bodies, idx.T)], 1)
-    step = np.stack([P.vertices[np.where(e, (i + 1) % P.n, i)]
-                     for P, e, i in zip(bodies, edge.T, idx.T)], 1) - base
-    first, last = (np.concatenate(g, 1) for g in zip(
-        face_cones(K, edge[:, :2], idx[:, :2]).generators,
-        face_cones(T, edge[:, 2:], idx[:, 2:]).generators))
 
     def cone(c, k=slice(None), s=slice(None)):  # the cones of faces c of sides s
         return NormalConeRep((first[k, c[s]], last[k, c[s]]), edge[k, c[s]])
@@ -171,10 +166,9 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]
     qp[k, b] += t * step[k, b]
-    faces = np.stack([idx, edge], -1)[keep]
     found = np.full(N, None, object)
     found[keep] = certified_pairs(K, T, qp[keep, :2], qp[keep, 2:],
-                                  faces[:, :2], faces[:, 2:])
+                                  k_faces[keep], t_faces[keep])
     return list(found)
 
 
@@ -188,9 +182,8 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     `objective` (one entry per facet) perturbs the otherwise zero objective
     of each side's LP, by the sum of the entries of the side's facets, and
     may pick another point of the same interval."""
-    ids = [f.index + (P.n if f.is_edge else 0)
-           for f, P in zip((f1, f2, g1, g2), (K, K, T, T))]
-    return _solve_tuples(K, T, np.array([ids]), objective)[0]
+    tuples = np.concatenate([face_array(K, [(f1, f2)]), face_array(T, [(g1, g2)])], 1)
+    return _solve_tuples(K, T, tuples, objective)[0]
 
 
 def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -202,8 +195,7 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if not (f1.is_edge and f2.is_edge):
         return pair
     q1, q2 = pair.q.vertices
-    a1, b1 = K.facet_segment(f1.index)
-    a2, b2 = K.facet_segment(f2.index)
+    (a1, b1), (a2, b2) = K.face_table.ends[face_array(K, [pair.k_faces])[0]]
     d1 = b1 - a1
     d2 = b2 - a2
     L1 = float(np.hypot(*d1))
@@ -224,7 +216,7 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
         return pair
     t = 0.5 * (lo + hi)
     [shifted] = certified_pairs(K, T, [[q1 + t * e1, q2 + t * e1]], [pair.p.vertices],
-                                face_array([pair.k_faces]), face_array([pair.t_faces]))
+                                face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
     return pair if shifted is None else shifted
 
 
@@ -232,14 +224,12 @@ def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
     """The antipodal face pairs (a, b) of P, whether a or b is a facet, and
     the screen's (pair, o, F): chord b - a (o = 0) or a - b in N_Q(F)."""
     pairs = _antipodal_pairs(P)
-    edge, idx = pairs >= P.n, pairs % P.n
-    a, b = P.vertices[idx], P.vertices[np.where(edge, (idx + 1) % P.n, idx)]
+    a, b = P.face_table.ends[pairs].transpose(2, 0, 1, 3)
     ends = np.stack([a - 1e-9 * (b - a), b], -2)
     v = ends[:, 1, :, None] - ends[:, 0, None]
-    v, free = np.stack([v, -v], 1)[:, :, None], edge.any(1)
-    cones = face_cones(Q, np.repeat([False, True], Q.n), np.tile(np.arange(Q.n), 2))
-    reach = cone_contains(cones, v[..., 0, 0, :])
-    reach[free] = _rows_reach(cones, v[free])
+    v, free = np.stack([v, -v], 1)[:, :, None], (pairs >= P.n).any(1)
+    reach = cone_contains(Q.face_table.cones, v[..., 0, 0, :])
+    reach[free] = _rows_reach(Q.face_table.cones, v[free])
     return pairs, free[:, None, None], reach
 
 

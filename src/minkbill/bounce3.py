@@ -17,8 +17,8 @@ the triples to verify.certified_pairs:
    farther than 2 tol (tol = 1e-7, the contact tolerance) from every facet
    line of T cannot touch, since find_faces places no point farther than
    tol from its face's line; these are dropped by their facet slacks, one
-   product with the normals of T, and the contact faces (index and on_edge
-   arrays) and the spanning test are decided for the placements left;
+   product with the normals of T, and the contact faces (face ids of T)
+   and the spanning test are decided for the placements left;
 3. for each surviving triple, with p fixed, the q-side is linear:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
@@ -45,8 +45,8 @@ import numpy as np
 from . import lp as lpmod
 from .bounce2 import _cycle_rows, _point, _rows_reach
 from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   angles, cross2, face_array, face_cones, face_tuples,
-                   find_faces, largest_gap)
+                   cross2, face_array, face_cones, face_tuples, find_faces,
+                   largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
@@ -89,7 +89,7 @@ def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     det = cross2(n2, n3)
     solvable = np.abs(det) > EPS_GEO
     det = np.where(solvable, det, 1.0)
-    ok = (solvable & (largest_gap(angles(K.normals)[tri]) < math.pi - EPS_ANG)
+    ok = (solvable & (largest_gap(K.face_table.angles[0, tri]) < math.pi - EPS_ANG)
           & (cross2(n1, n3) / det < -EPS_GEO) & (cross2(n2, n1) / det < -EPS_GEO))
     return tri[ok]
 
@@ -111,8 +111,7 @@ def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
 def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     """find_inbody as arrays: each triangle's reject reason ("" where it is
     placed), the LP's (lambda, u) (B, 3), the placed vertices (B, 3, 2) and
-    their contact faces of T as index and on_edge (B, 3), -1 and False
-    where find_faces did not run.
+    their contact face ids of T (B, 3), -1 where find_faces did not run.
 
     find_faces places a point only within tol of a vertex or an edge of T,
     and so within tol of that face's facet line (the unit normals make the
@@ -140,21 +139,18 @@ def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     tol = 1e-7
     slack = np.abs(verts @ T.normals.T - T.offsets).min(axis=2)  # (B, 3)
     swept = np.flatnonzero(solved & (slack <= 2 * tol).all(axis=1))
-    index, on_edge = np.full((B, 3), -1), np.zeros((B, 3), bool)
-    found, edge = find_faces(T, verts[swept], tol=tol)
-    index[swept], on_edge[swept] = found.reshape(-1, 3), edge.reshape(-1, 3)
-    placed = np.zeros(B, bool)
-    placed[swept] = (found >= 0).reshape(-1, 3).all(axis=1)
-    # the contact normals are normals of T: an edge contributes its own
-    # (twice, which leaves the gaps unchanged), a vertex those of its edges
-    ang, i, e = angles(T.normals), index[placed], on_edge[placed]
+    faces = np.full((B, 3), -1)
+    faces[swept] = find_faces(T, verts[swept], tol=tol).reshape(-1, 3)
+    placed = (faces >= 0).all(axis=1)
+    # the contact normals are the generators of the contact cones: an edge
+    # contributes its own twice, which leaves the gaps unchanged
     spanning = placed.copy()
-    spanning[placed] = largest_gap(np.concatenate(
-        [ang[np.where(e, i, i - 1)], ang[i]], axis=1)) < math.pi - EPS_ANG
+    spanning[placed] = largest_gap(T.face_table.angles[0, T.face_table.cone_index[
+        faces[placed]]].reshape(-1, 6)) < math.pi - EPS_ANG
     reason = np.select(
         [status == "numerical", ~solved, ~placed, ~spanning],
         ["numerical", "DegenerateLp", "NotOnBoundary", "HalfspaceViolation"], "")
-    return reason.astype(object), x, verts, index, on_edge
+    return reason.astype(object), x, verts, faces
 
 
 def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
@@ -163,17 +159,17 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
     scaled translate inside T, or why there is none.  The optimum must put
     all three vertices on the boundary with contact normals positively
     spanning; otherwise the triangle admits no valid placement."""
-    reason, x, verts, index, on_edge = _inbody_stack(triangles, T)
+    reason, x, verts, faces = _inbody_stack(triangles, T)
     return [NoInbody(reason[k]) if reason[k] else
-            Inbody(float(x[k, 0]), x[k, 1:], verts[k], faces)
-            for k, faces in enumerate(face_tuples(np.stack([index, on_edge], -1)))]
+            Inbody(float(x[k, 0]), x[k, 1:], verts[k], t_faces)
+            for k, t_faces in enumerate(face_tuples(T, faces))]
 
 
 def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
-               index: np.ndarray, on_edge: np.ndarray):
+               faces: np.ndarray):
     """The ends of the q-side family of each triple, q_r on facet
-    triples[k, r] of K and p_r touching T at face index[k, r] (an edge where
-    on_edge): the solutions minimizing and maximizing sum(t), (B, 3, 2)
+    triples[k, r] of K and p_r touching T at face id faces[k, r]: the
+    solutions minimizing and maximizing sum(t), (B, 3, 2)
     each, and each triple's reject reason ("" where it fits).  The row of a
     ray that pins an edge to its line is two opposite inequalities (a wedge
     gets a zero row in its place), so with the rows 0 <= t <= 1 every fit
@@ -181,9 +177,9 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     each starting from the bounds its objective pushes against."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
-    q = [_point(K, triples[:, r], r, 3) for r in range(3)]
+    q = [_point(K, K.n + triples[:, r], r, 3) for r in range(3)]
     rows = []
-    _cycle_rows(rows, q, [face_cones(T, on_edge[:, r], index[:, r]) for r in range(3)])
+    _cycle_rows(rows, q, [face_cones(T, faces[:, r]) for r in range(3)])
     coef, bound, ray = (np.stack(v, 1) for v in zip(*rows[::2]))
     eye = np.broadcast_to(np.eye(3), (B, 3, 3))
     A = np.concatenate([np.stack([r for r, _, _ in rows], 1),
@@ -206,37 +202,34 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     with q_{r+1} - q_r in the normal cone of T at t_faces[r] (see step 4 of
     the module docstring).  FitRejected if there are none, or with reason
     "numerical" if an LP runs out of steps."""
-    [low], [high], [reason] = _fit_stack(K, T, [triple],
-                                         *face_array([t_faces]).transpose(2, 0, 1))
+    [low], [high], [reason] = _fit_stack(K, T, [triple], face_array(T, [t_faces]))
     if reason:
         raise FitRejected(reason)
     return 0.5 * (low + high)
 
 
-def _chords_reach(K, T, triples, index, on_edge) -> np.ndarray:
+def _chords_reach(K, T, triples, faces) -> np.ndarray:
     """Whether each triple passes the prefilter of step 3."""
-    ends = np.stack([K.vertices[triples], K.vertices[(triples + 1) % K.n]], 2)
+    ends = K.face_table.ends[K.n + triples]
     v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]  # (B, 3, 2, 2, 2)
-    return _rows_reach(face_cones(T, on_edge, index), v).all(axis=1)
+    return _rows_reach(face_cones(T, faces), v).all(axis=1)
 
 
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
-                   p: np.ndarray, index: np.ndarray, on_edge: np.ndarray
-                   ) -> List[Optional[BilliardPair]]:
+                   p: np.ndarray, faces: np.ndarray) -> List[Optional[BilliardPair]]:
     """The certified pair, or None, of each facet triple whose inbody
-    placement has the vertices p (B, 3, 2), p_r touching T at face
-    index[k, r] (an edge where on_edge); the q-side fits of all of them are
-    one stack, and Face objects are built for the pairs that certify only."""
+    placement has the vertices p (B, 3, 2), p_r touching T at face id
+    faces[k, r]; the q-side fits of all of them are one stack, and Face
+    objects are built for the pairs that certify only."""
     triples = np.asarray(triples, int).reshape(-1, 3)
-    tried = np.flatnonzero(_chords_reach(K, T, triples, index, on_edge))
+    tried = np.flatnonzero(_chords_reach(K, T, triples, faces))
     found = np.full(len(triples), None, object)
     if tried.size:  # no fit stage when the prefilter keeps no triple
-        low, high, reason = _fit_stack(K, T, triples[tried], index[tried], on_edge[tried])
+        low, high, reason = _fit_stack(K, T, triples[tried], faces[tried])
         fits = tried[reason == ""]
         found[fits] = certified_pairs(
             K, T, 0.5 * (low + high)[reason == ""], p[fits],  # the centre, as fit_to_k
-            np.stack([triples[fits], np.ones_like(triples[fits])], -1),
-            np.stack([index[fits], on_edge[fits]], -1))
+            K.n + triples[fits], faces[fits])
     return list(found)
 
 
@@ -245,11 +238,11 @@ def search_three_bounce(K: ConvexPolytope2,
     """All certified regular 3-bounce pairs over the facet triples of K that
     pass the spanning test."""
     triples = spanning_triples(K)
-    reason, _, verts, index, on_edge = _inbody_stack(gamma_triangles(K, triples), T)
+    reason, _, verts, faces = _inbody_stack(gamma_triangles(K, triples), T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple
     found = _solve_triples(K, T, triples[ok], *(
-        np.roll(v[ok], -1, axis=1) for v in (verts, index, on_edge)))
+        np.roll(v[ok], -1, axis=1) for v in (verts, faces)))
     return sort_pairs(dedupe([pair for pair in found if pair is not None]))
 
 
@@ -259,7 +252,6 @@ def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
     """The certified pair, if any, of a facet triple whose dual triangle
     has the inbody placement `inbody` in T (the search's pipeline on a
     batch of one)."""
-    t_faces = face_array([inbody.t_faces[1:] + inbody.t_faces[:1]])
     [pair] = _solve_triples(K, T, [triple], np.roll(inbody.vertices, -1, 0)[None],
-                            *t_faces.transpose(2, 0, 1))
+                            face_array(T, [inbody.t_faces[1:] + inbody.t_faces[:1]]))
     return [] if pair is None else [pair]

@@ -85,7 +85,7 @@ def _points(obj, what: str) -> np.ndarray:
 
 
 def _candidate(cand, what: str):
-    """q, p and length of a report candidate, its entries' types checked."""
+    """q, p and length of a report candidate, its entries' types and counts checked."""
     if not isinstance(cand, dict):
         raise InvalidInput(f"{what} is not an object")
     if not all(isinstance(cand[key], list) for key in ("k_faces", "t_faces")):
@@ -93,8 +93,10 @@ def _candidate(cand, what: str):
     length = cand["length"]
     if isinstance(length, bool) or not isinstance(length, (int, float)):
         raise InvalidInput(f"{what} has a length that is not a number")
-    return (_points(cand["q"], f"{what} q"), _points(cand["p"], f"{what} p"),
-            length)
+    q, p = _points(cand["q"], f"{what} q"), _points(cand["p"], f"{what} p")
+    if [len(q), len(p), len(cand["k_faces"]), len(cand["t_faces"])] != [cand["m"]] * 4:
+        raise InvalidInput(f"{what}: q, p, k_faces and t_faces do not all have m entries")
+    return q, p, length
 
 
 def _load_report(path: str) -> dict:

@@ -8,14 +8,17 @@ callers need different values.
 
 Conventions: polytopes are given by their vertices in counterclockwise
 order; facet ``i`` joins vertex ``i`` to vertex ``i+1`` and its outer unit
-normal is the clockwise quarter-turn of the edge direction.
+normal is the clockwise quarter-turn of the edge direction.  Array code
+names a face by its id, vertex ``i`` as ``i`` and edge ``i`` as ``n + i``
+(all_faces order), and reads each body's FaceTable, built once per body.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -122,11 +125,18 @@ class ConvexPolytope2:
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    def edge_vector(self, i: int) -> np.ndarray:
-        return self.vertices[(i + 1) % self.n] - self.vertices[i]
-
-    def facet_segment(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self.vertices[i], self.vertices[(i + 1) % self.n]
+    @cached_property
+    def face_table(self) -> "FaceTable":
+        """The FaceTable of P, derived from its fields on first use."""
+        i, edge = np.arange(2 * self.n) % self.n, np.arange(2 * self.n) >= self.n
+        ends = self.vertices[np.stack([i, np.where(edge, i + 1, i) % self.n], 1)]
+        cone_index = np.stack([np.where(edge, i, i - 1) % self.n, i], 1)
+        cones = NormalConeRep(tuple(self.normals[cone_index.T]), edge)
+        table = FaceTable(ends, cone_index, cones,
+                          np.stack([angles(self.normals), angles(-self.normals)]))
+        for arr in (ends, cone_index, *cones.generators, edge, table.angles):
+            arr.setflags(write=False)
+        return table
 
     def origin_interior_margin(self) -> float:
         return float(self.offsets.min())
@@ -184,34 +194,43 @@ class Face:
 
 
 def all_faces(P: ConvexPolytope2) -> List[Face]:
+    """The faces of P in face-id order."""
     return [Face.vertex(i) for i in range(P.n)] + [Face.edge(i) for i in range(P.n)]
 
 
-def face_array(tuples: Sequence[Sequence[Face]]) -> np.ndarray:
-    """B >= 1 Face tuples of one length m as (index, is_edge) rows (B, m, 2)."""
-    return np.array([[(f.index, f.is_edge) for f in faces] for faces in tuples], int)
+class FaceTable(NamedTuple):
+    """The faces of a polygon by face id, read-only."""
+
+    ends: np.ndarray          # (2n, 2, 2) segment [a, b] of each face; b = a at a vertex
+    cone_index: np.ndarray    # (2n, 2) the normals spanning each normal cone, ccw
+    cones: "NormalConeRep"    # the normal cone of each face, generators (2n, 2)
+    angles: np.ndarray        # (2, n) polar angles of the normals and of their negatives
 
 
-def face_tuples(rows) -> List[Tuple[Face, ...]]:
-    """The Face tuples of (index, is_edge) rows (B, m, 2)."""
-    return [tuple(Face.edge(i) if e else Face.vertex(i) for i, e in row)
-            for row in np.asarray(rows).tolist()]
+def face_array(P: ConvexPolytope2, tuples: Sequence[Sequence[Face]]) -> np.ndarray:
+    """B >= 1 Face tuples of one length m as face ids (B, m)."""
+    return np.array([[f.index + P.n * f.is_edge for f in faces] for faces in tuples], int)
 
 
-def face_distances(P: ConvexPolytope2, is_edge, idx, X):
-    """Distance of each X[k] to face idx[k] of P (a vertex is a segment of
+def face_tuples(P: ConvexPolytope2, ids) -> List[Tuple[Face, ...]]:
+    """The Face tuples of face ids (B, m)."""
+    return [tuple(Face.edge(f - P.n) if f >= P.n else Face.vertex(f) for f in row)
+            for row in np.asarray(ids).tolist()]
+
+
+def face_distances(P: ConvexPolytope2, faces, X):
+    """Distance of each X[k] to face faces[k] of P (a vertex is a segment of
     length 0)."""
-    return segment_distance(P.vertices[idx], P.vertices[(idx + is_edge) % P.n], X)
+    return segment_distance(*np.moveaxis(P.face_table.ends[faces], -2, 0), X)
 
 
-def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """find_face for every row of X at once: the face indices, -1 for a
-    point not on the boundary, and whether each face is an edge.  Every
-    array is (len(X), P.n), one coordinate at a time."""
+def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO) -> np.ndarray:
+    """The face id of find_face for every row of X at once, -1 for a point
+    not on the boundary.  Every array is (len(X), P.n), one coordinate at a
+    time."""
     X = np.asarray(X, float).reshape(-1, 2)
     x, y = X[:, :1], X[:, 1:]
-    (ax, ay), (ex, ey) = P.vertices.T, (np.roll(P.vertices, -1, axis=0) - P.vertices).T
+    (ax, ay), (ex, ey) = P.vertices.T, (P.face_table.ends[P.n:, 1] - P.vertices).T
     dx, dy = ax - x, ay - y
     d = np.hypot(dx, dy)
     near = np.argmin(d, axis=1)
@@ -219,17 +238,16 @@ def find_faces(P: ConvexPolytope2, X, tol: float = EPS_GEO
     t = np.clip(-(dx * ex + dy * ey) / (ex * ex + ey * ey), 0.0, 1.0)
     hits = np.hypot(ax + t * ex - x, ay + t * ey - y) <= tol
     on_edge = ~at_vertex & hits.any(axis=1)
-    index = np.where(at_vertex, near, np.where(on_edge, hits.argmax(axis=1), -1))
-    return index, on_edge
+    return np.where(at_vertex, near, np.where(on_edge, P.n + hits.argmax(axis=1), -1))
 
 
 def find_face(P: ConvexPolytope2, x, tol: float = EPS_GEO) -> Face:
     """Smallest face of P containing x (vertices win over edges, then the
     first edge within tol)."""
-    (index,), (on_edge,) = find_faces(P, x, tol)
-    if index < 0:
+    faces = find_faces(P, x, tol)
+    if faces[0] < 0:
         raise GeometryError("point is not on the boundary of the polytope")
-    return Face.edge(int(index)) if on_edge else Face.vertex(int(index))
+    return face_tuples(P, [faces])[0][0]
 
 
 @dataclass(frozen=True)
@@ -251,15 +269,15 @@ class NormalConeRep:
         return NormalConeRep(tuple(-g for g in self.generators), self.is_ray)
 
 
-def face_cones(P: ConvexPolytope2, is_edge, idx) -> NormalConeRep:
-    """Normal cones of P at faces idx (a stack for an array idx and is_edge):
-    rays where is_edge, wedges elsewhere."""
-    return NormalConeRep((P.normals[np.where(is_edge, idx, idx - 1)], P.normals[idx]),
-                         np.asarray(is_edge, bool)[()])
+def face_cones(P: ConvexPolytope2, faces) -> NormalConeRep:
+    """Normal cones of P at face ids faces (a stack for an array): rays at
+    edges, wedges at vertices."""
+    cones = P.face_table.cones
+    return NormalConeRep(tuple(g[faces] for g in cones.generators), cones.is_ray[faces])
 
 
 def normal_cone(P: ConvexPolytope2, f: Face) -> NormalConeRep:
-    return face_cones(P, f.is_edge, f.index)
+    return face_cones(P, face_array(P, [[f]])[0, 0])
 
 
 def cone_contains(cone: NormalConeRep, v, tol: float = EPS_GEO):
@@ -299,11 +317,9 @@ def polar(T: ConvexPolytope2) -> ConvexPolytope2:
     """T degrees = {x : <x, v> <= 1 for all v in T}; needs 0 in the interior."""
     if T.origin_interior_margin() <= EPS_GEO:
         raise OriginNotInterior("polar body requires the origin strictly inside")
-    v = T.vertices
-    w = np.empty_like(v)
-    for i in range(T.n):
-        a, b = v[i], v[(i + 1) % T.n]
-        w[i] = np.linalg.solve(np.array([a, b]), np.ones(2))
+    w = np.empty_like(T.vertices)
+    for i, ab in enumerate(T.face_table.ends[T.n:]):
+        w[i] = np.linalg.solve(ab, np.ones(2))
     area2 = np.sum(w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1])
     if area2 < 0:
         w = w[::-1]
@@ -407,7 +423,7 @@ def in_f(K: ConvexPolytope2, points):
     EPS_GEO), i.e. iff no angular gap between them exceeds pi (HULL_GAP)."""
     pts = np.asarray(points, float)
     touched = K.offsets - (pts @ K.normals.T).max(axis=-2) <= EPS_GEO
-    return largest_gap(angles(K.normals), touched) <= HULL_GAP
+    return largest_gap(K.face_table.angles[0], touched) <= HULL_GAP
 
 
 def convex_hull(points) -> np.ndarray:

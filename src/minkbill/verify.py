@@ -2,8 +2,8 @@
 grid-based brute-force oracle.
 
 Nothing here reuses intermediate data from the searches or solves an LP; a
-certificate is recomputed from the raw vertices so that a bug in an LP
-formulation or in the solver cannot silently certify itself.
+certificate is recomputed from the raw vertices and their face tables, so
+that a bug in an LP formulation or in the solver cannot certify itself.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   GeometryError, angles, cone_distance, degenerate, dot2,
-                   face_array, face_cones, face_distances, face_tuples, in_f,
-                   largest_gap, support_many, unit)
+                   GeometryError, cone_distance, degenerate, dot2, face_array,
+                   face_cones, face_distances, face_tuples, in_f, largest_gap,
+                   support_many, unit)
 from .pairs import BilliardPair, edge_lengths
 
 
@@ -52,15 +52,14 @@ def _certifies(system, face, length, dual, in_f_k, in_f_t):
 
 def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
     """The lambdas, mus and ell_T lengths (edge_lengths) and the Certificate
-    fields of each row of a stack: q and p (B, m, 2), and the face of each
-    vertex as (index, is_edge) rows k_faces and t_faces (B, m, 2)."""
+    fields of each row of a stack: q and p (B, m, 2), and the face id of
+    each vertex, k_faces of K and t_faces of T (B, m)."""
     dq, dp, *lengths = edge_lengths(T, q, p)
     ell = lengths[-1]
     kn = np.roll(k_faces, -1, axis=1)  # the face of K at the next bounce
-    sys_res = np.maximum(cone_distance(face_cones(T, t_faces[..., 1], t_faces[..., 0]), dq),
-                         cone_distance(face_cones(K, kn[..., 1], kn[..., 0]), -dp))
-    face_res = np.maximum(face_distances(K, k_faces[..., 1], k_faces[..., 0], q),
-                          face_distances(T, t_faces[..., 1], t_faces[..., 0], p))
+    sys_res = np.maximum(cone_distance(face_cones(T, t_faces), dq),
+                         cone_distance(face_cones(K, kn), -dp))
+    face_res = np.maximum(face_distances(K, k_faces, q), face_distances(T, t_faces, p))
     dual = support_many(K, -dp).sum(axis=1)  # h_{-K}(v) = h_K(-v)
     return lengths, (sys_res.max(axis=1), face_res.max(axis=1),
                      np.abs(ell - dot2(dq, p).sum(axis=1)), np.abs(ell - dual),
@@ -70,7 +69,7 @@ def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
 def certify(K: ConvexPolytope2, T: ConvexPolytope2,
             pair: BilliardPair) -> Certificate:
     _, fields = _checks(K, T, pair.q.vertices[None], pair.p.vertices[None],
-                        face_array([pair.k_faces]), face_array([pair.t_faces]))
+                        face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
     return Certificate(*(v.tolist()[0] for v in fields))
 
 
@@ -91,7 +90,7 @@ def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
     q.setflags(write=False)
     p.setflags(write=False)
     for j, kf, tf, lam, mu, length, *cert in zip(
-            ok.tolist(), face_tuples(k_faces[ok]), face_tuples(t_faces[ok]),
+            ok.tolist(), face_tuples(K, k_faces[ok]), face_tuples(T, t_faces[ok]),
             *(v[ok].tolist() for v in (lambdas, mus, ell, *fields))):
         found[rows[j]] = BilliardPair(ClosedCurve(q[j]), ClosedCurve(p[j]), kf, tf,
                                       tuple(lam), tuple(mu), length, Certificate(*cert))
@@ -137,9 +136,9 @@ def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
     bitmask of the facets it lies on."""
     if grid_per_facet < 1:
         raise ValueError(f"grid_per_facet must be at least 1, got {grid_per_facet}")
-    a = K.vertices
+    a, b = K.face_table.ends[K.n:].transpose(1, 0, 2)
     t = np.arange(grid_per_facet) / grid_per_facet
-    pts = a[:, None] + t[:, None] * (np.roll(a, -1, axis=0) - a)[:, None]
+    pts = a[:, None] + t[:, None] * (b - a)[:, None]
     pts[:, 0] = a
     bit = 1 << np.arange(K.n, dtype=np.int64)
     masks = np.repeat(bit[:, None], grid_per_facet, axis=1)
@@ -150,19 +149,19 @@ def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
 def _subset_immovable_table(K: ConvexPolytope2) -> np.ndarray:
     """ok[mask] == True iff 0 lies in the convex hull of the facet normals
     selected by mask: for points on the boundary, the criterion of in_f."""
-    return _immovable_table(K.normals.tobytes())
+    return _immovable_table(K.face_table.angles[0].tobytes())
 
 
 # bounded, so a process meeting many bodies keeps at most 64 tables of up to
 # 2**16 entries; read-only, since every caller shares the cached array
 @functools.lru_cache(maxsize=64)
-def _immovable_table(normals: bytes) -> np.ndarray:
-    normals = np.frombuffer(normals).reshape(-1, 2)
-    n = normals.shape[0]
+def _immovable_table(angles: bytes) -> np.ndarray:
+    angles = np.frombuffer(angles)
+    n = len(angles)
     if n > 16:
         raise GeometryError("brute-force oracle supports at most 16 facets")
     sel = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
-    tab = largest_gap(angles(normals), sel) <= HULL_GAP
+    tab = largest_gap(angles, sel) <= HULL_GAP
     tab.setflags(write=False)
     return tab
 

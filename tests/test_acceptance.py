@@ -162,7 +162,7 @@ def test_criterion_08_oracle_sandwich():
         alg = min(p.length for p in
                   search_two_bounce(K, T) + search_three_bounce(K, T))
         brute = min(brute_force_min(K, T, grid))
-        h = max(np.hypot(*K.edge_vector(i)) for i in range(K.n)) / grid
+        h = max(np.hypot(*(b - a)) for a, b in K.face_table.ends[K.n:]) / grid
         R = float(np.hypot(*T.vertices.T).max())
         C = 12.0 * R  # 2 vertices moved per edge, 3 edges, Lipschitz R each
         worst_gap = max(worst_gap, abs(alg - brute) / (C * h))

@@ -89,7 +89,7 @@ def test_prefer_smooth_interior_bounce():
     for pair in search_two_bounce(SQUARE, SQUARE):
         if all(f.is_edge for f in pair.k_faces):
             for j, f in enumerate(pair.k_faces):
-                a, b = SQUARE.facet_segment(f.index)
+                a, b = SQUARE.face_table.ends[SQUARE.n + f.index]
                 d = b - a
                 t = float((pair.q.vertices[j] - a) @ d / (d @ d))
                 assert 1e-4 < t < 1 - 1e-4
@@ -181,10 +181,10 @@ def test_declared_faces_contain_vertices(rng):
         for j in range(2):
             f = find_face(K, pair.q.vertices[j], tol=1e-7)
             # the declared face need not be minimal, but must contain the point
-            from minkbill.geom import face_distances
+            from minkbill.geom import face_array, face_distances
             f, g = pair.k_faces[j], pair.t_faces[j]
-            assert face_distances(K, f.is_edge, f.index, pair.q.vertices[j]) < 1e-7
-            assert face_distances(T, g.is_edge, g.index, pair.p.vertices[j]) < 1e-7
+            assert face_distances(K, face_array(K, [[f]]), pair.q.vertices[j]) < 1e-7
+            assert face_distances(T, face_array(T, [[g]]), pair.p.vertices[j]) < 1e-7
 
 
 def test_search_solves_no_simplex(monkeypatch):
@@ -270,7 +270,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
     g_fixed = not (g1.is_edge or g2.is_edge)
     ends = []
     for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
-        a, b = P.facet_segment(f.index)
+        a, b = P.face_table.ends[P.n + f.index]
         ends.append((a, b - a if f.is_edge else None))
     if f_fixed and g_fixed:
         dq = ends[1][0] - ends[0][0]
@@ -446,7 +446,7 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
     g_fixed = not (g1.is_edge or g2.is_edge)
     ends = []
     for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
-        a, b = P.facet_segment(f.index)
+        a, b = P.face_table.ends[P.n + f.index]
         ends.append((a, b - a if f.is_edge else None))
     if f_fixed and g_fixed:
         dq = ends[1][0] - ends[0][0]
@@ -553,7 +553,7 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
         return prefer_smooth(K, T, pair)
 
     def logged_pairs(K, T, q, p, k_faces, t_faces):
-        feasible.append(list(zip(face_tuples(k_faces), face_tuples(t_faces))))
+        feasible.append(list(zip(face_tuples(K, k_faces), face_tuples(T, t_faces))))
         return certified_pairs(K, T, q, p, k_faces, t_faces)
 
     def logged_pair(K, T, q, p, k_faces, t_faces, make_one=make_pair):

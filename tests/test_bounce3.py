@@ -61,14 +61,12 @@ def _inbodies(K, T):
 
 def _survivors(K, T):
     """The spanning triples of K whose inbody placement in T stands, with
-    p (B, 3, 2) and the contact faces as index and on_edge (B, 3), p_r being
-    the vertex fed by facet r + 1: what search_three_bounce fits."""
+    p (B, 3, 2) and the contact face ids of T (B, 3), p_r being the vertex
+    fed by facet r + 1: what search_three_bounce fits."""
     triples = spanning_triples(K)
-    reason, _, verts, index, on_edge = bounce3._inbody_stack(
-        gamma_triangles(K, triples), T)
+    reason, _, verts, faces = bounce3._inbody_stack(gamma_triangles(K, triples), T)
     ok = reason == ""
-    return (triples[ok],) + tuple(np.roll(v[ok], -1, axis=1)
-                                  for v in (verts, index, on_edge))
+    return (triples[ok],) + tuple(np.roll(v[ok], -1, axis=1) for v in (verts, faces))
 
 
 def _generator_triples(n):
@@ -139,7 +137,7 @@ def test_fit_rejects_off_facet():
     t_faces = (Face.edge(1), Face.edge(2), Face.edge(0))
     q = fit_to_k(needle, T, (0, 1, 2), t_faces)
     for r in range(3):
-        assert face_distances(needle, True, r, q[r]) < 1e-9
+        assert face_distances(needle, needle.n + r, q[r]) < 1e-9
         dq, n = q[(r + 1) % 3] - q[r], T.normals[t_faces[r].index]
         assert abs(dq[0] * n[1] - dq[1] * n[0]) < 1e-9 and dq @ n > 0
 
@@ -173,8 +171,8 @@ def test_same_faces_same_length(rng):
                                   int(rng.integers(3, 7))) for _ in range(40)]
     families = 0
     for K, T in instances:
-        triples, _, index, on_edge = _survivors(K, T)
-        low, high, reason = bounce3._fit_stack(K, T, triples, index, on_edge)
+        triples, _, faces = _survivors(K, T)
+        low, high, reason = bounce3._fit_stack(K, T, triples, faces)
         for lo, hi in zip(low[reason == ""], high[reason == ""]):
             length = [support_many(T, np.roll(q, -1, axis=0) - q).sum()
                       for q in (lo, hi)]
@@ -189,10 +187,10 @@ def test_fit_numerical_failure_is_a_reject(monkeypatch):
     fail, and the others keep their reasons and ends bit for bit.  A stack
     of one (fit_to_k, solve_facet_triple) of a failing triple rejects it."""
     K, T = random_instance(np.random.default_rng(0), 6, 7)
-    triples, _, index, on_edge = _survivors(K, T)
-    clean = bounce3._fit_stack(K, T, triples, index, on_edge)
+    triples, _, faces = _survivors(K, T)
+    clean = bounce3._fit_stack(K, T, triples, faces)
     monkeypatch.setattr(lpmod, "_DUAL_STEPS", 4)
-    low, high, reason = bounce3._fit_stack(K, T, triples, index, on_edge)
+    low, high, reason = bounce3._fit_stack(K, T, triples, faces)
     failed = reason == "numerical"
     assert 0 < failed.sum() < len(reason)
     for k in np.flatnonzero(~failed):
@@ -203,8 +201,7 @@ def test_fit_numerical_failure_is_a_reject(monkeypatch):
     # a triple that fits under the full budget, and not under this one
     k = np.flatnonzero(failed & (clean[2] == ""))[0]
     triple = tuple(triples[k].tolist())
-    t_faces = tuple(Face.edge(i) if e else Face.vertex(i)
-                    for i, e in zip(index[k].tolist(), on_edge[k].tolist()))
+    [t_faces] = face_tuples(T, faces[k:k + 1])
     [ib] = find_inbody(gamma_triangles(K, [triple]), T)
     assert ib.t_faces[1:] + ib.t_faces[:1] == t_faces
     with pytest.raises(FitRejected) as err:
@@ -420,7 +417,7 @@ def _sampled_fan_pairs(K, T, triple, samples=8):
         q = mu * xi + np.array([e1, e2])
         on_facets = True
         for r, fi in enumerate(triple):
-            a, b = K.facet_segment(fi)
+            a, b = K.face_table.ends[K.n + fi]
             t = float((q[r] - a) @ (b - a)) / float((b - a) @ (b - a))
             on_facets &= -1e-9 <= t <= 1 + 1e-9
         if on_facets:
@@ -460,7 +457,7 @@ def _fit_rows(K, T, triple, t_faces):
     reference, (coefficients, bound, is_equality), two per contact."""
     q = []
     for r, fi in enumerate(triple):
-        a, b = K.facet_segment(fi)
+        a, b = K.face_table.ends[K.n + fi]
         M = np.zeros((2, 3))
         M[:, r] = b - a
         q.append(_Affine(a, M))
@@ -643,11 +640,10 @@ def test_stacked_fit_matches_per_triple_fit(rng):
     or the reject reason of the per-triple fit."""
     fits = rejects = 0
     for K, T in _search_instances(rng):
-        triples, _, index, on_edge = _survivors(K, T)
-        low, high, reason = bounce3._fit_stack(K, T, triples, index, on_edge)
-        for r, triple in enumerate(map(tuple, triples.tolist())):
-            t_faces = tuple(Face.edge(i) if e else Face.vertex(i) for i, e
-                            in zip(index[r].tolist(), on_edge[r].tolist()))
+        triples, _, faces = _survivors(K, T)
+        low, high, reason = bounce3._fit_stack(K, T, triples, faces)
+        for r, (triple, t_faces) in enumerate(zip(map(tuple, triples.tolist()),
+                                                  face_tuples(T, faces))):
             try:
                 want = _reference_fit_family(K, T, triple, t_faces)
             except FitRejected as err:
@@ -676,13 +672,11 @@ def _dual_outcomes(K, T):
     reason, lambda, placed vertices, contact faces, and fit reason (None
     where no fit)."""
     triples = spanning_triples(K)
-    reason, x, verts, index, on_edge = bounce3._inbody_stack(
-        gamma_triangles(K, triples), T)
+    reason, x, verts, faces = bounce3._inbody_stack(gamma_triangles(K, triples), T)
     ok = reason == ""
     fit = np.full(len(triples), None, object)
-    fit[ok] = bounce3._fit_stack(K, T, triples[ok], np.roll(index[ok], -1, 1),
-                                 np.roll(on_edge[ok], -1, 1))[2]
-    return reason, x[:, 0], verts, face_tuples(np.stack([index, on_edge], -1)), fit
+    fit[ok] = bounce3._fit_stack(K, T, triples[ok], np.roll(faces[ok], -1, 1))[2]
+    return reason, x[:, 0], verts, face_tuples(T, faces), fit
 
 
 def _same_decisions(K, T):
@@ -791,7 +785,8 @@ def test_inbody_numerical_failure_rejects_one_member(monkeypatch):
 
 def _reference_inbody_stack(triangles, T):
     """_inbody_stack as it was before the facet-slack screen: find_faces (as
-    it was then) and the spanning test run on every member of the stack."""
+    it was then) and the spanning test run on every member of the stack,
+    the contact faces as index and on_edge arrays."""
     tri = np.asarray(triangles, float).reshape(-1, 3, 2)
     B, m = len(tri), T.n
     rows = np.zeros((B, m + 1, 3))
@@ -846,16 +841,16 @@ def test_inbody_screen_matches_reference(rng):
     members = swept = placed = 0
     for K, T in _screen_instances(rng):
         triangles = gamma_triangles(K, spanning_triples(K))
-        reason, x, verts, index, on_edge = bounce3._inbody_stack(triangles, T)
+        reason, x, verts, faces = bounce3._inbody_stack(triangles, T)
         ref = _reference_inbody_stack(triangles, T)
         assert reason.tolist() == ref[0].tolist()
         assert x.tobytes() == ref[1].tobytes()
         assert verts.tobytes() == ref[2].tobytes()
         ok = reason == ""
-        assert np.array_equal(index[ok], ref[3][ok])
-        assert np.array_equal(on_edge[ok], ref[4][ok])
+        assert np.array_equal(faces[ok] % T.n, ref[3][ok])
+        assert np.array_equal(faces[ok] >= T.n, ref[4][ok])
         members += len(reason)
-        swept += int((index[:, 0] >= 0).sum())
+        swept += int((faces[:, 0] >= 0).sum())
         placed += int(ok.sum())
     assert placed >= 3000 and swept < members // 2
 
@@ -886,8 +881,8 @@ def test_find_faces_places_only_near_a_facet_line(case):
     """What the screen relies on: a point that find_faces places with
     tol = 1e-7 is within 2 tol of some facet line of T."""
     T, x = case
-    (index,), _ = find_faces(T, x, tol=1e-7)
-    if index >= 0:
+    (face,) = find_faces(T, x, tol=1e-7)
+    if face >= 0:
         assert np.abs(T.normals @ x - T.offsets).min() <= 2e-7
 
 

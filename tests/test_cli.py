@@ -88,6 +88,15 @@ def _entry(index, key, value):
     return edit
 
 
+def _cut(key):
+    """The edit cutting entry key of the first 3-bounce candidate to one item."""
+    def edit(rep):
+        cand = next(c for c in rep["candidates"] if c["m"] == 3)
+        cand[key] = cand[key][:1]
+        return rep
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _relabel("edge", "facet"), _relabel("edge", "bogus"),
     _relabel("vertex", "bogus"), _out_of_range,
@@ -99,10 +108,13 @@ def _entry(index, key, value):
     _entry(0, "p", [["0", "1"], ["2", "3"]]),
     _entry(0, "length", "4.0"),
     _entry(0, "k_faces", 3),
+    _cut("k_faces"), _cut("t_faces"), _cut("q"), _cut("p"),
+    _entry(0, "m", 4), _entry(0, "m", "2"),
 ], ids=["edge-as-facet", "edge-as-bogus", "vertex-as-bogus",
         "index-out-of-range", "no-candidates", "top-level-list",
         "candidate-not-object", "candidates-not-list", "ragged-q",
-        "string-coordinates", "string-length", "faces-not-list"])
+        "string-coordinates", "string-length", "faces-not-list",
+        "one-k-face", "one-t-face", "one-q", "one-p", "m-not-count", "m-string"])
 def test_verify_rejects_malformed_faces(tmp_path, capsys, edit):
     """A report whose faces are not faces of K and T, that lacks an entry,
     or whose entries have the wrong JSON types, is invalid input: exit 2

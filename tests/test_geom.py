@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
-from minkbill.fixtures import regular_ngon
+from minkbill.fixtures import fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
                            Face, GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance,
                            convex_hull, ell_length, face_cones, face_distances,
-                           find_face, find_faces, gauge, in_f, largest_gap,
+                           face_array, face_tuples, find_face, find_faces,
+                           gauge, in_f, largest_gap,
                            normal_cone,
                            polar, positively_spans, rotation, segment_distance,
                            support, unit)
@@ -165,18 +168,19 @@ def _reference_cone_contains(cone, v, tol: float = EPS_GEO) -> bool:
                          ids=["random3", "random5", "random9", "regular3",
                               "regular4", "regular8", "regular256"])
 def test_stacked_cone_contains_matches_scalar_reference(P):
-    """cone_contains on the stack face_cones(P, is_edge, idx) answers, per
+    """cone_contains on the stack face_cones(P, faces) answers, per
     cone, what the scalar reference answers on normal_cone of that face:
     for random vectors, vectors on a generator, the reverse of the first
     generator (for a ray: on its line but outside) and the zero vector."""
     rng = np.random.default_rng(P.n)
     n = P.n
     for kind in ("vertex", "edge"):
-        g = face_cones(P, kind == "edge", np.arange(n)).generators
+        shift = n * (kind == "edge")  # face id of index 0 of this kind
+        g = face_cones(P, shift + np.arange(n)).generators
         V = np.concatenate([rng.normal(size=(4 * n, 2)), 2.5 * g[0],
                             0.3 * g[-1], -g[0], np.zeros((n, 2))])
         idx = np.arange(len(V)) % n
-        got = cone_contains(face_cones(P, kind == "edge", idx), V)
+        got = cone_contains(face_cones(P, shift + idx), V)
         cones = [normal_cone(P, Face(kind, int(i))) for i in idx]
         want = [_reference_cone_contains(c, v) for c, v in zip(cones, V)]
         assert got.shape == (len(V),) and got.tolist() == want
@@ -263,7 +267,7 @@ def _boundary_set(K, rng, k, slack=0.0):
     n = K.normals
     pts = []
     for i in rng.integers(K.n, size=k):
-        a, b = K.facet_segment(i)
+        a, b = K.face_table.ends[K.n + i]
         if rng.random() < 0.3:
             pts.append(a - slack * (n[i - 1] + n[i]) / (1 + n[i - 1] @ n[i]))
         else:
@@ -276,7 +280,7 @@ def _strips():
     normal gap of pi, up to rounding on either side."""
     hexagon = regular_ngon(6)
     tilted = ConvexPolytope2.from_vertices(SQUARE.vertices @ rotation(0.3).T)
-    return [(P, np.array([np.mean(P.facet_segment(i), axis=0) for i in facets]))
+    return [(P, np.array([np.mean(P.face_table.ends[P.n + i], axis=0) for i in facets]))
             for P, facets in ((SQUARE, (1, 3)),   # gap exactly pi
                               (hexagon, (0, 3)),  # pi + 1 ulp
                               (tilted, (0, 2)))]
@@ -406,7 +410,7 @@ def _find_face_per_edge(P, x, tol):
     if d[i] <= tol:
         return Face.vertex(i)
     for j in range(P.n):
-        if segment_distance(*P.facet_segment(j), x) <= tol:
+        if segment_distance(*P.face_table.ends[P.n + j], x) <= tol:
             return Face.edge(j)
     return None
 
@@ -418,7 +422,7 @@ def test_find_face_matches_per_edge_reference(P, tol):
     pts = [v + s * tol * rng.normal(size=2) / 2 for v in P.vertices
            for s in (0.0, 1.0)]
     for j in range(P.n):
-        a, b = P.facet_segment(j)
+        a, b = P.face_table.ends[P.n + j]
         on = a + rng.uniform(0.01, 0.99) * (b - a)
         pts += [on, on + 0.5 * tol * P.normals[j], on - 0.5 * tol * P.normals[j],
                 on + 2 * tol * P.normals[j],
@@ -470,19 +474,82 @@ def test_find_faces_matches_reference():
         X = (1.0 - t)[:, None] * P.vertices[i] + t[:, None] * P.vertices[(i + 1) % P.n]
         X += rng.normal(size=X.shape) * 10.0 ** rng.uniform(-9.0, -6.0, (60, 1))
         for tol in (EPS_GEO, 1e-7):
-            index, on_edge = find_faces(P, X.reshape(20, 3, 2), tol=tol)
-            want = _reference_find_faces(P, X, tol)
-            assert index.tolist() == want[0].tolist()
-            assert on_edge.tolist() == want[1].tolist()
-            kinds += [(index < 0).sum(), on_edge.sum(), (~on_edge & (index >= 0)).sum()]
+            faces = find_faces(P, X.reshape(20, 3, 2), tol=tol)
+            index, on_edge = _reference_find_faces(P, X, tol)
+            assert faces.tolist() == np.where(on_edge, P.n + index, index).tolist()
+            kinds += [(faces < 0).sum(), (faces >= P.n).sum(),
+                      ((faces >= 0) & (faces < P.n)).sum()]
     assert kinds.min() >= 1000
 
 
+def _table_bodies():
+    """The fixtures, the benchmark pools' bodies (read only), regular 3- to
+    256-gons, and random 3- to 25-gons scaled by powers of two in
+    2^-12..2^20 and translated, built without from_vertices (whose absolute
+    tolerances reject the small ones) from its normals and offsets."""
+    bodies = [P for name in fixture_names() for P in (load(name).K, load(name).T)]
+    for pool in ("grid", "oracle", "ngon"):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "pools" / f"{pool}.json"
+        with open(path) as fh:
+            bodies += [ConvexPolytope2.from_vertices(inst[key])
+                       for inst in json.load(fh)["instances"] for key in ("K", "T")]
+    bodies += [regular_ngon(n, phase=0.1 * n) for n in range(3, 257)]
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        P = random_polytope(rng, int(rng.integers(3, 26)))
+        v = 2.0 ** int(rng.integers(-12, 21)) * P.vertices + rng.uniform(-1e3, 1e3, 2)
+        bodies.append(ConvexPolytope2(v, P.normals, np.einsum("ij,ij->i", P.normals, v)))
+    return bodies
+
+
+def test_face_table_matches_per_call_formulas():
+    """Each face id's segment ends, cone generators and normal angles in the
+    face table equal, bit for bit, what the per-call formulas it replaces
+    computed from the vertices and normals; face ids round-trip through
+    face_array and face_tuples; find_faces gives the faces of the (index,
+    on_edge) reference as ids.  The table is read-only and stays out of repr."""
+    rng = np.random.default_rng(29)
+    kinds = np.zeros(3, int)
+    for P in _table_bodies():
+        n, table = P.n, P.face_table
+        ids = np.arange(2 * n)
+        idx, is_edge = ids % n, ids >= n
+        ends = np.stack([P.vertices[idx], P.vertices[(idx + is_edge) % n]], 1)
+        assert table.ends.tobytes() == ends.tobytes()
+        assert (table.ends[n:, 1] - table.ends[n:, 0]).tobytes() == (
+            np.roll(P.vertices, -1, axis=0) - P.vertices).tobytes()
+        first, last = table.cones.generators
+        assert first.tobytes() == P.normals[np.where(is_edge, idx, idx - 1)].tobytes()
+        assert last.tobytes() == P.normals[idx].tobytes()
+        assert table.cones.is_ray.tolist() == is_edge.tolist()
+        assert table.angles[0].tobytes() == angles(P.normals).tobytes()
+        for sign, gens in ((0, (first, last)), (1, (-first, -last))):
+            assert table.angles[sign, table.cone_index.T].tobytes() == np.stack(
+                [angles(g) for g in gens]).tobytes()
+        assert all(not a.flags.writeable for a in
+                   (table.ends, table.cone_index, first, last, table.angles))
+        assert P.face_table is table and "face_table" not in repr(P)
+
+        faces = face_array(P, [all_faces(P)])
+        assert faces.tolist() == [ids.tolist()]
+        assert face_tuples(P, faces) == [tuple(all_faces(P))]
+        i, t = rng.integers(0, n, 30), rng.random(30)
+        t[:10] = 0.0
+        X = (1.0 - t)[:, None] * P.vertices[i] + t[:, None] * P.vertices[(i + 1) % n]
+        X += rng.normal(size=X.shape) * 10.0 ** rng.uniform(-9.0, -6.0, (30, 1))
+        for tol in (EPS_GEO, 1e-7):
+            got = find_faces(P, X, tol=tol)
+            index, on_edge = _reference_find_faces(P, X, tol)
+            assert got.tolist() == np.where(on_edge, n + index, index).tolist()
+            kinds += [(got < 0).sum(), (got >= n).sum(), ((got >= 0) & (got < n)).sum()]
+    assert kinds.min() >= 500
+
+
 def test_face_distance():
-    assert face_distances(SQUARE, True, 0, (1, 0.5)) == 0.0
-    assert face_distances(SQUARE, True, 0, (0.5, 0.0)) == pytest.approx(0.5)
-    assert face_distances(SQUARE, False, 0, (1, -1)) == 0.0
-    assert face_distances(SQUARE, np.array([True, False]), np.array([0, 0]),
+    assert face_distances(SQUARE, 4, (1, 0.5)) == 0.0  # edge 0
+    assert face_distances(SQUARE, 4, (0.5, 0.0)) == pytest.approx(0.5)
+    assert face_distances(SQUARE, 0, (1, -1)) == 0.0  # vertex 0
+    assert face_distances(SQUARE, np.array([4, 0]),
                           np.array([(0.5, 0.0), (1, -1)])).tolist() == [0.5, 0.0]
 
 

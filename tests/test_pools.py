@@ -9,13 +9,16 @@ oracle is exact, so its two values must moreover be the very floats frozen.
 Nor may a change drop or add a candidate that is not the minimum: each
 report's whole candidate list is pinned by tests/data/pool_candidates.json,
 the ordered (m, k_faces, t_faces) of every candidate exactly and each length
-to 1e-12 relative.  Rewrite that file, after a change that is meant to alter
-the candidates, with
+to 1e-12 relative.  The same file pins the SHA-256 of each whole report
+with its timings removed (report_digest), so a refactor that is meant to
+change no output is checked to the last bit of every float.  Rewrite that
+file, after a change that is meant to alter the candidates, with
 
     PYTHONPATH=src python tests/test_pools.py
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -58,6 +61,13 @@ def _candidates(text: str) -> list:
             for c in json.loads(text)["candidates"]]
 
 
+def report_digest(text: str) -> str:
+    """SHA-256 of a report with its timings removed, keys sorted."""
+    report = json.loads(text)
+    del report["timings"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def checker():
     return RUN.Checker()
@@ -84,18 +94,25 @@ def test_pool_instance_keeps_its_oracle_floats(pool, inst, tmp_path):
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
 def test_pool_instance_keeps_its_candidates(pool, inst, pinned, tmp_path):
     got = _candidates(_shortest(inst, tmp_path))
-    want = pinned[f"{pool}/{inst['name']}"]
+    want = pinned[f"{pool}/{inst['name']}"]["candidates"]
     assert [c[:3] for c in got] == [c[:3] for c in want]
     for (*_, length), (*_, ref) in zip(got, want):
         assert length == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
+def test_pool_instance_keeps_its_report(pool, inst, pinned, tmp_path):
+    got = report_digest(_shortest(inst, tmp_path))
+    assert got == pinned[f"{pool}/{inst['name']}"]["report_digest"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
-        table = {name: _candidates(_shortest(inst, Path(directory)))
-                 for name, (_, inst) in zip(IDS, INSTANCES)}
+        reports = {name: _shortest(inst, Path(directory))
+                   for name, (_, inst) in zip(IDS, INSTANCES)}
     CANDIDATES.parent.mkdir(exist_ok=True)
     with open(CANDIDATES, "w") as fh:  # one candidate a line
         fh.write("{\n" + ",\n".join(
-            f"{json.dumps(name)}: [\n" + ",\n".join(map(json.dumps, cands)) + "]"
-            for name, cands in table.items()) + "\n}\n")
+            f'{json.dumps(name)}: {{"report_digest": {json.dumps(report_digest(text))},'
+            ' "candidates": [\n' + ",\n".join(map(json.dumps, _candidates(text))) + "]}"
+            for name, text in reports.items()) + "\n}\n")

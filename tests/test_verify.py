@@ -129,7 +129,7 @@ def _reference_boundary_grid(K, grid_per_facet):
     masks = []
     n = K.n
     for i in range(n):
-        a, b = K.facet_segment(i)
+        a, b = K.face_table.ends[K.n + i]
         pts.append(a)
         masks.append((1 << i) | (1 << ((i - 1) % n)))
         for k in range(1, grid_per_facet):
@@ -622,8 +622,8 @@ def test_stacked_certification_matches_certify():
                     continue
                 rows = (np.stack([pr.q.vertices for pr in stack]),
                         np.stack([pr.p.vertices for pr in stack]),
-                        face_array([pr.k_faces for pr in stack]),
-                        face_array([pr.t_faces for pr in stack]))
+                        face_array(K, [pr.k_faces for pr in stack]),
+                        face_array(T, [pr.t_faces for pr in stack]))
                 (lambdas, mus, ell), fields = verify._checks(K, T, *rows)
                 found = verify.certified_pairs(K, T, *rows)
                 for r, (pair, got) in enumerate(zip(stack, found)):

@@ -37,6 +37,7 @@ class SearchStats:
     tuples_after_filter: int = 0
     side_solves: int = 0  # tuples left with a free side after the cone checks
     tuples_after_screen: int = 0  # tuples left by the chord screen (_side_tables)
+    inbody_triples: int = 0  # 3-bounce triples left by bounce3's contact screen
 
 
 def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:

@@ -18,12 +18,15 @@ the triples to verify.certified_pairs:
    line of T cannot touch, since find_faces places no point farther than
    tol from its face's line; these are dropped by their facet slacks, one
    product with the normals of T, and the contact faces (face ids of T)
-   and the spanning test are decided for the placements left;
+   and the spanning test are decided for the placements left.  Before any
+   LP, a triple is dropped if on a side (f, g) no face of T passes step 3's
+   row test (the reach table) with its normal cone, up to a slack, in the
+   wedge {u : <u, n_f> <= 0 <= <u, n_g>}, the cone of gamma at that vertex;
 3. for each surviving triple, with p fixed, the q-side is linear:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex), by the rows of
-   the 2-bounce search (_cycle_rows).  _chords_reach drops a triple whose
+   the 2-bounce search (_cycle_rows).  The reach table drops a triple whose
    side r has a row (a unit functional) below -4 EPS_CERT at all four
    corners of its chords from facet r to r + 1 of K: a certified pair
    breaks no row by 3 EPS_CERT, and one EPS_CERT more covers rounding.
@@ -43,12 +46,14 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import _cycle_rows, _point, _rows_reach
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   cross2, face_array, face_cones, face_tuples, find_faces,
-                   largest_gap)
+from .bounce2 import SearchStats, _cycle_rows, _point
+from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                   cross2, cyclic, dot2, face_array, face_cones, face_tuples,
+                   find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
+
+_CONTACT_TOL = 1e-7  # find_faces' tolerance for the contacts of p with T
 
 
 class NoInbody(GeometryError):
@@ -108,6 +113,31 @@ def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
     return np.stack([g1, g2, g3], axis=1)
 
 
+def _contact_tables(K: ConvexPolytope2, T: ConvexPolytope2):
+    """The screen's tables by face id F of T and facets f, g of K: reach
+    (2 m_T, n_K, n_K), whether every row of N_T(F) reaches -4 EPS_CERT at a
+    corner chord from f to g, and need (n_K, n_K), the least s with
+    <nu, n_f> <= s and -<nu, n_g> <= s at the generators nu of some F with
+    reach, times r / (tol + eps).  A contact within tol of F, of a gamma
+    placed within eps at scale lambda >= r / e_max (r the inradius of T at
+    its vertex mean), has s <= (tol + eps) / (lambda e_min)."""
+    (g0, g1), ray = T.face_table.cones.generators, T.face_table.cones.is_ray
+    # a row's largest value on the chords b - a, b at g and a at f, is its
+    # largest at g's ends less its least at f's, up to 6 u (|a|_1 + |b|_1)
+    rows = np.stack([cross2(g0[:, None], K.vertices), cross2(K.vertices, g1[:, None]),
+                     np.where(ray[:, None], dot2(g0[:, None], K.vertices), 0.0)])
+    ends = np.stack([rows, rows[..., cyclic(K.n)]])
+    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(K.vertices).sum(1).max()
+    reach = (ends.max(0)[:, :, None] - ends.min(0)[..., None] >= floor).all(axis=0)
+    out, into = (np.maximum(g0 @ n.T, g1 @ n.T) for n in (K.normals, -K.normals))
+    need = np.where(reach, np.maximum(out[:, :, None], into[:, None]), np.inf).min(0)
+    # _violations' row tolerance is at most 1e-10 + 1e-9 (1 + 4 rho) for T
+    # within rho of 0; eps spares 1e-9 (1 + rho) more for rounding
+    eps = 1e-9 * (2 + 5 * np.hypot(*T.vertices.T).max())
+    r = (T.offsets - T.normals @ T.vertices.mean(axis=0)).min()
+    return reach, need * r / (_CONTACT_TOL + eps)
+
+
 def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     """find_inbody as arrays: each triangle's reject reason ("" where it is
     placed), the LP's (lambda, u) (B, 3), the placed vertices (B, 3, 2) and
@@ -136,11 +166,10 @@ def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     lam = x[:, 0]
     solved = (status == "optimal") & (lam > EPS_GEO)
     verts = lam[:, None, None] * tri + x[:, None, 1:]
-    tol = 1e-7
     slack = np.abs(verts @ T.normals.T - T.offsets).min(axis=2)  # (B, 3)
-    swept = np.flatnonzero(solved & (slack <= 2 * tol).all(axis=1))
+    swept = np.flatnonzero(solved & (slack <= 2 * _CONTACT_TOL).all(axis=1))
     faces = np.full((B, 3), -1)
-    faces[swept] = find_faces(T, verts[swept], tol=tol).reshape(-1, 3)
+    faces[swept] = find_faces(T, verts[swept], tol=_CONTACT_TOL).reshape(-1, 3)
     placed = (faces >= 0).all(axis=1)
     # the contact normals are the generators of the contact cones: an edge
     # contributes its own twice, which leaves the gaps unchanged
@@ -208,21 +237,15 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
     return 0.5 * (low + high)
 
 
-def _chords_reach(K, T, triples, faces) -> np.ndarray:
-    """Whether each triple passes the prefilter of step 3."""
-    ends = K.face_table.ends[K.n + triples]
-    v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]  # (B, 3, 2, 2, 2)
-    return _rows_reach(face_cones(T, faces), v).all(axis=1)
-
-
-def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
-                   p: np.ndarray, faces: np.ndarray) -> List[Optional[BilliardPair]]:
+def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
+                   triples: np.ndarray, p: np.ndarray, faces: np.ndarray
+                   ) -> List[Optional[BilliardPair]]:
     """The certified pair, or None, of each facet triple whose inbody
     placement has the vertices p (B, 3, 2), p_r touching T at face id
-    faces[k, r]; the q-side fits of all of them are one stack, and Face
-    objects are built for the pairs that certify only."""
+    faces[k, r]; the fits of those the reach table keeps are one stack, and
+    Face objects are built for the pairs that certify only."""
     triples = np.asarray(triples, int).reshape(-1, 3)
-    tried = np.flatnonzero(_chords_reach(K, T, triples, faces))
+    tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
     found = np.full(len(triples), None, object)
     if tried.size:  # no fit stage when the prefilter keeps no triple
         low, high, reason = _fit_stack(K, T, triples[tried], faces[tried])
@@ -233,16 +256,23 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     return list(found)
 
 
-def search_three_bounce(K: ConvexPolytope2,
-                        T: ConvexPolytope2) -> List[BilliardPair]:
+def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
+                        stats: Optional[SearchStats] = None) -> List[BilliardPair]:
     """All certified regular 3-bounce pairs over the facet triples of K that
-    pass the spanning test."""
+    pass the spanning test; stats counts the triples that reach the inbody LP."""
     triples = spanning_triples(K)
-    reason, _, verts, faces = _inbody_stack(gamma_triangles(K, triples), T)
+    tri = gamma_triangles(K, triples)
+    reach, need = _contact_tables(K, T)
+    edges = np.linalg.norm(tri[:, cyclic(3)] - tri, axis=2)
+    keep = need[triples, triples[:, cyclic(3)]].max(1) <= edges.max(1) / edges.min(1)
+    triples = triples[keep]
+    if stats is not None:
+        stats.inbody_triples += len(triples)
+    reason, _, verts, faces = _inbody_stack(tri[keep], T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple
-    found = _solve_triples(K, T, triples[ok], *(
-        np.roll(v[ok], -1, axis=1) for v in (verts, faces)))
+    found = _solve_triples(K, T, reach, triples[ok], verts[ok][:, cyclic(3)],
+                           faces[ok][:, cyclic(3)])
     return sort_pairs(dedupe([pair for pair in found if pair is not None]))
 
 
@@ -252,6 +282,7 @@ def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
     """The certified pair, if any, of a facet triple whose dual triangle
     has the inbody placement `inbody` in T (the search's pipeline on a
     batch of one)."""
-    [pair] = _solve_triples(K, T, [triple], np.roll(inbody.vertices, -1, 0)[None],
+    [pair] = _solve_triples(K, T, _contact_tables(K, T)[0], [triple],
+                            inbody.vertices[None, cyclic(3)],
                             face_array(T, [inbody.t_faces[1:] + inbody.t_faces[:1]]))
     return [] if pair is None else [pair]

@@ -232,8 +232,8 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
 
 def run_bench(sizes: Sequence[int], seed: int) -> dict:
     """Best-of-7 times of both searches on a grid of random instance sizes,
-    next to their work counts: the 2-bounce face tuples, side solves and
-    screened tuples (SearchStats) and the 3-bounce spanning facet triples.
+    next to their work counts: SearchStats (2-bounce tuples, side solves and
+    screened tuples, 3-bounce inbody triples) and the spanning facet triples.
     Each repeat visits every cell in turn, so a stretch of slow machine time
     costs each cell at most one of its samples; on a shared host whose speed
     drifts by up to 2x, 7 repeats keep cells whose work differs by 1.7x in
@@ -250,7 +250,7 @@ def run_bench(sizes: Sequence[int], seed: int) -> dict:
             t0 = time.perf_counter()
             two = search_two_bounce(K, T, stats[i])
             t1 = time.perf_counter()
-            three = search_three_bounce(K, T)
+            three = search_three_bounce(K, T, stats[i])
             best[i] = np.minimum(best[i], [t1 - t0, time.perf_counter() - t1])
             found[i] = (len(two), len(three))
     rows = [{"nk": nk, "nt": nt,
@@ -261,7 +261,8 @@ def run_bench(sizes: Sequence[int], seed: int) -> dict:
              "two_bounce_tuples": stats[i].tuples_after_filter,
              "two_bounce_solves": stats[i].side_solves,
              "two_bounce_screened": stats[i].tuples_after_screen,
-             "three_bounce_triples": len(spanning_triples(K))}
+             "three_bounce_triples": len(spanning_triples(K)),
+             "three_bounce_inbody": stats[i].inbody_triples}
             for i, (nk, nt, K, _) in enumerate(cells)]
     t3s = np.array([r["three_bounce_s"] for r in rows])
     nks = np.array([r["nk"] for r in rows], float)

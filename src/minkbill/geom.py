@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +59,14 @@ def dot2(a, b):
     """The dot product along the last axis, one per vector of a stack, with
     the bits of a @ b on one pair of vectors."""
     return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+@lru_cache(maxsize=256)
+def cyclic(n: int, shift: int = 1) -> np.ndarray:
+    """x[cyclic(n, s)] is np.roll(x, -s, axis=0), at a fraction of its cost."""
+    index = (np.arange(n) + shift) % n
+    index.setflags(write=False)  # shared by every caller
+    return index
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -105,11 +113,11 @@ class ConvexPolytope2:
             raise InvalidPolytope("need at least three vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidPolytope("vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = v[cyclic(len(v))] - v
         lens = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(lens <= EPS_GEO):
             raise InvalidPolytope("consecutive vertices coincide")
-        if np.any(cross2(edges, np.roll(edges, -1, axis=0)) <= EPS_GEO):
+        if np.any(cross2(edges, edges[cyclic(len(v))]) <= EPS_GEO):
             raise InvalidPolytope(
                 "vertices must be in strictly convex counterclockwise position")
         normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
@@ -320,8 +328,7 @@ def polar(T: ConvexPolytope2) -> ConvexPolytope2:
     w = np.empty_like(T.vertices)
     for i, ab in enumerate(T.face_table.ends[T.n:]):
         w[i] = np.linalg.solve(ab, np.ones(2))
-    area2 = np.sum(w[:, 0] * np.roll(w[:, 1], -1) - np.roll(w[:, 0], -1) * w[:, 1])
-    if area2 < 0:
+    if cross2(w, w[cyclic(len(w))]).sum() < 0:
         w = w[::-1]
     return ConvexPolytope2.from_vertices(w)
 
@@ -367,7 +374,7 @@ class ClosedCurve:
 
     def edges(self) -> np.ndarray:
         """Differences q_{j+1} - q_j, shape (m, 2)."""
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return self.vertices[cyclic(self.m)] - self.vertices
 
     def translate(self, t) -> "ClosedCurve":
         return ClosedCurve.from_vertices(self.vertices + np.asarray(t, float))
@@ -376,7 +383,8 @@ class ClosedCurve:
 def degenerate(v):
     """Whether a closed curve (m, 2), or each of a stack (B, m, 2), has a
     vertex on the segment between its neighbours (for m = 2: coinciding)."""
-    return (segment_distance(np.roll(v, 1, axis=-2), np.roll(v, -1, axis=-2), v)
+    m = v.shape[-2]
+    return (segment_distance(v[..., cyclic(m, -1), :], v[..., cyclic(m), :], v)
             <= EPS_GEO).any(axis=-1)
 
 

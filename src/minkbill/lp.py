@@ -93,7 +93,8 @@ def _iterate(tab, rhs, red, basis, ncols):
         if step == _MAX_PIVOTS:
             break
         ratios = np.divide(rhs, colvals, out=np.full(rhs.shape, np.inf), where=pos)
-        ties = ratios <= ratios.min() + 1e-12
+        # ties relative to the least ratio: a small pivot can scale all ratios
+        ties = ratios <= ratios.min() + 1e-12 * abs(ratios.min())
         # break ties on the smallest basis index (keeps Bland's rule valid)
         row = np.where(ties, basis, np.iinfo(basis.dtype).max).argmin()
         _pivot(tab, rhs, red, basis, row, col)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve,
+from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve, cyclic,
                    support_many)
 
 if TYPE_CHECKING:
@@ -40,9 +40,9 @@ def edge_lengths(T: ConvexPolytope2, q: np.ndarray, p: np.ndarray):
     """The edges dq and dp of stacks of closed curves q and p (B, m, 2), and
     each row's lambdas |dq_j|, mus |dp_{j-1}| and ell_T length sum_j
     h_T(dq_j)."""
-    dq, dp = np.roll(q, -1, axis=1) - q, np.roll(p, -1, axis=1) - p
+    dq, dp = (x[:, cyclic(x.shape[1])] - x for x in (q, p))
     return (dq, dp, np.hypot(dq[..., 0], dq[..., 1]),
-            np.roll(np.hypot(dp[..., 0], dp[..., 1]), 1, axis=1),
+            np.hypot(dp[..., 0], dp[..., 1])[:, cyclic(q.shape[1], -1)],
             support_many(T, dq).sum(axis=1))
 
 
@@ -73,7 +73,7 @@ def _canonical_keys(pairs: List[BilliardPair]) -> List[tuple]:
     m = pairs[0].q.m
     v = np.stack([pair.q.vertices for pair in pairs])
     v = v - v.mean(axis=1, keepdims=True)
-    turns = np.stack([np.roll(v, -r, axis=1) for r in range(m)], 1)
+    turns = v[:, [cyclic(m, r) for r in range(m)]]
     return [min(tuple(round(c, 7) for c in row) for row in rows)
             for rows in turns.reshape(len(v), m, 2 * m).tolist()]
 

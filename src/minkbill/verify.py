@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   GeometryError, cone_distance, degenerate, dot2, face_array,
+                   GeometryError, cone_distance, cyclic, degenerate, dot2, face_array,
                    face_cones, face_distances, face_tuples, in_f, largest_gap,
                    support_many, unit)
 from .pairs import BilliardPair, edge_lengths
@@ -56,7 +56,7 @@ def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
     each vertex, k_faces of K and t_faces of T (B, m)."""
     dq, dp, *lengths = edge_lengths(T, q, p)
     ell = lengths[-1]
-    kn = np.roll(k_faces, -1, axis=1)  # the face of K at the next bounce
+    kn = k_faces[:, cyclic(k_faces.shape[1])]  # the face of K at the next bounce
     sys_res = np.maximum(cone_distance(face_cones(T, t_faces), dq),
                          cone_distance(face_cones(K, kn), -dp))
     face_res = np.maximum(face_distances(K, k_faces, q), face_distances(T, t_faces, p))
@@ -142,7 +142,7 @@ def boundary_grid(K: ConvexPolytope2, grid_per_facet: int
     pts[:, 0] = a
     bit = 1 << np.arange(K.n, dtype=np.int64)
     masks = np.repeat(bit[:, None], grid_per_facet, axis=1)
-    masks[:, 0] |= np.roll(bit, 1)  # a vertex also lies on the facet before it
+    masks[:, 0] |= bit[cyclic(K.n, -1)]  # a vertex also lies on the facet before it
     return pts.reshape(-1, 2), masks.ravel()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minkbill import bounce3, lp as lpmod
+from minkbill.bounce2 import SearchStats, _rows_reach
 from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
                               find_inbody, fit_to_k, gamma_triangles,
                               search_three_bounce, solve_facet_triple,
@@ -15,15 +16,16 @@ from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
                                regular_ngon)
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            InvalidPolytope, angles, cross2, face_distances,
-                           face_tuples, find_face, find_faces, largest_gap,
-                           normal_cone, positively_spans, support_many)
+                           face_cones, face_tuples, find_face, find_faces, largest_gap,
+                           normal_cone, positively_spans, rotation, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
 
 from conftest import polytopes
-from test_bounce2 import _Affine, _certified_pair, _reference_cone_rows
+from test_bounce2 import (_Affine, _certified_pair, _moved as _scaled, _reference_cone_rows,
+                          _screen_instances as _pool_and_scaled_instances)
 from test_geom import _reference_find_faces
 
 
@@ -575,26 +577,35 @@ def test_search_matches_per_triple_reference(rng):
     assert pairs >= 50
 
 
+def _no_prefilter(K, T):
+    """_contact_tables for a search with no prefilter: every face reaches
+    every chord, and no side needs any slack."""
+    return np.ones((2 * T.n, K.n, K.n), bool), np.full((K.n, K.n), -np.inf)
+
+
 def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
-    """Dropping, before the fit, the triples whose chords on some side break
-    a row of the cone by more than 4 EPS_CERT at all four corners leaves
-    search_three_bounce's candidates unchanged, bit for bit, on the fixtures
-    and 120 random instances, while most of the fits are saved."""
+    """The contact screen before the inbody LPs and the gather of its reach
+    table before the fits leave search_three_bounce's candidates unchanged,
+    bit for bit, against a search with neither, on the fixtures and 120
+    random instances, while most of the inbody LPs and fits are saved."""
     instances = _search_instances(rng)
-    real, counts = bounce3._chords_reach, [0, 0]
+    real, fits = bounce3._fit_stack, []
 
     def counting(K, T, triples, *faces):
-        keep = real(K, T, triples, *faces)
-        counts[0] += len(keep)
-        counts[1] += int(keep.sum())
-        return keep
+        fits[-1] += len(triples)
+        return real(K, T, triples, *faces)
 
-    monkeypatch.setattr(bounce3, "_chords_reach", counting)
-    got = [search_three_bounce(K, T) for K, T in instances]
-    monkeypatch.setattr(bounce3, "_chords_reach",
-                        lambda K, T, triples, *faces: np.ones(len(triples), bool))
-    want = [search_three_bounce(K, T) for K, T in instances]
-    assert counts[1] < counts[0] // 2
+    monkeypatch.setattr(bounce3, "_fit_stack", counting)
+    runs = []
+    for tables in (bounce3._contact_tables, _no_prefilter):
+        monkeypatch.setattr(bounce3, "_contact_tables", tables)
+        stats = SearchStats()
+        fits.append(0)
+        runs.append(([search_three_bounce(K, T, stats) for K, T in instances],
+                     stats.inbody_triples))
+    (got, inbody), (want, members) = runs
+    assert members == sum(len(spanning_triples(K)) for K, _ in instances)
+    assert inbody < members // 2 and fits[0] < fits[1] // 2
     assert sum(map(len, got)) >= 50
     for a, b in zip(got, want):
         assert [(p.k_faces, p.t_faces, p.length, p.q.vertices.tobytes(),
@@ -605,10 +616,16 @@ def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
 
 def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch, rng):
     """solve_dual3 takes no step (no lp._violations call) on an empty
-    stack, and _solve_triples runs no _fit_stack when _chords_reach keeps
-    no triple, as it does on some of the fixtures and random instances."""
-    fit, violations = bounce3._fit_stack, lpmod._violations
-    chords, fits, steps, kept = bounce3._chords_reach, [], [], []
+    stack, such as the inbody stack of an instance whose contact screen
+    keeps no triple, and _solve_triples runs no _fit_stack when the gather
+    of the reach table keeps no placed triple, as it does on some of the
+    fixtures and random instances."""
+    inbody, fit, violations = bounce3._inbody_stack, bounce3._fit_stack, lpmod._violations
+    solve_triples, members, fits, steps, kept = bounce3._solve_triples, [], [], [], []
+
+    def inbody_spy(triangles, T):
+        members.append(len(triangles))
+        return inbody(triangles, T)
 
     def fit_spy(K, T, triples, *faces):
         fits.append(len(triples))
@@ -618,21 +635,120 @@ def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch, rng):
         steps.append(len(A))
         return violations(A, *rest)
 
-    def chords_spy(*args):
-        keep = chords(*args)
-        kept.append(int(keep.sum()))
-        return keep
+    def solve_triples_spy(K, T, reach, triples, p, faces):
+        kept.append(int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
+        return solve_triples(K, T, reach, triples, p, faces)
 
+    monkeypatch.setattr(bounce3, "_inbody_stack", inbody_spy)
     monkeypatch.setattr(bounce3, "_fit_stack", fit_spy)
-    monkeypatch.setattr(bounce3, "_chords_reach", chords_spy)
+    monkeypatch.setattr(bounce3, "_solve_triples", solve_triples_spy)
     monkeypatch.setattr(lpmod, "_violations", violations_spy)
     status, x = lpmod.solve_dual3(np.zeros((0, 3)), np.zeros((0, 4, 3)),
                                   np.zeros((0, 4)), np.zeros((0, 3), int))
     assert status.shape == (0,) and x.shape == (0, 3) and steps == []
     for K, T in _search_instances(rng):
         search_three_bounce(K, T)
-    assert kept.count(0) >= 10 and len(fits) == len(kept) - kept.count(0)
+    assert members.count(0) >= 5 and kept.count(0) >= 10
+    assert len(fits) == len(kept) - kept.count(0)
     assert min(fits) > 0 and min(steps) > 0
+
+
+def _product_reach(K, T, triples, faces):
+    """The row test of step 3 on each side of each triple (B, 3), as one
+    (B, 3, 2, 2, 2) product of the cones with the corner chords (as
+    _chords_reach was, which took all three sides)."""
+    ends = K.face_table.ends[K.n + np.asarray(triples)]
+    v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]
+    return _rows_reach(face_cones(T, faces), v)
+
+
+def _unscreened_search(K, T):
+    """search_three_bounce before the contact screen: the inbody LPs of all
+    spanning triples, then the fits of the placed triples that
+    _product_reach keeps (as _solve_triples was)."""
+    triples = spanning_triples(K)
+    reason, _, verts, faces = bounce3._inbody_stack(gamma_triangles(K, triples), T)
+    ok = reason == ""
+    triples, p, faces = triples[ok], np.roll(verts[ok], -1, 1), np.roll(faces[ok], -1, 1)
+    tried = np.flatnonzero(_product_reach(K, T, triples, faces).all(axis=1))
+    found = np.full(len(triples), None, object)
+    if tried.size:
+        low, high, fit = bounce3._fit_stack(K, T, triples[tried], faces[tried])
+        fits = tried[fit == ""]
+        found[fits] = bounce3.certified_pairs(K, T, 0.5 * (low + high)[fit == ""],
+                                              p[fits], K.n + triples[fits], faces[fits])
+    return sort_pairs(dedupe([pair for pair in found if pair is not None]))
+
+
+def _contact_instances():
+    """The instances of the 2-bounce chord screen (the benchmark pools, the
+    fixtures, regular 3- to 64-gons, random 3- to 25-gons scaled by powers
+    of two and translated), a seeded random 96-gon K against an 8-gon T,
+    the fixtures rotated, where a contact cone on an edge of its wedge
+    rounds to either side of it, and regular K moved 2^31 from the origin
+    against regular T that share their normals, where the rows that vanish
+    at a corner chord round to about EPS_CERT in either form of the row
+    test."""
+    out = _pool_and_scaled_instances()
+    for name in fixture_names():
+        out += [("rotated", *(ConvexPolytope2.from_vertices(P.vertices @ rotation(a).T)
+                              for P in (load(name).K, load(name).T))) for a in (0.3, 2.0)]
+    rng = np.random.default_rng(0)
+    out.append(("96-gon", random_polytope(rng, 96), random_polytope(rng, 8)))
+    out += [("far", _scaled(regular_ngon(n), 2.0 ** s, np.array([1.0, 0.75]) * 2.0 ** 31),
+             regular_ngon(m)) for n, m, s in ((4, 4, 0), (6, 12, 4), (8, 8, 10),
+                                             (12, 6, 4), (16, 8, 0), (16, 4, 10))]
+    return out
+
+
+def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
+    """The contact screen of search_three_bounce drops only facet triples
+    that the unscreened search would not pass to certification: every stack
+    handed to certified_pairs is byte-identical to the unscreened search's,
+    and so are the returned pairs, certificates included.  The reach table
+    keeps every (face of T, facet, facet) that the product form of the row
+    test keeps, and its gather keeps exactly the placed triples that the
+    product keeps.  The screen screens: at most 2,800 of the grid pool's
+    5,484 spanning triples, and 6,000 of the 96-gon's 72,656, reach the
+    inbody LP."""
+    calls, real = [], bounce3.certified_pairs
+
+    def recording(K, T, *rows):
+        calls.append([np.asarray(r) for r in rows])
+        return real(K, T, *rows)
+
+    monkeypatch.setattr(bounce3, "certified_pairs", recording)
+    counts, total = {}, 0
+    for label, K, T in _contact_instances():
+        calls.clear()
+        stats = SearchStats()
+        got = search_three_bounce(K, T, stats)
+        screened = list(calls)
+        calls.clear()
+        want = _unscreened_search(K, T)
+        assert [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in screened] == \
+            [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in calls]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
+                (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
+            assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
+            assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
+            assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+        reach, _ = bounce3._contact_tables(K, T)
+        F, f, g = np.indices(reach.shape).reshape(3, -1)
+        product = _product_reach(K, T, np.stack([f, g, f], 1), np.stack([F, F, F], 1))
+        assert (reach.ravel() | ~product[:, 0]).all()
+        triples, _, faces = _survivors(K, T)
+        assert np.array_equal(reach[faces, triples, np.roll(triples, -1, 1)].all(1),
+                              _product_reach(K, T, triples, faces).all(axis=1))
+        c = counts.setdefault(label, [0, 0])
+        c[0] += len(spanning_triples(K))
+        c[1] += stats.inbody_triples
+        total += len(got)
+    assert counts["grid"][0] == 5484 and counts["grid"][1] <= 2800
+    assert counts["96-gon"][0] == 72656 and counts["96-gon"][1] <= 6000
+    assert total >= 150
 
 
 def test_stacked_fit_matches_per_triple_fit(rng):

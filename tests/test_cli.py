@@ -295,3 +295,4 @@ def test_bench_smoke():
         assert 0 < row["two_bounce_screened"] <= row["two_bounce_tuples"]
         nk = row["nk"]
         assert 0 < row["three_bounce_triples"] <= nk * (nk - 1) * (nk - 2) // 3
+        assert 0 <= row["three_bounce_inbody"] <= row["three_bounce_triples"]

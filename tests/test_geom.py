@@ -13,7 +13,7 @@ from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
                            Face, GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance,
-                           convex_hull, ell_length, face_cones, face_distances,
+                           convex_hull, cyclic, ell_length, face_cones, face_distances,
                            face_array, face_tuples, find_face, find_faces,
                            gauge, in_f, largest_gap,
                            normal_cone,
@@ -29,6 +29,18 @@ DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
 # --- construction -----------------------------------------------------------
+
+def test_cyclic_indexes_as_np_roll():
+    """x[cyclic(n, s)] is np.roll(x, -s) along the first axis, bit for bit,
+    and the shared index array cannot be written."""
+    for n in (1, 2, 3, 7):
+        x = np.random.default_rng(n).normal(size=(n, 3, 2))
+        for s in range(-n - 1, n + 2):
+            assert cyclic(n, s).tobytes() == np.roll(np.arange(n), -s).tobytes()
+            assert x[cyclic(n, s)].tobytes() == np.roll(x, -s, axis=0).tobytes()
+    with pytest.raises(ValueError):
+        cyclic(3)[0] = 1
+
 
 def test_rejects_clockwise():
     with pytest.raises(InvalidPolytope):

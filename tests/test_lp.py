@@ -367,8 +367,22 @@ def test_solve_interval_generator_nearly_along_the_facet(delta, s):
         assert abs(t - sol.x[0]) <= 1e-9 and abs(t - s) <= 1e-6
 
 
+def _small_pivot_side():
+    """A drawn side (a wedge then a ray, objective 1) on which the simplex
+    stopped 1.4e-9 past a bound: phase 1 pivots on the wedge row's -2e-6
+    coefficient, which scales the next ratio test to ratios of about 1e-9,
+    and a tie rule of 1e-12 absolute took the row of the smaller basis
+    index (bound 0.5000000019) for the least ratio (0.5000000005)."""
+    rows = []
+    _cycle_rows(rows, [_Affine(np.array([[1.0, 0.0]]), np.zeros((1, 2, 1))),
+                       _Affine(np.zeros((1, 2)), np.array([[[2.0], [0.0]]]))],
+                (_cone(np.pi + 1e-6, np.pi + np.arcsin(0.263445)), _cone(0.0)))
+    return _side(rows, 1.0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(one_variable_sides())
+@example(_small_pivot_side())
 def test_solve_interval_matches_simplex(side):
     """solve_interval decides each drawn side as the simplex does, and puts t
     where the simplex puts it: to 1e-12 where an equality pins it (with the

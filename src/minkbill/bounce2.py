@@ -11,11 +11,8 @@ facets of one side have antipodal normals, so d2 = -rho d1 for their
 directions, and the side's edge depends on t1 + rho t2 only, which one
 shared t already sweeps.  Tables per body screen every side before any
 tuple exists (_side_tables): a side with no facet is checked directly, one
-with a facet passes if each row of its cones reaches -4 EPS_CERT at a
-corner chord b_i - a_j (_rows_reach), each facet's start moved back 1e-9;
-lp.solve_interval, which holds the rows to EPS_GEO + 1e-8 at a t in
-[-1e-9, 1], accepts no other side.  The sides left are one solve_interval
-stack, the feasible tuples one certified_pairs stack; no simplex runs.
+with a facet by _chord_reach (exact, see there).  The sides left are one
+lp.solve_interval stack, the feasible tuples one certified_pairs stack.
 """
 
 from __future__ import annotations
@@ -104,13 +101,24 @@ def _cone_rows(rows, expr: _Affine, cone) -> None:
                  np.where(ray, EPS_GEO + const_dot, EPS_GEO - const1), False))
 
 
-def _rows_reach(cone, v) -> np.ndarray:
-    """Whether each row of each cone (those of _cone_rows) reaches -4 EPS_CERT
-    at one of its corner chords v (..., 2, 2, 2), as it must on their hull."""
-    g0, g1 = (g[..., None, None, :] for g in cone.generators)
-    rows = np.stack([cross2(g0, v), cross2(v, g1),
-                     np.where(np.asarray(cone.is_ray)[..., None, None], dot2(g0, v), np.inf)])
-    return ~(rows.max(axis=(-2, -1)) < -4 * EPS_CERT).any(axis=0)
+def _chord_reach(P: ConvexPolytope2, Q: ConvexPolytope2, a, b) -> np.ndarray:
+    """The screen of both searches, (2 m_Q, *shape) for face ids a, b of P
+    of one ndim, broadcast to shape: whether each row of N_Q(F), at every
+    face F of Q, reaches the floor at a corner chord from a to b.  The rows,
+    _cone_rows' cross(g0, v), cross(v, g1) and, at a ray, <g0, v>, are
+    linear: each is largest at b's ends less its least at a's, a facet's
+    start moved back to t = -1e-9.  No accepted side misses the floor,
+    -4 EPS_CERT less 16 eps max|end|_1 for rounding: lp.solve_interval holds
+    the rows to EPS_GEO + 1e-8 at a t in [-1e-9, 1], in the moved corners; a
+    fit's solve_dual3 re-check lets t go 1.1e-9 below 0 and 3.1e-9 above 1,
+    which the floor, not the start move, covers at unit scale (ROADMAP 1)."""
+    (g0, g1), ray = Q.face_table.cones.generators, Q.face_table.cones.is_ray
+    start, stop = P.face_table.ends.transpose(1, 0, 2)
+    ends = np.stack([start - 1e-9 * (stop - start), stop])[:, None]
+    rows = np.stack([cross2(g0[:, None], ends), cross2(ends, g1[:, None]),
+                     np.where(ray[:, None], dot2(g0[:, None], ends), 0.0)])
+    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(ends).sum(-1).max()
+    return (rows.max(1)[:, :, b] - rows.min(1)[:, :, a] >= floor).all(0)
 
 
 def _cycle_rows(rows, points, cones) -> None:
@@ -225,13 +233,11 @@ def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
     """The antipodal face pairs (a, b) of P, whether a or b is a facet, and
     the screen's (pair, o, F): chord b - a (o = 0) or a - b in N_Q(F)."""
     pairs = _antipodal_pairs(P)
-    a, b = P.face_table.ends[pairs].transpose(2, 0, 1, 3)
-    ends = np.stack([a - 1e-9 * (b - a), b], -2)
-    v = ends[:, 1, :, None] - ends[:, 0, None]
-    v, free = np.stack([v, -v], 1)[:, :, None], (pairs >= P.n).any(1)
-    reach = cone_contains(Q.face_table.cones, v[..., 0, 0, :])
-    reach[free] = _rows_reach(Q.face_table.cones, v[free])
-    return pairs, free[:, None, None], reach
+    free = (pairs >= P.n).any(1)[:, None, None]
+    d = np.diff(P.face_table.ends[pairs, 0], axis=1)
+    return pairs, free, np.where(
+        free, np.moveaxis(_chord_reach(P, Q, pairs, pairs[:, ::-1]), 0, -1),
+        cone_contains(Q.face_table.cones, np.stack([d, -d], 1)))
 
 
 def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,

@@ -26,11 +26,9 @@ the triples to verify.certified_pairs:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex), by the rows of
-   the 2-bounce search (_cycle_rows).  The reach table drops a triple whose
-   side r has a row (a unit functional) below -4 EPS_CERT at all four
-   corners of its chords from facet r to r + 1 of K: a certified pair
-   breaks no row by 3 EPS_CERT, and one EPS_CERT more covers rounding.
-   The other fits (both objectives below) are one stack of 15-row LPs;
+   the 2-bounce search (_cycle_rows).  The fits of the triples that the
+   reach table keeps (bounce2._chord_reach from facet r to r + 1 of K) are
+   one stack of 15-row LPs, both objectives below;
 4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), so the centre of the family, the mean
    of the solutions minimizing and maximizing sum(t), is kept if it
@@ -46,9 +44,9 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import lp as lpmod
-from .bounce2 import SearchStats, _cycle_rows, _point
-from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   cross2, cyclic, dot2, face_array, face_cones, face_tuples,
+from .bounce2 import SearchStats, _chord_reach, _cycle_rows, _point
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
+                   cross2, cyclic, face_array, face_cones, face_tuples,
                    find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
@@ -115,20 +113,13 @@ def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
 
 def _contact_tables(K: ConvexPolytope2, T: ConvexPolytope2):
     """The screen's tables by face id F of T and facets f, g of K: reach
-    (2 m_T, n_K, n_K), whether every row of N_T(F) reaches -4 EPS_CERT at a
-    corner chord from f to g, and need (n_K, n_K), the least s with
-    <nu, n_f> <= s and -<nu, n_g> <= s at the generators nu of some F with
-    reach, times r / (tol + eps).  A contact within tol of F, of a gamma
-    placed within eps at scale lambda >= r / e_max (r the inradius of T at
-    its vertex mean), has s <= (tol + eps) / (lambda e_min)."""
-    (g0, g1), ray = T.face_table.cones.generators, T.face_table.cones.is_ray
-    # a row's largest value on the chords b - a, b at g and a at f, is its
-    # largest at g's ends less its least at f's, up to 6 u (|a|_1 + |b|_1)
-    rows = np.stack([cross2(g0[:, None], K.vertices), cross2(K.vertices, g1[:, None]),
-                     np.where(ray[:, None], dot2(g0[:, None], K.vertices), 0.0)])
-    ends = np.stack([rows, rows[..., cyclic(K.n)]])
-    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(K.vertices).sum(1).max()
-    reach = (ends.max(0)[:, :, None] - ends.min(0)[..., None] >= floor).all(axis=0)
+    (2 m_T, n_K, n_K), bounce2._chord_reach from f to g, and need (n_K, n_K),
+    the least s with <nu, n_f> <= s and -<nu, n_g> <= s at the generators nu
+    of some F with reach, times r / (tol + eps).  A contact within tol of F,
+    of a gamma placed within eps at scale lambda >= r / e_max (r the
+    inradius of T at its vertex mean), has s <= (tol + eps) / (lambda e_min)."""
+    g0, g1 = T.face_table.cones.generators
+    reach = _chord_reach(K, T, *np.ogrid[K.n:2 * K.n, K.n:2 * K.n])
     out, into = (np.maximum(g0 @ n.T, g1 @ n.T) for n in (K.normals, -K.normals))
     need = np.where(reach, np.maximum(out[:, :, None], into[:, None]), np.inf).min(0)
     # _violations' row tolerance is at most 1e-10 + 1e-9 (1 + 4 rho) for T

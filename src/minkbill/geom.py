@@ -113,16 +113,19 @@ class ConvexPolytope2:
             raise InvalidPolytope("need at least three vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidPolytope("vertices must be finite")
-        edges = v[cyclic(len(v))] - v
-        lens = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(lens <= EPS_GEO):
-            raise InvalidPolytope("consecutive vertices coincide")
-        if np.any(cross2(edges, edges[cyclic(len(v))]) <= EPS_GEO):
-            raise InvalidPolytope(
-                "vertices must be in strictly convex counterclockwise position")
-        normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
-        offsets = np.einsum("ij,ij->i", normals, v)
-        slack = v @ normals.T - offsets  # every vertex inside every halfplane
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails below
+            edges = v[cyclic(len(v))] - v
+            lens = np.hypot(edges[:, 0], edges[:, 1])
+            if np.any(lens <= EPS_GEO):
+                raise InvalidPolytope("consecutive vertices coincide")
+            if np.any(cross2(edges, edges[cyclic(len(v))]) <= EPS_GEO):
+                raise InvalidPolytope(
+                    "vertices must be in strictly convex counterclockwise position")
+            normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lens[:, None]
+            offsets = np.einsum("ij,ij->i", normals, v)
+            slack = v @ normals.T - offsets  # every vertex inside every halfplane
+        if not np.isfinite(np.append(lens, offsets)).all():
+            raise InvalidPolytope("edges, normals and offsets must be finite")
         if slack.max() > EPS_GEO:
             raise InvalidPolytope("vertex cycle is not convex")
         for arr in (v, normals, offsets):

@@ -13,9 +13,9 @@ from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
                               solve_face_tuple)
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import fixture_names, load, regular_ngon
-from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, all_faces,
-                           cone_contains, face_tuples, find_face, in_f,
-                           normal_cone)
+from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face,
+                           all_faces, cone_contains, cross2, dot2, face_tuples,
+                           find_face, in_f, normal_cone)
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
 from minkbill.pairs import _canonical_keys, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
@@ -670,6 +670,28 @@ def _moved(P, c, shift):
     reject bodies below about 2^-10."""
     v = c * P.vertices + shift
     return ConvexPolytope2(v, P.normals, np.einsum("ij,ij->i", P.normals, v))
+
+
+def _rows_reach(cone, v):
+    """The product form of the row test, the reference of
+    bounce2._chord_reach: whether each row of each cone (those of
+    _cone_rows) reaches -4 EPS_CERT at one of its corner chords
+    v (..., 2, 2, 2), each row evaluated at every corner chord."""
+    g0, g1 = (g[..., None, None, :] for g in cone.generators)
+    rows = np.stack([cross2(g0, v), cross2(v, g1),
+                     np.where(np.asarray(cone.is_ray)[..., None, None], dot2(g0, v), np.inf)])
+    return ~(rows.max(axis=(-2, -1)) < -4 * EPS_CERT).any(axis=0)
+
+
+def _product_chord_reach(P, Q, a):
+    """_rows_reach on the corner chords from each face id in a to every face
+    id of P, each facet's start moved back 1e-9 of its length, for every
+    face of Q, (len(a), 2 n_P, 2 m_Q): the screen of _side_tables as it was
+    before _chord_reach."""
+    start, stop = P.face_table.ends.transpose(1, 0, 2)
+    ends = np.stack([start - 1e-9 * (stop - start), stop], 1)
+    v = ends[None, :, :, None] - ends[a][:, None, None]
+    return _rows_reach(Q.face_table.cones, v[:, :, None])
 
 
 def _screen_instances():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from minkbill import bounce3, lp as lpmod
-from minkbill.bounce2 import SearchStats, _rows_reach
+from minkbill.bounce2 import SearchStats, _chord_reach
 from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
                               find_inbody, fit_to_k, gamma_triangles,
                               search_three_bounce, solve_facet_triple,
@@ -24,7 +24,8 @@ from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
 
 from conftest import polytopes
-from test_bounce2 import (_Affine, _certified_pair, _moved as _scaled, _reference_cone_rows,
+from test_bounce2 import (_Affine, _certified_pair, _moved as _scaled,
+                          _product_chord_reach, _reference_cone_rows, _rows_reach,
                           _screen_instances as _pool_and_scaled_instances)
 from test_geom import _reference_find_faces
 
@@ -749,6 +750,27 @@ def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
     assert counts["grid"][0] == 5484 and counts["grid"][1] <= 2800
     assert counts["96-gon"][0] == 72656 and counts["96-gon"][1] <= 6000
     assert total >= 150
+
+
+def test_chord_reach_covers_the_product_form_on_every_face_pair():
+    """The one table of both screens, _chord_reach, keeps every
+    (F, a, b) that the product form on the moved corner chords keeps, over
+    all face ids a, b of P (vertices and facets) and every face F of Q, for
+    (P, Q) = (K, T) and (T, K) of every instance of either screen's tests:
+    the scaled and the 2^31-translated bodies included, where the rows
+    round differently in the two forms, and the slack house, whose sides
+    pass only past a facet start."""
+    covered = 0
+    for _, K, T in _contact_instances():
+        for P, Q in ((K, T), (T, K)):
+            faces = np.arange(2 * P.n)
+            block = max(1, 2 ** 21 // (24 * len(faces) * 2 * Q.n))
+            for a in np.split(faces, range(block, len(faces), block)):
+                reach = _chord_reach(P, Q, *np.meshgrid(a, faces, indexing="ij"))
+                product = _product_chord_reach(P, Q, a)
+                assert (reach | ~product.transpose(2, 0, 1)).all()
+                covered += int(product.sum())
+    assert covered >= 3_000_000
 
 
 def test_stacked_fit_matches_per_triple_fit(rng):

@@ -191,12 +191,13 @@ def test_invalid_input_exit_code(tmp_path):
     ["shortest", "{K}", "{T}", "--grid", "0", "--out", "{out}"],
     ["shortest", "{K}", "{T}", "--grid", "-4", "--out", "{out}"],
     ["shortest", "{ragged}", "{T}", "--out", "{out}"],
+    ["shortest", "{K}", "{huge}", "--out", "{out}"],
     ["gen", "5", "4", "--seed", "-1", "--out-k", "{out}", "--out-t", "{out}"],
     ["bench", "--sizes", "3", "--seed", "-2", "--out", "{out}"],
 ], ids=["plot-polytope", "plot-bare-report", "obtuse-square",
         "obtuse-bad-ngons", "gen-2-gon", "bench-2-gon", "shortest-grid-0",
         "shortest-grid-negative", "shortest-ragged-vertices",
-        "gen-negative-seed", "bench-negative-seed"])
+        "shortest-overflowing-edges", "gen-negative-seed", "bench-negative-seed"])
 def test_invalid_arguments_exit_2(instance_files, tmp_path, capsys, argv):
     """Arguments or input files that break a rule of the command exit with
     status 2 and an "error: " message, and write no output."""
@@ -205,8 +206,10 @@ def test_invalid_arguments_exit_2(instance_files, tmp_path, capsys, argv):
     bare.write_text(json.dumps({"schema": REPORT_SCHEMA}))
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1]]}))
+    huge = tmp_path / "huge.json"  # finite vertices, an edge that overflows
+    huge.write_text(json.dumps({"vertices": [[1e308, 0], [0, 1e308], [-1e308, 0]]}))
     out = tmp_path / "out"
-    names = dict(K=k, T=t, bare=bare, ragged=ragged, out=out)
+    names = dict(K=k, T=t, bare=bare, ragged=ragged, huge=huge, out=out)
     capsys.readouterr()
     assert main([a.format(**names) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,22 @@ def test_rejects_duplicate_vertex():
 def test_rejects_nonconvex():
     with pytest.raises(InvalidPolytope):
         ConvexPolytope2.from_vertices([(0, 0), (2, 0), (1, 0.2), (1, 2)])
+
+
+@pytest.mark.parametrize("vertices", [
+    [(1e308, 0), (0, 1e308), (-1e308, 0)],
+    [(1.5e308, 1.5e308), (-1.5e308, 1.5e308), (0, -1e308)],
+    [(1.4e308, 1.27e308), (1.27e308, 1.4e308), (1.2e308, 1.2e308)],
+], ids=["edge-overflows", "edges-overflow", "offset-overflows"])
+def test_rejects_finite_vertices_whose_edges_or_offsets_overflow(vertices):
+    """Finite vertices whose edges, normals or offsets overflow (normal
+    (0, nan) and offset nan for the first; finite edges but an infinite
+    offset for the last) are no polytope, and rejecting them raises no
+    floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidPolytope, match="finite"):
+            ConvexPolytope2.from_vertices(vertices)
 
 
 def test_normals_and_offsets_of_square():

@@ -21,15 +21,7 @@ from minkbill.randgen import random_instance, random_polytope
 from minkbill.obtuse import regular_three_bounce_exists
 from minkbill.verify import brute_force_min, certify
 
-
-def _same_cycle(A, B, atol=1e-7):
-    """Vertex arrays equal up to a cyclic shift."""
-    if A.shape != B.shape:
-        return False
-    for r in range(A.shape[0]):
-        if np.allclose(np.roll(B, r, axis=0), A, atol=atol):
-            return True
-    return False
+from references import same_cycle
 
 
 def _report(num, label, ok, detail=""):
@@ -196,7 +188,7 @@ def test_criterion_09_geometry_identities():
     for _ in range(trials):
         P = polys[int(rng.integers(len(polys)))]
         P = P.translate(-P.centroid())
-        ok &= _same_cycle(polar(polar(P)).vertices, P.vertices)
+        ok &= same_cycle(polar(polar(P)).vertices, P.vertices)
     involution = ok
     # translation invariance of curve length
     ok = True

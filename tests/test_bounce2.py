@@ -1,9 +1,6 @@
 import functools
 import itertools
-import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,29 +9,18 @@ from minkbill import bounce2, lp as lpmod
 from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
                               solve_face_tuple)
 from minkbill.bounce3 import search_three_bounce
-from minkbill.fixtures import fixture_names, load, regular_ngon
-from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face,
-                           all_faces, cone_contains, cross2, dot2, face_tuples,
-                           find_face, in_f, normal_cone)
+from minkbill.fixtures import load, regular_ngon
+from minkbill.geom import (EPS_ANG, EPS_GEO, Face, all_faces, cone_contains,
+                           face_array, face_tuples, find_face, in_f, normal_cone)
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
 from minkbill.pairs import _canonical_keys, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import certified_pairs, certify
+from minkbill.verify import certify
 
-from test_geom import cones_intersect
-from test_symmetric import symmetric_polygon
-
-SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
-DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
-
-
-def _certified_pair(K, T, pair):
-    """The pair carrying its certificate, or None if it is None or fails:
-    what a search keeps of it, one pair at a time."""
-    if pair is None:
-        return None
-    pair = replace(pair, certificate=certify(K, T, pair))
-    return pair if pair.certificate.certified else None
+import corpus
+from corpus import DIAMOND, SQUARE
+from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
+                        cones_intersect, reference_cone_rows, spy)
 
 
 def test_square_square_min_is_four():
@@ -130,12 +116,7 @@ def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
     the LP's vertex may tilt it out of them and its length moves by up to
     about |chord| * EPS_GEO (2e-9 of 4 on the square).  Some objective
     does move a point."""
-    seen = []
-
-    def recording(K, T, pair):
-        seen.append(pair)
-        return prefer_smooth(K, T, pair)
-    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
     search_two_bounce(K, T)
     patterns = set()
     moved = 0
@@ -181,7 +162,7 @@ def test_declared_faces_contain_vertices(rng):
         for j in range(2):
             f = find_face(K, pair.q.vertices[j], tol=1e-7)
             # the declared face need not be minimal, but must contain the point
-            from minkbill.geom import face_array, face_distances
+            from minkbill.geom import face_distances
             f, g = pair.k_faces[j], pair.t_faces[j]
             assert face_distances(K, face_array(K, [[f]]), pair.q.vertices[j]) < 1e-7
             assert face_distances(T, face_array(T, [[g]]), pair.p.vertices[j]) < 1e-7
@@ -192,14 +173,8 @@ def test_search_solves_no_simplex(monkeypatch):
     search never calls lp.solve, and so no tableau simplex, also where sides
     of two parallel facets are certified.  The 3-bounce search solves its
     LPs by lp.solve_dual3 and never calls it either."""
-    calls, seen = [], []
-
-    def recording(K, T, pair):
-        seen.append(pair)
-        return prefer_smooth(K, T, pair)
-    solve = lpmod.solve
-    monkeypatch.setattr(lpmod, "solve", lambda lp: calls.append(lp) or solve(lp))
-    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
+    calls = spy(monkeypatch, lpmod, "solve", lambda lp: lp)
     three = []
     for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
                  + [(regular_ngon(n), regular_ngon(m)) for n, m in ((4, 4), (6, 3), (8, 12))]):
@@ -216,48 +191,13 @@ def test_search_solves_no_simplex(monkeypatch):
 # one (K, T) were batched: the reference for the batched search
 
 
+@corpus.per_body
 def _reference_antipodal_pairs(P):
     faces = all_faces(P)
     cones = [normal_cone(P, f) for f in faces]
     return [(f1, f2) for (i, f1), (j, f2) in
             itertools.combinations(enumerate(faces), 2)
             if cones_intersect(cones[i], cones[j].negate())]
-
-
-class _Affine:
-    """Affine 2-vector c + M x in the LP variables."""
-
-    def __init__(self, c, M):
-        self.c = np.asarray(c, float)
-        self.M = np.asarray(M, float)
-
-    def __sub__(self, other):
-        return _Affine(self.c - other.c, self.M - other.M)
-
-    def cross_with(self, g):
-        return (g[0] * self.M[1] - g[1] * self.M[0],
-                g[0] * self.c[1] - g[1] * self.c[0])
-
-    def dot_with(self, g):
-        return (g[0] * self.M[0] + g[1] * self.M[1],
-                g[0] * self.c[0] + g[1] * self.c[1])
-
-    def at(self, x):
-        return self.c + self.M @ x
-
-
-def _reference_cone_rows(rows, expr, cone, slack=EPS_GEO):
-    g = cone.generators
-    if cone.is_ray:
-        row, const = expr.cross_with(g[0])
-        rows.append((row, -const, True))
-        row, const = expr.dot_with(g[0])
-        rows.append((-row, slack + const, False))
-    else:
-        row, const = expr.cross_with(g[0])
-        rows.append((-row, slack + const, False))
-        row, const = expr.cross_with(g[1])
-        rows.append((row, slack - const, False))
 
 
 def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
@@ -278,7 +218,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
                 and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        return _certified_pair(K, T, make_pair(
+        return certified_pair(K, T, make_pair(
             K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
             (f1, f2), (g1, g2)))
     facet = [d is not None for _, d in ends]
@@ -292,7 +232,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         M = np.zeros((2, nv))
         if d is not None:
             M[:, col[r]] = d
-        points.append(_Affine(base, M))
+        points.append(Affine(base, M))
     q1, q2, p1, p2 = points
     sides = []  # the rows of each free side
     if f_fixed:
@@ -301,16 +241,16 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
             return None
     else:
         sides.append([])
-        _reference_cone_rows(sides[-1], q2 - q1, ct1)
-        _reference_cone_rows(sides[-1], q1 - q2, ct2)
+        reference_cone_rows(sides[-1], q2 - q1, ct1)
+        reference_cone_rows(sides[-1], q1 - q2, ct2)
     if g_fixed:
         dp = p2.c - p1.c
         if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
     else:
         sides.append([])
-        _reference_cone_rows(sides[-1], p2 - p1, ck2.negate())
-        _reference_cone_rows(sides[-1], p1 - p2, ck1.negate())
+        reference_cone_rows(sides[-1], p2 - p1, ck2.negate())
+        reference_cone_rows(sides[-1], p1 - p2, ck1.negate())
     if sides_apart:  # free side c has variable c
         x = np.zeros(nv)
         for c, rows in enumerate(sides):
@@ -332,7 +272,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         if sol.status != "optimal":
             return None
         x = sol.x
-    return _certified_pair(K, T, make_pair(
+    return certified_pair(K, T, make_pair(
         K, T, [q1.at(x), q2.at(x)], [p1.at(x), p2.at(x)], (f1, f2), (g1, g2)))
 
 
@@ -350,38 +290,6 @@ def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
     return sort_pairs(dedupe([prefer_smooth(K, T, p) for p in found])), found
 
 
-def _identity_instances():
-    """The fixtures, square and diamond, regular n-gons, random pairs and
-    random centrally symmetric pairs; all but the random pairs have
-    parallel facets."""
-    fixtures = [(load(name).K, load(name).T) for name in fixture_names()]
-    plain = [SQUARE, DIAMOND]
-    ngons = [regular_ngon(n) for n in (3, 4, 6, 12)]
-    rng = np.random.default_rng(2)
-    randoms = []
-    for k in range(110):
-        K, T = random_instance(rng, int(rng.integers(3, 8)),
-                               int(rng.integers(3, 8)))
-        if k % 4 == 0:
-            T = T.translate(rng.uniform(-3.0, 3.0, size=2))
-        randoms.append((K, T))
-    rng = np.random.default_rng(14)
-    symmetric = [tuple(symmetric_polygon(rng, int(rng.integers(2, 7)))
-                       for _ in range(2)) for _ in range(6)]
-    return (fixtures + list(itertools.product(plain, plain))
-            + [(P, P) for P in ngons] + [(P, DIAMOND) for P in ngons]
-            + [(SQUARE, P) for P in ngons] + randoms + symmetric)
-
-
-def _same_pairs(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.length == b.length
-        assert np.array_equal(a.q.vertices, b.q.vertices)
-        assert np.array_equal(a.p.vertices, b.p.vertices)
-        assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
-
-
 def test_batched_search_matches_per_tuple_reference(monkeypatch):
     """The batched search gives, bit for bit, what the per-tuple search
     gives with each side solved apart by solve_interval, both facets of a
@@ -397,21 +305,16 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
     same wherever the closed form reproduces the pivots (over 80 % of the
     pairs).  The regular and symmetric polygons have parallel facets, so
     vertex-vertex and facet-facet tuples reach the side solver there."""
-    seen = []
-
-    def recording(K, T, pair):
-        seen.append(pair)
-        return prefer_smooth(K, T, pair)
-    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
+    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
     apart = functools.partial(_reference_face_tuple, sides_apart=True)
     patterns = set()
     total = compared = same = 0
-    for K, T in _identity_instances():
+    for _, K, T in corpus.cases("identity"):
         seen.clear()
         got = search_two_bounce(K, T)
         want, found = _per_tuple_reference(K, T, apart)
-        _same_pairs(seen, found)
-        _same_pairs(got, want)
+        assert_same_pairs(seen, found)
+        assert_same_pairs(got, want)
         _, by_simplex = _per_tuple_reference(K, T)
         assert ([(p.k_faces, p.t_faces) for p in found]
                 == [(p.k_faces, p.t_faces) for p in by_simplex])
@@ -440,23 +343,16 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
 
 
 def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
-    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
-    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
     f_fixed = not (f1.is_edge or f2.is_edge)
     g_fixed = not (g1.is_edge or g2.is_edge)
+    if f_fixed and g_fixed:  # no LP: as _reference_face_tuple
+        return _reference_face_tuple(K, T, f1, f2, g1, g2)
+    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
+    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
     ends = []
     for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
         a, b = P.face_table.ends[P.n + f.index]
         ends.append((a, b - a if f.is_edge else None))
-    if f_fixed and g_fixed:
-        dq = ends[1][0] - ends[0][0]
-        dp = ends[3][0] - ends[2][0]
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
-                and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
-            return None
-        return _certified_pair(K, T, make_pair(
-            K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
-            (f1, f2), (g1, g2)))
     mixed = not f_fixed and not g_fixed
     nv = sum(d is not None for _, d in ends) + 2 * mixed
     points = []
@@ -464,21 +360,21 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
         M = np.zeros((2, nv))
         if d is not None:  # one variable per facet, in this order
             M[:, sum(e is not None for _, e in ends[:r])] = d
-        points.append(_Affine(base, M))
+        points.append(Affine(base, M))
     q1, q2, p1, p2 = points
     rows = []
     if f_fixed:
         dq = q2.c - q1.c
         if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
             return None
-        _reference_cone_rows(rows, p2 - p1, ck2.negate())
-        _reference_cone_rows(rows, p1 - p2, ck1.negate())
+        reference_cone_rows(rows, p2 - p1, ck2.negate())
+        reference_cone_rows(rows, p1 - p2, ck1.negate())
     elif g_fixed:
         dp = p2.c - p1.c
         if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
             return None
-        _reference_cone_rows(rows, q2 - q1, ct1)
-        _reference_cone_rows(rows, q1 - q2, ct2)
+        reference_cone_rows(rows, q2 - q1, ct1)
+        reference_cone_rows(rows, q1 - q2, ct2)
     else:
         if g1.is_edge:
             w_expr, w = q2 - q1, T.normals[g1.index]
@@ -496,13 +392,13 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
             row[nv - 1] -= u[coord]
             rows.append((row, -u_expr.c[coord], True))
         if not g1.is_edge:
-            _reference_cone_rows(rows, q2 - q1, ct1)
+            reference_cone_rows(rows, q2 - q1, ct1)
         if not g2.is_edge:
-            _reference_cone_rows(rows, q1 - q2, ct2)
+            reference_cone_rows(rows, q1 - q2, ct2)
         if not f2.is_edge:
-            _reference_cone_rows(rows, p2 - p1, ck2.negate())
+            reference_cone_rows(rows, p2 - p1, ck2.negate())
         if not f1.is_edge:
-            _reference_cone_rows(rows, p1 - p2, ck1.negate())
+            reference_cone_rows(rows, p1 - p2, ck1.negate())
     upper = np.ones(nv)
     if mixed:
         upper[nv - 2:] = np.inf
@@ -515,7 +411,7 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
         return None
     if sol.status != "optimal":
         return None
-    return _certified_pair(K, T, make_pair(
+    return certified_pair(K, T, make_pair(
         K, T, [q1.at(sol.x), q2.at(sol.x)], [p1.at(sol.x), p2.at(sol.x)],
         (f1, f2), (g1, g2)))
 
@@ -546,26 +442,15 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
     pairs, with q and p equal to 1e-12 of the body's diameter.  Within a
     family of constant length the two may stop at different points, so the
     pairs before prefer_smooth are compared by faces and length only."""
-    seen, statuses, feasible, multiplier_feasible = [], [], [], []
-
-    def recording(K, T, pair):
-        seen.append(pair)
-        return prefer_smooth(K, T, pair)
-
-    def logged_pairs(K, T, q, p, k_faces, t_faces):
-        feasible.append(list(zip(face_tuples(K, k_faces), face_tuples(T, t_faces))))
-        return certified_pairs(K, T, q, p, k_faces, t_faces)
-
-    def logged_pair(K, T, q, p, k_faces, t_faces, make_one=make_pair):
-        multiplier_feasible.append((tuple(k_faces), tuple(t_faces)))
-        return make_one(K, T, q, p, k_faces, t_faces)
-    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
-    monkeypatch.setattr(bounce2, "certified_pairs", logged_pairs)
-    monkeypatch.setattr(sys.modules[__name__], "make_pair", logged_pair)
+    seen, statuses = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair), []
+    feasible = spy(monkeypatch, bounce2, "certified_pairs", lambda K, T, q, p, kf, tf:
+                   list(zip(face_tuples(K, kf), face_tuples(T, tf))))
+    multiplier_feasible = spy(monkeypatch, sys.modules[__name__], "make_pair",
+                              lambda K, T, q, p, kf, tf: (tuple(kf), tuple(tf)))
     monkeypatch.setattr(sys.modules[__name__], "solve",
                         _status_log(solve, statuses))
     total = 0
-    for K, T in _identity_instances():
+    for _, K, T in corpus.cases("identity"):
         for log in (seen, feasible, multiplier_feasible):
             log.clear()
         got = search_two_bounce(K, T)
@@ -593,11 +478,8 @@ def test_antipodal_filter_matches_cones_intersect(rng):
     bodies = [SQUARE, DIAMOND] + [regular_ngon(n) for n in (3, 4, 6, 12, 64)]
     bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 25)]
     for P in bodies:
-        faces = all_faces(P)
-        cones = [normal_cone(P, f) for f in faces]
-        want = [(i, j) for i, j in itertools.combinations(range(len(faces)), 2)
-                if cones_intersect(cones[i], cones[j].negate())]
-        assert bounce2._antipodal_pairs(P).tolist() == [list(t) for t in want]
+        want = face_array(P, _reference_antipodal_pairs(P)).tolist()
+        assert bounce2._antipodal_pairs(P).tolist() == want
 
 
 def _per_face_antipodal_pairs(P):
@@ -618,7 +500,7 @@ def test_antipodal_pairs_match_per_face_reference(rng):
     face, on bodies whose parallel facets put angles on the EPS_ANG edge."""
     bodies = [SQUARE, DIAMOND] + [regular_ngon(n) for n in (3, 4, 6, 12, 64, 256)]
     bodies += [random_polytope(rng, n) for n in (3, 4, 5, 8, 13, 25)]
-    bodies += [K for pair in _identity_instances() for K in pair]
+    bodies += [P for _, K, T in corpus.cases("identity") for P in (K, T)]
     for P in bodies:
         got = bounce2._antipodal_pairs(P)
         want = _per_face_antipodal_pairs(P)
@@ -629,10 +511,8 @@ def test_antipodal_pairs_match_per_face_reference(rng):
 # the search before the chord screen: _solve_tuples on the whole product of
 # the antipodal face pairs, the reference of the screened search
 
-POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
 
-
-def _unscreened_search(K, T, solve_tuples=bounce2._solve_tuples):
+def _unscreened_two_bounce(K, T, solve_tuples=bounce2._solve_tuples):
     """search_two_bounce as it was before _side_tables screened the face
     tuples, and the number of tuples it solved."""
     k_pairs, t_pairs = bounce2._antipodal_pairs(K), bounce2._antipodal_pairs(T)
@@ -664,66 +544,6 @@ def _reference_side_solves(K, T):
     return count
 
 
-def _moved(P, c, shift):
-    """c P + shift for a power of two c, with the normals and offsets that
-    from_vertices computes, but without its absolute tolerances, which
-    reject bodies below about 2^-10."""
-    v = c * P.vertices + shift
-    return ConvexPolytope2(v, P.normals, np.einsum("ij,ij->i", P.normals, v))
-
-
-def _rows_reach(cone, v):
-    """The product form of the row test, the reference of
-    bounce2._chord_reach: whether each row of each cone (those of
-    _cone_rows) reaches -4 EPS_CERT at one of its corner chords
-    v (..., 2, 2, 2), each row evaluated at every corner chord."""
-    g0, g1 = (g[..., None, None, :] for g in cone.generators)
-    rows = np.stack([cross2(g0, v), cross2(v, g1),
-                     np.where(np.asarray(cone.is_ray)[..., None, None], dot2(g0, v), np.inf)])
-    return ~(rows.max(axis=(-2, -1)) < -4 * EPS_CERT).any(axis=0)
-
-
-def _product_chord_reach(P, Q, a):
-    """_rows_reach on the corner chords from each face id in a to every face
-    id of P, each facet's start moved back 1e-9 of its length, for every
-    face of Q, (len(a), 2 n_P, 2 m_Q): the screen of _side_tables as it was
-    before _chord_reach."""
-    start, stop = P.face_table.ends.transpose(1, 0, 2)
-    ends = np.stack([start - 1e-9 * (stop - start), stop], 1)
-    v = ends[None, :, :, None] - ends[a][:, None, None]
-    return _rows_reach(Q.face_table.cones, v[:, :, None])
-
-
-def _screen_instances():
-    """The benchmark pools (read only), the fixtures, regular 3- to 64-gons
-    (parallel facets), a side feasible only within its slack, and random 3-
-    to 25-gons scaled by powers of two in 2^-12..2^20 and translated, each
-    with its label."""
-    out = []
-    for pool in ("grid", "oracle", "ngon"):
-        with open(POOLS / f"{pool}.json") as fh:
-            out += [(pool, ConvexPolytope2.from_vertices(inst["K"]),
-                     ConvexPolytope2.from_vertices(inst["T"]))
-                    for inst in json.load(fh)["instances"]]
-    out += [("fixture", load(name).K, load(name).T) for name in fixture_names()]
-    out += [("regular", regular_ngon(n), regular_ngon(m))
-            for n, m in ((3, 3), (4, 4), (4, 6), (5, 8), (6, 6), (8, 3), (12, 12),
-                         (16, 4), (32, 6), (64, 64))]
-    # facet sides that solve_interval accepts only past a facet end: the
-    # chords from (0, c) to the bottom facet of c house miss the normal
-    # (0, 1) of the square by 5e-10 c, and an equality pins t = -5e-10
-    house = ConvexPolytope2.from_vertices([(5e-10, -1), (1, -1), (1, 0), (0, 1), (-1, 0)])
-    for c in (1.0, 2.0 ** 10, 2.0 ** 20):
-        out += [("slack", _moved(house, c, 0.0), SQUARE), ("slack", SQUARE, _moved(house, c, 0.0))]
-    rng = np.random.default_rng(22)
-    for _ in range(60):
-        K, T = random_instance(rng, int(rng.integers(3, 26)), int(rng.integers(3, 26)))
-        c, d = 2.0 ** rng.integers(-12, 21, size=2)
-        out.append(("scaled", _moved(K, c, c * rng.uniform(-3, 3, 2)),
-                    _moved(T, d, d * rng.uniform(-3, 3, 2))))
-    return out
-
-
 def test_chord_screen_drops_only_tuples_the_side_lps_reject(monkeypatch):
     """The chord screen of search_two_bounce drops only face tuples that
     _solve_tuples would not pass to certification: every stack handed to
@@ -732,45 +552,27 @@ def test_chord_screen_drops_only_tuples_the_side_lps_reject(monkeypatch):
     counting the whole product (checked one tuple at a time where it is
     small), and the screen screens: at most 200 of the grid pool's 26,912
     face tuples reach _solve_tuples."""
-    calls, solved = [], []
-    real_pairs, real_solve = bounce2.certified_pairs, bounce2._solve_tuples
-
-    def recording(K, T, *rows):
-        calls.append([np.asarray(r) for r in rows])
-        return real_pairs(K, T, *rows)
-
-    def counting(K, T, tuples):
-        solved.append(len(tuples))
-        return real_solve(K, T, tuples)
-    monkeypatch.setattr(bounce2, "certified_pairs", recording)
-    monkeypatch.setattr(bounce2, "_solve_tuples", counting)
+    real_solve = bounce2._solve_tuples
+    calls = spy(monkeypatch, bounce2, "certified_pairs",
+                lambda K, T, *rows: list(map(np.asarray, rows)))
+    solved = spy(monkeypatch, bounce2, "_solve_tuples", lambda K, T, tuples: len(tuples))
     grid, labels, total = [0, 0], set(), 0
-    for label, K, T in _screen_instances():
+    for label, K, T in corpus.cases("chord"):
         calls.clear()
         stats = SearchStats()
         got = search_two_bounce(K, T, stats)
         screened = list(calls)
         calls.clear()
-        want, product = _unscreened_search(K, T, real_solve)
-        assert len(screened) == len(calls)
-        for a, b in zip(screened, calls):
-            assert [(r.dtype, r.shape, r.tobytes()) for r in a] == \
-                [(r.dtype, r.shape, r.tobytes()) for r in b]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
-                (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
-            assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
-            assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
-            assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+        want, product = _unscreened_two_bounce(K, T, real_solve)
+        assert_same_search(screened, calls, got, want)
         assert stats.tuples_after_filter == product
         assert solved[-1] == stats.tuples_after_screen <= product
         if product <= 2000:
             assert stats.side_solves == _reference_side_solves(K, T)
-        if label == "grid":
+        if label.startswith("grid/"):
             grid[0] += product
             grid[1] += stats.tuples_after_screen
-        labels.add(label)
+        labels.add(label.split("/")[0])
         total += len(got)
     assert grid[0] == 26912 and grid[1] <= 200
     assert len(labels) == 7 and total >= 900

@@ -17,17 +17,17 @@ from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            InvalidPolytope, angles, cross2, face_distances,
                            face_cones, face_tuples, find_face, find_faces, largest_gap,
-                           normal_cone, positively_spans, rotation, support_many)
+                           normal_cone, positively_spans, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
 
+import corpus
 from conftest import polytopes
-from test_bounce2 import (_Affine, _certified_pair, _moved as _scaled,
-                          _product_chord_reach, _reference_cone_rows, _rows_reach,
-                          _screen_instances as _pool_and_scaled_instances)
-from test_geom import _reference_find_faces
+from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
+                        product_chord_reach, reference_cone_rows,
+                        reference_find_faces, rows_reach, spy)
 
 
 class NotSpanning(GeometryError):
@@ -234,17 +234,8 @@ def _inbody_per_vertex(tri, T):
     sol = solve(LinearProgram(np.array([1.0, 0.0, 0.0]), A,
                               np.repeat(T.offsets, 3),
                               lower=np.array([0.0, -np.inf, -np.inf])))
-    if sol.status != "optimal" or sol.x[0] <= EPS_GEO:
-        return "DegenerateLp", None, None
-    lam = sol.x[0]
-    try:
-        faces = tuple(find_face(T, v, tol=1e-7) for v in lam * tri + sol.x[1:])
-    except GeometryError:
-        return "NotOnBoundary", lam, None
-    gens = [g for f in faces for g in normal_cone(T, f).generators]
-    if not positively_spans(gens):
-        return "HalfspaceViolation", lam, faces
-    return "ok", lam, faces
+    reason, lam, _, faces = _placement(tri, T, sol.status, sol.x)
+    return reason, lam, faces
 
 
 def test_inbody_one_row_per_facet_matches_per_vertex_rows(rng):
@@ -424,7 +415,7 @@ def _sampled_fan_pairs(K, T, triple, samples=8):
             t = float((q[r] - a) @ (b - a)) / float((b - a) @ (b - a))
             on_facets &= -1e-9 <= t <= 1 + 1e-9
         if on_facets:
-            pair = _certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
+            pair = certified_pair(K, T, make_pair(K, T, q, p, k_faces, t_faces))
             if pair is not None:
                 out.append(pair)
     return out
@@ -456,17 +447,17 @@ def test_exact_fit_matches_sampled_fan(rng):
 
 def _fit_rows(K, T, triple, t_faces):
     """The q-side fit of one triple, written per triple: the points q_r on
-    facet triple[r] (as _Affine in t) and the rows of the 2-bounce
+    facet triple[r] (as Affine in t) and the rows of the 2-bounce
     reference, (coefficients, bound, is_equality), two per contact."""
     q = []
     for r, fi in enumerate(triple):
         a, b = K.face_table.ends[K.n + fi]
         M = np.zeros((2, 3))
         M[:, r] = b - a
-        q.append(_Affine(a, M))
+        q.append(Affine(a, M))
     rows = []
     for r in range(3):
-        _reference_cone_rows(rows, q[(r + 1) % 3] - q[r],
+        reference_cone_rows(rows, q[(r + 1) % 3] - q[r],
                              normal_cone(T, t_faces[r]))
     return q, rows
 
@@ -516,7 +507,7 @@ def _simplex_fit_family(K, T, triple, t_faces):
 
 def _triple_outcomes(K, T, simplex=False):
     """search_three_bounce one facet triple at a time: build_gamma, the
-    inbody LP of that triangle alone, the per-triple fit and _certified_pair;
+    inbody LP of that triangle alone, the per-triple fit and certified_pair;
     with simplex, both LPs by the tableau simplex as before the dual
     simplex.  Per spanning triple: (inbody reason, contact faces, fit reason
     or None, certified pair or None)."""
@@ -534,7 +525,7 @@ def _triple_outcomes(K, T, simplex=False):
         except FitRejected as err:
             out.append((reason, faces, err.reason, None))
             continue
-        out.append((reason, faces, "", _certified_pair(K, T, make_pair(
+        out.append((reason, faces, "", certified_pair(K, T, make_pair(
             K, T, 0.5 * (low + high), np.roll(verts, -1, axis=0),
             tuple(Face.edge(i) for i in triple), t_faces))))
     return out
@@ -547,33 +538,13 @@ def _per_triple_search(K, T, simplex=False):
                               if pair is not None]))
 
 
-def _search_instances(rng):
-    """The fixtures and 120 random instances; every third T is moved off
-    the origin, so that the inbody LPs run phase 1."""
-    instances = [(load(name).K, load(name).T) for name in fixture_names()]
-    for k in range(120):
-        K, T = random_instance(rng, int(rng.integers(3, 9)),
-                               int(rng.integers(3, 9)))
-        if k % 3 == 0:
-            T = T.translate(rng.uniform(-4.0, 4.0, size=2))
-        instances.append((K, T))
-    return instances
-
-
-def test_search_matches_per_triple_reference(rng):
+def test_search_matches_per_triple_reference():
     """The stacked search_three_bounce (one solve_dual3 stack per (K, T) for
     the inbody LPs and one for the fits) finds exactly the pairs of the
     per-triple pipeline, whose LPs are stacks of one, bit for bit."""
     pairs = 0
-    for K, T in _search_instances(rng):
-        got = search_three_bounce(K, T)
-        want = _per_triple_search(K, T)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.k_faces, a.t_faces) == (b.k_faces, b.t_faces)
-            assert a.length == b.length
-            assert np.array_equal(a.q.vertices, b.q.vertices)
-            assert np.array_equal(a.p.vertices, b.p.vertices)
+    for (_, K, T), got in zip(corpus.cases("search"), corpus.three_bounce("search")):
+        assert_same_pairs(got, _per_triple_search(K, T))
         pairs += len(got)
     assert pairs >= 50
 
@@ -584,29 +555,21 @@ def _no_prefilter(K, T):
     return np.ones((2 * T.n, K.n, K.n), bool), np.full((K.n, K.n), -np.inf)
 
 
-def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
+def test_chord_prefilter_changes_no_pair(monkeypatch):
     """The contact screen before the inbody LPs and the gather of its reach
     table before the fits leave search_three_bounce's candidates unchanged,
     bit for bit, against a search with neither, on the fixtures and 120
     random instances, while most of the inbody LPs and fits are saved."""
-    instances = _search_instances(rng)
-    real, fits = bounce3._fit_stack, []
-
-    def counting(K, T, triples, *faces):
-        fits[-1] += len(triples)
-        return real(K, T, triples, *faces)
-
-    monkeypatch.setattr(bounce3, "_fit_stack", counting)
-    runs = []
+    instances = [(K, T) for _, K, T in corpus.cases("search")]
+    fits, runs = spy(monkeypatch, bounce3, "_fit_stack", lambda K, T, tr, *_: len(tr)), []
     for tables in (bounce3._contact_tables, _no_prefilter):
         monkeypatch.setattr(bounce3, "_contact_tables", tables)
-        stats = SearchStats()
-        fits.append(0)
+        stats, start = SearchStats(), len(fits)
         runs.append(([search_three_bounce(K, T, stats) for K, T in instances],
-                     stats.inbody_triples))
-    (got, inbody), (want, members) = runs
+                     stats.inbody_triples, sum(fits[start:])))
+    (got, inbody, fitted), (want, members, unscreened) = runs
     assert members == sum(len(spanning_triples(K)) for K, _ in instances)
-    assert inbody < members // 2 and fits[0] < fits[1] // 2
+    assert inbody < members // 2 and fitted < unscreened // 2
     assert sum(map(len, got)) >= 50
     for a, b in zip(got, want):
         assert [(p.k_faces, p.t_faces, p.length, p.q.vertices.tobytes(),
@@ -615,39 +578,21 @@ def test_chord_prefilter_changes_no_pair(monkeypatch, rng):
                  p.p.vertices.tobytes(), p.certificate) for p in b]
 
 
-def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch, rng):
+def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch):
     """solve_dual3 takes no step (no lp._violations call) on an empty
     stack, such as the inbody stack of an instance whose contact screen
     keeps no triple, and _solve_triples runs no _fit_stack when the gather
     of the reach table keeps no placed triple, as it does on some of the
     fixtures and random instances."""
-    inbody, fit, violations = bounce3._inbody_stack, bounce3._fit_stack, lpmod._violations
-    solve_triples, members, fits, steps, kept = bounce3._solve_triples, [], [], [], []
-
-    def inbody_spy(triangles, T):
-        members.append(len(triangles))
-        return inbody(triangles, T)
-
-    def fit_spy(K, T, triples, *faces):
-        fits.append(len(triples))
-        return fit(K, T, triples, *faces)
-
-    def violations_spy(A, *rest):
-        steps.append(len(A))
-        return violations(A, *rest)
-
-    def solve_triples_spy(K, T, reach, triples, p, faces):
-        kept.append(int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
-        return solve_triples(K, T, reach, triples, p, faces)
-
-    monkeypatch.setattr(bounce3, "_inbody_stack", inbody_spy)
-    monkeypatch.setattr(bounce3, "_fit_stack", fit_spy)
-    monkeypatch.setattr(bounce3, "_solve_triples", solve_triples_spy)
-    monkeypatch.setattr(lpmod, "_violations", violations_spy)
+    members = spy(monkeypatch, bounce3, "_inbody_stack", lambda triangles, T: len(triangles))
+    fits = spy(monkeypatch, bounce3, "_fit_stack", lambda K, T, triples, *faces: len(triples))
+    steps = spy(monkeypatch, lpmod, "_violations", lambda A, *rest: len(A))
+    kept = spy(monkeypatch, bounce3, "_solve_triples", lambda K, T, reach, triples, p, faces:
+               int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
     status, x = lpmod.solve_dual3(np.zeros((0, 3)), np.zeros((0, 4, 3)),
                                   np.zeros((0, 4)), np.zeros((0, 3), int))
     assert status.shape == (0,) and x.shape == (0, 3) and steps == []
-    for K, T in _search_instances(rng):
+    for _, K, T in corpus.cases("search"):
         search_three_bounce(K, T)
     assert members.count(0) >= 5 and kept.count(0) >= 10
     assert len(fits) == len(kept) - kept.count(0)
@@ -660,17 +605,14 @@ def _product_reach(K, T, triples, faces):
     _chords_reach was, which took all three sides)."""
     ends = K.face_table.ends[K.n + np.asarray(triples)]
     v = np.roll(ends, -1, 1)[:, :, :, None] - ends[:, :, None]
-    return _rows_reach(face_cones(T, faces), v)
+    return rows_reach(face_cones(T, faces), v)
 
 
-def _unscreened_search(K, T):
+def _unscreened_three_bounce(K, T):
     """search_three_bounce before the contact screen: the inbody LPs of all
     spanning triples, then the fits of the placed triples that
     _product_reach keeps (as _solve_triples was)."""
-    triples = spanning_triples(K)
-    reason, _, verts, faces = bounce3._inbody_stack(gamma_triangles(K, triples), T)
-    ok = reason == ""
-    triples, p, faces = triples[ok], np.roll(verts[ok], -1, 1), np.roll(faces[ok], -1, 1)
+    triples, p, faces = _survivors(K, T)
     tried = np.flatnonzero(_product_reach(K, T, triples, faces).all(axis=1))
     found = np.full(len(triples), None, object)
     if tried.size:
@@ -679,27 +621,6 @@ def _unscreened_search(K, T):
         found[fits] = bounce3.certified_pairs(K, T, 0.5 * (low + high)[fit == ""],
                                               p[fits], K.n + triples[fits], faces[fits])
     return sort_pairs(dedupe([pair for pair in found if pair is not None]))
-
-
-def _contact_instances():
-    """The instances of the 2-bounce chord screen (the benchmark pools, the
-    fixtures, regular 3- to 64-gons, random 3- to 25-gons scaled by powers
-    of two and translated), a seeded random 96-gon K against an 8-gon T,
-    the fixtures rotated, where a contact cone on an edge of its wedge
-    rounds to either side of it, and regular K moved 2^31 from the origin
-    against regular T that share their normals, where the rows that vanish
-    at a corner chord round to about EPS_CERT in either form of the row
-    test."""
-    out = _pool_and_scaled_instances()
-    for name in fixture_names():
-        out += [("rotated", *(ConvexPolytope2.from_vertices(P.vertices @ rotation(a).T)
-                              for P in (load(name).K, load(name).T))) for a in (0.3, 2.0)]
-    rng = np.random.default_rng(0)
-    out.append(("96-gon", random_polytope(rng, 96), random_polytope(rng, 8)))
-    out += [("far", _scaled(regular_ngon(n), 2.0 ** s, np.array([1.0, 0.75]) * 2.0 ** 31),
-             regular_ngon(m)) for n, m, s in ((4, 4, 0), (6, 12, 4), (8, 8, 10),
-                                             (12, 6, 4), (16, 8, 0), (16, 4, 10))]
-    return out
 
 
 def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
@@ -712,30 +633,17 @@ def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
     product keeps.  The screen screens: at most 2,800 of the grid pool's
     5,484 spanning triples, and 6,000 of the 96-gon's 72,656, reach the
     inbody LP."""
-    calls, real = [], bounce3.certified_pairs
-
-    def recording(K, T, *rows):
-        calls.append([np.asarray(r) for r in rows])
-        return real(K, T, *rows)
-
-    monkeypatch.setattr(bounce3, "certified_pairs", recording)
+    calls = spy(monkeypatch, bounce3, "certified_pairs",
+                lambda K, T, *rows: list(map(np.asarray, rows)))
     counts, total = {}, 0
-    for label, K, T in _contact_instances():
+    for label, K, T in corpus.cases("contact"):
         calls.clear()
         stats = SearchStats()
         got = search_three_bounce(K, T, stats)
         screened = list(calls)
         calls.clear()
-        want = _unscreened_search(K, T)
-        assert [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in screened] == \
-            [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in calls]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
-                (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
-            assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
-            assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
-            assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+        want = _unscreened_three_bounce(K, T)
+        assert_same_search(screened, calls, got, want)
         reach, _ = bounce3._contact_tables(K, T)
         F, f, g = np.indices(reach.shape).reshape(3, -1)
         product = _product_reach(K, T, np.stack([f, g, f], 1), np.stack([F, F, F], 1))
@@ -743,7 +651,7 @@ def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
         triples, _, faces = _survivors(K, T)
         assert np.array_equal(reach[faces, triples, np.roll(triples, -1, 1)].all(1),
                               _product_reach(K, T, triples, faces).all(axis=1))
-        c = counts.setdefault(label, [0, 0])
+        c = counts.setdefault(label.split("/")[0], [0, 0])
         c[0] += len(spanning_triples(K))
         c[1] += stats.inbody_triples
         total += len(got)
@@ -761,23 +669,23 @@ def test_chord_reach_covers_the_product_form_on_every_face_pair():
     round differently in the two forms, and the slack house, whose sides
     pass only past a facet start."""
     covered = 0
-    for _, K, T in _contact_instances():
+    for _, K, T in corpus.cases("contact"):
         for P, Q in ((K, T), (T, K)):
             faces = np.arange(2 * P.n)
             block = max(1, 2 ** 21 // (24 * len(faces) * 2 * Q.n))
             for a in np.split(faces, range(block, len(faces), block)):
                 reach = _chord_reach(P, Q, *np.meshgrid(a, faces, indexing="ij"))
-                product = _product_chord_reach(P, Q, a)
+                product = product_chord_reach(P, Q, a)
                 assert (reach | ~product.transpose(2, 0, 1)).all()
                 covered += int(product.sum())
     assert covered >= 3_000_000
 
 
-def test_stacked_fit_matches_per_triple_fit(rng):
+def test_stacked_fit_matches_per_triple_fit():
     """The stacked fits give every inbody survivor the ends, bit for bit,
     or the reject reason of the per-triple fit."""
     fits = rejects = 0
-    for K, T in _search_instances(rng):
+    for _, K, T in corpus.cases("search"):
         triples, _, faces = _survivors(K, T)
         low, high, reason = bounce3._fit_stack(K, T, triples, faces)
         for r, (triple, t_faces) in enumerate(zip(map(tuple, triples.tolist()),
@@ -819,8 +727,8 @@ def _dual_outcomes(K, T):
 
 def _same_decisions(K, T):
     """Assert that search_three_bounce decides each spanning triple as the
-    tableau simplex did, and return its pairs with the reference's, and the
-    number of slid placements.  The inbody LP fixes lambda but not always
+    tableau simplex did, and return the reference's pairs and the number of
+    slid placements.  The inbody LP fixes lambda but not always
     the placement: between parallel facets of T a triangle at its largest
     scale can slide, and the two methods may stop at different ends of the
     slide.  There the placements differ, lambda agrees to 1e-12 relative,
@@ -842,18 +750,18 @@ def _same_decisions(K, T):
             assert faces[k] == f
         assert fit[k] == fr
     ref = sort_pairs(dedupe([pr for *_, pr in want if pr is not None]))
-    return search_three_bounce(K, T), ref, slid
+    return ref, slid
 
 
-def test_search_matches_simplex_reference(rng):
+def test_search_matches_simplex_reference():
     """The dual simplex against the tableau simplex it replaced, on the
     fixtures and 120 random instances (every third T off the origin): each
     spanning triple is decided alike (_same_decisions), and the candidate
     lists have the same faces in the same order, with lengths and points
     within 1e-12 relative."""
     triples = pairs = 0
-    for K, T in _search_instances(rng):
-        got, ref, _ = _same_decisions(K, T)
+    for (_, K, T), got in zip(corpus.cases("search"), corpus.three_bounce("search")):
+        ref, _ = _same_decisions(K, T)
         assert ([(pr.k_faces, pr.t_faces) for pr in got]
                 == [(pr.k_faces, pr.t_faces) for pr in ref])
         _assert_close_pairs(got, ref)
@@ -869,8 +777,10 @@ def test_regular_polygons_match_simplex_reference():
     slid = 0
     for n in (3, 4, 5, 6, 8):
         for m in (3, 6, 8, 9, 12, 21):
-            got, ref, s = _same_decisions(regular_ngon(n), regular_ngon(m))
-            _assert_close_pairs(*(sorted(prs, key=_face_key) for prs in (got, ref)))
+            K, T = regular_ngon(n), regular_ngon(m)
+            ref, s = _same_decisions(K, T)
+            _assert_close_pairs(*(sorted(prs, key=_face_key)
+                                  for prs in (search_three_bounce(K, T), ref)))
             slid += s
     assert slid >= 5
 
@@ -939,7 +849,7 @@ def _reference_inbody_stack(triangles, T):
     lam = x[:, 0]
     reason[(reason == "") & (lam <= EPS_GEO)] = "DegenerateLp"
     verts = lam[:, None, None] * tri + x[:, None, 1:]
-    index, on_edge = _reference_find_faces(T, verts, tol=1e-7)
+    index, on_edge = reference_find_faces(T, verts, tol=1e-7)
     index, on_edge = index.reshape(B, 3), on_edge.reshape(B, 3)
     reason[(reason == "") & (index < 0).any(axis=1)] = "NotOnBoundary"
     ang = angles(T.normals)
@@ -949,35 +859,12 @@ def _reference_inbody_stack(triangles, T):
     return reason, x, verts, index, on_edge
 
 
-def _moved(rng, P):
-    """P scaled by 10**u, u uniform in [-3, 3], and translated by up to 1e3
-    in each coordinate; u is drawn again where the copy is too small for the
-    absolute convexity test of from_vertices (about 2 % of 16-gons at 1e-3)."""
-    while True:
-        try:
-            return P.scale(10.0 ** rng.uniform(-3.0, 3.0)).translate(
-                rng.uniform(-1e3, 1e3, size=2))
-        except InvalidPolytope:
-            pass
-
-
-def _screen_instances(rng):
-    """The fixtures, 150 seeded random pairs of 3- to 16-gons, and a scaled
-    and translated copy of each random pair."""
-    instances = [(load(name).K, load(name).T) for name in fixture_names()]
-    for _ in range(150):
-        K, T = random_instance(rng, int(rng.integers(3, 17)),
-                               int(rng.integers(3, 17)))
-        instances += [(K, T), (_moved(rng, K), _moved(rng, T))]
-    return instances
-
-
-def test_inbody_screen_matches_reference(rng):
+def test_inbody_screen_matches_reference():
     """The facet-slack screen changes no decision of _inbody_stack: every
     reason, x and vertex bit for bit, and the contact faces of every placed
     member, while find_faces sees far fewer members."""
     members = swept = placed = 0
-    for K, T in _screen_instances(rng):
+    for _, K, T in corpus.cases("inbody"):
         triangles = gamma_triangles(K, spanning_triples(K))
         reason, x, verts, faces = bounce3._inbody_stack(triangles, T)
         ref = _reference_inbody_stack(triangles, T)
@@ -1024,7 +911,7 @@ def test_find_faces_places_only_near_a_facet_line(case):
         assert np.abs(T.normals @ x - T.offsets).min() <= 2e-7
 
 
-def test_searches_sweep_only_points_near_a_facet_line(monkeypatch, rng):
+def test_searches_sweep_only_points_near_a_facet_line(monkeypatch):
     """During the searches find_faces never receives a point farther than
     2 tol from every facet line of T: the screen takes those members out."""
     real, seen = find_faces, []
@@ -1037,5 +924,5 @@ def test_searches_sweep_only_points_near_a_facet_line(monkeypatch, rng):
 
     monkeypatch.setattr(bounce3, "find_faces", spy)
     pairs = sum(len(search_three_bounce(K, T))
-                for K, T in _screen_instances(rng)[:80])
+                for _, K, T in corpus.cases("inbody")[:80])
     assert pairs >= 20 and sum(seen) >= 300

@@ -13,16 +13,11 @@ the dual length that certify compares with the reported ell_T(q).
 Vertex contacts of p and the 2-bounce face tuples are not covered yet.
 """
 
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from minkbill.bounce3 import search_three_bounce
-from minkbill.geom import ConvexPolytope2
-
-POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
+import corpus
 
 
 def _rational(points):
@@ -78,23 +73,11 @@ def exact_length(K, T, k_facets, t_edges):
     return p, length
 
 
-def _edge_contact_pairs():
-    """(label, K, T, pair) of every 3-bounce pair that search_three_bounce
-    finds on the grid and oracle benchmark pools (read only) whose p touches
-    T inside edges only."""
-    out = []
-    for pool in ("grid", "oracle"):
-        with open(POOLS / f"{pool}.json") as fh:
-            instances = json.load(fh)["instances"]
-        for inst in instances:
-            K, T = (ConvexPolytope2.from_vertices(inst[key]) for key in ("K", "T"))
-            out += [(f"{pool}/{inst['name']}", K, T, pair)
-                    for pair in search_three_bounce(K, T)
-                    if all(f.is_edge for f in pair.t_faces)]
-    return out
-
-
-PAIRS = _edge_contact_pairs()
+# every 3-bounce pair that search_three_bounce finds on the grid and oracle
+# benchmark pools whose p touches T inside edges only
+PAIRS = [(label, K, T, pair) for pool in ("grid", "oracle")
+         for (label, K, T), pairs in zip(corpus.cases(pool), corpus.three_bounce(pool))
+         for pair in pairs if all(f.is_edge for f in pair.t_faces)]
 
 
 def test_pools_have_the_edge_contact_pairs():

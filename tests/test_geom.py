@@ -1,7 +1,5 @@
-import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
-from minkbill.fixtures import fixture_names, load, regular_ngon
-from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
+from minkbill.fixtures import regular_ngon
+from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2,
                            Face, GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance,
@@ -20,13 +18,12 @@ from minkbill.geom import (EPS_ANG, EPS_GEO, ClosedCurve, ConvexPolytope2,
                            normal_cone,
                            polar, positively_spans, rotation, segment_distance,
                            support, unit)
-from minkbill.lp import LinearProgram, solve
 from minkbill.randgen import random_instance, random_polytope
 
+import corpus
 from conftest import polytopes, vectors
-
-SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
-DIAMOND = ConvexPolytope2.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
+from corpus import DIAMOND, SQUARE
+from references import cones_intersect, reference_find_faces, reference_in_f, same_cycle
 
 
 # --- construction -----------------------------------------------------------
@@ -119,16 +116,11 @@ def test_gauge_matches_support_of_polar():
         assert gauge(DIAMOND, x) == pytest.approx(support(polar(DIAMOND), x))
 
 
-def _same_cycle(A, B, atol=1e-7):
-    return any(np.allclose(np.roll(B, r, axis=0), A, atol=atol)
-               for r in range(B.shape[0])) if A.shape == B.shape else False
-
-
 @settings(max_examples=80, deadline=None)
 @given(polytopes(recentre=True))
 def test_polar_involution(P):
     Q = polar(polar(P))
-    assert _same_cycle(Q.vertices, P.vertices)
+    assert same_cycle(Q.vertices, P.vertices)
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,7 +128,7 @@ def test_polar_involution(P):
 def test_polar_scaling(P, c):
     lhs = polar(P.scale(c))
     rhs = polar(P).scale(1.0 / c)
-    assert _same_cycle(lhs.vertices, rhs.vertices, atol=1e-6)
+    assert same_cycle(lhs.vertices, rhs.vertices, atol=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,17 +209,6 @@ def test_stacked_cone_contains_matches_scalar_reference(P):
         assert [cone_contains(c, v) for c, v in zip(cones, V)] == want
 
 
-def cones_intersect(c1, c2) -> bool:
-    """Whether two single cones share a nonzero direction (closed reading,
-    up to EPS_ANG): the reference the 2-bounce antipodality filter is
-    checked against."""
-    a1, w1 = c1.angles()
-    a2, w2 = c2.angles()
-    d12 = (a2 - a1) % (2 * math.pi)
-    d21 = (a1 - a2) % (2 * math.pi)
-    return d12 <= w1 + EPS_ANG or d21 <= w2 + EPS_ANG
-
-
 def test_cones_intersect_antipodal_facets():
     c0 = normal_cone(SQUARE, Face.edge(0))
     c2 = normal_cone(SQUARE, Face.edge(2))
@@ -271,23 +252,7 @@ def test_in_f_vertex_pin():
     # margin the margin LP finds here is only 2 tol / (1 + sqrt 2) < tol
     inset = np.array([1.0, 1.0]) - 2 * EPS_GEO * tri.normals[1]
     assert not in_f(tri, [(0, 0), inset])
-    assert _reference_in_f(tri, [(0, 0), inset])
-
-
-def _reference_in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
-    """in_f as the translation-margin LP: maximize the common interior margin
-    of the points over translations; immovable iff it is at most tol."""
-    pts = np.asarray(points, float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    worst = (pts @ K.normals.T).max(axis=0)  # per facet, the tightest point
-    sol = solve(LinearProgram(
-        objective=np.array([0.0, 0.0, 1.0]),
-        constraints=np.column_stack([K.normals, np.ones(K.n)]),
-        rhs=K.offsets - worst))
-    if sol.status != "optimal":
-        raise GeometryError(f"margin LP ended with status {sol.status}")
-    return bool(sol.x[2] <= tol)
+    assert reference_in_f(tri, [(0, 0), inset])
 
 
 def _boundary_set(K, rng, k, slack=0.0):
@@ -326,7 +291,7 @@ def test_in_f_edge_cases_match_margin_lp():
         for s in (EPS_GEO / 2, 2 * EPS_GEO):
             cases.append((K, X - s * K.normals[face]))
     got = [in_f(K, X) for K, X in cases]
-    assert got == [_reference_in_f(K, X) for K, X in cases]
+    assert got == [reference_in_f(K, X) for K, X in cases]
     assert got == [False] * 4 + [True] * 3 + [True, False] * 3
 
 
@@ -339,7 +304,7 @@ def test_in_f_matches_margin_lp_on_boundary_sets(n, seed):
         for k in (1, 2, 3):
             for slack in (0.0, EPS_GEO / 2, 2 * EPS_GEO):
                 X = _boundary_set(K, rng, k, slack)
-                assert in_f(K, X) == _reference_in_f(K, X), (K.vertices, X)
+                assert in_f(K, X) == reference_in_f(K, X), (K.vertices, X)
 
 
 def test_in_f_matches_margin_lp_on_search_pairs():
@@ -351,7 +316,7 @@ def test_in_f_matches_margin_lp_on_search_pairs():
         for pair in search_two_bounce(K, T) + search_three_bounce(K, T):
             for P, X in ((K, pair.q.vertices), (T, pair.p.vertices)):
                 got = in_f(P, X)
-                assert got == _reference_in_f(P, X)
+                assert got == reference_in_f(P, X)
                 seen.add(got)
     assert seen == {True}  # a search returns certified pairs only
 
@@ -469,22 +434,6 @@ def test_find_face_matches_per_edge_reference(P, tol):
     assert outcomes == {"vertex", "edge", "none"}
 
 
-def _reference_find_faces(P, X, tol):
-    """find_faces as it was written on (len(X), P.n, 2) arrays."""
-    X = np.asarray(X, float).reshape(-1, 2)[:, None, :]
-    a = P.vertices
-    d = np.hypot(*np.moveaxis(a - X, -1, 0))
-    near = np.argmin(d, axis=1)
-    at_vertex = np.take_along_axis(d, near[:, None], axis=1)[:, 0] <= tol
-    e = np.roll(a, -1, axis=0) - a
-    t = np.clip(np.einsum("kij,ij->ki", X - a, e) / np.einsum("ij,ij->i", e, e),
-                0.0, 1.0)
-    hits = np.hypot(*np.moveaxis(a + t[..., None] * e - X, -1, 0)) <= tol
-    on_edge = ~at_vertex & hits.any(axis=1)
-    index = np.where(at_vertex, near, np.where(on_edge, hits.argmax(axis=1), -1))
-    return index, on_edge
-
-
 def test_find_faces_matches_reference():
     """find_faces gives the faces of the (N, n, 2) version it replaced on
     random 3- to 24-gons scaled by 1e-3 to 1e3 and moved by up to 1e3, at
@@ -504,31 +453,11 @@ def test_find_faces_matches_reference():
         X += rng.normal(size=X.shape) * 10.0 ** rng.uniform(-9.0, -6.0, (60, 1))
         for tol in (EPS_GEO, 1e-7):
             faces = find_faces(P, X.reshape(20, 3, 2), tol=tol)
-            index, on_edge = _reference_find_faces(P, X, tol)
+            index, on_edge = reference_find_faces(P, X, tol)
             assert faces.tolist() == np.where(on_edge, P.n + index, index).tolist()
             kinds += [(faces < 0).sum(), (faces >= P.n).sum(),
                       ((faces >= 0) & (faces < P.n)).sum()]
     assert kinds.min() >= 1000
-
-
-def _table_bodies():
-    """The fixtures, the benchmark pools' bodies (read only), regular 3- to
-    256-gons, and random 3- to 25-gons scaled by powers of two in
-    2^-12..2^20 and translated, built without from_vertices (whose absolute
-    tolerances reject the small ones) from its normals and offsets."""
-    bodies = [P for name in fixture_names() for P in (load(name).K, load(name).T)]
-    for pool in ("grid", "oracle", "ngon"):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "pools" / f"{pool}.json"
-        with open(path) as fh:
-            bodies += [ConvexPolytope2.from_vertices(inst[key])
-                       for inst in json.load(fh)["instances"] for key in ("K", "T")]
-    bodies += [regular_ngon(n, phase=0.1 * n) for n in range(3, 257)]
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        P = random_polytope(rng, int(rng.integers(3, 26)))
-        v = 2.0 ** int(rng.integers(-12, 21)) * P.vertices + rng.uniform(-1e3, 1e3, 2)
-        bodies.append(ConvexPolytope2(v, P.normals, np.einsum("ij,ij->i", P.normals, v)))
-    return bodies
 
 
 def test_face_table_matches_per_call_formulas():
@@ -539,7 +468,7 @@ def test_face_table_matches_per_call_formulas():
     on_edge) reference as ids.  The table is read-only and stays out of repr."""
     rng = np.random.default_rng(29)
     kinds = np.zeros(3, int)
-    for P in _table_bodies():
+    for P in [P for _, K, T in corpus.cases("table") for P in (K, T)]:
         n, table = P.n, P.face_table
         ids = np.arange(2 * n)
         idx, is_edge = ids % n, ids >= n
@@ -568,7 +497,7 @@ def test_face_table_matches_per_call_formulas():
         X += rng.normal(size=X.shape) * 10.0 ** rng.uniform(-9.0, -6.0, (30, 1))
         for tol in (EPS_GEO, 1e-7):
             got = find_faces(P, X, tol=tol)
-            index, on_edge = _reference_find_faces(P, X, tol)
+            index, on_edge = reference_find_faces(P, X, tol)
             assert got.tolist() == np.where(on_edge, n + index, index).tolist()
             kinds += [(got < 0).sum(), (got >= n).sum(), ((got >= 0) & (got < n)).sum()]
     assert kinds.min() >= 500

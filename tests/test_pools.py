@@ -29,6 +29,8 @@ import pytest
 
 import minkbill.cli
 
+import corpus
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CANDIDATES = Path(__file__).resolve().parent / "data" / "pool_candidates.json"
 POOLS = ("grid", "oracle", "ngon")
@@ -42,8 +44,7 @@ def _load_run():
 
 
 RUN = _load_run()
-INSTANCES = [(pool, inst) for pool in POOLS
-             for inst in RUN.load_pool(pool)["instances"]]
+INSTANCES = [(pool, inst) for pool in POOLS for inst in corpus.pool(pool)]
 IDS = [f"{pool}/{inst['name']}" for pool, inst in INSTANCES]
 
 

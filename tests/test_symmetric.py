@@ -17,23 +17,11 @@ from hypothesis import given, settings, strategies as st
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import regular_ngon
-from minkbill.geom import ConvexPolytope2, polar
+from minkbill.geom import polar
 from minkbill.pairs import sort_pairs
 from minkbill.verify import certify
 
-
-def symmetric_polygon(rng, m):
-    """A random centrally symmetric 2m-gon centred at the origin: m
-    directions in [0, pi), apart by at least 0.9 pi / (3m), and their
-    negatives on the unit circle, under a random linear map of positive
-    determinant."""
-    slots = np.sort(rng.choice(3 * m, size=m, replace=False))
-    theta = (slots + 0.1 * rng.random(m)) * np.pi / (3 * m)
-    half = np.column_stack([np.cos(theta), np.sin(theta)])
-    turn = rng.uniform(0, 2 * np.pi)
-    A = (np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
-         @ np.diag(rng.uniform(0.5, 2.0, size=2)))
-    return ConvexPolytope2.from_vertices(np.concatenate([half, -half]) @ A.T)
+from references import symmetric_polygon
 
 
 def closed_form(K, T):

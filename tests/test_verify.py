@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from minkbill import lp as lpmod, verify
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
-from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
+from minkbill.fixtures import example_g_curve, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
                            cone_contains, face_array, find_face, normal_cone)
@@ -21,10 +21,9 @@ from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
                              check_weak_rule, _immovable_table,
                              _subset_immovable_table)
 
-from test_bounce2 import _identity_instances
-from test_geom import _reference_in_f
-
-SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
+import corpus
+from corpus import SQUARE
+from references import reference_in_f, rebuilt
 
 
 def _chord_pair():
@@ -63,13 +62,18 @@ def test_certify_detects_off_face_vertex():
     assert cert.face_residual > 0.1
 
 
-def test_forced_dual_fails_on_example_a():
+def _forced_dual_case():
+    """exampleA's q with its forced dual p: a pair that fails certify."""
     fx = load("exampleA")
     q, p = fx.curves["q"], fx.forced_duals["q"]
-    pair = make_pair(fx.K, fx.T, q.vertices, p.vertices,
-                     tuple(find_face(fx.K, v) for v in q.vertices),
-                     tuple(find_face(fx.T, v) for v in p.vertices))
-    cert = certify(fx.K, fx.T, pair)
+    return fx.K, fx.T, make_pair(fx.K, fx.T, q.vertices, p.vertices,
+                                 tuple(find_face(fx.K, v) for v in q.vertices),
+                                 tuple(find_face(fx.T, v) for v in p.vertices))
+
+
+def test_forced_dual_fails_on_example_a():
+    K, T, pair = _forced_dual_case()
+    cert = certify(K, T, pair)
     assert not cert.certified
     assert cert.system_residual > 0.1
 
@@ -203,7 +207,7 @@ def test_mask_table_matches_margin_lp(seed, pick):
     i = pick % len(pts)
     j = (pick * 7919 + 13) % len(pts)
     subset = pts[[i, j]]
-    assert tab[masks[i] | masks[j]] == _reference_in_f(K, subset)
+    assert tab[masks[i] | masks[j]] == reference_in_f(K, subset)
 
 
 def _reference_immovable_table(normals):
@@ -235,37 +239,20 @@ def test_mask_table_matches_reference_loop(rng):
         _subset_immovable_table(regular_ngon(17))
 
 
-def _certify_cases():
-    """Fixture pairs (built from the fixture curves, and the pairs the
-    searches find on the small fixtures) and the pairs of seeded random
-    instances, with certificates of both outcomes."""
-    cases = [(SQUARE, SQUARE, _chord_pair())]
-    fx = load("exampleA")
-    q, p = fx.curves["q"], fx.forced_duals["q"]
-    cases.append((fx.K, fx.T, make_pair(
-        fx.K, fx.T, q.vertices, p.vertices,
-        tuple(find_face(fx.K, v) for v in q.vertices),
-        tuple(find_face(fx.T, v) for v in p.vertices))))
-    bodies = [(load(name).K, load(name).T) for name in
-              ("exampleA", "exampleD", "exampleE", "exampleF_aux", "exampleG")]
-    rng = np.random.default_rng(11)
-    bodies += [random_instance(rng, int(rng.integers(3, 9)),
-                               int(rng.integers(3, 9))) for _ in range(5)]
-    for K, T in bodies:
-        pairs = search_two_bounce(K, T) + search_three_bounce(K, T)
-        cases += [(K, T, pair) for pair in pairs]
-        # the same pair with its dual reversed: a certificate that fails
-        cases += [(K, T, make_pair(K, T, pair.q.vertices, pair.p.vertices[::-1],
-                                   pair.k_faces, pair.t_faces[::-1]))
-                  for pair in pairs[:2] if pair.q.m == 2]
-    return cases
-
-
 def test_certify_runs_no_lp(monkeypatch):
     """A certificate is recomputed without the LP solvers the searches use:
     with every binding of lp.solve, lp.solve_dual3 and lp.solve_interval in
-    the package made to raise, certify returns the same certificates."""
-    cases = _certify_cases()
+    the package made to raise, certify returns the same certificates.  The
+    cases are the square's chord pair, exampleA's forced dual, and the pairs
+    of both searches on the certify set, the first two 2-bounce pairs of each
+    instance also with their dual reversed (certificates that fail)."""
+    cases = [(SQUARE, SQUARE, _chord_pair()), _forced_dual_case()]
+    for (_, K, T), two, three in zip(corpus.cases("certify"), corpus.two_bounce("certify"),
+                                     corpus.three_bounce("certify")):
+        cases += [(K, T, pair) for pair in two + three]
+        cases += [(K, T, make_pair(K, T, pair.q.vertices, pair.p.vertices[::-1],
+                                   pair.k_faces, pair.t_faces[::-1]))
+                  for pair in (two + three)[:2] if pair.q.m == 2]
     want = [certify(K, T, pair) for K, T, pair in cases]
     assert {c.certified for c in want} == {True, False}
 
@@ -340,51 +327,10 @@ def _reference_brute_force_min(K, T, m, grid_per_facet):
     return best
 
 
-def _oracle_instances():
-    """(K, T, grid) triples: seeded random bodies, regular n-gon pairs (with
-    and without parallel facets), and the fixtures whose K the oracle takes."""
-    rng = np.random.default_rng(20240601)
-    for _ in range(60):
-        K, T = random_instance(rng, int(rng.integers(3, 9)),
-                               int(rng.integers(3, 13)))
-        yield K, T, int(rng.integers(2, 41))
-    for nk in (3, 4, 6, 8):
-        for nt in (3, 4, 5, 12):
-            yield regular_ngon(nk), regular_ngon(nt), 12
-    for name in fixture_names():
-        fx = load(name)
-        if fx.K.n <= 16:
-            yield fx.K, fx.T, 10
-    # grid 1: every class of the m = 3 blocks is one vertex point
-    for _ in range(4):
-        K, T = random_instance(rng, int(rng.integers(3, 9)),
-                               int(rng.integers(3, 13)))
-        yield K, T, 1
-    for nk in (3, 4, 16):
-        yield regular_ngon(nk), regular_ngon(5), 1
-    # a triangle K, from one to 24 inner points per facet
-    for grid in (2, 3, 7, 25):
-        yield regular_ngon(3, phase=0.3), regular_ngon(7), grid
-    # a trapezoid K whose shortest grid triangles at grids 3 and 8 have their
-    # first two points on the inner points of one facet
-    K = ConvexPolytope2.from_vertices([(2.1, 0), (2.7, 0), (4, 1), (0, 1)])
-    T = ConvexPolytope2.from_vertices([(-2.9, 0.3), (-1.1, -1.2), (2.3, -1.5)])
-    for grid in (3, 8):
-        yield K, T, grid
-    # the largest K the oracle takes
-    K, T = random_instance(rng, 16, 6)
-    yield K, T, 3
-    yield regular_ngon(16), regular_ngon(16, phase=0.1), 2
-    # facets of several chunks each, and symmetric bodies whose chunk bounds
-    # tie in many places
-    yield SQUARE, SQUARE, 33
-    yield regular_ngon(6), regular_ngon(6), 40
-
-
 def test_brute_force_matches_reference():
     """Reading degeneracy from the facet masks returns the very floats of the
     threshold-based oracle, for 2-gons and for triangles."""
-    for K, T, grid in _oracle_instances():
+    for grid, K, T in corpus.cases("brute"):
         got = brute_force_min(K, T, grid)
         for m, value in zip((2, 3), got):
             assert value == _reference_brute_force_min(K, T, m, grid), \
@@ -398,7 +344,7 @@ def test_brute_force_blocks_split_inside_a_class(monkeypatch, block):
     bounds are evaluated and pruned a few candidates at a time and the
     blocks of h_T are built a few chunk pairs at a time, and both oracle
     floats are still the reference's."""
-    cases = [(K, T, grid) for K, T, grid in _oracle_instances()
+    cases = [(K, T, grid) for grid, K, T in corpus.cases("brute")
              if K.n * grid <= 40][::2]
     assert len(cases) >= 10
     want = [tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
@@ -412,7 +358,7 @@ def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
     """Chunks of 1, 2, 5 or 64 points (one point per chunk, a facet cut into
     many chunks, a whole facet in one chunk) give both oracle floats of the
     reference."""
-    cases = [(K, T, grid) for K, T, grid in _oracle_instances()
+    cases = [(K, T, grid) for grid, K, T in corpus.cases("brute")
              if K.n * grid <= 40][1::2]
     assert len(cases) >= 10
     want = [tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
@@ -435,7 +381,7 @@ def test_brute_force_tile_store_grows(monkeypatch):
 
     monkeypatch.setattr(verify, "_chunk_bounds", no_bounds)
     grown = 0
-    for K, T, grid in _oracle_instances():
+    for grid, K, T in corpus.cases("brute"):
         if K.n * grid > 40:
             continue
         want = tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
@@ -446,10 +392,6 @@ def test_brute_force_tile_store_grows(monkeypatch):
         pairs = np.triu(_subset_immovable_table(K)[cm[:, None] | cm], 1).sum()
         grown += 2 * pairs > (N + 1) ** 2 // size ** 2
     assert grown >= 10
-
-
-def _scaled(P, c, shift):
-    return ConvexPolytope2.from_vertices(c * P.vertices + shift)
 
 
 def test_brute_force_is_covariant_under_scale_and_translation():
@@ -466,7 +408,7 @@ def test_brute_force_is_covariant_under_scale_and_translation():
         for c in scales:
             for d in scales:
                 try:
-                    cK, dT = _scaled(K, c, 0.0), _scaled(T, d, 0.0)
+                    cK, dT = rebuilt(K, c, 0.0), rebuilt(T, d, 0.0)
                 except InvalidPolytope:
                     continue  # too small for from_vertices' absolute tolerance
                 checked += 1
@@ -474,7 +416,7 @@ def test_brute_force_is_covariant_under_scale_and_translation():
                     assert got == c * d * b, (c, d, m)
         for c, d in zip(scales, scales[1:] + scales[:1]):
             try:
-                cKs, dTt = _scaled(K, c, c * s), _scaled(T, d, d * t)
+                cKs, dTt = rebuilt(K, c, c * s), rebuilt(T, d, d * t)
             except InvalidPolytope:
                 continue
             for m, b, got in zip((2, 3), base, brute_force_min(cKs, dTt, 64)):
@@ -506,12 +448,12 @@ def test_chunk_bounds_are_below_every_block(monkeypatch):
 
     real = verify._chunk_bounds
     monkeypatch.setattr(verify, "_chunk_bounds", spy)
-    base = list(_oracle_instances())
+    base = [(K, T, grid) for grid, K, T in corpus.cases("brute")]
     cases = list(base)
     for c in (1e-3, 1e3):
         for K, T, grid in base[::4]:
             try:
-                cases.append((_scaled(K, c, (1e3, -1e3)), _scaled(T, c, (1e3, -1e3)), grid))
+                cases.append((rebuilt(K, c, (1e3, -1e3)), rebuilt(T, c, (1e3, -1e3)), grid))
             except InvalidPolytope:
                 continue  # too small for from_vertices' absolute tolerance
     assert len(cases) >= len(base) + 40
@@ -584,7 +526,7 @@ def _reference_certify(K, T, pair):
     ell = float((pair.q.edges() @ T.vertices.T).max(axis=1).sum())
     dual = float((-pair.p.edges() @ K.vertices.T).max(axis=1).sum())
     return Certificate(sys_res, face_res, abs(ell - inner), abs(ell - dual),
-                       _reference_in_f(K, q), _reference_in_f(T, p))
+                       reference_in_f(K, q), reference_in_f(T, p))
 
 
 def _reference_lengths(T, q, p):
@@ -613,8 +555,9 @@ def test_stacked_certification_matches_certify():
     instances, and the same pairs with their duals reversed (certificates
     that fail)."""
     outcomes, members = set(), 0
-    for K, T in _identity_instances():
-        for pairs in (search_two_bounce(K, T), search_three_bounce(K, T)):
+    for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
+                                     corpus.three_bounce("identity")):
+        for pairs in (two, three):
             flipped = [make_pair(K, T, pr.q.vertices, pr.p.vertices[::-1],
                                  pr.k_faces, pr.t_faces[::-1]) for pr in pairs]
             for stack in (pairs, [pr for pr in flipped if pr is not None]):

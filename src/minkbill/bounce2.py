@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
-                   cone_contains, cross2, dot2, face_array, face_cones)
+                   cone_contains, cross2, cyclic, dot2, face_array, face_cones)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
@@ -110,15 +110,16 @@ def _chord_reach(P: ConvexPolytope2, Q: ConvexPolytope2, a, b) -> np.ndarray:
     start moved back to t = -1e-9.  No accepted side misses the floor,
     -4 EPS_CERT less 16 eps max|end|_1 for rounding: lp.solve_interval holds
     the rows to EPS_GEO + 1e-8 at a t in [-1e-9, 1], in the moved corners; a
-    fit's solve_dual3 re-check lets t go 1.1e-9 below 0 and 3.1e-9 above 1,
+    fit's _violations re-check lets t go 1.1e-9 below 0 and 3.1e-9 above 1,
     which the floor, not the start move, covers at unit scale (ROADMAP 1)."""
     (g0, g1), ray = Q.face_table.cones.generators, Q.face_table.cones.is_ray
-    start, stop = P.face_table.ends.transpose(1, 0, 2)
-    ends = np.stack([start - 1e-9 * (stop - start), stop])[:, None]
-    rows = np.stack([cross2(g0[:, None], ends), cross2(ends, g1[:, None]),
-                     np.where(ray[:, None], dot2(g0[:, None], ends), 0.0)])
-    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(ends).sum(-1).max()
-    return (rows.max(1)[:, :, b] - rows.min(1)[:, :, a] >= floor).all(0)
+    start, stop = P.face_table.ends[P.n:].transpose(1, 0, 2)
+    first = np.concatenate([start, start - 1e-9 * (stop - start)])  # each face's first end
+    rows = np.stack([cross2(g0[:, None], first), cross2(first, g1[:, None]),
+                     np.where(ray[:, None], dot2(g0[:, None], first), 0.0)])
+    last = np.concatenate([rows[..., :P.n], rows[..., cyclic(P.n)]], -1)  # at the last
+    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(first).sum(-1).max()
+    return (np.maximum(rows, last)[:, :, b] - np.minimum(rows, last)[:, :, a] >= floor).all(0)
 
 
 def _cycle_rows(rows, points, cones) -> None:

@@ -26,13 +26,17 @@ the triples to verify.certified_pairs:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
    of p_i (a ray for a facet of T, a wedge for a vertex), by the rows of
-   the 2-bounce search (_cycle_rows).  The fits of the triples that the
-   reach table keeps (bounce2._chord_reach from facet r to r + 1 of K) are
-   one stack of 15-row LPs, both objectives below;
-4. the feasible t form a convex family of constant length (p_{j-1} - p_j is
-   parallel to the normal of facet j), so the centre of the family, the mean
-   of the solutions minimizing and maximizing sum(t), is kept if it
-   certifies independently; Face objects are built for the pairs that do.
+   the 2-bounce search (_cycle_rows).  The triples that the reach table
+   keeps (bounce2._chord_reach from facet r to r + 1 of K) are fitted.
+   Where p touches three edges of T, their rays' equalities fix t by one
+   3x3 solve (solve_dual3's kernel), kept if it passes the LP's re-check:
+   all 224 fits of the grid and oracle pools, where LP pairs took 11 % of a
+   grid pass;
+4. with a vertex contact (ngon's two fits) or a singular system, the
+   feasible t form a convex family of constant length (p_{j-1} - p_j is
+   parallel to the normal of facet j), and the fit is its centre, the mean
+   of the LP solutions minimizing and maximizing sum(t).  A fit is kept if
+   it certifies independently; Face objects are built for the pairs that do.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
 _CONTACT_TOL = 1e-7  # find_faces' tolerance for the contacts of p with T
+_SINGULAR = 1e-6  # a fit's 3x3 system is singular at |det| <= this Hadamard bound
 
 
 class NoInbody(GeometryError):
@@ -187,14 +192,14 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
 
 def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
                faces: np.ndarray):
-    """The ends of the q-side family of each triple, q_r on facet
-    triples[k, r] of K and p_r touching T at face id faces[k, r]: the
-    solutions minimizing and maximizing sum(t), (B, 3, 2)
-    each, and each triple's reject reason ("" where it fits).  The row of a
-    ray that pins an edge to its line is two opposite inequalities (a wedge
-    gets a zero row in its place), so with the rows 0 <= t <= 1 every fit
-    has 15 rows; both objectives of all triples are one solve_dual3 stack,
-    each starting from the bounds its objective pushes against."""
+    """The q of each triple, q_r on facet triples[k, r] of K and p_r
+    touching T at face id faces[k, r], (B, 3, 2), and each triple's reject
+    reason ("" where it fits).  Of the 15 rows (a ray's equality also as the
+    opposite inequality, a zero row for a wedge, and 0 <= t <= 1), three
+    rays' equalities fix t by one lp._cofactors3 solve, which fits if it
+    passes all 15 by lp._violations.  A vertex contact or a singular system
+    takes the LP pair instead (step 4); the pairs of all such members are one
+    solve_dual3 stack, each objective starting from the bounds it pushes on."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
     q = [_point(K, K.n + triples[:, r], r, 3) for r in range(3)]
@@ -206,26 +211,33 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
                         np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
     b = np.concatenate([np.stack([v for _, v, _ in rows], 1),
                         np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
-    status, x = lpmod.solve_dual3(
-        np.repeat([-1.0, 1.0], 3 * B).reshape(2 * B, 3), np.concatenate([A, A]),
-        np.concatenate([b, b]), np.repeat([[9, 10, 11], [12, 13, 14]], B, 0))
-    status = status.reshape(2, B)
-    reason = np.where(status[0] == "optimal", status[1], status[0])
-    low, high = np.stack([e.at(x.reshape(2, B, 3)) for e in q], 2)
-    return low, high, np.where(reason == "optimal", "", reason).astype(object)
+    inv, det = lpmod._cofactors3(coef)
+    direct = ray.all(1) & (abs(det) > _SINGULAR * np.linalg.norm(coef, axis=2).prod(1))
+    x = np.zeros((2, B, 3))
+    x[:, direct] = (inv[direct] / det[direct, None, None] * bound[direct, :, None]).sum(1)
+    reason = np.where(np.less_equal(*lpmod._violations(A, b, False, x[0])).all(1),
+                      "optimal", "infeasible")  # read where direct
+    lp = np.flatnonzero(~direct)
+    status, ends = lpmod.solve_dual3(
+        np.repeat([-1.0, 1.0], 3 * len(lp)).reshape(-1, 3), np.concatenate([A[lp], A[lp]]),
+        np.concatenate([b[lp], b[lp]]), np.repeat([[9, 10, 11], [12, 13, 14]], len(lp), 0))
+    status, x[:, lp] = status.reshape(2, -1), ends.reshape(2, -1, 3)
+    reason[lp] = np.where(status[0] == "optimal", status[1], status[0])
+    low, high = np.stack([e.at(x) for e in q], 2)
+    return 0.5 * (low + high), np.where(reason == "optimal", "", reason).astype(object)
 
 
 def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
              triple: Tuple[int, int, int],
              t_faces: Tuple[Face, Face, Face]) -> np.ndarray:
-    """The centre of the family of q vertices, q_r on facet triple[r] of K,
-    with q_{r+1} - q_r in the normal cone of T at t_faces[r] (see step 4 of
-    the module docstring).  FitRejected if there are none, or with reason
-    "numerical" if an LP runs out of steps."""
-    [low], [high], [reason] = _fit_stack(K, T, [triple], face_array(T, [t_faces]))
+    """The q vertices, q_r on facet triple[r] of K, with q_{r+1} - q_r in the
+    normal cone of T at t_faces[r] (steps 3 and 4 of the module docstring).
+    FitRejected if there are none, or with reason "numerical" if an LP runs
+    out of steps."""
+    [q], [reason] = _fit_stack(K, T, [triple], face_array(T, [t_faces]))
     if reason:
         raise FitRejected(reason)
-    return 0.5 * (low + high)
+    return q
 
 
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
@@ -239,11 +251,10 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
     tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
     found = np.full(len(triples), None, object)
     if tried.size:  # no fit stage when the prefilter keeps no triple
-        low, high, reason = _fit_stack(K, T, triples[tried], faces[tried])
+        q, reason = _fit_stack(K, T, triples[tried], faces[tried])
         fits = tried[reason == ""]
-        found[fits] = certified_pairs(
-            K, T, 0.5 * (low + high)[reason == ""], p[fits],  # the centre, as fit_to_k
-            K.n + triples[fits], faces[fits])
+        found[fits] = certified_pairs(K, T, q[reason == ""], p[fits],
+                                      K.n + triples[fits], faces[fits])
     return list(found)
 
 

@@ -6,10 +6,12 @@ would get alone, so that search results and reports are reproducible.
 s.t. A @ x <= b, by the dual simplex from a dual-feasible start basis the
 caller knows in closed form.  Each step solves the 3x3 basis by its
 cofactors: a member needs O(m) memory and no tableau (Seidel, DCG 1991, on
-LPs of fixed dimension).  The 3-bounce search solves its inbody LPs and its
-q-side fits with it.  ``solve_interval`` gives, with no tableau, what the
-simplex gives on a stack of LPs in one variable t in [0, 1]; the 2-bounce
-search decides every side of a face tuple with it.  Both take arrays.
+LPs of fixed dimension).  The 3-bounce search solves its inbody LPs with
+it, and the q-side fits with a vertex contact or a singular system; its
+other fits, three edge contacts, are one solve by the same 3x3 kernel.
+``solve_interval`` gives, with no tableau, what the simplex gives on a
+stack of LPs in one variable t in [0, 1]; the 2-bounce search decides every
+side of a face tuple with it.  Both take arrays.
 
 ``solve`` is the scalar reference: a dense two-phase tableau simplex on one
 ``LinearProgram``, maximize ``objective @ x`` subject to ``constraints @ x
@@ -235,6 +237,15 @@ def solve_interval(objective, constraints, rhs, equality
     return np.where(ok, "optimal", "infeasible"), np.where(ok, t + 0.0, 0.0)[:, None]
 
 
+def _cofactors3(M) -> Tuple[np.ndarray, np.ndarray]:
+    """The 3x3 kernel of solve_dual3 and bounce3's direct fits on a stack M
+    (B, 3, 3): row i is the cross product of rows i+1 and i+2 of M, and
+    over the determinant (B,) it is column i of the inverse."""
+    r1, r2 = M[:, _NEXT], M[:, _NEXT[_NEXT]]
+    cof = r1[..., _NEXT] * r2[..., _NEXT[_NEXT]] - r1[..., _NEXT[_NEXT]] * r2[..., _NEXT]
+    return cof, (M[:, 0] * cof[:, 0]).sum(1)
+
+
 def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndarray]:
     """max objective @ x s.t. constraints @ x <= rhs for a stack of LPs in
     three free variables, objective (B, 3), constraints (B, m, 3) and rhs
@@ -257,13 +268,8 @@ def solve_dual3(objective, constraints, rhs, basis) -> Tuple[np.ndarray, np.ndar
         if not held.size:  # every member decided, or an empty stack
             break
         k = np.arange(len(held))[:, None]
-        # column i of the inverse basis is the cross product of the basis
-        # rows i+1 and i+2 over the determinant
-        basic = A[k, rows]
-        r1, r2 = basic[:, _NEXT], basic[:, _NEXT[_NEXT]]
-        inv = (r1[..., _NEXT] * r2[..., _NEXT[_NEXT]]
-               - r1[..., _NEXT[_NEXT]] * r2[..., _NEXT])
-        inv /= (basic[:, 0] * inv[:, 0]).sum(1)[:, None, None]
+        inv, det = _cofactors3(A[k, rows])
+        inv /= det[:, None, None]
         xk = (inv * b[k, rows][..., None]).sum(1)
         viol, tol = _violations(A, b, False, xk)
         bad = viol > tol

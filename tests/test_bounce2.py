@@ -10,8 +10,9 @@ from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
                               solve_face_tuple)
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import load, regular_ngon
-from minkbill.geom import (EPS_ANG, EPS_GEO, Face, all_faces, cone_contains,
-                           face_array, face_tuples, find_face, in_f, normal_cone)
+from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, Face, all_faces, cone_contains,
+                           cross2, dot2, face_array, face_tuples, find_face, in_f,
+                           normal_cone)
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
 from minkbill.pairs import _canonical_keys, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
@@ -192,11 +193,21 @@ def test_search_solves_no_simplex(monkeypatch):
 
 
 @corpus.per_body
+def _cones(P):
+    """normal_cone of every face of P, by face id."""
+    return [normal_cone(P, f) for f in all_faces(P)]
+
+
+def _face_cones(P, *faces):
+    cones = _cones(P)
+    return [cones[f.index + P.n * f.is_edge] for f in faces]
+
+
+@corpus.per_body
 def _reference_antipodal_pairs(P):
-    faces = all_faces(P)
-    cones = [normal_cone(P, f) for f in faces]
+    cones = _cones(P)
     return [(f1, f2) for (i, f1), (j, f2) in
-            itertools.combinations(enumerate(faces), 2)
+            itertools.combinations(enumerate(all_faces(P)), 2)
             if cones_intersect(cones[i], cones[j].negate())]
 
 
@@ -204,8 +215,8 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
     """The face tuple's pair by the simplex on one LP over both sides, one
     variable per facet, or, with sides_apart, by solve_interval on each
     side, whose facets share its one variable."""
-    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
-    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
+    ck1, ck2 = _face_cones(K, f1, f2)
+    ct1, ct2 = _face_cones(T, g1, g2)
     f_fixed = not (f1.is_edge or f2.is_edge)
     g_fixed = not (g1.is_edge or g2.is_edge)
     ends = []
@@ -347,8 +358,8 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
     g_fixed = not (g1.is_edge or g2.is_edge)
     if f_fixed and g_fixed:  # no LP: as _reference_face_tuple
         return _reference_face_tuple(K, T, f1, f2, g1, g2)
-    ck1, ck2 = normal_cone(K, f1), normal_cone(K, f2)
-    ct1, ct2 = normal_cone(T, g1), normal_cone(T, g2)
+    ck1, ck2 = _face_cones(K, f1, f2)
+    ct1, ct2 = _face_cones(T, g1, g2)
     ends = []
     for P, f in ((K, f1), (K, f2), (T, g1), (T, g2)):
         a, b = P.face_table.ends[P.n + f.index]
@@ -542,6 +553,32 @@ def _reference_side_solves(K, T):
                               and (p_free or (cone_contains(normal_cone(K, f2), -dp)
                                               and cone_contains(normal_cone(K, f1), dp))))
     return count
+
+
+def _four_end_chord_reach(P, Q, a, b):
+    """_chord_reach as it was before it took the distinct ends once: the
+    rows at both ends of every face, 4 n_P points."""
+    (g0, g1), ray = Q.face_table.cones.generators, Q.face_table.cones.is_ray
+    start, stop = P.face_table.ends.transpose(1, 0, 2)
+    ends = np.stack([start - 1e-9 * (stop - start), stop])[:, None]
+    rows = np.stack([cross2(g0[:, None], ends), cross2(ends, g1[:, None]),
+                     np.where(ray[:, None], dot2(g0[:, None], ends), 0.0)])
+    floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(ends).sum(-1).max()
+    return (rows.max(1)[:, :, b] - rows.min(1)[:, :, a] >= floor).all(0)
+
+
+def test_chord_reach_matches_the_four_end_form():
+    """_chord_reach, which evaluates the rows at the 2 n_P distinct ends,
+    is bit for bit the four-end form at every pair of face ids, both ways
+    round, on every instance of the contact set."""
+    for _, K, T in corpus.cases("contact"):
+        for P, Q in ((K, T), (T, K)):
+            faces = np.arange(2 * P.n)
+            block = max(1, 2 ** 20 // (len(faces) * 2 * Q.n))
+            for a in np.split(faces, range(block, len(faces), block)):
+                pairs = np.meshgrid(a, faces, indexing="ij")
+                assert np.array_equal(bounce2._chord_reach(P, Q, *pairs),
+                                      _four_end_chord_reach(P, Q, *pairs))
 
 
 def test_chord_screen_drops_only_tuples_the_side_lps_reject(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from minkbill import bounce3, lp as lpmod
+from minkbill import bounce2, bounce3, lp as lpmod
 from minkbill.bounce2 import SearchStats, _chord_reach
 from minkbill.bounce3 import (FitRejected, Inbody, NoInbody, facet_triples,
                               find_inbody, fit_to_k, gamma_triangles,
@@ -17,7 +17,7 @@ from minkbill.fixtures import (equilateral_triangle, fixture_names, load,
 from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
                            InvalidPolytope, angles, cross2, face_distances,
                            face_cones, face_tuples, find_face, find_faces, largest_gap,
-                           normal_cone, positively_spans, support_many)
+                           normal_cone, positively_spans, rotation, support_many)
 from minkbill.lp import LinearProgram, NumericalFailure, solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
@@ -164,10 +164,36 @@ def test_example_a_triple_empty():
     assert search_three_bounce(fx.K, fx.T) == []
 
 
+def _lp_fit_stack(K, T, triples, faces):
+    """_fit_stack as it was before the direct solve: every member's fit is
+    the 15-row LP pair, minimizing and maximizing sum(t) in one solve_dual3
+    stack.  Returns the two ends (B, 3, 2) each and the reject reasons."""
+    triples = np.asarray(triples, int).reshape(-1, 3)
+    B = len(triples)
+    q = [bounce2._point(K, K.n + triples[:, r], r, 3) for r in range(3)]
+    rows = []
+    bounce2._cycle_rows(rows, q, [face_cones(T, faces[:, r]) for r in range(3)])
+    coef, bound, ray = (np.stack(v, 1) for v in zip(*rows[::2]))
+    eye = np.broadcast_to(np.eye(3), (B, 3, 3))
+    A = np.concatenate([np.stack([r for r, _, _ in rows], 1),
+                        np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
+    b = np.concatenate([np.stack([v for _, v, _ in rows], 1),
+                        np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
+    status, x = lpmod.solve_dual3(
+        np.repeat([-1.0, 1.0], 3 * B).reshape(2 * B, 3), np.concatenate([A, A]),
+        np.concatenate([b, b]), np.repeat([[9, 10, 11], [12, 13, 14]], B, 0))
+    status = status.reshape(2, B)
+    reason = np.where(status[0] == "optimal", status[1], status[0])
+    low, high = np.stack([e.at(x.reshape(2, B, 3)) for e in q], 2)
+    return low, high, np.where(reason == "optimal", "", reason).astype(object)
+
+
 def test_same_faces_same_length(rng):
     """The two ends of the q-side family (min and max sum(t)) have the same
-    length, so the centre that the search keeps is not a choice.  An end may
-    put two q on one vertex of K, so the length is summed directly."""
+    length, so the centre that the LP path keeps is not a choice, and the
+    search's q has that length too where it is direct (three edge
+    contacts).  An end may put two q on one vertex of K, so the length is
+    summed directly."""
     instances = [(equilateral_triangle(), regular_ngon(n)) for n in range(3, 25)]
     instances += [(load(name).K, load(name).T) for name in fixture_names()]
     instances += [random_instance(rng, int(rng.integers(3, 7)),
@@ -175,34 +201,50 @@ def test_same_faces_same_length(rng):
     families = 0
     for K, T in instances:
         triples, _, faces = _survivors(K, T)
-        low, high, reason = bounce3._fit_stack(K, T, triples, faces)
-        for lo, hi in zip(low[reason == ""], high[reason == ""]):
-            length = [support_many(T, np.roll(q, -1, axis=0) - q).sum()
-                      for q in (lo, hi)]
+        low, high, reason = _lp_fit_stack(K, T, triples, faces)
+        fit, fit_reason = bounce3._fit_stack(K, T, triples, faces)
+        assert fit_reason.tolist() == reason.tolist()
+        ok, edges = reason == "", (faces >= T.n).all(1)
+        for lo, hi, q, edge in zip(low[ok], high[ok], fit[ok], edges[ok]):
+            length = [support_many(T, np.roll(v, -1, axis=0) - v).sum()
+                      for v in (lo, hi, q)]
             assert abs(length[0] - length[1]) < 1e-9
+            assert abs(length[2] - length[0]) < 1e-9 or not edge
             families += np.abs(lo - hi).max() > 1e-6
     assert families >= 10
 
 
 def test_fit_numerical_failure_is_a_reject(monkeypatch):
     """A fit whose LP runs out of steps rejects its triple only, with the
-    reason "numerical": under a budget of 4 steps some fits of one stack
-    fail, and the others keep their reasons and ends bit for bit.  A stack
-    of one (fit_to_k, solve_facet_triple) of a failing triple rejects it."""
+    reason "numerical".  Every fit of this instance has three edge contacts
+    and is direct, so no budget changes it; with every system taken as
+    singular, all of them go to the LP, and under a budget of 4 steps some
+    fits of one stack fail, and the others keep their reasons and q bit for
+    bit.  A stack of one (fit_to_k, solve_facet_triple) of a failing triple
+    rejects it."""
     K, T = random_instance(np.random.default_rng(0), 6, 7)
     triples, _, faces = _survivors(K, T)
-    clean = bounce3._fit_stack(K, T, triples, faces)
+    direct = bounce3._fit_stack(K, T, triples, faces)
+    steps = lpmod._DUAL_STEPS
     monkeypatch.setattr(lpmod, "_DUAL_STEPS", 4)
-    low, high, reason = bounce3._fit_stack(K, T, triples, faces)
+    q, reason = bounce3._fit_stack(K, T, triples, faces)
+    assert (faces >= T.n).all() and (direct[1] == "").sum() >= 2
+    assert reason.tolist() == direct[1].tolist() and q.tobytes() == direct[0].tobytes()
+
+    monkeypatch.setattr(bounce3, "_SINGULAR", np.inf)
+    monkeypatch.setattr(lpmod, "_DUAL_STEPS", steps)
+    clean = bounce3._fit_stack(K, T, triples, faces)
+    assert clean[1].tolist() == direct[1].tolist()
+    monkeypatch.setattr(lpmod, "_DUAL_STEPS", 4)
+    q, reason = bounce3._fit_stack(K, T, triples, faces)
     failed = reason == "numerical"
     assert 0 < failed.sum() < len(reason)
     for k in np.flatnonzero(~failed):
-        assert reason[k] == clean[2][k]
-        assert low[k].tobytes() == clean[0][k].tobytes()
-        assert high[k].tobytes() == clean[1][k].tobytes()
+        assert reason[k] == clean[1][k]
+        assert q[k].tobytes() == clean[0][k].tobytes()
 
     # a triple that fits under the full budget, and not under this one
-    k = np.flatnonzero(failed & (clean[2] == ""))[0]
+    k = np.flatnonzero(failed & (clean[1] == ""))[0]
     triple = tuple(triples[k].tolist())
     [t_faces] = face_tuples(T, faces[k:k + 1])
     [ib] = find_inbody(gamma_triangles(K, [triple]), T)
@@ -211,9 +253,8 @@ def test_fit_numerical_failure_is_a_reject(monkeypatch):
         fit_to_k(K, T, triple, t_faces)
     assert err.value.reason == "numerical"
     assert solve_facet_triple(K, T, triple, ib) == []
-    monkeypatch.undo()
-    assert fit_to_k(K, T, triple, t_faces).tobytes() == (
-        0.5 * (clean[0][k] + clean[1][k])).tobytes()
+    monkeypatch.setattr(lpmod, "_DUAL_STEPS", steps)
+    assert fit_to_k(K, T, triple, t_faces).tobytes() == clean[0][k].tobytes()
     assert solve_facet_triple(K, T, triple, ib)
 
 
@@ -462,18 +503,24 @@ def _fit_rows(K, T, triple, t_faces):
     return q, rows
 
 
-def _reference_fit_family(K, T, triple, t_faces):
-    """The ends of one triple's q-side family by the dual simplex, one
-    triple at a time: the rows of _fit_rows, an equality again as an
-    inequality of the opposite sense (a zero row for a wedge), then
-    -t <= 0 and t <= 1, and a solve_dual3 stack of one per objective,
-    started from the bounds it pushes against."""
+def _fit_lp(K, T, triple, t_faces):
+    """The points q_r and the rows of _fit_rows, with the 15 rows (A, b) of
+    one triple's fit: those rows, an equality again as an inequality of the
+    opposite sense (a zero row for a wedge), then -t <= 0 and t <= 1."""
     q, rows = _fit_rows(K, T, triple, t_faces)
     A = np.array([r for r, _, _ in rows]
                  + [-r if e else np.zeros(3) for r, _, e in rows[::2]]
                  + list(-np.eye(3)) + list(np.eye(3)))
     b = np.array([b for _, b, _ in rows]
                  + [-b if e else 0.0 for _, b, e in rows[::2]] + [0.0] * 3 + [1.0] * 3)
+    return q, rows, A, b
+
+
+def _reference_fit_family(K, T, triple, t_faces):
+    """The ends of one triple's q-side family by the dual simplex, one
+    triple at a time: the rows of _fit_lp and a solve_dual3 stack of one
+    per objective, started from the bounds it pushes against."""
+    q, _, A, b = _fit_lp(K, T, triple, t_faces)
     ends = []
     for sign, start in ((-1.0, [9, 10, 11]), (1.0, [12, 13, 14])):
         [status], [x] = lpmod.solve_dual3(sign * np.ones(3), A[None], b[None],
@@ -482,6 +529,26 @@ def _reference_fit_family(K, T, triple, t_faces):
             raise FitRejected(status)
         ends.append(np.array([e.at(x) for e in q]))
     return tuple(ends)
+
+
+def _reference_fit(K, T, triple, t_faces):
+    """The q that the search keeps for one triple: with three edge contacts
+    and a regular system, the equalities of _fit_rows solved by
+    lp._cofactors3 on a stack of one, FitRejected("infeasible") unless the
+    rows of _fit_lp pass lp._violations; otherwise the centre of
+    _reference_fit_family."""
+    q, rows, A, b = _fit_lp(K, T, triple, t_faces)
+    M = np.array([r for r, _, _ in rows[::2]])
+    [cof], [det] = lpmod._cofactors3(M[None])
+    if (all(f.is_edge for f in t_faces)
+            and abs(det) > bounce3._SINGULAR * np.prod(np.linalg.norm(M, axis=1))):
+        x = (cof / det * np.array([b for _, b, _ in rows[::2]])[:, None]).sum(0)
+        viol, tol = lpmod._violations(A[None], b[None], False, x[None])
+        if (viol > tol).any():
+            raise FitRejected("infeasible")
+        return np.array([e.at(x) for e in q])
+    low, high = _reference_fit_family(K, T, triple, t_faces)
+    return 0.5 * (low + high)
 
 
 def _simplex_fit_family(K, T, triple, t_faces):
@@ -509,10 +576,11 @@ def _triple_outcomes(K, T, simplex=False):
     """search_three_bounce one facet triple at a time: build_gamma, the
     inbody LP of that triangle alone, the per-triple fit and certified_pair;
     with simplex, both LPs by the tableau simplex as before the dual
-    simplex.  Per spanning triple: (inbody reason, contact faces, fit reason
-    or None, certified pair or None)."""
+    simplex, and q the centre of the fit's two ends.  Per spanning triple:
+    (inbody reason, contact faces, fit reason or None, certified pair or
+    None)."""
     inbody = _simplex_inbody_alone if simplex else _inbody_alone
-    fit = _simplex_fit_family if simplex else _reference_fit_family
+    fit = (lambda *args: 0.5 * np.add(*_simplex_fit_family(*args))) if simplex else _reference_fit
     out = []
     for triple in map(tuple, spanning_triples(K).tolist()):
         reason, _, verts, faces = inbody(build_gamma(K.normals[list(triple)]), T)
@@ -521,12 +589,12 @@ def _triple_outcomes(K, T, simplex=False):
             continue
         t_faces = faces[1:] + faces[:1]
         try:
-            low, high = fit(K, T, triple, t_faces)
+            q = fit(K, T, triple, t_faces)
         except FitRejected as err:
             out.append((reason, faces, err.reason, None))
             continue
         out.append((reason, faces, "", certified_pair(K, T, make_pair(
-            K, T, 0.5 * (low + high), np.roll(verts, -1, axis=0),
+            K, T, q, np.roll(verts, -1, axis=0),
             tuple(Face.edge(i) for i in triple), t_faces))))
     return out
 
@@ -616,10 +684,10 @@ def _unscreened_three_bounce(K, T):
     tried = np.flatnonzero(_product_reach(K, T, triples, faces).all(axis=1))
     found = np.full(len(triples), None, object)
     if tried.size:
-        low, high, fit = bounce3._fit_stack(K, T, triples[tried], faces[tried])
+        q, fit = bounce3._fit_stack(K, T, triples[tried], faces[tried])
         fits = tried[fit == ""]
-        found[fits] = bounce3.certified_pairs(K, T, 0.5 * (low + high)[fit == ""],
-                                              p[fits], K.n + triples[fits], faces[fits])
+        found[fits] = bounce3.certified_pairs(K, T, q[fit == ""], p[fits],
+                                              K.n + triples[fits], faces[fits])
     return sort_pairs(dedupe([pair for pair in found if pair is not None]))
 
 
@@ -682,25 +750,82 @@ def test_chord_reach_covers_the_product_form_on_every_face_pair():
 
 
 def test_stacked_fit_matches_per_triple_fit():
-    """The stacked fits give every inbody survivor the ends, bit for bit,
-    or the reject reason of the per-triple fit."""
+    """The stacked fits give every inbody survivor the q, bit for bit, or
+    the reject reason of the per-triple fit."""
     fits = rejects = 0
     for _, K, T in corpus.cases("search"):
         triples, _, faces = _survivors(K, T)
-        low, high, reason = bounce3._fit_stack(K, T, triples, faces)
+        q, reason = bounce3._fit_stack(K, T, triples, faces)
         for r, (triple, t_faces) in enumerate(zip(map(tuple, triples.tolist()),
                                                   face_tuples(T, faces))):
             try:
-                want = _reference_fit_family(K, T, triple, t_faces)
+                want = _reference_fit(K, T, triple, t_faces)
             except FitRejected as err:
                 assert reason[r] == err.reason
                 rejects += 1
                 continue
             assert reason[r] == ""
-            assert low[r].tobytes() == want[0].tobytes()
-            assert high[r].tobytes() == want[1].tobytes()
+            assert q[r].tobytes() == want.tobytes()
             fits += 1
     assert fits >= 50 and rejects >= 50
+
+
+@pytest.mark.parametrize("name", ["search", "contact", "inbody", "grid", "oracle", "ngon"])
+def test_direct_fits_match_the_lp_pair(name):
+    """Every inbody survivor gets the reject reason of the LP pair that fit
+    it before the direct solve (_lp_fit_stack).  A fit with three edge
+    contacts has a q within 1e-14 of K's size of the pair's centre; one with
+    a vertex contact (all on ngon) goes to the LP and keeps the centre bit
+    for bit."""
+    count = {True: 0, False: 0}
+    for _, K, T in corpus.cases(name):
+        triples, _, faces = _survivors(K, T)
+        q, reason = bounce3._fit_stack(K, T, triples, faces)
+        low, high, want = _lp_fit_stack(K, T, triples, faces)
+        assert reason.tolist() == want.tolist()
+        centre, edges = 0.5 * (low + high), (faces >= T.n).all(1)
+        for k in np.flatnonzero(reason == ""):
+            if edges[k]:
+                assert np.abs(q[k] - centre[k]).max() <= 1e-14 * np.abs(K.vertices).max()
+            else:
+                assert q[k].tobytes() == centre[k].tobytes()
+            count[bool(edges[k])] += 1
+    least = {"search": (120, 3), "contact": (180, 20), "inbody": (350, 3),
+             "grid": (20, 0), "oracle": (40, 0), "ngon": (0, 2)}[name]
+    assert count[True] >= least[0] and count[False] >= least[1]
+
+
+def test_singular_edge_fit_goes_to_the_lp(monkeypatch):
+    """A fit with three edge contacts whose system is singular is never
+    rejected without the LP.  On the square with q_0, q_1, q_2 on its right,
+    top and left facets: with the rays of T's left, left and right edges, q_1
+    slides along the top facet (a family, whose centre is kept), and with
+    three right edges there is no q.  The LP pair takes both, in one stack
+    with two regular direct fits, and gives them its reasons and centres bit
+    for bit.  With T turned by 1e-3 the first system is singular up to
+    rounding, its determinant 1.5e-19 of Hadamard's bound: the LP fits it,
+    where the direct solve, were it taken, would reject it."""
+    square = corpus.SQUARE
+    triples = np.tile([0, 1, 2], (4, 1))
+    faces = square.n + np.array([[2, 2, 0], [0, 0, 0], [1, 2, 0], [2, 1, 0]])
+    M = np.array([[r for r, _, _ in _fit_rows(square, square, (0, 1, 2), t_faces)[1][::2]]
+                  for t_faces in face_tuples(square, faces)])
+    assert lpmod._cofactors3(M)[1].tolist() == [0.0, 0.0, 8.0, -8.0]
+    members = spy(monkeypatch, lpmod, "solve_dual3", lambda c, A, b, basis: len(A))
+    q, reason = bounce3._fit_stack(square, square, triples, faces)
+    assert members == [4]  # both objectives of the two singular fits
+    low, high, want = _lp_fit_stack(square, square, triples, faces)
+    assert reason.tolist() == want.tolist() == ["", "infeasible", "", ""]
+    assert q[0].tolist() == [[1.0, 1.0], [0.0, 1.0], [-1.0, 1.0]]
+    assert q[:2].tobytes() == (0.5 * (low + high))[:2].tobytes()
+
+    T = ConvexPolytope2.from_vertices(square.vertices @ rotation(1e-3).T)
+    q, reason = bounce3._fit_stack(square, T, triples[:1], faces[:1])
+    low, high, want = _lp_fit_stack(square, T, triples[:1], faces[:1])
+    assert reason.tolist() == want.tolist() == [""]
+    assert q.tobytes() == (0.5 * (low + high)).tobytes()
+    monkeypatch.setattr(bounce3, "_SINGULAR", 0.0)
+    assert bounce3._fit_stack(square, T, triples[:1], faces[:1])[1].tolist() == ["infeasible"]
 
 
 def _assert_close_pairs(got, want):
@@ -721,7 +846,7 @@ def _dual_outcomes(K, T):
     reason, x, verts, faces = bounce3._inbody_stack(gamma_triangles(K, triples), T)
     ok = reason == ""
     fit = np.full(len(triples), None, object)
-    fit[ok] = bounce3._fit_stack(K, T, triples[ok], np.roll(faces[ok], -1, 1))[2]
+    fit[ok] = bounce3._fit_stack(K, T, triples[ok], np.roll(faces[ok], -1, 1))[1]
     return reason, x[:, 0], verts, face_tuples(T, faces), fit
 
 

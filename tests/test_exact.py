@@ -10,6 +10,10 @@ sum_j nu_j d_j = 0, and p_j on the line of its T edge for each j.  The
 exact length is then ell_{-K}(p) = sum_j max_{v in V(K)} <-v, p_{j+1} - p_j>,
 the dual length that certify compares with the reported ell_T(q).
 
+The exact q of such a pair solves three linear equations of its own: q_j =
+a_j + t_j (b_j - a_j) on its K facet [a_j, b_j], and q_{j+1} - q_j normal to
+the T edge of p_j, <e_j, q_{j+1} - q_j> = 0 for e_j that edge's direction.
+
 Vertex contacts of p and the 2-bounce face tuples are not covered yet.
 """
 
@@ -73,6 +77,33 @@ def exact_length(K, T, k_facets, t_edges):
     return p, length
 
 
+def _direction(P, i):
+    """The start and the direction b - a of segment i [a, b] of P."""
+    a, b = _segment(P, i)
+    return a, (b[0] - a[0], b[1] - a[1])
+
+
+def exact_q(K, T, k_facets, t_edges):
+    """The exact q (three rational points) of the regular 3-bounce pair with
+    q_j on facet k_facets[j] of K and q_{j+1} - q_j normal to edge
+    t_edges[j] of T; K and T are lists of rational vertices."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    a, d = zip(*(_direction(K, i) for i in k_facets))
+    A, rhs = [], []
+    for j, edge in enumerate(t_edges):
+        e, k = _direction(T, edge)[1], (j + 1) % 3
+        # s_k <e, d_k> - s_j <e, d_j> = <e, a_j - a_k> for q_j = a_j + s_j d_j
+        row = [0, 0, 0]
+        row[k] += dot(e, d[k])
+        row[j] -= dot(e, d[j])
+        A.append(row)
+        rhs.append(dot(e, (a[j][0] - a[k][0], a[j][1] - a[k][1])))
+    s = _solve(A, rhs)
+    return [(a[j][0] + s[j] * d[j][0], a[j][1] + s[j] * d[j][1]) for j in range(3)]
+
+
 # every 3-bounce pair that search_three_bounce finds on the grid and oracle
 # benchmark pools whose p touches T inside edges only
 PAIRS = [(label, K, T, pair) for pool in ("grid", "oracle")
@@ -97,3 +128,14 @@ def test_reported_length_matches_exact_length(label, K, T, pair):
     size = Fraction(max(abs(c) for c in T.vertices.ravel().tolist()))
     for got, want in zip(pair.p.vertices.tolist(), p):
         assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1e-12) * size
+
+
+@pytest.mark.parametrize("label, K, T, pair", PAIRS,
+                         ids=[f"{label}-{k}" for k, (label, *_) in enumerate(PAIRS)])
+def test_reported_q_matches_exact_q(label, K, T, pair):
+    """The reported q lies within 1e-14 of K's size of the exact q."""
+    q = exact_q(_rational(K.vertices.tolist()), _rational(T.vertices.tolist()),
+                [f.index for f in pair.k_faces], [f.index for f in pair.t_faces])
+    size = Fraction(max(abs(c) for c in K.vertices.ravel().tolist()))
+    for got, want in zip(pair.q.vertices.tolist(), q):
+        assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1e-14) * size

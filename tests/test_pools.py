@@ -15,6 +15,10 @@ change no output is checked to the last bit of every float.  Rewrite that
 file, after a change that is meant to alter the candidates, with
 
     PYTHONPATH=src python tests/test_pools.py
+
+which prints, for each instance, whether its report digest changed and the
+largest relative change of any candidate length against the file it
+replaces.
 """
 
 import contextlib
@@ -111,6 +115,13 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         reports = {name: _shortest(inst, Path(directory))
                    for name, (_, inst) in zip(IDS, INSTANCES)}
+    old = json.loads(CANDIDATES.read_text()) if CANDIDATES.exists() else {}
+    for name, text in reports.items():
+        was, got = old.get(name, {"candidates": []}), _candidates(text)
+        digest = "kept" if was.get("report_digest") == report_digest(text) else "changed"
+        moved = max((abs(c[3] - w[3]) / w[3] for c, w in zip(got, was["candidates"])),
+                    default=0.0)
+        print(f"{name}: digest {digest}, largest relative length change {moved:.3g}")
     CANDIDATES.parent.mkdir(exist_ok=True)
     with open(CANDIDATES, "w") as fh:  # one candidate a line
         fh.write("{\n" + ",\n".join(

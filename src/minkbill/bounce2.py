@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
-                   cone_contains, cross2, cyclic, dot2, face_array, face_cones)
+                   cone_contains, cone_rows, cyclic, face_array, face_cones)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
@@ -50,73 +50,44 @@ def _antipodal_pairs(P: ConvexPolytope2) -> np.ndarray:
     return np.column_stack([i[ok], j[ok]])
 
 
-@dataclass
-class _Affine:
-    """A stack of affine 2-vectors c[k] + M[k] @ x in the LP variables:
-    c is (B, 2), M is (B, 2, nv)."""
-
-    c: np.ndarray
-    M: np.ndarray
-
-    def __sub__(self, other):
-        return _Affine(self.c - other.c, self.M - other.M)
-
-    def cross_with(self, g):
-        """cross(g, expr) as (rows, consts): g_x*e_y - g_y*e_x."""
-        row = g[:, 0, None] * self.M[:, 1] - g[:, 1, None] * self.M[:, 0]
-        const = g[:, 0] * self.c[:, 1] - g[:, 1] * self.c[:, 0]
-        return row, const
-
-    def dot_with(self, g):
-        row = g[:, 0, None] * self.M[:, 0] + g[:, 1, None] * self.M[:, 1]
-        const = g[:, 0] * self.c[:, 0] + g[:, 1] * self.c[:, 1]
-        return row, const
-
-    def at(self, x):
-        """The points c + M @ x at x (..., B, nv)."""
-        return self.c + np.matmul(self.M, x[..., None])[..., 0]
-
-
-def _point(P: ConvexPolytope2, faces: np.ndarray, col: int, nv: int) -> _Affine:
-    """The points a + x[col] (b - a) on the facets [a, b] of face ids faces."""
+def _point(P: ConvexPolytope2, faces: np.ndarray, col: int, nv: int) -> np.ndarray:
+    """The points a + x[col] (b - a) on the facets [a, b] of face ids faces,
+    as affine maps of the LP variables x: (B, 1 + nv, 2), the constant
+    first, then one coefficient per variable."""
     base, end = P.face_table.ends[faces].transpose(1, 0, 2)
-    M = np.zeros((len(faces), 2, nv))
-    M[:, :, col] = end - base
-    return _Affine(base, M)
+    expr = np.zeros((len(faces), 1 + nv, 2))
+    expr[:, 0], expr[:, 1 + col] = base, end - base
+    return expr
 
 
-def _cone_rows(rows, expr: _Affine, cone) -> None:
-    """Append two (coefficients, bounds, is_equality) rows expressing expr
-    in the stacked cone (width < pi) for every member: a ray g pins expr to
-    its line exactly, cross(g, v) == 0, and asks <g, v> >= 0; a wedge asks
-    cross(g1, v) >= 0 and cross(v, g2) >= 0.  Each inequality has slack
-    EPS_GEO; in a stack of both kinds, is_equality is one flag per member."""
-    g0, g1, ray = cone.generators[0], cone.generators[-1], cone.is_ray
-    cross0, const0 = expr.cross_with(g0)
-    dot, const_dot = expr.dot_with(g0)
-    cross1, const1 = expr.cross_with(g1)
-    rows.append((np.where(np.asarray(ray)[..., None], cross0, -cross0),
-                 np.where(ray, -const0, EPS_GEO + const0), ray))
-    rows.append((np.where(np.asarray(ray)[..., None], -dot, cross1),
-                 np.where(ray, EPS_GEO + const_dot, EPS_GEO - const1), False))
+def _cone_rows(rows, expr: np.ndarray, cone) -> None:
+    """Append two (coefficients, bounds, is_equality) rows asking the affine
+    map expr (_point's form) to lie in the stacked cone (width < pi), for
+    every member: geom.cone_rows at expr, each >= -EPS_GEO, but at a ray
+    cross(g0, v) == 0 exactly, and cross(v, g1), that row negated, is left
+    out; in a stack of both kinds, is_equality is one flag per member."""
+    ray = cone.is_ray
+    cross0, cross1, dot = cone_rows(cone, expr.transpose(1, 0, 2))  # each (1 + nv, B)
+    second = np.where(ray, dot, cross1)
+    rows.append((np.where(ray, cross0, -cross0)[1:].T,
+                 np.where(ray, -cross0[0], EPS_GEO + cross0[0]), ray))
+    rows.append((-second[1:].T, EPS_GEO + second[0], False))
 
 
 def _chord_reach(P: ConvexPolytope2, Q: ConvexPolytope2, a, b) -> np.ndarray:
     """The screen of both searches, (2 m_Q, *shape) for face ids a, b of P
     of one ndim, broadcast to shape: whether each row of N_Q(F), at every
     face F of Q, reaches the floor at a corner chord from a to b.  The rows,
-    _cone_rows' cross(g0, v), cross(v, g1) and, at a ray, <g0, v>, are
-    linear: each is largest at b's ends less its least at a's, a facet's
-    start moved back to t = -1e-9.  No accepted side misses the floor,
-    -4 EPS_CERT less 16 eps max|end|_1 for rounding: lp.solve_interval holds
-    the rows to EPS_GEO + 1e-8 at a t in [-1e-9, 1], in the moved corners; a
-    fit's _violations re-check lets t go 1.1e-9 below 0 and 3.1e-9 above 1,
-    which the floor, not the start move, covers at unit scale (ROADMAP 1)."""
-    (g0, g1), ray = Q.face_table.cones.generators, Q.face_table.cones.is_ray
+    geom.cone_rows, are linear: each is largest at b's ends less its least
+    at a's, a facet's start moved back to t = -1e-9.  No accepted side
+    misses the floor, -4 EPS_CERT less 16 eps max|end|_1 for rounding:
+    lp.solve_interval holds the rows to EPS_GEO + 1e-8 at a t in
+    [-1e-9, 1], in the moved corners; a fit's _violations re-check lets t go
+    1.1e-9 below 0 and 3.1e-9 above 1, which the floor, not the start move,
+    covers at unit scale (ROADMAP 1)."""
     start, stop = P.face_table.ends[P.n:].transpose(1, 0, 2)
     first = np.concatenate([start, start - 1e-9 * (stop - start)])  # each face's first end
-    rows = np.stack([cross2(g0[:, None], first), cross2(first, g1[:, None]),
-                     np.where(ray[:, None], dot2(g0[:, None], first), 0.0)])
+    rows = cone_rows(Q.face_table.cones, first[:, None]).swapaxes(1, 2)  # (3, 2 m_Q, 2 n_P)
     last = np.concatenate([rows[..., :P.n], rows[..., cyclic(P.n)]], -1)  # at the last
     floor = -4 * EPS_CERT - 16 * np.finfo(float).eps * np.abs(first).sum(-1).max()
     return (np.maximum(rows, last)[:, :, b] - np.minimum(rows, last)[:, :, a] >= floor).all(0)
@@ -166,7 +137,7 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     k, s = np.nonzero(free & keep[:, None])
     a, b = _A[s], _B[s]
     rows = []
-    _cycle_rows(rows, [_Affine(base[k, r], step[k, r, :, None]) for r in (a, b)],
+    _cycle_rows(rows, [np.stack([base[k, r], step[k, r]], 1) for r in (a, b)],
                 (cone(_C0, k, s), cone(_C1, k, s)))
     coef, bound, eq = zip(*rows)
     status, t = lpmod.solve_interval(

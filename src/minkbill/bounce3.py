@@ -25,9 +25,9 @@ the triples to verify.certified_pairs:
 3. for each surviving triple, with p fixed, the q-side is linear:
    q_i = a_i + t_i (b_i - a_i) runs over facet i of K for t in [0, 1]^3,
    and q_{i+1} - q_i must lie in the normal cone of T at the contact face
-   of p_i (a ray for a facet of T, a wedge for a vertex), by the rows of
-   the 2-bounce search (_cycle_rows).  The triples that the reach table
-   keeps (bounce2._chord_reach from facet r to r + 1 of K) are fitted.
+   of p_i, by geom.cone_rows, the rows of the 2-bounce search
+   (_cycle_rows).  The triples that the reach table keeps
+   (bounce2._chord_reach from facet r to r + 1 of K) are fitted.
    Where p touches three edges of T, their rays' equalities fix t by one
    3x3 solve (solve_dual3's kernel), kept if it passes the LP's re-check:
    all 224 fits of the grid and oracle pools, where LP pairs took 11 % of a
@@ -89,16 +89,16 @@ def facet_triples(K: ConvexPolytope2) -> np.ndarray:
 
 def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
     """The facet triples, in facet_triples order, that have a dual triangle:
-    their normals positively span the plane, no two of them are parallel,
-    and the closing coefficients of gamma_triangles are negative."""
+    n2 and n3 are not parallel, and the closing coefficients of
+    gamma_triangles are negative, so n1 - alpha_2 n2 - alpha_3 n3 = 0 with
+    positive weights: the normals positively span the plane."""
     tri = facet_triples(K)
     n1, n2, n3 = (K.normals[tri[:, c]] for c in range(3))
     # Cramer's rule for alpha_2 n2 + alpha_3 n3 = n1
     det = cross2(n2, n3)
     solvable = np.abs(det) > EPS_GEO
     det = np.where(solvable, det, 1.0)
-    ok = (solvable & (largest_gap(K.face_table.angles[0, tri]) < math.pi - EPS_ANG)
-          & (cross2(n1, n3) / det < -EPS_GEO) & (cross2(n2, n1) / det < -EPS_GEO))
+    ok = solvable & (cross2(n1, n3) / det < -EPS_GEO) & (cross2(n2, n1) / det < -EPS_GEO)
     return tri[ok]
 
 
@@ -198,8 +198,9 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     opposite inequality, a zero row for a wedge, and 0 <= t <= 1), three
     rays' equalities fix t by one lp._cofactors3 solve, which fits if it
     passes all 15 by lp._violations.  A vertex contact or a singular system
-    takes the LP pair instead (step 4); the pairs of all such members are one
-    solve_dual3 stack, each objective starting from the bounds it pushes on."""
+    takes the LP pair instead (step 4); the pairs of all such members, if
+    any, are one solve_dual3 stack, each objective starting from the bounds
+    it pushes on."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
     q = [_point(K, K.n + triples[:, r], r, 3) for r in range(3)]
@@ -218,12 +219,13 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     reason = np.where(np.less_equal(*lpmod._violations(A, b, False, x[0])).all(1),
                       "optimal", "infeasible")  # read where direct
     lp = np.flatnonzero(~direct)
-    status, ends = lpmod.solve_dual3(
-        np.repeat([-1.0, 1.0], 3 * len(lp)).reshape(-1, 3), np.concatenate([A[lp], A[lp]]),
-        np.concatenate([b[lp], b[lp]]), np.repeat([[9, 10, 11], [12, 13, 14]], len(lp), 0))
-    status, x[:, lp] = status.reshape(2, -1), ends.reshape(2, -1, 3)
-    reason[lp] = np.where(status[0] == "optimal", status[1], status[0])
-    low, high = np.stack([e.at(x) for e in q], 2)
+    if lp.size:
+        status, ends = lpmod.solve_dual3(
+            np.repeat([-1.0, 1.0], 3 * len(lp)).reshape(-1, 3), np.concatenate([A[lp], A[lp]]),
+            np.concatenate([b[lp], b[lp]]), np.repeat([[9, 10, 11], [12, 13, 14]], len(lp), 0))
+        status, x[:, lp] = status.reshape(2, -1), ends.reshape(2, -1, 3)
+        reason[lp] = np.where(status[0] == "optimal", status[1], status[0])
+    low, high = np.stack([e[:, 0] + x[..., r, None] * e[:, 1 + r] for r, e in enumerate(q)], 2)
     return 0.5 * (low + high), np.where(reason == "optimal", "", reason).astype(object)
 
 

@@ -264,20 +264,11 @@ def run_bench(sizes: Sequence[int], seed: int) -> dict:
              "three_bounce_triples": len(spanning_triples(K)),
              "three_bounce_inbody": stats[i].inbody_triples}
             for i, (nk, nt, K, _) in enumerate(cells)]
-    t3s = np.array([r["three_bounce_s"] for r in rows])
-    nks = np.array([r["nk"] for r in rows], float)
-    nts = np.array([r["nt"] for r in rows], float)
-    by = {(r["nk"], r["nt"]): r["two_bounce_s"] for r in rows}
-    sym_a = np.array([by[(a, b)] for a in sizes for b in sizes])
-    sym_b = np.array([by[(b, a)] for a in sizes for b in sizes])
     return {
         "schema": "minkowski-billiards-bench/1",
         "seed": seed,
         "sizes": list(sizes),
         "rows": rows,
-        "three_bounce_rank_corr_nk": _spearman(t3s, nks),
-        "three_bounce_rank_corr_nt": _spearman(t3s, nts),
-        "two_bounce_symmetry_corr": _spearman(sym_a, sym_b),
     }
 
 

@@ -291,17 +291,23 @@ def normal_cone(P: ConvexPolytope2, f: Face) -> NormalConeRep:
     return face_cones(P, face_array(P, [[f]])[0, 0])
 
 
+def cone_rows(cone: NormalConeRep, v) -> np.ndarray:
+    """The cone's three linear functionals at v, (3, ...) with the cone's
+    generators broadcast against v (..., 2): cross(g0, v), cross(v, g1) and,
+    at a ray, <g0, v> (0 at a wedge).  v is in the cone iff all three are
+    >= 0 (at a ray, g0 == g1 and the two crosses pin v to g0's line): the
+    one membership test of cone_contains and of both searches' LP rows."""
+    g0, g1 = cone.generators
+    return np.array([cross2(g0, v), cross2(v, g1),
+                     np.where(cone.is_ray, g0[..., 0] * v[..., 0] + g0[..., 1] * v[..., 1], 0.0)])
+
+
 def cone_contains(cone: NormalConeRep, v, tol: float = EPS_GEO):
     """Whether v lies in the cone, one answer per cone of a stack (v is (2,)
     or (B, 2)); the zero vector belongs to every closed cone."""
     v = np.asarray(v, float)
     nv = np.hypot(v[..., 0], v[..., 1])
-    s = tol * nv
-    g0, g1 = cone.generators
-    # for a ray (g0 == g1) the two crosses pin v to the line of g0
-    return (nv <= tol) | ((cross2(g0, v) >= -s) & (cross2(v, g1) >= -s)
-                          & (np.logical_not(cone.is_ray)
-                             | (g0[..., 0] * v[..., 0] + g0[..., 1] * v[..., 1] >= -s)))
+    return (nv <= tol) | (cone_rows(cone, v) >= -tol * nv).all(0)
 
 
 def cone_distance(cone: NormalConeRep, v):

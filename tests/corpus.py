@@ -216,13 +216,12 @@ def three_bounce(name):
 
 
 def per_body(reference):
-    """reference(P) as a tuple, computed once per body (by its vertex and
-    normal bytes)."""
+    """reference(P) as a tuple, computed once per body object (by its id;
+    the entry holds P, so that no other body can take that id)."""
     cache = {}
 
     def cached(P):
-        key = P.vertices.tobytes() + P.normals.tobytes()
-        if key not in cache:
-            cache[key] = tuple(reference(P))
-        return cache[key]
+        if id(P) not in cache:
+            cache[id(P)] = P, tuple(reference(P))
+        return cache[id(P)][1]
     return cached

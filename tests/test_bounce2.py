@@ -10,9 +10,9 @@ from minkbill.bounce2 import (SearchStats, prefer_smooth, search_two_bounce,
                               solve_face_tuple)
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import load, regular_ngon
-from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, Face, all_faces, cone_contains,
-                           cross2, dot2, face_array, face_tuples, find_face, in_f,
-                           normal_cone)
+from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, Face, NormalConeRep, all_faces,
+                           cone_contains, cone_rows, cross2, dot2, face_array, face_tuples,
+                           find_face, in_f, normal_cone)
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
 from minkbill.pairs import _canonical_keys, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
@@ -579,6 +579,44 @@ def test_chord_reach_matches_the_four_end_form():
                 pairs = np.meshgrid(a, faces, indexing="ij")
                 assert np.array_equal(bounce2._chord_reach(P, Q, *pairs),
                                       _four_end_chord_reach(P, Q, *pairs))
+
+
+def test_every_cone_test_reads_cone_rows(monkeypatch):
+    """geom.cone_rows is the one membership test.  The rows _cone_rows
+    appends for the 1-variable sides of the identity set and the 3-variable
+    q-side fits of the search set equal reference_cone_rows, written one
+    member at a time on Affine, to the last bit (a zero's sign aside); and
+    cone_contains at tol 0 is the sign test on cone_rows, at every chord
+    between two vertices of one body against every cone of the other, and at
+    each cone's generators and their negatives."""
+    log = spy(monkeypatch, bounce2, "_cone_rows",
+              lambda rows, expr, cone: (rows, len(rows), expr, cone))
+    for name, search, nv in (("identity", search_two_bounce, 1),
+                             ("search", search_three_bounce, 3)):
+        log.clear()
+        for _, K, T in corpus.cases(name):
+            search(K, T)
+        kinds = np.zeros(2, int)  # members at wedges and at rays
+        for rows, n, expr, cone in log:
+            (g0, g1), ray = cone.generators, np.broadcast_to(cone.is_ray, len(expr))
+            for k in range(len(expr)):
+                want = []
+                reference_cone_rows(want, Affine(expr[k, 0], expr[k, 1:].T),
+                                    NormalConeRep((g0[k], g1[k]), ray[k]))
+                for (coef, bound, eq), (w_coef, w_bound, w_eq) in zip(rows[n:n + 2], want):
+                    assert np.array_equal(coef[k], w_coef) and bound[k] == w_bound
+                    assert np.broadcast_to(eq, len(expr))[k] == w_eq
+            kinds += np.bincount(ray, minlength=2)
+        # 2,828 and 2,642 members of the sides, 3 and 867 of the fits
+        assert kinds.min() > 0 and kinds.sum() >= 800
+        assert {e.shape[1] for _, _, e, _ in log} == {1 + nv}
+    for _, K, T in corpus.cases("identity"):
+        for P, Q in ((K, T), (T, K)):
+            cones = Q.face_table.cones
+            v = np.concatenate([(P.vertices[:, None] - P.vertices).reshape(-1, 2),
+                                *cones.generators, *(-g for g in cones.generators)])[:, None]
+            assert np.array_equal(cone_contains(cones, v, 0.0),
+                                  (cone_rows(cones, v) >= 0).all(0))
 
 
 def test_chord_screen_drops_only_tuples_the_side_lps_reject(monkeypatch):

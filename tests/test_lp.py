@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minkbill import lp as lpmod
-from minkbill.bounce2 import _Affine, _cycle_rows
+from minkbill.bounce2 import _cycle_rows
 from minkbill.bounce3 import search_three_bounce
 from minkbill.geom import NormalConeRep
 from minkbill.lp import LinearProgram, NumericalFailure, solve, solve_interval
@@ -255,6 +255,12 @@ def _cone(*angles):
                          np.bool_(len(angles) == 1))
 
 
+def _affine(c, d=(0.0, 0.0)):
+    """The point c + t d in the one variable t, a stack of one in the form
+    of bounce2._point: (1, 2, 2), the constant, then the coefficient."""
+    return np.array([[c, d]], float)
+
+
 def _side(rows, objective):
     """The arrays solve_interval takes for the LP in t of one side's rows, a
     stack of one: objective (1,), constraints (1, m, 1), rhs (1, m) and the
@@ -316,8 +322,7 @@ def one_variable_sides(draw):
         cones = (_cone(first), _cone(first + np.pi + tilt))
     else:
         cones = (_cone(first), _cone(*wedge))
-    points = [_Affine(A[None], D.reshape(1, 2, 1)),
-              _Affine(F[None], np.zeros((1, 2, 1)))]
+    points = [_affine(A, D), _affine(F)]
     if draw(st.booleans()):  # the 2-gon (F, q): its edges swap their cones
         points.reverse()
         cones = cones[::-1]
@@ -354,8 +359,7 @@ def test_solve_interval_generator_nearly_along_the_facet(delta, s):
     A, D = np.zeros(2), np.array([1.0, 0.0])
     F = A + s * D + 2.0 * _direction(delta)[0]
     rows = []
-    _cycle_rows(rows, [_Affine(A[None], D.reshape(1, 2, 1)),
-                       _Affine(F[None], np.zeros((1, 2, 1)))],
+    _cycle_rows(rows, [_affine(A, D), _affine(F)],
                 (_cone(delta), _cone(delta + np.pi - 0.2, delta + np.pi + 0.2)))
     side = _side(rows, 0.0)
     [status], [[t]] = solve_interval(*side)
@@ -374,8 +378,7 @@ def _small_pivot_side():
     and a tie rule of 1e-12 absolute took the row of the smaller basis
     index (bound 0.5000000019) for the least ratio (0.5000000005)."""
     rows = []
-    _cycle_rows(rows, [_Affine(np.array([[1.0, 0.0]]), np.zeros((1, 2, 1))),
-                       _Affine(np.zeros((1, 2)), np.array([[[2.0], [0.0]]]))],
+    _cycle_rows(rows, [_affine((1.0, 0.0)), _affine((0.0, 0.0), (2.0, 0.0))],
                 (_cone(np.pi + 1e-6, np.pi + np.arcsin(0.263445)), _cone(0.0)))
     return _side(rows, 1.0)
 

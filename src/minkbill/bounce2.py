@@ -215,8 +215,8 @@ def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
 def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
                       stats: Optional[SearchStats] = None
                       ) -> List[BilliardPair]:
-    """All certified 2-bounce pairs, deduplicated and sorted by length."""
-    stats = SearchStats() if stats is None else stats
+    """All certified 2-bounce pairs, deduplicated and sorted by length;
+    stats counts the face tuples, side solves and screened tuples."""
     k_pairs, k_free, k_reach = _side_tables(K, T)
     t_pairs, t_free, t_reach = _side_tables(T, K)
     # each K pair with each T pair in both orientations, in that order
@@ -226,11 +226,12 @@ def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
         return (k_table[:, 0][:, t_both[..., 0]] & k_table[:, 1][:, t_both[..., 1]]
                 & (t_table[:, :, k_pairs[:, 0]] & t_table[:, ::-1, k_pairs[:, 1]]
                    ).transpose(2, 0, 1))
-    stats.tuples_after_filter += 2 * len(k_pairs) * len(t_pairs)
-    stats.side_solves += int((sides(k_reach | k_free, t_reach | t_free)
-                              & (k_free | t_free[:, 0])).sum())
     k, t, o = np.nonzero(sides(k_reach, t_reach))
-    stats.tuples_after_screen += len(k)
+    if stats is not None:
+        stats.tuples_after_filter += 2 * len(k_pairs) * len(t_pairs)
+        stats.side_solves += int((sides(k_reach | k_free, t_reach | t_free)
+                                  & (k_free | t_free[:, 0])).sum())
+        stats.tuples_after_screen += len(k)
     found = [prefer_smooth(K, T, pair)
              for pair in _solve_tuples(K, T, np.concatenate([k_pairs[k], t_both[t, o]], 1))
              if pair is not None]

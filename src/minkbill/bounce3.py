@@ -2,7 +2,9 @@
 
 Pipeline for one pair (K, T), over the ordered facet triples of K whose
 normals positively span the plane (spanning_triples), all as arrays from
-the triples to verify.certified_pairs:
+the triples to verify.certified_pairs.  The search calls its two array
+stages once each, find_inbody (step 2) and fit_to_k (steps 3 and 4); each
+returns a reject reason per member ("" where it passes) next to its values:
 
 1. for all these triples at once, build the dual triangles gamma whose
    edges run along the facet normals (gamma is unique up to translation and
@@ -42,41 +44,19 @@ the triples to verify.certified_pairs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import lp as lpmod
 from .bounce2 import SearchStats, _chord_reach, _cycle_rows, _point
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryError,
-                   cross2, cyclic, face_array, face_cones, face_tuples,
+from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, cross2, cyclic, face_cones,
                    find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
 
 _CONTACT_TOL = 1e-7  # find_faces' tolerance for the contacts of p with T
 _SINGULAR = 1e-6  # a fit's 3x3 system is singular at |det| <= this Hadamard bound
-
-
-class NoInbody(GeometryError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class FitRejected(GeometryError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-@dataclass(frozen=True)
-class Inbody:
-    scale: float          # optimal lambda of the growth LP
-    shift: np.ndarray     # optimal translation u
-    vertices: np.ndarray  # (3, 2): scale * gamma + shift
-    t_faces: Tuple[Face, Face, Face]
 
 
 def facet_triples(K: ConvexPolytope2) -> np.ndarray:
@@ -134,10 +114,11 @@ def _contact_tables(K: ConvexPolytope2, T: ConvexPolytope2):
     return reach, need * r / (_CONTACT_TOL + eps)
 
 
-def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
-    """find_inbody as arrays: each triangle's reject reason ("" where it is
-    placed), the LP's (lambda, u) (B, 3), the placed vertices (B, 3, 2) and
-    their contact face ids of T (B, 3), -1 where find_faces did not run.
+def find_inbody(triangles: np.ndarray, T: ConvexPolytope2):
+    """The largest positively scaled translate inside T of each triangle of
+    the (B, 3, 2) stack (step 2): each triangle's reject reason ("" where it
+    is placed), the LP's (lambda, u) (B, 3), the placed vertices (B, 3, 2)
+    and their contact face ids of T (B, 3), -1 where find_faces did not run.
 
     find_faces places a point only within tol of a vertex or an edge of T,
     and so within tol of that face's facet line (the unit normals make the
@@ -178,23 +159,12 @@ def _inbody_stack(triangles: np.ndarray, T: ConvexPolytope2):
     return reason.astype(object), x, verts, faces
 
 
-def find_inbody(triangles: np.ndarray, T: ConvexPolytope2
-                ) -> List[Union[Inbody, NoInbody]]:
-    """For each triangle of the (B, 3, 2) stack, the largest positively
-    scaled translate inside T, or why there is none.  The optimum must put
-    all three vertices on the boundary with contact normals positively
-    spanning; otherwise the triangle admits no valid placement."""
-    reason, x, verts, faces = _inbody_stack(triangles, T)
-    return [NoInbody(reason[k]) if reason[k] else
-            Inbody(float(x[k, 0]), x[k, 1:], verts[k], t_faces)
-            for k, t_faces in enumerate(face_tuples(T, faces))]
-
-
-def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
-               faces: np.ndarray):
-    """The q of each triple, q_r on facet triples[k, r] of K and p_r
-    touching T at face id faces[k, r], (B, 3, 2), and each triple's reject
-    reason ("" where it fits).  Of the 15 rows (a ray's equality also as the
+def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
+             faces: np.ndarray):
+    """The q of each triple (steps 3 and 4), q_r on facet triples[k, r] of
+    K and p_r touching T at face id faces[k, r], (B, 3, 2), and each
+    triple's reject reason ("" where it fits, "numerical" where an LP runs
+    out of steps).  Of the 15 rows (a ray's equality also as the
     opposite inequality, a zero row for a wedge, and 0 <= t <= 1), three
     rays' equalities fix t by one lp._cofactors3 solve, which fits if it
     passes all 15 by lp._violations.  A vertex contact or a singular system
@@ -229,19 +199,6 @@ def _fit_stack(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     return 0.5 * (low + high), np.where(reason == "optimal", "", reason).astype(object)
 
 
-def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2,
-             triple: Tuple[int, int, int],
-             t_faces: Tuple[Face, Face, Face]) -> np.ndarray:
-    """The q vertices, q_r on facet triple[r] of K, with q_{r+1} - q_r in the
-    normal cone of T at t_faces[r] (steps 3 and 4 of the module docstring).
-    FitRejected if there are none, or with reason "numerical" if an LP runs
-    out of steps."""
-    [q], [reason] = _fit_stack(K, T, [triple], face_array(T, [t_faces]))
-    if reason:
-        raise FitRejected(reason)
-    return q
-
-
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
                    triples: np.ndarray, p: np.ndarray, faces: np.ndarray
                    ) -> List[Optional[BilliardPair]]:
@@ -253,7 +210,7 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
     tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
     found = np.full(len(triples), None, object)
     if tried.size:  # no fit stage when the prefilter keeps no triple
-        q, reason = _fit_stack(K, T, triples[tried], faces[tried])
+        q, reason = fit_to_k(K, T, triples[tried], faces[tried])
         fits = tried[reason == ""]
         found[fits] = certified_pairs(K, T, q[reason == ""], p[fits],
                                       K.n + triples[fits], faces[fits])
@@ -272,7 +229,7 @@ def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
     triples = triples[keep]
     if stats is not None:
         stats.inbody_triples += len(triples)
-    reason, _, verts, faces = _inbody_stack(tri[keep], T)
+    reason, _, verts, faces = find_inbody(tri[keep], T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple
     found = _solve_triples(K, T, reach, triples[ok], verts[ok][:, cyclic(3)],
@@ -281,12 +238,13 @@ def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
-                       triple: Tuple[int, int, int],
-                       inbody: Inbody) -> List[BilliardPair]:
-    """The certified pair, if any, of a facet triple whose dual triangle
-    has the inbody placement `inbody` in T (the search's pipeline on a
-    batch of one)."""
+                       triple: Tuple[int, int, int]) -> List[BilliardPair]:
+    """The certified pair, if any, of a facet triple that spanning_triples
+    accepts: find_inbody of its dual triangle, then the search's pipeline on
+    a batch of one, without the need screen; [] where it has no placement."""
+    [reason], _, verts, faces = find_inbody(gamma_triangles(K, [triple]), T)
+    if reason:
+        return []
     [pair] = _solve_triples(K, T, _contact_tables(K, T)[0], [triple],
-                            inbody.vertices[None, cyclic(3)],
-                            face_array(T, [inbody.t_faces[1:] + inbody.t_faces[:1]]))
+                            verts[:, cyclic(3)], faces[:, cyclic(3)])
     return [] if pair is None else [pair]

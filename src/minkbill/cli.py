@@ -217,19 +217,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _spearman(a: np.ndarray, b: np.ndarray) -> float:
-    def ranks(x):
-        order = np.argsort(x, kind="stable")
-        r = np.empty(len(x))
-        r[order] = np.arange(len(x))
-        return r
-    ra, rb = ranks(np.asarray(a, float)), ranks(np.asarray(b, float))
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = float(np.sqrt((ra ** 2).sum() * (rb ** 2).sum()))
-    return float((ra * rb).sum() / denom) if denom else 0.0
-
-
 def run_bench(sizes: Sequence[int], seed: int) -> dict:
     """Best-of-7 times of both searches on a grid of random instance sizes,
     next to their work counts: SearchStats (2-bounce tuples, side solves and

@@ -17,9 +17,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounce3 import NoInbody, find_inbody, search_three_bounce
-from .geom import (EPS_ANG, ConvexPolytope2, Face, NormalConeRep, in_f,
-                   normal_cone, rotation)
+from .bounce3 import find_inbody, search_three_bounce
+from .geom import (EPS_ANG, ConvexPolytope2, Face, NormalConeRep, face_tuples,
+                   in_f, normal_cone, rotation)
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,11 @@ def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2
         raise ValueError("expected a triangle")
     for ang in (math.pi / 2, -math.pi / 2):
         rot = triangle.vertices @ rotation(ang).T
-        inbody = find_inbody(rot[None], T)[0]
-        if isinstance(inbody, NoInbody):
+        [reason], [x], [verts], faces = find_inbody(rot[None], T)
+        if reason or not in_f(T, verts):
             continue
-        if not in_f(T, inbody.vertices):
+        [t_faces] = face_tuples(T, faces)
+        if not one_per_cone_spans([normal_cone(T, f) for f in t_faces]):
             continue
-        if not one_per_cone_spans([normal_cone(T, f) for f in inbody.t_faces]):
-            continue
-        return True, FamilyWitness(ang, inbody.scale, inbody.shift,
-                                   inbody.vertices, inbody.t_faces)
+        return True, FamilyWitness(ang, float(x[0]), x[1:], verts, t_faces)
     return False, None

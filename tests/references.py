@@ -159,6 +159,21 @@ def product_chord_reach(P, Q, a):
     return rows_reach(Q.face_table.cones, v[:, :, None])
 
 
+def spearman(a, b) -> float:
+    """Spearman's rank correlation of a and b, ties ranked in input order;
+    0 where either is constant."""
+    def ranks(x):
+        order = np.argsort(x, kind="stable")
+        r = np.empty(len(x))
+        r[order] = np.arange(len(x))
+        return r
+    ra, rb = ranks(np.asarray(a, float)), ranks(np.asarray(b, float))
+    ra -= ra.mean()
+    rb -= rb.mean()
+    denom = float(np.sqrt((ra ** 2).sum() * (rb ** 2).sum()))
+    return float((ra * rb).sum() / denom) if denom else 0.0
+
+
 def spy(monkeypatch, owner, name, note):
     """Wrap owner.name so that each call first appends note(*args) to the
     list returned."""

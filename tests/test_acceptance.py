@@ -12,7 +12,7 @@ import pytest
 
 from minkbill.bounce2 import search_two_bounce, solve_face_tuple
 from minkbill.bounce3 import search_three_bounce
-from minkbill.cli import _search_report, _spearman, run_bench
+from minkbill.cli import _search_report, run_bench
 from minkbill.fixtures import (equilateral_triangle, example_g_curve, load,
                                obtuse_triangle_100, regular_ngon)
 from minkbill.geom import ClosedCurve, ell_length, find_face, polar, support
@@ -21,7 +21,7 @@ from minkbill.randgen import random_instance, random_polytope
 from minkbill.obtuse import regular_three_bounce_exists
 from minkbill.verify import brute_force_min, certify
 
-from references import same_cycle
+from references import same_cycle, spearman
 
 
 def _report(num, label, ok, detail=""):
@@ -215,8 +215,8 @@ def test_criterion_10_bench_trends():
     by = {(r["nk"], r["nt"]): r for r in res["rows"]}
     sym = all(by[a, b][f] == by[b, a][f] for a, b in by
               for f in ("two_bounce_tuples", "two_bounce_solves"))
-    corr3 = _spearman([r["three_bounce_triples"] for r in res["rows"]],
-                      [r["nk"] for r in res["rows"]])
+    corr3 = spearman([r["three_bounce_triples"] for r in res["rows"]],
+                     [r["nk"] for r in res["rows"]])
     times = {f: (by[5, 5][f], by[25, 25][f]) for f in ("two_bounce_s", "three_bounce_s")}
     ok = sym and corr3 > 0.9 and all(small < large for small, large in times.values())
     _report(10, "bench scaling trends", ok,

@@ -11,6 +11,8 @@ import minkbill
 import minkbill.cli
 from minkbill.fixtures import load
 
+import corpus
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -47,3 +49,32 @@ def test_tracer_targets_resolve_and_are_restored(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_run_counts_the_three_bounce_stages(tmp_path):
+    """A traced shortest on a grid instance with edge-contact 3-bounce fits
+    counts one find_inbody and one fit_to_k stack (the search's two array
+    stages), and writes the report of an untraced run apart from timings."""
+    tracer = _load_tracer()
+    [inst] = [i for i in corpus.pool("grid") if i["name"].startswith("g04")]
+    paths = []
+    for body in ("K", "T"):
+        paths.append(str(tmp_path / f"{body}.json"))
+        Path(paths[-1]).write_text(json.dumps({"vertices": inst[body]}))
+    reports = []
+    for traced in (False, True):
+        out = tmp_path / f"report-{traced}.json"
+        argv = ["shortest", *paths, *inst["args"], "--out", str(out)]
+        if traced:
+            with tracer.installed(tracer.Tracer(), minkbill) as tr:
+                assert minkbill.cli.main(argv) == 0
+        else:
+            assert minkbill.cli.main(argv) == 0
+        reports.append(json.loads(out.read_text()))
+        del reports[-1]["timings"]
+    counts = tr.take().counts()
+    assert counts["bounce3.find_inbody.calls"] == 1
+    assert counts["bounce3.fit_to_k.calls"] == 1
+    assert reports[0] == reports[1]
+    assert any(c["m"] == 3 and all(kind == "edge" for kind, _ in c["t_faces"])
+               for c in reports[1]["candidates"])

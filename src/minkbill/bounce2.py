@@ -60,18 +60,19 @@ def _point(P: ConvexPolytope2, faces: np.ndarray, col: int, nv: int) -> np.ndarr
     return expr
 
 
-def _cone_rows(rows, expr: np.ndarray, cone) -> None:
-    """Append two (coefficients, bounds, is_equality) rows asking the affine
-    map expr (_point's form) to lie in the stacked cone (width < pi), for
-    every member: geom.cone_rows at expr, each >= -EPS_GEO, but at a ray
+def _cone_rows(expr: np.ndarray, cone):
+    """The two rows (A (B, 2, nv), b (B, 2), is_equality (B, 2)) asking the
+    affine map expr (_point's form) to lie in the stacked cone (width < pi),
+    for every member: geom.cone_rows at expr, each >= -EPS_GEO, but at a ray
     cross(g0, v) == 0 exactly, and cross(v, g1), that row negated, is left
-    out; in a stack of both kinds, is_equality is one flag per member."""
+    out."""
     ray = cone.is_ray
     cross0, cross1, dot = cone_rows(cone, expr.transpose(1, 0, 2))  # each (1 + nv, B)
     second = np.where(ray, dot, cross1)
-    rows.append((np.where(ray, cross0, -cross0)[1:].T,
-                 np.where(ray, -cross0[0], EPS_GEO + cross0[0]), ray))
-    rows.append((-second[1:].T, EPS_GEO + second[0], False))
+    b = np.stack([np.where(ray, -cross0[0], EPS_GEO + cross0[0]), EPS_GEO + second[0]], 1)
+    eq = np.zeros(b.shape, bool)
+    eq[:, 0] = ray
+    return np.stack([np.where(ray, cross0, -cross0)[1:].T, -second[1:].T], 1), b, eq
 
 
 def _chord_reach(P: ConvexPolytope2, Q: ConvexPolytope2, a, b) -> np.ndarray:
@@ -93,11 +94,13 @@ def _chord_reach(P: ConvexPolytope2, Q: ConvexPolytope2, a, b) -> np.ndarray:
     return (np.maximum(rows, last)[:, :, b] - np.minimum(rows, last)[:, :, a] >= floor).all(0)
 
 
-def _cycle_rows(rows, points, cones) -> None:
-    """_cone_rows asking edge r of the closed polygon through points,
-    points[r + 1] - points[r], to lie in cones[r]."""
-    for r, cone in enumerate(cones):
-        _cone_rows(rows, points[(r + 1) % len(points)] - points[r], cone)
+def _cycle_rows(points, cones):
+    """The rows (A, b, is_equality) of _cone_rows asking edge r of the closed
+    polygon through points, points[r + 1] - points[r], to lie in cones[r],
+    rows 2 r and 2 r + 1."""
+    return tuple(np.concatenate(rows, 1) for rows in zip(*(
+        _cone_rows(points[(r + 1) % len(points)] - points[r], cone)
+        for r, cone in enumerate(cones))))
 
 
 # side s, the q side then the p side, is a closed 2-gon of the points a, b
@@ -136,13 +139,9 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     # every side with a facet is an LP in its one variable t, all in one stack
     k, s = np.nonzero(free & keep[:, None])
     a, b = _A[s], _B[s]
-    rows = []
-    _cycle_rows(rows, [np.stack([base[k, r], step[k, r]], 1) for r in (a, b)],
-                (cone(_C0, k, s), cone(_C1, k, s)))
-    coef, bound, eq = zip(*rows)
-    status, t = lpmod.solve_interval(
-        (obj[k, a] + obj[k, b])[:, None], np.stack(coef, 1), np.stack(bound, 1),
-        np.stack(np.broadcast_arrays(*eq), -1))
+    status, t = lpmod.solve_interval((obj[k, a] + obj[k, b])[:, None], *_cycle_rows(
+        [np.stack([base[k, r], step[k, r]], 1) for r in (a, b)],
+        (cone(_C0, k, s), cone(_C1, k, s))))
     keep[k[status != "optimal"]] = False
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]

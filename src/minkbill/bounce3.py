@@ -2,9 +2,11 @@
 
 Pipeline for one pair (K, T), over the ordered facet triples of K whose
 normals positively span the plane (spanning_triples), all as arrays from
-the triples to verify.certified_pairs.  The search calls its two array
-stages once each, find_inbody (step 2) and fit_to_k (steps 3 and 4); each
-returns a reject reason per member ("" where it passes) next to its values:
+the triples to verify.certified_pairs, in one function (_solve_triples):
+the search runs it on all spanning triples, solve_facet_triple on one.  It
+calls its two array stages once each, find_inbody (step 2) and fit_to_k
+(steps 3 and 4); each returns a reject reason per member ("" where it
+passes) next to its values:
 
 1. for all these triples at once, build the dual triangles gamma whose
    edges run along the facet normals (gamma is unique up to translation and
@@ -174,14 +176,11 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
     q = [_point(K, K.n + triples[:, r], r, 3) for r in range(3)]
-    rows = []
-    _cycle_rows(rows, q, [face_cones(T, faces[:, r]) for r in range(3)])
-    coef, bound, ray = (np.stack(v, 1) for v in zip(*rows[::2]))
+    rows, bounds, eq = _cycle_rows(q, [face_cones(T, faces[:, r]) for r in range(3)])
+    coef, bound, ray = rows[:, ::2], bounds[:, ::2], eq[:, ::2]
     eye = np.broadcast_to(np.eye(3), (B, 3, 3))
-    A = np.concatenate([np.stack([r for r, _, _ in rows], 1),
-                        np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
-    b = np.concatenate([np.stack([v for _, v, _ in rows], 1),
-                        np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
+    A = np.concatenate([rows, np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
+    b = np.concatenate([bounds, np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
     inv, det = lpmod._cofactors3(coef)
     direct = ray.all(1) & (abs(det) > _SINGULAR * np.linalg.norm(coef, axis=2).prod(1))
     x = np.zeros((2, B, 3))
@@ -199,29 +198,13 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     return 0.5 * (low + high), np.where(reason == "optimal", "", reason).astype(object)
 
 
-def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, reach: np.ndarray,
-                   triples: np.ndarray, p: np.ndarray, faces: np.ndarray
-                   ) -> List[Optional[BilliardPair]]:
-    """The certified pair, or None, of each facet triple whose inbody
-    placement has the vertices p (B, 3, 2), p_r touching T at face id
-    faces[k, r]; the fits of those the reach table keeps are one stack, and
-    Face objects are built for the pairs that certify only."""
+def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
+                   stats: Optional[SearchStats] = None) -> List[BilliardPair]:
+    """The certified pairs, in triple order, of facet triples that
+    spanning_triples accepts (steps 1 to 4): the dual triangles, the need
+    screen, one find_inbody stack, the gather of the reach table and one
+    fit_to_k stack; stats counts the triples that reach the inbody LP."""
     triples = np.asarray(triples, int).reshape(-1, 3)
-    tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
-    found = np.full(len(triples), None, object)
-    if tried.size:  # no fit stage when the prefilter keeps no triple
-        q, reason = fit_to_k(K, T, triples[tried], faces[tried])
-        fits = tried[reason == ""]
-        found[fits] = certified_pairs(K, T, q[reason == ""], p[fits],
-                                      K.n + triples[fits], faces[fits])
-    return list(found)
-
-
-def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
-                        stats: Optional[SearchStats] = None) -> List[BilliardPair]:
-    """All certified regular 3-bounce pairs over the facet triples of K that
-    pass the spanning test; stats counts the triples that reach the inbody LP."""
-    triples = spanning_triples(K)
     tri = gamma_triangles(K, triples)
     reach, need = _contact_tables(K, T)
     edges = np.linalg.norm(tri[:, cyclic(3)] - tri, axis=2)
@@ -232,19 +215,25 @@ def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
     reason, _, verts, faces = find_inbody(tri[keep], T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple
-    found = _solve_triples(K, T, reach, triples[ok], verts[ok][:, cyclic(3)],
-                           faces[ok][:, cyclic(3)])
-    return sort_pairs(dedupe([pair for pair in found if pair is not None]))
+    triples, p, faces = triples[ok], verts[ok][:, cyclic(3)], faces[ok][:, cyclic(3)]
+    tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
+    if not tried.size:  # no fit stage when the prefilter keeps no triple
+        return []
+    q, reason = fit_to_k(K, T, triples[tried], faces[tried])
+    fits = tried[reason == ""]
+    found = certified_pairs(K, T, q[reason == ""], p[fits], K.n + triples[fits], faces[fits])
+    return [pair for pair in found if pair is not None]
+
+
+def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
+                        stats: Optional[SearchStats] = None) -> List[BilliardPair]:
+    """All certified regular 3-bounce pairs over the facet triples of K that
+    pass the spanning test; stats counts the triples that reach the inbody LP."""
+    return sort_pairs(dedupe(_solve_triples(K, T, spanning_triples(K), stats)))
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
                        triple: Tuple[int, int, int]) -> List[BilliardPair]:
     """The certified pair, if any, of a facet triple that spanning_triples
-    accepts: find_inbody of its dual triangle, then the search's pipeline on
-    a batch of one, without the need screen; [] where it has no placement."""
-    [reason], _, verts, faces = find_inbody(gamma_triangles(K, [triple]), T)
-    if reason:
-        return []
-    [pair] = _solve_triples(K, T, _contact_tables(K, T)[0], [triple],
-                            verts[:, cyclic(3)], faces[:, cyclic(3)])
-    return [] if pair is None else [pair]
+    accepts: the search's pipeline on a batch of one."""
+    return _solve_triples(K, T, [triple])

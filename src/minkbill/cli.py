@@ -112,8 +112,8 @@ def _pair_obj(pair: BilliardPair) -> dict:
     return {
         "m": pair.q.m,
         "length": pair.length,
-        "q": [[float(x), float(y)] for x, y in pair.q.vertices],
-        "p": [[float(x), float(y)] for x, y in pair.p.vertices],
+        "q": pair.q.vertices.tolist(),
+        "p": pair.p.vertices.tolist(),
         "k_faces": [[f.kind, f.index] for f in pair.k_faces],
         "t_faces": [[f.kind, f.index] for f in pair.t_faces],
         "lambdas": list(pair.lambdas),
@@ -125,25 +125,25 @@ def _pair_obj(pair: BilliardPair) -> dict:
 def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
                    bounce_counts: Sequence[int]) -> dict:
     timings: Dict[str, float] = {}
-    candidates: List[BilliardPair] = []
+    found: List[BilliardPair] = []
     if 2 in bounce_counts:
         t0 = time.perf_counter()
-        candidates += search_two_bounce(K, T)
+        found += search_two_bounce(K, T)
         timings["two_bounce_s"] = time.perf_counter() - t0
     if 3 in bounce_counts:
         t0 = time.perf_counter()
-        candidates += search_three_bounce(K, T)
+        found += search_three_bounce(K, T)
         timings["three_bounce_s"] = time.perf_counter() - t0
-    candidates = sort_pairs(candidates)
+    candidates = [_pair_obj(pr) for pr in sort_pairs(found)]
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
         "bounce_counts": sorted(bounce_counts),
         "K": K.to_json_obj(),
         "T": T.to_json_obj(),
-        "candidates": [_pair_obj(pr) for pr in candidates],
-        "min": candidates[0].length if candidates else None,
-        "argmin": _pair_obj(candidates[0]) if candidates else None,
+        "candidates": candidates,
+        "min": candidates[0]["length"] if candidates else None,
+        "argmin": candidates[0] if candidates else None,
         "timings": timings,
     }
 

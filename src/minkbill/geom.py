@@ -172,7 +172,7 @@ class ConvexPolytope2:
         return ConvexPolytope2.from_vertices(-self.vertices)
 
     def to_json_obj(self) -> dict:
-        return {"vertices": [[float(x), float(y)] for x, y in self.vertices]}
+        return {"vertices": self.vertices.tolist()}
 
     @staticmethod
     def from_json_obj(obj) -> "ConvexPolytope2":
@@ -441,29 +441,3 @@ def in_f(K: ConvexPolytope2, points):
     pts = np.asarray(points, float)
     touched = K.offsets - (pts @ K.normals.T).max(axis=-2) <= EPS_GEO
     return largest_gap(K.face_table.angles[0], touched) <= HULL_GAP
-
-
-def convex_hull(points) -> np.ndarray:
-    """Strict convex hull (no collinear vertices), ccw, via monotone chain."""
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points, float)})
-    if len(pts) < 3:
-        raise GeometryError("need at least three distinct points")
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise GeometryError("points are collinear")
-    return np.asarray(hull, float)

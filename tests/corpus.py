@@ -216,12 +216,14 @@ def three_bounce(name):
 
 
 def per_body(reference):
-    """reference(P) as a tuple, computed once per body object (by its id;
-    the entry holds P, so that no other body can take that id)."""
+    """reference(*bodies) as a tuple, computed once per tuple of body
+    objects (by their ids; the entry holds the bodies, so that no other body
+    can take one of those ids)."""
     cache = {}
 
-    def cached(P):
-        if id(P) not in cache:
-            cache[id(P)] = P, tuple(reference(P))
-        return cache[id(P)][1]
+    def cached(*bodies):
+        key = tuple(map(id, bodies))
+        if key not in cache:
+            cache[key] = bodies, tuple(reference(*bodies))
+        return cache[key][1]
     return cached

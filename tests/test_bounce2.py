@@ -204,6 +204,23 @@ def _face_cones(P, *faces):
 
 
 @corpus.per_body
+def _vertex_chords(P, Q):
+    """cone_contains of every vertex chord of P, v_j - v_i, in every normal
+    cone of Q, by [face id of Q][i, j]: one stacked call per (P, Q)."""
+    (g0, g1), ray = Q.face_table.cones.generators, Q.face_table.cones.is_ray
+    cones = NormalConeRep((g0[:, None, None], g1[:, None, None]), ray[:, None, None])
+    return cone_contains(cones, P.vertices - P.vertices[:, None])
+
+
+def _vertex_side(P, Q, a1, a2, c1, c2):
+    """Whether the side on the vertices a1, a2 of P passes its cone checks,
+    a2 - a1 in N_Q(c1) and a1 - a2 in N_Q(c2), read from _vertex_chords."""
+    inside = _vertex_chords(P, Q)
+    return (inside[c1.index + Q.n * c1.is_edge][a1.index, a2.index]
+            and inside[c2.index + Q.n * c2.is_edge][a2.index, a1.index])
+
+
+@corpus.per_body
 def _reference_antipodal_pairs(P):
     cones = _cones(P)
     return [(f1, f2) for (i, f1), (j, f2) in
@@ -224,10 +241,7 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
         a, b = P.face_table.ends[P.n + f.index]
         ends.append((a, b - a if f.is_edge else None))
     if f_fixed and g_fixed:
-        dq = ends[1][0] - ends[0][0]
-        dp = ends[3][0] - ends[2][0]
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)
-                and cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+        if not (_vertex_side(K, T, f1, f2, g1, g2) and _vertex_side(T, K, g1, g2, f1, f2)):
             return None
         return certified_pair(K, T, make_pair(
             K, T, [ends[0][0], ends[1][0]], [ends[2][0], ends[3][0]],
@@ -247,16 +261,14 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
     q1, q2, p1, p2 = points
     sides = []  # the rows of each free side
     if f_fixed:
-        dq = q2.c - q1.c
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
+        if not _vertex_side(K, T, f1, f2, g1, g2):
             return None
     else:
         sides.append([])
         reference_cone_rows(sides[-1], q2 - q1, ct1)
         reference_cone_rows(sides[-1], q1 - q2, ct2)
     if g_fixed:
-        dp = p2.c - p1.c
-        if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+        if not _vertex_side(T, K, g1, g2, f1, f2):
             return None
     else:
         sides.append([])
@@ -375,14 +387,12 @@ def _multiplier_face_tuple(K, T, f1, f2, g1, g2):
     q1, q2, p1, p2 = points
     rows = []
     if f_fixed:
-        dq = q2.c - q1.c
-        if not (cone_contains(ct1, dq) and cone_contains(ct2, -dq)):
+        if not _vertex_side(K, T, f1, f2, g1, g2):
             return None
         reference_cone_rows(rows, p2 - p1, ck2.negate())
         reference_cone_rows(rows, p1 - p2, ck1.negate())
     elif g_fixed:
-        dp = p2.c - p1.c
-        if not (cone_contains(ck2, -dp) and cone_contains(ck1, dp)):
+        if not _vertex_side(T, K, g1, g2, f1, f2):
             return None
         reference_cone_rows(rows, q2 - q1, ct1)
         reference_cone_rows(rows, q1 - q2, ct2)
@@ -583,33 +593,34 @@ def test_chord_reach_matches_the_four_end_form():
 
 def test_every_cone_test_reads_cone_rows(monkeypatch):
     """geom.cone_rows is the one membership test.  The rows _cone_rows
-    appends for the 1-variable sides of the identity set and the 3-variable
+    returns for the 1-variable sides of the identity set and the 3-variable
     q-side fits of the search set equal reference_cone_rows, written one
     member at a time on Affine, to the last bit (a zero's sign aside); and
     cone_contains at tol 0 is the sign test on cone_rows, at every chord
     between two vertices of one body against every cone of the other, and at
     each cone's generators and their negatives."""
+    real = bounce2._cone_rows
     log = spy(monkeypatch, bounce2, "_cone_rows",
-              lambda rows, expr, cone: (rows, len(rows), expr, cone))
+              lambda expr, cone: (real(expr, cone), expr, cone))
     for name, search, nv in (("identity", search_two_bounce, 1),
                              ("search", search_three_bounce, 3)):
         log.clear()
         for _, K, T in corpus.cases(name):
             search(K, T)
         kinds = np.zeros(2, int)  # members at wedges and at rays
-        for rows, n, expr, cone in log:
+        for (A, b, eq), expr, cone in log:
             (g0, g1), ray = cone.generators, np.broadcast_to(cone.is_ray, len(expr))
             for k in range(len(expr)):
                 want = []
                 reference_cone_rows(want, Affine(expr[k, 0], expr[k, 1:].T),
                                     NormalConeRep((g0[k], g1[k]), ray[k]))
-                for (coef, bound, eq), (w_coef, w_bound, w_eq) in zip(rows[n:n + 2], want):
-                    assert np.array_equal(coef[k], w_coef) and bound[k] == w_bound
-                    assert np.broadcast_to(eq, len(expr))[k] == w_eq
+                for r, (w_coef, w_bound, w_eq) in enumerate(want):
+                    assert np.array_equal(A[k, r], w_coef) and b[k, r] == w_bound
+                    assert eq[k, r] == w_eq
             kinds += np.bincount(ray, minlength=2)
         # 2,828 and 2,642 members of the sides, 3 and 867 of the fits
         assert kinds.min() > 0 and kinds.sum() >= 800
-        assert {e.shape[1] for _, _, e, _ in log} == {1 + nv}
+        assert {e.shape[1] for _, e, _ in log} == {1 + nv}
     for _, K, T in corpus.cases("identity"):
         for P, Q in ((K, T), (T, K)):
             cones = Q.face_table.cones

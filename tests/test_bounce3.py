@@ -171,14 +171,11 @@ def _lp_fit_stack(K, T, triples, faces):
     triples = np.asarray(triples, int).reshape(-1, 3)
     B = len(triples)
     q = [bounce2._point(K, K.n + triples[:, r], r, 3) for r in range(3)]
-    rows = []
-    bounce2._cycle_rows(rows, q, [face_cones(T, faces[:, r]) for r in range(3)])
-    coef, bound, ray = (np.stack(v, 1) for v in zip(*rows[::2]))
+    rows, bounds, eq = bounce2._cycle_rows(q, [face_cones(T, faces[:, r]) for r in range(3)])
+    coef, bound, ray = rows[:, ::2], bounds[:, ::2], eq[:, ::2]
     eye = np.broadcast_to(np.eye(3), (B, 3, 3))
-    A = np.concatenate([np.stack([r for r, _, _ in rows], 1),
-                        np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
-    b = np.concatenate([np.stack([v for _, v, _ in rows], 1),
-                        np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
+    A = np.concatenate([rows, np.where(ray[..., None], -coef, 0.0), -eye, eye], 1)
+    b = np.concatenate([bounds, np.where(ray, -bound, 0.0), np.zeros((B, 3)), np.ones((B, 3))], 1)
     status, x = lpmod.solve_dual3(
         np.repeat([-1.0, 1.0], 3 * B).reshape(2 * B, 3), np.concatenate([A, A]),
         np.concatenate([b, b]), np.repeat([[9, 10, 11], [12, 13, 14]], B, 0))
@@ -652,6 +649,20 @@ def test_search_matches_per_triple_reference():
     assert pairs >= 50
 
 
+@pytest.mark.parametrize("name", ["search", "oracle", "ngon"])
+def test_facet_triple_is_the_search_on_one_triple(name):
+    """solve_facet_triple is the search's pipeline on a batch of one: the
+    pairs of all spanning triples of an instance, one triple at a time,
+    deduplicated and sorted, are search_three_bounce's, bit for bit."""
+    pairs = 0
+    for (_, K, T), want in zip(corpus.cases(name), corpus.three_bounce(name)):
+        got = [pair for triple in map(tuple, spanning_triples(K).tolist())
+               for pair in solve_facet_triple(K, T, triple)]
+        assert_same_pairs(sort_pairs(dedupe(got)), want)
+        pairs += len(want)
+    assert pairs >= {"search": 100, "oracle": 40, "ngon": 2}[name]
+
+
 def _no_prefilter(K, T):
     """_contact_tables for a search with no prefilter: every face reaches
     every chord, and no side needs any slack."""
@@ -686,12 +697,17 @@ def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch):
     stack, such as the inbody stack of an instance whose contact screen
     keeps no triple, and _solve_triples runs no fit_to_k when the gather
     of the reach table keeps no placed triple, as it does on some of the
-    fixtures and random instances."""
+    fixtures and random instances.  The placed triples that the gather
+    keeps are counted on _survivors: the contact screen keeps each of them
+    (see _contact_tables)."""
+    kept = []
+    for _, K, T in corpus.cases("search"):
+        triples, _, faces = _survivors(K, T)
+        reach, _ = bounce3._contact_tables(K, T)
+        kept.append(int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
     members = spy(monkeypatch, bounce3, "find_inbody", lambda triangles, T: len(triangles))
     fits = spy(monkeypatch, bounce3, "fit_to_k", lambda K, T, triples, *faces: len(triples))
     steps = spy(monkeypatch, lpmod, "_violations", lambda A, *rest: len(A))
-    kept = spy(monkeypatch, bounce3, "_solve_triples", lambda K, T, reach, triples, p, faces:
-               int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
     status, x = lpmod.solve_dual3(np.zeros((0, 3)), np.zeros((0, 4, 3)),
                                   np.zeros((0, 4)), np.zeros((0, 3), int))
     assert status.shape == (0,) and x.shape == (0, 3) and steps == []

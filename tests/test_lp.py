@@ -262,12 +262,11 @@ def _affine(c, d=(0.0, 0.0)):
 
 
 def _side(rows, objective):
-    """The arrays solve_interval takes for the LP in t of one side's rows, a
-    stack of one: objective (1,), constraints (1, m, 1), rhs (1, m) and the
-    equality flags (m,)."""
-    coef, bound, eq = zip(*rows)
-    return (np.array([objective], float), np.stack(coef, 1), np.stack(bound, 1),
-            np.stack(np.broadcast_arrays(*eq), -1))
+    """The arrays solve_interval takes for the LP in t of one side's rows
+    (_cycle_rows' A, b, is_equality), a stack of one: objective (1,),
+    constraints (1, m, 1), rhs (1, m) and the equality flags (m,)."""
+    A, b, eq = rows
+    return np.array([objective], float), A, b, eq[0]
 
 
 def _member(objective, constraints, rhs, equality):
@@ -326,9 +325,7 @@ def one_variable_sides(draw):
     if draw(st.booleans()):  # the 2-gon (F, q): its edges swap their cones
         points.reverse()
         cones = cones[::-1]
-    rows = []
-    _cycle_rows(rows, points, cones)
-    return _side(rows, draw(st.sampled_from((0.0, 0.0, 1.0, -1.0))))
+    return _side(_cycle_rows(points, cones), draw(st.sampled_from((0.0, 0.0, 1.0, -1.0))))
 
 
 @pytest.mark.parametrize("objective", [0.0, -1.0])
@@ -358,10 +355,9 @@ def test_solve_interval_generator_nearly_along_the_facet(delta, s):
     geometry (feasible iff s is on the facet) and the same t, to 1e-9."""
     A, D = np.zeros(2), np.array([1.0, 0.0])
     F = A + s * D + 2.0 * _direction(delta)[0]
-    rows = []
-    _cycle_rows(rows, [_affine(A, D), _affine(F)],
-                (_cone(delta), _cone(delta + np.pi - 0.2, delta + np.pi + 0.2)))
-    side = _side(rows, 0.0)
+    side = _side(_cycle_rows([_affine(A, D), _affine(F)],
+                             (_cone(delta), _cone(delta + np.pi - 0.2, delta + np.pi + 0.2))),
+                 0.0)
     [status], [[t]] = solve_interval(*side)
     sol = solve(_member(*side))
     _, constraints, _, eq = side
@@ -377,10 +373,9 @@ def _small_pivot_side():
     coefficient, which scales the next ratio test to ratios of about 1e-9,
     and a tie rule of 1e-12 absolute took the row of the smaller basis
     index (bound 0.5000000019) for the least ratio (0.5000000005)."""
-    rows = []
-    _cycle_rows(rows, [_affine((1.0, 0.0)), _affine((0.0, 0.0), (2.0, 0.0))],
-                (_cone(np.pi + 1e-6, np.pi + np.arcsin(0.263445)), _cone(0.0)))
-    return _side(rows, 1.0)
+    return _side(_cycle_rows([_affine((1.0, 0.0)), _affine((0.0, 0.0), (2.0, 0.0))],
+                             (_cone(np.pi + 1e-6, np.pi + np.arcsin(0.263445)), _cone(0.0))),
+                 1.0)
 
 
 @settings(max_examples=400, deadline=None)

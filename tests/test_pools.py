@@ -79,26 +79,40 @@ def checker():
 
 
 @pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """The report text of `minkbill shortest` on a pool instance, run once
+    per instance for all tests of this module."""
+    texts = {}
+
+    def run(pool, inst):
+        name = f"{pool}/{inst['name']}"
+        if name not in texts:
+            texts[name] = _shortest(inst, tmp_path_factory.mktemp(pool))
+        return texts[name]
+    return run
+
+
+@pytest.fixture(scope="module")
 def pinned():
     with open(CANDIDATES) as fh:
         return json.load(fh)
 
 
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
-def test_pool_instance_keeps_its_minimum(pool, inst, checker, tmp_path):
-    assert checker.problems(inst, _shortest(inst, tmp_path)) == []
+def test_pool_instance_keeps_its_minimum(pool, inst, checker, report):
+    assert checker.problems(inst, report(pool, inst)) == []
 
 
 @pytest.mark.parametrize("pool, inst", [(p, i) for p, i in INSTANCES if p == "oracle"],
                          ids=[name for name in IDS if name.startswith("oracle/")])
-def test_pool_instance_keeps_its_oracle_floats(pool, inst, tmp_path):
-    oracle = json.loads(_shortest(inst, tmp_path))["oracle"]
+def test_pool_instance_keeps_its_oracle_floats(pool, inst, report):
+    oracle = json.loads(report(pool, inst))["oracle"]
     assert {field: oracle[field] for field in inst["oracle"]} == inst["oracle"]
 
 
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
-def test_pool_instance_keeps_its_candidates(pool, inst, pinned, tmp_path):
-    got = _candidates(_shortest(inst, tmp_path))
+def test_pool_instance_keeps_its_candidates(pool, inst, pinned, report):
+    got = _candidates(report(pool, inst))
     want = pinned[f"{pool}/{inst['name']}"]["candidates"]
     assert [c[:3] for c in got] == [c[:3] for c in want]
     for (*_, length), (*_, ref) in zip(got, want):
@@ -106,8 +120,8 @@ def test_pool_instance_keeps_its_candidates(pool, inst, pinned, tmp_path):
 
 
 @pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
-def test_pool_instance_keeps_its_report(pool, inst, pinned, tmp_path):
-    got = report_digest(_shortest(inst, tmp_path))
+def test_pool_instance_keeps_its_report(pool, inst, pinned, report):
+    got = report_digest(report(pool, inst))
     assert got == pinned[f"{pool}/{inst['name']}"]["report_digest"]
 
 

@@ -11,20 +11,19 @@ it, and the q-side fits with a vertex contact or a singular system; its
 other fits, three edge contacts, are one solve by the same 3x3 kernel.
 ``solve_interval`` gives, with no tableau, what the simplex gives on a
 stack of LPs in one variable t in [0, 1]; the 2-bounce search decides every
-side of a face tuple with it.  Both take arrays.
-
-``solve`` is the scalar reference: a dense two-phase tableau simplex on one
-``LinearProgram``, maximize ``objective @ x`` subject to ``constraints @ x
+side of a face tuple with it.  ``solve`` is the scalar reference, kept for
+the tests and the tracer (no search calls it): a dense two-phase tableau
+simplex on one LP, maximize ``objective @ x`` subject to ``constraints @ x
 <= rhs`` (``==`` where ``equality`` is set) and ``lower <= x <= upper``
 (infinite bounds, the default, leave a variable free), pivoting by
-Dantzig's rule with a Bland fallback.  No search calls it: it is kept for
-the tests and the tracer.
+Dantzig's rule with a Bland fallback.  All three take arrays and return a
+status, "optimal", "infeasible", "unbounded" (``solve`` only) or
+"numerical", and x, zero unless the status is "optimal".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,30 +34,6 @@ _MAX_PIVOTS = 20000
 _DUAL_BLAND_AFTER = 50  # solve_dual3 enters by Bland's rule after this many steps
 _DUAL_STEPS = 200       # solve_dual3's step budget per member
 _NEXT = np.array([1, 2, 0])  # the cyclic successor of each of three indices
-
-
-class NumericalFailure(RuntimeError):
-    """The simplex iteration exceeded its pivot budget or produced an
-    unacceptably infeasible 'solution'."""
-
-
-@dataclass
-class LinearProgram:
-    """One LP, the argument of ``solve`` (see the module docstring)."""
-
-    objective: np.ndarray                   # (n,)
-    constraints: np.ndarray                 # (m, n), one row per constraint
-    rhs: np.ndarray                         # (m,)
-    equality: Optional[np.ndarray] = None   # (m,) bool; None: every row is <=
-    lower: Optional[np.ndarray] = None      # (n,), -inf = none; None: all -inf
-    upper: Optional[np.ndarray] = None      # (n,), +inf = none; None: all +inf
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: Optional[np.ndarray]
-    objective_value: Optional[float]
 
 
 def _pivot(tab, rhs, red, basis, row, col):
@@ -82,7 +57,8 @@ def _iterate(tab, rhs, red, basis, ncols):
     """Run simplex pivots until optimal or unbounded, with entering columns
     restricted to indices < ncols: Dantzig's rule (Bland's after
     _BLAND_AFTER pivots), the ratio test, ties broken on the smallest basis
-    index.  NumericalFailure when _MAX_PIVOTS pivots leave it neither."""
+    index.  Returns that status, or "numerical" when _MAX_PIVOTS pivots
+    leave it neither; phase 1 as well as phase 2 stops on "numerical"."""
     for step in range(_MAX_PIVOTS + 1):
         cand = red[:ncols]
         col = cand.argmax() if step < _BLAND_AFTER else (cand > _PIVOT_TOL).argmax()
@@ -100,7 +76,7 @@ def _iterate(tab, rhs, red, basis, ncols):
         # break ties on the smallest basis index (keeps Bland's rule valid)
         row = np.where(ties, basis, np.iinfo(basis.dtype).max).argmin()
         _pivot(tab, rhs, red, basis, row, col)
-    raise NumericalFailure("pivot budget exhausted")
+    return "numerical"
 
 
 def _drive_out(tab, rhs, basis, first_art):
@@ -131,7 +107,8 @@ def _standard_simplex(c, A, b):
         basis[neg] = art
         d = np.zeros(width)
         d[n + m:] = -1.0
-        _iterate(tab, rhs, d - d[basis] @ tab, basis, width)
+        if _iterate(tab, rhs, d - d[basis] @ tab, basis, width) == "numerical":
+            return "numerical", None
         if d[basis] @ rhs < -1e-8:
             return "infeasible", None
         _drive_out(tab, rhs, basis, n + m)
@@ -152,22 +129,21 @@ def _violations(A, b, eq, x):
     return np.where(eq, np.abs(resid), resid), tol
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve one LP by the two-phase tableau simplex.  NumericalFailure if
-    the pivot budget runs out or the solution fails the re-check."""
-    obj = np.asarray(lp.objective, float).reshape(-1)
+def solve(objective, constraints, rhs, equality=None, lower=None, upper=None
+          ) -> Tuple[str, np.ndarray]:
+    """One LP by the two-phase tableau simplex: objective (n,), constraints
+    (m, n), rhs and equality (m,), lower and upper (n,).  "numerical" if the
+    pivot budget runs out or the solution fails the re-check."""
+    obj = np.asarray(objective, float).reshape(-1)
     nv = obj.size
-    A = np.asarray(lp.constraints, float).reshape(-1, nv)
-    b = np.asarray(lp.rhs, float).reshape(-1)
+    A = np.asarray(constraints, float).reshape(-1, nv)
+    b = np.asarray(rhs, float).reshape(-1)
     m = len(A)
     if b.size != m:
         raise ValueError("constraint arity mismatch")
-    eq = (np.zeros(m, bool) if lp.equality is None
-          else np.asarray(lp.equality, bool).reshape(m))
-    lower = (np.full(nv, -np.inf) if lp.lower is None
-             else np.asarray(lp.lower, float).reshape(nv))
-    upper = (np.full(nv, np.inf) if lp.upper is None
-             else np.asarray(lp.upper, float).reshape(nv))
+    eq = np.zeros(m, bool) if equality is None else np.asarray(equality, bool).reshape(m)
+    lower = np.full(nv, -np.inf) if lower is None else np.asarray(lower, float).reshape(nv)
+    upper = np.full(nv, np.inf) if upper is None else np.asarray(upper, float).reshape(nv)
     has_lo, has_up = np.isfinite(lower), np.isfinite(upper)
     # x = S @ y + shift with y >= 0: a lower bound shifts the variable, an
     # upper bound alone negates it, a free variable splits into two columns
@@ -191,13 +167,13 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     status, y = _standard_simplex(obj @ S, A_std, b_std)
     if status != "optimal":
-        return LpSolution(status, None, None)
+        return status, np.zeros(nv)
     x = y @ S.T + shift
     # the re-check: an optimal x that breaks a row or a bound failed
     viol, tol = _violations(A[None], b[None], eq, x[None])
     if (viol > tol).any() or (x < lower - 1e-9).any() or (x > upper + 1e-9).any():
-        raise NumericalFailure("the solution failed the re-check")
-    return LpSolution("optimal", x, float(obj @ x))
+        return "numerical", np.zeros(nv)
+    return "optimal", x
 
 
 def solve_interval(objective, constraints, rhs, equality

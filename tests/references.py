@@ -8,7 +8,7 @@ import numpy as np
 
 from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2,
                            GeometryError, cross2, dot2)
-from minkbill.lp import LinearProgram, solve
+from minkbill.lp import solve
 from minkbill.verify import certify
 
 
@@ -67,13 +67,11 @@ def reference_in_f(K: ConvexPolytope2, points, tol: float = EPS_GEO) -> bool:
     if pts.ndim == 1:
         pts = pts[None, :]
     worst = (pts @ K.normals.T).max(axis=0)  # per facet, the tightest point
-    sol = solve(LinearProgram(
-        objective=np.array([0.0, 0.0, 1.0]),
-        constraints=np.column_stack([K.normals, np.ones(K.n)]),
-        rhs=K.offsets - worst))
-    if sol.status != "optimal":
-        raise GeometryError(f"margin LP ended with status {sol.status}")
-    return bool(sol.x[2] <= tol)
+    status, x = solve(np.array([0.0, 0.0, 1.0]),
+                      np.column_stack([K.normals, np.ones(K.n)]), K.offsets - worst)
+    if status != "optimal":
+        raise GeometryError(f"margin LP ended with status {status}")
+    return bool(x[2] <= tol)
 
 
 def reference_find_faces(P, X, tol):

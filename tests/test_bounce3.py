@@ -17,7 +17,7 @@ from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryErro
                            InvalidPolytope, angles, cross2, face_array, face_distances,
                            face_cones, face_tuples, find_face, find_faces, largest_gap,
                            normal_cone, positively_spans, rotation, support_many)
-from minkbill.lp import LinearProgram, NumericalFailure, solve
+from minkbill.lp import solve
 from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
@@ -269,10 +269,9 @@ def _inbody_per_vertex(tri, T):
     vertex of the triangle (3 |V(T)| rows), followed by the contact tests of
     find_inbody: (reason or "ok", lambda, contact faces)."""
     A = np.array([[a @ t, a[0], a[1]] for a in T.normals for t in tri])
-    sol = solve(LinearProgram(np.array([1.0, 0.0, 0.0]), A,
-                              np.repeat(T.offsets, 3),
-                              lower=np.array([0.0, -np.inf, -np.inf])))
-    reason, lam, _, faces = _placement(tri, T, sol.status, sol.x)
+    status, x = solve(np.array([1.0, 0.0, 0.0]), A, np.repeat(T.offsets, 3),
+                      lower=np.array([0.0, -np.inf, -np.inf]))
+    reason, lam, _, faces = _placement(tri, T, status, x)
     return reason, lam, faces
 
 
@@ -345,14 +344,10 @@ def _inbody_alone(tri, T):
 def _simplex_inbody_alone(tri, T):
     """find_inbody for one triangle as it was before the dual simplex: one
     lp.solve of the tableau simplex, lambda >= 0 a bound; then _placement."""
-    try:
-        sol = solve(LinearProgram(
-            np.array([1.0, 0.0, 0.0]),
-            np.column_stack([(T.normals @ tri.T).max(axis=1), T.normals]),
-            T.offsets, lower=np.array([0.0, -np.inf, -np.inf])))
-    except NumericalFailure:
-        return "numerical", None, None, None
-    return _placement(tri, T, sol.status, sol.x)
+    status, x = solve(np.array([1.0, 0.0, 0.0]),
+                      np.column_stack([(T.normals @ tri.T).max(axis=1), T.normals]),
+                      T.offsets, lower=np.array([0.0, -np.inf, -np.inf]))
+    return _placement(tri, T, status, x)
 
 
 def test_stacked_inbody_matches_one_triangle_at_a_time(rng):
@@ -590,17 +585,13 @@ def _simplex_fit_family(K, T, triple, t_faces):
     q, rows = _fit_rows(K, T, triple, t_faces)
     ones = np.ones(3)
     ends = []
-    try:
-        for sign in (-1.0, 1.0):
-            sol = solve(LinearProgram(
-                sign * ones, np.array([row for row, _, _ in rows]),
-                np.array([b for _, b, _ in rows]),
-                np.array([e for _, _, e in rows]), np.zeros(3), ones))
-            if sol.status != "optimal":
-                raise NoFit(sol.status)
-            ends.append(np.array([e.at(sol.x) for e in q]))
-    except NumericalFailure:
-        raise NoFit("numerical")
+    for sign in (-1.0, 1.0):
+        status, x = solve(sign * ones, np.array([row for row, _, _ in rows]),
+                          np.array([b for _, b, _ in rows]),
+                          np.array([e for _, _, e in rows]), np.zeros(3), ones)
+        if status != "optimal":
+            raise NoFit(status)
+        ends.append(np.array([e.at(x) for e in q]))
     return tuple(ends)
 
 

@@ -212,6 +212,8 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     triples = triples[keep]
     if stats is not None:
         stats.inbody_triples += len(triples)
+    if not triples.size:
+        return []
     reason, _, verts, faces = find_inbody(tri[keep], T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple

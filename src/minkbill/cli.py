@@ -56,7 +56,7 @@ def _load_polytope(path: str) -> ConvexPolytope2:
 
 
 def _dump_json(obj, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, sort_keys=True)  # any indent forces json's Python encoder
     if out is None or out == "-":
         print(text)
     else:

@@ -685,18 +685,16 @@ def test_chord_prefilter_changes_no_pair(monkeypatch):
 
 def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch):
     """solve_dual3 takes no step (no lp._violations call) on an empty
-    stack, such as the inbody stack of an instance whose contact screen
-    keeps no triple, and _solve_triples runs no fit_to_k when the gather
-    of the reach table keeps no placed triple, as it does on some of the
-    fixtures and random instances.  The placed triples that the gather
-    keeps are counted on _survivors: the contact screen keeps each of them
-    (see _contact_tables)."""
+    stack, and _solve_triples runs no fit_to_k when the gather of the reach
+    table keeps no placed triple, as it does on some of the fixtures and
+    random instances.  The placed triples that the gather keeps are counted
+    on _survivors: the contact screen keeps each of them (see
+    _contact_tables)."""
     kept = []
     for _, K, T in corpus.cases("search"):
         triples, _, faces = _survivors(K, T)
         reach, _ = bounce3._contact_tables(K, T)
         kept.append(int(reach[faces, triples, np.roll(triples, -1, 1)].all(1).sum()))
-    members = spy(monkeypatch, bounce3, "find_inbody", lambda triangles, T: len(triangles))
     fits = spy(monkeypatch, bounce3, "fit_to_k", lambda K, T, triples, *faces: len(triples))
     steps = spy(monkeypatch, lpmod, "_violations", lambda A, *rest: len(A))
     status, x = lpmod.solve_dual3(np.zeros((0, 3)), np.zeros((0, 4, 3)),
@@ -704,9 +702,29 @@ def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch):
     assert status.shape == (0,) and x.shape == (0, 3) and steps == []
     for _, K, T in corpus.cases("search"):
         search_three_bounce(K, T)
-    assert members.count(0) >= 5 and kept.count(0) >= 10
+    assert kept.count(0) >= 10
     assert len(fits) == len(kept) - kept.count(0)
     assert min(fits) > 0 and min(steps) > 0
+
+
+def test_empty_contact_screen_skips_the_inbody_stage(monkeypatch):
+    """When the contact screen keeps no triple, _solve_triples returns
+    before find_inbody, so no inbody stack is empty, and the pairs are, bit
+    for bit, those of the search with no prefilter."""
+    instances = [(K, T) for _, K, T in corpus.cases("search")]
+    members = spy(monkeypatch, bounce3, "find_inbody", lambda triangles, T: len(triangles))
+    got, screened = [], []
+    for K, T in instances:
+        stats = SearchStats()
+        got.append(search_three_bounce(K, T, stats))
+        screened.append(stats.inbody_triples)
+    assert 0 not in members and screened.count(0) >= 5
+    monkeypatch.setattr(bounce3, "_contact_tables", _no_prefilter)
+    for (K, T), pairs, kept in zip(instances, got, screened):
+        want = search_three_bounce(K, T)
+        assert_same_pairs(pairs, want)
+        assert kept or not want
+    assert sum(map(len, got)) >= 50
 
 
 def _product_reach(K, T, triples, faces):

@@ -64,6 +64,35 @@ def test_verify_roundtrip_and_tamper(instance_files, tmp_path):
     assert not json.loads(ver_path.read_text())["verified"]
 
 
+def test_reports_are_one_compact_line(instance_files, tmp_path, capsys, monkeypatch):
+    """shortest writes its report as one line of JSON with sorted keys, on
+    stdout and with --out; the line parses to what the indented encoding
+    of the same report parses to, and verify and plot read the file."""
+    k, t = instance_files
+    dumps, reports = json.dumps, []
+
+    def spy(obj, **kwargs):
+        reports.append(obj)
+        return dumps(obj, **kwargs)
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    out = tmp_path / "rep.json"
+    capsys.readouterr()
+    assert main(["shortest", k, t]) == 0
+    printed = capsys.readouterr().out
+    assert main(["shortest", k, t, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(reports) == 2
+    for text, report in zip([printed, out.read_text()], reports):
+        assert text.endswith("}\n") and text.count("\n") == 1
+        rep = json.loads(text)
+        assert rep == json.loads(json.dumps(report, indent=2, sort_keys=True))
+        assert list(rep) == sorted(rep) and len(rep) > 1
+    ver = tmp_path / "ver.json"
+    assert main(["verify", str(out), "--out", str(ver)]) == 0
+    assert json.loads(ver.read_text())["verified"]
+    assert main(["plot", str(out), str(tmp_path / "out.svg")]) == 0
+
+
 def _relabel(kind, new_kind):
     def edit(rep):
         for cand in rep["candidates"]:

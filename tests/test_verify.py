@@ -266,11 +266,12 @@ def test_certify_runs_no_lp(monkeypatch):
         for attr, value in list(vars(mod).items()):
             if any(value is f for f in solvers):
                 monkeypatch.setattr(mod, attr, no_lp)
-    # the patch does reach the solvers of both searches
+    # the patch does reach the solvers of both searches (the 3-bounce one on
+    # an instance whose contact screen keeps a triple)
     with pytest.raises(AssertionError):
         search_two_bounce(SQUARE, SQUARE)
     with pytest.raises(AssertionError):
-        search_three_bounce(SQUARE, SQUARE)
+        search_three_bounce(*next((K, T) for K, T, pair in cases if pair.q.m == 3))
     assert [certify(K, T, pair) for K, T, pair in cases] == want
 
 

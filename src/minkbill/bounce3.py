@@ -45,14 +45,13 @@ passes) next to its values:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import lp as lpmod
 from .bounce2 import SearchStats, _chord_reach, _cycle_rows, _point
-from .geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, cross2, cyclic, face_cones,
+from .geom import (EPS_GEO, SPAN_GAP, ConvexPolytope2, cross2, cyclic, face_cones,
                    find_faces, largest_gap)
 from .pairs import BilliardPair, dedupe, sort_pairs
 from .verify import certified_pairs
@@ -70,24 +69,21 @@ def facet_triples(K: ConvexPolytope2) -> np.ndarray:
 
 
 def spanning_triples(K: ConvexPolytope2) -> np.ndarray:
-    """The facet triples, in facet_triples order, that have a dual triangle:
-    n2 and n3 are not parallel, and the closing coefficients of
-    gamma_triangles are negative, so n1 - alpha_2 n2 - alpha_3 n3 = 0 with
-    positive weights: the normals positively span the plane."""
+    """The facet triples, in facet_triples order, whose normals positively
+    span the plane: their largest angular gap is below SPAN_GAP.  Spanning
+    implies that gamma_triangles' 2x2 system is non-singular (n2 and n3 are
+    not parallel) and that its closing coefficients are negative, so each
+    triple has a dual triangle."""
     tri = facet_triples(K)
-    n1, n2, n3 = (K.normals[tri[:, c]] for c in range(3))
-    # Cramer's rule for alpha_2 n2 + alpha_3 n3 = n1
-    det = cross2(n2, n3)
-    solvable = np.abs(det) > EPS_GEO
-    det = np.where(solvable, det, 1.0)
-    ok = solvable & (cross2(n1, n3) / det < -EPS_GEO) & (cross2(n2, n1) / det < -EPS_GEO)
-    return tri[ok]
+    return tri[largest_gap(K.face_table.angles[0, tri]) < SPAN_GAP]
 
 
 def gamma_triangles(K: ConvexPolytope2, triples: np.ndarray) -> np.ndarray:
     """The dual triangles of facet triples that spanning_triples accepts,
     (B, 3, 2): gamma_{i+1} - gamma_i = alpha_i n_i with all alpha_i < 0,
-    normalized by alpha_1 = -1 and gamma_1 = 0."""
+    normalized by alpha_1 = -1 and gamma_1 = 0.  The normals of a triple
+    positively span, so the 2x2 system below is non-singular and its
+    solution, the closing coefficients alpha_2 and alpha_3, is negative."""
     triples = np.asarray(triples, int).reshape(-1, 3)
     n1, n2, n3 = (K.normals[triples[:, c]] for c in range(3))
     # alpha_2 n2 + alpha_3 n3 = n1 (closing the triangle with alpha_1 = -1)
@@ -154,7 +150,7 @@ def find_inbody(triangles: np.ndarray, T: ConvexPolytope2):
     # contributes its own twice, which leaves the gaps unchanged
     spanning = placed.copy()
     spanning[placed] = largest_gap(T.face_table.angles[0, T.face_table.cone_index[
-        faces[placed]]].reshape(-1, 6)) < math.pi - EPS_ANG
+        faces[placed]]].reshape(-1, 6)) < SPAN_GAP
     reason = np.select(
         [status == "numerical", ~solved, ~placed, ~spanning],
         ["numerical", "DegenerateLp", "NotOnBoundary", "HalfspaceViolation"], "")

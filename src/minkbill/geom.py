@@ -28,6 +28,9 @@ EPS_CERT = 1e-7   # certification threshold for trajectory residuals
 # 0 lies in the convex hull of unit directions iff no angular gap between
 # them exceeds pi; the slack admits a closed halfplane computed with rounding
 HULL_GAP = math.pi + 1e-12
+# directions positively span the plane iff every angular gap between them is
+# below pi; the margin rejects a closed halfplane computed with rounding
+SPAN_GAP = math.pi - EPS_ANG
 
 
 class GeometryError(ValueError):
@@ -424,12 +427,12 @@ def largest_gap(angles, mask=True) -> np.ndarray:
 def positively_spans(vectors: Sequence) -> bool:
     """True iff the vectors positively span the plane, i.e. 0 is in the
     interior of their convex cone: their largest angular gap is below
-    pi - EPS_ANG.  Collections whose largest angular gap equals pi (all
+    SPAN_GAP.  Collections whose largest angular gap equals pi (all
     vectors in a closed halfplane) do not count."""
     vs = np.asarray(vectors, float).reshape(-1, 2)
     if (np.hypot(vs[:, 0], vs[:, 1]) <= EPS_GEO).any():
         raise ZeroVector("zero vector in a spanning test")
-    return bool(largest_gap(angles(vs)) < math.pi - EPS_ANG)
+    return bool(largest_gap(angles(vs)) < SPAN_GAP)
 
 
 def in_f(K: ConvexPolytope2, points):

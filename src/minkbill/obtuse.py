@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bounce3 import find_inbody, search_three_bounce
-from .geom import (EPS_ANG, ConvexPolytope2, Face, NormalConeRep, face_tuples,
-                   in_f, normal_cone, rotation)
+from .geom import (SPAN_GAP, ConvexPolytope2, Face, NormalConeRep, face_tuples, in_f,
+                   normal_cone, rotation)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def regular_three_bounce_exists(triangle: ConvexPolytope2,
 def one_per_cone_spans(cones: Sequence[NormalConeRep]) -> bool:
     """Whether one direction from each of three cones (width < pi) can be
     chosen so that the three positively span the plane, i.e. their largest
-    angular gap is < pi - EPS_ANG.
+    angular gap is < SPAN_GAP.
 
     Pick angles th_0 < th_i < th_j < th_0 + 2 pi in lifts [lo_k, hi_k] of
     the cones' arcs.  Every gap is at most c exactly when the difference
@@ -101,7 +101,7 @@ def one_per_cone_spans(cones: Sequence[NormalConeRep]) -> bool:
                     (lo[2] - hi[0]) / 2, (lo[0] - hi[1] + tau) / 2,
                     (lo[1] - hi[2] + tau) / 2)
             best = min(best, c)
-    return best < math.pi - EPS_ANG
+    return best < SPAN_GAP
 
 
 def in_family_t(triangle: ConvexPolytope2, T: ConvexPolytope2

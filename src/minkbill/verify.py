@@ -204,10 +204,8 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     (only where two chunks of a triple coincide: chunks are runs of
     increasing indices, so A < B puts every index of A below those of B):
     rounding is monotone and min exact, so neither float depends on pruning,
-    batches or tile order.  Memory: the store is np.empty at the (N + 1)^2
-    footprint of a full table, written only where built, and grows by a copy
-    if more tiles are built (at small N, whose padded one-point vertex
-    chunks are many); with it O(N^2)."""
+    batches or tile order.  Memory: the store is np.empty with one slot per
+    chunk pair and is written only where built; with it O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -225,17 +223,15 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
     # the h_T tile of chunk pair (A, B) is tiles[slot[A, B]], in build order
-    tiles, n = np.empty(((N + 1) ** 2 // size ** 2, size, size)), 0
+    tiles, n = np.empty((len(start) ** 2, size, size)), 0
     slot = np.full(low.shape, -1)
     Gj, Gi = (np.r_[G, np.full((1, G.shape[1]), p)].T for p in (np.inf, -np.inf))
 
     def build(a, b):  # the tiles of the chunk pairs (a, b) not built yet
-        nonlocal tiles, n
+        nonlocal n
         new = np.zeros(slot.shape, bool)
         new[a, b] = slot[a, b] < 0
         a, b = np.nonzero(new)
-        if n + len(a) > len(tiles):  # past the (N + 1)^2 footprint: grow by a copy
-            tiles = np.concatenate((tiles[:n], np.empty((n + len(a), size, size))))
         i, j, blk = chunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
         np.subtract(Gj[0, j], Gi[0, i], out=blk)
         for c in range(1, len(Gj)):

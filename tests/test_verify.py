@@ -368,12 +368,13 @@ def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
     assert [brute_force_min(K, T, grid) for K, T, grid in cases] == want
 
 
-def test_brute_force_tile_store_grows(monkeypatch):
+def test_brute_force_tile_store_holds_every_chunk_pair(monkeypatch):
     """With bounds of -inf nothing is pruned, so both h_T tiles of every
-    valid chunk pair A < B are built.  Where those alone outnumber the
-    (N + 1)^2 // size^2 tiles the store starts with (small grids, whose
-    one-point vertex chunks are padded to full tiles), it must grow by a
-    copy; both oracle floats are still the reference's."""
+    valid chunk pair A < B are built, into the store's one slot per chunk
+    pair.  At least 10 cases build more tiles than the (N + 1)^2 // size^2
+    of a full table's footprint (small grids, whose one-point vertex chunks
+    are padded to full tiles), and both oracle floats are still the
+    reference's."""
     seen = []
 
     def no_bounds(G, start):

@@ -170,7 +170,8 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
                   pair: BilliardPair) -> BilliardPair:
     """If both bouncing points sit on facets of K but one of them is at a
     facet endpoint, try to slide the chord into the relative interiors of
-    both facets (the length is unchanged along the way)."""
+    both facets (the length is unchanged along the way).  The two facets of
+    a search pair are antipodal, so their directions are antiparallel."""
     f1, f2 = pair.k_faces
     if not (f1.is_edge and f2.is_edge):
         return pair
@@ -181,17 +182,15 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     L1 = float(np.hypot(*d1))
     e1 = d1 / L1
     s1 = float((q1 - a1) @ e1)
-    # facets with antipodal normals are parallel; express q2's slack along e1
-    sgn = 1.0 if float(d2 @ e1) > 0 else -1.0
     L2 = float(np.hypot(*d2))
     s2 = float((q2 - a2) @ (d2 / L2))
     margin = min(L1, L2) * 1e-6
     if min(s1, L1 - s1) > margin and min(s2, L2 - s2) > margin:
         return pair
     # translate q by t*e1: q1 stays on facet 1 for t in [-s1, L1-s1], q2 for
-    # sgn*t in [-s2, L2-s2]
-    lo = max(-s1, (-s2 if sgn > 0 else s2 - L2))
-    hi = min(L1 - s1, (L2 - s2 if sgn > 0 else s2))
+    # -t in [-s2, L2-s2]
+    lo = max(-s1, s2 - L2)
+    hi = min(L1 - s1, s2)
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)

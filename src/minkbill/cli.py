@@ -285,8 +285,8 @@ def cmd_obtuse(args) -> int:
             "witness": None if witness is None else {
                 "rotation": witness.rotation,
                 "scale": witness.scale,
-                "shift": [float(c) for c in witness.shift],
-                "vertices": [[float(x), float(y)] for x, y in witness.vertices],
+                "shift": witness.shift.tolist(),
+                "vertices": witness.vertices.tolist(),
             },
         })
     _dump_json({
@@ -354,25 +354,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "polytopal Minkowski geometries")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    bodies = argparse.ArgumentParser(add_help=False)
+    bodies.add_argument("K")
+    bodies.add_argument("T")
+    bodies.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("shortest", help="run both searches, report the minimum")
-    p.add_argument("K")
-    p.add_argument("T")
+    p = sub.add_parser("shortest", parents=[bodies],
+                       help="run both searches, report the minimum")
     p.add_argument("--grid", type=int, default=None,
                    help="also run the brute-force oracle at this resolution")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_shortest)
 
-    p = sub.add_parser("two-bounce", help="all certified 2-bounce trajectories")
-    p.add_argument("K")
-    p.add_argument("T")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p = sub.add_parser("two-bounce", parents=[bodies],
+                       help="all certified 2-bounce trajectories")
     p.set_defaults(func=cmd_search, bounce_counts=(2,))
 
-    p = sub.add_parser("three-bounce", help="all certified 3-bounce trajectories")
-    p.add_argument("K")
-    p.add_argument("T")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p = sub.add_parser("three-bounce", parents=[bodies],
+                       help="all certified 3-bounce trajectories")
     p.set_defaults(func=cmd_search, bounce_counts=(3,))
 
     p = sub.add_parser("verify", help="re-certify the candidates of a report")

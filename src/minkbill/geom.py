@@ -78,11 +78,12 @@ def rotation(angle: float) -> np.ndarray:
 
 
 def unit(a) -> np.ndarray:
+    """a at length 1 along the last axis, one per vector of a stack."""
     a = np.asarray(a, float)
-    n = float(np.hypot(a[0], a[1]))
-    if n <= EPS_GEO:
+    n = np.hypot(a[..., 0], a[..., 1])
+    if np.any(n <= EPS_GEO):
         raise ZeroVector("cannot normalize a (near-)zero vector")
-    return a / n
+    return a / n[..., None]
 
 
 def segment_distance(a, b, x):
@@ -337,12 +338,9 @@ def polar(T: ConvexPolytope2) -> ConvexPolytope2:
     """T degrees = {x : <x, v> <= 1 for all v in T}; needs 0 in the interior."""
     if T.origin_interior_margin() <= EPS_GEO:
         raise OriginNotInterior("polar body requires the origin strictly inside")
-    w = np.empty_like(T.vertices)
-    for i, ab in enumerate(T.face_table.ends[T.n:]):
-        w[i] = np.linalg.solve(ab, np.ones(2))
-    if cross2(w, w[cyclic(len(w))]).sum() < 0:
-        w = w[::-1]
-    return ConvexPolytope2.from_vertices(w)
+    # facet i, <n_i, x> <= b_i, is the polar vertex n_i / b_i; the normals
+    # turn counterclockwise, and so do these vertices
+    return ConvexPolytope2.from_vertices(T.normals / T.offsets[:, None])
 
 
 def gauge(P: ConvexPolytope2, x) -> float:

@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bounce3 import find_inbody, search_three_bounce
-from .geom import (SPAN_GAP, ConvexPolytope2, Face, NormalConeRep, face_tuples, in_f,
-                   normal_cone, rotation)
+from .geom import (SPAN_GAP, ConvexPolytope2, Face, NormalConeRep, cyclic, dot2,
+                   face_tuples, in_f, normal_cone, rotation)
 
 
 @dataclass(frozen=True)
@@ -40,33 +40,21 @@ def family_t_construction(triangle: ConvexPolytope2,
     always belongs to the family of the triangle."""
     rot = ConvexPolytope2.from_vertices(triangle.vertices @ rotation(angle).T)
     centred = ConvexPolytope2.from_vertices(rot.vertices - rot.centroid())
-    ns, bs = [], []
-    for i in range(3):
-        g = normal_cone(centred, Face.vertex(i)).generators
-        n = g[0] + g[1]
-        n = n / np.hypot(*n)
-        ns.append(n)
-        bs.append(float(n @ centred.vertices[i]))
-    ns, bs = np.array(ns), np.array(bs)
-    order = np.argsort(np.arctan2(ns[:, 1], ns[:, 0]))
-    ns, bs = ns[order], bs[order]
-    verts = [np.linalg.solve(np.array([ns[i], ns[(i + 1) % 3]]),
-                             np.array([bs[i], bs[(i + 1) % 3]]))
-             for i in range(3)]
-    return ConvexPolytope2.from_vertices(np.array(verts))
+    # vertex i's cone is spanned by normals i - 1 and i; the bisectors turn
+    # counterclockwise, and line i meets line i + 1 at the new vertex i
+    n = centred.normals[cyclic(3, -1)] + centred.normals
+    b = dot2(n, centred.vertices)
+    A, c = np.stack([n, n[cyclic(3)]], 1), np.stack([b, b[cyclic(3)]], 1)
+    return ConvexPolytope2.from_vertices(np.linalg.solve(A, c[..., None])[..., 0])
 
 
 def largest_angle(triangle: ConvexPolytope2) -> float:
     v = triangle.vertices
     if v.shape[0] != 3:
         raise ValueError("expected a triangle")
-    best = 0.0
-    for i in range(3):
-        a = v[(i - 1) % 3] - v[i]
-        b = v[(i + 1) % 3] - v[i]
-        c = float(a @ b) / (np.hypot(*a) * np.hypot(*b))
-        best = max(best, math.acos(max(-1.0, min(1.0, c))))
-    return best
+    a, b = v[cyclic(3, -1)] - v, v[cyclic(3)] - v
+    c = dot2(a, b) / (np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
+    return float(np.arccos(np.clip(c, -1.0, 1.0)).max())
 
 
 def regular_three_bounce_exists(triangle: ConvexPolytope2,

@@ -101,28 +101,21 @@ def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
                     normals: Sequence) -> float:
     """Largest amount by which moving a single vertex along its supporting
     line (sampled at spacing diam(K)/512, 512 steps either way) decreases
-    the two adjacent edge lengths.  Nonpositive up to discretization for
-    weak trajectories; a zero normal raises ZeroVector."""
-    v = q.vertices
-    m = q.m
+    the two adjacent edge lengths.  Never negative, since t = 0 is a
+    sample, and 0 up to discretization for weak trajectories; a zero
+    normal raises ZeroVector."""
+    v, n = q.vertices, np.asarray(normals, float)
     resolution = 512
-    h = K.diameter() / resolution
-    worst = -math.inf
-    for j in range(m):
-        n = np.asarray(normals[j], float)
-        level = float(n @ v[j])
-        if float((K.vertices @ n).max()) > level + EPS_GEO:
-            raise LineNotSupporting(
-                f"line {j} does not support K at its trajectory vertex")
-        d = unit((-n[1], n[0]))
-        ts = np.arange(-resolution, resolution + 1) * h
-        samples = v[j] + ts[:, None] * d
-        total = (support_many(T, samples - v[(j - 1) % m]) +
-                 support_many(T, v[(j + 1) % m] - samples))
-        here = (float(support_many(T, (v[j] - v[(j - 1) % m])[None, :])[0]) +
-                float(support_many(T, (v[(j + 1) % m] - v[j])[None, :])[0]))
-        worst = max(worst, here - float(total.min()))
-    return worst
+    bad = (K.vertices @ n.T).max(0) > dot2(n, v) + EPS_GEO
+    if bad.any():
+        raise LineNotSupporting(
+            f"line {int(np.argmax(bad))} does not support K at its trajectory vertex")
+    d = unit(np.column_stack([-n[:, 1], n[:, 0]]))
+    ts = np.arange(-resolution, resolution + 1) * (K.diameter() / resolution)
+    samples = v[:, None] + ts[:, None] * d[:, None]  # (m, 1025, 2); t = 0 at 512
+    total = (support_many(T, samples - v[cyclic(q.m, -1), None]) +
+             support_many(T, v[cyclic(q.m), None] - samples))
+    return float((total[:, resolution] - total.min(1)).max())
 
 
 # ---------------------------------------------------------------------------

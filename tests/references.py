@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2,
-                           GeometryError, cross2, dot2)
+from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face,
+                           GeometryError, OriginNotInterior, cross2, cyclic, dot2,
+                           normal_cone, rotation, support_many, unit)
 from minkbill.lp import solve
-from minkbill.verify import certify
+from minkbill.verify import LineNotSupporting, certify
 
 
 def scaled(P, c, shift):
@@ -206,3 +207,75 @@ def assert_same_search(stacks, want_stacks, got, want):
         assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
         assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
         assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+
+
+def reference_polar(T):
+    """geom.polar as it was written: one 2x2 solve per facet, then the
+    vertex cycle turned counterclockwise."""
+    if T.origin_interior_margin() <= EPS_GEO:
+        raise OriginNotInterior("polar body requires the origin strictly inside")
+    w = np.empty_like(T.vertices)
+    for i, ab in enumerate(T.face_table.ends[T.n:]):
+        w[i] = np.linalg.solve(ab, np.ones(2))
+    if cross2(w, w[cyclic(len(w))]).sum() < 0:
+        w = w[::-1]
+    return ConvexPolytope2.from_vertices(w)
+
+
+def reference_check_weak_rule(K, T, q, normals):
+    """verify.check_weak_rule as it was written, one supporting line at a
+    time."""
+    v = q.vertices
+    m = q.m
+    resolution = 512
+    h = K.diameter() / resolution
+    worst = -math.inf
+    for j in range(m):
+        n = np.asarray(normals[j], float)
+        level = float(n @ v[j])
+        if float((K.vertices @ n).max()) > level + EPS_GEO:
+            raise LineNotSupporting(
+                f"line {j} does not support K at its trajectory vertex")
+        d = unit((-n[1], n[0]))
+        ts = np.arange(-resolution, resolution + 1) * h
+        samples = v[j] + ts[:, None] * d
+        total = (support_many(T, samples - v[(j - 1) % m]) +
+                 support_many(T, v[(j + 1) % m] - samples))
+        here = (float(support_many(T, (v[j] - v[(j - 1) % m])[None, :])[0]) +
+                float(support_many(T, (v[(j + 1) % m] - v[j])[None, :])[0]))
+        worst = max(worst, here - float(total.min()))
+    return worst
+
+
+def reference_largest_angle(triangle):
+    """obtuse.largest_angle as it was written, one corner at a time."""
+    v = triangle.vertices
+    best = 0.0
+    for i in range(3):
+        a = v[(i - 1) % 3] - v[i]
+        b = v[(i + 1) % 3] - v[i]
+        c = float(a @ b) / (np.hypot(*a) * np.hypot(*b))
+        best = max(best, math.acos(max(-1.0, min(1.0, c))))
+    return best
+
+
+def reference_family_t_construction(triangle, angle=math.pi / 2):
+    """obtuse.family_t_construction as it was written: unit bisectors of
+    the vertex normal cones, sorted by angle, then one 2x2 solve per new
+    vertex."""
+    rot = ConvexPolytope2.from_vertices(triangle.vertices @ rotation(angle).T)
+    centred = ConvexPolytope2.from_vertices(rot.vertices - rot.centroid())
+    ns, bs = [], []
+    for i in range(3):
+        g = normal_cone(centred, Face.vertex(i)).generators
+        n = g[0] + g[1]
+        n = n / np.hypot(*n)
+        ns.append(n)
+        bs.append(float(n @ centred.vertices[i]))
+    ns, bs = np.array(ns), np.array(bs)
+    order = np.argsort(np.arctan2(ns[:, 1], ns[:, 0]))
+    ns, bs = ns[order], bs[order]
+    verts = [np.linalg.solve(np.array([ns[i], ns[(i + 1) % 3]]),
+                             np.array([bs[i], bs[(i + 1) % 3]]))
+             for i in range(3)]
+    return ConvexPolytope2.from_vertices(np.array(verts))

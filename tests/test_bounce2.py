@@ -90,9 +90,11 @@ def test_prefer_smooth_moves_no_pair(monkeypatch):
     slide is blocked at t = 0 and t = 1 and needless inside, except within
     about 1e-6 of an end.  Over 600 of the pairs touch two facets of K,
     the only pairs the stage would try to move."""
-    calls, smooth = [], bounce2.prefer_smooth
+    calls, directions, smooth = [], [], bounce2.prefer_smooth
 
     def recording(K, T, pair):
+        if all(f.is_edge for f in pair.k_faces):
+            directions.append((K, pair.k_faces))
         calls.append((pair, smooth(K, T, pair)))
         return calls[-1][1]
     monkeypatch.setattr(bounce2, "prefer_smooth", recording)
@@ -104,6 +106,9 @@ def test_prefer_smooth_moves_no_pair(monkeypatch):
                 search_two_bounce(K, T)
     assert all(out is pair for pair, out in calls)
     assert sum(all(f.is_edge for f in pair.k_faces) for pair, _ in calls) >= 600
+    for K, faces in directions:  # the two facets run antiparallel
+        d1, d2 = np.diff(K.face_table.ends[face_array(K, [faces])[0]], axis=1)[:, 0]
+        assert d1 @ d2 < 0
 
 
 def test_perturbed_objective_same_length(rng):

@@ -11,6 +11,7 @@ from minkbill import cli
 from minkbill.cli import (REPORT_SCHEMA, build_parser, main, render_svg,
                           run_bench)
 from minkbill.fixtures import load, regular_ngon
+from minkbill.obtuse import in_family_t
 from minkbill.randgen import random_instance
 
 
@@ -309,6 +310,42 @@ def test_oracle_facet_limit_fails_before_the_searches(tmp_path, monkeypatch,
                  "--out", str(out)]) == 2
     assert "at most 16 facets" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("shortest K.json T.json", dict(K="K.json", T="T.json", grid=None, out=None,
+                                    func=cli.cmd_shortest)),
+    ("two-bounce K.json T.json --out r.json",
+     dict(K="K.json", T="T.json", out="r.json", func=cli.cmd_search, bounce_counts=(2,))),
+    ("three-bounce K.json T.json", dict(K="K.json", T="T.json", out=None,
+                                        func=cli.cmd_search, bounce_counts=(3,))),
+    ("verify r.json", dict(report="r.json", out=None, func=cli.cmd_verify)),
+    ("gen 4 5", dict(nk=4, nt=5, seed=0, out_k="K.json", out_t="T.json", func=cli.cmd_gen)),
+    ("bench", dict(sizes="5,15,25", seed=0, out=None, func=cli.cmd_bench)),
+    ("obtuse", dict(triangle=None, ngons="16,64,256", out=None, func=cli.cmd_obtuse)),
+    ("plot r.json r.svg", dict(report="r.json", out="r.svg", func=cli.cmd_plot)),
+])
+def test_subcommand_arguments_and_defaults(argv, want):
+    """Each subcommand parses to exactly these arguments and defaults."""
+    args = build_parser().parse_args(shlex.split(argv))
+    assert vars(args) == {"command": argv.split()[0], **want}
+
+
+def test_obtuse_witness_floats(tmp_path):
+    """An obtuse report carries each witness's shift and contact points as
+    the floats of the witness, one by one."""
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps(regular_ngon(3).to_json_obj()))
+    out = tmp_path / "obtuse.json"
+    assert main(["obtuse", "--triangle", str(tri), "--ngons", "16,32",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    for row, n in zip(rows, (16, 32), strict=True):
+        member, w = in_family_t(regular_ngon(3), regular_ngon(n))
+        assert member and row["witness"] == {
+            "rotation": w.rotation, "scale": w.scale,
+            "shift": [float(c) for c in w.shift],
+            "vertices": [[float(x), float(y)] for x, y in w.vertices]}
 
 
 def test_parser_is_built_once():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2,
                            Face, GeometryError, InvalidCurve, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
                            cone_contains, cone_distance,
-                           cyclic, ell_length, face_cones, face_distances,
+                           cyclic, dot2, ell_length, face_cones, face_distances,
                            face_array, face_tuples, find_face, find_faces,
                            gauge, in_f, largest_gap,
                            normal_cone,
@@ -24,7 +25,8 @@ from minkbill.randgen import random_instance, random_polytope
 import corpus
 from conftest import polytopes, vectors
 from corpus import DIAMOND, SQUARE
-from references import cones_intersect, reference_find_faces, reference_in_f, same_cycle
+from references import (cones_intersect, reference_find_faces, reference_in_f, reference_polar,
+                        same_cycle)
 
 
 # --- construction -----------------------------------------------------------
@@ -115,6 +117,35 @@ def test_polar_requires_interior_origin():
 def test_gauge_matches_support_of_polar():
     for x in [(1, 0), (0.3, -2.0), (-1.5, 1.5)]:
         assert gauge(DIAMOND, x) == pytest.approx(support(polar(DIAMOND), x))
+
+
+def test_polar_vertices_lie_on_both_facet_ends():
+    """On every corpus body recentred, polar vertex i = n_i / b_i has
+    <w_i, a> = <w_i, b> = 1 at the ends a, b of facet i, to 1e-12 relative
+    to |w_i| |a| and |w_i| |b|, and matches the per-facet 2x2 solves it
+    replaced; where those raise, polar raises the same."""
+    bodies = {id(P): P for name in corpus.BUILDERS for _, *pair in corpus.cases(name)
+              for P in pair}
+    raised = checked = 0
+    for P in bodies.values():
+        try:
+            P = P.translate(-P.centroid())
+        except InvalidPolytope:  # a body too small for from_vertices' tolerances
+            continue
+        try:
+            want = reference_polar(P).vertices
+        except GeometryError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                polar(P)
+            raised += 1
+            continue
+        w = polar(P).vertices
+        for end in P.face_table.ends[P.n:].transpose(1, 0, 2):
+            size = np.hypot(w[:, 0], w[:, 1]) * np.hypot(end[:, 0], end[:, 1])
+            assert (np.abs(dot2(w, end) - 1.0) <= 1e-12 * size).all()
+        assert np.allclose(w, want, rtol=0.0, atol=1e-12 * np.abs(w).max())
+        checked += 1
+    assert checked >= 1800 and raised >= 50
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,0 +1,55 @@
+"""No module of minkbill imports a name that it never uses.  The test
+environment ships no linter, so this reads each module's syntax tree.  An
+imported name counts as used where the module reads it, where __all__
+lists it (the re-exports of __init__.py) and where a string annotation
+names it (the TYPE_CHECKING imports)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "minkbill"
+
+
+def _imports(tree):
+    """(bound name, line) of each import but those from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+def _used(tree):
+    """The names the module reads, lists in __all__ or names in a string
+    annotation."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    strings = [ast.parse(node.value, mode="eval") for a in annotations for node in ast.walk(a)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    used = {node.id for t in (tree, *strings) for node in ast.walk(t)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    assert [(name, line) for name, line in _imports(tree) if name not in used] == []
+
+
+def test_unused_import_is_found():
+    tree = ast.parse("from __future__ import annotations\nimport math\n"
+                     "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+                     "    from .a import B\nfrom .c import D as E, F\n"
+                     "x: 'B' = E\n__all__ = ['F']\n")
+    used = _used(tree)
+    assert [name for name, _ in _imports(tree) if name not in used] == ["math"]

@@ -11,6 +11,9 @@ from minkbill.obtuse import (family_t_construction, in_family_t, largest_angle,
                              one_per_cone_spans, regular_three_bounce_exists)
 from minkbill.randgen import random_polytope
 
+from references import (reference_family_t_construction, reference_largest_angle,
+                        same_cycle)
+
 
 def test_largest_angle():
     assert largest_angle(equilateral_triangle()) == pytest.approx(math.pi / 3)
@@ -69,6 +72,28 @@ def _random_triangle(rng):
                 return ConvexPolytope2.from_vertices(verts)
             except InvalidPolytope:
                 pass
+
+
+def test_largest_angle_matches_per_corner_reference():
+    rng = np.random.default_rng(34)
+    for _ in range(1000):
+        tri = _random_triangle(rng)
+        assert abs(largest_angle(tri) - reference_largest_angle(tri)) <= 1e-15
+
+
+def test_family_construction_matches_sorted_reference():
+    """The bisector lines taken in vertex order meet at the vertices the
+    angle-sorted per-vertex construction gave, and the triangle sits in the
+    result at scale 1."""
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        tri = _random_triangle(rng)
+        for angle in (math.pi / 2, -math.pi / 2):
+            T = family_t_construction(tri, angle)
+            assert same_cycle(T.vertices, reference_family_t_construction(tri, angle).vertices,
+                              atol=1e-12)
+            member, witness = in_family_t(tri, T)
+            assert member and abs(witness.scale - 1.0) <= 1e-12
 
 
 def test_random_triangles_family_tracks_existence():

@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from minkbill import lp as lpmod, verify
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
-from minkbill.fixtures import example_g_curve, load, regular_ngon
+from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
-                           cone_contains, face_array, find_face, normal_cone)
+                           cone_contains, cyclic, face_array, face_cones, find_face,
+                           find_faces, normal_cone)
 from minkbill.pairs import _canonical_keys, make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
@@ -23,7 +24,7 @@ from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
 
 import corpus
 from corpus import SQUARE
-from references import reference_in_f, rebuilt
+from references import reference_check_weak_rule, reference_in_f, rebuilt
 
 
 def _chord_pair():
@@ -116,6 +117,54 @@ def test_weak_rule_rejects_zero_normal():
     fx = load("exampleF_aux")
     with pytest.raises(ZeroVector):
         check_weak_rule(fx.K, fx.T, fx.curves["q"], [(0.0, 0.0), (0.0, 1.0)])
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the GeometryError it raised."""
+    try:
+        return check(*args)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def _weak_rule_cases():
+    """Every fixture curve with, at each vertex, the sum of the generators
+    of K's normal cone there; the pairs of both searches on the identity
+    set (which begins with the fixtures) with p_{j-1} - p_j at q_j; one
+    line that does not support K, and one zero normal."""
+    for name in fixture_names():
+        fx = load(name)
+        curves = [*fx.curves.values(), *(example_g_curve(a) for a in (0.0, 0.25, 0.5)
+                                         if name == "exampleG")]
+        for q in curves:
+            yield fx.K, fx.T, q, sum(face_cones(fx.K, find_faces(fx.K, q.vertices)).generators)
+    for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
+                                     corpus.three_bounce("identity")):
+        for pair in (*two, *three):
+            p = pair.p.vertices
+            yield K, T, pair.q, p[cyclic(len(p), -1)] - p
+    fx = load("exampleG")
+    yield fx.K, fx.T, example_g_curve(0.25), [(0.0, -1.0), (0.0, -1.0)]
+    fx = load("exampleF_aux")
+    yield fx.K, fx.T, fx.curves["q"], [(0.0, 0.0), (0.0, 1.0)]
+
+
+def test_weak_rule_matches_per_line_reference():
+    """check_weak_rule on one (m, 1025, 2) array agrees with the per-line
+    loop it replaced to 1e-12, and raises the same exception with the same
+    message."""
+    raised, values = [], 0
+    for K, T, q, normals in _weak_rule_cases():
+        got = _outcome(check_weak_rule, K, T, q, normals)
+        want = _outcome(reference_check_weak_rule, K, T, q, normals)
+        if isinstance(want, tuple):
+            assert got == want
+            raised.append(want[0])
+        else:
+            assert abs(got - want) <= 1e-12
+            values += 1
+    assert set(raised) == {LineNotSupporting, ZeroVector}
+    assert values >= 600
 
 
 # --- brute force ------------------------------------------------------------

@@ -159,7 +159,7 @@ def _immovable_table(angles: bytes) -> np.ndarray:
     return tab
 
 
-# the oracle's least chunk length, and the elements of one batch
+# the oracle's least cap on a chunk's length, and the elements of one batch
 _CHUNK = 16
 _BLOCK = 1 << 17
 
@@ -181,32 +181,36 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     Degeneracy is read from the facet masks, with no length threshold: two
     points must differ, and three must not share a facet (three distinct
     boundary points of a strictly convex polygon are collinear iff they do).
-    Both minima are exact branch-and-bound searches: chunk pairs A < B and
-    triples A <= B, A <= C of valid masks, a chunk being at most
-    max(_CHUNK, isqrt(N) // 4) points of one run of equal masks, go by
+    Both minima are exact branch-and-bound searches.  Each run of equal masks
+    (a vertex, or the inner points of one facet) is cut evenly into the
+    fewest chunks of at most max(_CHUNK, isqrt(N) // 4) points, each
+    ceil(L / parts) long but the last; the tile side size is the longest.
+    Chunk pairs A < B and triples A <= B, A <= C of valid masks go by
     increasing bound while below the best sum.  The bounds are low[A, B] +
     low[B, A] and (low[A, B] + low[B, C]) + low[C, A], with no table
     (_chunk_bounds).  A batch builds the (size, size) tiles of S of the chunk
     pairs it reads, once each, by a running max over c (+inf at the pads of
-    short chunks), into one store in build order (slot[A, B] = -1 until
-    built), and sums whole tiles.  Triangle batches hold at most _BLOCK
-    elements (or one triple); 2-gon batches build two tiles per pair they
-    sum, so they start at one pair and double, up to _BLOCK // size^2 pairs.
-    A 2-gon i < j sums S[i, j] + S[j, i], a triangle i < j, i < k, j != k
-    (S[i, j] + S[j, k]) + S[k, i], +inf where a batch breaks the index rule
-    (only where two chunks of a triple coincide: chunks are runs of
-    increasing indices, so A < B puts every index of A below those of B):
-    rounding is monotone and min exact, so neither float depends on pruning,
-    batches or tile order.  Memory: the store is np.empty with one slot per
-    chunk pair and is written only where built; with it O(N^2)."""
+    short chunks, mostly one-point vertex chunks), into one store in build
+    order (slot[A, B] = -1 until built), and sums whole tiles.  Triangle
+    batches hold at most _BLOCK elements (or one triple); 2-gon batches build
+    two tiles per pair they sum, so they start at one pair and double, up to
+    _BLOCK // size^2 pairs.  A 2-gon i < j sums S[i, j] + S[j, i], a triangle
+    i < j, i < k, j != k (S[i, j] + S[j, k]) + S[k, i], +inf where a batch
+    breaks the index rule (only where two chunks of a triple coincide: chunks
+    are runs of increasing indices, so A < B puts every index of A below those
+    of B): rounding is monotone and min exact, so neither float depends on the
+    cut, pruning, batches or tile order.  Memory: the store is np.empty with
+    C^2 (size, size) tiles for C chunks, written only where built; O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
     G = pts @ T.vertices.T  # (N, |V(T)|); support of a difference is a max over columns
     head = np.r_[True, masks[1:] != masks[:-1]]  # the first point of each run
     run = np.arange(N) - np.maximum.accumulate(np.where(head, np.arange(N), 0))
-    size = min(max(_CHUNK, math.isqrt(N) // 4), run.max() + 1)
-    start = np.flatnonzero(run % size == 0)
+    rl = np.diff(np.r_[np.flatnonzero(head), N])  # each run's length
+    per = -(-rl // -(-rl // max(_CHUNK, math.isqrt(N) // 4)))  # fewest chunks, even
+    size = int(per.max())
+    start = np.flatnonzero(run % np.repeat(per, rl) == 0)
     chunk = start[:, None] + np.arange(size)  # index N pads short chunks
     chunk[chunk >= np.r_[start[1:], N][:, None]] = N
     low = _chunk_bounds(G, start)

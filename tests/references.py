@@ -279,3 +279,15 @@ def reference_family_t_construction(triangle, angle=math.pi / 2):
                              np.array([bs[i], bs[(i + 1) % 3]]))
              for i in range(3)]
     return ConvexPolytope2.from_vertices(np.array(verts))
+
+
+def reference_chunk_starts(masks, cap):
+    """The oracle's chunk starts and tile side before each run was cut
+    evenly: every run of equal masks cut at the multiples of one size, the
+    smaller of cap and the longest run, so a run's last chunk holds what is
+    left over."""
+    N = len(masks)
+    head = np.r_[True, masks[1:] != masks[:-1]]
+    run = np.arange(N) - np.maximum.accumulate(np.where(head, np.arange(N), 0))
+    size = min(cap, run.max() + 1)
+    return np.flatnonzero(run % size == 0), int(size)

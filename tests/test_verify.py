@@ -24,7 +24,8 @@ from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
 
 import corpus
 from corpus import SQUARE
-from references import reference_check_weak_rule, reference_in_f, rebuilt
+from references import (reference_check_weak_rule, reference_chunk_starts,
+                        reference_in_f, rebuilt, spy)
 
 
 def _chord_pair():
@@ -443,6 +444,85 @@ def test_brute_force_tile_store_holds_every_chunk_pair(monkeypatch):
         pairs = np.triu(_subset_immovable_table(K)[cm[:, None] | cm], 1).sum()
         grown += 2 * pairs > (N + 1) ** 2 // size ** 2
     assert grown >= 10
+
+
+def _oracle_pool_cases():
+    """(grid, K, T, frozen oracle floats) of the oracle benchmark pool."""
+    return [(int(inst["args"][1]), ConvexPolytope2.from_vertices(inst["K"]),
+             ConvexPolytope2.from_vertices(inst["T"]),
+             (inst["oracle"]["two_bounce_min"], inst["oracle"]["three_bounce_min"]))
+            for inst in corpus.pool("oracle")]
+
+
+class _StoreSpy:
+    """numpy, with the shape of every 3-d np.empty noted: the oracle's tile
+    store."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        if len(shape) == 3:
+            self.shapes.append(shape)
+        return np.empty(shape, *args, **kwargs)
+
+
+def test_brute_force_cuts_each_run_evenly(monkeypatch):
+    """Each run of equal masks (a vertex, or the inner points of one facet)
+    is cut into the fewest chunks of at most cap = max(_CHUNK, isqrt(N) // 4)
+    points, each ceil(L / parts) long but the last, on the 34 oracle pool
+    instances and the brute cases.  No chunk crosses a run, a run of L points
+    gets ceil(L / cap) chunks, as many as the cut at one fixed size had
+    (references.reference_chunk_starts), the tile side is the longest chunk
+    and at most the old one, the store has one tile per chunk pair, and no
+    instance has more pad points than before: 3,020 over the pool, against
+    4,817."""
+    layouts = spy(monkeypatch, verify, "_chunk_bounds", lambda G, start: (len(G), start))
+    store = _StoreSpy()
+    monkeypatch.setattr(verify, "np", store)
+    pool = [(grid, K, T) for grid, K, T, _ in _oracle_pool_cases()]
+    pads = {"even": 0, "reference": 0}
+    for n, (grid, K, T) in enumerate(pool + list(corpus.cases("brute"))):
+        brute_force_min(K, T, grid)
+        (N, start), shape = layouts[-1], store.shapes[-1]
+        masks = boundary_grid(K, grid)[1]
+        cap = max(verify._CHUNK, math.isqrt(N) // 4)
+        heads = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
+        L = np.diff(np.r_[heads, N])
+        lens = np.diff(np.r_[start, N])
+        assert np.isin(heads, start).all(), (K.n, grid)
+        parts = np.diff(np.searchsorted(start, np.r_[heads, N]))
+        assert (parts == -(-L // cap)).all(), (K.n, grid)
+        r = np.searchsorted(heads, start, "right") - 1  # each chunk's run
+        last = np.r_[start[1:], N] == np.r_[heads[1:], N][r]
+        assert (lens[~last] == -(-L // parts)[r][~last]).all(), (K.n, grid)
+        ref, ref_size = reference_chunk_starts(masks, cap)
+        assert len(start) == len(ref), (K.n, grid)
+        size = lens.max()
+        assert shape == (len(start) ** 2, size, size) and size <= ref_size, (K.n, grid)
+        pad, ref_pad = (size - lens).sum(), (ref_size - np.diff(np.r_[ref, N])).sum()
+        assert pad <= ref_pad, (K.n, grid)
+        if n < len(pool):
+            pads["even"] += pad
+            pads["reference"] += ref_pad
+    assert len(layouts) == len(pool) + len(corpus.cases("brute"))
+    assert pads == {"even": 3020, "reference": 4817}
+
+
+@pytest.mark.parametrize("chunk", [5, 16, 24])
+def test_brute_force_chunks_keep_the_pool_oracle_floats(monkeypatch, chunk):
+    """Chunks of at most 5, 16 or 24 points give both oracle floats frozen in
+    the pool, bit for bit, on the six oracle pool instances with G = 34, 50
+    or 51 points per facet, whose runs the cut at one fixed size of 16 left
+    with a one- or two-point last chunk."""
+    cases = [case for case in _oracle_pool_cases() if case[0] in (34, 50, 51)]
+    assert len(cases) == 6
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    for grid, K, T, frozen in cases:
+        assert brute_force_min(K, T, grid) == frozen, (K.n, T.n, grid)
 
 
 def test_brute_force_is_covariant_under_scale_and_translation():

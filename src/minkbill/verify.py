@@ -199,8 +199,10 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     breaks the index rule (only where two chunks of a triple coincide: chunks
     are runs of increasing indices, so A < B puts every index of A below those
     of B): rounding is monotone and min exact, so neither float depends on the
-    cut, pruning, batches or tile order.  Memory: the store is np.empty with
-    C^2 (size, size) tiles for C chunks, written only where built; O(N^2)."""
+    cut, pruning, batches or tile order.  Memory: the store starts empty and
+    doubles in place when a batch needs more slots, capped at the C^2 of one
+    per chunk pair for C chunks, so it holds at most twice the tiles built;
+    O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -220,7 +222,7 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
     # the h_T tile of chunk pair (A, B) is tiles[slot[A, B]], in build order
-    tiles, n = np.empty((len(start) ** 2, size, size)), 0
+    tiles, n = np.empty((0, size, size)), 0
     slot = np.full(low.shape, -1)
     Gj, Gi = (np.r_[G, np.full((1, G.shape[1]), p)].T for p in (np.inf, -np.inf))
 
@@ -229,6 +231,8 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         new = np.zeros(slot.shape, bool)
         new[a, b] = slot[a, b] < 0
         a, b = np.nonzero(new)
+        if n + len(a) > len(tiles):  # double the store in place, to at most C^2 slots
+            tiles.resize((min(slot.size, max(2 * len(tiles), n + len(a))), size, size))
         i, j, blk = chunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
         np.subtract(Gj[0, j], Gi[0, i], out=blk)
         for c in range(1, len(Gj)):

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from minkbill.bounce2 import search_two_bounce, solve_face_tuple
 from minkbill.bounce3 import search_three_bounce

@@ -765,11 +765,18 @@ def _unscreened_three_bounce(K, T):
     return sort_pairs(dedupe([pair for pair in found if pair is not None]))
 
 
+def _joined(calls):
+    """The stacks of a search's certified_pairs calls, one list of arrays
+    per call, as the one stack of a search in a single block."""
+    return [list(map(np.concatenate, zip(*calls)))] if calls else []
+
+
 def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
     """The contact screen of search_three_bounce drops only facet triples
-    that the unscreened search would not pass to certification: every stack
-    handed to certified_pairs is byte-identical to the unscreened search's,
-    and so are the returned pairs, certificates included.  The reach table
+    that the unscreened search would not pass to certification: the stacks
+    handed to certified_pairs, joined in block order, are byte-identical to
+    the unscreened search's one stack, and so are the returned pairs,
+    certificates included.  The reach table
     keeps every (face of T, facet, facet) that the product form of the row
     test keeps, and its gather keeps exactly the placed triples that the
     product keeps.  The screen screens: at most 2,800 of the grid pool's
@@ -782,7 +789,7 @@ def test_contact_screen_drops_only_triples_the_fits_reject(monkeypatch):
         calls.clear()
         stats = SearchStats()
         got = search_three_bounce(K, T, stats)
-        screened = list(calls)
+        screened = _joined(calls)
         calls.clear()
         want = _unscreened_three_bounce(K, T)
         assert_same_search(screened, calls, got, want)
@@ -1000,6 +1007,89 @@ def test_search_memory_stays_linear_in_the_triples():
         tracemalloc.stop()
     assert len(spanning_triples(K)) == 21648
     assert peak < 45 * 2**20
+
+
+def _one_block_search(K, T, stats):
+    """search_three_bounce as it was before blocks: _solve_triples on all
+    spanning triples at once."""
+    return sort_pairs(dedupe(bounce3._solve_triples(
+        K, T, spanning_triples(K), bounce3._contact_tables(K, T), stats)))
+
+
+def _staged(search, calls, K, T):
+    """A search's pairs, the stacks it handed certified_pairs, joined as one
+    (calls, the spy's log), and its inbody count."""
+    calls.clear()
+    stats = SearchStats()
+    pairs = search(K, T, stats)
+    return pairs, _joined(calls), stats.inbody_triples
+
+
+def _assert_blocks_change_nothing(monkeypatch, instances, sizes):
+    """search_three_bounce with _BLOCK set to each of sizes hands
+    certified_pairs the stacks of the search in one block, byte for byte,
+    returns the same pairs, certificates included, and counts the same
+    inbody triples, on each (K, T) of instances.  Returns the number of
+    pairs, and the number of blocks under each size."""
+    calls = spy(monkeypatch, bounce3, "certified_pairs",
+                lambda K, T, *rows: list(map(np.asarray, rows)))
+    blocks = spy(monkeypatch, bounce3, "_solve_triples",
+                 lambda K, T, triples, *rest: len(triples))
+    pairs, runs = 0, dict.fromkeys(sizes, 0)
+    for K, T in instances:
+        want, want_stacks, want_inbody = _staged(_one_block_search, calls, K, T)
+        pairs += len(want)
+        for size in sizes:
+            monkeypatch.setattr(bounce3, "_BLOCK", size)
+            blocks.clear()
+            got, stacks, inbody = _staged(search_three_bounce, calls, K, T)
+            assert sum(blocks) == len(spanning_triples(K))
+            assert max(blocks, default=0) <= max(1, size // (T.n + 1)), (K.n, T.n)
+            assert_same_search(stacks, want_stacks, got, want)
+            assert inbody == want_inbody, (K.n, T.n, size)
+            runs[size] += len(blocks)
+    return pairs, runs
+
+
+@pytest.mark.parametrize("name", ["grid", "oracle", "ngon", "search"])
+def test_blocks_of_one_triple_change_no_pair(monkeypatch, name):
+    """With blocks of 1 or 7 elements, one triple per block (a triple counts
+    the m_T + 1 rows of its inbody LP), on the three pools and the search
+    set, the search is that of one block: by the lp contract a member of a
+    stack gets the answer it would get alone."""
+    instances = [(K, T) for _, K, T in corpus.cases(name)]
+    pairs, runs = _assert_blocks_change_nothing(monkeypatch, instances, (1, 7))
+    triples = sum(len(spanning_triples(K)) for K, _ in instances)
+    assert runs == {1: triples, 7: triples}
+    assert pairs >= {"grid": 5, "oracle": 40, "ngon": 2, "search": 100}[name]
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_default_blocks_change_no_pair(monkeypatch, n):
+    """On random_instance(default_rng(7), n, n), blocks of the default size
+    (2 at n = 40, 31 at n = 80) and blocks larger than any stack (one) give
+    the search in one block, byte for byte."""
+    K, T = random_instance(np.random.default_rng(7), n, n)
+    sizes = (bounce3._BLOCK, 1 << 40)
+    pairs, runs = _assert_blocks_change_nothing(monkeypatch, [(K, T)], sizes)
+    assert pairs >= 2 and runs[1 << 40] == 1
+    assert runs[sizes[0]] >= 2
+
+
+def test_search_memory_stays_flat_in_the_blocks():
+    """search_three_bounce on random_instance(default_rng(7), 80, 80), 41,552
+    spanning triples, in blocks: the traced peak stays below 120 MB (it was
+    405 MB in one block)."""
+    K, T = random_instance(np.random.default_rng(7), 80, 80)
+    search_three_bounce(regular_ngon(5), regular_ngon(4))  # warm lazy imports
+    tracemalloc.start()
+    try:
+        search_three_bounce(K, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spanning_triples(K)) == 41552
+    assert peak < 120 * 2**20
 
 
 def test_inbody_numerical_failure_rejects_one_member(monkeypatch):

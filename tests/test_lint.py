@@ -1,4 +1,4 @@
-"""No module of minkbill imports a name that it never uses.  The test
+"""No module of minkbill and no test module imports a name that it never uses.  The test
 environment ships no linter, so this reads each module's syntax tree.  An
 imported name counts as used where the module reads it, where __all__
 lists it (the re-exports of __init__.py) and where a string annotation
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "minkbill"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "minkbill"
 
 
 def _imports(tree):
@@ -39,7 +40,8 @@ def _used(tree):
     return used
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)

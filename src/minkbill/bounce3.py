@@ -65,22 +65,22 @@ _SINGULAR = 1e-6  # a fit's 3x3 system is singular at |det| <= this Hadamard bou
 _BLOCK = 1 << 19  # elements of one search block, m_T + 1 inbody LP rows per triple
 
 
-def facet_triples(K: ConvexPolytope2, first: slice = slice(None)) -> np.ndarray:
+def facet_triples(K: ConvexPolytope2, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
     """The ordered triples (N, 3) of distinct facet indices up to cyclic
-    rotation (the smallest index first, in the range first), in
-    lexicographic order; both orientations appear."""
-    lo, hi, _ = first.indices(K.n)
+    rotation (the smallest index first, from lo to below hi, K.n if None),
+    in lexicographic order; both orientations appear."""
+    hi = K.n if hi is None else hi
     i, j, k = np.ogrid[lo:hi, :K.n, :K.n]
     return np.argwhere((i < j) & (i < k) & (j != k)) + [lo, 0, 0]
 
 
-def spanning_triples(K: ConvexPolytope2, first: slice = slice(None)) -> np.ndarray:
+def spanning_triples(K: ConvexPolytope2, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
     """The facet triples, in facet_triples order, whose normals positively
     span the plane: their largest angular gap is below SPAN_GAP.  Spanning
     implies that gamma_triangles' 2x2 system is non-singular (n2 and n3 are
     not parallel) and that its closing coefficients are negative, so each
     triple has a dual triangle."""
-    tri = facet_triples(K, first)
+    tri = facet_triples(K, lo, hi)
     return tri[largest_gap(K.face_table.angles[0, tri]) < SPAN_GAP]
 
 
@@ -233,12 +233,11 @@ def _blocks(K: ConvexPolytope2, T: ConvexPolytope2):
     """The spanning triples of K in order, in blocks of at most
     max(1, _BLOCK // (m_T + 1)), each cut from a run of first indices with
     at most that many facet triples (or from one first index)."""
-    step, i = max(1, _BLOCK // (T.n + 1)), np.arange(K.n)
+    step, i, lo = max(1, _BLOCK // (T.n + 1)), np.arange(K.n), 0
     before = np.r_[0, np.cumsum((K.n - 1 - i) * (K.n - 2 - i))]  # facet triples below i
-    lo = 0
     while lo < K.n:
         hi = max(lo + 1, int(np.searchsorted(before, before[lo] + step, "right")) - 1)
-        tri = spanning_triples(K, slice(lo, hi))
+        tri = spanning_triples(K, lo, hi)
         yield from (tri[s:s + step] for s in range(0, len(tri), step))
         lo = hi
 

@@ -159,9 +159,10 @@ def _immovable_table(angles: bytes) -> np.ndarray:
     return tab
 
 
-# the oracle's least cap on a chunk's length, and the elements of one batch
+# the oracle's least cap on a chunk's length, and the elements of one batch and of the store
 _CHUNK = 16
 _BLOCK = 1 << 17
+_STORE = 1 << 16
 
 
 def _chunk_bounds(G: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -200,9 +201,9 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     are runs of increasing indices, so A < B puts every index of A below those
     of B): rounding is monotone and min exact, so neither float depends on the
     cut, pruning, batches or tile order.  Memory: the store starts empty and
-    doubles in place when a batch needs more slots, capped at the C^2 of one
-    per chunk pair for C chunks, so it holds at most twice the tiles built;
-    O(N^2)."""
+    doubles in place, to at most twice the tiles built and cap = min(C^2,
+    _STORE // size^2) slots for C chunks (one batch's tiles, if more); a batch
+    that would overfill it empties it first.  G is kept once, padded; O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -222,21 +223,25 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
     # the h_T tile of chunk pair (A, B) is tiles[slot[A, B]], in build order
-    tiles, n = np.empty((0, size, size)), 0
+    tiles, n, cap = np.empty((0, size, size)), 0, min(low.size, _STORE // size ** 2)
     slot = np.full(low.shape, -1)
-    Gj, Gi = (np.r_[G, np.full((1, G.shape[1]), p)].T for p in (np.inf, -np.inf))
+    # G^T, padded for a tile's j side at column N (+inf) and its i side at N + 1 (-inf)
+    G = np.r_[G, np.full((2, G.shape[1]), np.inf) * [[1], [-1]]].T
+    ichunk = np.where(chunk == N, N + 1, chunk)
 
     def build(a, b):  # the tiles of the chunk pairs (a, b) not built yet
         nonlocal n
         new = np.zeros(slot.shape, bool)
         new[a, b] = slot[a, b] < 0
+        if n + new.sum() > cap:  # full: empty the store, then build every pair of (a, b)
+            slot[:], n, new[a, b] = -1, 0, True
         a, b = np.nonzero(new)
-        if n + len(a) > len(tiles):  # double the store in place, to at most C^2 slots
-            tiles.resize((min(slot.size, max(2 * len(tiles), n + len(a))), size, size))
-        i, j, blk = chunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
-        np.subtract(Gj[0, j], Gi[0, i], out=blk)
-        for c in range(1, len(Gj)):
-            np.maximum(blk, Gj[c, j] - Gi[c, i], out=blk)
+        if n + len(a) > len(tiles):  # double in place; no view of tiles outlives a build
+            tiles.resize((max(min(cap, 2 * len(tiles)), n + len(a)), size, size), refcheck=False)
+        i, j, blk = ichunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
+        np.subtract(G[0, j], G[0, i], out=blk)
+        for c in range(1, len(G)):
+            np.maximum(blk, G[c, j] - G[c, i], out=blk)
         slot[a, b], n = np.arange(n, n + len(a)), n + len(a)
 
     def least2(t):  # the least 2-gon sum over chunk pairs t

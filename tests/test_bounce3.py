@@ -90,6 +90,18 @@ def test_facet_triples_count():
     assert triples == list(_generator_triples(6))
 
 
+def test_triples_from_lo_to_hi_are_those_of_their_first_indices():
+    """facet_triples and spanning_triples from lo to below hi are the rows,
+    in order, whose first index is in that range."""
+    K = random_polytope(np.random.default_rng(3), 9)
+    for triples in (facet_triples, spanning_triples):
+        every = triples(K)
+        for lo, hi in ((0, 9), (0, 1), (2, 5), (7, 9), (4, 4)):
+            want = every[(lo <= every[:, 0]) & (every[:, 0] < hi)]
+            assert np.array_equal(triples(K, lo, hi), want), (lo, hi)
+        assert np.array_equal(triples(K, 3), every[every[:, 0] >= 3])
+
+
 def test_build_gamma_equilateral():
     tri = equilateral_triangle()
     gamma = gamma_triangles(tri, [(0, 1, 2)])[0]
@@ -1009,40 +1021,36 @@ def test_search_memory_stays_linear_in_the_triples():
     assert peak < 45 * 2**20
 
 
-def _one_block_search(K, T, stats):
-    """search_three_bounce as it was before blocks: _solve_triples on all
-    spanning triples at once."""
-    return sort_pairs(dedupe(bounce3._solve_triples(
-        K, T, spanning_triples(K), bounce3._contact_tables(K, T), stats)))
-
-
-def _staged(search, calls, K, T):
-    """A search's pairs, the stacks it handed certified_pairs, joined as one
-    (calls, the spy's log), and its inbody count."""
+def _staged(calls, K, T):
+    """search_three_bounce's pairs, the stacks it handed certified_pairs,
+    joined as one (calls, the spy's log), and its inbody count."""
     calls.clear()
     stats = SearchStats()
-    pairs = search(K, T, stats)
+    pairs = search_three_bounce(K, T, stats)
     return pairs, _joined(calls), stats.inbody_triples
 
 
 def _assert_blocks_change_nothing(monkeypatch, instances, sizes):
     """search_three_bounce with _BLOCK set to each of sizes hands
-    certified_pairs the stacks of the search in one block, byte for byte,
-    returns the same pairs, certificates included, and counts the same
-    inbody triples, on each (K, T) of instances.  Returns the number of
-    pairs, and the number of blocks under each size."""
+    certified_pairs the stacks of the search in one block (_BLOCK = 2^40),
+    byte for byte, returns the same pairs, certificates included, and counts
+    the same inbody triples, on each (K, T) of instances.  Returns the
+    number of pairs, and the number of blocks under each size."""
     calls = spy(monkeypatch, bounce3, "certified_pairs",
                 lambda K, T, *rows: list(map(np.asarray, rows)))
     blocks = spy(monkeypatch, bounce3, "_solve_triples",
                  lambda K, T, triples, *rest: len(triples))
     pairs, runs = 0, dict.fromkeys(sizes, 0)
     for K, T in instances:
-        want, want_stacks, want_inbody = _staged(_one_block_search, calls, K, T)
+        monkeypatch.setattr(bounce3, "_BLOCK", 1 << 40)
+        blocks.clear()
+        want, want_stacks, want_inbody = _staged(calls, K, T)
+        assert len(blocks) <= 1, (K.n, T.n)
         pairs += len(want)
         for size in sizes:
             monkeypatch.setattr(bounce3, "_BLOCK", size)
             blocks.clear()
-            got, stacks, inbody = _staged(search_three_bounce, calls, K, T)
+            got, stacks, inbody = _staged(calls, K, T)
             assert sum(blocks) == len(spanning_triples(K))
             assert max(blocks, default=0) <= max(1, size // (T.n + 1)), (K.n, T.n)
             assert_same_search(stacks, want_stacks, got, want)
@@ -1067,13 +1075,12 @@ def test_blocks_of_one_triple_change_no_pair(monkeypatch, name):
 @pytest.mark.parametrize("n", [40, 80])
 def test_default_blocks_change_no_pair(monkeypatch, n):
     """On random_instance(default_rng(7), n, n), blocks of the default size
-    (2 at n = 40, 31 at n = 80) and blocks larger than any stack (one) give
-    the search in one block, byte for byte."""
+    (2 at n = 40, 31 at n = 80) give the search in one block (a size larger
+    than any stack), byte for byte."""
     K, T = random_instance(np.random.default_rng(7), n, n)
-    sizes = (bounce3._BLOCK, 1 << 40)
-    pairs, runs = _assert_blocks_change_nothing(monkeypatch, [(K, T)], sizes)
-    assert pairs >= 2 and runs[1 << 40] == 1
-    assert runs[sizes[0]] >= 2
+    size = bounce3._BLOCK
+    pairs, runs = _assert_blocks_change_nothing(monkeypatch, [(K, T)], (size,))
+    assert pairs >= 2 and runs[size] >= 2
 
 
 def test_search_memory_stays_flat_in_the_blocks():

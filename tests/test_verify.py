@@ -421,7 +421,7 @@ def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
 def test_brute_force_tile_store_holds_every_chunk_pair(monkeypatch):
     """With bounds of -inf nothing is pruned, so both h_T tiles of every
     valid chunk pair A < B are built, into a store that grows to hold them
-    and to at most one slot per chunk pair (_assert_store_follows_the_tiles).
+    (_assert_store_follows_the_tiles: these small grids never fill it).
     At least 10 cases build more tiles than the (N + 1)^2 // size^2 of a
     full table's footprint (small grids, whose one-point vertex chunks are
     padded to full tiles), and both oracle floats are still the
@@ -499,12 +499,15 @@ class _StoreSpy:
 
 def _assert_store_follows_the_tiles(store, chunks, size):
     """The tile store of one brute_force_min call (a _StoreSpy) starts
-    empty and grows, its tiles the longest chunk's side, to hold every tile
-    built, in at most min(C^2, 2 x the tiles built) slots for C chunks."""
-    caps = [shape[0] for shape in store.shapes]
+    empty and grows, its tiles the longest chunk's side, to at most
+    min(cap, 2 x the tiles built) slots, cap = min(C^2, _STORE // size^2)
+    for C chunks, and it builds no tile twice unless more than cap are
+    built."""
+    caps, cap = [shape[0] for shape in store.shapes], min(chunks ** 2, verify._STORE // size ** 2)
     assert all(shape[1:] == (size, size) for shape in store.shapes)
     assert caps[0] == 0 and caps == sorted(caps)
-    assert store.built <= caps[-1] <= min(chunks ** 2, 2 * store.built)
+    assert caps[-1] <= min(cap, 2 * store.built)
+    assert store.built <= caps[-1] or store.built > cap
 
 
 def test_brute_force_cuts_each_run_evenly(monkeypatch):
@@ -514,9 +517,10 @@ def test_brute_force_cuts_each_run_evenly(monkeypatch):
     instances and the brute cases.  No chunk crosses a run, a run of L points
     gets ceil(L / cap) chunks, as many as the cut at one fixed size had
     (references.reference_chunk_starts), the tile side is the longest chunk
-    and at most the old one, the store holds every tile built in at most
-    min(C^2, 2 x the tiles built) slots, and no instance has more pad points
-    than before: 3,020 over the pool, against 4,817."""
+    and at most the old one, the store has at most min(C^2, _STORE // size^2,
+    2 x the tiles built) slots (_assert_store_follows_the_tiles), and no
+    instance has more pad points than before: 3,020 over the pool, against
+    4,817."""
     layouts = spy(monkeypatch, verify, "_chunk_bounds", lambda G, start: (len(G), start))
     store = _StoreSpy()
     monkeypatch.setattr(verify, "np", store)
@@ -636,33 +640,25 @@ def test_chunk_bounds_are_below_every_block(monkeypatch):
         assert np.isfinite(low).all() and (low <= least).all()
 
 
-def test_brute_force_memory_is_quadratic_in_the_grid(monkeypatch):
+def test_brute_force_memory_is_quadratic_in_the_grid():
     """The oracle's peak allocation stays within a few (N, N) float arrays and
-    does not grow with the number of vertices of T but by its tile store,
-    for an 8-gon K and for a 16-gon, the largest K the oracle takes.  The
-    store follows the tiles built, and the regular 48-gon T prunes fewer
-    chunk pairs than the 6-gon (584 and 784 tiles against 136 and 136), so
-    the store at its largest is what the two peaks may differ by beyond
-    20 %: its last two sizes, both held while a realloc moves it."""
-    store = _StoreSpy()
-    monkeypatch.setattr(verify, "np", store)
+    does not grow with the number of vertices of T, for an 8-gon K and for
+    a 16-gon, the largest K the oracle takes."""
     for nk in (8, 16):
         K = regular_ngon(nk)
         N = boundary_grid(K, 64)[0].shape[0]
-        peaks, stores = [], []
+        peaks = []
         for nt in (6, 48):
             T = regular_ngon(nt)
             brute_force_min(K, T, 8)  # warm the mask-table cache
-            store.reset()
             tracemalloc.start()
             try:
                 brute_force_min(K, T, 64)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            stores.append(sum(math.prod(shape) for shape in store.shapes[-2:]) * 8)
         assert max(peaks) <= 8 * N * N * 8, nk
-        assert max(peaks) <= 1.2 * min(peaks) + max(stores), nk
+        assert max(peaks) <= 1.2 * min(peaks), nk
 
 
 def test_brute_force_memory_follows_the_tiles_built():
@@ -681,6 +677,21 @@ def test_brute_force_memory_follows_the_tiles_built():
         tracemalloc.stop()
     assert got == (inst["oracle"]["two_bounce_min"], inst["oracle"]["three_bounce_min"])
     assert peak <= 2.5 * 2**20
+
+
+@pytest.mark.parametrize("store", [0, 1 << 12])
+def test_brute_force_full_store_changes_no_float(monkeypatch, store):
+    """A store of _STORE = 0 elements (emptied by every batch that builds a
+    tile, and grown to hold that batch's) or 2^12 (a few tiles) gives both
+    oracle floats frozen in the pool, bit for bit, on all 34 oracle pool
+    instances, and builds tiles again on each of them."""
+    monkeypatch.setattr(verify, "_STORE", store)
+    spy = _StoreSpy()
+    monkeypatch.setattr(verify, "np", spy)
+    for grid, K, T, want in _oracle_pool_cases():
+        spy.reset()
+        assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
+        assert spy.built > spy.shapes[-1][0], (K.n, T.n, grid)
 
 
 # certify as it was written before certificates were computed as stacks: one

@@ -102,15 +102,15 @@ def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
     """Largest amount by which moving a single vertex along its supporting
     line (sampled at spacing diam(K)/512, 512 steps either way) decreases
     the two adjacent edge lengths.  Never negative, since t = 0 is a
-    sample, and 0 up to discretization for weak trajectories; a zero
-    normal raises ZeroVector."""
-    v, n = q.vertices, np.asarray(normals, float)
+    sample, and 0 up to discretization for weak trajectories; the support
+    test takes unit normals, and a zero normal raises ZeroVector."""
+    v, n = q.vertices, unit(normals)
     resolution = 512
     bad = (K.vertices @ n.T).max(0) > dot2(n, v) + EPS_GEO
     if bad.any():
         raise LineNotSupporting(
             f"line {int(np.argmax(bad))} does not support K at its trajectory vertex")
-    d = unit(np.column_stack([-n[:, 1], n[:, 0]]))
+    d = np.column_stack([-n[:, 1], n[:, 0]])
     ts = np.arange(-resolution, resolution + 1) * (K.diameter() / resolution)
     samples = v[:, None] + ts[:, None] * d[:, None]  # (m, 1025, 2); t = 0 at 512
     total = (support_many(T, samples - v[cyclic(q.m, -1), None]) +
@@ -159,7 +159,8 @@ def _immovable_table(angles: bytes) -> np.ndarray:
     return tab
 
 
-# the oracle's least cap on a chunk's length, and the elements of one batch and of the store
+# the oracle's least cap on a chunk's length, and the elements of a batch and of the
+# one tile store a call allocates, which a batch that would overfill empties first
 _CHUNK = 16
 _BLOCK = 1 << 17
 _STORE = 1 << 16
@@ -193,17 +194,17 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     pairs it reads, once each, by a running max over c (+inf at the pads of
     short chunks, mostly one-point vertex chunks), into one store in build
     order (slot[A, B] = -1 until built), and sums whole tiles.  Triangle
-    batches hold at most _BLOCK elements (or one triple); 2-gon batches build
-    two tiles per pair they sum, so they start at one pair and double, up to
-    _BLOCK // size^2 pairs.  A 2-gon i < j sums S[i, j] + S[j, i], a triangle
-    i < j, i < k, j != k (S[i, j] + S[j, k]) + S[k, i], +inf where a batch
-    breaks the index rule (only where two chunks of a triple coincide: chunks
-    are runs of increasing indices, so A < B puts every index of A below those
-    of B): rounding is monotone and min exact, so neither float depends on the
-    cut, pruning, batches or tile order.  Memory: the store starts empty and
-    doubles in place, to at most twice the tiles built and cap = min(C^2,
-    _STORE // size^2) slots for C chunks (one batch's tiles, if more); a batch
-    that would overfill it empties it first.  G is kept once, padded; O(N^2)."""
+    batches hold at most _BLOCK elements (or one triple) and cap // 3 triples;
+    2-gon batches build two tiles per pair they sum, so they start at one pair
+    and double, up to _BLOCK // size^2 and cap // 2 pairs.  A 2-gon i < j sums
+    S[i, j] + S[j, i], a triangle i < j, i < k, j != k (S[i, j] + S[j, k]) +
+    S[k, i], +inf where a batch breaks the index rule (only where two chunks of
+    a triple coincide: chunks are runs of increasing indices, so A < B puts
+    every index of A below those of B): rounding is monotone and min exact, so
+    neither float depends on the cut, pruning, batches or tile order.  Memory:
+    one store of cap = max(3, min(C^2, _STORE // size^2)) slots for C chunks,
+    allocated once, and no batch needs more; a batch that would overfill it
+    empties it first.  G is kept once, padded; O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -223,8 +224,8 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
                             & ((cm[:, None, None] & cm[:, None] & cm) == 0)
                             & up[:, :, None] & up[:, None])
     # the h_T tile of chunk pair (A, B) is tiles[slot[A, B]], in build order
-    tiles, n, cap = np.empty((0, size, size)), 0, min(low.size, _STORE // size ** 2)
-    slot = np.full(low.shape, -1)
+    cap = max(3, min(low.size, _STORE // size ** 2))
+    tiles, n, slot = np.empty((cap, size, size)), 0, np.full(low.shape, -1)
     # G^T, padded for a tile's j side at column N (+inf) and its i side at N + 1 (-inf)
     G = np.r_[G, np.full((2, G.shape[1]), np.inf) * [[1], [-1]]].T
     ichunk = np.where(chunk == N, N + 1, chunk)
@@ -236,8 +237,6 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         if n + new.sum() > cap:  # full: empty the store, then build every pair of (a, b)
             slot[:], n, new[a, b] = -1, 0, True
         a, b = np.nonzero(new)
-        if n + len(a) > len(tiles):  # double in place; no view of tiles outlives a build
-            tiles.resize((max(min(cap, 2 * len(tiles)), n + len(a)), size, size), refcheck=False)
         i, j, blk = ichunk[a, :, None], chunk[b, None], tiles[n:n + len(a)]
         np.subtract(G[0, j], G[0, i], out=blk)
         for c in range(1, len(G)):
@@ -267,12 +266,13 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         repeat = (ta[t] == tb[t]) | (ta[t] == tc[t]) | (tb[t] == tc[t])
         return min(sum3(t[~repeat], False), sum3(t[repeat], True))
 
-    def search(bound, least, elems, step):  # no batch left out is below the least sum
-        best, order, most, s = np.inf, np.argsort(bound), max(1, _BLOCK // elems), 0
+    def search(bound, least, m, step):  # no batch left out is below the least sum
+        most = max(1, min(_BLOCK // size ** m, cap // m))  # a pair or triple reads m tiles
+        best, order, s = np.inf, np.argsort(bound), 0
         while s < bound.size and bound[order[s]] < best:
             t = order[s:s + min(step, most)]
             best, s, step = min(best, least(t[bound[t] < best])), s + len(t), 2 * step
         return float(best)
 
-    return (search(low[pa, pb] + low[pb, pa], least2, size ** 2, 1),
-            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, size ** 3, _BLOCK))
+    return (search(low[pa, pb] + low[pb, pa], least2, 2, 1),
+            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, 3, _BLOCK))

@@ -224,19 +224,19 @@ def reference_polar(T):
 
 def reference_check_weak_rule(K, T, q, normals):
     """verify.check_weak_rule as it was written, one supporting line at a
-    time."""
+    time, with each normal at unit length before its support test."""
     v = q.vertices
     m = q.m
     resolution = 512
     h = K.diameter() / resolution
     worst = -math.inf
     for j in range(m):
-        n = np.asarray(normals[j], float)
+        n = unit(normals[j])
         level = float(n @ v[j])
         if float((K.vertices @ n).max()) > level + EPS_GEO:
             raise LineNotSupporting(
                 f"line {j} does not support K at its trajectory vertex")
-        d = unit((-n[1], n[0]))
+        d = np.array([-n[1], n[0]])
         ts = np.arange(-resolution, resolution + 1) * h
         samples = v[j] + ts[:, None] * d
         total = (support_many(T, samples - v[(j - 1) % m]) +

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -166,6 +167,20 @@ def test_weak_rule_matches_per_line_reference():
             values += 1
     assert set(raised) == {LineNotSupporting, ZeroVector}
     assert values >= 600
+
+
+def test_weak_rule_ignores_the_length_of_the_normals():
+    """Scaling every normal by 2^k, k = -4..4, gives the same value to
+    1e-12, or the same exception with the same message: the support test
+    takes unit normals, as the sampling direction does."""
+    for K, T, q, normals in _weak_rule_cases():
+        want = _outcome(check_weak_rule, K, T, q, normals)
+        for k in range(-4, 5):
+            got = _outcome(check_weak_rule, K, T, q, 2.0 ** k * np.asarray(normals, float))
+            if isinstance(want, tuple):
+                assert got == want, k
+            else:
+                assert not isinstance(got, tuple) and abs(got - want) <= 1e-12, k
 
 
 # --- brute force ------------------------------------------------------------
@@ -378,14 +393,18 @@ def _reference_brute_force_min(K, T, m, grid_per_facet):
     return best
 
 
+@functools.cache
+def _brute_reference_cases():
+    """(grid, K, T, the reference's two floats) of the corpus brute cases."""
+    return [(grid, K, T, tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3)))
+            for grid, K, T in corpus.cases("brute")]
+
+
 def test_brute_force_matches_reference():
     """Reading degeneracy from the facet masks returns the very floats of the
     threshold-based oracle, for 2-gons and for triangles."""
-    for grid, K, T in corpus.cases("brute"):
-        got = brute_force_min(K, T, grid)
-        for m, value in zip((2, 3), got):
-            assert value == _reference_brute_force_min(K, T, m, grid), \
-                (K.n, T.n, grid, m)
+    for grid, K, T, want in _brute_reference_cases():
+        assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -420,12 +439,11 @@ def test_brute_force_chunks_change_no_float(monkeypatch, chunk):
 
 def test_brute_force_tile_store_holds_every_chunk_pair(monkeypatch):
     """With bounds of -inf nothing is pruned, so both h_T tiles of every
-    valid chunk pair A < B are built, into a store that grows to hold them
-    (_assert_store_follows_the_tiles: these small grids never fill it).
-    At least 10 cases build more tiles than the (N + 1)^2 // size^2 of a
-    full table's footprint (small grids, whose one-point vertex chunks are
-    padded to full tiles), and both oracle floats are still the
-    reference's."""
+    valid chunk pair A < B are built, into the one store of the call
+    (_assert_store_follows_the_tiles).  At least 10 cases build more tiles
+    than the (N + 1)^2 // size^2 of a full table's footprint (small grids,
+    whose one-point vertex chunks are padded to full tiles), and both oracle
+    floats are still the reference's."""
     seen = []
     store = _StoreSpy()
     monkeypatch.setattr(verify, "np", store)
@@ -436,19 +454,19 @@ def test_brute_force_tile_store_holds_every_chunk_pair(monkeypatch):
 
     monkeypatch.setattr(verify, "_chunk_bounds", no_bounds)
     grown = 0
-    for grid, K, T in corpus.cases("brute"):
+    for grid, K, T, want in _brute_reference_cases():
         if K.n * grid > 40:
             continue
-        want = tuple(_reference_brute_force_min(K, T, m, grid) for m in (2, 3))
         store.reset()
         assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
         N, start = seen[-1]
         size = np.diff(np.r_[start, N]).max()
         cm = boundary_grid(K, grid)[1][start]
-        pairs = np.triu(_subset_immovable_table(K)[cm[:, None] | cm], 1).sum()
+        a, b = np.nonzero(np.triu(_subset_immovable_table(K)[cm[:, None] | cm], 1))
         _assert_store_follows_the_tiles(store, len(start), size)
-        assert store.built >= 2 * pairs, (K.n, T.n, grid)
-        grown += 2 * pairs > (N + 1) ** 2 // size ** 2
+        pairs = {*zip(a.tolist(), b.tolist()), *zip(b.tolist(), a.tolist())}
+        assert pairs <= set(store.pairs), (K.n, T.n, grid)
+        grown += len(pairs) > (N + 1) ** 2 // size ** 2
     assert grown >= 10
 
 
@@ -461,24 +479,33 @@ def _oracle_pool_cases():
 
 
 class _Store(np.ndarray):
-    """An ndarray that notes each shape it is resized to in shapes."""
+    """The oracle's tile store, whose resize fails the test."""
 
-    def resize(self, shape, refcheck=True):
-        self.shapes.append(shape)
-        super().resize(shape, refcheck=False)  # super() adds references refcheck rejects
+    def resize(self, *args, **kwargs):
+        pytest.fail("the tile store was resized")
+
+
+class _Slots(np.ndarray):
+    """The oracle's slot map, which notes in pairs each chunk pair (A, B)
+    that it gives a slot, in order."""
+
+    def __setitem__(self, key, value):
+        if isinstance(key, tuple):
+            self.pairs += zip(*(k.tolist() for k in key))
+        super().__setitem__(key, value)
 
 
 class _StoreSpy:
-    """numpy, with the shapes of every 3-d np.empty noted, as allocated and
-    as resized (the oracle's tile store, each time it grows), and the tiles
-    that every np.subtract into a 3-d out writes counted (the tiles built),
-    since the last reset."""
+    """numpy, with the shape of every 3-d np.empty noted (the oracle's tile
+    store), the chunk pairs given a slot by every np.full of -1 noted (the
+    slot map), and the tiles that every np.subtract into a 3-d out writes
+    counted (the tiles built), since the last reset."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
-        self.shapes, self.built = [], 0
+        self.shapes, self.pairs, self.built = [], [], 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -487,9 +514,15 @@ class _StoreSpy:
         if len(shape) != 3:
             return np.empty(shape, *args, **kwargs)
         self.shapes.append(shape)
-        store = np.ndarray.__new__(_Store, shape)
-        store.shapes = self.shapes
-        return store
+        return np.ndarray.__new__(_Store, shape)
+
+    def full(self, shape, fill_value, *args, **kwargs):
+        out = np.full(shape, fill_value, *args, **kwargs)
+        if fill_value != -1:
+            return out
+        out = out.view(_Slots)
+        out.pairs = self.pairs
+        return out
 
     def subtract(self, *args, out=None, **kwargs):
         if out is not None and out.ndim == 3:
@@ -498,16 +531,14 @@ class _StoreSpy:
 
 
 def _assert_store_follows_the_tiles(store, chunks, size):
-    """The tile store of one brute_force_min call (a _StoreSpy) starts
-    empty and grows, its tiles the longest chunk's side, to at most
-    min(cap, 2 x the tiles built) slots, cap = min(C^2, _STORE // size^2)
-    for C chunks, and it builds no tile twice unless more than cap are
-    built."""
-    caps, cap = [shape[0] for shape in store.shapes], min(chunks ** 2, verify._STORE // size ** 2)
-    assert all(shape[1:] == (size, size) for shape in store.shapes)
-    assert caps[0] == 0 and caps == sorted(caps)
-    assert caps[-1] <= min(cap, 2 * store.built)
-    assert store.built <= caps[-1] or store.built > cap
+    """One brute_force_min call (a _StoreSpy) makes exactly one tile store,
+    of cap = max(3, min(C^2, _STORE // size^2)) tiles of the longest chunk's
+    side for C chunks; each tile built is a chunk pair given a slot, and no
+    pair is built twice unless more than cap tiles are built."""
+    cap = max(3, min(chunks ** 2, verify._STORE // size ** 2))
+    assert store.shapes == [(cap, size, size)]
+    assert store.built == len(store.pairs)
+    assert store.built > cap or len(set(store.pairs)) == store.built
 
 
 def test_brute_force_cuts_each_run_evenly(monkeypatch):
@@ -517,8 +548,8 @@ def test_brute_force_cuts_each_run_evenly(monkeypatch):
     instances and the brute cases.  No chunk crosses a run, a run of L points
     gets ceil(L / cap) chunks, as many as the cut at one fixed size had
     (references.reference_chunk_starts), the tile side is the longest chunk
-    and at most the old one, the store has at most min(C^2, _STORE // size^2,
-    2 x the tiles built) slots (_assert_store_follows_the_tiles), and no
+    and at most the old one, the one store has max(3, min(C^2, _STORE //
+    size^2)) slots (_assert_store_follows_the_tiles), and no
     instance has more pad points than before: 3,020 over the pool, against
     4,817."""
     layouts = spy(monkeypatch, verify, "_chunk_bounds", lambda G, start: (len(G), start))
@@ -681,17 +712,24 @@ def test_brute_force_memory_follows_the_tiles_built():
 
 @pytest.mark.parametrize("store", [0, 1 << 12])
 def test_brute_force_full_store_changes_no_float(monkeypatch, store):
-    """A store of _STORE = 0 elements (emptied by every batch that builds a
-    tile, and grown to hold that batch's) or 2^12 (a few tiles) gives both
-    oracle floats frozen in the pool, bit for bit, on all 34 oracle pool
-    instances, and builds tiles again on each of them."""
+    """A store of _STORE = 0 elements (3 tiles, so each batch holds one
+    chunk pair or triple) or 2^12 (a few tiles) gives both oracle floats
+    frozen in the pool, bit for bit, on all 34 oracle pool instances, and
+    builds tiles again on each of them; and the reference's floats on the
+    brute cases, on each of which the cap // 3 triples a batch may hold are
+    fewer than _BLOCK // size^3."""
     monkeypatch.setattr(verify, "_STORE", store)
     spy = _StoreSpy()
     monkeypatch.setattr(verify, "np", spy)
     for grid, K, T, want in _oracle_pool_cases():
         spy.reset()
         assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
-        assert spy.built > spy.shapes[-1][0], (K.n, T.n, grid)
+        assert spy.built > spy.shapes[0][0], (K.n, T.n, grid)
+    for grid, K, T, want in _brute_reference_cases():
+        spy.reset()
+        assert brute_force_min(K, T, grid) == want, (K.n, T.n, grid)
+        cap, size, _ = spy.shapes[0]
+        assert cap // 3 < verify._BLOCK // size ** 3, (K.n, T.n, grid)
 
 
 # certify as it was written before certificates were computed as stacks: one

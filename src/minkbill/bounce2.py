@@ -12,20 +12,21 @@ directions, and the side's edge depends on t1 + rho t2 only, which one
 shared t already sweeps.  Tables per body screen every side before any
 tuple exists (_side_tables): a side with no facet is checked directly, one
 with a facet by _chord_reach (exact, see there).  The sides left are one
-lp.solve_interval stack, the feasible tuples one certified_pairs stack.
+lp.solve_interval stack, the feasible tuples one certified_pairs stack,
+which the search deduplicates and sorts as the Pairs stack it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
                    cone_contains, cone_rows, cyclic, face_array, face_cones)
-from .pairs import BilliardPair, dedupe, sort_pairs
+from .pairs import BilliardPair, Pairs, dedupe, sort_pairs
 from .verify import certified_pairs
 
 
@@ -110,11 +111,10 @@ _A, _B, _C0, _C1 = np.array([[0, 1, 2, 3], [3, 2, 1, 0]]).T
 
 
 def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
-                  objective: Optional[np.ndarray] = None
-                  ) -> List[Optional[BilliardPair]]:
-    """The certified pair, or None, of each face tuple: tuples is (N, 4),
-    the face ids f1, f2 of K and g1, g2 of T, all decided and certified as
-    stacks (see the module docstring)."""
+                  objective: Optional[np.ndarray] = None) -> Pairs:
+    """The stack of the certified pairs of face tuples, in tuple order:
+    tuples is (N, 4), the face ids f1, f2 of K and g1, g2 of T, all decided
+    and certified as stacks (see the module docstring)."""
     tuples = np.asarray(tuples, int).reshape(-1, 4)
     k_faces, t_faces = tuples[:, :2], tuples[:, 2:]
     # the point a + t (b - a) on each face (b = a at a vertex) and its normal cone
@@ -146,10 +146,7 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
     qp = base.copy()  # q1, q2, p1, p2 of each tuple
     qp[k, a] += t * step[k, a]
     qp[k, b] += t * step[k, b]
-    found = np.full(N, None, object)
-    found[keep] = certified_pairs(K, T, qp[keep, :2], qp[keep, 2:],
-                                  k_faces[keep], t_faces[keep])
-    return list(found)
+    return certified_pairs(K, T, qp[keep, :2], qp[keep, 2:], k_faces[keep], t_faces[keep])
 
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -163,7 +160,8 @@ def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
     of each side's LP, by the sum of the entries of the side's facets, and
     may pick another point of the same interval."""
     tuples = np.concatenate([face_array(K, [(f1, f2)]), face_array(T, [(g1, g2)])], 1)
-    return _solve_tuples(K, T, tuples, objective)[0]
+    found = _solve_tuples(K, T, tuples, objective)
+    return found[0] if len(found) else None
 
 
 def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
@@ -171,7 +169,8 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     """If both bouncing points sit on facets of K but one of them is at a
     facet endpoint, try to slide the chord into the relative interiors of
     both facets (the length is unchanged along the way).  The two facets of
-    a search pair are antipodal, so their directions are antiparallel."""
+    a search pair are antipodal, so their directions are antiparallel.  The
+    search no longer calls it: it returns every search pair unchanged."""
     f1, f2 = pair.k_faces
     if not (f1.is_edge and f2.is_edge):
         return pair
@@ -194,9 +193,9 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)
-    [shifted] = certified_pairs(K, T, [[q1 + t * e1, q2 + t * e1]], [pair.p.vertices],
-                                face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
-    return pair if shifted is None else shifted
+    shifted = certified_pairs(K, T, [[q1 + t * e1, q2 + t * e1]], [pair.p.vertices],
+                              face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
+    return shifted[0] if len(shifted) else pair
 
 
 def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
@@ -211,10 +210,9 @@ def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):
 
 
 def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
-                      stats: Optional[SearchStats] = None
-                      ) -> List[BilliardPair]:
-    """All certified 2-bounce pairs, deduplicated and sorted by length;
-    stats counts the face tuples, side solves and screened tuples."""
+                      stats: Optional[SearchStats] = None) -> Pairs:
+    """The stack of all certified 2-bounce pairs, deduplicated and sorted by
+    length; stats counts the face tuples, side solves and screened tuples."""
     k_pairs, k_free, k_reach = _side_tables(K, T)
     t_pairs, t_free, t_reach = _side_tables(T, K)
     # each K pair with each T pair in both orientations, in that order
@@ -230,7 +228,4 @@ def search_two_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
         stats.side_solves += int((sides(k_reach | k_free, t_reach | t_free)
                                   & (k_free | t_free[:, 0])).sum())
         stats.tuples_after_screen += len(k)
-    found = [prefer_smooth(K, T, pair)
-             for pair in _solve_tuples(K, T, np.concatenate([k_pairs[k], t_both[t, o]], 1))
-             if pair is not None]
-    return sort_pairs(dedupe(found))
+    return sort_pairs(dedupe(_solve_tuples(K, T, np.concatenate([k_pairs[k], t_both[t, o]], 1))))

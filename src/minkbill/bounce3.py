@@ -43,13 +43,14 @@ it passes) next to its values:
 4. with a vertex contact (ngon's two fits) or a singular system, the
    feasible t form a convex family of constant length (p_{j-1} - p_j is
    parallel to the normal of facet j), and the fit is its centre, the mean
-   of the LP solutions minimizing and maximizing sum(t).  A fit is kept if
-   it certifies independently; Face objects are built for the pairs that do.
+   of the LP solutions minimizing and maximizing sum(t).  The fits that
+   certify independently are the block's Pairs stack; the search joins the
+   blocks' stacks, deduplicates and sorts them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from . import lp as lpmod
 from .bounce2 import SearchStats, _chord_reach, _cycle_rows, _point
 from .geom import (EPS_GEO, SPAN_GAP, ConvexPolytope2, cross2, cyclic, face_cones,
                    find_faces, largest_gap)
-from .pairs import BilliardPair, dedupe, sort_pairs
+from .pairs import Pairs, dedupe, sort_pairs
 from .verify import certified_pairs
 
 _CONTACT_TOL = 1e-7  # find_faces' tolerance for the contacts of p with T
@@ -201,8 +202,8 @@ def fit_to_k(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
 
 
 def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
-                   tables, stats: Optional[SearchStats] = None) -> List[BilliardPair]:
-    """The certified pairs, in triple order, of facet triples that
+                   tables, stats: Optional[SearchStats] = None) -> Pairs:
+    """The stack of the certified pairs, in triple order, of facet triples that
     spanning_triples accepts (steps 1 to 4): the dual triangles, the need
     screen, one find_inbody stack, the reach gather and one fit_to_k stack,
     by tables = _contact_tables(K, T); stats counts inbody LP triples."""
@@ -215,18 +216,17 @@ def _solve_triples(K: ConvexPolytope2, T: ConvexPolytope2, triples: np.ndarray,
     if stats is not None:
         stats.inbody_triples += len(triples)
     if not triples.size:
-        return []
+        return Pairs.empty(K, T, 3)
     reason, _, verts, faces = find_inbody(tri[keep], T)
     ok = reason == ""
     # p_j is the inbody vertex fed by facet j+1 of the triple
     triples, p, faces = triples[ok], verts[ok][:, cyclic(3)], faces[ok][:, cyclic(3)]
     tried = np.flatnonzero(reach[faces, triples, triples[:, cyclic(3)]].all(axis=1))
     if not tried.size:  # no fit stage when the prefilter keeps no triple
-        return []
+        return Pairs.empty(K, T, 3)
     q, reason = fit_to_k(K, T, triples[tried], faces[tried])
     fits = tried[reason == ""]
-    found = certified_pairs(K, T, q[reason == ""], p[fits], K.n + triples[fits], faces[fits])
-    return [pair for pair in found if pair is not None]
+    return certified_pairs(K, T, q[reason == ""], p[fits], K.n + triples[fits], faces[fits])
 
 
 def _blocks(K: ConvexPolytope2, T: ConvexPolytope2):
@@ -243,16 +243,17 @@ def _blocks(K: ConvexPolytope2, T: ConvexPolytope2):
 
 
 def search_three_bounce(K: ConvexPolytope2, T: ConvexPolytope2,
-                        stats: Optional[SearchStats] = None) -> List[BilliardPair]:
-    """All certified regular 3-bounce pairs over the facet triples of K that
-    pass the spanning test, by _blocks; stats counts inbody LP triples."""
+                        stats: Optional[SearchStats] = None) -> Pairs:
+    """The stack of all certified regular 3-bounce pairs over the facet
+    triples of K that pass the spanning test, by _blocks, deduplicated and
+    sorted by length; stats counts inbody LP triples."""
     tables = _contact_tables(K, T)
-    return sort_pairs(dedupe([pair for block in _blocks(K, T)
-                              for pair in _solve_triples(K, T, block, tables, stats)]))
+    return sort_pairs(dedupe(Pairs.empty(K, T, 3).join(
+        [_solve_triples(K, T, block, tables, stats) for block in _blocks(K, T)])))
 
 
 def solve_facet_triple(K: ConvexPolytope2, T: ConvexPolytope2,
-                       triple: Tuple[int, int, int]) -> List[BilliardPair]:
-    """The certified pair, if any, of a facet triple that spanning_triples
-    accepts: the search's pipeline on a batch of one."""
+                       triple: Tuple[int, int, int]) -> Pairs:
+    """The stack of the certified pair, if any, of a facet triple that
+    spanning_triples accepts: the search's pipeline on a batch of one."""
     return _solve_triples(K, T, [triple], _contact_tables(K, T))

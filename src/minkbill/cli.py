@@ -24,7 +24,7 @@ from .bounce3 import search_three_bounce, spanning_triples
 from .fixtures import UnknownFixture, load as load_fixture, regular_ngon
 from .geom import ConvexPolytope2, Face, GeometryError
 from .obtuse import in_family_t, largest_angle, regular_three_bounce_exists
-from .pairs import BilliardPair, make_pair, sort_pairs
+from .pairs import make_pair
 from .randgen import GenerationExhausted, random_instance
 from .verify import _subset_immovable_table, brute_force_min, certify
 
@@ -107,34 +107,19 @@ def _load_report(path: str) -> dict:
     return report
 
 
-def _pair_obj(pair: BilliardPair) -> dict:
-    """Report entry of a pair found by a search (it carries its certificate)."""
-    return {
-        "m": pair.q.m,
-        "length": pair.length,
-        "q": pair.q.vertices.tolist(),
-        "p": pair.p.vertices.tolist(),
-        "k_faces": [[f.kind, f.index] for f in pair.k_faces],
-        "t_faces": [[f.kind, f.index] for f in pair.t_faces],
-        "lambdas": list(pair.lambdas),
-        "mus": list(pair.mus),
-        "certificate": pair.certificate.to_json_obj(),
-    }
-
-
 def _search_report(K: ConvexPolytope2, T: ConvexPolytope2,
                    bounce_counts: Sequence[int]) -> dict:
     timings: Dict[str, float] = {}
-    found: List[BilliardPair] = []
-    if 2 in bounce_counts:
-        t0 = time.perf_counter()
-        found += search_two_bounce(K, T)
-        timings["two_bounce_s"] = time.perf_counter() - t0
-    if 3 in bounce_counts:
-        t0 = time.perf_counter()
-        found += search_three_bounce(K, T)
-        timings["three_bounce_s"] = time.perf_counter() - t0
-    candidates = [_pair_obj(pr) for pr in sort_pairs(found)]
+    found = []
+    for m, name, search in ((2, "two", search_two_bounce), (3, "three", search_three_bounce)):
+        if m in bounce_counts:
+            t0 = time.perf_counter()
+            pairs = search(K, T)
+            timings[f"{name}_bounce_s"] = time.perf_counter() - t0
+            found += pairs.to_json_obj()
+    # each stack is in (length, face ids) order, so a stable sort by
+    # (length, m) puts the candidates in (length, m, face ids) order
+    candidates = sorted(found, key=lambda c: (c["length"], c["m"]))
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,

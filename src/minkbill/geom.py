@@ -204,9 +204,6 @@ class Face:
     def is_edge(self) -> bool:
         return self.kind == "edge"
 
-    def sort_key(self) -> Tuple[int, int]:
-        return (0 if self.kind == "vertex" else 1, self.index)
-
 
 def all_faces(P: ConvexPolytope2) -> List[Face]:
     """The faces of P in face-id order."""

@@ -1,17 +1,44 @@
-"""Trajectory/dual-trajectory pairs shared by both searches."""
+"""Trajectory/dual-trajectory pairs shared by both searches.
+
+A search's certified pairs travel as one row-aligned stack (Pairs) from
+verify.certified_pairs through dedupe and sort_pairs to the report, with no
+per-row object; a row becomes a BilliardPair only where a caller indexes or
+iterates a stack.  make_pair builds one pair from a report's data.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import (ClosedCurve, ConvexPolytope2, Face, InvalidCurve, cyclic,
-                   support_many)
+from .geom import (EPS_CERT, ClosedCurve, ConvexPolytope2, Face, InvalidCurve, cyclic,
+                   face_tuples, support_many)
 
-if TYPE_CHECKING:
-    from .verify import Certificate
+
+def _certifies(system, face, length, dual, in_f_k, in_f_t):
+    """Whether Certificate fields, scalars or arrays of a stack, certify (a
+    nan residual never does)."""
+    return ((system < EPS_CERT) & (face < EPS_CERT) & (length < EPS_CERT)
+            & (dual < EPS_CERT) & in_f_k & in_f_t)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    system_residual: float       # reflection-law cone distances
+    face_residual: float         # distance of each vertex to its declared face
+    length_residual: float       # |ell_T(q) - sum <q_{j+1}-q_j, p_j>|
+    dual_length_residual: float  # |ell_T(q) - ell_{-K}(p)|
+    in_f_k: bool
+    in_f_t: bool
+
+    @property
+    def certified(self) -> bool:
+        return bool(_certifies(*vars(self).values()))
+
+    def to_json_obj(self) -> dict:
+        return {**vars(self), "certified": self.certified}
 
 
 @dataclass(frozen=True)
@@ -23,7 +50,8 @@ class BilliardPair:
         p_{j+1} - p_j = -mus[j+1]   * n_K(q_{j+1})
 
     (indices cyclic; the normals are unit vectors in the respective cones).
-    A pair returned by a search carries the certificate that admitted it.
+    A pair taken from a search's stack carries the certificate that
+    admitted it.
     """
 
     q: ClosedCurve
@@ -33,7 +61,78 @@ class BilliardPair:
     lambdas: Tuple[float, ...]
     mus: Tuple[float, ...]
     length: float
-    certificate: Optional["Certificate"] = field(default=None, compare=False)
+    certificate: Optional[Certificate] = field(default=None, compare=False)
+
+
+_REPORT = [f.name for f in fields(Certificate)] + ["certified"]
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """B certified pairs of one m on (K, T), one row each: q and p (B, m, 2),
+    the face ids of K and T at each vertex (B, m), lambdas and mus (B, m),
+    the ell_T lengths (B,) and the six Certificate fields, each (B,).
+    Indexing or iterating a stack builds BilliardPairs of its rows."""
+
+    K: ConvexPolytope2
+    T: ConvexPolytope2
+    q: np.ndarray
+    p: np.ndarray
+    k_faces: np.ndarray
+    t_faces: np.ndarray
+    lambdas: np.ndarray
+    mus: np.ndarray
+    length: np.ndarray
+    certificate: Tuple[np.ndarray, ...]
+
+    @staticmethod
+    def empty(K: ConvexPolytope2, T: ConvexPolytope2, m: int) -> "Pairs":
+        """The stack of no pairs of m bounces."""
+        return Pairs(K, T, *np.zeros((2, 0, m, 2)), *np.zeros((2, 0, m), int),
+                     *np.zeros((2, 0, m)), np.zeros(0),
+                     (*np.zeros((4, 0)), *np.zeros((2, 0), bool)))
+
+    def _map(self, fn, *others: "Pairs") -> "Pairs":
+        """The stack of fn of each row field of this stack and of others."""
+        v = list(map(fn, *([s.q, s.p, s.k_faces, s.t_faces, s.lambdas, s.mus, s.length,
+                            *s.certificate] for s in (self, *others))))
+        return Pairs(self.K, self.T, *v[:7], tuple(v[7:]))
+
+    def take(self, rows) -> "Pairs":
+        """The stack of the rows selected by an index array or a mask."""
+        return self._map(lambda v: v[rows])
+
+    def join(self, stacks: Sequence["Pairs"]) -> "Pairs":
+        """This stack's rows, then those of each of stacks, in order."""
+        return self._map(lambda *v: np.concatenate(v), *stacks)
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def __getitem__(self, i: int) -> BilliardPair:
+        """Row i as a BilliardPair carrying its Certificate."""
+        [kf], [tf] = (face_tuples(P, ids[i, None]) for P, ids in ((self.K, self.k_faces),
+                                                                  (self.T, self.t_faces)))
+        return BilliardPair(ClosedCurve.from_vertices(self.q[i]),
+                            ClosedCurve.from_vertices(self.p[i]), kf, tf,
+                            tuple(self.lambdas[i].tolist()), tuple(self.mus[i].tolist()),
+                            self.length[i].item(), Certificate(*(v[i].item() for v in
+                                                                 self.certificate)))
+
+    def __iter__(self) -> Iterator[BilliardPair]:
+        return map(self.__getitem__, range(len(self)))
+
+    def to_json_obj(self) -> List[dict]:
+        """The report entry of each row, one .tolist() per field; face id f
+        of an n-gon is [kind, f % n], an edge where f >= n."""
+        faces = [[[[("vertex", "edge")[f >= P.n], f % P.n] for f in row] for row in ids.tolist()]
+                 for P, ids in ((self.K, self.k_faces), (self.T, self.t_faces))]
+        cert = zip(*(v.tolist() for v in (*self.certificate, _certifies(*self.certificate))))
+        return [{"m": self.q.shape[1], "length": length, "q": q, "p": p, "k_faces": kf,
+                 "t_faces": tf, "lambdas": lambdas, "mus": mus,
+                 "certificate": dict(zip(_REPORT, c))}
+                for length, q, p, lambdas, mus, kf, tf, c in zip(*(v.tolist() for v in (
+                    self.length, self.q, self.p, self.lambdas, self.mus)), *faces, cert)]
 
 
 def edge_lengths(T: ConvexPolytope2, q: np.ndarray, p: np.ndarray):
@@ -64,34 +163,32 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
                         tuple(mus.tolist()), float(length))
 
 
-def _canonical_keys(pairs: List[BilliardPair]) -> List[tuple]:
-    """Translation- and cyclic-rotation-invariant fingerprint of the q of
-    each pair (all of one m), its coordinates rounded to 7 decimals (1e-7);
-    the curves are centred and rotated as one stack."""
-    if not pairs:
-        return []
-    m = pairs[0].q.m
-    v = np.stack([pair.q.vertices for pair in pairs])
-    v = v - v.mean(axis=1, keepdims=True)
+def _canonical_keys(q: np.ndarray) -> List[tuple]:
+    """Translation- and cyclic-rotation-invariant fingerprint of each closed
+    curve of a stack q (B, m, 2), its coordinates rounded to 7 decimals
+    (1e-7); the curves are centred and rotated as one stack."""
+    B, m = q.shape[:2]
+    v = q - q.mean(axis=1, keepdims=True)
     turns = v[:, [cyclic(m, r) for r in range(m)]]
     return [min(tuple(round(c, 7) for c in row) for row in rows)
-            for rows in turns.reshape(len(v), m, 2 * m).tolist()]
+            for rows in turns.reshape(B, m, 2 * m).tolist()]
 
 
-def _face_key(pair: BilliardPair) -> tuple:
-    return tuple(f.sort_key() for f in pair.k_faces + pair.t_faces)
-
-
-def dedupe(pairs: List[BilliardPair]) -> List[BilliardPair]:
-    """Merge pairs (all of one m) whose trajectories coincide up to
-    translation and cyclic relabelling, keeping the lexicographically
-    smallest face tuple."""
+def dedupe(pairs: Pairs) -> Pairs:
+    """Merge the rows whose trajectories coincide up to translation and
+    cyclic relabelling, keeping the row with the lexicographically smallest
+    face ids (the first of equal ones), in the order of each key's first
+    row."""
     chosen: dict = {}
-    for pair, key in zip(pairs, _canonical_keys(pairs)):
-        if key not in chosen or _face_key(pair) < _face_key(chosen[key]):
-            chosen[key] = pair
-    return list(chosen.values())
+    faces = np.concatenate([pairs.k_faces, pairs.t_faces], 1).tolist()
+    for row, key in enumerate(_canonical_keys(pairs.q)):
+        if faces[row] < faces[chosen.setdefault(key, row)]:
+            chosen[key] = row
+    return pairs.take(np.fromiter(chosen.values(), int, len(chosen)))
 
 
-def sort_pairs(pairs: List[BilliardPair]) -> List[BilliardPair]:
-    return sorted(pairs, key=lambda pr: (pr.length, pr.q.m, _face_key(pr)))
+def sort_pairs(pairs: Pairs) -> Pairs:
+    """The rows by length, then by the face ids of K, then of T (the order
+    of their Face tuples, vertices first); equal rows keep their order."""
+    faces = np.concatenate([pairs.k_faces, pairs.t_faces], 1)
+    return pairs.take(np.lexsort((*faces.T[::-1], pairs.length)))

@@ -4,50 +4,26 @@ grid-based brute-force oracle.
 Nothing here reuses intermediate data from the searches or solves an LP; a
 certificate is recomputed from the raw vertices and their face tables, so
 that a bug in an LP formulation or in the solver cannot certify itself.
+certified_pairs certifies a search's rows as one stack and returns those
+that pass as a pairs.Pairs stack; certify checks one BilliardPair.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .geom import (EPS_CERT, EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2,
-                   GeometryError, cone_distance, cyclic, degenerate, dot2, face_array,
-                   face_cones, face_distances, face_tuples, in_f, largest_gap,
-                   support_many, unit)
-from .pairs import BilliardPair, edge_lengths
+from .geom import (EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2, GeometryError,
+                   cone_distance, cyclic, degenerate, dot2, face_array, face_cones,
+                   face_distances, in_f, largest_gap, support_many, unit)
+from .pairs import BilliardPair, Certificate, Pairs, _certifies, edge_lengths
 
 
 class LineNotSupporting(GeometryError):
     pass
-
-
-@dataclass(frozen=True)
-class Certificate:
-    system_residual: float       # reflection-law cone distances
-    face_residual: float         # distance of each vertex to its declared face
-    length_residual: float       # |ell_T(q) - sum <q_{j+1}-q_j, p_j>|
-    dual_length_residual: float  # |ell_T(q) - ell_{-K}(p)|
-    in_f_k: bool
-    in_f_t: bool
-
-    @property
-    def certified(self) -> bool:
-        return bool(_certifies(*vars(self).values()))
-
-    def to_json_obj(self) -> dict:
-        return {**vars(self), "certified": self.certified}
-
-
-def _certifies(system, face, length, dual, in_f_k, in_f_t):
-    """Whether Certificate fields, scalars or arrays of a stack, certify (a
-    nan residual never does)."""
-    return ((system < EPS_CERT) & (face < EPS_CERT) & (length < EPS_CERT)
-            & (dual < EPS_CERT) & in_f_k & in_f_t)
 
 
 def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
@@ -74,27 +50,16 @@ def certify(K: ConvexPolytope2, T: ConvexPolytope2,
 
 
 def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
-                    t_faces) -> List[Optional[BilliardPair]]:
-    """The pair of each row of a search's stack with its certificate, or
-    None where q or p is degenerate or the certificate fails (arguments as
-    _checks).  Face, Certificate and BilliardPair objects are built for the
-    rows that certify only."""
+                    t_faces) -> Pairs:
+    """The stack of the rows of a search's stack (arguments as _checks) that
+    certify, in row order: rows where q or p is degenerate never do."""
     q, p = np.array(q, float), np.array(p, float)
-    found: List[Optional[BilliardPair]] = [None] * len(q)
     rows = np.flatnonzero(~(degenerate(q) | degenerate(p)))
     if not rows.size:
-        return found
-    q, p, k_faces, t_faces = (np.asarray(v)[rows] for v in (q, p, k_faces, t_faces))
-    (lambdas, mus, ell), fields = _checks(K, T, q, p, k_faces, t_faces)
-    ok = np.flatnonzero(_certifies(*fields))
-    q.setflags(write=False)
-    p.setflags(write=False)
-    for j, kf, tf, lam, mu, length, *cert in zip(
-            ok.tolist(), face_tuples(K, k_faces[ok]), face_tuples(T, t_faces[ok]),
-            *(v[ok].tolist() for v in (lambdas, mus, ell, *fields))):
-        found[rows[j]] = BilliardPair(ClosedCurve(q[j]), ClosedCurve(p[j]), kf, tf,
-                                      tuple(lam), tuple(mu), length, Certificate(*cert))
-    return found
+        return Pairs.empty(K, T, q.shape[1])
+    stack = [np.asarray(v)[rows] for v in (q, p, k_faces, t_faces)]
+    lengths, fields = _checks(K, T, *stack)
+    return Pairs(K, T, *stack, *lengths, fields).take(_certifies(*fields))
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,

@@ -10,6 +10,7 @@ from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face,
                            GeometryError, OriginNotInterior, cross2, cyclic, dot2,
                            normal_cone, rotation, support_many, unit)
 from minkbill.lp import solve
+from minkbill.pairs import _canonical_keys
 from minkbill.verify import LineNotSupporting, certify
 
 
@@ -185,6 +186,42 @@ def spy(monkeypatch, owner, name, note):
     return log
 
 
+def returns(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its result to the list
+    returned."""
+    log, real = [], getattr(owner, name)
+
+    def wrapper(*args):
+        log.append(real(*args))
+        return log[-1]
+    monkeypatch.setattr(owner, name, wrapper)
+    return log
+
+
+def face_key(pair):
+    """The faces of a pair, K's then T's, vertices before edges: the order
+    of their face ids."""
+    return tuple((f.is_edge, f.index) for f in pair.k_faces + pair.t_faces)
+
+
+def sorted_pairs(pairs):
+    """BilliardPairs of any m by (length, m, face_key), ties in input order:
+    the order of a report's candidates."""
+    return sorted(pairs, key=lambda pr: (pr.length, pr.q.m, face_key(pr)))
+
+
+def reference_dedupe(pairs):
+    """pairs.dedupe as it was written on a list of BilliardPairs of one m:
+    one pair per canonical key, the one with the smallest face_key (the
+    first of equal ones), in the order of each key's first pair."""
+    chosen = {}
+    for pair in pairs:
+        key = _canonical_keys(pair.q.vertices[None])[0]
+        if key not in chosen or face_key(pair) < face_key(chosen[key]):
+            chosen[key] = pair
+    return list(chosen.values())
+
+
 def assert_same_pairs(got, want):
     """Two pair lists with equal faces, lengths, q and p, in one order."""
     assert len(got) == len(want)
@@ -207,6 +244,33 @@ def assert_same_search(stacks, want_stacks, got, want):
         assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
         assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
         assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+
+
+def two_gon_minimum(K, T):
+    """The least ell_T length of a closed 2-gon {q_1, q_2} that cannot be
+    translated into the interior of K, in closed form (F^2_cp(K) of the
+    paper).  q_1 and q_2 lie on the faces F(u) and F(-u) of K that maximize
+    <u, x> and <-u, x> at some direction u: at every normal of K and its
+    negative, and between two neighbouring ones of these, read from the
+    vertices within 1e-12 of each support maximum.  The length is
+    h_T(x) + h_T(-x) for x = q_2 - q_1 on the segment F(-u) - F(u), linear
+    between the ends and the points where x crosses the line of a normal of
+    T, so its least value over the segment is that of those points."""
+    V, W = K.vertices, T.vertices
+    crit = np.sort(np.arctan2(*np.concatenate([K.normals, -K.normals]).T[::-1]))
+    theta = np.concatenate([crit, (crit + np.r_[crit[1:], crit[0] + 2 * math.pi]) / 2])
+    tol = 1e-12 * (1 + np.abs(V).max())
+    best = math.inf
+    for u in np.column_stack([np.cos(theta), np.sin(theta)]):
+        s = V @ u
+        ends = (V[s <= s.min() + tol][:, None] - V[s >= s.max() - tol]).reshape(-1, 2)
+        a = ends[np.argmax(np.hypot(*(ends - ends[0]).T))]  # the segment's two ends
+        b = ends[np.argmax(np.hypot(*(ends - a).T))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross2(a, T.normals) / cross2(a - b, T.normals)
+        x = a + np.r_[0.0, 1.0, t[(t > 0) & (t < 1)]][:, None] * (b - a)
+        best = min(best, float(((x @ W.T).max(1) + (-x @ W.T).max(1)).min()))
+    return best
 
 
 def reference_polar(T):

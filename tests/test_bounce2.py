@@ -21,7 +21,8 @@ from minkbill.verify import certify
 import corpus
 from corpus import DIAMOND, SQUARE
 from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
-                        cones_intersect, reference_cone_rows, spy)
+                        cones_intersect, reference_cone_rows, reference_dedupe, returns,
+                        sorted_pairs, spy)
 
 
 def test_square_square_min_is_four():
@@ -73,7 +74,7 @@ def test_multipliers_match_reflection_law():
 def test_prefer_smooth_interior_bounce():
     # every minimal chord between parallel facets should sit strictly inside
     # both facets after smoothing
-    for pair in search_two_bounce(SQUARE, SQUARE):
+    for pair in (prefer_smooth(SQUARE, SQUARE, pr) for pr in search_two_bounce(SQUARE, SQUARE)):
         if all(f.is_edge for f in pair.k_faces):
             for j, f in enumerate(pair.k_faces):
                 a, b = SQUARE.face_table.ends[SQUARE.n + f.index]
@@ -83,30 +84,29 @@ def test_prefer_smooth_interior_bounce():
 
 
 def test_prefer_smooth_moves_no_pair(monkeypatch):
-    """The smoothing stage returns every pair of search_two_bounce as it is
-    given on the fixtures, search, identity and chord sets and the three
-    benchmark pools.  The two facets of a side share its one t, so both
-    points sit at the same fraction of antiparallel facets: the fixed-chord
-    slide is blocked at t = 0 and t = 1 and needless inside, except within
-    about 1e-6 of an end.  Over 600 of the pairs touch two facets of K,
-    the only pairs the stage would try to move."""
-    calls, directions, smooth = [], [], bounce2.prefer_smooth
-
-    def recording(K, T, pair):
-        if all(f.is_edge for f in pair.k_faces):
-            directions.append((K, pair.k_faces))
-        calls.append((pair, smooth(K, T, pair)))
-        return calls[-1][1]
-    monkeypatch.setattr(bounce2, "prefer_smooth", recording)
-    searched = set()
+    """The smoothing stage, which the search no longer calls, returns every
+    row of search_two_bounce's certified stack as it is given on the
+    fixtures, search, identity and chord sets and the three benchmark
+    pools.  The two facets of a side share its one t, so both points sit at
+    the same fraction of antiparallel facets: the fixed-chord slide is
+    blocked at t = 0 and t = 1 and needless inside, except within about
+    1e-6 of an end.  Over 600 of the pairs touch two facets of K, the only
+    pairs the stage would try to move."""
+    found, stacks, searched = returns(monkeypatch, bounce2, "certified_pairs"), [], set()
     for name in ("fixtures", "search", "identity", "chord", "grid", "oracle", "ngon"):
         for _, K, T in corpus.cases(name):
             if (id(K), id(T)) not in searched:
                 searched.add((id(K), id(T)))
                 search_two_bounce(K, T)
-    assert all(out is pair for pair, out in calls)
-    assert sum(all(f.is_edge for f in pair.k_faces) for pair, _ in calls) >= 600
-    for K, faces in directions:  # the two facets run antiparallel
+                [stack] = found
+                stacks.append((K, T, stack))
+                found.clear()
+    calls = [(K, pair, prefer_smooth(K, T, pair)) for K, T, stack in stacks for pair in stack]
+    assert all(out is pair for _, pair, out in calls)
+    two_facets = [(K, pair.k_faces) for K, pair, _ in calls
+                  if all(f.is_edge for f in pair.k_faces)]
+    assert len(two_facets) >= 600
+    for K, faces in two_facets:  # the two facets run antiparallel
         d1, d2 = np.diff(K.face_table.ends[face_array(K, [faces])[0]], axis=1)[:, 0]
         assert d1 @ d2 < 0
 
@@ -146,11 +146,11 @@ def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
     the LP's vertex may tilt it out of them and its length moves by up to
     about |chord| * EPS_GEO (2e-9 of 4 on the square).  Some objective
     does move a point."""
-    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
+    found = returns(monkeypatch, bounce2, "certified_pairs")
     search_two_bounce(K, T)
     patterns = set()
     moved = 0
-    for pair in seen:
+    for pair in found[0]:
         faces = pair.k_faces + pair.t_faces
         kinds = tuple(f.is_edge for f in faces)
         if not (all(kinds[:2]) or all(kinds[2:])):
@@ -175,7 +175,7 @@ def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
 def test_no_duplicate_canonical_keys(rng):
     K, T = random_instance(rng, 6, 5)
     pairs = search_two_bounce(K, T)
-    keys = _canonical_keys(pairs)
+    keys = _canonical_keys(pairs.q)
     assert len(keys) == len(set(keys))
 
 
@@ -203,7 +203,7 @@ def test_search_solves_no_simplex(monkeypatch):
     search never calls lp.solve, and so no tableau simplex, also where sides
     of two parallel facets are certified.  The 3-bounce search solves its
     LPs by lp.solve_dual3 and never calls it either."""
-    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
+    seen = returns(monkeypatch, bounce2, "certified_pairs")
     calls = spy(monkeypatch, lpmod, "solve", lambda *lp: lp)
     three = []
     for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
@@ -213,7 +213,7 @@ def test_search_solves_no_simplex(monkeypatch):
     assert calls == []
     assert three
     assert any(all(f.is_edge for f in faces)
-               for pair in seen for faces in (pair.k_faces, pair.t_faces))
+               for stack in seen for pair in stack for faces in (pair.k_faces, pair.t_faces))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,8 @@ def _reference_face_tuple(K, T, f1, f2, g1, g2, sides_apart=False):
 
 def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
     """search_two_bounce one face tuple and one lp.solve at a time; also
-    returns the certified pairs in the order they reach prefer_smooth."""
+    returns the certified pairs in the order of the search's certified
+    stack."""
     found = []
     t_pairs = _reference_antipodal_pairs(T)
     for f1, f2 in _reference_antipodal_pairs(K):
@@ -334,14 +335,14 @@ def _per_tuple_reference(K, T, face_tuple=_reference_face_tuple):
                 pair = face_tuple(K, T, f1, f2, gg1, gg2)
                 if pair is not None:
                     found.append(pair)
-    return sort_pairs(dedupe([prefer_smooth(K, T, p) for p in found])), found
+    return sorted_pairs(reference_dedupe(found)), found
 
 
 def test_batched_search_matches_per_tuple_reference(monkeypatch):
     """The batched search gives, bit for bit, what the per-tuple search
     gives with each side solved apart by solve_interval, both facets of a
-    side on one variable: the same certified pairs reach prefer_smooth in
-    the same order, and the same pairs come out, with equal lengths, q, p
+    side on one variable: the same pairs certify in the same order, and
+    the same pairs come out, with equal lengths, q, p
     and faces.  The per-tuple search by the simplex, one LP over both sides
     of a tuple and one variable per facet, certifies the same tuples, with
     lengths equal to 1e-12 relative.  The points of a side with at most one
@@ -352,7 +353,7 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
     same wherever the closed form reproduces the pivots (over 80 % of the
     pairs).  The regular and symmetric polygons have parallel facets, so
     vertex-vertex and facet-facet tuples reach the side solver there."""
-    seen = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair)
+    seen = returns(monkeypatch, bounce2, "certified_pairs")
     apart = functools.partial(_reference_face_tuple, sides_apart=True)
     patterns = set()
     total = compared = same = 0
@@ -360,7 +361,8 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
         seen.clear()
         got = search_two_bounce(K, T)
         want, found = _per_tuple_reference(K, T, apart)
-        assert_same_pairs(seen, found)
+        [certified] = seen
+        assert_same_pairs(certified, found)
         assert_same_pairs(got, want)
         _, by_simplex = _per_tuple_reference(K, T)
         assert ([(p.k_faces, p.t_faces) for p in found]
@@ -477,10 +479,11 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
     with lengths equal to 1e-12 relative, and the search returns the same
     pairs, with q and p equal to 1e-12 of the body's diameter.  Within a
     family of constant length the two may stop at different points, so the
-    pairs before prefer_smooth are compared by faces and length only."""
-    seen, statuses = spy(monkeypatch, bounce2, "prefer_smooth", lambda K, T, pair: pair), []
+    certified pairs before dedupe are compared by faces and length only."""
+    statuses = []
     feasible = spy(monkeypatch, bounce2, "certified_pairs", lambda K, T, q, p, kf, tf:
                    list(zip(face_tuples(K, kf), face_tuples(T, tf))))
+    seen = returns(monkeypatch, bounce2, "certified_pairs")
     multiplier_feasible = spy(monkeypatch, sys.modules[__name__], "make_pair",
                               lambda K, T, q, p, kf, tf: (tuple(kf), tuple(tf)))
     monkeypatch.setattr(sys.modules[__name__], "solve",
@@ -491,11 +494,11 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
             log.clear()
         got = search_two_bounce(K, T)
         want, found = _per_tuple_reference(K, T, _multiplier_face_tuple)
-        # the search's one stack; prefer_smooth certifies one pair after it
-        assert feasible[0] == multiplier_feasible
-        assert ([(p.k_faces, p.t_faces) for p in seen]
+        [tuples], [certified] = feasible, seen  # the search's one stack
+        assert tuples == multiplier_feasible
+        assert ([(p.k_faces, p.t_faces) for p in certified]
                 == [(p.k_faces, p.t_faces) for p in found])
-        for a, b in zip(seen, found):
+        for a, b in zip(certified, found):
             assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -555,9 +558,7 @@ def _unscreened_two_bounce(K, T, solve_tuples=bounce2._solve_tuples):
     t_both = np.stack([t_pairs, t_pairs[:, ::-1]], 1).reshape(-1, 2)
     tuples = np.concatenate([np.repeat(k_pairs, len(t_both), 0),
                              np.tile(t_both, (len(k_pairs), 1))], 1)
-    found = [prefer_smooth(K, T, pair) for pair in solve_tuples(K, T, tuples)
-             if pair is not None]
-    return sort_pairs(dedupe(found)), len(tuples)
+    return sort_pairs(dedupe(solve_tuples(K, T, tuples))), len(tuples)
 
 
 def _reference_side_solves(K, T):

@@ -18,15 +18,15 @@ from minkbill.geom import (EPS_ANG, EPS_GEO, ConvexPolytope2, Face, GeometryErro
                            face_cones, face_tuples, find_face, find_faces, largest_gap,
                            normal_cone, positively_spans, rotation, support_many)
 from minkbill.lp import solve
-from minkbill.pairs import _face_key, dedupe, make_pair, sort_pairs
+from minkbill.pairs import Pairs, dedupe, make_pair, sort_pairs
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.verify import certify
 
 import corpus
 from conftest import polytopes
 from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
-                        product_chord_reach, reference_cone_rows,
-                        reference_find_faces, rows_reach, spy)
+                        face_key, product_chord_reach, reference_cone_rows, reference_dedupe,
+                        reference_find_faces, rows_reach, sorted_pairs, spy)
 
 
 class NotSpanning(GeometryError):
@@ -173,7 +173,7 @@ def test_fagnano_orbit_is_midpoint_triangle():
 
 def test_example_a_triple_empty():
     fx = load("exampleA")
-    assert search_three_bounce(fx.K, fx.T) == []
+    assert len(search_three_bounce(fx.K, fx.T)) == 0
 
 
 def _lp_fit_stack(K, T, triples, faces):
@@ -260,7 +260,7 @@ def test_fit_numerical_failure_is_a_reject(monkeypatch):
     [placed], _, _, ids = find_inbody(gamma_triangles(K, [triple]), T)
     assert placed == "" and np.array_equal(np.roll(ids, -1, 1), faces[k:k + 1])
     assert fit_to_k(K, T, [triple], faces[k:k + 1])[1].tolist() == ["numerical"]
-    assert solve_facet_triple(K, T, triple) == []
+    assert len(solve_facet_triple(K, T, triple)) == 0
     monkeypatch.setattr(lpmod, "_DUAL_STEPS", steps)
     [q], [reason] = fit_to_k(K, T, [triple], faces[k:k + 1])
     assert reason == "" and q.tobytes() == clean[0][k].tobytes()
@@ -651,8 +651,8 @@ def _triple_outcomes(K, T, simplex=False):
 def _per_triple_search(K, T, simplex=False):
     """The pairs of _triple_outcomes, deduplicated and sorted as the search
     returns them."""
-    return sort_pairs(dedupe([pair for *_, pair in _triple_outcomes(K, T, simplex)
-                              if pair is not None]))
+    return sorted_pairs(reference_dedupe([pair for *_, pair in _triple_outcomes(K, T, simplex)
+                                          if pair is not None]))
 
 
 def test_search_matches_per_triple_reference():
@@ -673,8 +673,8 @@ def test_facet_triple_is_the_search_on_one_triple(name):
     deduplicated and sorted, are search_three_bounce's, bit for bit."""
     pairs = 0
     for (_, K, T), want in zip(corpus.cases(name), corpus.three_bounce(name)):
-        got = [pair for triple in map(tuple, spanning_triples(K).tolist())
-               for pair in solve_facet_triple(K, T, triple)]
+        got = Pairs.empty(K, T, 3).join([solve_facet_triple(K, T, triple) for triple in
+                                         map(tuple, spanning_triples(K).tolist())])
         assert_same_pairs(sort_pairs(dedupe(got)), want)
         pairs += len(want)
     assert pairs >= {"search": 100, "oracle": 40, "ngon": 2}[name]
@@ -768,13 +768,12 @@ def _unscreened_three_bounce(K, T):
     _product_reach keeps (as _solve_triples was)."""
     triples, p, faces = _survivors(K, T)
     tried = np.flatnonzero(_product_reach(K, T, triples, faces).all(axis=1))
-    found = np.full(len(triples), None, object)
-    if tried.size:
-        q, fit = fit_to_k(K, T, triples[tried], faces[tried])
-        fits = tried[fit == ""]
-        found[fits] = bounce3.certified_pairs(K, T, q[fit == ""], p[fits],
-                                              K.n + triples[fits], faces[fits])
-    return sort_pairs(dedupe([pair for pair in found if pair is not None]))
+    if not tried.size:
+        return Pairs.empty(K, T, 3)
+    q, fit = fit_to_k(K, T, triples[tried], faces[tried])
+    fits = tried[fit == ""]
+    return sort_pairs(dedupe(bounce3.certified_pairs(K, T, q[fit == ""], p[fits],
+                                                     K.n + triples[fits], faces[fits])))
 
 
 def _joined(calls):
@@ -967,7 +966,7 @@ def _same_decisions(K, T):
         if f is not None:
             assert faces[k] == f
         assert fit[k] == fr
-    ref = sort_pairs(dedupe([pr for *_, pr in want if pr is not None]))
+    ref = sorted_pairs(reference_dedupe([pr for *_, pr in want if pr is not None]))
     return ref, slid
 
 
@@ -997,7 +996,7 @@ def test_regular_polygons_match_simplex_reference():
         for m in (3, 6, 8, 9, 12, 21):
             K, T = regular_ngon(n), regular_ngon(m)
             ref, s = _same_decisions(K, T)
-            _assert_close_pairs(*(sorted(prs, key=_face_key)
+            _assert_close_pairs(*(sorted(prs, key=face_key)
                                   for prs in (search_three_bounce(K, T), ref)))
             slid += s
     assert slid >= 5

@@ -346,7 +346,7 @@ def test_in_f_matches_margin_lp_on_search_pairs():
     for _ in range(6):
         K, T = random_instance(rng, int(rng.integers(3, 9)),
                                int(rng.integers(3, 9)))
-        for pair in search_two_bounce(K, T) + search_three_bounce(K, T):
+        for pair in [*search_two_bounce(K, T), *search_three_bounce(K, T)]:
             for P, X in ((K, pair.q.vertices), (T, pair.p.vertices)):
                 got = in_f(P, X)
                 assert got == reference_in_f(P, X)

@@ -1,4 +1,5 @@
-"""No module of minkbill and no test module imports a name that it never uses.  The test
+"""No module of minkbill and no test module imports a name that it never uses,
+and no _private helper of minkbill outlives its last caller.  The test
 environment ships no linter, so this reads each module's syntax tree.  An
 imported name counts as used where the module reads it, where __all__
 lists it (the re-exports of __init__.py) and where a string annotation
@@ -55,3 +56,31 @@ def test_unused_import_is_found():
                      "x: 'B' = E\n__all__ = ['F']\n")
     used = _used(tree)
     assert [name for name, _ in _imports(tree) if name not in used] == ["math"]
+
+
+def _orphans(trees):
+    """The module-level _private functions and classes of the modules trees
+    (name -> syntax tree) that no module reads, by name or as an attribute."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))}
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_") and node.name not in read)
+
+
+def test_no_orphan_helper():
+    """Every module-level _private function or class of minkbill is read
+    somewhere in the package, so that no helper outlives its last caller."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _orphans(trees) == []
+
+
+def test_orphan_helper_is_found():
+    trees = {"a": ast.parse("def _used():\n    pass\n\ndef _orphan():\n    pass\n\n"
+                            "class _Kept:\n    def _method(self):\n        pass\n"),
+             "b": ast.parse("from .a import _Kept\nimport a\nx = a._used()\n"
+                            "def f(_orphan=1):\n    return _Kept\n")}
+    assert _orphans(trees) == ["a._orphan"]

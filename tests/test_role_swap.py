@@ -16,15 +16,16 @@ from hypothesis import given, settings
 
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
-from minkbill.pairs import make_pair, sort_pairs
+from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance
 from minkbill.verify import certify
 
 from conftest import polytopes
+from references import sorted_pairs
 
 
 def shortest(K, T):
-    found = sort_pairs(search_two_bounce(K, T) + search_three_bounce(K, T))
+    found = sorted_pairs([*search_two_bounce(K, T), *search_three_bounce(K, T)])
     assert found
     return found[0]
 

@@ -18,10 +18,9 @@ from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import regular_ngon
 from minkbill.geom import polar
-from minkbill.pairs import sort_pairs
 from minkbill.verify import certify
 
-from references import symmetric_polygon
+from references import sorted_pairs, symmetric_polygon
 
 
 def closed_form(K, T):
@@ -31,7 +30,7 @@ def closed_form(K, T):
 
 
 def candidates(K, T):
-    return sort_pairs(search_two_bounce(K, T) + search_three_bounce(K, T))
+    return sorted_pairs([*search_two_bounce(K, T), *search_three_bounce(K, T)])
 
 
 def assert_minimum_is_closed_form(K, T):

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import minkbill
 import minkbill.cli
+from minkbill import bounce2, bounce3
 from minkbill.fixtures import load
 
 import corpus
+from references import returns
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -78,3 +80,29 @@ def test_traced_run_counts_the_three_bounce_stages(tmp_path):
     assert reports[0] == reports[1]
     assert any(c["m"] == 3 and all(kind == "edge" for kind, _ in c["t_faces"])
                for c in reports[1]["candidates"])
+
+
+def test_traced_counts_read_the_pair_stacks(tmp_path, monkeypatch):
+    """The tracer counts rows of the Pairs stacks: pairs.dedupe.merged on a
+    traced shortest is the number of rows that dedupe dropped, the stacks
+    the two searches built less the report's candidates, and
+    bounce3.solve_facet_triple.pairs the rows of the stacks it returned."""
+    tracer = _load_tracer()
+    fx = load("exampleE")
+    paths = []
+    for name, body in (("K", fx.K), ("T", fx.T)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(body.to_json_obj()))
+    built = [returns(monkeypatch, bounce2, "_solve_tuples"),
+             returns(monkeypatch, bounce3, "_solve_triples")]
+    with tracer.installed(tracer.Tracer(), minkbill) as tr:
+        assert minkbill.cli.main(["shortest", *paths, "--out", str(tmp_path / "rep.json")]) == 0
+        rows = sum(len(stack) for log in built for stack in log)
+        stacks = [bounce3.solve_facet_triple(fx.K, fx.T, tuple(triple))
+                  for triple in bounce3.spanning_triples(fx.K).tolist()]
+    counts = tr.take().counts()
+    candidates = json.loads((tmp_path / "rep.json").read_text())["candidates"]
+    assert counts["pairs.dedupe.calls"] == 2
+    assert counts["pairs.dedupe.merged"] == rows - len(candidates) > 0
+    assert counts["bounce3.solve_facet_triple.calls"] == len(stacks)
+    assert counts["bounce3.solve_facet_triple.pairs"] == sum(map(len, stacks)) > 0

@@ -794,9 +794,9 @@ def test_stacked_certification_matches_certify():
     certificate that certify gives it alone, and that the per-pair certify
     of before the stacks gave, and the length, lambdas and mus that
     make_pair gives it and gave one pair at a time; certified_pairs returns
-    exactly the members that certify, each as make_pair builds it and with
-    certify's certificate, and _canonical_keys gives each the key it gets
-    alone.  The stacks are the pairs of each search on the identity
+    the stack of exactly the members that certify, in order, each row as
+    make_pair builds it and with certify's certificate, and _canonical_keys
+    gives each the key it gets alone.  The stacks are the pairs of each search on the identity
     instances, and the same pairs with their duals reversed (certificates
     that fail)."""
     outcomes, members = set(), 0
@@ -813,8 +813,8 @@ def test_stacked_certification_matches_certify():
                         face_array(K, [pr.k_faces for pr in stack]),
                         face_array(T, [pr.t_faces for pr in stack]))
                 (lambdas, mus, ell), fields = verify._checks(K, T, *rows)
-                found = verify.certified_pairs(K, T, *rows)
-                for r, (pair, got) in enumerate(zip(stack, found)):
+                found = iter(verify.certified_pairs(K, T, *rows))
+                for r, pair in enumerate(stack):
                     cert = Certificate(*(v.tolist()[r] for v in fields))
                     want = certify(K, T, pair)
                     assert _bits(astuple(cert)) == _bits(astuple(want))
@@ -827,17 +827,18 @@ def test_stacked_certification_matches_certify():
                                   *mus[r].tolist()]) == _bits(
                         [built.length, *built.lambdas, *built.mus]) == _bits(
                         _reference_lengths(T, pair.q, pair.p))
-                    assert (got is not None) == cert.certified
-                    if got is None:
+                    if not cert.certified:
                         continue
+                    got = next(found)
                     assert _bits(astuple(got.certificate)) == _bits(astuple(want))
                     assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
                         [built.length, *built.lambdas, *built.mus])
                     assert np.array_equal(got.q.vertices, built.q.vertices)
                     assert np.array_equal(got.p.vertices, built.p.vertices)
                     assert (got.k_faces, got.t_faces) == (built.k_faces, built.t_faces)
-                assert _canonical_keys(stack) == [_canonical_keys([pr])[0]
-                                                  for pr in stack]
+                assert next(found, None) is None
+                assert _canonical_keys(rows[0]) == [_canonical_keys(pr.q.vertices[None])[0]
+                                                    for pr in stack]
                 members += len(stack)
     assert outcomes == {True, False}
     assert members >= 1000

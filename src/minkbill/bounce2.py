@@ -174,7 +174,7 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     f1, f2 = pair.k_faces
     if not (f1.is_edge and f2.is_edge):
         return pair
-    q1, q2 = pair.q.vertices
+    q1, q2 = pair.q
     (a1, b1), (a2, b2) = K.face_table.ends[face_array(K, [pair.k_faces])[0]]
     d1 = b1 - a1
     d2 = b2 - a2
@@ -193,7 +193,7 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)
-    shifted = certified_pairs(K, T, [[q1 + t * e1, q2 + t * e1]], [pair.p.vertices],
+    shifted = certified_pairs(K, T, [pair.q + t * e1], [pair.p],
                               face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
     return shifted[0] if len(shifted) else pair
 

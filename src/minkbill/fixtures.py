@@ -1,9 +1,9 @@
 """Named instance fixtures.
 
-Each fixture bundles the two bodies and any distinguished curves (with a
-forced dual curve where the example needs one).  The values the tests
-check on them are exact by construction of the instances (rational data,
-hand-checkable support values)."""
+Each fixture bundles the two bodies and any distinguished curves, read-only
+(m, 2) arrays (with a forced dual curve where the example needs one).  The
+values the tests check on them are exact by construction of the instances
+(rational data, hand-checkable support values)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .geom import ClosedCurve, ConvexPolytope2
+from .geom import ConvexPolytope2, read_only
 
 
 class UnknownFixture(KeyError):
@@ -25,8 +25,8 @@ class Fixture:
     name: str
     K: ConvexPolytope2
     T: ConvexPolytope2
-    curves: Dict[str, ClosedCurve] = field(default_factory=dict)
-    forced_duals: Dict[str, ClosedCurve] = field(default_factory=dict)
+    curves: Dict[str, np.ndarray] = field(default_factory=dict)
+    forced_duals: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def regular_ngon(n: int, radius: float = 1.0, phase: float = 0.0
@@ -44,18 +44,18 @@ def _poly(*verts) -> ConvexPolytope2:
     return ConvexPolytope2.from_vertices(np.array(verts, float))
 
 
-def example_g_curve(a: float) -> ClosedCurve:
-    """The 2-bounce family on the triangle/rectangle instance; its length is
-    4 - 4a for a in [0, 1/2]."""
-    return ClosedCurve.from_vertices([[-1 + a, 1 - 2 * a], [1 - a, 1 - 2 * a]])
+def example_g_curve(a: float) -> np.ndarray:
+    """The 2-bounce family on the triangle/rectangle instance, (2, 2); its
+    length is 4 - 4a for a in [0, 1/2]."""
+    return read_only([[-1 + a, 1 - 2 * a], [1 - a, 1 - 2 * a]])
 
 
 def _build_example_a() -> Fixture:
     """A weak 3-bounce trajectory admitting no strong counterpart."""
     K = _poly((1, 0), (0, 1), (-1, 0))
     T = _poly((1, 1), (-1, 1), (-1, -1), (1, -1))
-    q = ClosedCurve.from_vertices([[0, 0], [0.5, 0.5], [-0.5, 0.5]])
-    p = ClosedCurve.from_vertices([[0, 1], [-1, 0], [0, -1]])
+    q = read_only([[0, 0], [0.5, 0.5], [-0.5, 0.5]])
+    p = read_only([[0, 1], [-1, 0], [0, -1]])
     return Fixture(
         name="exampleA", K=K, T=T,
         curves={"q": q}, forced_duals={"q": p})
@@ -65,7 +65,7 @@ def _build_example_d() -> Fixture:
     """Contact normals all inside a closed halfplane."""
     K = _poly((1, -1), (1, 1), (-1, 1), (-1, -1))
     T = _poly((2, 1), (-2, 1), (0, -1))
-    q = ClosedCurve.from_vertices([[0, -1], [0, 1], [1, 0]])
+    q = read_only([[0, -1], [0, 1], [1, 0]])
     return Fixture(name="exampleD", K=K, T=T, curves={"q": q})
 
 
@@ -73,7 +73,7 @@ def _build_example_e() -> Fixture:
     """The curve can be translated into the interior of K (by (0, 0.5))."""
     K = _poly((1, -1), (4, 2), (-4, 2), (-1, -1))
     T = _poly((0.5, 2), (-0.5, 0), (0.5, -2))
-    q = ClosedCurve.from_vertices([[0, -1], [-2, 0], [2, 0]])
+    q = read_only([[0, -1], [-2, 0], [2, 0]])
     return Fixture(name="exampleE", K=K, T=T, curves={"q": q})
 
 
@@ -82,7 +82,7 @@ def _build_example_f_aux() -> Fixture:
     minimum."""
     K = _poly((0, -1), (0, 1), (-2, 1), (-2, -1))
     T = _poly((1, 0), (0, 1), (-1, 0), (0, -1))
-    chord = ClosedCurve.from_vertices([[0, -1], [0, 1]])
+    chord = read_only([[0, -1], [0, 1]])
     return Fixture(name="exampleF_aux", K=K, T=T, curves={"q": chord})
 
 

@@ -49,10 +49,6 @@ class ZeroVector(GeometryError):
     pass
 
 
-class InvalidCurve(GeometryError):
-    pass
-
-
 def cross2(a, b):
     """The 2-D cross product a_x b_y - a_y b_x along the last axis."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -70,6 +66,13 @@ def cyclic(n: int, shift: int = 1) -> np.ndarray:
     index = (np.arange(n) + shift) % n
     index.setflags(write=False)  # shared by every caller
     return index
+
+
+def read_only(a) -> np.ndarray:
+    """A read-only float copy of the array a."""
+    a = np.array(a, float)
+    a.setflags(write=False)
+    return a
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -349,44 +352,6 @@ def gauge(P: ConvexPolytope2, x) -> float:
     return float(max(s.max(), 0.0))
 
 
-@dataclass(frozen=True)
-class ClosedCurve:
-    """Closed polygonal curve q_1 .. q_m (indices cyclic).
-
-    Validity: m >= 2, consecutive vertices distinct, and no vertex lies on
-    the segment between its two neighbours (for m = 2 this reduces to the
-    two points being distinct)."""
-
-    vertices: np.ndarray  # (m, 2)
-
-    @staticmethod
-    def from_vertices(vertices) -> "ClosedCurve":
-        v = np.asarray(vertices, float)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise InvalidCurve("vertex array must have shape (m, 2)")
-        m = v.shape[0]
-        if m < 2:
-            raise InvalidCurve("a closed billiard curve needs at least two vertices")
-        if not np.all(np.isfinite(v)):
-            raise InvalidCurve("vertices must be finite")
-        if degenerate(v):
-            raise InvalidCurve("vertex lies on the segment between its neighbours")
-        v = v.copy()
-        v.setflags(write=False)
-        return ClosedCurve(v)
-
-    @property
-    def m(self) -> int:
-        return self.vertices.shape[0]
-
-    def edges(self) -> np.ndarray:
-        """Differences q_{j+1} - q_j, shape (m, 2)."""
-        return self.vertices[cyclic(self.m)] - self.vertices
-
-    def translate(self, t) -> "ClosedCurve":
-        return ClosedCurve.from_vertices(self.vertices + np.asarray(t, float))
-
-
 def degenerate(v):
     """Whether a closed curve (m, 2), or each of a stack (B, m, 2), has a
     vertex on the segment between its neighbours (for m = 2: coinciding)."""
@@ -395,10 +360,11 @@ def degenerate(v):
             <= EPS_GEO).any(axis=-1)
 
 
-def ell_length(T: ConvexPolytope2, q: ClosedCurve) -> float:
-    """Length of the closed curve q in the Minkowski metric induced by T,
-    i.e. the sum of h_T over the edge vectors."""
-    return float(support_many(T, q.edges()).sum())
+def ell_length(T: ConvexPolytope2, q) -> float:
+    """Length of the closed curve q (m, 2) in the Minkowski metric induced
+    by T, i.e. the sum of h_T over the edge vectors q_{j+1} - q_j."""
+    q = np.asarray(q, float)
+    return float(support_many(T, q[cyclic(len(q))] - q).sum())
 
 
 def angles(vectors) -> np.ndarray:

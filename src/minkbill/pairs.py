@@ -1,9 +1,10 @@
 """Trajectory/dual-trajectory pairs shared by both searches.
 
-A search's certified pairs travel as one row-aligned stack (Pairs) from
-verify.certified_pairs through dedupe and sort_pairs to the report, with no
-per-row object; a row becomes a BilliardPair only where a caller indexes or
-iterates a stack.  make_pair builds one pair from a report's data.
+A curve q_1 .. q_m is an (m, 2) array.  A search's certified pairs travel as
+one row-aligned stack (Pairs) from verify.certified_pairs through dedupe and
+sort_pairs to the report, with no per-row object; a row becomes a
+BilliardPair only where a caller indexes or iterates a stack.  make_pair
+builds one pair from a report's data.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import (EPS_CERT, ClosedCurve, ConvexPolytope2, Face, InvalidCurve, cyclic,
-                   face_tuples, support_many)
+from .geom import (EPS_CERT, ConvexPolytope2, Face, cyclic, degenerate, face_tuples,
+                   read_only, support_many)
 
 
 def _certifies(system, face, length, dual, in_f_k, in_f_t):
@@ -54,8 +55,8 @@ class BilliardPair:
     admitted it.
     """
 
-    q: ClosedCurve
-    p: ClosedCurve
+    q: np.ndarray  # (m, 2), read-only: q_1 .. q_m on the boundary of K
+    p: np.ndarray  # (m, 2), read-only: p_1 .. p_m on the boundary of T
     k_faces: Tuple[Face, ...]
     t_faces: Tuple[Face, ...]
     lambdas: Tuple[float, ...]
@@ -110,11 +111,10 @@ class Pairs:
         return len(self.length)
 
     def __getitem__(self, i: int) -> BilliardPair:
-        """Row i as a BilliardPair carrying its Certificate."""
+        """Row i as a BilliardPair with its Certificate and copies of its curves."""
         [kf], [tf] = (face_tuples(P, ids[i, None]) for P, ids in ((self.K, self.k_faces),
                                                                   (self.T, self.t_faces)))
-        return BilliardPair(ClosedCurve.from_vertices(self.q[i]),
-                            ClosedCurve.from_vertices(self.p[i]), kf, tf,
+        return BilliardPair(read_only(self.q[i]), read_only(self.p[i]), kf, tf,
                             tuple(self.lambdas[i].tolist()), tuple(self.mus[i].tolist()),
                             self.length[i].item(), Certificate(*(v[i].item() for v in
                                                                  self.certificate)))
@@ -149,16 +149,20 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
               q_vertices, p_vertices,
               k_faces: Sequence[Face], t_faces: Sequence[Face]
               ) -> Optional[BilliardPair]:
-    """Assemble a pair, with no certificate, from raw vertex data; None if
-    either curve is degenerate."""
-    try:
-        q = ClosedCurve.from_vertices(q_vertices)
-        p = ClosedCurve.from_vertices(p_vertices)
-    except InvalidCurve:
+    """Assemble a pair, with no certificate and read-only copies of the
+    curves, from raw vertex data; None unless q and p are finite (m, 2),
+    m >= 2, not degenerate, and with one face of K and of T per vertex."""
+    curves = []
+    for vertices in (q_vertices, p_vertices):
+        v = read_only(vertices)
+        if (v.ndim != 2 or v.shape[1] != 2 or len(v) < 2 or not np.isfinite(v).all()
+                or degenerate(v)):  # for m = 2, two coinciding points
+            return None
+        curves.append(v)
+    q, p = curves
+    if len(q) != len(p) or len(q) != len(k_faces) or len(q) != len(t_faces):
         return None
-    if q.m != p.m or q.m != len(k_faces) or q.m != len(t_faces):
-        return None
-    _, _, [lambdas], [mus], [length] = edge_lengths(T, q.vertices[None], p.vertices[None])
+    _, _, [lambdas], [mus], [length] = edge_lengths(T, q[None], p[None])
     return BilliardPair(q, p, tuple(k_faces), tuple(t_faces), tuple(lambdas.tolist()),
                         tuple(mus.tolist()), float(length))
 

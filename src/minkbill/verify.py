@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .geom import (EPS_GEO, HULL_GAP, ClosedCurve, ConvexPolytope2, GeometryError,
+from .geom import (EPS_GEO, HULL_GAP, ConvexPolytope2, GeometryError,
                    cone_distance, cyclic, degenerate, dot2, face_array, face_cones,
                    face_distances, in_f, largest_gap, support_many, unit)
 from .pairs import BilliardPair, Certificate, Pairs, _certifies, edge_lengths
@@ -44,7 +44,7 @@ def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
 
 def certify(K: ConvexPolytope2, T: ConvexPolytope2,
             pair: BilliardPair) -> Certificate:
-    _, fields = _checks(K, T, pair.q.vertices[None], pair.p.vertices[None],
+    _, fields = _checks(K, T, pair.q[None], pair.p[None],
                         face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
     return Certificate(*(v.tolist()[0] for v in fields))
 
@@ -62,14 +62,14 @@ def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
     return Pairs(K, T, *stack, *lengths, fields).take(_certifies(*fields))
 
 
-def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
+def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q,
                     normals: Sequence) -> float:
-    """Largest amount by which moving a single vertex along its supporting
-    line (sampled at spacing diam(K)/512, 512 steps either way) decreases
-    the two adjacent edge lengths.  Never negative, since t = 0 is a
-    sample, and 0 up to discretization for weak trajectories; the support
-    test takes unit normals, and a zero normal raises ZeroVector."""
-    v, n = q.vertices, unit(normals)
+    """Largest amount by which moving one vertex of the closed curve q (m, 2)
+    along its supporting line (sampled at spacing diam(K)/512, 512 steps
+    either way) decreases the two adjacent edge lengths.  Never negative, as
+    t = 0 is a sample, and 0 up to discretization for weak trajectories; the
+    support test takes unit normals, and a zero normal raises ZeroVector."""
+    v, n = np.asarray(q, float), unit(normals)
     resolution = 512
     bad = (K.vertices @ n.T).max(0) > dot2(n, v) + EPS_GEO
     if bad.any():
@@ -78,8 +78,8 @@ def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q: ClosedCurve,
     d = np.column_stack([-n[:, 1], n[:, 0]])
     ts = np.arange(-resolution, resolution + 1) * (K.diameter() / resolution)
     samples = v[:, None] + ts[:, None] * d[:, None]  # (m, 1025, 2); t = 0 at 512
-    total = (support_many(T, samples - v[cyclic(q.m, -1), None]) +
-             support_many(T, v[cyclic(q.m), None] - samples))
+    total = (support_many(T, samples - v[cyclic(len(v), -1), None]) +
+             support_many(T, v[cyclic(len(v)), None] - samples))
     return float((total[:, resolution] - total.min(1)).max())
 
 

@@ -207,7 +207,7 @@ def face_key(pair):
 def sorted_pairs(pairs):
     """BilliardPairs of any m by (length, m, face_key), ties in input order:
     the order of a report's candidates."""
-    return sorted(pairs, key=lambda pr: (pr.length, pr.q.m, face_key(pr)))
+    return sorted(pairs, key=lambda pr: (pr.length, len(pr.q), face_key(pr)))
 
 
 def reference_dedupe(pairs):
@@ -216,7 +216,7 @@ def reference_dedupe(pairs):
     first of equal ones), in the order of each key's first pair."""
     chosen = {}
     for pair in pairs:
-        key = _canonical_keys(pair.q.vertices[None])[0]
+        key = _canonical_keys(pair.q[None])[0]
         if key not in chosen or face_key(pair) < face_key(chosen[key]):
             chosen[key] = pair
     return list(chosen.values())
@@ -227,8 +227,8 @@ def assert_same_pairs(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.length == b.length
-        assert np.array_equal(a.q.vertices, b.q.vertices)
-        assert np.array_equal(a.p.vertices, b.p.vertices)
+        assert np.array_equal(a.q, b.q)
+        assert np.array_equal(a.p, b.p)
         assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
 
 
@@ -241,8 +241,8 @@ def assert_same_search(stacks, want_stacks, got, want):
     for a, b in zip(got, want):
         assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
             (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
-        assert a.q.vertices.tobytes() == b.q.vertices.tobytes()
-        assert a.p.vertices.tobytes() == b.p.vertices.tobytes()
+        assert a.q.tobytes() == b.q.tobytes()
+        assert a.p.tobytes() == b.p.tobytes()
         assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
 
 
@@ -289,8 +289,8 @@ def reference_polar(T):
 def reference_check_weak_rule(K, T, q, normals):
     """verify.check_weak_rule as it was written, one supporting line at a
     time, with each normal at unit length before its support test."""
-    v = q.vertices
-    m = q.m
+    v = np.asarray(q, float)
+    m = len(v)
     resolution = 512
     h = K.diameter() / resolution
     worst = -math.inf

@@ -14,7 +14,7 @@ from minkbill.bounce3 import search_three_bounce
 from minkbill.cli import _search_report, run_bench
 from minkbill.fixtures import (equilateral_triangle, example_g_curve, load,
                                obtuse_triangle_100, regular_ngon)
-from minkbill.geom import ClosedCurve, ell_length, find_face, polar, support
+from minkbill.geom import ell_length, find_face, polar, support
 from minkbill.pairs import make_pair
 from minkbill.randgen import random_instance, random_polytope
 from minkbill.obtuse import regular_three_bounce_exists
@@ -53,9 +53,9 @@ def test_criterion_03_weak_without_strong():
     fx = load("exampleA")
     t0 = time.perf_counter()
     q, p = fx.curves["q"], fx.forced_duals["q"]
-    pair = make_pair(fx.K, fx.T, q.vertices, p.vertices,
-                     tuple(find_face(fx.K, v) for v in q.vertices),
-                     tuple(find_face(fx.T, v) for v in p.vertices))
+    pair = make_pair(fx.K, fx.T, q, p,
+                     tuple(find_face(fx.K, v) for v in q),
+                     tuple(find_face(fx.T, v) for v in p))
     cert = certify(fx.K, fx.T, pair)
     empty = len(search_three_bounce(fx.K, fx.T)) == 0
     elapsed = time.perf_counter() - t0
@@ -85,9 +85,9 @@ def test_criterion_05_fagnano():
     worst = math.inf
     if pairs:
         worst = max(min(float(np.hypot(*(mid - v).T).min())
-                        for v in [w]) for w in pairs[0].q.vertices)
+                        for v in [w]) for w in pairs[0].q)
         ok = ok and all(
-            min(np.hypot(*(mid - v).T)) < 0.01 for v in pairs[0].q.vertices)
+            min(np.hypot(*(mid - v).T)) < 0.01 for v in pairs[0].q)
     _report(5, "Fagnano orbit", ok,
             f"found={len(pairs)} max_dev={worst:.4f} t={elapsed:.2f}s")
 
@@ -191,11 +191,11 @@ def test_criterion_09_geometry_identities():
     involution = ok
     # translation invariance of curve length
     ok = True
-    curve = ClosedCurve.from_vertices([(0, 0), (2, 0.3), (0.7, 1.9)])
+    curve = np.array([(0, 0), (2, 0.3), (0.7, 1.9)])
     for _ in range(trials):
         P = polys[int(rng.integers(len(polys)))]
         t = rng.normal(size=2) * 5
-        ok &= abs(ell_length(P, curve) - ell_length(P, curve.translate(t))) < 1e-8
+        ok &= abs(ell_length(P, curve) - ell_length(P, curve + t)) < 1e-8
     translation = ok
     elapsed = time.perf_counter() - t0
     all_ok = homo_sub and involution and translation and elapsed < 10.0

@@ -58,15 +58,15 @@ def test_returned_pairs_certified_and_immovable(rng):
         for pair in search_two_bounce(K, T):
             cert = certify(K, T, pair)
             assert cert.certified
-            assert in_f(K, pair.q.vertices)
-            assert in_f(T, pair.p.vertices)
+            assert in_f(K, pair.q)
+            assert in_f(T, pair.p)
             assert pair.length > 0
 
 
 def test_multipliers_match_reflection_law():
     pairs = search_two_bounce(SQUARE, SQUARE)
     pair = pairs[0]
-    dq = pair.q.edges()
+    dq = np.roll(pair.q, -1, axis=0) - pair.q
     for j in range(2):
         assert pair.lambdas[j] == pytest.approx(float(np.hypot(*dq[j])))
 
@@ -79,7 +79,7 @@ def test_prefer_smooth_interior_bounce():
             for j, f in enumerate(pair.k_faces):
                 a, b = SQUARE.face_table.ends[SQUARE.n + f.index]
                 d = b - a
-                t = float((pair.q.vertices[j] - a) @ d / (d @ d))
+                t = float((pair.q[j] - a) @ d / (d @ d))
                 assert 1e-4 < t < 1 - 1e-4
 
 
@@ -166,8 +166,8 @@ def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
             assert (redo.k_faces, redo.t_faces) == (pair.k_faces, pair.t_faces)
             assert redo.length == pytest.approx(
                 plain.length, rel=1e-12, abs=4 * EPS_GEO * _diameter(K) if tilts else 0)
-            moved += not (np.array_equal(redo.q.vertices, plain.q.vertices)
-                          and np.array_equal(redo.p.vertices, plain.p.vertices))
+            moved += not (np.array_equal(redo.q, plain.q)
+                          and np.array_equal(redo.p, plain.p))
     assert (True, True, True, True) in patterns and len(patterns) >= 5
     assert moved
 
@@ -177,6 +177,13 @@ def test_no_duplicate_canonical_keys(rng):
     pairs = search_two_bounce(K, T)
     keys = _canonical_keys(pairs.q)
     assert len(keys) == len(set(keys))
+
+
+def test_objective_of_the_wrong_size_is_rejected():
+    """solve_face_tuple takes one objective entry per facet of its tuple."""
+    with pytest.raises(ValueError, match="objective must have 4 entries"):
+        solve_face_tuple(SQUARE, SQUARE, Face.edge(3), Face.edge(1),
+                         Face.edge(1), Face.edge(3), objective=np.zeros(3))
 
 
 def test_infeasible_tuple_returns_none():
@@ -190,12 +197,12 @@ def test_declared_faces_contain_vertices(rng):
     K, T = random_instance(rng, 4, 6)
     for pair in search_two_bounce(K, T):
         for j in range(2):
-            f = find_face(K, pair.q.vertices[j], tol=1e-7)
+            f = find_face(K, pair.q[j], tol=1e-7)
             # the declared face need not be minimal, but must contain the point
             from minkbill.geom import face_distances
             f, g = pair.k_faces[j], pair.t_faces[j]
-            assert face_distances(K, face_array(K, [[f]]), pair.q.vertices[j]) < 1e-7
-            assert face_distances(T, face_array(T, [[g]]), pair.p.vertices[j]) < 1e-7
+            assert face_distances(K, face_array(K, [[f]]), pair.q[j]) < 1e-7
+            assert face_distances(T, face_array(T, [[g]]), pair.p[j]) < 1e-7
 
 
 def test_search_solves_no_simplex(monkeypatch):
@@ -370,7 +377,7 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
         compared += len(found)
         for a, b in zip(found, by_simplex):
             assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
-            sides = [(u.vertices, v.vertices, P) for faces, u, v, P in
+            sides = [(u, v, P) for faces, u, v, P in
                      ((a.k_faces, a.q, b.q, K), (a.t_faces, a.p, b.p, T))
                      if not all(f.is_edge for f in faces)]
             for u, v, P in sides:
@@ -504,9 +511,9 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
         for a, b in zip(got, want):
             assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
             assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
-            assert np.allclose(a.q.vertices, b.q.vertices, rtol=0,
+            assert np.allclose(a.q, b.q, rtol=0,
                                atol=1e-12 * (1 + _diameter(K)))
-            assert np.allclose(a.p.vertices, b.p.vertices, rtol=0,
+            assert np.allclose(a.p, b.p, rtol=0,
                                atol=1e-12 * (1 + _diameter(T)))
         total += len(got)
     assert total >= 300

@@ -65,6 +65,24 @@ def test_verify_roundtrip_and_tamper(instance_files, tmp_path):
     assert not json.loads(ver_path.read_text())["verified"]
 
 
+def test_verify_flags_degenerate_curve_data(instance_files, tmp_path):
+    """A candidate whose q repeats a vertex is well-formed data but no
+    curve: verify gives it the "degenerate curve data" row and exits 1."""
+    k, t = instance_files
+    rep_path = tmp_path / "rep.json"
+    assert main(["shortest", k, t, "--out", str(rep_path)]) == 0
+    rep = json.loads(rep_path.read_text())
+    cand = rep["candidates"][0]
+    cand["q"] = [cand["q"][0]] * cand["m"]
+    rep_path.write_text(json.dumps(rep))
+    ver_path = tmp_path / "ver.json"
+    assert main(["verify", str(rep_path), "--out", str(ver_path)]) == 1
+    ver = json.loads(ver_path.read_text())
+    assert not ver["verified"]
+    assert ver["candidates"][0] == {"index": 0, "certified": False,
+                                    "error": "degenerate curve data"}
+
+
 def test_reports_are_one_compact_line(instance_files, tmp_path, capsys, monkeypatch):
     """shortest writes its report as one line of JSON with sorted keys, on
     stdout and with --out; the line parses to what the indented encoding

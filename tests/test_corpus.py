@@ -45,5 +45,5 @@ def test_cached_results_are_read_only_tuples(search, name):
     assert isinstance(results, tuple) and len(results) == len(corpus.cases(name))
     assert all(isinstance(pairs, tuple) for pairs in results)
     assert not any(arr.flags.writeable for pairs in results for pair in pairs
-                   for arr in (pair.q.vertices, pair.p.vertices))
+                   for arr in (pair.q, pair.p))
     assert getattr(corpus, search)(name) is results

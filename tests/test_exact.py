@@ -136,7 +136,7 @@ def test_reported_length_matches_exact_length(label, K, T, pair):
     assert exact > 0
     assert abs(Fraction(pair.length) - exact) <= Fraction(1e-13) * exact
     size = Fraction(max(abs(c) for c in T.vertices.ravel().tolist()))
-    for got, want in zip(pair.p.vertices.tolist(), p):
+    for got, want in zip(pair.p.tolist(), p):
         assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1e-12) * size
 
 
@@ -147,7 +147,7 @@ def test_reported_q_matches_exact_q(label, K, T, pair):
     q = exact_q(_rational(K.vertices.tolist()), _rational(T.vertices.tolist()),
                 [f.index for f in pair.k_faces], [f.index for f in pair.t_faces])
     size = Fraction(max(abs(c) for c in K.vertices.ravel().tolist()))
-    for got, want in zip(pair.q.vertices.tolist(), q):
+    for got, want in zip(pair.q.tolist(), q):
         assert max(abs(Fraction(g) - w) for g, w in zip(got, want)) <= Fraction(1e-14) * size
 
 

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import regular_ngon
-from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2,
-                           Face, GeometryError, InvalidCurve, InvalidPolytope,
+from minkbill.geom import (EPS_GEO, ConvexPolytope2,
+                           Face, GeometryError, InvalidPolytope,
                            OriginNotInterior, ZeroVector, all_faces, angles,
-                           cone_contains, cone_distance,
-                           cyclic, dot2, ell_length, face_cones, face_distances,
+                           cone_contains, cone_distance, cyclic, degenerate,
+                           dot2, ell_length, face_cones, face_distances,
                            face_array, face_tuples, find_face, find_faces,
                            gauge, in_f, largest_gap,
                            normal_cone,
@@ -61,6 +61,33 @@ def test_rejects_duplicate_vertex():
 def test_rejects_nonconvex():
     with pytest.raises(InvalidPolytope):
         ConvexPolytope2.from_vertices([(0, 0), (2, 0), (1, 0.2), (1, 2)])
+
+
+# a regular pentagon's vertices in the order 0, 2, 4, 1, 3: every turn is to
+# the left, so the left-turn check passes, but the cycle winds around twice
+_PENTAGRAM = regular_ngon(5).vertices[[0, 2, 4, 1, 3]]
+
+
+@pytest.mark.parametrize("reject, error, fragment", [
+    (lambda: ConvexPolytope2.from_vertices([(0, 0), (1, 0)]), InvalidPolytope,
+     "at least three vertices"),
+    (lambda: ConvexPolytope2.from_vertices([(0, 0), (1, 0), (0, math.nan)]), InvalidPolytope,
+     "vertices must be finite"),
+    (lambda: ConvexPolytope2.from_vertices(_PENTAGRAM), InvalidPolytope,
+     "vertex cycle is not convex"),
+    (lambda: SQUARE.scale(0), InvalidPolytope, "scale factor must be positive"),
+    (lambda: ConvexPolytope2.from_json_obj({}), InvalidPolytope, 'a "vertices" key'),
+    (lambda: gauge(SQUARE.translate((2, 0)), (1, 0)), OriginNotInterior,
+     "origin strictly inside"),
+    (lambda: random_polytope(np.random.default_rng(0), 2), ValueError,
+     "at least three vertices"),
+], ids=["two-points", "nan", "pentagram", "scale-0", "no-vertices-key", "gauge-outside",
+        "random-2-gon"])
+def test_rejection_names_its_rule(reject, error, fragment):
+    """Each of these invalid inputs raises its own exception class with a
+    message naming the broken rule."""
+    with pytest.raises(error, match=re.escape(fragment)):
+        reject()
 
 
 @pytest.mark.parametrize("vertices", [
@@ -347,7 +374,7 @@ def test_in_f_matches_margin_lp_on_search_pairs():
         K, T = random_instance(rng, int(rng.integers(3, 9)),
                                int(rng.integers(3, 9)))
         for pair in [*search_two_bounce(K, T), *search_three_bounce(K, T)]:
-            for P, X in ((K, pair.q.vertices), (T, pair.p.vertices)):
+            for P, X in ((K, pair.q), (T, pair.p)):
                 got = in_f(P, X)
                 assert got == reference_in_f(P, X)
                 seen.add(got)
@@ -396,19 +423,19 @@ def test_largest_gap_extremes():
 # --- curves and lengths -----------------------------------------------------
 
 def test_closed_curve_validation():
-    with pytest.raises(InvalidCurve):
-        ClosedCurve.from_vertices([(0, 0)])
-    with pytest.raises(InvalidCurve):
-        ClosedCurve.from_vertices([(0, 0), (0, 0)])
-    with pytest.raises(InvalidCurve):
-        # middle vertex on the segment between its neighbours
-        ClosedCurve.from_vertices([(0, 0), (1, 0), (2, 0)])
-    c = ClosedCurve.from_vertices([(0, 0), (1, 0), (0, 1)])
-    assert c.m == 3
+    """degenerate, the curve rule of make_pair and certified_pairs, on one
+    curve and on each curve of a stack."""
+    assert degenerate(np.array([(0, 0), (0, 0)], float))
+    # middle vertex on the segment between its neighbours
+    assert degenerate(np.array([(0, 0), (1, 0), (2, 0)], float))
+    assert not degenerate(np.array([(0, 0), (1, 0), (0, 1)], float))
+    assert not degenerate(np.array([(0, -1), (0, 1)], float))
+    stack = np.array([[(0, 0), (1, 0), (0, 1)], [(0, 0), (0.5, 0), (1, 0)]], float)
+    assert degenerate(stack).tolist() == [False, True]
 
 
 def test_ell_length_square_chord():
-    chord = ClosedCurve.from_vertices([(0, -1), (0, 1)])
+    chord = np.array([(0, -1), (0, 1)], float)
     assert ell_length(SQUARE, chord) == pytest.approx(4.0)
     assert ell_length(DIAMOND, chord) == pytest.approx(4.0)
 
@@ -416,9 +443,9 @@ def test_ell_length_square_chord():
 @settings(max_examples=60, deadline=None)
 @given(polytopes(), vectors(scale=3.0))
 def test_ell_length_translation_invariant(P, t):
-    curve = ClosedCurve.from_vertices([(0, 0), (2, 0.5), (1, 2)])
+    curve = np.array([(0, 0), (2, 0.5), (1, 2)], float)
     assert ell_length(P, curve) == pytest.approx(
-        ell_length(P, curve.translate(t)), abs=1e-8)
+        ell_length(P, curve + t), abs=1e-8)
 
 
 # --- faces ------------------------------------------------------------------

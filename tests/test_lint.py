@@ -1,14 +1,17 @@
 """No module of minkbill and no test module imports a name that it never uses,
-and no _private helper of minkbill outlives its last caller.  The test
-environment ships no linter, so this reads each module's syntax tree.  An
-imported name counts as used where the module reads it, where __all__
-lists it (the re-exports of __init__.py) and where a string annotation
-names it (the TYPE_CHECKING imports)."""
+no _private helper of minkbill outlives its last caller, and every name in
+minkbill.__all__ exists.  The test environment ships no linter, so this
+reads each module's syntax tree.  An imported name counts as used where the
+module reads it, where __all__ lists it (the re-exports of __init__.py) and
+where a string annotation names it (the TYPE_CHECKING imports)."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import minkbill
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "minkbill"
@@ -84,3 +87,20 @@ def test_orphan_helper_is_found():
              "b": ast.parse("from .a import _Kept\nimport a\nx = a._used()\n"
                             "def f(_orphan=1):\n    return _Kept\n")}
     assert _orphans(trees) == ["a._orphan"]
+
+
+def _missing_exports(module):
+    """The names that module.__all__ lists but module does not have."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_export_exists():
+    """Every name in minkbill.__all__ is an attribute of the package, so that
+    `from minkbill import *` cannot fail on a stale entry."""
+    assert _missing_exports(minkbill) == []
+
+
+def test_missing_export_is_found():
+    module = types.ModuleType("m")
+    exec("from math import pi\nx = 1\n__all__ = ['pi', 'x', 'Gone']\n", vars(module))
+    assert _missing_exports(module) == ["Gone"]

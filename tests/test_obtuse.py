@@ -25,6 +25,8 @@ def test_requires_triangle():
         regular_three_bounce_exists(regular_ngon(4), regular_ngon(8))
     with pytest.raises(ValueError):
         in_family_t(regular_ngon(4), regular_ngon(8))
+    with pytest.raises(ValueError, match="expected a triangle"):
+        largest_angle(regular_ngon(4))
 
 
 @pytest.mark.parametrize("n", [16, 64])

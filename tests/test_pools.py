@@ -30,10 +30,11 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minkbill.cli
-from minkbill.geom import ClosedCurve, Face
+from minkbill.geom import Face
 from minkbill.pairs import BilliardPair, Certificate
 
 import corpus
@@ -130,18 +131,18 @@ def test_pool_instance_keeps_its_report(pool, inst, pinned, report):
 
 def test_shortest_builds_no_pair_object(monkeypatch, tmp_path):
     """`minkbill shortest` on every grid and oracle instance builds no
-    BilliardPair, Certificate, ClosedCurve or Face: each search's certified
+    BilliardPair, Certificate or Face: each search's certified
     pairs go from verify.certified_pairs to the report as one Pairs stack.
     The spy on their constructors counts one of each built directly."""
     built = Counter()
-    for cls in (BilliardPair, Certificate, ClosedCurve, Face):
+    for cls in (BilliardPair, Certificate, Face):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
-    curve = ClosedCurve.from_vertices([[0.0, 0.0], [1.0, 0.0]])
+    curve = np.array([[0.0, 0.0], [1.0, 0.0]])
     BilliardPair(curve, curve, (), (Face.vertex(0),), (), (), 1.0, Certificate(0, 0, 0, 0, 1, 1))
-    assert built == dict.fromkeys(["BilliardPair", "Certificate", "ClosedCurve", "Face"], 1)
+    assert built == dict.fromkeys(["BilliardPair", "Certificate", "Face"], 1)
     built.clear()
     for pool, inst in INSTANCES:
         if pool in ("grid", "oracle"):

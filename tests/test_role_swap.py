@@ -36,7 +36,7 @@ def assert_role_swap(K, T):
     direct, swapped = shortest(K, T), shortest(T, K.reflect())
     assert swapped.length == pytest.approx(direct.length, rel=1e-12, abs=0)
     # -K keeps the vertex order of K, so face i of -K is face i of K negated
-    back = make_pair(K, T, -np.roll(swapped.p.vertices, 1, axis=0), swapped.q.vertices,
+    back = make_pair(K, T, -np.roll(swapped.p, 1, axis=0), swapped.q,
                      swapped.t_faces[-1:] + swapped.t_faces[:-1], swapped.k_faces)
     assert back is not None and certify(K, T, back).certified
     assert back.length == pytest.approx(direct.length, rel=1e-9, abs=0)

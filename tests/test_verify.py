@@ -12,7 +12,7 @@ from minkbill import lp as lpmod, verify
 from minkbill.bounce2 import search_two_bounce
 from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
-from minkbill.geom import (EPS_GEO, ClosedCurve, ConvexPolytope2, Face,
+from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
                            cone_contains, cyclic, face_array, face_cones, find_face,
                            find_faces, normal_cone)
@@ -29,13 +29,14 @@ from references import (reference_check_weak_rule, reference_chunk_starts,
                         reference_in_f, rebuilt, spy)
 
 
+# the vertical chord of the square with itself as geometry, and a triangle
+_CHORD_Q, _CHORD_P = [(0, -1), (0, 1)], [(0, 1), (0, -1)]
+_K_FACES, _T_FACES = (Face.edge(3), Face.edge(1)), (Face.edge(1), Face.edge(3))
+_TRIANGLE = [(1, 0), (0, 1), (-1, 0)]
+
+
 def _chord_pair():
-    # vertical chord in the square with itself as geometry
-    q = [(0, -1), (0, 1)]
-    p = [(0, 1), (0, -1)]
-    return make_pair(SQUARE, SQUARE, q, p,
-                     (Face.edge(3), Face.edge(1)),
-                     (Face.edge(1), Face.edge(3)))
+    return make_pair(SQUARE, SQUARE, _CHORD_Q, _CHORD_P, _K_FACES, _T_FACES)
 
 
 def test_certify_valid_chord():
@@ -49,7 +50,7 @@ def test_certify_valid_chord():
 
 def test_certify_detects_broken_reflection():
     pair = _chord_pair()
-    bad = make_pair(SQUARE, SQUARE, [(0, -1), (0.4, 1)], pair.p.vertices,
+    bad = make_pair(SQUARE, SQUARE, [(0, -1), (0.4, 1)], pair.p,
                     pair.k_faces, pair.t_faces)
     cert = certify(SQUARE, SQUARE, bad)
     assert not cert.certified
@@ -58,20 +59,54 @@ def test_certify_detects_broken_reflection():
 
 def test_certify_detects_off_face_vertex():
     pair = _chord_pair()
-    bad = make_pair(SQUARE, SQUARE, pair.q.vertices,
+    bad = make_pair(SQUARE, SQUARE, pair.q,
                     [(0.5, 1.2), (0, -1)], pair.k_faces, pair.t_faces)
     cert = certify(SQUARE, SQUARE, bad)
     assert not cert.certified
     assert cert.face_residual > 0.1
 
 
+@pytest.mark.parametrize("q, p, k_faces, t_faces", [
+    ([], [], [], []),  # perfbench's Checker on a report with no argmin
+    ([(0, -1)], [(0, 1)], _K_FACES[:1], _T_FACES[:1]),
+    ([(0, -1), (0, -1)], _CHORD_P, _K_FACES, _T_FACES),
+    ([(0, -1), (0, 0), (0, 1)], _TRIANGLE, _K_FACES + _K_FACES[:1], _T_FACES + _T_FACES[:1]),
+    ([(0, -1), (math.nan, 1)], _CHORD_P, _K_FACES, _T_FACES),
+    (_CHORD_Q, [(0, 1), (0, math.inf)], _K_FACES, _T_FACES),
+    (_CHORD_Q, [(0, 1), (0, 1)], _K_FACES, _T_FACES),
+    ([(1, 0, 0), (0, 1, 0), (-1, 0, 0)], _TRIANGLE, _K_FACES + _K_FACES[:1],
+     _T_FACES + _T_FACES[:1]),
+    (_CHORD_Q, _TRIANGLE, _K_FACES, _T_FACES),
+    (_CHORD_Q, _CHORD_P, _K_FACES[:1], _T_FACES),
+    (_CHORD_Q, _CHORD_P, _K_FACES, _T_FACES + _T_FACES[:1]),
+], ids=["no-argmin", "one-vertex", "coinciding", "collinear", "nan", "p-inf",
+        "p-coinciding", "three-columns", "q-p-lengths", "k-face-count", "t-face-count"])
+def test_make_pair_rejects_invalid_curves(q, p, k_faces, t_faces):
+    """make_pair builds no pair unless q and p are finite (m, 2) arrays,
+    m >= 2, with no degenerate vertex, and K and T have one face per vertex."""
+    assert make_pair(SQUARE, SQUARE, q, p, k_faces, t_faces) is None
+
+
+def test_pairs_hand_out_read_only_copies():
+    """make_pair and indexing a search's stack give a pair read-only float
+    copies of its curves."""
+    q, p = np.array(_CHORD_Q), np.array(_CHORD_P)
+    pair = make_pair(SQUARE, SQUARE, q, p, _K_FACES, _T_FACES)
+    stack = search_two_bounce(SQUARE, SQUARE)
+    for got, given in ((pair.q, q), (pair.p, p), (stack[0].q, stack.q), (stack[0].p, stack.p)):
+        assert got.dtype == float and got.shape == (2, 2)
+        assert not got.flags.writeable and not np.shares_memory(got, given)
+    assert np.array_equal(pair.q, q) and np.array_equal(pair.p, p)
+    assert np.array_equal(stack[0].q, stack.q[0]) and np.array_equal(stack[0].p, stack.p[0])
+
+
 def _forced_dual_case():
     """exampleA's q with its forced dual p: a pair that fails certify."""
     fx = load("exampleA")
     q, p = fx.curves["q"], fx.forced_duals["q"]
-    return fx.K, fx.T, make_pair(fx.K, fx.T, q.vertices, p.vertices,
-                                 tuple(find_face(fx.K, v) for v in q.vertices),
-                                 tuple(find_face(fx.T, v) for v in p.vertices))
+    return fx.K, fx.T, make_pair(fx.K, fx.T, q, p,
+                                 tuple(find_face(fx.K, v) for v in q),
+                                 tuple(find_face(fx.T, v) for v in p))
 
 
 def test_forced_dual_fails_on_example_a():
@@ -86,7 +121,7 @@ def test_forced_dual_fails_on_example_a():
 def _g_normals(K, q):
     return [np.asarray(K.normals[find_face(K, v).index])
             if find_face(K, v).is_edge else None
-            for v in q.vertices]
+            for v in q]
 
 
 def test_weak_rule_holds_on_family_member():
@@ -100,10 +135,9 @@ def test_weak_rule_flags_non_minimizer():
     fx = load("exampleG")
     # same supporting lines, but one vertex displaced along its line
     q = example_g_curve(0.25)
-    v = q.vertices.copy()
+    moved = q.copy()
     d = fx.K.vertices[1] - fx.K.vertices[2]
-    v[0] = v[0] - 0.2 * d / np.hypot(*d)
-    moved = ClosedCurve.from_vertices(v)
+    moved[0] = moved[0] - 0.2 * d / np.hypot(*d)
     normals = _g_normals(fx.K, q)
     assert check_weak_rule(fx.K, fx.T, moved, normals) > 1e-3
 
@@ -139,11 +173,11 @@ def _weak_rule_cases():
         curves = [*fx.curves.values(), *(example_g_curve(a) for a in (0.0, 0.25, 0.5)
                                          if name == "exampleG")]
         for q in curves:
-            yield fx.K, fx.T, q, sum(face_cones(fx.K, find_faces(fx.K, q.vertices)).generators)
+            yield fx.K, fx.T, q, sum(face_cones(fx.K, find_faces(fx.K, q)).generators)
     for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
                                      corpus.three_bounce("identity")):
         for pair in (*two, *three):
-            p = pair.p.vertices
+            p = pair.p
             yield K, T, pair.q, p[cyclic(len(p), -1)] - p
     fx = load("exampleG")
     yield fx.K, fx.T, example_g_curve(0.25), [(0.0, -1.0), (0.0, -1.0)]
@@ -315,9 +349,9 @@ def test_certify_runs_no_lp(monkeypatch):
     for (_, K, T), two, three in zip(corpus.cases("certify"), corpus.two_bounce("certify"),
                                      corpus.three_bounce("certify")):
         cases += [(K, T, pair) for pair in two + three]
-        cases += [(K, T, make_pair(K, T, pair.q.vertices, pair.p.vertices[::-1],
+        cases += [(K, T, make_pair(K, T, pair.q, pair.p[::-1],
                                    pair.k_faces, pair.t_faces[::-1]))
-                  for pair in (two + three)[:2] if pair.q.m == 2]
+                  for pair in (two + three)[:2] if len(pair.q) == 2]
     want = [certify(K, T, pair) for K, T, pair in cases]
     assert {c.certified for c in want} == {True, False}
 
@@ -336,7 +370,7 @@ def test_certify_runs_no_lp(monkeypatch):
     with pytest.raises(AssertionError):
         search_two_bounce(SQUARE, SQUARE)
     with pytest.raises(AssertionError):
-        search_three_bounce(*next((K, T) for K, T, pair in cases if pair.q.m == 3))
+        search_three_bounce(*next((K, T) for K, T, pair in cases if len(pair.q) == 3))
     assert [certify(K, T, pair) for K, T, pair in cases] == want
 
 
@@ -756,8 +790,8 @@ def _reference_face_distance(P, f, x):
 
 
 def _reference_certify(K, T, pair):
-    q, p = pair.q.vertices, pair.p.vertices
-    m = pair.q.m
+    q, p = pair.q, pair.p
+    m = len(q)
     sys_res = face_res = inner = 0.0
     for j in range(m):
         dq = q[(j + 1) % m] - q[j]
@@ -768,8 +802,9 @@ def _reference_certify(K, T, pair):
         face_res = max(face_res, _reference_face_distance(K, pair.k_faces[j], q[j]),
                        _reference_face_distance(T, pair.t_faces[j], p[j]))
         inner += float(dq @ p[j])
-    ell = float((pair.q.edges() @ T.vertices.T).max(axis=1).sum())
-    dual = float((-pair.p.edges() @ K.vertices.T).max(axis=1).sum())
+    dq, dp = np.roll(q, -1, axis=0) - q, np.roll(p, -1, axis=0) - p
+    ell = float((dq @ T.vertices.T).max(axis=1).sum())
+    dual = float((-dp @ K.vertices.T).max(axis=1).sum())
     return Certificate(sys_res, face_res, abs(ell - inner), abs(ell - dual),
                        reference_in_f(K, q), reference_in_f(T, p))
 
@@ -777,10 +812,10 @@ def _reference_certify(K, T, pair):
 def _reference_lengths(T, q, p):
     """make_pair's length, lambdas and mus as it computed them one pair at a
     time."""
-    dq, dp = q.edges(), p.edges()
+    dq, dp = np.roll(q, -1, axis=0) - q, np.roll(p, -1, axis=0) - p
     return ([float((dq @ T.vertices.T).max(axis=1).sum())]
             + [float(np.hypot(*d)) for d in dq]
-            + [float(np.hypot(*dp[(j - 1) % p.m])) for j in range(p.m)])
+            + [float(np.hypot(*dp[(j - 1) % len(p)])) for j in range(len(p))])
 
 
 def _bits(values):
@@ -803,13 +838,13 @@ def test_stacked_certification_matches_certify():
     for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
                                      corpus.three_bounce("identity")):
         for pairs in (two, three):
-            flipped = [make_pair(K, T, pr.q.vertices, pr.p.vertices[::-1],
+            flipped = [make_pair(K, T, pr.q, pr.p[::-1],
                                  pr.k_faces, pr.t_faces[::-1]) for pr in pairs]
             for stack in (pairs, [pr for pr in flipped if pr is not None]):
                 if not stack:
                     continue
-                rows = (np.stack([pr.q.vertices for pr in stack]),
-                        np.stack([pr.p.vertices for pr in stack]),
+                rows = (np.stack([pr.q for pr in stack]),
+                        np.stack([pr.p for pr in stack]),
                         face_array(K, [pr.k_faces for pr in stack]),
                         face_array(T, [pr.t_faces for pr in stack]))
                 (lambdas, mus, ell), fields = verify._checks(K, T, *rows)
@@ -821,7 +856,7 @@ def test_stacked_certification_matches_certify():
                     assert _bits(astuple(cert)) == _bits(astuple(
                         _reference_certify(K, T, pair)))
                     outcomes.add(cert.certified)
-                    built = make_pair(K, T, pair.q.vertices, pair.p.vertices,
+                    built = make_pair(K, T, pair.q, pair.p,
                                       pair.k_faces, pair.t_faces)
                     assert _bits([ell[r].item(), *lambdas[r].tolist(),
                                   *mus[r].tolist()]) == _bits(
@@ -833,11 +868,11 @@ def test_stacked_certification_matches_certify():
                     assert _bits(astuple(got.certificate)) == _bits(astuple(want))
                     assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
                         [built.length, *built.lambdas, *built.mus])
-                    assert np.array_equal(got.q.vertices, built.q.vertices)
-                    assert np.array_equal(got.p.vertices, built.p.vertices)
+                    assert np.array_equal(got.q, built.q)
+                    assert np.array_equal(got.p, built.p)
                     assert (got.k_faces, got.t_faces) == (built.k_faces, built.t_faces)
                 assert next(found, None) is None
-                assert _canonical_keys(rows[0]) == [_canonical_keys(pr.q.vertices[None])[0]
+                assert _canonical_keys(rows[0]) == [_canonical_keys(pr.q[None])[0]
                                                     for pr in stack]
                 members += len(stack)
     assert outcomes == {True, False}

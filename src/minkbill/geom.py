@@ -111,7 +111,7 @@ class ConvexPolytope2:
     @staticmethod
     def from_vertices(vertices) -> "ConvexPolytope2":
         try:
-            v = np.asarray(vertices, float)
+            v = np.array(vertices, float)  # a copy: the caller's array stays its own
         except (TypeError, ValueError):  # ragged, or not numbers
             v = np.empty(0)
         if v.ndim != 2 or v.shape[1] != 2:

@@ -158,18 +158,20 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
     (_chunk_bounds).  A batch builds the (size, size) tiles of S of the chunk
     pairs it reads, once each, by a running max over c (+inf at the pads of
     short chunks, mostly one-point vertex chunks), into one store in build
-    order (slot[A, B] = -1 until built), and sums whole tiles.  Triangle
-    batches hold at most _BLOCK elements (or one triple) and cap // 3 triples;
-    2-gon batches build two tiles per pair they sum, so they start at one pair
-    and double, up to _BLOCK // size^2 and cap // 2 pairs.  A 2-gon i < j sums
-    S[i, j] + S[j, i], a triangle i < j, i < k, j != k (S[i, j] + S[j, k]) +
-    S[k, i], +inf where a batch breaks the index rule (only where two chunks of
+    order (slot[A, B] = -1 until built), and sums tiles.  Triangle batches
+    hold at most _BLOCK // size^3 triples (or one) and cap // 3; 2-gon
+    batches build two tiles per pair they sum, so they start at one pair and
+    double, up to _BLOCK // size^2 and cap // 2 pairs.  A 2-gon i < j sums
+    S[i, j] + S[j, i], a triangle i < j, i < k, j != k min_j (S[i, j] +
+    S[j, k]) + S[k, i], its middle vertex j first (t size^2 elements at a
+    time), +inf where a batch breaks the index rule (only where two chunks of
     a triple coincide: chunks are runs of increasing indices, so A < B puts
     every index of A below those of B): rounding is monotone and min exact, so
-    neither float depends on the cut, pruning, batches or tile order.  Memory:
-    one store of cap = max(3, min(C^2, _STORE // size^2)) slots for C chunks,
-    allocated once, and no batch needs more; a batch that would overfill it
-    empties it first.  G is kept once, padded; O(N^2)."""
+    neither float depends on the cut, pruning, batches, tile order or the
+    order of j, k and i.  Memory: one store of cap = max(3, min(C^2, _STORE //
+    size^2)) slots for C chunks, allocated once, and no batch needs more; a
+    batch that would overfill it empties it first.  G is kept once, padded;
+    O(N^2)."""
     pts, masks = boundary_grid(K, grid_per_facet)
     ok = _subset_immovable_table(K)
     N = len(masks)
@@ -213,31 +215,32 @@ def brute_force_min(K: ConvexPolytope2, T: ConvexPolytope2,
         build(np.concatenate([a, b]), np.concatenate([b, a]))
         return (tiles[slot[a, b]] + tiles[slot[b, a]].transpose(0, 2, 1)).min(initial=np.inf)
 
-    def sum3(t, masked):  # the least triangle sum over chunk triples t
+    def sum3(t, masked):  # the least triangle sum over chunk triples t, middle vertex first
         a, b, c = ta[t], tb[t], tc[t]
-        ji = tiles[slot[a, b]].transpose(0, 2, 1)  # ji[t, j, i] = S[i, j]
-        jk, ki = tiles[slot[b, c]], tiles[slot[c, a]]  # S[j, k] and S[k, i]
-        if masked:
-            i, j, k = chunk[a][:, None], chunk[b][:, :, None], chunk[c]
-            ji = np.where(i < j, ji, np.inf)
-            jk = np.where(j != k[:, None], jk, np.inf)
-            ki = np.where(i < k[:, :, None], ki, np.inf)
-        L = ji[:, :, None] + jk[..., None]  # L[t, j, k, i], the quickest order measured
-        L += ki[:, None]
-        return L.min(initial=np.inf)
+        ij, jk, ki = tiles[slot[a, b]], tiles[slot[b, c]], tiles[slot[c, a]]
+        if masked:  # i < j, j != k, i < k in ij[t, i, j] = S[i, j], jk[t, j, k], ki[t, k, i]
+            i, j, k = chunk[a], chunk[b], chunk[c]
+            ij = np.where(i[:, :, None] < j[:, None], ij, np.inf)
+            jk = np.where(j[:, :, None] != k[:, None], jk, np.inf)
+            ki = np.where(i[:, None] < k[:, :, None], ki, np.inf)
+        R = ij[:, None, :, 0] + jk[:, 0, :, None]  # R[t, k, i], the least over j so far
+        for m in range(1, size):
+            np.minimum(R, ij[:, None, :, m] + jk[:, m, :, None], out=R)
+        return (R + ki).min()
 
     def least3(t):  # only a repeated chunk can break the index rule
         build(np.concatenate([ta[t], tb[t], tc[t]]), np.concatenate([tb[t], tc[t], ta[t]]))
         repeat = (ta[t] == tb[t]) | (ta[t] == tc[t]) | (tb[t] == tc[t])
-        return min(sum3(t[~repeat], False), sum3(t[repeat], True))
+        parts = (t[~repeat], False), (t[repeat], True)  # at least one is not empty
+        return min(sum3(u, masked) for u, masked in parts if u.size)
 
-    def search(bound, least, m, step):  # no batch left out is below the least sum
+    def search(bound, least, m):  # no batch left out is below the least sum
         most = max(1, min(_BLOCK // size ** m, cap // m))  # a pair or triple reads m tiles
-        best, order, s = np.inf, np.argsort(bound), 0
+        best, order, s, step = np.inf, np.argsort(bound), 0, 1 if m == 2 else most
         while s < bound.size and bound[order[s]] < best:
             t = order[s:s + min(step, most)]
             best, s, step = min(best, least(t[bound[t] < best])), s + len(t), 2 * step
         return float(best)
 
-    return (search(low[pa, pb] + low[pb, pa], least2, 2, 1),
-            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, 3, _BLOCK))
+    return (search(low[pa, pb] + low[pb, pa], least2, 2),
+            search((low[ta, tb] + low[tb, tc]) + low[tc, ta], least3, 3))

@@ -106,6 +106,18 @@ def test_rejects_finite_vertices_whose_edges_or_offsets_overflow(vertices):
             ConvexPolytope2.from_vertices(vertices)
 
 
+def test_from_vertices_copies_the_callers_array():
+    """from_vertices keeps a frozen copy of a float64 (n, 2) input: the
+    caller's array stays writeable and is not the body's, and writing to
+    it leaves the body as it was."""
+    given = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    P = ConvexPolytope2.from_vertices(given)
+    assert given.flags.writeable and P.vertices is not given
+    assert not np.shares_memory(P.vertices, given) and not P.vertices.flags.writeable
+    given[0] = (5.0, 5.0)
+    assert P.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
 def test_normals_and_offsets_of_square():
     assert np.allclose(SQUARE.normals,
                        [(1, 0), (0, 1), (-1, 0), (0, -1)])

@@ -13,7 +13,8 @@ shared t already sweeps.  Tables per body screen every side before any
 tuple exists (_side_tables): a side with no facet is checked directly, one
 with a facet by _chord_reach (exact, see there).  The sides left are one
 lp.solve_interval stack, the feasible tuples one certified_pairs stack,
-which the search deduplicates and sorts as the Pairs stack it returns.
+which the search deduplicates and sorts as the Pairs stack it returns;
+solve_face_tuple returns the one-row stack of a single tuple.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import lp as lpmod
 from .geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face, NormalConeRep,
                    cone_contains, cone_rows, cyclic, face_array, face_cones)
-from .pairs import BilliardPair, Pairs, dedupe, sort_pairs
+from .pairs import Pairs, dedupe, sort_pairs
 from .verify import certified_pairs
 
 
@@ -151,31 +152,30 @@ def _solve_tuples(K: ConvexPolytope2, T: ConvexPolytope2, tuples: np.ndarray,
 
 def solve_face_tuple(K: ConvexPolytope2, T: ConvexPolytope2,
                      f1: Face, f2: Face, g1: Face, g2: Face,
-                     objective: Optional[np.ndarray] = None
-                     ) -> Optional[BilliardPair]:
-    """The search's pipeline on one face tuple; None if infeasible or
-    degenerate (a tuple that is not antipodal never passes the LP and the
-    certificate, so the search filters those only to save work).
-    `objective` (one entry per facet) perturbs the otherwise zero objective
-    of each side's LP, by the sum of the entries of the side's facets, and
-    may pick another point of the same interval."""
+                     objective: Optional[np.ndarray] = None) -> Optional[Pairs]:
+    """The search's pipeline on one face tuple: its one-row stack, or None
+    if infeasible or degenerate (a tuple that is not antipodal never passes
+    the LP and the certificate, so the search filters those only to save
+    work).  `objective` (one entry per facet) perturbs the otherwise zero
+    objective of each side's LP, by the sum of the entries of the side's
+    facets, and may pick another point of the same interval."""
     tuples = np.concatenate([face_array(K, [(f1, f2)]), face_array(T, [(g1, g2)])], 1)
     found = _solve_tuples(K, T, tuples, objective)
-    return found[0] if len(found) else None
+    return found if len(found) else None
 
 
-def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
-                  pair: BilliardPair) -> BilliardPair:
-    """If both bouncing points sit on facets of K but one of them is at a
-    facet endpoint, try to slide the chord into the relative interiors of
-    both facets (the length is unchanged along the way).  The two facets of
-    a search pair are antipodal, so their directions are antiparallel.  The
-    search no longer calls it: it returns every search pair unchanged."""
-    f1, f2 = pair.k_faces
-    if not (f1.is_edge and f2.is_edge):
+def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2, pair: Pairs) -> Pairs:
+    """If both bouncing points of the one-row stack pair sit on facets of K
+    but one of them is at a facet endpoint, try to slide the chord into the
+    relative interiors of both facets (the length is unchanged along the
+    way), and return the certified stack of the slid pair; else pair
+    itself.  The two facets of a search pair are antipodal, so their
+    directions are antiparallel.  The search no longer calls it: it returns
+    every search pair unchanged."""
+    if not (pair.k_faces >= K.n).all():
         return pair
-    q1, q2 = pair.q
-    (a1, b1), (a2, b2) = K.face_table.ends[face_array(K, [pair.k_faces])[0]]
+    q1, q2 = pair.q[0]
+    (a1, b1), (a2, b2) = K.face_table.ends[pair.k_faces[0]]
     d1 = b1 - a1
     d2 = b2 - a2
     L1 = float(np.hypot(*d1))
@@ -193,9 +193,8 @@ def prefer_smooth(K: ConvexPolytope2, T: ConvexPolytope2,
     if hi - lo <= 2 * margin:
         return pair
     t = 0.5 * (lo + hi)
-    shifted = certified_pairs(K, T, [pair.q + t * e1], [pair.p],
-                              face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
-    return shifted[0] if len(shifted) else pair
+    shifted = certified_pairs(K, T, pair.q + t * e1, pair.p, pair.k_faces, pair.t_faces)
+    return shifted if len(shifted) else pair
 
 
 def _side_tables(P: ConvexPolytope2, Q: ConvexPolytope2):

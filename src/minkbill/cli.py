@@ -176,10 +176,10 @@ def cmd_verify(args) -> int:
                          "error": "degenerate curve data"})
             all_ok = False
             continue
-        cert = certify(K, T, pair)
-        ok = cert.certified and abs(pair.length - length) < 1e-9
-        rows.append({"index": i, "certified": ok,
-                     "certificate": cert.to_json_obj()})
+        [checked] = certify(K, T, pair).to_json_obj()
+        cert = checked["certificate"]
+        ok = cert["certified"] and abs(checked["length"] - length) < 1e-9
+        rows.append({"index": i, "certified": ok, "certificate": cert})
         all_ok = all_ok and ok
     _dump_json({"schema": REPORT_SCHEMA, "verified": all_ok,
                 "candidates": rows}, args.out)

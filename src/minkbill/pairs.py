@@ -1,79 +1,41 @@
 """Trajectory/dual-trajectory pairs shared by both searches.
 
-A curve q_1 .. q_m is an (m, 2) array.  A search's certified pairs travel as
-one row-aligned stack (Pairs) from verify.certified_pairs through dedupe and
-sort_pairs to the report, with no per-row object; a row becomes a
-BilliardPair only where a caller indexes or iterates a stack.  make_pair
-builds one pair from a report's data.
+A curve q_1 .. q_m is an (m, 2) array.  Pairs are row-aligned stacks
+(Pairs): a search's certified pairs travel as one stack from
+verify.certified_pairs through dedupe and sort_pairs to the report, and a
+single pair is a one-row stack.  make_pair builds one from a report's data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geom import (EPS_CERT, ConvexPolytope2, Face, cyclic, degenerate, face_tuples,
+from .geom import (EPS_CERT, ConvexPolytope2, Face, cyclic, degenerate, face_array,
                    read_only, support_many)
 
-
-def _certifies(system, face, length, dual, in_f_k, in_f_t):
-    """Whether Certificate fields, scalars or arrays of a stack, certify (a
-    nan residual never does)."""
-    return ((system < EPS_CERT) & (face < EPS_CERT) & (length < EPS_CERT)
-            & (dual < EPS_CERT) & in_f_k & in_f_t)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    system_residual: float       # reflection-law cone distances
-    face_residual: float         # distance of each vertex to its declared face
-    length_residual: float       # |ell_T(q) - sum <q_{j+1}-q_j, p_j>|
-    dual_length_residual: float  # |ell_T(q) - ell_{-K}(p)|
-    in_f_k: bool
-    in_f_t: bool
-
-    @property
-    def certified(self) -> bool:
-        return bool(_certifies(*vars(self).values()))
-
-    def to_json_obj(self) -> dict:
-        return {**vars(self), "certified": self.certified}
-
-
-@dataclass(frozen=True)
-class BilliardPair:
-    """A closed trajectory q on the boundary of K together with its dual
-    trajectory p on the boundary of T and the reflection-law multipliers:
-
-        q_{j+1} - q_j =  lambdas[j] * n_T(p_j)
-        p_{j+1} - p_j = -mus[j+1]   * n_K(q_{j+1})
-
-    (indices cyclic; the normals are unit vectors in the respective cones).
-    A pair taken from a search's stack carries the certificate that
-    admitted it.
-    """
-
-    q: np.ndarray  # (m, 2), read-only: q_1 .. q_m on the boundary of K
-    p: np.ndarray  # (m, 2), read-only: p_1 .. p_m on the boundary of T
-    k_faces: Tuple[Face, ...]
-    t_faces: Tuple[Face, ...]
-    lambdas: Tuple[float, ...]
-    mus: Tuple[float, ...]
-    length: float
-    certificate: Optional[Certificate] = field(default=None, compare=False)
-
-
-_REPORT = [f.name for f in fields(Certificate)] + ["certified"]
+# the certificate fields of a stack, then whether each row certifies
+_REPORT = ("system_residual", "face_residual", "length_residual", "dual_length_residual",
+           "in_f_k", "in_f_t", "certified")
 
 
 @dataclass(frozen=True, eq=False)
 class Pairs:
-    """B certified pairs of one m on (K, T), one row each: q and p (B, m, 2),
-    the face ids of K and T at each vertex (B, m), lambdas and mus (B, m),
-    the ell_T lengths (B,) and the six Certificate fields, each (B,).
-    Indexing or iterating a stack builds BilliardPairs of its rows."""
+    """B pairs of one m on (K, T), one row each: closed trajectories q on
+    the boundary of K and their dual trajectories p on the boundary of T
+    (B, m, 2), the face ids of K and T at each vertex (B, m), the
+    reflection-law multipliers lambdas and mus (B, m),
+
+        q_{j+1} - q_j =  lambdas[j] * n_T(p_j)
+        p_{j+1} - p_j = -mus[j+1]   * n_K(q_{j+1})
+
+    (indices cyclic; the normals are unit vectors in the respective cones),
+    the ell_T lengths (B,) and the certificate, six fields each (B,): the
+    reflection-law cone distances, the distance of each vertex to its face,
+    |ell_T(q) - sum <q_{j+1}-q_j, p_j>|, |ell_T(q) - ell_{-K}(p)|, and
+    whether q is in F(K) and p in F(T).  Every array is read-only."""
 
     K: ConvexPolytope2
     T: ConvexPolytope2
@@ -86,6 +48,10 @@ class Pairs:
     length: np.ndarray
     certificate: Tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        for v in self._fields():
+            v.setflags(write=False)
+
     @staticmethod
     def empty(K: ConvexPolytope2, T: ConvexPolytope2, m: int) -> "Pairs":
         """The stack of no pairs of m bounces."""
@@ -93,10 +59,22 @@ class Pairs:
                      *np.zeros((2, 0, m)), np.zeros(0),
                      (*np.zeros((4, 0)), *np.zeros((2, 0), bool)))
 
+    @property
+    def certified(self) -> np.ndarray:
+        """Whether each row certifies (B,): every residual below EPS_CERT and
+        both in_f fields True (a nan residual never does)."""
+        system, face, length, dual, in_f_k, in_f_t = self.certificate
+        return ((system < EPS_CERT) & (face < EPS_CERT) & (length < EPS_CERT)
+                & (dual < EPS_CERT) & in_f_k & in_f_t)
+
+    def _fields(self) -> list:
+        """The row fields, in the order of the constructor."""
+        return [self.q, self.p, self.k_faces, self.t_faces, self.lambdas, self.mus,
+                self.length, *self.certificate]
+
     def _map(self, fn, *others: "Pairs") -> "Pairs":
         """The stack of fn of each row field of this stack and of others."""
-        v = list(map(fn, *([s.q, s.p, s.k_faces, s.t_faces, s.lambdas, s.mus, s.length,
-                            *s.certificate] for s in (self, *others))))
+        v = list(map(fn, *(s._fields() for s in (self, *others))))
         return Pairs(self.K, self.T, *v[:7], tuple(v[7:]))
 
     def take(self, rows) -> "Pairs":
@@ -110,24 +88,12 @@ class Pairs:
     def __len__(self) -> int:
         return len(self.length)
 
-    def __getitem__(self, i: int) -> BilliardPair:
-        """Row i as a BilliardPair with its Certificate and copies of its curves."""
-        [kf], [tf] = (face_tuples(P, ids[i, None]) for P, ids in ((self.K, self.k_faces),
-                                                                  (self.T, self.t_faces)))
-        return BilliardPair(read_only(self.q[i]), read_only(self.p[i]), kf, tf,
-                            tuple(self.lambdas[i].tolist()), tuple(self.mus[i].tolist()),
-                            self.length[i].item(), Certificate(*(v[i].item() for v in
-                                                                 self.certificate)))
-
-    def __iter__(self) -> Iterator[BilliardPair]:
-        return map(self.__getitem__, range(len(self)))
-
     def to_json_obj(self) -> List[dict]:
         """The report entry of each row, one .tolist() per field; face id f
         of an n-gon is [kind, f % n], an edge where f >= n."""
         faces = [[[[("vertex", "edge")[f >= P.n], f % P.n] for f in row] for row in ids.tolist()]
                  for P, ids in ((self.K, self.k_faces), (self.T, self.t_faces))]
-        cert = zip(*(v.tolist() for v in (*self.certificate, _certifies(*self.certificate))))
+        cert = zip(*(v.tolist() for v in (*self.certificate, self.certified)))
         return [{"m": self.q.shape[1], "length": length, "q": q, "p": p, "k_faces": kf,
                  "t_faces": tf, "lambdas": lambdas, "mus": mus,
                  "certificate": dict(zip(_REPORT, c))}
@@ -147,11 +113,11 @@ def edge_lengths(T: ConvexPolytope2, q: np.ndarray, p: np.ndarray):
 
 def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
               q_vertices, p_vertices,
-              k_faces: Sequence[Face], t_faces: Sequence[Face]
-              ) -> Optional[BilliardPair]:
-    """Assemble a pair, with no certificate and read-only copies of the
-    curves, from raw vertex data; None unless q and p are finite (m, 2),
-    m >= 2, not degenerate, and with one face of K and of T per vertex."""
+              k_faces: Sequence[Face], t_faces: Sequence[Face]) -> Optional[Pairs]:
+    """The one-row stack of raw vertex data, with read-only copies of the
+    curves and no certificate (nan residuals, in_f False); None unless q and
+    p are finite (m, 2), m >= 2, not degenerate, and with one face of K and
+    of T per vertex, each a "vertex" or an "edge" of index i in range(n)."""
     curves = []
     for vertices in (q_vertices, p_vertices):
         v = read_only(vertices)
@@ -162,9 +128,13 @@ def make_pair(K: ConvexPolytope2, T: ConvexPolytope2,
     q, p = curves
     if len(q) != len(p) or len(q) != len(k_faces) or len(q) != len(t_faces):
         return None
-    _, _, [lambdas], [mus], [length] = edge_lengths(T, q[None], p[None])
-    return BilliardPair(q, p, tuple(k_faces), tuple(t_faces), tuple(lambdas.tolist()),
-                        tuple(mus.tolist()), float(length))
+    if not all(f.kind in ("vertex", "edge") and f.index in range(P.n)
+               for P, faces in ((K, k_faces), (T, t_faces)) for f in faces):
+        return None
+    q, p = q[None], p[None]
+    _, _, *lengths = edge_lengths(T, q, p)
+    return Pairs(K, T, q, p, face_array(K, [k_faces]), face_array(T, [t_faces]), *lengths,
+                 (*np.full((4, 1), np.nan), *np.zeros((2, 1), bool)))
 
 
 def _canonical_keys(q: np.ndarray) -> List[tuple]:

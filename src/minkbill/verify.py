@@ -4,8 +4,8 @@ grid-based brute-force oracle.
 Nothing here reuses intermediate data from the searches or solves an LP; a
 certificate is recomputed from the raw vertices and their face tables, so
 that a bug in an LP formulation or in the solver cannot certify itself.
-certified_pairs certifies a search's rows as one stack and returns those
-that pass as a pairs.Pairs stack; certify checks one BilliardPair.
+certify re-checks a stack of pairs, and certified_pairs keeps the rows of
+a search's stack that certify.
 """
 
 from __future__ import annotations
@@ -17,19 +17,19 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .geom import (EPS_GEO, HULL_GAP, ConvexPolytope2, GeometryError,
-                   cone_distance, cyclic, degenerate, dot2, face_array, face_cones,
+                   cone_distance, cyclic, degenerate, dot2, face_cones,
                    face_distances, in_f, largest_gap, support_many, unit)
-from .pairs import BilliardPair, Certificate, Pairs, _certifies, edge_lengths
+from .pairs import Pairs, edge_lengths
 
 
 class LineNotSupporting(GeometryError):
     pass
 
 
-def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
-    """The lambdas, mus and ell_T lengths (edge_lengths) and the Certificate
-    fields of each row of a stack: q and p (B, m, 2), and the face id of
-    each vertex, k_faces of K and t_faces of T (B, m)."""
+def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces) -> Pairs:
+    """The stack of q and p (B, m, 2) and the face id of each vertex,
+    k_faces of K and t_faces of T (B, m), with the lambdas, mus and ell_T
+    lengths of edge_lengths and the certificate fields of each row."""
     dq, dp, *lengths = edge_lengths(T, q, p)
     ell = lengths[-1]
     kn = k_faces[:, cyclic(k_faces.shape[1])]  # the face of K at the next bounce
@@ -37,16 +37,15 @@ def _checks(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces, t_faces):
                          cone_distance(face_cones(K, kn), -dp))
     face_res = np.maximum(face_distances(K, k_faces, q), face_distances(T, t_faces, p))
     dual = support_many(K, -dp).sum(axis=1)  # h_{-K}(v) = h_K(-v)
-    return lengths, (sys_res.max(axis=1), face_res.max(axis=1),
-                     np.abs(ell - dot2(dq, p).sum(axis=1)), np.abs(ell - dual),
-                     in_f(K, q), in_f(T, p))
+    return Pairs(K, T, q, p, k_faces, t_faces, *lengths, (
+        sys_res.max(axis=1), face_res.max(axis=1), np.abs(ell - dot2(dq, p).sum(axis=1)),
+        np.abs(ell - dual), in_f(K, q), in_f(T, p)))
 
 
-def certify(K: ConvexPolytope2, T: ConvexPolytope2,
-            pair: BilliardPair) -> Certificate:
-    _, fields = _checks(K, T, pair.q[None], pair.p[None],
-                        face_array(K, [pair.k_faces]), face_array(T, [pair.t_faces]))
-    return Certificate(*(v.tolist()[0] for v in fields))
+def certify(K: ConvexPolytope2, T: ConvexPolytope2, pairs: Pairs) -> Pairs:
+    """The stack pairs of (K, T), each row re-checked from its curves and
+    face ids alone: fresh lengths, lambdas, mus and certificate fields."""
+    return _checks(K, T, pairs.q, pairs.p, pairs.k_faces, pairs.t_faces)
 
 
 def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
@@ -57,9 +56,8 @@ def certified_pairs(K: ConvexPolytope2, T: ConvexPolytope2, q, p, k_faces,
     rows = np.flatnonzero(~(degenerate(q) | degenerate(p)))
     if not rows.size:
         return Pairs.empty(K, T, q.shape[1])
-    stack = [np.asarray(v)[rows] for v in (q, p, k_faces, t_faces)]
-    lengths, fields = _checks(K, T, *stack)
-    return Pairs(K, T, *stack, *lengths, fields).take(_certifies(*fields))
+    checked = _checks(K, T, *(np.asarray(v)[rows] for v in (q, p, k_faces, t_faces)))
+    return checked.take(checked.certified)
 
 
 def check_weak_rule(K: ConvexPolytope2, T: ConvexPolytope2, q,

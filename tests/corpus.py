@@ -1,6 +1,6 @@
 """Named, seeded sets of (label, K, T) cases shared by the differential
-tests, and the plain search results of each, built once per session and
-read-only.  A label is "<pool>/<instance>", "fixture/<name>", a kind, or in
+tests, and the plain search results of each as tuples of one-row stacks,
+built once per session and read-only.  A label is "<pool>/<instance>", "fixture/<name>", a kind, or in
 "brute" the oracle's grid.  A test that monkeypatches a search runs it
 itself.  tests/test_corpus.py pins every set."""
 
@@ -18,7 +18,7 @@ from minkbill.fixtures import fixture_names, load, regular_ngon
 from minkbill.geom import ConvexPolytope2, InvalidPolytope, rotation
 from minkbill.randgen import random_instance, random_polytope
 
-from references import scaled, symmetric_polygon
+from references import rows, scaled, symmetric_polygon
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
 SQUARE = ConvexPolytope2.from_vertices([(1, -1), (1, 1), (-1, 1), (-1, -1)])
@@ -207,12 +207,12 @@ def table():
 
 @functools.cache
 def two_bounce(name):
-    return tuple(tuple(search_two_bounce(K, T)) for _, K, T in cases(name))
+    return tuple(tuple(rows(search_two_bounce(K, T))) for _, K, T in cases(name))
 
 
 @functools.cache
 def three_bounce(name):
-    return tuple(tuple(search_three_bounce(K, T)) for _, K, T in cases(name))
+    return tuple(tuple(rows(search_three_bounce(K, T))) for _, K, T in cases(name))
 
 
 def per_body(reference):

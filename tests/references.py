@@ -2,15 +2,14 @@
 test modules, each under one name."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from minkbill.geom import (EPS_ANG, EPS_CERT, EPS_GEO, ConvexPolytope2, Face,
                            GeometryError, OriginNotInterior, cross2, cyclic, dot2,
-                           normal_cone, rotation, support_many, unit)
+                           face_tuples, normal_cone, rotation, support_many, unit)
 from minkbill.lp import solve
-from minkbill.pairs import _canonical_keys
+from minkbill.pairs import Pairs, _canonical_keys
 from minkbill.verify import LineNotSupporting, certify
 
 
@@ -93,12 +92,30 @@ def reference_find_faces(P, X, tol):
 
 
 def certified_pair(K, T, pair):
-    """The pair carrying its certificate, or None if it is None or fails:
-    what a search keeps of it, one pair at a time."""
+    """The one-row stack pair re-checked by certify, or None if it is None
+    or fails: what a search keeps of it, one pair at a time."""
     if pair is None:
         return None
-    pair = replace(pair, certificate=certify(K, T, pair))
-    return pair if pair.certificate.certified else None
+    pair = certify(K, T, pair)
+    return pair if pair.certified[0] else None
+
+
+def rows(pairs):
+    """A Pairs stack as its rows, one-row stacks in order; a list of one-row
+    stacks as it is."""
+    return [pairs.take([i]) for i in range(len(pairs))] if isinstance(pairs, Pairs) else pairs
+
+
+def certificate(pair):
+    """The certificate of a one-row stack by name, as a report writes it."""
+    [row] = pair.to_json_obj()
+    return row["certificate"]
+
+
+def faces_of(pair):
+    """The Face tuples of K and of T of a one-row stack."""
+    [k_faces], [t_faces] = face_tuples(pair.K, pair.k_faces), face_tuples(pair.T, pair.t_faces)
+    return k_faces, t_faces
 
 
 class Affine:
@@ -199,37 +216,39 @@ def returns(monkeypatch, owner, name):
 
 
 def face_key(pair):
-    """The faces of a pair, K's then T's, vertices before edges: the order
-    of their face ids."""
-    return tuple((f.is_edge, f.index) for f in pair.k_faces + pair.t_faces)
+    """The face ids of a one-row stack, K's then T's: the order of its
+    faces, vertices before edges."""
+    return tuple(pair.k_faces[0].tolist() + pair.t_faces[0].tolist())
 
 
 def sorted_pairs(pairs):
-    """BilliardPairs of any m by (length, m, face_key), ties in input order:
-    the order of a report's candidates."""
-    return sorted(pairs, key=lambda pr: (pr.length, len(pr.q), face_key(pr)))
+    """One-row stacks of any m by (length, m, face_key), ties in input
+    order: the order of a report's candidates."""
+    return sorted(pairs, key=lambda pr: (pr.length[0], pr.q.shape[1], face_key(pr)))
 
 
 def reference_dedupe(pairs):
-    """pairs.dedupe as it was written on a list of BilliardPairs of one m:
-    one pair per canonical key, the one with the smallest face_key (the
-    first of equal ones), in the order of each key's first pair."""
+    """pairs.dedupe as it was written on a list of pairs (one-row stacks) of
+    one m: one pair per canonical key, the one with the smallest face_key
+    (the first of equal ones), in the order of each key's first pair."""
     chosen = {}
     for pair in pairs:
-        key = _canonical_keys(pair.q[None])[0]
+        key = _canonical_keys(pair.q)[0]
         if key not in chosen or face_key(pair) < face_key(chosen[key]):
             chosen[key] = pair
     return list(chosen.values())
 
 
 def assert_same_pairs(got, want):
-    """Two pair lists with equal faces, lengths, q and p, in one order."""
+    """Two stacks or lists of one-row stacks with equal faces, lengths, q
+    and p, in one order."""
+    got, want = rows(got), rows(want)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.length == b.length
+        assert a.length.tolist() == b.length.tolist()
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.p, b.p)
-        assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
+        assert np.array_equal(a.k_faces, b.k_faces) and np.array_equal(a.t_faces, b.t_faces)
 
 
 def assert_same_search(stacks, want_stacks, got, want):
@@ -237,13 +256,14 @@ def assert_same_search(stacks, want_stacks, got, want):
     returned the same pairs, byte for byte, certificates included."""
     assert [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in stacks] == \
         [[(r.dtype, r.shape, r.tobytes()) for r in c] for c in want_stacks]
+    got, want = rows(got), rows(want)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus) == \
-            (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)
+        assert [v.tolist() for v in (a.length, a.k_faces, a.t_faces, a.lambdas, a.mus)] == \
+            [v.tolist() for v in (b.length, b.k_faces, b.t_faces, b.lambdas, b.mus)]
         assert a.q.tobytes() == b.q.tobytes()
         assert a.p.tobytes() == b.p.tobytes()
-        assert a.certificate.to_json_obj() == b.certificate.to_json_obj()
+        assert a.to_json_obj()[0]["certificate"] == b.to_json_obj()[0]["certificate"]
 
 
 def two_gon_minimum(K, T):

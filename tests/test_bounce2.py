@@ -21,21 +21,21 @@ from minkbill.verify import certify
 import corpus
 from corpus import DIAMOND, SQUARE
 from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
-                        cones_intersect, reference_cone_rows, reference_dedupe, returns,
-                        sorted_pairs, spy)
+                        cones_intersect, face_key, faces_of, reference_cone_rows,
+                        reference_dedupe, returns, rows, sorted_pairs, spy)
 
 
 def test_square_square_min_is_four():
     pairs = search_two_bounce(SQUARE, SQUARE)
     assert pairs
-    assert pairs[0].length == pytest.approx(4.0)
+    assert pairs.length[0] == pytest.approx(4.0)
 
 
 def test_square_diamond_min_is_four():
     # any axis chord has length h_T(2e) + h_T(-2e) = 4 in diamond geometry,
     # and the diagonal chords are no shorter
     pairs = search_two_bounce(SQUARE, DIAMOND)
-    assert pairs[0].length == pytest.approx(4.0)
+    assert pairs.length[0] == pytest.approx(4.0)
 
 
 def test_enumeration_count_matches_closed_form():
@@ -55,31 +55,32 @@ def test_returned_pairs_certified_and_immovable(rng):
     for _ in range(5):
         K, T = random_instance(rng, int(rng.integers(3, 7)),
                                int(rng.integers(3, 7)))
-        for pair in search_two_bounce(K, T):
+        for pair in rows(search_two_bounce(K, T)):
             cert = certify(K, T, pair)
-            assert cert.certified
-            assert in_f(K, pair.q)
-            assert in_f(T, pair.p)
-            assert pair.length > 0
+            assert cert.certified[0]
+            assert in_f(K, pair.q[0])
+            assert in_f(T, pair.p[0])
+            assert pair.length[0] > 0
 
 
 def test_multipliers_match_reflection_law():
     pairs = search_two_bounce(SQUARE, SQUARE)
-    pair = pairs[0]
-    dq = np.roll(pair.q, -1, axis=0) - pair.q
+    q, lambdas = pairs.q[0], pairs.lambdas[0]
+    dq = np.roll(q, -1, axis=0) - q
     for j in range(2):
-        assert pair.lambdas[j] == pytest.approx(float(np.hypot(*dq[j])))
+        assert lambdas[j] == pytest.approx(float(np.hypot(*dq[j])))
 
 
 def test_prefer_smooth_interior_bounce():
     # every minimal chord between parallel facets should sit strictly inside
     # both facets after smoothing
-    for pair in (prefer_smooth(SQUARE, SQUARE, pr) for pr in search_two_bounce(SQUARE, SQUARE)):
-        if all(f.is_edge for f in pair.k_faces):
-            for j, f in enumerate(pair.k_faces):
-                a, b = SQUARE.face_table.ends[SQUARE.n + f.index]
+    for pair in (prefer_smooth(SQUARE, SQUARE, pr)
+                 for pr in rows(search_two_bounce(SQUARE, SQUARE))):
+        if (pair.k_faces >= SQUARE.n).all():
+            for j, f in enumerate(pair.k_faces[0]):
+                a, b = SQUARE.face_table.ends[f]
                 d = b - a
-                t = float((pair.q[j] - a) @ d / (d @ d))
+                t = float((pair.q[0, j] - a) @ d / (d @ d))
                 assert 1e-4 < t < 1 - 1e-4
 
 
@@ -101,14 +102,35 @@ def test_prefer_smooth_moves_no_pair(monkeypatch):
                 [stack] = found
                 stacks.append((K, T, stack))
                 found.clear()
-    calls = [(K, pair, prefer_smooth(K, T, pair)) for K, T, stack in stacks for pair in stack]
+    calls = [(K, pair, prefer_smooth(K, T, pair)) for K, T, stack in stacks
+             for pair in rows(stack)]
     assert all(out is pair for _, pair, out in calls)
-    two_facets = [(K, pair.k_faces) for K, pair, _ in calls
-                  if all(f.is_edge for f in pair.k_faces)]
+    two_facets = [(K, pair.k_faces[0]) for K, pair, _ in calls if (pair.k_faces >= K.n).all()]
     assert len(two_facets) >= 600
     for K, faces in two_facets:  # the two facets run antiparallel
-        d1, d2 = np.diff(K.face_table.ends[face_array(K, [faces])[0]], axis=1)[:, 0]
+        d1, d2 = np.diff(K.face_table.ends[faces], axis=1)[:, 0]
         assert d1 @ d2 < 0
+
+
+def test_prefer_smooth_slides_a_corner_chord():
+    """A vertical chord of the square within 5e-8 of its right corners, on
+    the antiparallel bottom and top facets, slides to the middle of both:
+    prefer_smooth returns a certified one-row stack of the same length to
+    1e-12 relative, whose points sit halfway along their facets.  The slid
+    pair is not moved again: it comes back as the same object."""
+    x = 1 - 5e-8
+    pair = certify(SQUARE, SQUARE, make_pair(
+        SQUARE, SQUARE, [(x, -1), (x, 1)], [(0, 1), (0, -1)],
+        (Face.edge(3), Face.edge(1)), (Face.edge(1), Face.edge(3))))
+    assert pair.certified[0]
+    out = prefer_smooth(SQUARE, SQUARE, pair)
+    assert out is not pair and len(out) == 1 and out.certified[0]
+    assert out.length[0] == pytest.approx(pair.length[0], rel=1e-12, abs=0)
+    assert np.array_equal(out.k_faces, pair.k_faces) and np.array_equal(out.p, pair.p)
+    for f, v in zip(out.k_faces[0], out.q[0]):
+        a, b = SQUARE.face_table.ends[f]
+        assert (v - a) @ (b - a) / ((b - a) @ (b - a)) == pytest.approx(0.5, abs=1e-9)
+    assert prefer_smooth(SQUARE, SQUARE, out) is out
 
 
 def test_perturbed_objective_same_length(rng):
@@ -116,9 +138,8 @@ def test_perturbed_objective_same_length(rng):
     pairs = search_two_bounce(K, T)
     assert pairs
     checked = 0
-    for pair in pairs:
-        f1, f2 = pair.k_faces
-        g1, g2 = pair.t_faces
+    for pair in rows(pairs):
+        (f1, f2), (g1, g2) = faces_of(pair)
         nv = sum(f.is_edge for f in (f1, f2, g1, g2))  # one per facet
         if nv == 0:
             continue
@@ -126,7 +147,7 @@ def test_perturbed_objective_same_length(rng):
             obj = 1e-2 * rng.standard_normal(nv)
             redo = solve_face_tuple(K, T, f1, f2, g1, g2, objective=obj)
             assert redo is not None
-            assert abs(redo.length - pair.length) < 1e-8
+            assert abs(redo.length[0] - pair.length[0]) < 1e-8
             checked += 1
     assert checked > 0
 
@@ -150,22 +171,22 @@ def test_objective_on_parallel_facet_tuples(K, T, rng, monkeypatch):
     search_two_bounce(K, T)
     patterns = set()
     moved = 0
-    for pair in found[0]:
-        faces = pair.k_faces + pair.t_faces
+    for pair in rows(found[0]):
+        faces = sum(faces_of(pair), ())
         kinds = tuple(f.is_edge for f in faces)
         if not (all(kinds[:2]) or all(kinds[2:])):
             continue
         patterns.add(kinds)
         plain = solve_face_tuple(K, T, *faces)
-        assert plain is not None and plain.length == pair.length
+        assert plain is not None and plain.length[0] == pair.length[0]
         tilts = kinds == (True, True, False, False)
         for _ in range(4):
             redo = solve_face_tuple(K, T, *faces,
                                     objective=rng.standard_normal(sum(kinds)))
-            assert redo is not None and certify(K, T, redo).certified
-            assert (redo.k_faces, redo.t_faces) == (pair.k_faces, pair.t_faces)
-            assert redo.length == pytest.approx(
-                plain.length, rel=1e-12, abs=4 * EPS_GEO * _diameter(K) if tilts else 0)
+            assert redo is not None and certify(K, T, redo).certified[0]
+            assert faces_of(redo) == faces_of(pair)
+            assert redo.length[0] == pytest.approx(
+                plain.length[0], rel=1e-12, abs=4 * EPS_GEO * _diameter(K) if tilts else 0)
             moved += not (np.array_equal(redo.q, plain.q)
                           and np.array_equal(redo.p, plain.p))
     assert (True, True, True, True) in patterns and len(patterns) >= 5
@@ -195,14 +216,14 @@ def test_infeasible_tuple_returns_none():
 
 def test_declared_faces_contain_vertices(rng):
     K, T = random_instance(rng, 4, 6)
-    for pair in search_two_bounce(K, T):
+    for pair in rows(search_two_bounce(K, T)):
         for j in range(2):
-            f = find_face(K, pair.q[j], tol=1e-7)
+            f = find_face(K, pair.q[0, j], tol=1e-7)
             # the declared face need not be minimal, but must contain the point
             from minkbill.geom import face_distances
-            f, g = pair.k_faces[j], pair.t_faces[j]
-            assert face_distances(K, face_array(K, [[f]]), pair.q[j]) < 1e-7
-            assert face_distances(T, face_array(T, [[g]]), pair.p[j]) < 1e-7
+            f, g = pair.k_faces[:, j], pair.t_faces[:, j]
+            assert face_distances(K, f, pair.q[:, j]) < 1e-7
+            assert face_distances(T, g, pair.p[:, j]) < 1e-7
 
 
 def test_search_solves_no_simplex(monkeypatch):
@@ -216,11 +237,11 @@ def test_search_solves_no_simplex(monkeypatch):
     for K, T in ([(load(name).K, load(name).T) for name in ("fagnano", "exampleF_aux")]
                  + [(regular_ngon(n), regular_ngon(m)) for n, m in ((4, 4), (6, 3), (8, 12))]):
         assert search_two_bounce(K, T)
-        three += search_three_bounce(K, T)
+        three += rows(search_three_bounce(K, T))
     assert calls == []
     assert three
     assert any(all(f.is_edge for f in faces)
-               for stack in seen for pair in stack for faces in (pair.k_faces, pair.t_faces))
+               for stack in seen for pair in rows(stack) for faces in faces_of(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +393,19 @@ def test_batched_search_matches_per_tuple_reference(monkeypatch):
         assert_same_pairs(certified, found)
         assert_same_pairs(got, want)
         _, by_simplex = _per_tuple_reference(K, T)
-        assert ([(p.k_faces, p.t_faces) for p in found]
-                == [(p.k_faces, p.t_faces) for p in by_simplex])
+        assert [faces_of(p) for p in found] == [faces_of(p) for p in by_simplex]
         compared += len(found)
         for a, b in zip(found, by_simplex):
-            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+            assert a.length[0] == pytest.approx(b.length[0], rel=1e-12, abs=0)
+            k_faces, t_faces = faces_of(a)
             sides = [(u, v, P) for faces, u, v, P in
-                     ((a.k_faces, a.q, b.q, K), (a.t_faces, a.p, b.p, T))
+                     ((k_faces, a.q, b.q, K), (t_faces, a.p, b.p, T))
                      if not all(f.is_edge for f in faces)]
             for u, v, P in sides:
                 assert np.allclose(u, v, rtol=0, atol=1e-12 * (1 + _diameter(P)))
-            same += (a.length == b.length
+            same += (a.length[0] == b.length[0]
                      and all(np.array_equal(u, v) for u, v, _ in sides))
-        patterns.update(tuple(f.is_edge for f in pair.k_faces + pair.t_faces)
+        patterns.update(tuple(f.is_edge for f in sum(faces_of(pair), ()))
                         for pair in found)
         total += len(got)
     assert total >= 300
@@ -503,14 +524,13 @@ def test_cone_rows_match_multiplier_formulation(monkeypatch):
         want, found = _per_tuple_reference(K, T, _multiplier_face_tuple)
         [tuples], [certified] = feasible, seen  # the search's one stack
         assert tuples == multiplier_feasible
-        assert ([(p.k_faces, p.t_faces) for p in certified]
-                == [(p.k_faces, p.t_faces) for p in found])
-        for a, b in zip(certified, found):
-            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+        assert [face_key(p) for p in rows(certified)] == [face_key(p) for p in found]
+        for a, b in zip(rows(certified), found):
+            assert a.length[0] == pytest.approx(b.length[0], rel=1e-12, abs=0)
         assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.k_faces == b.k_faces and a.t_faces == b.t_faces
-            assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+        for a, b in zip(rows(got), want):
+            assert face_key(a) == face_key(b)
+            assert a.length[0] == pytest.approx(b.length[0], rel=1e-12, abs=0)
             assert np.allclose(a.q, b.q, rtol=0,
                                atol=1e-12 * (1 + _diameter(K)))
             assert np.allclose(a.p, b.p, rtol=0,

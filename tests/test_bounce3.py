@@ -25,7 +25,7 @@ from minkbill.verify import certify
 import corpus
 from conftest import polytopes
 from references import (Affine, assert_same_pairs, assert_same_search, certified_pair,
-                        face_key, product_chord_reach, reference_cone_rows, reference_dedupe,
+                        face_key, faces_of, rows, product_chord_reach, reference_cone_rows, reference_dedupe,
                         reference_find_faces, rows_reach, sorted_pairs, spy)
 
 
@@ -161,14 +161,14 @@ def test_fagnano_orbit_is_midpoint_triangle():
     K = equilateral_triangle()
     pairs = search_three_bounce(K, regular_ngon(64))
     assert pairs
-    best = pairs[0]
+    best = pairs.take([0])
     mid = 0.5 * (K.vertices + np.roll(K.vertices, -1, axis=0))
     # compare as point sets; the 64-gon discretization of the disk shifts the
     # orbit by a few hundredths
-    for v in best.q:
+    for v in best.q[0]:
         assert min(np.hypot(*(mid - v).T)) < 0.05
     # Euclidean perimeter of the midpoint triangle is 3 * sqrt(3)/2 * side
-    assert best.length == pytest.approx(1.5 * math.sqrt(3), abs=0.01)
+    assert best.length[0] == pytest.approx(1.5 * math.sqrt(3), abs=0.01)
 
 
 def test_example_a_triple_empty():
@@ -271,9 +271,9 @@ def test_returned_pairs_certified(rng):
     for _ in range(5):
         K, T = random_instance(rng, int(rng.integers(3, 7)),
                                int(rng.integers(3, 7)))
-        for pair in search_three_bounce(K, T):
-            assert len(pair.q) == 3
-            assert certify(K, T, pair).certified
+        for pair in rows(search_three_bounce(K, T)):
+            assert len(pair.q[0]) == 3
+            assert certify(K, T, pair).certified[0]
 
 
 def _inbody_per_vertex(tri, T):
@@ -530,10 +530,10 @@ def test_exact_fit_matches_sampled_fan(rng):
             exact = solve_facet_triple(K, T, triple)
             for pair in ref:
                 assert exact
-                assert exact[0].length == pytest.approx(pair.length, rel=1e-12)
+                assert exact.length[0] == pytest.approx(pair.length[0], rel=1e-12)
             fan_triples += bool(ref)
-            ref_min = min([ref_min] + [pair.length for pair in ref])
-            exact_min = min([exact_min] + [pair.length for pair in exact])
+            ref_min = min([ref_min] + [pair.length[0] for pair in ref])
+            exact_min = min([exact_min, *exact.length])
         assert exact_min == pytest.approx(ref_min, rel=1e-12) or (
             exact_min == ref_min == math.inf)
     assert fan_triples >= 100
@@ -703,10 +703,10 @@ def test_chord_prefilter_changes_no_pair(monkeypatch):
     assert inbody < members // 2 and fitted < unscreened // 2
     assert sum(map(len, got)) >= 50
     for a, b in zip(got, want):
-        assert [(p.k_faces, p.t_faces, p.length, p.q.tobytes(),
-                 p.p.tobytes(), p.certificate) for p in a] == \
-               [(p.k_faces, p.t_faces, p.length, p.q.tobytes(),
-                 p.p.tobytes(), p.certificate) for p in b]
+        assert [(face_key(p), p.length[0], p.q.tobytes(), p.p.tobytes(),
+                 p.to_json_obj()[0]["certificate"]) for p in rows(a)] == \
+               [(face_key(p), p.length[0], p.q.tobytes(), p.p.tobytes(),
+                 p.to_json_obj()[0]["certificate"]) for p in rows(b)]
 
 
 def test_no_fit_stage_and_no_step_on_an_empty_stack(monkeypatch):
@@ -921,11 +921,12 @@ def test_singular_edge_fit_goes_to_the_lp(monkeypatch):
 
 
 def _assert_close_pairs(got, want):
-    """Lengths, q and p of two pair lists in one order within 1e-12
-    relative."""
+    """Lengths, q and p of two stacks or lists of one-row stacks in one
+    order within 1e-12 relative."""
+    got, want = rows(got), rows(want)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.length == pytest.approx(b.length, rel=1e-12, abs=0)
+        assert a.length[0] == pytest.approx(b.length[0], rel=1e-12, abs=0)
         for u, v in ((a.q, b.q), (a.p, b.p)):
             assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
 
@@ -979,8 +980,7 @@ def test_search_matches_simplex_reference():
     triples = pairs = 0
     for (_, K, T), got in zip(corpus.cases("search"), corpus.three_bounce("search")):
         ref, _ = _same_decisions(K, T)
-        assert ([(pr.k_faces, pr.t_faces) for pr in got]
-                == [(pr.k_faces, pr.t_faces) for pr in ref])
+        assert [faces_of(pr) for pr in got] == [faces_of(pr) for pr in ref]
         _assert_close_pairs(got, ref)
         triples += len(spanning_triples(K))
         pairs += len(got)
@@ -997,7 +997,7 @@ def test_regular_polygons_match_simplex_reference():
             K, T = regular_ngon(n), regular_ngon(m)
             ref, s = _same_decisions(K, T)
             _assert_close_pairs(*(sorted(prs, key=face_key)
-                                  for prs in (search_three_bounce(K, T), ref)))
+                                  for prs in (rows(search_three_bounce(K, T)), ref)))
             slid += s
     assert slid >= 5
 

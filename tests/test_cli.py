@@ -287,7 +287,7 @@ def test_readme_library_snippet_runs(capsys):
     code = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
     scope = {}
     exec(code, scope)
-    assert scope["best"].length == 4.0
+    assert scope["best"].length[0] == 4.0
     assert capsys.readouterr().out.splitlines()[-1] == "True"
 
 

@@ -45,5 +45,6 @@ def test_cached_results_are_read_only_tuples(search, name):
     assert isinstance(results, tuple) and len(results) == len(corpus.cases(name))
     assert all(isinstance(pairs, tuple) for pairs in results)
     assert not any(arr.flags.writeable for pairs in results for pair in pairs
-                   for arr in (pair.q, pair.p))
+                   for arr in (pair.q, pair.p, pair.k_faces, pair.t_faces, pair.lambdas,
+                               pair.mus, pair.length, *pair.certificate))
     assert getattr(corpus, search)(name) is results

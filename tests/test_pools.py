@@ -35,7 +35,6 @@ import pytest
 
 import minkbill.cli
 from minkbill.geom import Face
-from minkbill.pairs import BilliardPair, Certificate
 
 import corpus
 
@@ -129,20 +128,71 @@ def test_pool_instance_keeps_its_report(pool, inst, pinned, report):
     assert got == pinned[f"{pool}/{inst['name']}"]["report_digest"]
 
 
+@pytest.mark.parametrize("pool, inst", INSTANCES, ids=IDS)
+def test_verify_rederives_every_certificate(pool, inst, report, tmp_path):
+    """`minkbill verify` on a pool report exits 0 and gives every candidate
+    the certificate dict that the report carries, float for float."""
+    text = report(pool, inst)
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert minkbill.cli.main(["verify", str(path)]) == 0
+    rows, candidates = json.loads(out.getvalue())["candidates"], json.loads(text)["candidates"]
+    assert [row["index"] for row in rows] == list(range(len(candidates)))
+    assert all(row["certified"] is True for row in rows)
+    assert [row["certificate"] for row in rows] == [c["certificate"] for c in candidates]
+
+
+def _broken_reports(inst, text):
+    """(fault, report text, the problem the Checker must name) for a pool
+    report: the min moved by 1e-6 relative, the argmin's first q vertex
+    moved 1e-6 off its face along the outer normal of its facet (of the
+    facet starting there, at a vertex), and its first K face replaced by
+    ["edge", -n] and by the id of the other kind that aliases it, index
+    i - n or i + n, neither a face of the n-gon K."""
+    K = minkbill.ConvexPolytope2.from_vertices(inst["K"])
+    reports = [json.loads(text) for _ in range(4)]
+    kind, i = reports[0]["argmin"]["k_faces"][0]
+    reports[0]["min"] *= 1 + 1e-6
+    q = reports[1]["argmin"]["q"]
+    q[0] = (np.array(q[0]) + 1e-6 * K.normals[i]).tolist()
+    reports[2]["argmin"]["k_faces"][0] = ["edge", -K.n]
+    reports[3]["argmin"]["k_faces"][0] = ["edge", i - K.n] if kind == "vertex" else [
+        "vertex", i + K.n]
+    faults = [("min", "min "), ("q off its face", "argmin fails certify"),
+              ("face -n", "argmin fails certify"), ("aliased face", "argmin fails certify")]
+    return [(fault, json.dumps(report), problem)
+            for (fault, problem), report in zip(faults, reports)]
+
+
+@pytest.mark.parametrize("name", ["grid/g00-11x24", "grid/g01-11x5", "oracle/o00-6x6-g34",
+                                  "oracle/o32-8x9-g52"])
+def test_checker_reports_a_broken_report(name, checker, report):
+    """The benchmark's Checker names each fault of _broken_reports on grid
+    and oracle reports whose own check passes (o32's argmin starts at
+    vertex 0 of K, which ["edge", -n] aliases when face ids wrap)."""
+    pool, inst = INSTANCES[IDS.index(name)]
+    text = report(pool, inst)
+    assert checker.problems(inst, text) == []
+    for fault, bad, problem in _broken_reports(inst, text):
+        found = checker.problems(inst, bad)
+        assert any(p.startswith(problem) for p in found), (fault, found)
+
+
 def test_shortest_builds_no_pair_object(monkeypatch, tmp_path):
     """`minkbill shortest` on every grid and oracle instance builds no
-    BilliardPair, Certificate or Face: each search's certified
-    pairs go from verify.certified_pairs to the report as one Pairs stack.
-    The spy on their constructors counts one of each built directly."""
+    Face: each search's certified pairs go from verify.certified_pairs to
+    the report as one Pairs stack, with face ids.  The spy on its
+    constructor counts one built directly."""
     built = Counter()
-    for cls in (BilliardPair, Certificate, Face):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counted)
-    curve = np.array([[0.0, 0.0], [1.0, 0.0]])
-    BilliardPair(curve, curve, (), (Face.vertex(0),), (), (), 1.0, Certificate(0, 0, 0, 0, 1, 1))
-    assert built == dict.fromkeys(["BilliardPair", "Certificate", "Face"], 1)
+
+    def counted(self, *args, _init=Face.__init__, **kwargs):
+        built["Face"] += 1
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(Face, "__init__", counted)
+    Face.vertex(0)
+    assert built == {"Face": 1}
     built.clear()
     for pool, inst in INSTANCES:
         if pool in ("grid", "oracle"):

@@ -21,11 +21,11 @@ from minkbill.randgen import random_instance
 from minkbill.verify import certify
 
 from conftest import polytopes
-from references import sorted_pairs
+from references import faces_of, rows, sorted_pairs
 
 
 def shortest(K, T):
-    found = sorted_pairs([*search_two_bounce(K, T), *search_three_bounce(K, T)])
+    found = sorted_pairs([*rows(search_two_bounce(K, T)), *rows(search_three_bounce(K, T))])
     assert found
     return found[0]
 
@@ -34,12 +34,13 @@ def assert_role_swap(K, T):
     """The two minima agree to 1e-12 relative, and the mapped-back shortest
     (T, -K) pair certifies on (K, T)."""
     direct, swapped = shortest(K, T), shortest(T, K.reflect())
-    assert swapped.length == pytest.approx(direct.length, rel=1e-12, abs=0)
+    assert swapped.length[0] == pytest.approx(direct.length[0], rel=1e-12, abs=0)
     # -K keeps the vertex order of K, so face i of -K is face i of K negated
-    back = make_pair(K, T, -np.roll(swapped.p, 1, axis=0), swapped.q,
-                     swapped.t_faces[-1:] + swapped.t_faces[:-1], swapped.k_faces)
-    assert back is not None and certify(K, T, back).certified
-    assert back.length == pytest.approx(direct.length, rel=1e-9, abs=0)
+    k_faces, t_faces = faces_of(swapped)
+    back = make_pair(K, T, -np.roll(swapped.p[0], 1, axis=0), swapped.q[0],
+                     t_faces[-1:] + t_faces[:-1], k_faces)
+    assert back is not None and certify(K, T, back).certified[0]
+    assert back.length[0] == pytest.approx(direct.length[0], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("seed", range(30))

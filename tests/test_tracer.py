@@ -5,14 +5,17 @@ restores the program's own bindings."""
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import minkbill
 import minkbill.cli
-from minkbill import bounce2, bounce3
-from minkbill.fixtures import load
+from minkbill import bounce2, bounce3, pairs, verify
+from minkbill.fixtures import equilateral_triangle, load, regular_ngon
+from minkbill.geom import Face
 
 import corpus
+from corpus import SQUARE
 from references import returns
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -106,3 +109,39 @@ def test_traced_counts_read_the_pair_stacks(tmp_path, monkeypatch):
     assert counts["pairs.dedupe.merged"] == rows - len(candidates) > 0
     assert counts["bounce3.solve_facet_triple.calls"] == len(stacks)
     assert counts["bounce3.solve_facet_triple.pairs"] == sum(map(len, stacks)) > 0
+
+
+def test_counters_read_their_targets_outputs():
+    """Each _COUNT function but the dormant lp.solve one, called on the
+    arguments and the output of a real call of its target: certify on a
+    one-row stack that certifies and on one that fails, solve_face_tuple on
+    a tuple with a pair (a one-row stack) and on one with none (None),
+    solve_facet_triple on the one triple of a triangle, and dedupe on a
+    stack that holds each of its rows twice."""
+    tracer = _load_tracer()
+    counts = Counter()
+
+    def count(span, fn, *args):
+        out = fn(*args)
+        tracer._COUNT[span](counts, args, out)
+        return out
+    chord = (Face.edge(3), Face.edge(1)), (Face.edge(1), Face.edge(3))
+    for q in ([(0, -1), (0, 1)], [(0, -1), (0.4, 1)]):  # the second bends the reflection
+        pair = pairs.make_pair(SQUARE, SQUARE, q, [(0, 1), (0, -1)], *chord)
+        count("verify.certify", verify.certify, SQUARE, SQUARE, pair)
+    assert counts["verify.certify.rejected"] == 1
+    found = count("bounce2.solve_face_tuple", bounce2.solve_face_tuple, SQUARE, SQUARE,
+                  *chord[0], *chord[1])
+    none = count("bounce2.solve_face_tuple", bounce2.solve_face_tuple, SQUARE, SQUARE,
+                 Face.edge(0), Face.edge(1), Face.edge(0), Face.edge(2))
+    assert len(found) == 1 and none is None
+    assert counts["bounce2.solve_face_tuple.found"] == 1
+    stack = count("bounce3.solve_facet_triple", bounce3.solve_facet_triple,
+                  equilateral_triangle(), regular_ngon(64), (0, 1, 2))
+    assert counts["bounce3.solve_facet_triple.pairs"] == len(stack) > 0
+    two = bounce2.search_two_bounce(SQUARE, SQUARE)
+    count("pairs.dedupe", pairs.dedupe, two.join([two]))
+    assert counts["pairs.dedupe.merged"] == len(two) > 0
+    assert set(tracer._COUNT) - {"lp.solve"} == {
+        "verify.certify", "bounce2.solve_face_tuple", "bounce3.solve_facet_triple",
+        "pairs.dedupe"}

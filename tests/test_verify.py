@@ -2,7 +2,6 @@ import functools
 import math
 import sys
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,19 +13,19 @@ from minkbill.bounce3 import search_three_bounce
 from minkbill.fixtures import example_g_curve, fixture_names, load, regular_ngon
 from minkbill.geom import (EPS_GEO, ConvexPolytope2, Face,
                            GeometryError, InvalidPolytope, ZeroVector,
-                           cone_contains, cyclic, face_array, face_cones, find_face,
+                           cone_contains, cyclic, face_cones, find_face,
                            find_faces, normal_cone)
 from minkbill.pairs import _canonical_keys, make_pair
 from minkbill.randgen import random_instance, random_polytope
-from minkbill.verify import (Certificate, LineNotSupporting, boundary_grid,
+from minkbill.verify import (LineNotSupporting, boundary_grid,
                              brute_force_min, certify,
                              check_weak_rule, _immovable_table,
                              _subset_immovable_table)
 
 import corpus
 from corpus import SQUARE
-from references import (reference_check_weak_rule, reference_chunk_starts,
-                        reference_in_f, rebuilt, spy)
+from references import (certificate, face_key, faces_of, reference_check_weak_rule,
+                        reference_chunk_starts, reference_in_f, rebuilt, spy)
 
 
 # the vertical chord of the square with itself as geometry, and a triangle
@@ -39,31 +38,44 @@ def _chord_pair():
     return make_pair(SQUARE, SQUARE, _CHORD_Q, _CHORD_P, _K_FACES, _T_FACES)
 
 
+def _reversed_dual(K, T, pair):
+    """make_pair of a one-row stack's q with its dual p, and the faces of T,
+    reversed (a certificate that fails)."""
+    k_faces, t_faces = faces_of(pair)
+    return make_pair(K, T, pair.q[0], pair.p[0, ::-1], k_faces, t_faces[::-1])
+
+
 def test_certify_valid_chord():
     pair = _chord_pair()
-    cert = certify(SQUARE, SQUARE, pair)
-    assert cert.certified
-    assert cert.system_residual < 1e-12
-    assert cert.dual_length_residual < 1e-12
-    assert pair.length == pytest.approx(4.0)
+    cert = certificate(certify(SQUARE, SQUARE, pair))
+    assert cert["certified"]
+    assert cert["system_residual"] < 1e-12
+    assert cert["dual_length_residual"] < 1e-12
+    assert pair.length[0] == pytest.approx(4.0)
 
 
 def test_certify_detects_broken_reflection():
     pair = _chord_pair()
-    bad = make_pair(SQUARE, SQUARE, [(0, -1), (0.4, 1)], pair.p,
-                    pair.k_faces, pair.t_faces)
-    cert = certify(SQUARE, SQUARE, bad)
-    assert not cert.certified
-    assert cert.system_residual > 1e-3
+    bad = make_pair(SQUARE, SQUARE, [(0, -1), (0.4, 1)], pair.p[0], *faces_of(pair))
+    cert = certificate(certify(SQUARE, SQUARE, bad))
+    assert not cert["certified"]
+    assert cert["system_residual"] > 1e-3
 
 
 def test_certify_detects_off_face_vertex():
     pair = _chord_pair()
-    bad = make_pair(SQUARE, SQUARE, pair.q,
-                    [(0.5, 1.2), (0, -1)], pair.k_faces, pair.t_faces)
-    cert = certify(SQUARE, SQUARE, bad)
-    assert not cert.certified
-    assert cert.face_residual > 0.1
+    bad = make_pair(SQUARE, SQUARE, pair.q[0], [(0.5, 1.2), (0, -1)], *faces_of(pair))
+    cert = certificate(certify(SQUARE, SQUARE, bad))
+    assert not cert["certified"]
+    assert cert["face_residual"] > 0.1
+
+
+def test_make_pair_starts_with_no_certificate():
+    """make_pair's one-row stack has nan residuals and both in_f fields
+    False, so it does not certify until certify re-checks it."""
+    pair = _chord_pair()
+    assert np.isnan(pair.certificate[:4]).all() and not np.any(pair.certificate[4:])
+    assert not pair.certified[0] and certify(SQUARE, SQUARE, pair).certified[0]
 
 
 @pytest.mark.parametrize("q, p, k_faces, t_faces", [
@@ -88,16 +100,36 @@ def test_make_pair_rejects_invalid_curves(q, p, k_faces, t_faces):
 
 
 def test_pairs_hand_out_read_only_copies():
-    """make_pair and indexing a search's stack give a pair read-only float
-    copies of its curves."""
+    """make_pair's one-row stack holds read-only float copies of its
+    curves, and so does the one-row stack of a row taken from a search's
+    stack."""
     q, p = np.array(_CHORD_Q), np.array(_CHORD_P)
     pair = make_pair(SQUARE, SQUARE, q, p, _K_FACES, _T_FACES)
     stack = search_two_bounce(SQUARE, SQUARE)
-    for got, given in ((pair.q, q), (pair.p, p), (stack[0].q, stack.q), (stack[0].p, stack.p)):
+    row = stack.take([0])
+    for got, given in ((pair.q[0], q), (pair.p[0], p), (row.q[0], stack.q), (row.p[0], stack.p)):
         assert got.dtype == float and got.shape == (2, 2)
         assert not got.flags.writeable and not np.shares_memory(got, given)
-    assert np.array_equal(pair.q, q) and np.array_equal(pair.p, p)
-    assert np.array_equal(stack[0].q, stack.q[0]) and np.array_equal(stack[0].p, stack.p[0])
+    assert np.array_equal(pair.q[0], q) and np.array_equal(pair.p[0], p)
+    assert np.array_equal(row.q[0], stack.q[0]) and np.array_equal(row.p[0], stack.p[0])
+
+
+@pytest.mark.parametrize("face", [Face("edge", -4), Face("bogus", 0), Face("vertex", 4),
+                                  Face("edge", 4), Face("edge", 0.5)],
+                         ids=["edge-minus-n", "bogus-kind", "vertex-n", "edge-n", "edge-half"])
+def test_make_pair_rejects_faces_the_body_lacks(face):
+    """make_pair builds no pair on a face that K or T lacks: its kind is
+    "vertex" or "edge" and its index one of 0 .. n - 1.  Each case replaces
+    the first face of K, then of T, of the shortest 2-bounce pair of the
+    square; read as face ids, Face("edge", -4) and Face("bogus", 0) would be
+    vertex 0, Face("vertex", 4) edge 0, and Face("edge", 0.5) face id 4,
+    edge 0."""
+    K = T = regular_ngon(4)
+    best = search_two_bounce(K, T).take([0])
+    q, p, (k_faces, t_faces) = best.q[0], best.p[0], faces_of(best)
+    assert certify(K, T, make_pair(K, T, q, p, k_faces, t_faces)).certified[0]
+    assert make_pair(K, T, q, p, (face, *k_faces[1:]), t_faces) is None
+    assert make_pair(K, T, q, p, k_faces, (face, *t_faces[1:])) is None
 
 
 def _forced_dual_case():
@@ -111,9 +143,9 @@ def _forced_dual_case():
 
 def test_forced_dual_fails_on_example_a():
     K, T, pair = _forced_dual_case()
-    cert = certify(K, T, pair)
-    assert not cert.certified
-    assert cert.system_residual > 0.1
+    cert = certificate(certify(K, T, pair))
+    assert not cert["certified"]
+    assert cert["system_residual"] > 0.1
 
 
 # --- weak rule --------------------------------------------------------------
@@ -177,8 +209,8 @@ def _weak_rule_cases():
     for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
                                      corpus.three_bounce("identity")):
         for pair in (*two, *three):
-            p = pair.p
-            yield K, T, pair.q, p[cyclic(len(p), -1)] - p
+            p = pair.p[0]
+            yield K, T, pair.q[0], p[cyclic(len(p), -1)] - p
     fx = load("exampleG")
     yield fx.K, fx.T, example_g_curve(0.25), [(0.0, -1.0), (0.0, -1.0)]
     fx = load("exampleF_aux")
@@ -290,7 +322,7 @@ def test_brute_never_below_search(rng):
     for _ in range(3):
         K, T = random_instance(rng, int(rng.integers(3, 6)),
                                int(rng.integers(3, 6)))
-        alg = min(p.length for p in search_two_bounce(K, T))
+        alg = min(search_two_bounce(K, T).length.tolist())
         assert brute_force_min(K, T, 64)[0] >= alg - 1e-9
 
 
@@ -349,11 +381,10 @@ def test_certify_runs_no_lp(monkeypatch):
     for (_, K, T), two, three in zip(corpus.cases("certify"), corpus.two_bounce("certify"),
                                      corpus.three_bounce("certify")):
         cases += [(K, T, pair) for pair in two + three]
-        cases += [(K, T, make_pair(K, T, pair.q, pair.p[::-1],
-                                   pair.k_faces, pair.t_faces[::-1]))
-                  for pair in (two + three)[:2] if len(pair.q) == 2]
-    want = [certify(K, T, pair) for K, T, pair in cases]
-    assert {c.certified for c in want} == {True, False}
+        cases += [(K, T, _reversed_dual(K, T, pair))
+                  for pair in (two + three)[:2] if pair.q.shape[1] == 2]
+    want = [certificate(certify(K, T, pair)) for K, T, pair in cases]
+    assert {c["certified"] for c in want} == {True, False}
 
     def no_lp(*args, **kwargs):
         raise AssertionError("the LP solver was called")
@@ -370,8 +401,8 @@ def test_certify_runs_no_lp(monkeypatch):
     with pytest.raises(AssertionError):
         search_two_bounce(SQUARE, SQUARE)
     with pytest.raises(AssertionError):
-        search_three_bounce(*next((K, T) for K, T, pair in cases if len(pair.q) == 3))
-    assert [certify(K, T, pair) for K, T, pair in cases] == want
+        search_three_bounce(*next((K, T) for K, T, pair in cases if pair.q.shape[1] == 3))
+    assert [certificate(certify(K, T, pair)) for K, T, pair in cases] == want
 
 
 def test_mask_table_cache_stays_bounded(rng):
@@ -808,23 +839,25 @@ def _reference_face_distance(P, f, x):
 
 
 def _reference_certify(K, T, pair):
-    q, p = pair.q, pair.p
+    """The six certificate fields of a one-row stack, one vertex at a time."""
+    q, p = pair.q[0], pair.p[0]
+    k_faces, t_faces = faces_of(pair)
     m = len(q)
     sys_res = face_res = inner = 0.0
     for j in range(m):
         dq = q[(j + 1) % m] - q[j]
         dp = p[(j + 1) % m] - p[j]
         sys_res = max(sys_res,
-                      _reference_cone_distance(normal_cone(T, pair.t_faces[j]), dq),
-                      _reference_cone_distance(normal_cone(K, pair.k_faces[(j + 1) % m]), -dp))
-        face_res = max(face_res, _reference_face_distance(K, pair.k_faces[j], q[j]),
-                       _reference_face_distance(T, pair.t_faces[j], p[j]))
+                      _reference_cone_distance(normal_cone(T, t_faces[j]), dq),
+                      _reference_cone_distance(normal_cone(K, k_faces[(j + 1) % m]), -dp))
+        face_res = max(face_res, _reference_face_distance(K, k_faces[j], q[j]),
+                       _reference_face_distance(T, t_faces[j], p[j]))
         inner += float(dq @ p[j])
     dq, dp = np.roll(q, -1, axis=0) - q, np.roll(p, -1, axis=0) - p
     ell = float((dq @ T.vertices.T).max(axis=1).sum())
     dual = float((-dp @ K.vertices.T).max(axis=1).sum())
-    return Certificate(sys_res, face_res, abs(ell - inner), abs(ell - dual),
-                       reference_in_f(K, q), reference_in_f(T, p))
+    return [sys_res, face_res, abs(ell - inner), abs(ell - dual),
+            reference_in_f(K, q), reference_in_f(T, p)]
 
 
 def _reference_lengths(T, q, p):
@@ -839,6 +872,16 @@ def _reference_lengths(T, q, p):
 def _bits(values):
     """Floats by their bit patterns (so that -0.0 and 0.0 differ)."""
     return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _fields(pair):
+    """The six certificate fields of a one-row stack."""
+    return [v.item() for v in pair.certificate]
+
+
+def _lengths(pair):
+    """The length, lambdas and mus of a one-row stack."""
+    return [pair.length.item(), *pair.lambdas[0].tolist(), *pair.mus[0].tolist()]
 
 
 def test_stacked_certification_matches_certify():
@@ -856,42 +899,34 @@ def test_stacked_certification_matches_certify():
     for (_, K, T), two, three in zip(corpus.cases("identity"), corpus.two_bounce("identity"),
                                      corpus.three_bounce("identity")):
         for pairs in (two, three):
-            flipped = [make_pair(K, T, pr.q, pr.p[::-1],
-                                 pr.k_faces, pr.t_faces[::-1]) for pr in pairs]
+            flipped = [_reversed_dual(K, T, pr) for pr in pairs]
             for stack in (pairs, [pr for pr in flipped if pr is not None]):
                 if not stack:
                     continue
-                rows = (np.stack([pr.q for pr in stack]),
-                        np.stack([pr.p for pr in stack]),
-                        face_array(K, [pr.k_faces for pr in stack]),
-                        face_array(T, [pr.t_faces for pr in stack]))
-                (lambdas, mus, ell), fields = verify._checks(K, T, *rows)
-                found = iter(verify.certified_pairs(K, T, *rows))
+                rows = tuple(np.concatenate([getattr(pr, name) for pr in stack])
+                             for name in ("q", "p", "k_faces", "t_faces"))
+                checked = verify._checks(K, T, *rows)
+                certified = verify.certified_pairs(K, T, *rows)
+                found = (certified.take([i]) for i in range(len(certified)))
                 for r, pair in enumerate(stack):
-                    cert = Certificate(*(v.tolist()[r] for v in fields))
+                    cert = [v.tolist()[r] for v in checked.certificate]
                     want = certify(K, T, pair)
-                    assert _bits(astuple(cert)) == _bits(astuple(want))
-                    assert _bits(astuple(cert)) == _bits(astuple(
-                        _reference_certify(K, T, pair)))
-                    outcomes.add(cert.certified)
-                    built = make_pair(K, T, pair.q, pair.p,
-                                      pair.k_faces, pair.t_faces)
-                    assert _bits([ell[r].item(), *lambdas[r].tolist(),
-                                  *mus[r].tolist()]) == _bits(
-                        [built.length, *built.lambdas, *built.mus]) == _bits(
-                        _reference_lengths(T, pair.q, pair.p))
-                    if not cert.certified:
+                    assert _bits(cert) == _bits(_fields(want))
+                    assert _bits(cert) == _bits(_reference_certify(K, T, pair))
+                    outcomes.add(checked.certified[r].item())
+                    built = make_pair(K, T, pair.q[0], pair.p[0], *faces_of(pair))
+                    assert _bits(_lengths(checked.take([r]))) == _bits(_lengths(built)) == _bits(
+                        _reference_lengths(T, pair.q[0], pair.p[0]))
+                    if not checked.certified[r]:
                         continue
                     got = next(found)
-                    assert _bits(astuple(got.certificate)) == _bits(astuple(want))
-                    assert _bits([got.length, *got.lambdas, *got.mus]) == _bits(
-                        [built.length, *built.lambdas, *built.mus])
+                    assert _bits(_fields(got)) == _bits(_fields(want))
+                    assert _bits(_lengths(got)) == _bits(_lengths(built))
                     assert np.array_equal(got.q, built.q)
                     assert np.array_equal(got.p, built.p)
-                    assert (got.k_faces, got.t_faces) == (built.k_faces, built.t_faces)
+                    assert face_key(got) == face_key(built)
                 assert next(found, None) is None
-                assert _canonical_keys(rows[0]) == [_canonical_keys(pr.q[None])[0]
-                                                    for pr in stack]
+                assert _canonical_keys(rows[0]) == [_canonical_keys(pr.q)[0] for pr in stack]
                 members += len(stack)
     assert outcomes == {True, False}
     assert members >= 1000
